@@ -9,7 +9,7 @@ that for three cuts of one architecture and writes CSV plus SVG artifacts.
 
 import os
 
-from splitfed import Method, ModelSpec, break_even_curve, cut_stats, efficiency_ratio
+from splitfed import ModelSpec, Protocol, break_even_curve, cut_stats, efficiency_ratio
 from splitfed import ScenarioParams
 from splitfed.svg import render_breakeven_svg
 
@@ -21,9 +21,9 @@ P, CLIENT_COUNTS = 100_000, [1, 10, 100, 1000, 10_000]
 print("=" * 72)
 print("1. One curve, checked against the ratio")
 print("=" * 72)
-curve = break_even_curve(1000, 10, 1.0, [1, 10, 100], Method.SPLIT_SYNC)
+curve = break_even_curve(1000, 10, 1.0, [1, 10, 100], Protocol.SPLIT_SYNC)
 for k, n_star in curve.points:
-    eff = efficiency_ratio(ScenarioParams(k, n_star, 1000, 10, 1.0), Method.SPLIT_SYNC)
+    eff = efficiency_ratio(ScenarioParams(k, n_star, 1000, 10, 1.0), Protocol.SPLIT_SYNC)
     print(f"  K={k:<6} N*={n_star:<10.6g} rho(N*)={eff.rho:.15f} -> {eff.winner.value}")
 
 print()
@@ -34,7 +34,7 @@ print("=" * 72)
 spec = ModelSpec((256, 128, 64, 32, 8))
 for cut in range(1, spec.weight_layers):
     q, eta = cut_stats(spec, cut)
-    curve = break_even_curve(P, q, eta, CLIENT_COUNTS, Method.SPLIT_SYNC)
+    curve = break_even_curve(P, q, eta, CLIENT_COUNTS, Protocol.SPLIT_SYNC)
     csv_path = os.path.join(OUT_DIR, f"breakeven_cut{cut}.csv")
     svg_path = os.path.join(OUT_DIR, f"breakeven_cut{cut}.svg")
     with open(csv_path, "w") as fh:

@@ -7,14 +7,7 @@ model size move, and evaluates the built-in use-case suites.
 
 from fractions import Fraction
 
-from splitfed import (
-    Method,
-    ScenarioParams,
-    efficiency_ratio,
-    federated_comm,
-    split_comm_nosync,
-    split_comm_sync,
-)
+from splitfed import Protocol, ScenarioParams, comm_report, efficiency_ratio
 from splitfed.scenarios import BUILTIN_SUITES, load_scenario
 
 print("=" * 72)
@@ -25,8 +18,9 @@ print("=" * 72)
 # 6 records across 2 clients, smashed width 3.
 params = ScenarioParams(clients=2, model_params=23, dataset_size=6,
                         smashed_size=3, client_fraction=Fraction(15, 23))
-for report in (split_comm_sync(params), split_comm_nosync(params), federated_comm(params)):
-    print(f"  {report.method.value:<12} per-client {report.per_client_scalars:>6} scalars"
+for protocol in (Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.FEDERATED):
+    report = comm_report(params, protocol)
+    print(f"  {report.method.label:<12} per-client {report.per_client_scalars:>6} scalars"
           f"   total {report.total_scalars:>6} scalars ({report.total_bytes} bytes at 4 B/scalar)")
 
 print()
@@ -47,7 +41,7 @@ for k, n, p in [
     (5, 10**8, 10**8),
 ]:
     sp = ScenarioParams(k, n, p, 1000, 0.05)
-    eff = efficiency_ratio(sp, Method.SPLIT_SYNC)
+    eff = efficiency_ratio(sp, Protocol.SPLIT_SYNC)
     print(f"  {k:>8} {n:>12} {p:>12} {eff.rho:>12.4f}  {eff.winner.value}")
 print()
 print("More clients or a bigger model pushes rho up (split wins); more data")
@@ -61,6 +55,6 @@ for suite, cases in BUILTIN_SUITES.items():
     print(f"  -- {suite}")
     for name in cases:
         sp = load_scenario(name).params()
-        eff = efficiency_ratio(sp, Method.SPLIT_SYNC)
+        eff = efficiency_ratio(sp, Protocol.SPLIT_SYNC)
         print(f"     {name:<20} K={sp.clients:<9} N={sp.model_params:<12} "
               f"p={sp.dataset_size:<10} rho={eff.rho:>10.3f}  {eff.winner.value}")

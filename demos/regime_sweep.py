@@ -6,7 +6,7 @@ dataset size (it falls), then prints the built-in suites as one sweep table,
 the same data the CLI's ``sweep`` subcommand emits as CSV.
 """
 
-from splitfed import Method, sweep
+from splitfed import Protocol, sweep
 from splitfed.scenarios import load_suite
 
 print("=" * 72)
@@ -19,7 +19,7 @@ grid = {
     "smashed_size": 100,
     "client_fraction": 0.3,
 }
-rows = sweep(grid, variant=Method.SPLIT_SYNC)
+rows = sweep(grid, variant=Protocol.SPLIT_SYNC)
 ns = grid["model_params"]
 header = "K / N"
 print(f"{header:>8} " + " ".join(f"{n:>12}" for n in ns))
@@ -53,9 +53,9 @@ print("=" * 72)
 for suite in ("smartwatch", "hospital", "biobank"):
     print(f"  -- {suite}")
     for sc in load_suite(suite):
-        for row in sweep(sc.grid(), variant=Method.SPLIT_SYNC):
-            sync = row.reports[Method.SPLIT_SYNC]
-            fed = row.reports[Method.FEDERATED]
+        for row in sweep(sc.grid(), variant=Protocol.SPLIT_SYNC):
+            sync = row.reports[Protocol.SPLIT_SYNC]
+            fed = row.reports[Protocol.FEDERATED]
             print(f"     {sc.name:<20} split {sync.total_scalars:>16}  "
                   f"federated {fed.total_scalars:>16}  rho={row.efficiency.rho:>10.3f}  "
                   f"{row.efficiency.winner.value}")

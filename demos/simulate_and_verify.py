@@ -8,18 +8,15 @@ code path, so agreement here is a genuine cross-validation.
 
 from splitfed import (
     MessageKind,
-    Method,
     ModelSpec,
+    Protocol,
     ScenarioParams,
-    SplitVariant,
-    federated_comm,
+    comm_report,
     measured_comm,
     partition_dataset,
     random_dataset,
     run_federated_training,
     run_split_training,
-    split_comm_nosync,
-    split_comm_sync,
     verify_against_model,
 )
 
@@ -37,7 +34,7 @@ print()
 print("=" * 72)
 print("1. Split training with epoch-level weight sharing")
 print("=" * 72)
-run = run_split_training(SPEC, CUT, shards, SplitVariant.SYNC_EPOCH,
+run = run_split_training(SPEC, CUT, shards, Protocol.SPLIT_SYNC,
                          epochs=1, lr=0.01, seed=SEED)
 print("first few ledger events:")
 for m in run.ledger.messages[:5]:
@@ -46,10 +43,10 @@ print(f"  ... {len(run.ledger)} events total")
 totals = run.ledger.totals_by_kind()
 for kind, value in totals.items():
     print(f"  {kind.value:<14} {value}")
-formula = split_comm_sync(params)
+formula = comm_report(params, Protocol.SPLIT_SYNC)
 print(f"ledger total excluding labels: {run.ledger.total_scalars()}")
 print(f"closed form 2pq + eta*N*K:     {formula.total_scalars}")
-print(f"verification: {verify_against_model(run.ledger, params, SplitVariant.SYNC_EPOCH).describe()}")
+print(f"verification: {verify_against_model(run.ledger, params, Protocol.SPLIT_SYNC).describe()}")
 print(f"per-epoch training loss: {[round(l, 4) for l in run.epoch_losses]}")
 
 print()
@@ -57,13 +54,13 @@ print("=" * 72)
 print("2. Alternating epochs, no client weight sharing")
 print("=" * 72)
 cycle = ScenarioParams.from_model(SPEC, CUT, clients=CLIENTS, dataset_size=RECORDS, epochs=CLIENTS)
-run = run_split_training(SPEC, CUT, shards, SplitVariant.ALTERNATING,
+run = run_split_training(SPEC, CUT, shards, Protocol.SPLIT_NOSYNC,
                          epochs=CLIENTS, lr=0.01, seed=SEED)
 print(f"ClientWeights messages logged: {run.ledger.totals_by_kind()[MessageKind.CLIENT_WEIGHTS]} "
       f"(this variant never shares client weights)")
 print(f"ledger total over a full K-epoch cycle: {run.ledger.total_scalars()}")
-print(f"closed form 2pq (one data pass):        {split_comm_nosync(params).total_scalars}")
-print(f"verification: {verify_against_model(run.ledger, cycle, SplitVariant.ALTERNATING).describe()}")
+print(f"closed form 2pq (one data pass):        {comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars}")
+print(f"verification: {verify_against_model(run.ledger, cycle, Protocol.SPLIT_NOSYNC).describe()}")
 
 print()
 print("=" * 72)
@@ -73,8 +70,8 @@ rounds = 5
 fed_params = ScenarioParams.from_model(SPEC, CUT, clients=CLIENTS, dataset_size=RECORDS, epochs=rounds)
 run = run_federated_training(SPEC, shards, rounds=rounds, local_lr=0.01, seed=SEED)
 print(f"ledger total over {rounds} rounds: {run.ledger.total_scalars()}")
-print(f"closed form 2KN per round:   {federated_comm(fed_params).total_scalars}")
-print(f"verification: {verify_against_model(run.ledger, fed_params, Method.FEDERATED).describe()}")
-measured = measured_comm(run.ledger, CLIENTS)
+print(f"closed form 2KN per round:   {comm_report(fed_params, Protocol.FEDERATED).total_scalars}")
+print(f"verification: {verify_against_model(run.ledger, fed_params, Protocol.FEDERATED).describe()}")
+measured = measured_comm(run.ledger, CLIENTS, Protocol.FEDERATED)
 print(f"measured per-client max: {measured.per_client_scalars} scalars "
       f"(= 2N per round x {rounds} rounds)")

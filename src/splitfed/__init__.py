@@ -5,18 +5,19 @@ from .cost_model import (
     BreakEvenCurve,
     CommReport,
     EfficiencyReport,
+    MessageKind,
     Method,
+    Protocol,
     ScenarioParams,
     SweepRow,
     Winner,
     break_even_curve,
     break_even_model_size,
+    comm_report,
     efficiency_ratio,
-    federated_comm,
     shard_sizes,
-    split_comm_nosync,
-    split_comm_sync,
     sweep,
+    traffic_by_kind,
 )
 from .errors import (
     CutOutOfRange,
@@ -50,7 +51,6 @@ from .nn_core import (
 from .protocol_sim import (
     FederatedRunResult,
     Message,
-    MessageKind,
     ShardedDataset,
     SplitRunResult,
     SplitVariant,

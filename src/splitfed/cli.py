@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 2 scenario/config error, 3 domain error (for example a
 divisibility or range violation), 4 ledger-versus-formula mismatch. The
-environment variable SPLITFED_SEED overrides the scenario seed.
+environment variable SPLITFED_SEED overrides the scenario seed in analyze,
+simulate and breakeven; sweep does not read it.
 
 CSV output is byte-stable across runs: integers verbatim, reals with 12
 significant digits, "\n" line endings.
@@ -18,20 +19,19 @@ from fractions import Fraction
 
 from . import protocol_sim
 from .cost_model import (
+    REPORTED,
     CommReport,
-    Method,
+    MessageKind,
+    Protocol,
     ScenarioParams,
     break_even_curve,
+    comm_report,
     efficiency_ratio,
-    federated_comm,
-    split_comm_nosync,
-    split_comm_sync,
     sweep,
 )
 from .errors import InvalidParam, ScenarioError, SplitFedError
 from .nn_core import random_dataset
-from .protocol_sim import MessageKind, SplitVariant
-from .scenarios import VARIANT_TO_METHOD, Scenario, load_scenario, load_suite
+from .scenarios import Scenario, load_scenario, load_suite
 from .svg import render_breakeven_svg
 
 # cmd_simulate refuses anything bigger than this; the simulator moves real
@@ -49,8 +49,6 @@ CSV_HEADER = [
 def _fmt(x) -> str:
     if isinstance(x, Fraction):
         x = float(x)
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
@@ -71,12 +69,11 @@ def _write_csv_lines(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _report_rows(params: ScenarioParams, reports: dict[Method, CommReport], rho, winner) -> list[list]:
+def _report_rows(params: ScenarioParams, reports: dict[Protocol, CommReport], rho, winner) -> list[list]:
     rows = []
-    for method in (Method.SPLIT_SYNC, Method.SPLIT_NOSYNC, Method.FEDERATED):
-        r = reports[method]
+    for method, r in reports.items():
         rows.append([
-            method.value,
+            method.label,
             params.clients, params.model_params, params.dataset_size,
             params.smashed_size, params.client_fraction, params.epochs,
             r.per_client_scalars, r.total_scalars, r.per_client_bytes, r.total_bytes,
@@ -106,24 +103,13 @@ def _load(source: str) -> Scenario:
     return sc
 
 
-def _comparison_method(variant: str) -> Method:
-    if variant == "federated":
-        # A federated "scenario variant" still compares the sync split formula.
-        return Method.SPLIT_SYNC
-    return VARIANT_TO_METHOD[variant]
-
-
 def cmd_analyze(args) -> int:
     sc = _load(args.scenario)
-    variant = args.variant or sc.variant
+    split = Protocol(args.variant or sc.variant).rho_split
     params = sc.params()
     strict = not args.lenient_shards
-    reports = {
-        Method.SPLIT_SYNC: split_comm_sync(params, strict=strict, include_labels=args.include_labels),
-        Method.SPLIT_NOSYNC: split_comm_nosync(params, strict=strict, include_labels=args.include_labels),
-        Method.FEDERATED: federated_comm(params),
-    }
-    eff = efficiency_ratio(params, _comparison_method(variant))
+    reports = {m: comm_report(params, m, strict, args.include_labels) for m in REPORTED}
+    eff = efficiency_ratio(params, split)
 
     print(
         f"scenario {sc.name}: K={_fmt(params.clients)} N={_fmt(params.model_params)} "
@@ -131,13 +117,12 @@ def cmd_analyze(args) -> int:
         f"eta={_fmt(params.client_fraction)} epochs={params.epochs}"
     )
     print(f"{'method':<14} {'per-client':>16} {'total':>16} {'per-client bytes':>18} {'total bytes':>16}")
-    for method in (Method.SPLIT_SYNC, Method.SPLIT_NOSYNC, Method.FEDERATED):
-        r = reports[method]
+    for method, r in reports.items():
         print(
-            f"{method.value:<14} {r.per_client_scalars:>16} {r.total_scalars:>16} "
+            f"{method.label:<14} {r.per_client_scalars:>16} {r.total_scalars:>16} "
             f"{r.per_client_bytes:>18} {r.total_bytes:>16}"
         )
-    print(f"rho ({_comparison_method(variant).value} vs Federated) = {_fmt(eff.rho)}  winner: {eff.winner.value}")
+    print(f"rho ({split.label} vs Federated) = {_fmt(eff.rho)}  winner: {eff.winner.value}")
 
     if args.csv:
         _write_csv_lines(args.csv, CSV_HEADER, _report_rows(params, reports, eff.rho, eff.winner.value))
@@ -149,7 +134,7 @@ def cmd_simulate(args) -> int:
     sc = _load(args.scenario)
     if not sc.is_model_form:
         raise ScenarioError("simulate needs a model-form scenario (layer_widths + cut_index)")
-    variant_name = args.variant or sc.variant
+    variant = Protocol(args.variant or sc.variant)
     params = sc.params()
     if params.model_params > SIMULATE_MAX_PARAMS or params.dataset_size > SIMULATE_MAX_RECORDS:
         raise InvalidParam(
@@ -160,24 +145,17 @@ def cmd_simulate(args) -> int:
     x, y = random_dataset(sc.model, params.dataset_size, sc.seed)
     shards = protocol_sim.partition_dataset(x, y, params.clients, strict=strict)
 
-    if variant_name == "federated":
+    if variant is Protocol.FEDERATED:
         run = protocol_sim.run_federated_training(
             sc.model, shards, rounds=sc.epochs, local_lr=args.lr, seed=sc.seed, batch_size=sc.batch_size
         )
         losses = run.round_losses
-        verify_variant = Method.FEDERATED
     else:
-        split_variant = {
-            "sync": SplitVariant.SYNC_EPOCH,
-            "sync_batch": SplitVariant.SYNC_BATCH,
-            "nosync": SplitVariant.ALTERNATING,
-        }[variant_name]
         run = protocol_sim.run_split_training(
-            sc.model, sc.cut_index, shards, split_variant,
+            sc.model, sc.cut_index, shards, variant,
             epochs=sc.epochs, lr=args.lr, seed=sc.seed, batch_size=sc.batch_size,
         )
         losses = run.epoch_losses
-        verify_variant = split_variant
 
     ledger = run.ledger
     if args.inject_fault:
@@ -193,13 +171,13 @@ def cmd_simulate(args) -> int:
         print(f"wrote {args.loss_csv}")
 
     exclude = () if args.include_labels else (MessageKind.LABELS,)
-    measured = protocol_sim.measured_comm(ledger, params.clients, exclude=exclude,
+    measured = protocol_sim.measured_comm(ledger, params.clients, variant, exclude=exclude,
                                           bytes_per_scalar=params.bytes_per_scalar)
     verdict = protocol_sim.verify_against_model(
-        ledger, params, verify_variant, shard_sizes_override=shards.sizes, batch_size=sc.batch_size
+        ledger, params, variant, shard_sizes_override=shards.sizes, batch_size=sc.batch_size
     )
 
-    print(f"scenario {sc.name}: variant={variant_name} K={params.clients} p={params.dataset_size} "
+    print(f"scenario {sc.name}: variant={variant.value} K={params.clients} p={params.dataset_size} "
           f"epochs={sc.epochs} seed={sc.seed}")
     totals = ledger.totals_by_kind()
     print("traffic by kind (scalars): " + " ".join(f"{k.value}={totals[k]}" for k in MessageKind))
@@ -260,11 +238,11 @@ def cmd_breakeven(args) -> int:
     if p is None or q is None or eta is None:
         raise ScenarioError("breakeven needs p, q and eta (via --scenario or --p/--q/--eta)")
 
-    variant = Method.SPLIT_SYNC if (args.variant or "sync") == "sync" else Method.SPLIT_NOSYNC
+    variant = Protocol(args.variant or "sync")
     ks = _parse_k_range(args.k_range)
     curve = break_even_curve(p, q, eta, ks, variant)
 
-    print(f"break-even curve: p={_fmt(p)} q={_fmt(q)} eta={_fmt(eta)} variant={variant.value}")
+    print(f"break-even curve: p={_fmt(p)} q={_fmt(q)} eta={_fmt(eta)} variant={variant.label}")
     for k, n_star in curve.points:
         print(f"  K={k:<10} N*={_fmt(n_star)}")
     if args.csv:
@@ -278,17 +256,12 @@ def cmd_breakeven(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenarios = load_suite(args.scenario)
-    env_seed = os.environ.get("SPLITFED_SEED")
-    if env_seed is not None:
-        for sc in scenarios:
-            sc.seed = int(env_seed)
     strict = not args.lenient_shards
     rows_out: list[list] = []
     cells = 0
     for sc in scenarios:
-        variant = args.variant or sc.variant
-        method = _comparison_method(variant)
-        for row in sweep(sc.grid(), variant=method, strict=strict, include_labels=args.include_labels):
+        split = Protocol(args.variant or sc.variant).rho_split
+        for row in sweep(sc.grid(), variant=split, strict=strict, include_labels=args.include_labels):
             cells += 1
             if row.error is not None:
                 rows_out.extend(_error_rows(row.values, row.error))

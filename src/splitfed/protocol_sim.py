@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import nn_core
-from .cost_model import CommReport, Method, ScenarioParams, shard_sizes
+from .cost_model import CommReport, MessageKind, Protocol, ScenarioParams, shard_sizes, traffic_by_kind
 from .errors import InvalidParam
 from .nn_core import CutPoint, ModelSpec
 
@@ -31,18 +30,8 @@ def client_id(k: int) -> str:
     return f"client{k}"
 
 
-class MessageKind(str, Enum):
-    ACTIVATIONS = "Activations"
-    LABELS = "Labels"
-    GRADIENTS = "Gradients"
-    CLIENT_WEIGHTS = "ClientWeights"
-    GLOBAL_WEIGHTS = "GlobalWeights"
-
-
-class SplitVariant(str, Enum):
-    SYNC_EPOCH = "SyncEpoch"
-    SYNC_BATCH = "SyncBatch"
-    ALTERNATING = "AlternatingNoSync"
+# The simulator's name for the protocol it runs (SYNC_EPOCH, SYNC_BATCH, ALTERNATING).
+SplitVariant = Protocol
 
 
 @dataclass(frozen=True)
@@ -170,7 +159,7 @@ def run_split_training(
     spec: ModelSpec,
     cut: CutPoint | int,
     shards: ShardedDataset,
-    variant: SplitVariant,
+    variant: Protocol,
     epochs: int,
     lr: float,
     seed: int,
@@ -196,6 +185,8 @@ def run_split_training(
         raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
     if shards.clients < 1:
         raise InvalidParam("need at least one client shard")
+    if variant is Protocol.FEDERATED:
+        raise InvalidParam("run_split_training needs a split protocol; use run_federated_training")
     c = nn_core._cut_index(spec, cut)
     k_clients = shards.clients
     init_client, server = nn_core.split_params(spec, c, nn_core.init_params(spec, seed))
@@ -205,7 +196,7 @@ def run_split_training(
 
     for epoch in range(epochs):
         batch_losses: list[float] = []
-        turns = [epoch % k_clients] if variant is SplitVariant.ALTERNATING else range(k_clients)
+        turns = [epoch % k_clients] if variant is Protocol.SPLIT_NOSYNC else range(k_clients)
         for k in turns:
             me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
             weights = client_vecs[k]
@@ -228,11 +219,11 @@ def run_split_training(
                 weights = nn_core.sgd_step(weights, client_grads, lr)
                 server = nn_core.sgd_step(server, server_grads, lr)
                 batch_losses.append(loss)
-                if variant is SplitVariant.SYNC_BATCH:
+                if variant is Protocol.SPLIT_SYNC_BATCH:
                     ledger.append(Message(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, weights.size))
                     client_vecs[(k + 1) % k_clients] = weights
             client_vecs[k] = weights
-            if variant is SplitVariant.SYNC_EPOCH:
+            if variant is Protocol.SPLIT_SYNC:
                 ledger.append(Message(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, weights.size))
                 client_vecs[(k + 1) % k_clients] = weights
         epoch_losses.append(float(np.mean(batch_losses)) if batch_losses else math.nan)
@@ -302,27 +293,18 @@ def run_federated_training(
 def measured_comm(
     ledger: TrafficLedger,
     clients: int,
+    method: Protocol,
     exclude: Iterable[MessageKind] = (MessageKind.LABELS,),
     bytes_per_scalar: int = 4,
-    method: Method | None = None,
 ) -> CommReport:
-    """Traffic report measured from a ledger.
+    """Traffic report of a run of ``method``, measured from its ledger.
 
     per_client is the maximum over clients of scalars sent plus received in
     the included kinds (uniform for equal-shard runs; note a ring hand-off
     counts on both the sender and the receiver). total counts every included
-    message once. The method tag is inferred from the kinds present unless
-    given explicitly.
+    message once.
     """
     excluded = frozenset(exclude)
-    if method is None:
-        kinds = {m.kind for m in ledger}
-        if MessageKind.GLOBAL_WEIGHTS in kinds:
-            method = Method.FEDERATED
-        elif MessageKind.CLIENT_WEIGHTS in kinds:
-            method = Method.SPLIT_SYNC
-        else:
-            method = Method.SPLIT_NOSYNC
     per_client = max(
         (ledger.endpoint_scalars(client_id(k + 1), excluded) for k in range(clients)),
         default=0,
@@ -350,58 +332,28 @@ class VerificationReport:
         return "mismatch: " + "; ".join(parts)
 
 
-def _normalize_variant(variant) -> SplitVariant | Method:
-    if isinstance(variant, SplitVariant):
-        return variant
-    if variant is Method.FEDERATED or variant == "Federated":
-        return Method.FEDERATED
-    if variant is Method.SPLIT_SYNC:
-        return SplitVariant.SYNC_EPOCH
-    if variant is Method.SPLIT_NOSYNC:
-        return SplitVariant.ALTERNATING
-    raise InvalidParam(f"unknown protocol variant {variant!r}")
-
-
 def expected_kind_totals(
     params: ScenarioParams,
-    variant,
+    variant: Protocol,
     shard_sizes_override: Sequence[int] | None = None,
     batch_size: int = 1,
 ) -> dict[MessageKind, int]:
-    """Closed-form per-kind scalar totals for a run with these parameters.
+    """Closed-form per-kind scalar totals of a simulated run, from
+    :func:`~splitfed.cost_model.traffic_by_kind`.
 
-    ``params.epochs`` counts simulated epochs (one client turn each for the
-    alternating variant, so a full pass over the data takes K of them) or
-    federated rounds. SyncBatch generalizes the per-epoch hand-off to one per
-    batch: eta*N times the number of batches summed over clients.
+    ``params.epochs`` counts simulated epochs or federated rounds. An
+    alternating (nosync) epoch is one client's turn, so a full pass over the
+    data takes K of them.
     """
-    v = _normalize_variant(variant)
-    k, p, q, e = params.clients, params.dataset_size, params.smashed_size, params.epochs
-    totals = {kind: 0 for kind in MessageKind}
-    if v is Method.FEDERATED:
-        n = params.model_params
-        if not float(n).is_integer():
-            raise InvalidParam("federated verification needs an integral model_params")
-        totals[MessageKind.GLOBAL_WEIGHTS] = int(n) * k * e
-        totals[MessageKind.CLIENT_WEIGHTS] = int(n) * k * e
-        return totals
-    sizes = list(shard_sizes_override) if shard_sizes_override is not None else shard_sizes(p, k, strict=False)
-    if len(sizes) != k or sum(sizes) != p:
-        raise InvalidParam(f"shard sizes {sizes} do not cover {p} records across {k} clients")
-    cw = params.client_param_count
-    if v is SplitVariant.ALTERNATING:
-        records = sum(sizes[epoch % k] for epoch in range(e))
-        totals[MessageKind.ACTIVATIONS] = records * q
-        totals[MessageKind.GRADIENTS] = records * q
-        return totals
-    totals[MessageKind.ACTIVATIONS] = p * q * e
-    totals[MessageKind.GRADIENTS] = p * q * e
-    if v is SplitVariant.SYNC_EPOCH:
-        totals[MessageKind.CLIENT_WEIGHTS] = cw * k * e
-    else:  # SyncBatch
-        batches = sum(-(-size // batch_size) for size in sizes)
-        totals[MessageKind.CLIENT_WEIGHTS] = cw * batches * e
-    return totals
+    shards = shard_sizes_override
+    if variant is Protocol.SPLIT_NOSYNC:
+        # Epoch t goes to client (t mod K) alone, so the run is one pass over
+        # the shards its epochs visit.
+        if shards is None:
+            shards = shard_sizes(params.dataset_size, params.clients, strict=False)
+        shards = [shards[t % len(shards)] for t in range(params.epochs)]
+        params = replace(params, epochs=1)
+    return traffic_by_kind(params, variant, shards, batch_size)
 
 
 def verify_against_model(

@@ -16,10 +16,10 @@ accepts an exact ``a/b`` rational.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .cost_model import Method, ScenarioParams
+from .cost_model import Protocol, ScenarioParams
 from .errors import ScenarioError
 from .nn_core import Activation, ModelSpec
 
@@ -36,19 +36,12 @@ _GRID_FIELD = {
     "grid.q": "smashed_size",
     "grid.eta": "client_fraction",
 }
-_VARIANTS = ("sync", "nosync", "sync_batch", "federated")
-
-VARIANT_TO_METHOD = {
-    "sync": Method.SPLIT_SYNC,
-    "sync_batch": Method.SPLIT_SYNC,  # epoch-level closed form is the comparison baseline
-    "nosync": Method.SPLIT_NOSYNC,
-}
 
 
 @dataclass
 class Scenario:
     name: str
-    variant: str = "sync"
+    variant: Protocol = Protocol.SPLIT_SYNC
     seed: int = 0
     epochs: int = 1
     bytes_per_scalar: int = 4
@@ -90,16 +83,7 @@ class Scenario:
 
     def grid(self) -> dict[str, object]:
         """Sweep axes, with the scenario's own values filling non-gridded parameters."""
-        base = self.params()
-        axes: dict[str, object] = {
-            "clients": base.clients,
-            "model_params": base.model_params,
-            "dataset_size": base.dataset_size,
-            "smashed_size": base.smashed_size,
-            "client_fraction": base.client_fraction,
-            "bytes_per_scalar": base.bytes_per_scalar,
-            "epochs": base.epochs,
-        }
+        axes: dict[str, object] = asdict(self.params())
         for key, values in self.grids.items():
             axes[_GRID_FIELD[key]] = values
         return axes
@@ -162,9 +146,11 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
 
     sc = Scenario(name=entries.get("name", name_hint))
     if "variant" in entries:
-        if entries["variant"] not in _VARIANTS:
-            raise ScenarioError(f"variant must be one of {_VARIANTS}, got {entries['variant']!r}")
-        sc.variant = entries["variant"]
+        try:
+            sc.variant = Protocol(entries["variant"])
+        except ValueError:
+            names = tuple(p.value for p in Protocol)
+            raise ScenarioError(f"variant must be one of {names}, got {entries['variant']!r}") from None
     for key, attr in (("seed", "seed"), ("epochs", "epochs"),
                       ("bytes_per_scalar", "bytes_per_scalar"), ("batch_size", "batch_size")):
         if key in entries:

@@ -50,7 +50,7 @@ def render_breakeven_svg(curve: BreakEvenCurve, path: str | None = None) -> str:
     ]
     title = (
         f"break-even model size: p={curve.dataset_size}, q={curve.smashed_size}, "
-        f"eta={float(curve.client_fraction):g}, {curve.variant.value}"
+        f"eta={float(curve.client_fraction):g}, {curve.variant.label}"
     )
     lines.append(
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '

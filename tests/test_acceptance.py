@@ -15,13 +15,14 @@ from splitfed import (
     MessageKind,
     Method,
     ModelSpec,
+    Protocol,
     ScenarioParams,
     SplitVariant,
     Winner,
     backward,
     break_even_model_size,
+    comm_report,
     efficiency_ratio,
-    federated_comm,
     forward,
     forward_back,
     forward_front,
@@ -31,8 +32,6 @@ from splitfed import (
     run_federated_training,
     run_split_training,
     sgd_step,
-    split_comm_nosync,
-    split_comm_sync,
     split_params,
     verify_against_model,
 )
@@ -69,20 +68,20 @@ def test_ledger_formula_identity_randomized():
 
             sync = run_split_training(spec, cut, shards, SplitVariant.SYNC_EPOCH,
                                       epochs=epochs, lr=0.01, seed=seed, batch_size=batch)
-            assert sync.ledger.total_scalars() == split_comm_sync(params).total_scalars
+            assert sync.ledger.total_scalars() == comm_report(params, Protocol.SPLIT_SYNC).total_scalars
             assert verify_against_model(sync.ledger, params, SplitVariant.SYNC_EPOCH).matches
 
             cycle_params = ScenarioParams.from_model(spec, cut, clients=k, dataset_size=p,
                                                      epochs=k * epochs)
             alt = run_split_training(spec, cut, shards, SplitVariant.ALTERNATING,
                                      epochs=k * epochs, lr=0.01, seed=seed, batch_size=batch)
-            assert alt.ledger.total_scalars() == split_comm_nosync(params).total_scalars
+            assert alt.ledger.total_scalars() == comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars
             assert alt.ledger.totals_by_kind()[MessageKind.CLIENT_WEIGHTS] == 0
             assert verify_against_model(alt.ledger, cycle_params, SplitVariant.ALTERNATING).matches
 
             fed = run_federated_training(spec, shards, rounds=epochs, local_lr=0.01,
                                          seed=seed, batch_size=batch)
-            assert fed.ledger.total_scalars() == federated_comm(params).total_scalars
+            assert fed.ledger.total_scalars() == comm_report(params, Protocol.FEDERATED).total_scalars
             assert verify_against_model(fed.ledger, params, Method.FEDERATED).matches
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"identity sweep took {elapsed:.1f}s"

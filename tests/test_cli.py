@@ -165,6 +165,16 @@ def test_analyze_missing_scenario_exits_2(capsys):
     assert main(["analyze", "--scenario", "nowhere.conf"]) == 2
 
 
+def test_analyze_total_rounds_the_exact_client_weights(tmp_path, capsys):
+    # eta*N = Fraction(0.37) * 150 = 55.4999...: 55 client weights per hand-off
+    scenario = tmp_path / "s.txt"
+    scenario.write_text("K = 2\np = 4\nN = 150\nq = 1\neta = 0.37\n")
+    csv_path = tmp_path / "out.csv"
+    assert main(["analyze", "--scenario", str(scenario), "--csv", str(csv_path)]) == 0
+    sync_row = csv_path.read_text().splitlines()[1].split(",")
+    assert sync_row[0] == "SplitSync" and int(sync_row[8]) == 2 * 4 * 1 + 55 * 2
+
+
 def test_analyze_divisibility_exits_3(tmp_path, capsys):
     scenario = tmp_path / "odd.txt"
     scenario.write_text("K = 2\np = 7\nN = 10\nq = 1\neta = 0.5\n")
@@ -328,6 +338,14 @@ def test_sweep_error_rows_marked(tmp_path, capsys):
     lines = out.read_text().splitlines()[1:]
     assert len(lines) == 4  # 3 method rows + 1 error row
     assert sum(1 for line in lines if line.startswith("Error,")) == 1
+
+
+def test_sweep_ignores_env_seed(tmp_path, monkeypatch, capsys):
+    plain, seeded = tmp_path / "plain.csv", tmp_path / "seeded.csv"
+    assert main(["sweep", "--scenario", "tiny-dense", "--csv", str(plain)]) == 0
+    monkeypatch.setenv("SPLITFED_SEED", "abc")
+    assert main(["sweep", "--scenario", "tiny-dense", "--csv", str(seeded)]) == 0
+    assert plain.read_bytes() == seeded.read_bytes()
 
 
 def test_sweep_empty_grid_exits_2(tmp_path, capsys):

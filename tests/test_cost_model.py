@@ -9,18 +9,21 @@ import pytest
 from splitfed import (
     DivisibilityError,
     InvalidParam,
+    MessageKind,
     Method,
+    Protocol,
+    SplitVariant,
     ScenarioParams,
     Winner,
     break_even_curve,
     break_even_model_size,
+    comm_report,
     efficiency_ratio,
-    federated_comm,
     shard_sizes,
-    split_comm_nosync,
-    split_comm_sync,
     sweep,
+    traffic_by_kind,
 )
+from splitfed.cost_model import REPORTED
 
 
 def make_params(K, N, p, q, eta, bytes_per_scalar=4, epochs=1):
@@ -72,12 +75,77 @@ def test_client_param_count_rounds_bare_float():
     assert make_params(2, 10, 4, 1, 0.33).client_param_count == 3
 
 
+def test_client_param_count_rounds_the_exact_product():
+    # The float 0.37 lies just below 37/100, so eta*N = 55.4999... exactly;
+    # multiplying in floats first lands on 55.5, which rounds to 56.
+    params = make_params(2, 150, 4, 1, 0.37)
+    assert params.client_param_count == 55
+    assert params.client_weights == Fraction(0.37) * 150
+    sync_total = 2 * 4 * 1 + 55 * 2
+    assert comm_report(params, Protocol.SPLIT_SYNC).total_scalars == sync_total
+    row = sweep({"clients": 2, "model_params": 150, "dataset_size": 4,
+                 "smashed_size": 1, "client_fraction": 0.37})[0]
+    assert row.reports[Protocol.SPLIT_SYNC].total_scalars == sync_total
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(bad):
+    with pytest.raises(InvalidParam):
+        make_params(2, bad, 4, 1, 0.5)
+    with pytest.raises(InvalidParam):
+        make_params(2, 10, 4, 1, bad)
+
+
+# --- protocols and the per-kind closed form ------------------------------------
+
+def test_protocol_is_the_one_variant_lookup():
+    names = ("sync", "nosync", "sync_batch", "federated")
+    assert [Protocol(name) for name in names] == list(Protocol)
+    assert Method is Protocol and SplitVariant is Protocol
+    assert SplitVariant.SYNC_EPOCH is Protocol.SPLIT_SYNC
+    assert SplitVariant.SYNC_BATCH is Protocol.SPLIT_SYNC_BATCH
+    assert SplitVariant.ALTERNATING is Protocol.SPLIT_NOSYNC
+    assert [p.label for p in REPORTED] == ["SplitSync", "SplitNoSync", "Federated"]
+    # rho weighs a federated or per-batch scenario against the epoch-level sync form
+    assert [Protocol(name).rho_split for name in names] == [
+        Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC, Protocol.SPLIT_SYNC]
+
+
+def test_traffic_by_kind_golden_432_cut1():
+    params = make_params(2, 23, 6, 3, Fraction(15, 23), epochs=2)
+    kinds = {kind: 0 for kind in MessageKind}
+    assert traffic_by_kind(params, Protocol.SPLIT_SYNC) == dict(kinds, **{
+        MessageKind.ACTIVATIONS: 36, MessageKind.GRADIENTS: 36, MessageKind.CLIENT_WEIGHTS: 60})
+    assert traffic_by_kind(params, Protocol.SPLIT_NOSYNC, label_width=2) == dict(kinds, **{
+        MessageKind.ACTIVATIONS: 36, MessageKind.GRADIENTS: 36, MessageKind.LABELS: 24})
+    assert traffic_by_kind(params, Protocol.FEDERATED) == dict(kinds, **{
+        MessageKind.CLIENT_WEIGHTS: 92, MessageKind.GLOBAL_WEIGHTS: 92})
+    # batches of 2 over shards of 3 and 3 records: two hand-offs per client per epoch
+    batched = traffic_by_kind(params, Protocol.SPLIT_SYNC_BATCH, batch_size=2)
+    assert batched[MessageKind.CLIENT_WEIGHTS] == 15 * 4 * 2
+    # explicit shards set K and p
+    assert traffic_by_kind(params, Protocol.SPLIT_SYNC, [4])[MessageKind.CLIENT_WEIGHTS] == 15 * 2
+
+
+def test_traffic_by_kind_exact_keeps_the_rational_hand_off():
+    params = make_params(2, 150, 4, 1, 0.37)
+    exact = traffic_by_kind(params, Protocol.SPLIT_SYNC, exact=True)
+    assert exact[MessageKind.CLIENT_WEIGHTS] == Fraction(0.37) * 150 * 2
+    assert traffic_by_kind(params, Protocol.SPLIT_SYNC)[MessageKind.CLIENT_WEIGHTS] == 55 * 2
+    half = make_params(2, 10.5, 4, 1, 0.5)
+    assert traffic_by_kind(half, Protocol.FEDERATED, exact=True)[MessageKind.GLOBAL_WEIGHTS] == 21
+    with pytest.raises(InvalidParam):
+        traffic_by_kind(half, Protocol.FEDERATED)  # no wire carries half a weight
+    with pytest.raises(InvalidParam):
+        traffic_by_kind(params, "sync")
+
+
 # --- closed-form totals --------------------------------------------------------
 
 def test_split_sync_golden_432_cut1():
     # [4,3,2] cut at 1: N=23, q=3, eta=15/23; ledger-verified in protocol tests
     params = make_params(2, 23, 6, 3, Fraction(15, 23))
-    report = split_comm_sync(params)
+    report = comm_report(params, Protocol.SPLIT_SYNC)
     assert report.per_client_scalars == 33
     assert report.total_scalars == 66
     assert report.per_client_bytes == 132
@@ -86,69 +154,69 @@ def test_split_sync_golden_432_cut1():
 
 def test_split_sync_zero_data_leaves_weight_traffic():
     for k in (1, 3, 10):
-        report = split_comm_sync(make_params(k, 10, 0, 1, 0.5))
+        report = comm_report(make_params(k, 10, 0, 1, 0.5), Protocol.SPLIT_SYNC)
         assert report.per_client_scalars == 5
         assert report.total_scalars == 5 * k
 
 
 def test_split_sync_break_even_point_matches_federated():
     params = make_params(10, 2000, 1000, 10, 1.0)
-    assert split_comm_sync(params).total_scalars == 40000
-    assert federated_comm(params).total_scalars == 40000
+    assert comm_report(params, Protocol.SPLIT_SYNC).total_scalars == 40000
+    assert comm_report(params, Protocol.FEDERATED).total_scalars == 40000
 
 
 def test_split_sync_strict_divisibility():
     with pytest.raises(DivisibilityError):
-        split_comm_sync(make_params(2, 23, 7, 3, Fraction(15, 23)))
+        comm_report(make_params(2, 23, 7, 3, Fraction(15, 23)), Protocol.SPLIT_SYNC)
 
 
 def test_split_sync_lenient_total_is_exact():
     params = make_params(2, 23, 7, 3, Fraction(15, 23))
-    report = split_comm_sync(params, strict=False)
+    report = comm_report(params, Protocol.SPLIT_SYNC, strict=False)
     assert report.total_scalars == 2 * 7 * 3 + 15 * 2
     # per-client reports the largest shard (4 records)
     assert report.per_client_scalars == 2 * 4 * 3 + 15
 
 
 def test_split_sync_epoch_scaling():
-    one = split_comm_sync(make_params(2, 23, 6, 3, Fraction(15, 23)))
-    five = split_comm_sync(make_params(2, 23, 6, 3, Fraction(15, 23), epochs=5))
+    one = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23)), Protocol.SPLIT_SYNC)
+    five = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23), epochs=5), Protocol.SPLIT_SYNC)
     assert five.total_scalars == 5 * one.total_scalars
     assert five.per_client_scalars == 5 * one.per_client_scalars
 
 
 def test_split_sync_label_accounting():
-    base = split_comm_sync(make_params(2, 23, 6, 3, Fraction(15, 23)))
-    with_labels = split_comm_sync(make_params(2, 23, 6, 3, Fraction(15, 23)),
+    base = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23)), Protocol.SPLIT_SYNC)
+    with_labels = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23)), Protocol.SPLIT_SYNC,
                                   include_labels=True, label_width=2)
     assert with_labels.total_scalars == base.total_scalars + 6 * 2
     assert with_labels.per_client_scalars == base.per_client_scalars + 3 * 2
 
 
 def test_split_nosync_examples():
-    report = split_comm_nosync(make_params(2, 23, 6, 3, Fraction(15, 23)))
+    report = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23)), Protocol.SPLIT_NOSYNC)
     assert report.per_client_scalars == 18
     assert report.total_scalars == 36
 
-    zero = split_comm_nosync(make_params(3, 23, 0, 3, 0.5))
+    zero = comm_report(make_params(3, 23, 0, 3, 0.5), Protocol.SPLIT_NOSYNC)
     assert zero.per_client_scalars == 0
     assert zero.total_scalars == 0
 
-    single = split_comm_nosync(make_params(1, 50, 100, 5, 0.5))
+    single = comm_report(make_params(1, 50, 100, 5, 0.5), Protocol.SPLIT_NOSYNC)
     assert single.per_client_scalars == 1000
     assert single.total_scalars == 1000
 
 
 def test_federated_examples():
-    r = federated_comm(make_params(3, 10, 0, 1, 0.5))
+    r = comm_report(make_params(3, 10, 0, 1, 0.5), Protocol.FEDERATED)
     assert r.per_client_scalars == 20
     assert r.total_scalars == 60
 
-    tiny = federated_comm(make_params(1, 1, 0, 1, 0.0))
+    tiny = comm_report(make_params(1, 1, 0, 1, 0.0), Protocol.FEDERATED)
     assert tiny.per_client_scalars == 2
     assert tiny.total_scalars == 2
 
-    rounds = federated_comm(make_params(2, 23, 6, 3, Fraction(15, 23), epochs=5))
+    rounds = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23), epochs=5), Protocol.FEDERATED)
     assert rounds.total_scalars == 460
 
 
@@ -161,8 +229,8 @@ def test_sync_total_dominates_nosync_iff_weight_traffic():
         q = int(rng.integers(1, 20))
         eta = Fraction(int(rng.integers(0, n + 1)), n)
         params = make_params(k, n, p, q, eta)
-        sync_total = split_comm_sync(params).total_scalars
-        nosync_total = split_comm_nosync(params).total_scalars
+        sync_total = comm_report(params, Protocol.SPLIT_SYNC).total_scalars
+        nosync_total = comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars
         assert sync_total >= nosync_total
         assert (sync_total == nosync_total) == (eta == 0)
 
@@ -204,14 +272,13 @@ def test_rho_sign_matches_total_comparison():
         q = int(rng.integers(1, 100))
         eta = Fraction(int(rng.integers(0, n + 1)), n)
         params = make_params(k, n, p, q, eta)
-        for variant, op in ((Method.SPLIT_SYNC, split_comm_sync),
-                            (Method.SPLIT_NOSYNC, split_comm_nosync)):
+        for variant in (Method.SPLIT_SYNC, Method.SPLIT_NOSYNC):
             eff = efficiency_ratio(params, variant)
+            fed = comm_report(params, Protocol.FEDERATED).total_scalars
+            split = comm_report(params, variant).total_scalars
             if eff.winner is Winner.TIE:
-                assert federated_comm(params).total_scalars == op(params).total_scalars
+                assert fed == split
             else:
-                fed = federated_comm(params).total_scalars
-                split = op(params).total_scalars
                 assert (eff.rho > 1) == (fed > split)
 
 
@@ -314,3 +381,12 @@ def test_sweep_rejects_bad_grids():
         sweep({"clients": [1], "bogus": [2]})
     with pytest.raises(InvalidParam):
         sweep({"clients": [1]})  # missing required axes
+
+
+def test_sweep_non_finite_cells_become_error_rows():
+    rows = sweep({"clients": 2, "model_params": [10, math.inf, math.nan], "dataset_size": 4,
+                  "smashed_size": 1, "client_fraction": [0.5, math.nan, math.inf]})
+    assert len(rows) == 9
+    assert [row.error is None for row in rows] == [True] + [False] * 8
+    assert all(row.reports is None and row.efficiency is None for row in rows[1:])
+    assert "model_params" in rows[3].error and "client_fraction" in rows[1].error

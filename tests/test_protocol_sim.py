@@ -8,14 +8,17 @@ import pytest
 
 from splitfed import (
     DivisibilityError,
+    InvalidParam,
     Message,
     MessageKind,
     Method,
     ModelSpec,
+    Protocol,
     ScenarioParams,
     SplitVariant,
     TrafficLedger,
     backward,
+    comm_report,
     init_params,
     measured_comm,
     partition_dataset,
@@ -23,8 +26,6 @@ from splitfed import (
     run_federated_training,
     run_split_training,
     sgd_step,
-    split_comm_nosync,
-    split_comm_sync,
     verify_against_model,
 )
 from splitfed.protocol_sim import SERVER, client_id
@@ -76,7 +77,7 @@ def test_sync_epoch_golden_ledger():
     assert totals[MessageKind.GLOBAL_WEIGHTS] == 0
     assert totals[MessageKind.LABELS] == 12  # 6 records x label width 2
     assert run.ledger.total_scalars() == 66
-    assert run.ledger.total_scalars() == split_comm_sync(golden_params()).total_scalars
+    assert run.ledger.total_scalars() == comm_report(golden_params(), Protocol.SPLIT_SYNC).total_scalars
 
 
 def test_sync_epoch_ring_closes():
@@ -94,7 +95,8 @@ def test_sync_epoch_self_loop_when_single_client():
     run = run_split_training(SPEC, 1, shards, SplitVariant.SYNC_EPOCH, epochs=1, lr=0.01, seed=1)
     hand_offs = [m for m in run.ledger if m.kind is MessageKind.CLIENT_WEIGHTS]
     assert len(hand_offs) == 1 and hand_offs[0].sender == hand_offs[0].receiver == client_id(1)
-    assert run.ledger.total_scalars() == split_comm_sync(golden_params(p=4, clients=1)).total_scalars
+    formula = comm_report(golden_params(p=4, clients=1), Protocol.SPLIT_SYNC)
+    assert run.ledger.total_scalars() == formula.total_scalars
 
 
 def test_alternating_takes_turns_and_never_shares_weights():
@@ -111,7 +113,7 @@ def test_alternating_takes_turns_and_never_shares_weights():
         assert up == 3 * 3  # active shard x q
     # over K consecutive epochs the ledger moves 2 p q scalars
     assert run.ledger.total_scalars() == 36
-    assert run.ledger.total_scalars() == split_comm_nosync(golden_params()).total_scalars
+    assert run.ledger.total_scalars() == comm_report(golden_params(), Protocol.SPLIT_NOSYNC).total_scalars
 
 
 def test_sync_batch_hand_off_per_batch():
@@ -152,8 +154,13 @@ def test_zero_records_leaves_only_sync_weight_traffic():
         assert len(empty.ledger) == 0
 
 
+def test_split_training_rejects_federated():
+    with pytest.raises(InvalidParam):
+        run_split_training(SPEC, 1, golden_shards(), Protocol.FEDERATED, epochs=1, lr=0.01, seed=42)
+
+
 def test_epoch_losses_finite_for_small_lr():
-    for variant in SplitVariant:
+    for variant in (SplitVariant.SYNC_EPOCH, SplitVariant.SYNC_BATCH, SplitVariant.ALTERNATING):
         run = run_split_training(SPEC, 1, golden_shards(), variant, epochs=4, lr=0.01, seed=42)
         assert len(run.epoch_losses) == 4
         assert all(math.isfinite(loss) for loss in run.epoch_losses)
@@ -230,29 +237,21 @@ def test_federated_identical_shards_match_single_client_training():
 # --- measured reports and verification ----------------------------------------
 
 def test_measured_comm_empty_ledger():
-    report = measured_comm(TrafficLedger(), clients=3)
+    report = measured_comm(TrafficLedger(), clients=3, method=Method.SPLIT_SYNC)
     assert report.per_client_scalars == 0 and report.total_scalars == 0
 
 
 def test_measured_comm_golden_run():
     run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
                              epochs=1, lr=0.01, seed=42)
-    report = measured_comm(run.ledger, clients=2)
+    report = measured_comm(run.ledger, clients=2, method=Method.SPLIT_SYNC)
     assert report.method is Method.SPLIT_SYNC
     assert report.total_scalars == 66
     # per client: 9 activations out, 9 gradients in, one hand-off sent and one received
     assert report.per_client_scalars == 9 + 9 + 15 + 15
 
-    with_labels = measured_comm(run.ledger, clients=2, exclude=())
+    with_labels = measured_comm(run.ledger, clients=2, method=Method.SPLIT_SYNC, exclude=())
     assert with_labels.total_scalars == 66 + 6 * 2
-
-
-def test_measured_comm_method_inference():
-    fed = run_federated_training(SPEC, golden_shards(), rounds=1, local_lr=0.01, seed=42)
-    assert measured_comm(fed.ledger, clients=2).method is Method.FEDERATED
-    alt = run_split_training(SPEC, 1, golden_shards(), SplitVariant.ALTERNATING,
-                             epochs=1, lr=0.01, seed=42)
-    assert measured_comm(alt.ledger, clients=2).method is Method.SPLIT_NOSYNC
 
 
 def test_verify_golden_runs_exactly():
@@ -272,7 +271,7 @@ def test_verify_alternating_cycle_equals_nosync_closed_form():
     # closed form at one epoch
     shards = golden_shards(p=12, clients=3)
     run = run_split_training(SPEC, 1, shards, SplitVariant.ALTERNATING, epochs=3, lr=0.01, seed=9)
-    formula = split_comm_nosync(golden_params(p=12, clients=3, epochs=1))
+    formula = comm_report(golden_params(p=12, clients=3, epochs=1), Protocol.SPLIT_NOSYNC)
     assert run.ledger.total_scalars() == formula.total_scalars
 
 
@@ -304,7 +303,7 @@ def test_verify_lenient_shards():
                                   shard_sizes_override=shards.sizes)
     assert report.matches
     # forward+backward split traffic still totals 2 p q regardless of the remainder
-    assert run.ledger.total_scalars() == split_comm_sync(params, strict=False).total_scalars
+    assert run.ledger.total_scalars() == comm_report(params, Protocol.SPLIT_SYNC, strict=False).total_scalars
 
 
 # --- ledger CSV --------------------------------------------------------------
