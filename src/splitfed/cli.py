@@ -2,8 +2,8 @@
 
 Exit codes: 0 ok, 2 scenario/config error, 3 domain error (for example a
 divisibility or range violation), 4 ledger-versus-formula mismatch. The
-environment variable SPLITFED_SEED overrides the scenario seed in analyze,
-simulate and breakeven; sweep does not read it.
+environment variable SPLITFED_SEED overrides the scenario seed in simulate,
+the only subcommand that uses a seed; no other subcommand reads it.
 
 CSV output is byte-stable across runs: integers verbatim, reals with 12
 significant digits, "\n" line endings.
@@ -31,7 +31,7 @@ from .cost_model import (
 )
 from .errors import InvalidParam, ScenarioError, SplitFedError
 from .nn_core import random_dataset
-from .scenarios import Scenario, load_scenario, load_suite
+from .scenarios import load_scenario, load_suite
 from .svg import render_breakeven_svg
 
 # cmd_simulate refuses anything bigger than this; the simulator moves real
@@ -92,23 +92,12 @@ def _error_rows(values: dict, message: str) -> list[list]:
     ]]
 
 
-def _load(source: str) -> Scenario:
-    sc = load_scenario(source)
-    env_seed = os.environ.get("SPLITFED_SEED")
-    if env_seed is not None:
-        try:
-            sc.seed = int(env_seed)
-        except ValueError as exc:
-            raise ScenarioError(f"SPLITFED_SEED must be an integer, got {env_seed!r}") from exc
-    return sc
-
-
 def cmd_analyze(args) -> int:
-    sc = _load(args.scenario)
+    sc = load_scenario(args.scenario)
     split = Protocol(args.variant or sc.variant).rho_split
     params = sc.params()
     strict = not args.lenient_shards
-    reports = {m: comm_report(params, m, strict, args.include_labels) for m in REPORTED}
+    reports = {m: comm_report(params, m, strict, args.include_labels, sc.label_width) for m in REPORTED}
     eff = efficiency_ratio(params, split)
 
     print(
@@ -131,7 +120,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sc = _load(args.scenario)
+    sc = load_scenario(args.scenario)
+    env_seed = os.environ.get("SPLITFED_SEED")
+    if env_seed is not None:
+        try:
+            sc.seed = int(env_seed)
+        except ValueError as exc:
+            raise ScenarioError(f"SPLITFED_SEED must be an integer, got {env_seed!r}") from exc
     if not sc.is_model_form:
         raise ScenarioError("simulate needs a model-form scenario (layer_widths + cut_index)")
     variant = Protocol(args.variant or sc.variant)
@@ -224,17 +219,12 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def cmd_breakeven(args) -> int:
+    p, q, eta = args.p, args.q, args.eta
     if args.scenario:
-        params = _load(args.scenario).params()
-        p, q, eta = params.dataset_size, params.smashed_size, params.client_fraction
-    else:
-        p = q = eta = None
-    if args.p is not None:
-        p = args.p
-    if args.q is not None:
-        q = args.q
-    if args.eta is not None:
-        eta = args.eta
+        params = load_scenario(args.scenario).params()
+        p = params.dataset_size if p is None else p
+        q = params.smashed_size if q is None else q
+        eta = params.client_fraction if eta is None else eta
     if p is None or q is None or eta is None:
         raise ScenarioError("breakeven needs p, q and eta (via --scenario or --p/--q/--eta)")
 
@@ -261,7 +251,8 @@ def cmd_sweep(args) -> int:
     cells = 0
     for sc in scenarios:
         split = Protocol(args.variant or sc.variant).rho_split
-        for row in sweep(sc.grid(), variant=split, strict=strict, include_labels=args.include_labels):
+        for row in sweep(sc.grid(), variant=split, strict=strict, include_labels=args.include_labels,
+                         label_width=sc.label_width):
             cells += 1
             if row.error is not None:
                 rows_out.extend(_error_rows(row.values, row.error))
@@ -287,15 +278,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
+    def common(p, scenario_required=True, counts_traffic=True):
         p.add_argument("--scenario", required=scenario_required,
                        help="scenario file path or built-in name")
         p.add_argument("--variant", choices=["sync", "nosync"], default=None,
                        help="split variant to compare (default: scenario's)")
-        p.add_argument("--include-labels", action="store_true",
-                       help="count label transfers too")
-        p.add_argument("--lenient-shards", action="store_true",
-                       help="allow p not divisible by K (remainder to the first clients)")
+        if counts_traffic:
+            p.add_argument("--include-labels", action="store_true",
+                           help="count label transfers too")
+            p.add_argument("--lenient-shards", action="store_true",
+                           help="allow p not divisible by K (remainder to the first clients)")
         p.add_argument("--csv", metavar="PATH", default=None, help="write results as CSV")
 
     p_analyze = sub.add_parser("analyze", help="closed-form reports and the winner for one scenario")
@@ -311,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_be = sub.add_parser("breakeven", help="break-even model size over a range of client counts")
-    common(p_be, scenario_required=False)
+    common(p_be, scenario_required=False, counts_traffic=False)
     p_be.add_argument("--p", type=int, default=None, help="dataset size")
     p_be.add_argument("--q", type=int, default=None, help="smashed layer width")
     p_be.add_argument("--eta", type=float, default=None, help="client-side parameter fraction")

@@ -398,6 +398,7 @@ def sweep(
     variant: Protocol = Protocol.SPLIT_SYNC,
     strict: bool = True,
     include_labels: bool = False,
+    label_width: int = 1,
 ) -> list[SweepRow]:
     """Evaluate the Cartesian product of per-parameter value lists.
 
@@ -427,7 +428,7 @@ def sweep(
         values = dict(zip(SWEEP_FIELD_ORDER, combo))
         try:
             params = ScenarioParams(**values)
-            reports = {m: comm_report(params, m, strict, include_labels) for m in REPORTED}
+            reports = {m: comm_report(params, m, strict, include_labels, label_width) for m in REPORTED}
             efficiency = efficiency_ratio(params, variant)
         except SplitFedError as exc:
             rows.append(SweepRow(values, None, None, None, str(exc)))

@@ -189,11 +189,6 @@ def split_params(spec: ModelSpec, cut: CutPoint | int, params: np.ndarray) -> tu
     return params[:n_client].copy(), params[n_client:].copy()
 
 
-def join_params(client_params: np.ndarray, server_params: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.asarray(client_params, dtype=np.float64),
-                           np.asarray(server_params, dtype=np.float64)])
-
-
 def _check_batch(batch, width: int, name: str) -> np.ndarray:
     arr = np.asarray(batch, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != width:

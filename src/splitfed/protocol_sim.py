@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
+from itertools import accumulate, pairwise
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,22 +67,16 @@ class TrafficLedger:
         return sum(m.scalar_count for m in self.messages if m.kind not in excluded)
 
     def totals_by_kind(self) -> dict[MessageKind, int]:
-        totals = {kind: 0 for kind in MessageKind}
+        owned = self.tally().values()  # every message has exactly one owner
+        return {kind: sum(kinds[kind] for kinds in owned) for kind in MessageKind}
+
+    def tally(self) -> dict[str, dict[MessageKind, int]]:
+        """Scalars per (owner, kind), in one pass. A message's one owner is the
+        client that sends it, or the client the server sends it to."""
+        tally = defaultdict(lambda: dict.fromkeys(MessageKind, 0))
         for m in self.messages:
-            totals[m.kind] += m.scalar_count
-        return totals
-
-    def endpoint_scalars(self, endpoint: str, exclude: Iterable[MessageKind] = (MessageKind.LABELS,)) -> int:
-        """Scalars sent plus received by one endpoint."""
-        excluded = frozenset(exclude)
-        return sum(
-            m.scalar_count
-            for m in self.messages
-            if m.kind not in excluded and endpoint in (m.sender, m.receiver)
-        )
-
-    def messages_in_epoch(self, epoch: int) -> list[Message]:
-        return [m for m in self.messages if m.epoch == epoch]
+            tally[m.receiver if m.sender == SERVER else m.sender][m.kind] += m.scalar_count
+        return dict(tally)
 
     def to_csv(self, path_or_file) -> None:
         """Write "epoch,sender,receiver,kind,scalar_count"; row order = event order."""
@@ -126,13 +122,8 @@ def partition_dataset(inputs, labels, clients: int, strict: bool = True) -> Shar
     y = np.asarray(labels, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
         raise InvalidParam(f"{x.shape[0]} inputs but {y.shape[0]} labels")
-    sizes = shard_sizes(x.shape[0], clients, strict=strict)
-    shards = []
-    offset = 0
-    for size in sizes:
-        shards.append((x[offset : offset + size], y[offset : offset + size]))
-        offset += size
-    return ShardedDataset(shards=tuple(shards))
+    bounds = pairwise(accumulate(shard_sizes(x.shape[0], clients, strict=strict), initial=0))
+    return ShardedDataset(shards=tuple((x[lo:hi], y[lo:hi]) for lo, hi in bounds))
 
 
 def _batches(x: np.ndarray, y: np.ndarray, batch_size: int):
@@ -299,18 +290,17 @@ def measured_comm(
 ) -> CommReport:
     """Traffic report of a run of ``method``, measured from its ledger.
 
-    per_client is the maximum over clients of scalars sent plus received in
-    the included kinds (uniform for equal-shard runs; note a ring hand-off
-    counts on both the sender and the receiver). total counts every included
-    message once.
+    per_client is the maximum over clients of the scalars each owns in the
+    included kinds (see :meth:`TrafficLedger.tally`), the paper's per-client
+    column. total counts every included message once.
     """
-    excluded = frozenset(exclude)
-    per_client = max(
-        (ledger.endpoint_scalars(client_id(k + 1), excluded) for k in range(clients)),
-        default=0,
-    )
-    total = ledger.total_scalars(excluded)
-    return CommReport.from_scalars(method, per_client, total, bytes_per_scalar)
+    included = set(MessageKind).difference(exclude)
+    owned = {owner: sum(kinds[kind] for kind in included) for owner, kinds in ledger.tally().items()}
+    per_client = max((owned.get(client_id(k + 1), 0) for k in range(clients)), default=0)
+    return CommReport.from_scalars(method, per_client, sum(owned.values()), bytes_per_scalar)
+
+
+CHECKED_KINDS = tuple(kind for kind in MessageKind if kind is not MessageKind.LABELS)
 
 
 @dataclass(frozen=True)
@@ -321,6 +311,8 @@ class VerificationReport:
     expected: dict[MessageKind, int]
     actual: dict[MessageKind, int]
     deltas: dict[MessageKind, int]  # actual - expected, nonzero kinds only
+    client: str | None = None  # first owner whose tally differs from its closed form
+    client_deltas: dict[MessageKind, int] = field(default_factory=dict)  # that owner's deltas
 
     def describe(self) -> str:
         if self.matches:
@@ -329,7 +321,30 @@ class VerificationReport:
             f"{kind.value}: expected {self.expected[kind]}, got {self.actual[kind]} ({delta:+d})"
             for kind, delta in self.deltas.items()
         ]
-        return "mismatch: " + "; ".join(parts)
+        owned = ", ".join(f"{kind.value} {delta:+d}" for kind, delta in self.client_deltas.items())
+        return "mismatch: " + "; ".join(parts + [f"first differing client {self.client} ({owned})"])
+
+
+def client_kind_totals(
+    params: ScenarioParams,
+    variant: Protocol,
+    shard_sizes_override: Sequence[int] | None = None,
+    batch_size: int = 1,
+) -> dict[str, dict[MessageKind, int]]:
+    """Closed-form per-kind scalars each client owns over a simulated run of
+    ``params.epochs`` epochs (or federated rounds), keyed client1..clientK."""
+    if (shards := shard_sizes_override) is None:
+        shards = shard_sizes(params.dataset_size, params.clients, strict=False)
+    k, e = len(shards), params.epochs
+    if variant is Protocol.SPLIT_NOSYNC:
+        # Epoch t goes to client (t mod K) alone, so a client's shard counts
+        # once per epoch that visits it, and a full pass takes K epochs.
+        visits = [(size,) * (e // k + (i < e % k)) for i, size in enumerate(shards)]
+        params = replace(params, epochs=1)
+    else:
+        visits = [(size,) for size in shards]
+    forms = {run: traffic_by_kind(params, variant, run, batch_size) for run in set(visits)}
+    return {client_id(i + 1): forms[run] for i, run in enumerate(visits)}
 
 
 def expected_kind_totals(
@@ -338,42 +353,35 @@ def expected_kind_totals(
     shard_sizes_override: Sequence[int] | None = None,
     batch_size: int = 1,
 ) -> dict[MessageKind, int]:
-    """Closed-form per-kind scalar totals of a simulated run, from
-    :func:`~splitfed.cost_model.traffic_by_kind`.
-
-    ``params.epochs`` counts simulated epochs or federated rounds. An
-    alternating (nosync) epoch is one client's turn, so a full pass over the
-    data takes K of them.
-    """
-    shards = shard_sizes_override
-    if variant is Protocol.SPLIT_NOSYNC:
-        # Epoch t goes to client (t mod K) alone, so the run is one pass over
-        # the shards its epochs visit.
-        if shards is None:
-            shards = shard_sizes(params.dataset_size, params.clients, strict=False)
-        shards = [shards[t % len(shards)] for t in range(params.epochs)]
-        params = replace(params, epochs=1)
-    return traffic_by_kind(params, variant, shards, batch_size)
+    """Closed-form per-kind scalar totals of a simulated run: the sums of its clients' forms."""
+    forms = client_kind_totals(params, variant, shard_sizes_override, batch_size)
+    return {kind: sum(form[kind] for form in forms.values()) for kind in MessageKind}
 
 
 def verify_against_model(
     ledger: TrafficLedger,
     params: ScenarioParams,
-    variant,
+    variant: Protocol,
     shard_sizes_override: Sequence[int] | None = None,
     batch_size: int = 1,
 ) -> VerificationReport:
-    """Exact integer comparison of ledger totals against the closed forms.
+    """Exact integer check of every client's tally against its own closed form.
 
-    Labels are excluded on both sides. A mismatch is a result, not an error.
+    A message owned by anything but client1..clientK is a mismatch. Labels
+    are excluded on both sides. A mismatch is a result, not an error.
     """
-    expected = expected_kind_totals(params, variant, shard_sizes_override, batch_size)
-    actual = ledger.totals_by_kind()
-    actual.pop(MessageKind.LABELS, None)
-    expected.pop(MessageKind.LABELS, None)
-    deltas = {
-        kind: actual[kind] - expected[kind]
-        for kind in MessageKind
-        if kind is not MessageKind.LABELS and actual[kind] != expected[kind]
-    }
-    return VerificationReport(matches=not deltas, expected=expected, actual=actual, deltas=deltas)
+    forms = client_kind_totals(params, variant, shard_sizes_override, batch_size)
+    tally = ledger.tally()
+    zero = dict.fromkeys(MessageKind, 0)
+    # client1..clientK first, then any other owner, which no closed form allows
+    by_owner = {o: _deltas(tally.get(o, zero), forms.get(o, zero)) for o in {**forms, **tally}}
+    client = next((owner for owner, deltas in by_owner.items() if deltas), None)
+    expected = {kind: sum(form[kind] for form in forms.values()) for kind in CHECKED_KINDS}
+    actual = {kind: sum(kinds[kind] for kinds in tally.values()) for kind in CHECKED_KINDS}
+    return VerificationReport(
+        client is None, expected, actual, _deltas(actual, expected), client, by_owner.get(client, {})
+    )
+
+
+def _deltas(actual: dict[MessageKind, int], expected: dict[MessageKind, int]) -> dict[MessageKind, int]:
+    return {kind: actual[kind] - expected[kind] for kind in CHECKED_KINDS if actual[kind] != expected[kind]}

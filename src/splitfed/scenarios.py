@@ -61,6 +61,10 @@ class Scenario:
     def is_model_form(self) -> bool:
         return self.model is not None
 
+    @property
+    def label_width(self) -> int:  # label scalars per record
+        return self.model.output_width if self.is_model_form else 1
+
     def params(self) -> ScenarioParams:
         if self.is_model_form:
             return ScenarioParams.from_model(

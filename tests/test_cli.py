@@ -182,6 +182,27 @@ def test_analyze_divisibility_exits_3(tmp_path, capsys):
     assert main(["analyze", "--scenario", str(scenario), "--lenient-shards"]) == 0
 
 
+def test_analyze_ignores_env_seed(monkeypatch, capsys):
+    assert main(["analyze", "--scenario", "tiny-dense"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setenv("SPLITFED_SEED", "abc")
+    assert main(["analyze", "--scenario", "tiny-dense"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_label_width_is_the_model_output_width(tmp_path, capsys):
+    # tiny-dense outputs 2 scalars per record: per client 9 + 9 + 15 + 3 * 2 labels
+    analyze_csv, sweep_csv = tmp_path / "analyze.csv", tmp_path / "sweep.csv"
+    assert main(["analyze", "--scenario", "tiny-dense", "--include-labels", "--csv", str(analyze_csv)]) == 0
+    assert main(["sweep", "--scenario", "tiny-dense", "--include-labels", "--csv", str(sweep_csv)]) == 0
+    for path in (analyze_csv, sweep_csv):
+        sync_row = path.read_text().splitlines()[1].split(",")
+        assert sync_row[0] == "SplitSync" and sync_row[7:9] == ["39", "78"]
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", "tiny-dense", "--include-labels"]) == 0
+    assert "(labels included): 78 scalars, 312 bytes; per client max 39 scalars" in capsys.readouterr().out
+
+
 # --- simulate ----------------------------------------------------------------
 
 def test_simulate_golden_exact_match(tmp_path, capsys):
@@ -292,6 +313,14 @@ def test_breakeven_bad_range_exits_3(capsys):
 
 def test_breakeven_missing_params_exits_2(capsys):
     assert main(["breakeven", "--k-range", "1:10:1"]) == 2
+
+
+def test_breakeven_rejects_traffic_flags(capsys):
+    # breakeven counts no traffic, so it has no --include-labels or --lenient-shards
+    for flag in ("--lenient-shards", "--include-labels"):
+        with pytest.raises(SystemExit) as exc:
+            main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "1:4:1", flag])
+        assert exc.value.code == 2
 
 
 # --- sweep -------------------------------------------------------------------

@@ -1,0 +1,105 @@
+"""Property tests: every client's ledger tally against its own closed form.
+
+Each message is owned by the client that sends it, or by the client the
+server sends it to. These properties check that rule against
+``traffic_by_kind`` evaluated on one client's shard, over random
+architectures, shard splits, batch sizes, epochs and all four protocols.
+"""
+
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splitfed import (
+    MessageKind,
+    ModelSpec,
+    Protocol,
+    ScenarioParams,
+    comm_report,
+    measured_comm,
+    partition_dataset,
+    random_dataset,
+    run_federated_training,
+    run_split_training,
+    traffic_by_kind,
+    verify_against_model,
+)
+from splitfed.protocol_sim import client_id
+
+PROTOCOLS = list(Protocol)
+
+
+@st.composite
+def architectures(draw):
+    widths = draw(st.lists(st.integers(1, 4), min_size=3, max_size=4))
+    cut = draw(st.integers(1, len(widths) - 2))
+    return ModelSpec(tuple(widths)), cut
+
+
+def simulate(spec, cut, protocol, shards, epochs, batch_size):
+    if protocol is Protocol.FEDERATED:
+        return run_federated_training(spec, shards, rounds=epochs, local_lr=0.01, seed=3,
+                                      batch_size=batch_size).ledger
+    return run_split_training(spec, cut, shards, protocol, epochs=epochs, lr=0.01, seed=3,
+                              batch_size=batch_size).ledger
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    arch=architectures(),
+    protocol=st.sampled_from(PROTOCOLS),
+    clients=st.integers(1, 4),
+    records=st.integers(0, 11),
+    epochs=st.integers(1, 4),
+    batch_size=st.integers(1, 4),
+)
+def test_tally_equals_per_client_closed_form(arch, protocol, clients, records, epochs, batch_size):
+    spec, cut = arch
+    x, y = random_dataset(spec, records, seed=5)
+    shards = partition_dataset(x, y, clients, strict=False)
+    ledger = simulate(spec, cut, protocol, shards, epochs, batch_size)
+    params = ScenarioParams.from_model(spec, cut, clients=clients, dataset_size=records, epochs=epochs)
+
+    tally = ledger.tally()
+    assert set(tally) <= {client_id(k + 1) for k in range(clients)}
+    for k, size in enumerate(shards.sizes):
+        if protocol is Protocol.SPLIT_NOSYNC:
+            # alternating epoch t belongs to client (t mod K) alone
+            visits = sum(1 for t in range(epochs) if t % clients == k)
+            form = traffic_by_kind(replace(params, epochs=1), protocol, [size] * visits, batch_size,
+                                   label_width=spec.output_width)
+        else:
+            form = traffic_by_kind(params, protocol, [size], batch_size, label_width=spec.output_width)
+        assert tally.get(client_id(k + 1), dict.fromkeys(MessageKind, 0)) == form
+
+    totals = ledger.totals_by_kind()
+    assert {kind: sum(kinds[kind] for kinds in tally.values()) for kind in MessageKind} == totals
+    assert verify_against_model(ledger, params, protocol, shards.sizes, batch_size).matches
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arch=architectures(),
+    protocol=st.sampled_from(PROTOCOLS),
+    clients=st.integers(1, 4),
+    per_client=st.integers(0, 3),
+    passes=st.integers(1, 3),
+)
+def test_measured_per_client_equals_comm_report(arch, protocol, clients, per_client, passes):
+    # comm_report describes batch 1 and one data pass per epoch; an
+    # alternating run needs K simulated epochs for one pass.
+    spec, cut = arch
+    records = clients * per_client
+    x, y = random_dataset(spec, records, seed=5)
+    shards = partition_dataset(x, y, clients)
+    epochs = passes * clients if protocol is Protocol.SPLIT_NOSYNC else passes
+    ledger = simulate(spec, cut, protocol, shards, epochs, batch_size=1)
+    params = ScenarioParams.from_model(spec, cut, clients=clients, dataset_size=records, epochs=passes)
+
+    for include_labels in (False, True):
+        exclude = () if include_labels else (MessageKind.LABELS,)
+        measured = measured_comm(ledger, clients, protocol, exclude=exclude)
+        formula = comm_report(params, protocol, include_labels=include_labels, label_width=spec.output_width)
+        assert measured.per_client_scalars == formula.per_client_scalars
+        assert measured.total_scalars == formula.total_scalars

@@ -106,10 +106,10 @@ def test_alternating_takes_turns_and_never_shares_weights():
     assert totals[MessageKind.CLIENT_WEIGHTS] == 0
     # epoch e is handled by client (e mod K) + 1 alone
     for epoch, expected_client in ((0, client_id(1)), (1, client_id(2))):
-        senders = {m.sender for m in run.ledger.messages_in_epoch(epoch)} - {SERVER}
+        msgs = [m for m in run.ledger if m.epoch == epoch]
+        senders = {m.sender for m in msgs} - {SERVER}
         assert senders == {expected_client}
-        up = sum(m.scalar_count for m in run.ledger.messages_in_epoch(epoch)
-                 if m.kind is MessageKind.ACTIVATIONS)
+        up = sum(m.scalar_count for m in msgs if m.kind is MessageKind.ACTIVATIONS)
         assert up == 3 * 3  # active shard x q
     # over K consecutive epochs the ledger moves 2 p q scalars
     assert run.ledger.total_scalars() == 36
@@ -205,7 +205,7 @@ def test_federated_golden_totals():
 def test_federated_one_download_one_upload_per_client_per_round():
     run = run_federated_training(SPEC, golden_shards(), rounds=3, local_lr=0.01, seed=42)
     for rnd in range(3):
-        msgs = run.ledger.messages_in_epoch(rnd)
+        msgs = [m for m in run.ledger if m.epoch == rnd]
         downloads = [m for m in msgs if m.kind is MessageKind.GLOBAL_WEIGHTS]
         uploads = [m for m in msgs if m.kind is MessageKind.CLIENT_WEIGHTS]
         assert [m.receiver for m in downloads] == [client_id(1), client_id(2)]
@@ -247,8 +247,8 @@ def test_measured_comm_golden_run():
     report = measured_comm(run.ledger, clients=2, method=Method.SPLIT_SYNC)
     assert report.method is Method.SPLIT_SYNC
     assert report.total_scalars == 66
-    # per client: 9 activations out, 9 gradients in, one hand-off sent and one received
-    assert report.per_client_scalars == 9 + 9 + 15 + 15
+    # per client: 9 activations out, 9 gradients in, the one hand-off it sends
+    assert report.per_client_scalars == 9 + 9 + 15
 
     with_labels = measured_comm(run.ledger, clients=2, method=Method.SPLIT_SYNC, exclude=())
     assert with_labels.total_scalars == 66 + 6 * 2
@@ -283,6 +283,34 @@ def test_verify_flags_injected_fault():
     assert not report.matches
     assert report.deltas == {MessageKind.ACTIVATIONS: 3}
     assert "Activations" in report.describe() and "+3" in report.describe()
+
+
+def test_verify_flags_hand_off_credited_to_the_wrong_client():
+    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
+                             epochs=1, lr=0.01, seed=42)
+    forged = TrafficLedger()
+    for m in run.ledger:
+        if m.kind is MessageKind.CLIENT_WEIGHTS and m.sender == client_id(1):
+            # client2 now appears to send client1's hand-off: per-kind totals are unchanged
+            m = Message(m.epoch, client_id(2), client_id(1), m.kind, m.scalar_count)
+        forged.append(m)
+    assert forged.totals_by_kind() == run.ledger.totals_by_kind()
+    report = verify_against_model(forged, golden_params(), SplitVariant.SYNC_EPOCH)
+    assert not report.matches
+    assert report.deltas == {}
+    assert report.client == client_id(1)
+    assert report.client_deltas == {MessageKind.CLIENT_WEIGHTS: -15}
+    assert "first differing client client1 (ClientWeights -15)" in report.describe()
+
+
+def test_verify_flags_a_message_no_client_owns():
+    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
+                             epochs=1, lr=0.01, seed=42)
+    run.ledger.append(Message(0, SERVER, client_id(3), MessageKind.GRADIENTS, 3))
+    report = verify_against_model(run.ledger, golden_params(), SplitVariant.SYNC_EPOCH)
+    assert not report.matches
+    assert report.client == client_id(3)
+    assert report.deltas == {MessageKind.GRADIENTS: 3}
 
 
 def test_verify_method_aliases():
