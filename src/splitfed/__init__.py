@@ -39,8 +39,6 @@ from .nn_core import (
     backward,
     cut_stats,
     forward,
-    forward_back,
-    forward_front,
     init_params,
     param_count,
     random_dataset,

@@ -38,6 +38,8 @@ from .svg import render_breakeven_svg
 # tensors and is meant for desk-scale cross-checks, not production training.
 SIMULATE_MAX_PARAMS = 10**6
 SIMULATE_MAX_RECORDS = 10**5
+# breakeven refuses a --k-range with more points than this.
+K_RANGE_MAX_POINTS = 10**6
 
 CSV_HEADER = [
     "method", "K", "N", "p", "q", "eta", "epochs",
@@ -210,7 +212,12 @@ def _parse_k_range(text: str) -> list[int]:
                 stride = int(step)
                 if stride < 1:
                     raise ValueError("step must be >= 1")
-                values = list(range(lo, hi + 1, stride))
+                points = range(lo, hi + 1, stride)
+                if len(points) > K_RANGE_MAX_POINTS:
+                    raise InvalidParam(
+                        f"K range {text!r} has {len(points)} points, more than {K_RANGE_MAX_POINTS}"
+                    )
+                values = list(points)
     except ValueError as exc:
         raise InvalidParam(f"bad K range {text!r}: {exc}") from exc
     if not values or any(v < 1 for v in values):
@@ -220,15 +227,17 @@ def _parse_k_range(text: str) -> list[int]:
 
 def cmd_breakeven(args) -> int:
     p, q, eta = args.p, args.q, args.eta
+    scenario_variant = Protocol.SPLIT_SYNC
     if args.scenario:
-        params = load_scenario(args.scenario).params()
+        sc = load_scenario(args.scenario)
+        params, scenario_variant = sc.params(), sc.variant
         p = params.dataset_size if p is None else p
         q = params.smashed_size if q is None else q
         eta = params.client_fraction if eta is None else eta
     if p is None or q is None or eta is None:
         raise ScenarioError("breakeven needs p, q and eta (via --scenario or --p/--q/--eta)")
 
-    variant = Protocol(args.variant or "sync")
+    variant = Protocol(args.variant or scenario_variant).rho_split
     ks = _parse_k_range(args.k_range)
     curve = break_even_curve(p, q, eta, ks, variant)
 
@@ -308,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_be.add_argument("--q", type=int, default=None, help="smashed layer width")
     p_be.add_argument("--eta", type=float, default=None, help="client-side parameter fraction")
     p_be.add_argument("--k-range", required=True,
-                      help="client counts: A:B:STEP, A:B:xF (geometric), or comma list")
+                      help="client counts: A:B:STEP, A:B:xF (geometric), or comma list; "
+                           f"at most {K_RANGE_MAX_POINTS} points")
     p_be.add_argument("--svg", metavar="PATH", default=None, help="write an SVG plot")
     p_be.set_defaults(func=cmd_breakeven)
 

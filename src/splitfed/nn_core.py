@@ -214,18 +214,19 @@ def _activation_deriv(activation: Activation, z: np.ndarray) -> np.ndarray:
     return s * (1.0 - s)
 
 
-def _forward_layers(layers, activation: Activation, batch: np.ndarray, lo: int, top: int):
-    """Run layers lo..lo+len(layers)-1; the layer at index top-1 stays linear.
+def _forward_layers(layers, activation: Activation, batch: np.ndarray):
+    """Run every layer in order; the last one stays linear.
 
     Returns (pre_activations, activations) with activations[0] = batch.
     """
     zs = []
     acts = [batch]
     a = batch
-    for offset, (w, b) in enumerate(layers):
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
         z = a @ w + b
         zs.append(z)
-        a = z if lo + offset == top - 1 else _apply_activation(activation, z)
+        a = z if i == last else _apply_activation(activation, z)
         acts.append(a)
     return zs, acts
 
@@ -246,36 +247,8 @@ def forward(spec: ModelSpec, params: np.ndarray, batch) -> ForwardTrace:
     """Full forward pass: affine + activation per hidden layer, linear output."""
     x = _check_batch(batch, spec.input_width, "batch")
     layers = unpack_params(spec, params)
-    zs, acts = _forward_layers(layers, spec.activation, x, 0, spec.weight_layers)
+    zs, acts = _forward_layers(layers, spec.activation, x)
     return ForwardTrace(activations=acts, pre_activations=zs)
-
-
-def _front_trace(spec: ModelSpec, cut: CutPoint | int, client_params: np.ndarray, batch):
-    c = _cut_index(spec, cut)
-    x = _check_batch(batch, spec.input_width, "batch")
-    layers = _unpack(spec.layer_widths[: c + 1], client_params)
-    zs, acts = _forward_layers(layers, spec.activation, x, 0, spec.weight_layers)
-    return layers, zs, acts
-
-
-def _back_trace(spec: ModelSpec, cut: CutPoint | int, server_params: np.ndarray, smashed):
-    c = _cut_index(spec, cut)
-    x = _check_batch(smashed, spec.layer_widths[c], "smashed")
-    layers = _unpack(spec.layer_widths[c:], server_params)
-    zs, acts = _forward_layers(layers, spec.activation, x, c, spec.weight_layers)
-    return layers, zs, acts
-
-
-def forward_front(spec: ModelSpec, cut: CutPoint | int, client_params: np.ndarray, batch) -> np.ndarray:
-    """Client half of the forward pass; returns the smashed activations (records x q)."""
-    _, _, acts = _front_trace(spec, cut, client_params, batch)
-    return acts[-1]
-
-
-def forward_back(spec: ModelSpec, cut: CutPoint | int, server_params: np.ndarray, smashed) -> np.ndarray:
-    """Server half of the forward pass, from smashed activations to outputs."""
-    _, _, acts = _back_trace(spec, cut, server_params, smashed)
-    return acts[-1]
 
 
 def mse_loss(outputs, labels) -> float:
@@ -293,33 +266,24 @@ def _mse_and_grad(outputs: np.ndarray, labels: np.ndarray) -> tuple[float, np.nd
     return loss, (2.0 / diff.size) * diff
 
 
-def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndarray, lo: int, top: int):
-    """Reverse pass over a contiguous layer range.
+def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndarray, grad_layers):
+    """Reverse pass over every layer of a :func:`_forward_layers` trace.
 
-    ``upstream`` is the loss gradient w.r.t. the range's last activation.
-    Returns (flat parameter gradients for the range, per-boundary activation
-    gradients with index j = d loss / d acts[j]). The layer loop runs top-down
-    one layer at a time, so running it split across two adjacent ranges
-    produces bit-identical results to one monolithic pass.
+    ``upstream`` is the loss gradient w.r.t. the output. Each layer's dW and
+    db are written into its (dW, db) views in ``grad_layers``. Returns the
+    per-boundary activation gradients, index j = d loss / d acts[j].
     """
     g = upstream
-    act_grads: list = [None] * (len(layers) + 1)
-    act_grads[-1] = upstream
-    parts: list = [None] * len(layers)
-    for offset in reversed(range(len(layers))):
-        w, _ = layers[offset]
-        z = zs[offset]
-        dz = g if lo + offset == top - 1 else g * _activation_deriv(activation, z)
-        dw = acts[offset].T @ dz
-        db = dz.sum(axis=0)
-        g = dz @ w.T
-        act_grads[offset] = g
-        parts[offset] = (dw, db)
-    if parts:
-        flat = np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in parts])
-    else:
-        flat = np.zeros(0, dtype=np.float64)
-    return flat, act_grads
+    act_grads: list = [None] * len(layers) + [upstream]
+    last = len(layers) - 1
+    for i in reversed(range(len(layers))):
+        w, _ = layers[i]
+        dw, db = grad_layers[i]
+        dz = g if i == last else g * _activation_deriv(activation, zs[i])
+        np.matmul(acts[i].T, dz, out=dw)
+        np.sum(dz, axis=0, out=db)
+        g = act_grads[i] = dz @ w.T
+    return act_grads
 
 
 @dataclass
@@ -342,19 +306,21 @@ def backward(spec: ModelSpec, params: np.ndarray, batch, labels) -> BackwardResu
     if x.shape[0] != y.shape[0]:
         raise ShapeMismatch(f"{x.shape[0]} records but {y.shape[0]} labels")
     layers = unpack_params(spec, params)
-    zs, acts = _forward_layers(layers, spec.activation, x, 0, spec.weight_layers)
+    grads = np.empty(param_count(spec))
+    zs, acts = _forward_layers(layers, spec.activation, x)
     loss, dout = _mse_and_grad(acts[-1], y)
-    flat, act_grads = _backward_layers(layers, spec.activation, zs, acts, dout, 0, spec.weight_layers)
-    return BackwardResult(loss=loss, param_grads=flat, activation_grads=act_grads)
+    act_grads = _backward_layers(layers, spec.activation, zs, acts, dout, unpack_params(spec, grads))
+    return BackwardResult(loss=loss, param_grads=grads, activation_grads=act_grads)
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
-    """One plain gradient step: params - lr * grads."""
+    """One plain gradient step, in place: params -= lr * grads. Returns params."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
         raise LengthMismatch(f"params {params.shape} vs grads {grads.shape}")
-    return params - lr * grads
+    params -= lr * grads
+    return params
 
 
 def average_params(vectors: Sequence[np.ndarray]) -> np.ndarray:

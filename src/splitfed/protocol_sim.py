@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn_core
 from .cost_model import CommReport, MessageKind, Protocol, ScenarioParams, shard_sizes, traffic_by_kind
-from .errors import InvalidParam
+from .errors import InvalidParam, ShapeMismatch
 from .nn_core import CutPoint, ModelSpec
 
 SERVER = "server"
@@ -126,6 +126,20 @@ def partition_dataset(inputs, labels, clients: int, strict: bool = True) -> Shar
     return ShardedDataset(shards=tuple((x[lo:hi], y[lo:hi]) for lo, hi in bounds))
 
 
+def _checked_shards(spec: ModelSpec, shards: ShardedDataset) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every shard as float64 (inputs, labels) of the model's widths, checked once per run."""
+    if shards.clients < 1:
+        raise InvalidParam("need at least one client shard")
+    checked = []
+    for x, y in shards.shards:
+        x = nn_core._check_batch(x, spec.input_width, "shard inputs")
+        y = nn_core._check_batch(y, spec.output_width, "shard labels")
+        if x.shape[0] != y.shape[0]:
+            raise ShapeMismatch(f"shard has {x.shape[0]} records but {y.shape[0]} labels")
+        checked.append((x, y))
+    return checked
+
+
 def _batches(x: np.ndarray, y: np.ndarray, batch_size: int):
     for lo in range(0, x.shape[0], batch_size):
         yield x[lo : lo + batch_size], y[lo : lo + batch_size]
@@ -165,7 +179,8 @@ def run_split_training(
     exactly K hand-offs, including the self-loop when K = 1). SyncBatch makes
     the same hand-off after every batch. AlternatingNoSync gives epoch e to
     client (e mod K)+1 alone and never exchanges client weights; each client
-    keeps its own stale front weights between turns.
+    keeps its own stale front weights between turns. Every client trains in
+    its own buffer, and a hand-off copies the weights into the receiver's.
 
     Epoch loss is the mean training loss over the batches processed in that
     epoch (NaN when the epoch saw no records).
@@ -174,14 +189,20 @@ def run_split_training(
         raise InvalidParam(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
-    if shards.clients < 1:
-        raise InvalidParam("need at least one client shard")
     if variant is Protocol.FEDERATED:
         raise InvalidParam("run_split_training needs a split protocol; use run_federated_training")
     c = nn_core._cut_index(spec, cut)
-    k_clients = shards.clients
+    data = _checked_shards(spec, shards)
+    k_clients = len(data)
     init_client, server = nn_core.split_params(spec, c, nn_core.init_params(spec, seed))
     client_vecs = [init_client.copy() for _ in range(k_clients)]
+    # Layer views, built once: each client's own, the server's, and the
+    # gradient buffers' (client half first, so one backward pass fills both).
+    front, back = spec.layer_widths[: c + 1], spec.layer_widths[c:]
+    client_layers = [nn_core._unpack(front, vec) for vec in client_vecs]
+    server_layers = nn_core._unpack(back, server)
+    client_grads, server_grads = np.empty_like(init_client), np.empty_like(server)
+    grad_layers = nn_core._unpack(front, client_grads) + nn_core._unpack(back, server_grads)
     ledger = TrafficLedger()
     epoch_losses: list[float] = []
 
@@ -190,33 +211,23 @@ def run_split_training(
         turns = [epoch % k_clients] if variant is Protocol.SPLIT_NOSYNC else range(k_clients)
         for k in turns:
             me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
-            weights = client_vecs[k]
-            x_shard, y_shard = shards.shards[k]
-            for xb, yb in _batches(x_shard, y_shard, batch_size):
-                front_layers, front_zs, front_acts = nn_core._front_trace(spec, c, weights, xb)
-                smashed = front_acts[-1]
-                ledger.append(Message(epoch, me, SERVER, MessageKind.ACTIVATIONS, smashed.size))
+            weights, layers = client_vecs[k], client_layers[k] + server_layers
+            for xb, yb in _batches(*data[k], batch_size):
+                zs, acts = nn_core._forward_layers(layers, spec.activation, xb)
+                ledger.append(Message(epoch, me, SERVER, MessageKind.ACTIVATIONS, acts[c].size))
                 ledger.append(Message(epoch, me, SERVER, MessageKind.LABELS, yb.size))
-                back_layers, back_zs, back_acts = nn_core._back_trace(spec, c, server, smashed)
-                loss, dout = nn_core._mse_and_grad(back_acts[-1], yb)
-                server_grads, back_act_grads = nn_core._backward_layers(
-                    back_layers, spec.activation, back_zs, back_acts, dout, c, spec.weight_layers
-                )
-                cut_grad = back_act_grads[0]
-                ledger.append(Message(epoch, SERVER, me, MessageKind.GRADIENTS, cut_grad.size))
-                client_grads, _ = nn_core._backward_layers(
-                    front_layers, spec.activation, front_zs, front_acts, cut_grad, 0, spec.weight_layers
-                )
-                weights = nn_core.sgd_step(weights, client_grads, lr)
-                server = nn_core.sgd_step(server, server_grads, lr)
+                loss, dout = nn_core._mse_and_grad(acts[-1], yb)
+                act_grads = nn_core._backward_layers(layers, spec.activation, zs, acts, dout, grad_layers)
+                ledger.append(Message(epoch, SERVER, me, MessageKind.GRADIENTS, act_grads[c].size))
+                nn_core.sgd_step(weights, client_grads, lr)
+                nn_core.sgd_step(server, server_grads, lr)
                 batch_losses.append(loss)
                 if variant is Protocol.SPLIT_SYNC_BATCH:
                     ledger.append(Message(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, weights.size))
-                    client_vecs[(k + 1) % k_clients] = weights
-            client_vecs[k] = weights
+                    np.copyto(client_vecs[(k + 1) % k_clients], weights)
             if variant is Protocol.SPLIT_SYNC:
                 ledger.append(Message(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, weights.size))
-                client_vecs[(k + 1) % k_clients] = weights
+                np.copyto(client_vecs[(k + 1) % k_clients], weights)
         epoch_losses.append(float(np.mean(batch_losses)) if batch_losses else math.nan)
 
     return SplitRunResult(
@@ -246,32 +257,29 @@ def run_federated_training(
         raise InvalidParam(f"rounds must be >= 0, got {rounds}")
     if batch_size < 1:
         raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
-    if shards.clients < 1:
-        raise InvalidParam("need at least one client shard")
-    k_clients = shards.clients
+    data = _checked_shards(spec, shards)
     global_vec = nn_core.init_params(spec, seed)
+    # One row per client, each with its own layer views; one gradient buffer.
+    uploads = np.empty((len(data), global_vec.size))
+    row_layers = [nn_core.unpack_params(spec, row) for row in uploads]
+    grads = np.empty_like(global_vec)
+    grad_layers = nn_core.unpack_params(spec, grads)
     ledger = TrafficLedger()
     round_losses: list[float] = []
 
     for rnd in range(rounds):
-        for k in range(k_clients):
+        for k, weights in enumerate(uploads):
             ledger.append(Message(rnd, SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS, global_vec.size))
-        uploads = []
+            np.copyto(weights, global_vec)
         client_losses: list[float] = []
-        for k in range(k_clients):
-            weights = global_vec
-            x_shard, y_shard = shards.shards[k]
+        for k, (weights, layers) in enumerate(zip(uploads, row_layers)):
             batch_losses = []
-            for xb, yb in _batches(x_shard, y_shard, batch_size):
-                layers = nn_core.unpack_params(spec, weights)
-                zs, acts = nn_core._forward_layers(layers, spec.activation, xb, 0, spec.weight_layers)
+            for xb, yb in _batches(*data[k], batch_size):
+                zs, acts = nn_core._forward_layers(layers, spec.activation, xb)
                 loss, dout = nn_core._mse_and_grad(acts[-1], yb)
-                grads, _ = nn_core._backward_layers(
-                    layers, spec.activation, zs, acts, dout, 0, spec.weight_layers
-                )
-                weights = nn_core.sgd_step(weights, grads, local_lr)
+                nn_core._backward_layers(layers, spec.activation, zs, acts, dout, grad_layers)
+                nn_core.sgd_step(weights, grads, local_lr)
                 batch_losses.append(loss)
-            uploads.append(weights)
             ledger.append(Message(rnd, client_id(k + 1), SERVER, MessageKind.CLIENT_WEIGHTS, weights.size))
             if batch_losses:
                 client_losses.append(float(np.mean(batch_losses)))

@@ -24,15 +24,12 @@ from splitfed import (
     comm_report,
     efficiency_ratio,
     forward,
-    forward_back,
-    forward_front,
     init_params,
     partition_dataset,
     random_dataset,
     run_federated_training,
     run_split_training,
     sgd_step,
-    split_params,
     verify_against_model,
 )
 from splitfed.cli import main
@@ -186,12 +183,15 @@ def test_numerical_core():
             rel[(analytic == 0) & (numeric == 0)] = 0.0
             assert rel.max() < 1e-6, (activation, widths, rel.max())
 
-            full = forward(spec, params, x)
+            # one split step on the whole batch equals one monolithic step
+            step = sgd_step(params.copy(), backward(spec, params, x, y).param_grads, 0.05)
+            shards = ShardedDataset(shards=((x, y),))
             for cut in range(1, spec.weight_layers):
-                client, server = split_params(spec, cut, params)
-                outputs = forward_back(spec, cut, server, forward_front(spec, cut, client, x))
-                assert np.allclose(outputs, full.outputs, rtol=1e-12, atol=0.0)
-                assert np.array_equal(outputs, full.outputs)  # exact, same operation order
+                run = run_split_training(spec, cut, shards, SplitVariant.SYNC_EPOCH, epochs=1,
+                                         lr=0.05, seed=seed, batch_size=x.shape[0])
+                stitched = np.concatenate([run.client_params[0], run.server_params])
+                assert np.allclose(stitched, step, rtol=1e-12, atol=0.0)
+                assert np.array_equal(stitched, step)  # exact, same operation order
 
     spec = ModelSpec((5, 4, 2))
     x, y = random_dataset(spec, 6, 123)

@@ -311,6 +311,23 @@ def test_breakeven_bad_range_exits_3(capsys):
     assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "a:b:c"]) == 3
 
 
+def test_breakeven_k_range_point_limit(capsys):
+    # an arithmetic range is counted before it is built: one point over the limit exits 3
+    assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "1:1000001"]) == 3
+    assert "1000001 points" in capsys.readouterr().err
+
+
+def test_breakeven_uses_the_scenario_variant(tmp_path, capsys):
+    scenario = tmp_path / "nosync.txt"
+    scenario.write_text(RAW_TEXT.replace("variant = sync", "variant = nosync"))
+    base = ["breakeven", "--scenario", str(scenario), "--k-range", "1:1000:x10", "--csv"]
+    implied, nosync, sync = (tmp_path / f"{name}.csv" for name in ("implied", "nosync", "sync"))
+    assert main(base + [str(implied)]) == 0
+    assert main(base + [str(nosync), "--variant", "nosync"]) == 0
+    assert main(base + [str(sync), "--variant", "sync"]) == 0
+    assert implied.read_bytes() == nosync.read_bytes() != sync.read_bytes()
+
+
 def test_breakeven_missing_params_exits_2(capsys):
     assert main(["breakeven", "--k-range", "1:10:1"]) == 2
 

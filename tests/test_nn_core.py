@@ -13,22 +13,32 @@ from splitfed import (
     EmptyList,
     InvalidParam,
     LengthMismatch,
+    MessageKind,
     ModelSpec,
+    Protocol,
     ShapeMismatch,
     average_params,
     backward,
     cut_stats,
     forward,
-    forward_back,
-    forward_front,
     init_params,
     param_count,
+    partition_dataset,
     random_dataset,
+    run_split_training,
     sgd_step,
     split_params,
     splitmix64,
 )
-from splitfed.nn_core import layer_param_counts, mse_loss, uniform01
+from splitfed.nn_core import (
+    _backward_layers,
+    _forward_layers,
+    _mse_and_grad,
+    _unpack,
+    layer_param_counts,
+    mse_loss,
+    uniform01,
+)
 
 MASK64 = (1 << 64) - 1
 
@@ -145,6 +155,13 @@ def test_forward_shape_mismatch():
         forward(spec, np.zeros(10), np.zeros((3, 4)))
 
 
+def _split_layers(spec, cut, params):
+    """Client and server halves of ``params``, and one pass's layer views over them."""
+    client, server = split_params(spec, cut, params)
+    widths = spec.layer_widths
+    return client, server, _unpack(widths[: cut + 1], client) + _unpack(widths[cut:], server)
+
+
 @pytest.mark.parametrize("activation", list(Activation))
 def test_split_forward_matches_monolithic_at_every_cut(activation):
     spec = ModelSpec((5, 4, 3, 2), activation)
@@ -152,19 +169,20 @@ def test_split_forward_matches_monolithic_at_every_cut(activation):
     x, _ = random_dataset(spec, 7, 3)
     full = forward(spec, params, x)
     for cut in range(1, spec.weight_layers):
-        client, server = split_params(spec, cut, params)
-        smashed = forward_front(spec, cut, client, x)
-        assert smashed.shape == (7, spec.layer_widths[cut])
-        assert np.array_equal(smashed, full.activations[cut])
-        outputs = forward_back(spec, cut, server, smashed)
-        assert np.array_equal(outputs, full.outputs)
+        _, _, layers = _split_layers(spec, cut, params)
+        _, acts = _forward_layers(layers, spec.activation, x)
+        assert acts[cut].shape == (7, spec.layer_widths[cut])
+        assert np.array_equal(acts[cut], full.activations[cut])
+        assert np.array_equal(acts[-1], full.outputs)
 
 
 def test_smashed_scalar_count():
     spec = ModelSpec((4, 3, 2))
-    client, _ = split_params(spec, 1, init_params(spec, 42))
-    x, _ = random_dataset(spec, 3, 1)
-    assert forward_front(spec, 1, client, x).size == 9  # 3 records x q=3
+    x, y = random_dataset(spec, 3, 1)
+    run = run_split_training(spec, 1, partition_dataset(x, y, 1), Protocol.SPLIT_SYNC,
+                             epochs=1, lr=0.01, seed=42, batch_size=3)
+    activations = [m.scalar_count for m in run.ledger if m.kind is MessageKind.ACTIVATIONS]
+    assert activations == [9]  # 3 records x q=3
 
 
 # --- backward ----------------------------------------------------------------
@@ -220,26 +238,21 @@ def test_gradient_matches_central_differences(activation, widths, batch, seed):
 
 @pytest.mark.parametrize("activation", list(Activation))
 def test_split_backward_matches_monolithic_at_every_cut(activation):
-    from splitfed.nn_core import _back_trace, _backward_layers, _front_trace, _mse_and_grad
-
     spec = ModelSpec((5, 4, 3, 2), activation)
     params = init_params(spec, 21)
     x, y = random_dataset(spec, 5, 22)
     mono = backward(spec, params, x, y)
     for cut in range(1, spec.weight_layers):
-        client, server = split_params(spec, cut, params)
-        f_layers, f_zs, f_acts = _front_trace(spec, cut, client, x)
-        b_layers, b_zs, b_acts = _back_trace(spec, cut, server, f_acts[-1])
-        _, dout = _mse_and_grad(b_acts[-1], y)
-        server_grads, b_act_grads = _backward_layers(
-            b_layers, spec.activation, b_zs, b_acts, dout, cut, spec.weight_layers)
-        client_grads, _ = _backward_layers(
-            f_layers, spec.activation, f_zs, f_acts, b_act_grads[0], 0, spec.weight_layers)
-        stitched = np.concatenate([client_grads, server_grads])
-        assert np.array_equal(stitched, mono.param_grads)
+        _, _, layers = _split_layers(spec, cut, params)
+        # NaN-filled buffers: every gradient scalar must be written by the pass
+        client_g, server_g, grad_layers = _split_layers(spec, cut, np.full_like(params, np.nan))
+        zs, acts = _forward_layers(layers, spec.activation, x)
+        _, dout = _mse_and_grad(acts[-1], y)
+        act_grads = _backward_layers(layers, spec.activation, zs, acts, dout, grad_layers)
+        assert np.array_equal(np.concatenate([client_g, server_g]), mono.param_grads)
         # the tensor crossing the cut carries q scalars per record
-        assert b_act_grads[0].shape == (5, spec.layer_widths[cut])
-        assert np.array_equal(b_act_grads[0], mono.activation_grads[cut])
+        assert act_grads[cut].shape == (5, spec.layer_widths[cut])
+        assert np.array_equal(act_grads[cut], mono.activation_grads[cut])
 
 
 def test_backward_label_shape_mismatch():
@@ -259,13 +272,17 @@ def test_sgd_step_examples():
     assert np.array_equal(sgd_step(params, np.array([1.0, 1.0]), 0.5), np.array([0.5, 1.5]))
     with pytest.raises(LengthMismatch):
         sgd_step(params, np.array([1.0]), 0.1)
+    # the step is taken in place
+    params = np.array([1.0, 2.0])
+    assert sgd_step(params, np.array([1.0, -1.0]), 0.5) is params
+    assert np.array_equal(params, np.array([0.5, 2.5]))
 
 
 def test_sgd_piecewise_matches_whole_vector():
     spec = ModelSpec((4, 3, 2))
     params = init_params(spec, 5)
     grads = backward(spec, params, *random_dataset(spec, 4, 6)).param_grads
-    whole = sgd_step(params, grads, 0.1)
+    whole = sgd_step(params.copy(), grads, 0.1)
     client_p, server_p = split_params(spec, 1, params)
     client_g, server_g = split_params(spec, 1, grads)
     pieces = np.concatenate([sgd_step(client_p, client_g, 0.1), sgd_step(server_p, server_g, 0.1)])

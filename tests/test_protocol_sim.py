@@ -1,12 +1,15 @@
 """Protocol runs, the traffic ledger, and the ledger-versus-formula cross-check."""
 
 import io
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from splitfed import (
+    Activation,
     DivisibilityError,
     InvalidParam,
     Message,
@@ -15,6 +18,8 @@ from splitfed import (
     ModelSpec,
     Protocol,
     ScenarioParams,
+    ShapeMismatch,
+    ShardedDataset,
     SplitVariant,
     TrafficLedger,
     backward,
@@ -28,6 +33,7 @@ from splitfed import (
     sgd_step,
     verify_against_model,
 )
+from splitfed import nn_core, protocol_sim
 from splitfed.protocol_sim import SERVER, client_id
 
 
@@ -175,20 +181,97 @@ def test_split_run_deterministic():
     assert a.epoch_losses == b.epoch_losses
 
 
+SPLIT_PROTOCOLS = (SplitVariant.SYNC_EPOCH, SplitVariant.SYNC_BATCH, SplitVariant.ALTERNATING)
+
+
 def test_single_client_split_equals_monolithic_sgd():
     # manual whole-model SGD is the oracle; the split run must match bit for bit
-    shards = golden_shards(p=8, clients=1, seed=5)
     lr, epochs = 0.05, 3
-    for variant in (SplitVariant.SYNC_EPOCH, SplitVariant.ALTERNATING):
-        run = run_split_training(SPEC, 1, shards, variant, epochs=epochs, lr=lr, seed=7)
-        params = init_params(SPEC, 7)
-        x, y = shards.shards[0]
+    for activation, batch_size in itertools.product(Activation, (1, 3)):
+        spec = ModelSpec((5, 4, 3, 2, 2), activation)  # 4 weight layers, cuts 1..3
+        x, y = random_dataset(spec, 8, 5)
+        shards = partition_dataset(x, y, 1)
+        params = init_params(spec, 7)
+        starts = range(0, x.shape[0], batch_size)
         for _ in range(epochs):
-            for i in range(x.shape[0]):
-                grads = backward(SPEC, params, x[i : i + 1], y[i : i + 1]).param_grads
-                params = sgd_step(params, grads, lr)
-        stitched = np.concatenate([run.client_params[0], run.server_params])
-        assert np.array_equal(stitched, params)
+            for lo in starts:
+                xb, yb = x[lo : lo + batch_size], y[lo : lo + batch_size]
+                params = sgd_step(params, backward(spec, params, xb, yb).param_grads, lr)
+        records = [min(batch_size, x.shape[0] - lo) for lo in starts] * epochs
+        for cut, variant in itertools.product(range(1, spec.weight_layers), SPLIT_PROTOCOLS):
+            run = run_split_training(spec, cut, shards, variant, epochs=epochs, lr=lr, seed=7,
+                                     batch_size=batch_size)
+            stitched = np.concatenate([run.client_params[0], run.server_params])
+            assert np.array_equal(stitched, params), (activation, batch_size, cut, variant)
+            # each batch's Activations and Gradients messages carry records x q scalars
+            q = spec.layer_widths[cut]
+            for kind in (MessageKind.ACTIVATIONS, MessageKind.GRADIENTS):
+                assert [m.scalar_count for m in run.ledger if m.kind is kind] == [r * q for r in records]
+
+
+def test_held_weights_never_alias():
+    # a hand-off copies into the receiver's buffer, so no two clients share an array
+    x, y = random_dataset(SPEC, 6, 42)
+    for variant in (SplitVariant.SYNC_EPOCH, SplitVariant.SYNC_BATCH):
+        run = run_split_training(SPEC, 1, partition_dataset(x, y, 3), variant, epochs=2, lr=0.01, seed=42)
+        held = [*run.client_params, run.server_params]
+        for i, a in enumerate(held):
+            for b in held[i + 1 :]:
+                assert not np.shares_memory(a, b), variant
+        # the ring's last hand-off gave client1 a copy of client3's weights
+        assert np.array_equal(run.client_params[0], run.client_params[2])
+
+
+def test_shard_widths_checked_once_per_run():
+    x, y = random_dataset(SPEC, 6, 42)
+    wide_x = ShardedDataset(shards=((np.zeros((3, 5)), y[:3]),))
+    wide_y = ShardedDataset(shards=((x[:3], np.zeros((3, 3))),))
+    short_y = ShardedDataset(shards=((x[:3], y[:2]),))
+    for bad in (wide_x, wide_y, short_y):
+        with pytest.raises(ShapeMismatch):
+            run_split_training(SPEC, 1, bad, SplitVariant.SYNC_EPOCH, epochs=1, lr=0.01, seed=42)
+        with pytest.raises(ShapeMismatch):
+            run_federated_training(SPEC, bad, rounds=1, local_lr=0.01, seed=42)
+
+
+class _CountingCore:
+    """Stands in for protocol_sim's ``nn_core``, counting the calls made through it."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        fn = getattr(nn_core, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+STEP_PHASES = ("_forward_layers", "_mse_and_grad", "_backward_layers", "sgd_step", "average_params")
+
+
+@pytest.mark.parametrize("variant", [*SPLIT_PROTOCOLS, Method.FEDERATED])
+def test_training_step_calls_through_nn_core(monkeypatch, variant):
+    # The benchmark tracer wraps these names on protocol_sim's nn_core, and
+    # counts one training step per _mse_and_grad call.
+    core = _CountingCore()
+    monkeypatch.setattr(protocol_sim, "nn_core", core)
+    shards = golden_shards(p=10, clients=2)  # 5 records per client
+    rounds, batch_size = 3, 2
+    if variant is Method.FEDERATED:
+        run_federated_training(SPEC, shards, rounds=rounds, local_lr=0.01, seed=42, batch_size=batch_size)
+        batches, sgd_per_batch = rounds * 2 * 3, 1
+    else:
+        run_split_training(SPEC, 1, shards, variant, epochs=rounds, lr=0.01, seed=42, batch_size=batch_size)
+        turns = rounds if variant is SplitVariant.ALTERNATING else rounds * 2
+        batches, sgd_per_batch = turns * 3, 2
+    expected = {"_forward_layers": batches, "_mse_and_grad": batches, "_backward_layers": batches,
+                "sgd_step": sgd_per_batch * batches,
+                "average_params": rounds if variant is Method.FEDERATED else 0}
+    assert {name: core.calls[name] for name in STEP_PHASES} == expected
 
 
 # --- federated training ------------------------------------------------------
