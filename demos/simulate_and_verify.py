@@ -6,6 +6,8 @@ is logged with the actual payload size. The formulas come from an independent
 code path, so agreement here is a genuine cross-validation.
 """
 
+from itertools import islice
+
 from splitfed import (
     MessageKind,
     ModelSpec,
@@ -37,7 +39,7 @@ print("=" * 72)
 run = run_split_training(SPEC, CUT, shards, Protocol.SPLIT_SYNC,
                          epochs=1, lr=0.01, seed=SEED)
 print("first few ledger events:")
-for m in run.ledger.messages[:5]:
+for m in islice(run.ledger, 5):
     print(f"  epoch {m.epoch}  {m.sender:>8} -> {m.receiver:<8} {m.kind.value:<14} {m.scalar_count}")
 print(f"  ... {len(run.ledger)} events total")
 totals = run.ledger.totals_by_kind()

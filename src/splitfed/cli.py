@@ -34,10 +34,17 @@ from .nn_core import random_dataset
 from .scenarios import load_scenario, load_suite
 from .svg import render_breakeven_svg
 
-# cmd_simulate refuses anything bigger than this; the simulator moves real
-# tensors and is meant for desk-scale cross-checks, not production training.
-SIMULATE_MAX_PARAMS = 10**6
-SIMULATE_MAX_RECORDS = 10**5
+# cmd_simulate refuses anything bigger than these, before it allocates; the
+# simulator moves real tensors and is meant for desk-scale cross-checks, not
+# production training.
+SIMULATE_MAX_PARAMS = 10**6  # N
+SIMULATE_MAX_RECORDS = 10**5  # p
+# K * N bounds the weight buffers a run holds: K client (or upload) vectors of
+# at most N float64 scalars each, 80 MB at the limit.
+SIMULATE_MAX_HELD_SCALARS = 10**7
+# epochs * max(p, K) bounds a run's training steps and its ledger, which logs
+# at most 4 messages per batch plus 2 per client in every epoch.
+SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this.
 K_RANGE_MAX_POINTS = 10**6
 
@@ -133,11 +140,15 @@ def cmd_simulate(args) -> int:
         raise ScenarioError("simulate needs a model-form scenario (layer_widths + cut_index)")
     variant = Protocol(args.variant or sc.variant)
     params = sc.params()
-    if params.model_params > SIMULATE_MAX_PARAMS or params.dataset_size > SIMULATE_MAX_RECORDS:
-        raise InvalidParam(
-            f"scenario too large to simulate (N={params.model_params} > {SIMULATE_MAX_PARAMS} "
-            f"or p={params.dataset_size} > {SIMULATE_MAX_RECORDS})"
-        )
+    k, n, p = params.clients, params.model_params, params.dataset_size
+    for name, size, limit in (
+        ("N", n, SIMULATE_MAX_PARAMS),
+        ("p", p, SIMULATE_MAX_RECORDS),
+        ("K*N", k * n, SIMULATE_MAX_HELD_SCALARS),
+        ("epochs*max(p,K)", params.epochs * max(p, k), SIMULATE_MAX_RECORD_EPOCHS),
+    ):
+        if size > limit:
+            raise InvalidParam(f"scenario too large to simulate ({name}={size} > {limit})")
     strict = not args.lenient_shards
     x, y = random_dataset(sc.model, params.dataset_size, sc.seed)
     shards = protocol_sim.partition_dataset(x, y, params.clients, strict=strict)
@@ -157,8 +168,8 @@ def cmd_simulate(args) -> int:
     ledger = run.ledger
     if args.inject_fault:
         # verification self-test: one bogus message must trip a mismatch
-        ledger.append(protocol_sim.Message(0, protocol_sim.client_id(1), protocol_sim.SERVER,
-                                           MessageKind.ACTIVATIONS, params.smashed_size))
+        ledger.append(0, protocol_sim.client_id(1), protocol_sim.SERVER, MessageKind.ACTIVATIONS,
+                      params.smashed_size)
 
     if args.csv:
         ledger.to_csv(args.csv)

@@ -205,15 +205,6 @@ def _apply_activation(activation: Activation, z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _activation_deriv(activation: Activation, z: np.ndarray) -> np.ndarray:
-    if activation is Activation.IDENTITY:
-        return np.ones_like(z)
-    if activation is Activation.RELU:
-        return (z > 0.0).astype(np.float64)
-    s = _apply_activation(Activation.SIGMOID, z)
-    return s * (1.0 - s)
-
-
 def _forward_layers(layers, activation: Activation, batch: np.ndarray):
     """Run every layer in order; the last one stays linear.
 
@@ -262,7 +253,8 @@ def mse_loss(outputs, labels) -> float:
 
 def _mse_and_grad(outputs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     diff = outputs - labels
-    loss = float(np.mean(diff**2))
+    # np.mean(diff**2) to the bit, without np.mean's dispatch
+    loss = float(np.add.reduce(diff * diff, axis=None) / diff.size)
     return loss, (2.0 / diff.size) * diff
 
 
@@ -271,7 +263,8 @@ def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndar
 
     ``upstream`` is the loss gradient w.r.t. the output. Each layer's dW and
     db are written into its (dW, db) views in ``grad_layers``. Returns the
-    per-boundary activation gradients, index j = d loss / d acts[j].
+    per-boundary activation gradients, index j = d loss / d acts[j], for
+    j >= 1; index 0 (the input batch's gradient, which no step reads) is None.
     """
     g = upstream
     act_grads: list = [None] * len(layers) + [upstream]
@@ -279,10 +272,17 @@ def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndar
     for i in reversed(range(len(layers))):
         w, _ = layers[i]
         dw, db = grad_layers[i]
-        dz = g if i == last else g * _activation_deriv(activation, zs[i])
+        if i == last or activation is Activation.IDENTITY:
+            dz = g
+        elif activation is Activation.RELU:
+            dz = g * (zs[i] > 0.0)
+        else:
+            s = acts[i + 1]  # the sigmoid of zs[i], as the forward pass computed it
+            dz = g * (s * (1.0 - s))
         np.matmul(acts[i].T, dz, out=dw)
-        np.sum(dz, axis=0, out=db)
-        g = act_grads[i] = dz @ w.T
+        np.add.reduce(dz, axis=0, out=db)
+        if i:
+            g = act_grads[i] = dz @ w.T
     return act_grads
 
 
@@ -291,7 +291,8 @@ class BackwardResult:
     """Loss, flat parameter gradients, and the gradient at every layer boundary.
 
     ``activation_grads[c]`` is the tensor that would cross a cut at c (records
-    x width_c); index 0 is the gradient w.r.t. the input batch.
+    x width_c). Index 0 would be the gradient w.r.t. the input batch; no
+    training step needs it, so it is not computed and holds None.
     """
 
     loss: float
@@ -314,12 +315,16 @@ def backward(spec: ModelSpec, params: np.ndarray, batch, labels) -> BackwardResu
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
-    """One plain gradient step, in place: params -= lr * grads. Returns params."""
+    """One plain gradient step, in place: params -= lr * grads. Returns params.
+
+    ``grads`` is scratch: it is scaled by ``lr`` in place, so the step
+    allocates nothing, and holds ``lr * grads`` afterwards.
+    """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
         raise LengthMismatch(f"params {params.shape} vs grads {grads.shape}")
-    params -= lr * grads
+    params -= np.multiply(grads, lr, out=grads)
     return params
 
 

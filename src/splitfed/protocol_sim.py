@@ -10,12 +10,11 @@ genuine cross-check rather than the same formula evaluated twice.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, pairwise
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,8 +35,7 @@ def client_id(k: int) -> str:
 SplitVariant = Protocol
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     epoch: int
     sender: str
     receiver: str
@@ -46,37 +44,50 @@ class Message:
 
 
 class TrafficLedger:
-    """Append-only, ordered log of every simulated transfer."""
+    """Append-only, ordered log of every simulated transfer.
+
+    Each message is stored as a plain row ``(epoch, sender, receiver, kind,
+    scalar_count)``; iterating the ledger yields them as :class:`Message`.
+    Endpoint ids are identifiers, so no CSV field ever needs quoting.
+    """
 
     def __init__(self) -> None:
-        self.messages: list[Message] = []
+        self._rows: list[tuple[int, str, str, MessageKind, int]] = []
+        self._tally: dict[str, dict[MessageKind, int]] | None = None
 
-    def append(self, message: Message) -> None:
-        if message.scalar_count < 0:
-            raise InvalidParam(f"negative scalar_count in {message}")
-        self.messages.append(message)
+    def append(self, epoch: int, sender: str, receiver: str, kind: MessageKind, scalar_count: int) -> None:
+        if scalar_count < 0:
+            raise InvalidParam(f"negative scalar_count in {Message(epoch, sender, receiver, kind, scalar_count)}")
+        self._rows.append((epoch, sender, receiver, kind, scalar_count))
+        self._tally = None
 
     def __len__(self) -> int:
-        return len(self.messages)
+        return len(self._rows)
 
-    def __iter__(self):
-        return iter(self.messages)
+    def __iter__(self) -> Iterator[Message]:
+        return map(Message._make, self._rows)
 
     def total_scalars(self, exclude: Iterable[MessageKind] = (MessageKind.LABELS,)) -> int:
-        excluded = frozenset(exclude)
-        return sum(m.scalar_count for m in self.messages if m.kind not in excluded)
+        included = set(MessageKind).difference(exclude)
+        return sum(kinds[kind] for kinds in self._owned().values() for kind in included)
 
     def totals_by_kind(self) -> dict[MessageKind, int]:
-        owned = self.tally().values()  # every message has exactly one owner
+        owned = self._owned().values()  # every message has exactly one owner
         return {kind: sum(kinds[kind] for kinds in owned) for kind in MessageKind}
 
     def tally(self) -> dict[str, dict[MessageKind, int]]:
-        """Scalars per (owner, kind), in one pass. A message's one owner is the
-        client that sends it, or the client the server sends it to."""
-        tally = defaultdict(lambda: dict.fromkeys(MessageKind, 0))
-        for m in self.messages:
-            tally[m.receiver if m.sender == SERVER else m.sender][m.kind] += m.scalar_count
-        return dict(tally)
+        """Scalars per (owner, kind), as a copy the caller owns. A message's one
+        owner is the client that sends it, or the client the server sends it to."""
+        return {owner: dict(kinds) for owner, kinds in self._owned().items()}
+
+    def _owned(self) -> dict[str, dict[MessageKind, int]]:
+        """The shared tally, computed in one pass the first time it is read after an append."""
+        if self._tally is None:
+            tally = defaultdict(lambda: dict.fromkeys(MessageKind, 0))
+            for _, sender, receiver, kind, count in self._rows:
+                tally[receiver if sender == SERVER else sender][kind] += count
+            self._tally = dict(tally)
+        return self._tally
 
     def to_csv(self, path_or_file) -> None:
         """Write "epoch,sender,receiver,kind,scalar_count"; row order = event order."""
@@ -87,10 +98,9 @@ class TrafficLedger:
                 self._write_csv(fh)
 
     def _write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "sender", "receiver", "kind", "scalar_count"])
-        for m in self.messages:
-            writer.writerow([m.epoch, m.sender, m.receiver, m.kind.value, m.scalar_count])
+        # The bytes csv.writer would write: no field of ints and identifiers needs quoting.
+        fh.write("epoch,sender,receiver,kind,scalar_count\n")
+        fh.writelines(f"{e},{s},{r},{k.value},{n}\n" for e, s, r, k, n in self._rows)
 
 
 @dataclass(frozen=True)
@@ -214,19 +224,19 @@ def run_split_training(
             weights, layers = client_vecs[k], client_layers[k] + server_layers
             for xb, yb in _batches(*data[k], batch_size):
                 zs, acts = nn_core._forward_layers(layers, spec.activation, xb)
-                ledger.append(Message(epoch, me, SERVER, MessageKind.ACTIVATIONS, acts[c].size))
-                ledger.append(Message(epoch, me, SERVER, MessageKind.LABELS, yb.size))
+                ledger.append(epoch, me, SERVER, MessageKind.ACTIVATIONS, acts[c].size)
+                ledger.append(epoch, me, SERVER, MessageKind.LABELS, yb.size)
                 loss, dout = nn_core._mse_and_grad(acts[-1], yb)
                 act_grads = nn_core._backward_layers(layers, spec.activation, zs, acts, dout, grad_layers)
-                ledger.append(Message(epoch, SERVER, me, MessageKind.GRADIENTS, act_grads[c].size))
+                ledger.append(epoch, SERVER, me, MessageKind.GRADIENTS, act_grads[c].size)
                 nn_core.sgd_step(weights, client_grads, lr)
                 nn_core.sgd_step(server, server_grads, lr)
                 batch_losses.append(loss)
                 if variant is Protocol.SPLIT_SYNC_BATCH:
-                    ledger.append(Message(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, weights.size))
+                    ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, weights.size)
                     np.copyto(client_vecs[(k + 1) % k_clients], weights)
             if variant is Protocol.SPLIT_SYNC:
-                ledger.append(Message(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, weights.size))
+                ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, weights.size)
                 np.copyto(client_vecs[(k + 1) % k_clients], weights)
         epoch_losses.append(float(np.mean(batch_losses)) if batch_losses else math.nan)
 
@@ -269,7 +279,7 @@ def run_federated_training(
 
     for rnd in range(rounds):
         for k, weights in enumerate(uploads):
-            ledger.append(Message(rnd, SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS, global_vec.size))
+            ledger.append(rnd, SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS, global_vec.size)
             np.copyto(weights, global_vec)
         client_losses: list[float] = []
         for k, (weights, layers) in enumerate(zip(uploads, row_layers)):
@@ -280,7 +290,7 @@ def run_federated_training(
                 nn_core._backward_layers(layers, spec.activation, zs, acts, dout, grad_layers)
                 nn_core.sgd_step(weights, grads, local_lr)
                 batch_losses.append(loss)
-            ledger.append(Message(rnd, client_id(k + 1), SERVER, MessageKind.CLIENT_WEIGHTS, weights.size))
+            ledger.append(rnd, client_id(k + 1), SERVER, MessageKind.CLIENT_WEIGHTS, weights.size)
             if batch_losses:
                 client_losses.append(float(np.mean(batch_losses)))
         global_vec = nn_core.average_params(uploads)

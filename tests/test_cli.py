@@ -238,6 +238,29 @@ def test_simulate_guard_exits_3(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(big)]) == 3
 
 
+@pytest.mark.parametrize("text", [
+    # K = p = 100,000 clients of an N = 999,001 federated model: ~800 GB of uploads
+    pytest.param("layer_widths = 997, 1000, 1\ncut_index = 1\nK = 100_000\np = 100_000\nvariant = federated\n",
+                 id="federated-uploads"),
+    # K * N = 100,000 x 172 held scalars, with N and p each within its own limit
+    pytest.param("layer_widths = 16, 8, 4\ncut_index = 1\nK = 100_000\np = 100_000\n", id="held-weights"),
+    # epochs * p = 11 x 100,000 records trained and ~3.3M ledger rows
+    pytest.param("layer_widths = 4, 3, 2\ncut_index = 1\nK = 2\np = 100_000\nepochs = 11\n", id="record-epochs"),
+    # no records, yet a hand-off per epoch: epochs * K
+    pytest.param("layer_widths = 4, 3, 2\ncut_index = 1\nK = 2\np = 0\nepochs = 1_000_000\n",
+                 id="hand-offs-without-records"),
+])
+def test_simulate_guard_bounds_memory_and_work_before_allocating(tmp_path, monkeypatch, capsys, text):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the guard must reject the scenario before any data is generated")
+
+    monkeypatch.setattr("splitfed.cli.random_dataset", no_allocation)
+    big = tmp_path / "big.txt"
+    big.write_text(text)
+    assert main(["simulate", "--scenario", str(big)]) == 3
+    assert "too large to simulate" in capsys.readouterr().err
+
+
 def test_simulate_raw_scenario_exits_2(tmp_path, capsys):
     raw = tmp_path / "raw.txt"
     raw.write_text(RAW_TEXT)

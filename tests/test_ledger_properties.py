@@ -1,21 +1,29 @@
-"""Property tests: every client's ledger tally against its own closed form.
+"""Property tests of the traffic ledger.
 
 Each message is owned by the client that sends it, or by the client the
 server sends it to. These properties check that rule against
 ``traffic_by_kind`` evaluated on one client's shard, over random
-architectures, shard splits, batch sizes, epochs and all four protocols.
+architectures, shard splits, batch sizes, epochs and all four protocols,
+and check the ledger's rows, CSV and cached tally over random message
+sequences.
 """
 
+import csv
+import io
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitfed import (
+    InvalidParam,
+    Message,
     MessageKind,
     ModelSpec,
     Protocol,
     ScenarioParams,
+    TrafficLedger,
     comm_report,
     measured_comm,
     partition_dataset,
@@ -25,7 +33,7 @@ from splitfed import (
     traffic_by_kind,
     verify_against_model,
 )
-from splitfed.protocol_sim import client_id
+from splitfed.protocol_sim import SERVER, client_id
 
 PROTOCOLS = list(Protocol)
 
@@ -103,3 +111,60 @@ def test_measured_per_client_equals_comm_report(arch, protocol, clients, per_cli
         formula = comm_report(params, protocol, include_labels=include_labels, label_width=spec.output_width)
         assert measured.per_client_scalars == formula.per_client_scalars
         assert measured.total_scalars == formula.total_scalars
+
+
+ENDPOINTS = [SERVER] + [client_id(k) for k in range(1, 12)]
+messages = st.lists(st.builds(
+    Message,
+    epoch=st.integers(0, 5),
+    sender=st.sampled_from(ENDPOINTS),
+    receiver=st.sampled_from(ENDPOINTS),
+    kind=st.sampled_from(list(MessageKind)),
+    scalar_count=st.integers(0, 10**9),
+), max_size=60)
+
+
+def naive_tally(log):
+    tally = {}
+    for m in log:
+        owner = m.receiver if m.sender == SERVER else m.sender
+        tally.setdefault(owner, dict.fromkeys(MessageKind, 0))[m.kind] += m.scalar_count
+    return tally
+
+
+def csv_writer_bytes(log):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["epoch", "sender", "receiver", "kind", "scalar_count"])
+    for m in log:
+        writer.writerow([m.epoch, m.sender, m.receiver, m.kind.value, m.scalar_count])
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=messages, later=messages)
+def test_ledger_rows_csv_and_cached_tally(first, later):
+    ledger = TrafficLedger()
+    log = []
+    for batch in (first, later):
+        for m in batch:
+            ledger.append(m.epoch, m.sender, m.receiver, m.kind, m.scalar_count)
+        log += batch
+        # iteration yields the appended fields as Messages, in order
+        assert list(ledger) == log and all(type(m) is Message for m in ledger)
+        assert len(ledger) == len(log)
+        buf = io.StringIO()
+        ledger.to_csv(buf)
+        assert buf.getvalue().encode() == csv_writer_bytes(log)
+        # the cached tally follows every append, and a caller's copy cannot corrupt it
+        assert ledger.tally() == naive_tally(log)
+        for kinds in ledger.tally().values():
+            kinds[MessageKind.ACTIVATIONS] += 1
+        assert ledger.tally() == naive_tally(log)
+        assert ledger.totals_by_kind() == {kind: sum(m.scalar_count for m in log if m.kind is kind)
+                                           for kind in MessageKind}
+        assert ledger.total_scalars() == sum(m.scalar_count for m in log if m.kind is not MessageKind.LABELS)
+
+    with pytest.raises(InvalidParam):
+        ledger.append(0, client_id(1), SERVER, MessageKind.ACTIVATIONS, -1)
+    assert list(ledger) == log

@@ -282,7 +282,7 @@ def test_sgd_piecewise_matches_whole_vector():
     spec = ModelSpec((4, 3, 2))
     params = init_params(spec, 5)
     grads = backward(spec, params, *random_dataset(spec, 4, 6)).param_grads
-    whole = sgd_step(params.copy(), grads, 0.1)
+    whole = sgd_step(params.copy(), grads.copy(), 0.1)  # the gradient is scratch to the step
     client_p, server_p = split_params(spec, 1, params)
     client_g, server_g = split_params(spec, 1, grads)
     pieces = np.concatenate([sgd_step(client_p, client_g, 0.1), sgd_step(server_p, server_g, 0.1)])

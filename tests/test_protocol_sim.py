@@ -175,7 +175,7 @@ def test_epoch_losses_finite_for_small_lr():
 def test_split_run_deterministic():
     a = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH, epochs=2, lr=0.01, seed=42)
     b = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH, epochs=2, lr=0.01, seed=42)
-    assert a.ledger.messages == b.ledger.messages
+    assert list(a.ledger) == list(b.ledger)
     assert np.array_equal(a.server_params, b.server_params)
     assert all(np.array_equal(x, y) for x, y in zip(a.client_params, b.client_params))
     assert a.epoch_losses == b.epoch_losses
@@ -361,7 +361,7 @@ def test_verify_alternating_cycle_equals_nosync_closed_form():
 def test_verify_flags_injected_fault():
     run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
                              epochs=1, lr=0.01, seed=42)
-    run.ledger.append(Message(0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3))
+    run.ledger.append(0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3)
     report = verify_against_model(run.ledger, golden_params(), SplitVariant.SYNC_EPOCH)
     assert not report.matches
     assert report.deltas == {MessageKind.ACTIVATIONS: 3}
@@ -376,7 +376,7 @@ def test_verify_flags_hand_off_credited_to_the_wrong_client():
         if m.kind is MessageKind.CLIENT_WEIGHTS and m.sender == client_id(1):
             # client2 now appears to send client1's hand-off: per-kind totals are unchanged
             m = Message(m.epoch, client_id(2), client_id(1), m.kind, m.scalar_count)
-        forged.append(m)
+        forged.append(*m)
     assert forged.totals_by_kind() == run.ledger.totals_by_kind()
     report = verify_against_model(forged, golden_params(), SplitVariant.SYNC_EPOCH)
     assert not report.matches
@@ -389,7 +389,7 @@ def test_verify_flags_hand_off_credited_to_the_wrong_client():
 def test_verify_flags_a_message_no_client_owns():
     run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
                              epochs=1, lr=0.01, seed=42)
-    run.ledger.append(Message(0, SERVER, client_id(3), MessageKind.GRADIENTS, 3))
+    run.ledger.append(0, SERVER, client_id(3), MessageKind.GRADIENTS, 3)
     report = verify_against_model(run.ledger, golden_params(), SplitVariant.SYNC_EPOCH)
     assert not report.matches
     assert report.client == client_id(3)
