@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import protocol_sim
 from .cost_model import (
-    REPORTED,
     CommReport,
     MessageKind,
     Protocol,
@@ -27,6 +26,7 @@ from .cost_model import (
     break_even_curve,
     comm_report,
     efficiency_ratio,
+    reported,
     sweep,
 )
 from .errors import InvalidParam, ScenarioError, SplitFedError
@@ -101,13 +101,19 @@ def _error_rows(values: dict, message: str) -> list[list]:
     ]]
 
 
+def compared_protocol(variant: str) -> Protocol:
+    """What analyze, sweep and breakeven weigh against federated: the scenario's own protocol, or sync."""
+    return Protocol.SPLIT_SYNC if variant == Protocol.FEDERATED else Protocol(variant)
+
+
 def cmd_analyze(args) -> int:
     sc = load_scenario(args.scenario)
-    split = Protocol(args.variant or sc.variant).rho_split
+    split = compared_protocol(args.variant or sc.variant)
     params = sc.params()
     strict = not args.lenient_shards
-    reports = {m: comm_report(params, m, strict, args.include_labels, sc.label_width) for m in REPORTED}
-    eff = efficiency_ratio(params, split)
+    reports = {m: comm_report(params, m, strict, args.include_labels, sc.label_width, sc.batch_size)
+               for m in reported(split)}
+    eff = efficiency_ratio(params, split, sc.batch_size)
 
     print(
         f"scenario {sc.name}: K={_fmt(params.clients)} N={_fmt(params.model_params)} "
@@ -213,8 +219,8 @@ def _parse_k_range(text: str) -> list[int]:
             values = []
             if step.lower().startswith("x"):
                 factor = int(step[1:])
-                if factor < 2:
-                    raise ValueError("geometric step must be >= 2")
+                if factor < 2 or lo < 1:  # else k never passes hi
+                    raise ValueError("a geometric range needs A >= 1 and a factor >= 2")
                 k = lo
                 while k <= hi:
                     values.append(k)
@@ -238,19 +244,19 @@ def _parse_k_range(text: str) -> list[int]:
 
 def cmd_breakeven(args) -> int:
     p, q, eta = args.p, args.q, args.eta
-    scenario_variant = Protocol.SPLIT_SYNC
+    scenario_variant, batch_size = Protocol.SPLIT_SYNC, 1
     if args.scenario:
         sc = load_scenario(args.scenario)
-        params, scenario_variant = sc.params(), sc.variant
+        params, scenario_variant, batch_size = sc.params(), sc.variant, sc.batch_size
         p = params.dataset_size if p is None else p
         q = params.smashed_size if q is None else q
         eta = params.client_fraction if eta is None else eta
     if p is None or q is None or eta is None:
         raise ScenarioError("breakeven needs p, q and eta (via --scenario or --p/--q/--eta)")
 
-    variant = Protocol(args.variant or scenario_variant).rho_split
+    variant = compared_protocol(args.variant or scenario_variant)
     ks = _parse_k_range(args.k_range)
-    curve = break_even_curve(p, q, eta, ks, variant)
+    curve = break_even_curve(p, q, eta, ks, variant, batch_size)
 
     print(f"break-even curve: p={_fmt(p)} q={_fmt(q)} eta={_fmt(eta)} variant={variant.label}")
     for k, n_star in curve.points:
@@ -270,9 +276,9 @@ def cmd_sweep(args) -> int:
     rows_out: list[list] = []
     cells = 0
     for sc in scenarios:
-        split = Protocol(args.variant or sc.variant).rho_split
+        split = compared_protocol(args.variant or sc.variant)
         for row in sweep(sc.grid(), variant=split, strict=strict, include_labels=args.include_labels,
-                         label_width=sc.label_width):
+                         label_width=sc.label_width, batch_size=sc.batch_size):
             cells += 1
             if row.error is not None:
                 rows_out.extend(_error_rows(row.values, row.error))

@@ -9,12 +9,12 @@ eta the client-side fraction of parameters, the per-epoch totals are
     split, no client weight sharing:     2*p*q
     federated averaging:                 2*K*N
 
-:func:`traffic_by_kind` is the one place these forms are written out, split
-by message kind; reports, the efficiency ratio and the simulator's ledger
-check all sum its kinds. rho = (federated total) / (split total) decides the
-winner: rho > 1 favors split, rho < 1 favors federated. Setting rho = 1 and
-solving for N gives the break-even hyperbola in the (K, N) plane:
-N* = 2*p*q / ((2 - eta) * K) with weight sharing, N* = p*q / K without.
+:func:`traffic_by_kind` spreads a protocol's per-epoch counts (records sent
+up, client-weight hand-offs, full-model round trips) over message kinds, so
+every total is a line A + B*N; reports, rho and the ledger check sum its kinds.
+rho = (federated total) / (split total): rho > 1 favors split, rho < 1 federated.
+The lines meet at the break-even size N* = (A_s - A_f) / (B_f - B_s), the
+hyperbola in the (K, N) plane; where B_s >= B_f no positive N* exists.
 """
 
 from __future__ import annotations
@@ -65,18 +65,20 @@ class Protocol(str, Enum):
         member.label = label
         return member
 
-    @property
-    def rho_split(self) -> "Protocol":
-        """The split form rho weighs against federated for a scenario of this
-        protocol: nosync its own, every other the epoch-level sync form."""
-        return self if self is Protocol.SPLIT_NOSYNC else Protocol.SPLIT_SYNC
-
 
 # The name reports give a protocol: CommReport.method and the CSV "method" column.
 Method = Protocol
 
 # The three protocols every report lists, in row order.
 REPORTED = (Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.FEDERATED)
+
+# Iterating the enum costs traffic_by_kind more than its own arithmetic.
+_KINDS = tuple(MessageKind)
+
+
+def reported(protocol: Protocol) -> tuple[Protocol, ...]:
+    """A report's rows: REPORTED, plus ``protocol`` if REPORTED lacks it, in enum order."""
+    return tuple(p for p in Protocol if p in REPORTED or p is protocol)
 
 
 class Winner(str, Enum):
@@ -224,6 +226,28 @@ class BreakEvenCurve:
     points: tuple[tuple[int, float], ...]
 
 
+def _epoch_counts(protocol: Protocol, k: int, p: int, shards, batch_size: int) -> tuple[int, int, int]:
+    """(records sent up, client-weight hand-offs, full-model round trips) in one
+    epoch over k clients and p records, the one place protocols differ: sync hands
+    off after each client's turn, sync_batch after every batch (on the even split's
+    two shard sizes without ``shards``), nosync never (the simulator spends K of
+    its epochs on one such pass); federated makes one round trip per client."""
+    if protocol is Protocol.SPLIT_SYNC:
+        return p, k, 0
+    if protocol is Protocol.SPLIT_NOSYNC:
+        return p, 0, 0
+    if protocol is Protocol.FEDERATED:
+        return 0, 0, k
+    if protocol is not Protocol.SPLIT_SYNC_BATCH:
+        raise InvalidParam(f"unknown protocol {protocol!r}")
+    if batch_size < 1:
+        raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
+    if shards is None:
+        base, rem = _even_split(p, k, strict=False)
+        return p, rem * -(-(base + 1) // batch_size) + (k - rem) * -(-base // batch_size), 0
+    return p, sum(-(-size // batch_size) for size in shards), 0
+
+
 def traffic_by_kind(
     params: ScenarioParams,
     protocol: Protocol,
@@ -234,17 +258,10 @@ def traffic_by_kind(
 ) -> dict[MessageKind, int | Fraction]:
     """Closed-form scalars per message kind over ``params.epochs`` epochs.
 
-    With K clients holding p records, each epoch (one pass over the data, or
-    one federated round) moves
+    Each record sent up moves q Activations, q Gradients and ``label_width``
+    Labels, each hand-off eta*N ClientWeights, and each round trip N
+    GlobalWeights and N ClientWeights; :func:`_epoch_counts` counts them.
 
-        sync:        Activations = Gradients = p*q, ClientWeights = eta*N*K
-                     (one hand-off after each client's turn)
-        sync_batch:  as sync, with a hand-off after every batch instead
-        nosync:      Activations = Gradients = p*q
-                     (the simulator spends K of its epochs on one such pass)
-        federated:   GlobalWeights = ClientWeights = K*N
-
-    and, for the split protocols, ``label_width`` label scalars per record.
     ``shards`` lists each client's records, so K and p are its length
     and sum; by default p = ``params.dataset_size`` records are spread over
     K = ``params.clients`` clients as evenly as possible.
@@ -257,28 +274,20 @@ def traffic_by_kind(
         k, p = params.clients, params.dataset_size
     else:
         k, p = len(shards), sum(shards)
-    q, e = params.smashed_size, params.epochs
-    n = Fraction(params.model_params) if exact else int(params.model_params)
-    if n != params.model_params:
+    if not exact and params.model_params != int(params.model_params):
         raise InvalidParam(f"wire traffic needs a whole model_params, got {params.model_params}")
-    kinds = dict.fromkeys(MessageKind, 0)
-    if protocol is Protocol.FEDERATED:
-        kinds[MessageKind.GLOBAL_WEIGHTS] = kinds[MessageKind.CLIENT_WEIGHTS] = k * n * e
-        return kinds
-    if protocol is Protocol.SPLIT_SYNC:
-        hand_offs = k
-    elif protocol is Protocol.SPLIT_SYNC_BATCH:
-        sizes = shard_sizes(p, k, strict=False) if shards is None else shards
-        hand_offs = sum(-(-size // batch_size) for size in sizes)
-    elif protocol is Protocol.SPLIT_NOSYNC:
-        hand_offs = 0
-    else:
-        raise InvalidParam(f"unknown protocol {protocol!r}")
-    kinds[MessageKind.ACTIVATIONS] = kinds[MessageKind.GRADIENTS] = p * q * e
-    kinds[MessageKind.LABELS] = p * label_width * e
+    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, shards, batch_size)
+    e = params.epochs
+    kinds = dict.fromkeys(_KINDS, 0)
+    kinds[MessageKind.ACTIVATIONS] = kinds[MessageKind.GRADIENTS] = records * params.smashed_size * e
+    kinds[MessageKind.LABELS] = records * label_width * e
     if hand_offs:
         weights = params.client_weights if exact else params.client_param_count
         kinds[MessageKind.CLIENT_WEIGHTS] = weights * hand_offs * e
+    if round_trips:
+        n = Fraction(params.model_params) if exact else int(params.model_params)
+        kinds[MessageKind.GLOBAL_WEIGHTS] = n * round_trips * e
+        kinds[MessageKind.CLIENT_WEIGHTS] += kinds[MessageKind.GLOBAL_WEIGHTS]
     return kinds
 
 
@@ -288,6 +297,7 @@ def comm_report(
     strict: bool = True,
     include_labels: bool = False,
     label_width: int = 1,
+    batch_size: int = 1,
 ) -> CommReport:
     """Per-client and total traffic of one protocol, summed from its kinds.
 
@@ -298,25 +308,23 @@ def comm_report(
     """
     base, rem = _even_split(params.dataset_size, params.clients, strict)
     width = label_width if include_labels else 0
-    per_client = traffic_by_kind(params, protocol, [base + (rem > 0)], label_width=width)
-    total = traffic_by_kind(params, protocol, label_width=width)
+    per_client = traffic_by_kind(params, protocol, [base + (rem > 0)], batch_size, width)
+    total = traffic_by_kind(params, protocol, None, batch_size, width)
     return CommReport.from_scalars(
         protocol, sum(per_client.values()), sum(total.values()), params.bytes_per_scalar
     )
 
 
-def efficiency_ratio(params: ScenarioParams, variant: Protocol) -> EfficiencyReport:
-    """rho = federated total over split total, both summed from exact kinds.
+def efficiency_ratio(params: ScenarioParams, protocol: Protocol, batch_size: int = 1) -> EfficiencyReport:
+    """rho = federated total over ``protocol``'s total, both summed from exact kinds.
 
     The hand-off stays at the exact eta*N rather than its wire rounding, so
-    rho(N*) = 1 at the break-even size. Independent of epochs and of
-    bytes_per_scalar since both methods scale identically. A zero split
-    denominator (p = 0 with no weight sharing, or p = 0 and eta = 0) reports
-    winner Split with rho = +inf.
+    rho(N*) = 1 at the break-even size; federated against itself is rho = 1,
+    a tie. Independent of epochs and of bytes_per_scalar since both methods
+    scale identically. A zero split denominator (p = 0 with no weight
+    sharing, or p = 0 and eta = 0) reports winner Split with rho = +inf.
     """
-    if variant not in (Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC):
-        raise InvalidParam(f"variant must be a split method, got {variant!r}")
-    split = sum(traffic_by_kind(params, variant, exact=True).values())
+    split = sum(traffic_by_kind(params, protocol, None, batch_size, exact=True).values())
     if split == 0:
         return EfficiencyReport(rho=math.inf, winner=Winner.SPLIT)
     rho = sum(traffic_by_kind(params, Protocol.FEDERATED, exact=True).values()) / split
@@ -336,22 +344,12 @@ def break_even_model_size(
     clients: int,
     client_fraction: float | Fraction = 0.0,
     variant: Protocol = Protocol.SPLIT_SYNC,
+    batch_size: int = 1,
 ) -> float:
-    """Model size N* at which both methods move the same traffic.
-
-    N* = 2*p*q / ((2 - eta) * K) with weight sharing, N* = p*q / K without.
-    """
-    if dataset_size < 1 or smashed_size < 1:
-        raise InvalidParam("break-even is undefined for p = 0 or q = 0")
-    if clients < 1:
-        raise InvalidParam(f"clients must be >= 1, got {clients}")
-    if variant is Protocol.SPLIT_SYNC:
-        if not 0 <= client_fraction <= 1:
-            raise InvalidParam(f"client_fraction must lie in [0, 1], got {client_fraction}")
-        return 2.0 * dataset_size * smashed_size / ((2.0 - float(client_fraction)) * clients)
-    if variant is Protocol.SPLIT_NOSYNC:
-        return dataset_size * smashed_size / clients
-    raise InvalidParam(f"variant must be a split method, got {variant!r}")
+    """Model size N* at which ``variant`` and federated averaging move the same
+    traffic: the one point of :func:`break_even_curve` at K = ``clients``."""
+    curve = break_even_curve(dataset_size, smashed_size, client_fraction, [clients], variant, batch_size)
+    return curve.points[0][1]
 
 
 def break_even_curve(
@@ -360,22 +358,29 @@ def break_even_curve(
     client_fraction: float | Fraction,
     clients_values: Sequence[int],
     variant: Protocol = Protocol.SPLIT_SYNC,
+    batch_size: int = 1,
 ) -> BreakEvenCurve:
-    """Evaluate the break-even hyperbola over a set of client counts."""
+    """The break-even hyperbola: N* = (A_s - A_f) / (B_f - B_s) on the two lines
+    A + B*N at each client count. Scaled by v for eta = u/v, N* is a ratio of
+    integers, so int / int rounds it correctly. Raises InvalidParam at a K where
+    no positive N balances the two.
+    """
+    if dataset_size < 1 or smashed_size < 1:
+        raise InvalidParam("break-even is undefined for p = 0 or q = 0")
+    if not 0 <= client_fraction <= 1:
+        raise InvalidParam(f"client_fraction must lie in [0, 1], got {client_fraction}")
     if not clients_values:
         raise InvalidParam("clients_values must be non-empty")
-    ks = sorted(set(int(k) for k in clients_values))
-    points = tuple(
-        (k, break_even_model_size(dataset_size, smashed_size, k, client_fraction, variant))
-        for k in ks
-    )
-    return BreakEvenCurve(
-        variant=variant,
-        dataset_size=dataset_size,
-        smashed_size=smashed_size,
-        client_fraction=client_fraction,
-        points=points,
-    )
+    u, v = client_fraction.as_integer_ratio()
+    points = []
+    for k in sorted(set(int(k) for k in clients_values)):
+        records_s, hand_offs_s, trips_s = _epoch_counts(variant, k, dataset_size, None, batch_size)
+        records_f, hand_offs_f, trips_f = _epoch_counts(Protocol.FEDERATED, k, dataset_size, None, 1)
+        slope = u * (hand_offs_f - hand_offs_s) + 2 * v * (trips_f - trips_s)  # (B_f - B_s) * v
+        if slope <= 0:
+            raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={k}")
+        points.append((k, 2 * smashed_size * (records_s - records_f) * v / slope))
+    return BreakEvenCurve(variant, dataset_size, smashed_size, client_fraction, tuple(points))
 
 
 # Cartesian sweeps evaluate axes in this order, rightmost varying fastest.
@@ -384,7 +389,7 @@ SWEEP_FIELD_ORDER = tuple(f.name for f in fields(ScenarioParams))
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid cell: parameters, all three reports, the ratio, or an error."""
+    """One grid cell: parameters, the reports of ``reported(variant)``, the ratio, or an error."""
 
     values: dict
     params: ScenarioParams | None
@@ -399,6 +404,7 @@ def sweep(
     strict: bool = True,
     include_labels: bool = False,
     label_width: int = 1,
+    batch_size: int = 1,
 ) -> list[SweepRow]:
     """Evaluate the Cartesian product of per-parameter value lists.
 
@@ -423,13 +429,15 @@ def sweep(
             raise InvalidParam(f"sweep axis {name!r} is empty")
         axes.append(values)
 
+    methods = reported(variant)
     rows: list[SweepRow] = []
     for combo in product(*axes):
         values = dict(zip(SWEEP_FIELD_ORDER, combo))
         try:
             params = ScenarioParams(**values)
-            reports = {m: comm_report(params, m, strict, include_labels, label_width) for m in REPORTED}
-            efficiency = efficiency_ratio(params, variant)
+            reports = {m: comm_report(params, m, strict, include_labels, label_width, batch_size)
+                       for m in methods}
+            efficiency = efficiency_ratio(params, variant, batch_size)
         except SplitFedError as exc:
             rows.append(SweepRow(values, None, None, None, str(exc)))
             continue

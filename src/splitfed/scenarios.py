@@ -155,15 +155,10 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
         except ValueError:
             names = tuple(p.value for p in Protocol)
             raise ScenarioError(f"variant must be one of {names}, got {entries['variant']!r}") from None
-    for key, attr in (("seed", "seed"), ("epochs", "epochs"),
-                      ("bytes_per_scalar", "bytes_per_scalar"), ("batch_size", "batch_size")):
+    for key, attr in (("seed", "seed"), ("epochs", "epochs"), ("bytes_per_scalar", "bytes_per_scalar"),
+                      ("batch_size", "batch_size"), ("K", "clients"), ("p", "dataset_size")):
         if key in entries:
             setattr(sc, attr, _as_int(_parse_number(entries[key], key), key))
-
-    if "K" in entries:
-        sc.clients = _as_int(_parse_number(entries["K"], "K"), "K")
-    if "p" in entries:
-        sc.dataset_size = _as_int(_parse_number(entries["p"], "p"), "p")
     if sc.clients is None or sc.dataset_size is None:
         raise ScenarioError("scenario needs both K and p")
 
@@ -205,7 +200,6 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
 _BUILTIN_TEXT = {
     # Millions of wearables, models up to a few million parameters.
     "smartwatch-case-1": """
-        name = smartwatch-case-1
         K = 1_000_000
         N = 6_000_000
         p = 10_000_000
@@ -213,7 +207,6 @@ _BUILTIN_TEXT = {
         eta = 0.1
     """,
     "smartwatch-case-2": """
-        name = smartwatch-case-2
         K = 10_000
         N = 3_000_000
         p = 10_000_000
@@ -221,7 +214,6 @@ _BUILTIN_TEXT = {
         eta = 0.1
     """,
     "smartwatch-case-3": """
-        name = smartwatch-case-3
         K = 100
         N = 1_000_000
         p = 1_000_000
@@ -230,7 +222,6 @@ _BUILTIN_TEXT = {
     """,
     # A handful of hospitals, large models; case 3 adds data and drops clients.
     "hospital-case-1": """
-        name = hospital-case-1
         K = 10
         N = 100_000_000
         p = 1_000_000
@@ -238,7 +229,6 @@ _BUILTIN_TEXT = {
         eta = 0.01
     """,
     "hospital-case-2": """
-        name = hospital-case-2
         K = 20
         N = 100_000_000
         p = 1_000_000
@@ -246,7 +236,6 @@ _BUILTIN_TEXT = {
         eta = 0.01
     """,
     "hospital-case-3": """
-        name = hospital-case-3
         K = 5
         N = 100_000_000
         p = 10_000_000
@@ -255,7 +244,6 @@ _BUILTIN_TEXT = {
     """,
     # Biobank-scale consortia: many clients, big models, big datasets.
     "biobank-case-1": """
-        name = biobank-case-1
         K = 10_000
         N = 100_000_000
         p = 1_000_000
@@ -263,7 +251,6 @@ _BUILTIN_TEXT = {
         eta = 0.01
     """,
     "biobank-case-2": """
-        name = biobank-case-2
         K = 5_000
         N = 50_000_000
         p = 1_000_000
@@ -271,16 +258,37 @@ _BUILTIN_TEXT = {
         eta = 0.01
     """,
     "biobank-case-3": """
-        name = biobank-case-3
         K = 1_000
         N = 10_000_000
         p = 5_000_000
         q = 1_000
         eta = 0.01
     """,
+    # Very large models, 1 to 100 billion parameters: from a few data centres
+    # with a big corpus (federated wins) to a thousand-member consortium.
+    "foundation-case-1": """
+        K = 10
+        N = 1_000_000_000
+        p = 100_000_000
+        q = 1_000
+        eta = 0.01
+    """,
+    "foundation-case-2": """
+        K = 100
+        N = 10_000_000_000
+        p = 100_000_000
+        q = 1_000
+        eta = 0.01
+    """,
+    "foundation-case-3": """
+        K = 1_000
+        N = 100_000_000_000
+        p = 1_000_000_000
+        q = 1_000
+        eta = 1/1000
+    """,
     # Small model-form scenario that simulates in milliseconds.
     "tiny-dense": """
-        name = tiny-dense
         layer_widths = 4, 3, 2
         cut_index = 1
         K = 2
@@ -295,6 +303,7 @@ BUILTIN_SUITES = {
     "smartwatch": ("smartwatch-case-1", "smartwatch-case-2", "smartwatch-case-3"),
     "hospital": ("hospital-case-1", "hospital-case-2", "hospital-case-3"),
     "biobank": ("biobank-case-1", "biobank-case-2", "biobank-case-3"),
+    "foundation": ("foundation-case-1", "foundation-case-2", "foundation-case-3"),
 }
 
 # Bare suite names double as shorthand for their first case in single-scenario

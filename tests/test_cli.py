@@ -116,6 +116,10 @@ def test_builtin_regimes():
         "smartwatch-case-1": Winner.SPLIT,
         "hospital-case-3": Winner.FEDERATED,
         "smartwatch-case-3": Winner.FEDERATED,
+        # very large models: a big corpus over few clients still favors federated
+        "foundation-case-1": Winner.FEDERATED,
+        "foundation-case-2": Winner.SPLIT,
+        "foundation-case-3": Winner.SPLIT,
     }
     for name, winner in expected.items():
         params = load_scenario(name).params()
@@ -180,6 +184,13 @@ def test_analyze_divisibility_exits_3(tmp_path, capsys):
     scenario.write_text("K = 2\np = 7\nN = 10\nq = 1\neta = 0.5\n")
     assert main(["analyze", "--scenario", str(scenario)]) == 3
     assert main(["analyze", "--scenario", str(scenario), "--lenient-shards"]) == 0
+
+
+def test_analyze_rejects_a_zero_batch_size(tmp_path, capsys):
+    scenario = tmp_path / "batch0.txt"
+    scenario.write_text(MODEL_TEXT + "variant = sync_batch\nbatch_size = 0\n")
+    assert main(["analyze", "--scenario", str(scenario)]) == 3
+    assert "batch_size must be >= 1" in capsys.readouterr().err
 
 
 def test_analyze_ignores_env_seed(monkeypatch, capsys):
@@ -332,6 +343,13 @@ def test_breakeven_bad_range_exits_3(capsys):
     assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "5:1:1"]) == 3
     assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "0,3"]) == 3
     assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "a:b:c"]) == 3
+
+
+def test_breakeven_geometric_range_starts_at_one(capsys):
+    # from K <= 0 a geometric range never passes its upper end
+    for k_range in ("0:8:x2", "-1:8:x2"):
+        assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", f"--k-range={k_range}"]) == 3
+        assert "A >= 1" in capsys.readouterr().err
 
 
 def test_breakeven_k_range_point_limit(capsys):

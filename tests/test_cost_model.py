@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitfed import (
     DivisibilityError,
@@ -23,7 +25,8 @@ from splitfed import (
     sweep,
     traffic_by_kind,
 )
-from splitfed.cost_model import REPORTED
+from splitfed.cli import compared_protocol
+from splitfed.cost_model import REPORTED, reported
 
 
 def make_params(K, N, p, q, eta, bytes_per_scalar=4, epochs=1):
@@ -106,9 +109,15 @@ def test_protocol_is_the_one_variant_lookup():
     assert SplitVariant.SYNC_BATCH is Protocol.SPLIT_SYNC_BATCH
     assert SplitVariant.ALTERNATING is Protocol.SPLIT_NOSYNC
     assert [p.label for p in REPORTED] == ["SplitSync", "SplitNoSync", "Federated"]
-    # rho weighs a federated or per-batch scenario against the epoch-level sync form
-    assert [Protocol(name).rho_split for name in names] == [
-        Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC, Protocol.SPLIT_SYNC]
+    # a scenario is compared as its own protocol; a federated one, which has no
+    # split side, as sync
+    assert [compared_protocol(name) for name in names] == [
+        Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH, Protocol.SPLIT_SYNC]
+    # a report lists REPORTED, plus the compared protocol where REPORTED lacks it
+    assert [reported(compared_protocol(name)) for name in names] == [
+        REPORTED, REPORTED,
+        (Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH, Protocol.FEDERATED),
+        REPORTED]
 
 
 def test_traffic_by_kind_golden_432_cut1():
@@ -258,9 +267,9 @@ def test_efficiency_undefined_denominator_is_split_with_inf():
     assert math.isinf(eff.rho) and eff.winner is Winner.SPLIT
 
 
-def test_efficiency_requires_split_variant():
-    with pytest.raises(InvalidParam):
-        efficiency_ratio(make_params(2, 10, 4, 1, 0.5), Method.FEDERATED)
+def test_efficiency_federated_against_itself_is_a_tie():
+    eff = efficiency_ratio(make_params(2, 10, 4, 1, 0.5), Method.FEDERATED)
+    assert eff.rho == 1.0 and eff.winner is Winner.TIE
 
 
 def test_rho_sign_matches_total_comparison():
@@ -272,10 +281,11 @@ def test_rho_sign_matches_total_comparison():
         q = int(rng.integers(1, 100))
         eta = Fraction(int(rng.integers(0, n + 1)), n)
         params = make_params(k, n, p, q, eta)
-        for variant in (Method.SPLIT_SYNC, Method.SPLIT_NOSYNC):
-            eff = efficiency_ratio(params, variant)
+        batch = int(rng.integers(1, 6))
+        for variant in (Method.SPLIT_SYNC, Method.SPLIT_NOSYNC, Method.SPLIT_SYNC_BATCH):
+            eff = efficiency_ratio(params, variant, batch)
             fed = comm_report(params, Protocol.FEDERATED).total_scalars
-            split = comm_report(params, variant).total_scalars
+            split = comm_report(params, variant, batch_size=batch).total_scalars
             if eff.winner is Winner.TIE:
                 assert fed == split
             else:
@@ -290,22 +300,34 @@ def test_rho_invariant_under_epochs_and_byte_width():
 
 
 def test_rho_monotonicity_on_grids():
-    # increasing in K and N, decreasing in p and q (p, q > 0 fixed elsewhere)
+    # Every split protocol: non-decreasing in N, non-increasing in p, q and eta
+    # (p, q > 0 fixed elsewhere). Sync: strictly increasing in K and N and
+    # decreasing in p and q; nosync: non-decreasing in K. Sync_batch's hand-off
+    # count rounds with K, so nothing is claimed for it in K.
     base = dict(K=50, N=10**6, p=10**5, q=100, eta=0.3)
-
-    def rho_of(**kw):
-        a = dict(base, **kw)
-        return efficiency_ratio(make_params(a["K"], a["N"], a["p"], a["q"], a["eta"]),
-                                Method.SPLIT_SYNC).rho
-
     ks = [1, 5, 50, 500, 5000]
-    assert all(rho_of(K=a) < rho_of(K=b) for a, b in zip(ks, ks[1:]))
     ns = [10**3, 10**4, 10**5, 10**6, 10**7]
-    assert all(rho_of(N=a) < rho_of(N=b) for a, b in zip(ns, ns[1:]))
     ps = [10**3, 10**4, 10**5, 10**6]
-    assert all(rho_of(p=a) > rho_of(p=b) for a, b in zip(ps, ps[1:]))
     qs = [10, 100, 1000, 10000]
-    assert all(rho_of(q=a) > rho_of(q=b) for a, b in zip(qs, qs[1:]))
+    etas = [0.0, 0.1, Fraction(1, 3), 0.7, 1.0]
+
+    for protocol, batch in ((Method.SPLIT_SYNC, 1), (Method.SPLIT_NOSYNC, 1),
+                            (Method.SPLIT_SYNC_BATCH, 1), (Method.SPLIT_SYNC_BATCH, 64)):
+        def rho_of(**kw):
+            a = dict(base, **kw)
+            return efficiency_ratio(make_params(a["K"], a["N"], a["p"], a["q"], a["eta"]),
+                                    protocol, batch).rho
+
+        for key, grid in (("N", ns), ("p", ps[::-1]), ("q", qs[::-1]), ("eta", etas[::-1])):
+            values = [rho_of(**{key: g}) for g in grid]
+            assert all(a <= b for a, b in zip(values, values[1:])), (protocol, batch, key, values)
+        if protocol is not Method.SPLIT_SYNC_BATCH:
+            assert all(rho_of(K=a) <= rho_of(K=b) for a, b in zip(ks, ks[1:])), protocol
+        if protocol is Method.SPLIT_SYNC:
+            assert all(rho_of(K=a) < rho_of(K=b) for a, b in zip(ks, ks[1:]))
+            assert all(rho_of(N=a) < rho_of(N=b) for a, b in zip(ns, ns[1:]))
+            assert all(rho_of(p=a) > rho_of(p=b) for a, b in zip(ps, ps[1:]))
+            assert all(rho_of(q=a) > rho_of(q=b) for a, b in zip(qs, qs[1:]))
 
 
 # --- break-even --------------------------------------------------------------
@@ -333,6 +355,65 @@ def test_break_even_round_trip_spot():
     n_star = break_even_model_size(1000, 10, 10, 1.0, Method.SPLIT_SYNC)
     eff = efficiency_ratio(make_params(10, n_star, 1000, 10, 1.0), Method.SPLIT_SYNC)
     assert eff.winner is Winner.TIE
+
+
+def _line(params_at, protocol, batch):
+    """(A, B) of the exact total A + B*N, read off traffic_by_kind at N = 1 and 2."""
+    one, two = (sum(traffic_by_kind(params_at(n), protocol, batch_size=batch, exact=True).values())
+                for n in (1, 2))
+    return one - (two - one), two - one
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 3000),
+    records_per_client=st.integers(1, 1000),
+    spare=st.integers(0, 2999),
+    q=st.integers(1, 2048),
+    eta=st.one_of(st.floats(0, 1), st.integers(1, 10**6).flatmap(
+        lambda b: st.integers(0, b).map(lambda a: Fraction(a, b)))),
+    batch=st.integers(1, 64),
+    protocol=st.sampled_from([Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH]),
+)
+def test_break_even_is_the_exact_crossing_of_the_two_lines(k, records_per_client, spare, q, eta, batch,
+                                                           protocol):
+    p = k * records_per_client + spare % k  # p >= K, so N* >= 1 wherever it exists
+
+    def params_at(n):
+        return ScenarioParams(k, n, p, q, eta)
+
+    a_s, b_s = _line(params_at, protocol, batch)
+    a_f, b_f = _line(params_at, Protocol.FEDERATED, 1)
+    if b_s >= b_f:  # split moves at least as many weights: no N balances the two
+        with pytest.raises(InvalidParam, match=f"K={k}"):
+            break_even_model_size(p, q, k, eta, protocol, batch)
+        return
+    n_star = (a_s - a_f) / (b_f - b_s)
+    split, fed = (sum(traffic_by_kind(params_at(n_star), m, batch_size=batch, exact=True).values())
+                  for m in (protocol, Protocol.FEDERATED))
+    assert split == fed
+    assert efficiency_ratio(params_at(n_star), protocol, batch).winner is Winner.TIE
+    # correctly rounded: float() of a Fraction is the nearest float
+    assert break_even_model_size(p, q, k, eta, protocol, batch) == float(n_star)
+    curve = break_even_curve(p, q, eta, [k, 2 * k], protocol, batch)
+    assert curve.points[0] == (k, float(n_star))
+    # sync_batch's O(1) hand-off count equals the count over the K-long shard list
+    assert traffic_by_kind(params_at(1), protocol, batch_size=batch) == traffic_by_kind(
+        params_at(1), protocol, shard_sizes(p, k, strict=False), batch_size=batch)
+
+
+def test_break_even_without_a_crossing_raises():
+    # one client with six batches hands off 6*eta*N > 2N for eta = 15/23: no N* at K=1
+    with pytest.raises(InvalidParam, match="K=1"):
+        break_even_model_size(6, 3, 1, Fraction(15, 23), Protocol.SPLIT_SYNC_BATCH)
+    for protocol in (Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH):
+        with pytest.raises(InvalidParam):
+            break_even_model_size(6, 3, 0, 0.5, protocol)
+    with pytest.raises(InvalidParam, match="K=1"):
+        break_even_curve(6, 3, Fraction(15, 23), [1, 2, 4], Protocol.SPLIT_SYNC_BATCH)
+    with pytest.raises(InvalidParam):  # federated against itself ties at every N
+        break_even_model_size(6, 3, 2, 0.5, Protocol.FEDERATED)
+    assert break_even_model_size(6, 3, 2, Fraction(15, 23), Protocol.SPLIT_SYNC_BATCH) == 414
 
 
 def test_break_even_curve_decreasing_in_k():

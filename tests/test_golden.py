@@ -23,6 +23,7 @@ from splitfed.scenarios import BUILTIN_SUITES, builtin_names
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 GRID = str(INPUTS / "grid.txt")
+SYNC_BATCH = str(INPUTS / "tiny-dense-sync_batch.txt")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
@@ -35,6 +36,16 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
     cases["analyze-grid-lenient-labels"] = (
         ["analyze", "--scenario", GRID, "--lenient-shards", "--include-labels", "--csv", "analyze.csv"],
         ["analyze.csv"],
+    )
+    # A sync_batch scenario is compared as itself: its own report row, and the
+    # rho and curve of its per-batch hand-offs.
+    cases["analyze-tiny-dense-sync_batch"] = (
+        ["analyze", "--scenario", SYNC_BATCH, "--csv", "analyze.csv"], ["analyze.csv"]
+    )
+    cases["breakeven-tiny-dense-sync_batch"] = (
+        ["breakeven", "--scenario", SYNC_BATCH, "--k-range", "2:4096:x2",
+         "--csv", "curve.csv", "--svg", "curve.svg"],
+        ["curve.csv", "curve.svg"],
     )
     for suite in BUILTIN_SUITES:
         cases[f"sweep-{suite}"] = (["sweep", "--scenario", suite, "--csv", "sweep.csv"], ["sweep.csv"])
@@ -90,6 +101,23 @@ def test_golden_output(case, tmp_path, monkeypatch):
     argv, outputs = CASES[case]
     for name, data in run_case(argv, outputs, tmp_path).items():
         assert data == (GOLDEN / case / name).read_bytes(), f"{case}/{name} differs from the snapshot"
+
+
+def test_sync_batch_without_break_even_exits_3(tmp_path, capsys):
+    # one client hands off after each of its 6 records: 6*eta*N > 2N for every N
+    files = run_case(["breakeven", "--scenario", SYNC_BATCH, "--k-range", "1:4:x2"], [], tmp_path)
+    assert files["stdout.txt"] == b"exit 3\n"
+    err = capsys.readouterr().err
+    assert "K=1" in err and "Traceback" not in err
+
+
+def test_sync_batch_verdict_counts_batches(tmp_path):
+    # batches of 2 over shards of 3: 4 hand-offs of 15, so 36 + 60 = 96 against federated's 92
+    scenario = tmp_path / "batch2.txt"
+    scenario.write_text(Path(SYNC_BATCH).read_text() + "batch_size = 2\n")
+    stdout = run_case(["analyze", "--scenario", str(scenario)], [], tmp_path)["stdout.txt"].decode()
+    assert ["SplitSyncBatch", "48", "96"] in [line.split()[:3] for line in stdout.splitlines()]
+    assert stdout.endswith("rho (SplitSyncBatch vs Federated) = 0.958333333333  winner: Federated\n")
 
 
 if __name__ == "__main__":
