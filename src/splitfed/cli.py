@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -22,7 +23,6 @@ from .cost_model import (
     CommReport,
     MessageKind,
     Protocol,
-    ScenarioParams,
     break_even_curve,
     comm_report,
     efficiency_ratio,
@@ -31,7 +31,7 @@ from .cost_model import (
 )
 from .errors import InvalidParam, ScenarioError, SplitFedError
 from .nn_core import random_dataset
-from .scenarios import load_scenario, load_suite
+from .scenarios import PARAM_KEYS, load_scenario, load_suite
 from .svg import render_breakeven_svg
 
 # cmd_simulate refuses anything bigger than these, before it allocates; the
@@ -48,8 +48,12 @@ SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this.
 K_RANGE_MAX_POINTS = 10**6
 
+# The parameter columns of a report row, field -> key (bytes_per_scalar shows
+# only in the byte columns), and the getter that reads them from a dict of fields.
+REPORT_KEYS = {name: key for name, key in PARAM_KEYS.items() if name != "bytes_per_scalar"}
+_param_columns = operator.itemgetter(*REPORT_KEYS)
 CSV_HEADER = [
-    "method", "K", "N", "p", "q", "eta", "epochs",
+    "method", *REPORT_KEYS.values(),
     "per_client_scalars", "total_scalars", "per_client_bytes", "total_bytes",
     "rho", "winner",
 ]
@@ -71,34 +75,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv_lines(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv_lines(path: str, header: list[str], rows: list) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _report_rows(params: ScenarioParams, reports: dict[Protocol, CommReport], rho, winner) -> list[list]:
-    rows = []
-    for method, r in reports.items():
-        rows.append([
-            method.label,
-            params.clients, params.model_params, params.dataset_size,
-            params.smashed_size, params.client_fraction, params.epochs,
-            r.per_client_scalars, r.total_scalars, r.per_client_bytes, r.total_bytes,
-            rho, winner,
-        ])
-    return rows
+def _report_rows(values: dict, reports: dict[Protocol, CommReport], rho, winner) -> list[tuple]:
+    columns = _param_columns(values)
+    return [
+        (method.label, *columns, r.per_client_scalars, r.total_scalars, r.per_client_bytes, r.total_bytes,
+         rho, winner)
+        for method, r in reports.items()
+    ]
 
 
-def _error_rows(values: dict, message: str) -> list[list]:
-    return [[
-        "Error",
-        values.get("clients", ""), values.get("model_params", ""),
-        values.get("dataset_size", ""), values.get("smashed_size", ""),
-        values.get("client_fraction", ""), values.get("epochs", ""),
-        "", "", "", "", "", message,
-    ]]
+def _error_rows(values: dict, message: str) -> list[tuple]:
+    return [("Error", *_param_columns(values), "", "", "", "", "", message)]
 
 
 def compared_protocol(variant: str) -> Protocol:
@@ -110,16 +104,13 @@ def cmd_analyze(args) -> int:
     sc = load_scenario(args.scenario)
     split = compared_protocol(args.variant or sc.variant)
     params = sc.params()
+    values = vars(params)
     strict = not args.lenient_shards
-    reports = {m: comm_report(params, m, strict, args.include_labels, sc.label_width, sc.batch_size)
-               for m in reported(split)}
+    label_width = sc.label_width if args.include_labels else 0
+    reports = {m: comm_report(params, m, strict, label_width, sc.batch_size) for m in reported(split)}
     eff = efficiency_ratio(params, split, sc.batch_size)
 
-    print(
-        f"scenario {sc.name}: K={_fmt(params.clients)} N={_fmt(params.model_params)} "
-        f"p={_fmt(params.dataset_size)} q={_fmt(params.smashed_size)} "
-        f"eta={_fmt(params.client_fraction)} epochs={params.epochs}"
-    )
+    print(f"scenario {sc.name}: " + " ".join(f"{key}={_fmt(values[name])}" for name, key in REPORT_KEYS.items()))
     print(f"{'method':<14} {'per-client':>16} {'total':>16} {'per-client bytes':>18} {'total bytes':>16}")
     for method, r in reports.items():
         print(
@@ -129,7 +120,7 @@ def cmd_analyze(args) -> int:
     print(f"rho ({split.label} vs Federated) = {_fmt(eff.rho)}  winner: {eff.winner.value}")
 
     if args.csv:
-        _write_csv_lines(args.csv, CSV_HEADER, _report_rows(params, reports, eff.rho, eff.winner.value))
+        _write_csv_lines(args.csv, CSV_HEADER, _report_rows(values, reports, eff.rho, eff.winner.value))
         print(f"wrote {args.csv}")
     return 0
 
@@ -148,8 +139,8 @@ def cmd_simulate(args) -> int:
     params = sc.params()
     k, n, p = params.clients, params.model_params, params.dataset_size
     for name, size, limit in (
-        ("N", n, SIMULATE_MAX_PARAMS),
-        ("p", p, SIMULATE_MAX_RECORDS),
+        (PARAM_KEYS["model_params"], n, SIMULATE_MAX_PARAMS),
+        (PARAM_KEYS["dataset_size"], p, SIMULATE_MAX_RECORDS),
         ("K*N", k * n, SIMULATE_MAX_HELD_SCALARS),
         ("epochs*max(p,K)", params.epochs * max(p, k), SIMULATE_MAX_RECORD_EPOCHS),
     ):
@@ -161,13 +152,13 @@ def cmd_simulate(args) -> int:
 
     if variant is Protocol.FEDERATED:
         run = protocol_sim.run_federated_training(
-            sc.model, shards, rounds=sc.epochs, local_lr=args.lr, seed=sc.seed, batch_size=sc.batch_size
+            sc.model, shards, rounds=params.epochs, local_lr=args.lr, seed=sc.seed, batch_size=sc.batch_size
         )
         losses = run.round_losses
     else:
         run = protocol_sim.run_split_training(
             sc.model, sc.cut_index, shards, variant,
-            epochs=sc.epochs, lr=args.lr, seed=sc.seed, batch_size=sc.batch_size,
+            epochs=params.epochs, lr=args.lr, seed=sc.seed, batch_size=sc.batch_size,
         )
         losses = run.epoch_losses
 
@@ -192,7 +183,7 @@ def cmd_simulate(args) -> int:
     )
 
     print(f"scenario {sc.name}: variant={variant.value} K={params.clients} p={params.dataset_size} "
-          f"epochs={sc.epochs} seed={sc.seed}")
+          f"epochs={params.epochs} seed={sc.seed}")
     totals = ledger.totals_by_kind()
     print("traffic by kind (scalars): " + " ".join(f"{k.value}={totals[k]}" for k in MessageKind))
     print(f"measured total ({'labels included' if args.include_labels else 'labels excluded'}): "
@@ -262,7 +253,7 @@ def cmd_breakeven(args) -> int:
     for k, n_star in curve.points:
         print(f"  K={k:<10} N*={_fmt(n_star)}")
     if args.csv:
-        _write_csv_lines(args.csv, ["K", "N_break_even"], [[k, n] for k, n in curve.points])
+        _write_csv_lines(args.csv, [PARAM_KEYS["clients"], "N_break_even"], [[k, n] for k, n in curve.points])
         print(f"wrote {args.csv}")
     if args.svg:
         render_breakeven_svg(curve, args.svg)
@@ -273,18 +264,18 @@ def cmd_breakeven(args) -> int:
 def cmd_sweep(args) -> int:
     scenarios = load_suite(args.scenario)
     strict = not args.lenient_shards
-    rows_out: list[list] = []
+    rows_out: list[tuple] = []
     cells = 0
     for sc in scenarios:
         split = compared_protocol(args.variant or sc.variant)
-        for row in sweep(sc.grid(), variant=split, strict=strict, include_labels=args.include_labels,
-                         label_width=sc.label_width, batch_size=sc.batch_size):
+        label_width = sc.label_width if args.include_labels else 0
+        for row in sweep(sc.grid(), split, strict, label_width, sc.batch_size):
             cells += 1
             if row.error is not None:
                 rows_out.extend(_error_rows(row.values, row.error))
             else:
                 rows_out.extend(
-                    _report_rows(row.params, row.reports, row.efficiency.rho, row.efficiency.winner.value)
+                    _report_rows(row.values, row.reports, row.efficiency.rho, row.efficiency.winner.value)
                 )
     print(f"swept {cells} parameter combinations ({len(rows_out)} CSV rows)")
     if args.csv:
@@ -307,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, scenario_required=True, counts_traffic=True):
         p.add_argument("--scenario", required=scenario_required,
                        help="scenario file path or built-in name")
-        p.add_argument("--variant", choices=["sync", "nosync"], default=None,
-                       help="split variant to compare (default: scenario's)")
+        p.add_argument("--variant", choices=[protocol.value for protocol in Protocol], default=None,
+                       help="protocol to simulate or compare (default: scenario's)")
         if counts_traffic:
             p.add_argument("--include-labels", action="store_true",
                            help="count label transfers too")

@@ -295,21 +295,19 @@ def comm_report(
     params: ScenarioParams,
     protocol: Protocol,
     strict: bool = True,
-    include_labels: bool = False,
-    label_width: int = 1,
+    label_width: int = 0,
     batch_size: int = 1,
 ) -> CommReport:
     """Per-client and total traffic of one protocol, summed from its kinds.
 
-    Label records are excluded unless ``include_labels`` is set (adds
-    ``label_width`` scalars per record). The per-client figure is the client
-    with the largest shard, ceil(p/K) records; strict mode requires an even
-    split. The total is exact either way.
+    Each record sent up adds ``label_width`` label scalars; the default 0
+    leaves labels out. The per-client figure is the client with the largest
+    shard, ceil(p/K) records; strict mode requires an even split. The total
+    is exact either way.
     """
     base, rem = _even_split(params.dataset_size, params.clients, strict)
-    width = label_width if include_labels else 0
-    per_client = traffic_by_kind(params, protocol, [base + (rem > 0)], batch_size, width)
-    total = traffic_by_kind(params, protocol, None, batch_size, width)
+    per_client = traffic_by_kind(params, protocol, [base + (rem > 0)], batch_size, label_width)
+    total = traffic_by_kind(params, protocol, None, batch_size, label_width)
     return CommReport.from_scalars(
         protocol, sum(per_client.values()), sum(total.values()), params.bytes_per_scalar
     )
@@ -402,8 +400,7 @@ def sweep(
     grid: Mapping[str, object],
     variant: Protocol = Protocol.SPLIT_SYNC,
     strict: bool = True,
-    include_labels: bool = False,
-    label_width: int = 1,
+    label_width: int = 0,
     batch_size: int = 1,
 ) -> list[SweepRow]:
     """Evaluate the Cartesian product of per-parameter value lists.
@@ -435,7 +432,7 @@ def sweep(
         values = dict(zip(SWEEP_FIELD_ORDER, combo))
         try:
             params = ScenarioParams(**values)
-            reports = {m: comm_report(params, m, strict, include_labels, label_width, batch_size)
+            reports = {m: comm_report(params, m, strict, label_width, batch_size)
                        for m in methods}
             efficiency = efficiency_ratio(params, variant, batch_size)
         except SplitFedError as exc:

@@ -10,51 +10,54 @@ Shared keys: name, variant (sync | nosync | sync_batch | federated), epochs,
 bytes_per_scalar, seed, batch_size, activation (identity | relu | sigmoid),
 and per-parameter sweep axes ``grid.K``, ``grid.N``, ``grid.p``, ``grid.q``,
 ``grid.eta``. Numbers accept underscores and scientific notation; eta also
-accepts an exact ``a/b`` rational.
+accepts an exact ``a/b`` rational. :data:`PARAM_KEYS` maps each
+``ScenarioParams`` field to its key.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cost_model import Protocol, ScenarioParams
 from .errors import ScenarioError
 from .nn_core import Activation, ModelSpec
 
-_RAW_KEYS = {"K", "N", "p", "q", "eta"}
-_MODEL_KEYS = {"layer_widths", "cut_index"}
-_GRID_KEYS = {"grid.K", "grid.N", "grid.p", "grid.q", "grid.eta"}
-_SCALAR_KEYS = {
-    "name", "variant", "epochs", "bytes_per_scalar", "seed", "batch_size", "activation",
+# Scenario-file key of each ScenarioParams field, in field order: the one map
+# from keys to fields. The parser, the grid.* axes and the report columns read it.
+PARAM_KEYS = {
+    "clients": "K",
+    "model_params": "N",
+    "dataset_size": "p",
+    "smashed_size": "q",
+    "client_fraction": "eta",
+    "bytes_per_scalar": "bytes_per_scalar",
+    "epochs": "epochs",
 }
-_GRID_FIELD = {
-    "grid.K": "clients",
-    "grid.N": "model_params",
-    "grid.p": "dataset_size",
-    "grid.q": "smashed_size",
-    "grid.eta": "client_fraction",
+# A field written as the paper's symbol is also a sweep axis, grid.<symbol>.
+_GRID_FIELDS = {f"grid.{key}": name for name, key in PARAM_KEYS.items() if key != name}
+# The fields a model form derives from its layers and cut; only a raw form writes them.
+_RAW_ONLY = {PARAM_KEYS[name] for name in ("model_params", "smashed_size", "client_fraction")}
+_MODEL_KEYS = {"layer_widths", "cut_index"}
+_KNOWN_KEYS = {
+    *PARAM_KEYS.values(), *_GRID_FIELDS, *_MODEL_KEYS,
+    "name", "variant", "seed", "batch_size", "activation",
 }
 
 
 @dataclass
 class Scenario:
     name: str
+    # ScenarioParams fields the file sets, by field name; a model form's
+    # layers and cut supply the rest.
+    values: dict[str, int | float | Fraction] = field(default_factory=dict)
     variant: Protocol = Protocol.SPLIT_SYNC
     seed: int = 0
-    epochs: int = 1
-    bytes_per_scalar: int = 4
     batch_size: int = 1
-    clients: int | None = None
-    dataset_size: int | None = None
-    # raw form
-    model_params: int | None = None
-    smashed_size: int | None = None
-    client_fraction: float | Fraction | None = None
-    # model form
     model: ModelSpec | None = None
     cut_index: int | None = None
+    # sweep axes by ScenarioParams field, in PARAM_KEYS order
     grids: dict[str, list] = field(default_factory=dict)
 
     @property
@@ -67,30 +70,12 @@ class Scenario:
 
     def params(self) -> ScenarioParams:
         if self.is_model_form:
-            return ScenarioParams.from_model(
-                self.model,
-                self.cut_index,
-                clients=self.clients,
-                dataset_size=self.dataset_size,
-                bytes_per_scalar=self.bytes_per_scalar,
-                epochs=self.epochs,
-            )
-        return ScenarioParams(
-            clients=self.clients,
-            model_params=self.model_params,
-            dataset_size=self.dataset_size,
-            smashed_size=self.smashed_size,
-            client_fraction=self.client_fraction,
-            bytes_per_scalar=self.bytes_per_scalar,
-            epochs=self.epochs,
-        )
+            return ScenarioParams.from_model(self.model, self.cut_index, **self.values)
+        return ScenarioParams(**self.values)
 
     def grid(self) -> dict[str, object]:
         """Sweep axes, with the scenario's own values filling non-gridded parameters."""
-        axes: dict[str, object] = asdict(self.params())
-        for key, values in self.grids.items():
-            axes[_GRID_FIELD[key]] = values
-        return axes
+        return {**vars(self.params()), **self.grids}
 
 
 def _parse_number(text: str, key: str):
@@ -119,6 +104,14 @@ def _as_int(value, key: str) -> int:
     raise ScenarioError(f"{key!r} must be an integer, got {value}")
 
 
+def _as_field(name: str, value, key: str):
+    """A parsed number as ScenarioParams field ``name`` holds it: client_fraction
+    a float or exact rational, every other field an integer."""
+    if name != "client_fraction":
+        return _as_int(value, key)
+    return value if isinstance(value, (Fraction, float)) else float(value)
+
+
 def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
     """Parse flat key = value scenario text."""
     entries: dict[str, str] = {}
@@ -134,12 +127,11 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
             raise ScenarioError(f"line {lineno}: empty key or value in {raw_line!r}")
         if key in entries:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
-        known = _RAW_KEYS | _MODEL_KEYS | _GRID_KEYS | _SCALAR_KEYS
-        if key not in known:
+        if key not in _KNOWN_KEYS:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         entries[key] = value
 
-    raw_present = {k for k in entries if k in {"N", "q", "eta"}}
+    raw_present = {k for k in entries if k in _RAW_ONLY}
     model_present = {k for k in entries if k in _MODEL_KEYS}
     if raw_present and model_present:
         raise ScenarioError(
@@ -155,11 +147,13 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
         except ValueError:
             names = tuple(p.value for p in Protocol)
             raise ScenarioError(f"variant must be one of {names}, got {entries['variant']!r}") from None
-    for key, attr in (("seed", "seed"), ("epochs", "epochs"), ("bytes_per_scalar", "bytes_per_scalar"),
-                      ("batch_size", "batch_size"), ("K", "clients"), ("p", "dataset_size")):
+    for key in ("seed", "batch_size"):
         if key in entries:
-            setattr(sc, attr, _as_int(_parse_number(entries[key], key), key))
-    if sc.clients is None or sc.dataset_size is None:
+            setattr(sc, key, _as_int(_parse_number(entries[key], key), key))
+    for name, key in PARAM_KEYS.items():
+        if key in entries:
+            sc.values[name] = _as_field(name, _parse_number(entries[key], key), key)
+    if "clients" not in sc.values or "dataset_size" not in sc.values:
         raise ScenarioError("scenario needs both K and p")
 
     if model_present:
@@ -175,22 +169,15 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
             raise ScenarioError(f"unknown activation {activation!r}")
         sc.model = ModelSpec(layer_widths=widths, activation=by_name[activation])
         sc.cut_index = _as_int(_parse_number(entries["cut_index"], "cut_index"), "cut_index")
-    else:
-        if raw_present != {"N", "q", "eta"}:
-            raise ScenarioError(f"raw form needs N, q and eta; got only {sorted(raw_present)}")
-        sc.model_params = _as_int(_parse_number(entries["N"], "N"), "N")
-        sc.smashed_size = _as_int(_parse_number(entries["q"], "q"), "q")
-        eta = _parse_number(entries["eta"], "eta")
-        sc.client_fraction = eta if isinstance(eta, (Fraction, float)) else float(eta)
+    elif raw_present != _RAW_ONLY:
+        raise ScenarioError(f"raw form needs N, q and eta; got only {sorted(raw_present)}")
 
-    for key in _GRID_KEYS:
+    for key, name in _GRID_FIELDS.items():
         if key in entries:
             values = [_parse_number(v, key) for v in entries[key].split(",") if v.strip()]
             if not values:
                 raise ScenarioError(f"{key!r} lists no values")
-            if key != "grid.eta":
-                values = [_as_int(v, key) for v in values]
-            sc.grids[key] = values
+            sc.grids[name] = [_as_field(name, v, key) for v in values]
     return sc
 
 

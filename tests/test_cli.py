@@ -1,5 +1,6 @@
 """Scenario files, built-in suites, and the four CLI subcommands."""
 
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -42,8 +43,9 @@ seed = 42
 
 def test_parse_raw_scenario():
     sc = parse_scenario_text(RAW_TEXT)
-    assert sc.name == "demo" and sc.variant == "sync" and sc.epochs == 2
+    assert sc.name == "demo" and sc.variant == "sync"
     params = sc.params()
+    assert params.epochs == 2
     assert (params.clients, params.model_params) == (100, 1_000_000)
     assert params.client_fraction == 0.1
 
@@ -91,8 +93,8 @@ def test_parse_rejects_bad_lines():
 
 def test_parse_grids():
     sc = parse_scenario_text(RAW_TEXT + "grid.K = 1, 10, 100\ngrid.eta = 0.1, 0.5\n")
-    assert sc.grids["grid.K"] == [1, 10, 100]
-    assert sc.grids["grid.eta"] == [0.1, 0.5]
+    assert sc.grids["clients"] == [1, 10, 100]
+    assert sc.grids["client_fraction"] == [0.1, 0.5]
     axes = sc.grid()
     assert axes["clients"] == [1, 10, 100]
     assert axes["model_params"] == 1_000_000
@@ -439,6 +441,18 @@ def test_sweep_empty_grid_exits_2(tmp_path, capsys):
     scenario = tmp_path / "empty.txt"
     scenario.write_text(RAW_TEXT + "grid.K =\n")
     assert main(["sweep", "--scenario", str(scenario)]) == 2
+
+
+def test_bad_grid_axes_report_the_same_error_under_every_hash_seed(tmp_path):
+    # axes parse in table order, so the first bad axis named never depends on set iteration
+    scenario = tmp_path / "bad-axes.txt"
+    scenario.write_text(RAW_TEXT + "grid.K = 1.5\ngrid.N = 2.5\ngrid.p = 3.5\n")
+    argv = [sys.executable, "-m", "splitfed.cli", "sweep", "--scenario", str(scenario)]
+    runs = [subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONHASHSEED": str(seed)})
+            for seed in range(1, 5)]
+    results = {(proc.communicate(timeout=60)[1], proc.returncode) for proc in runs}
+    assert results == {("error: 'grid.K' must be an integer, got 1.5\n", 2)}
 
 
 # --- console entry point -----------------------------------------------------

@@ -196,8 +196,7 @@ def test_split_sync_epoch_scaling():
 
 def test_split_sync_label_accounting():
     base = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23)), Protocol.SPLIT_SYNC)
-    with_labels = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23)), Protocol.SPLIT_SYNC,
-                                  include_labels=True, label_width=2)
+    with_labels = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23)), Protocol.SPLIT_SYNC, label_width=2)
     assert with_labels.total_scalars == base.total_scalars + 6 * 2
     assert with_labels.per_client_scalars == base.per_client_scalars + 3 * 2
 

@@ -103,6 +103,18 @@ def test_golden_output(case, tmp_path, monkeypatch):
         assert data == (GOLDEN / case / name).read_bytes(), f"{case}/{name} differs from the snapshot"
 
 
+@pytest.mark.parametrize("variant", ["sync_batch", "federated"])
+def test_variant_flag_matches_the_scenario_variant(variant, tmp_path, monkeypatch):
+    # --variant takes every protocol: the built-in run as sync_batch or federated
+    # writes the bytes of the scenario file that names that variant
+    monkeypatch.delenv("SPLITFED_SEED", raising=False)
+    argv = ["simulate", "--scenario", "tiny-dense", "--variant", variant,
+            "--csv", "ledger.csv", "--loss-csv", "loss.csv"]
+    case = f"simulate-tiny-dense-{variant}"
+    for name, data in run_case(argv, ["ledger.csv", "loss.csv"], tmp_path).items():
+        assert data == (GOLDEN / case / name).read_bytes(), f"{case}/{name} differs"
+
+
 def test_sync_batch_without_break_even_exits_3(tmp_path, capsys):
     # one client hands off after each of its 6 records: 6*eta*N > 2N for every N
     files = run_case(["breakeven", "--scenario", SYNC_BATCH, "--k-range", "1:4:x2"], [], tmp_path)

@@ -108,7 +108,7 @@ def test_measured_per_client_equals_comm_report(arch, protocol, clients, per_cli
     for include_labels in (False, True):
         exclude = () if include_labels else (MessageKind.LABELS,)
         measured = measured_comm(ledger, clients, protocol, exclude=exclude)
-        formula = comm_report(params, protocol, include_labels=include_labels, label_width=spec.output_width)
+        formula = comm_report(params, protocol, label_width=spec.output_width if include_labels else 0)
         assert measured.per_client_scalars == formula.per_client_scalars
         assert measured.total_scalars == formula.total_scalars
 
