@@ -31,7 +31,7 @@ from .cost_model import (
 )
 from .errors import InvalidParam, ScenarioError, SplitFedError
 from .nn_core import random_dataset
-from .scenarios import PARAM_KEYS, load_scenario, load_suite
+from .scenarios import PARAM_KEYS, _as_field, _parse_number, load_scenario, load_suite
 from .svg import render_breakeven_svg
 
 # cmd_simulate refuses anything bigger than these, before it allocates; the
@@ -39,8 +39,11 @@ from .svg import render_breakeven_svg
 # production training.
 SIMULATE_MAX_PARAMS = 10**6  # N
 SIMULATE_MAX_RECORDS = 10**5  # p
-# K * N bounds the weight buffers a run holds: K client (or upload) vectors of
-# at most N float64 scalars each, 80 MB at the limit.
+# K * N bounds split's K held client vectors (up to N float64 scalars each,
+# 80 MB at the limit) and every protocol's weight copies and ledger scalars per
+# round: K hand-offs or K downloads and uploads of up to N scalars each.
+# Federated folds each upload into a running mean, so it holds five N-vectors
+# whatever K is.
 SIMULATE_MAX_HELD_SCALARS = 10**7
 # epochs * max(p, K) bounds a run's training steps and its ledger, which logs
 # at most 4 messages per batch plus 2 per client in every epoch.
@@ -136,6 +139,8 @@ def cmd_simulate(args) -> int:
     if not sc.is_model_form:
         raise ScenarioError("simulate needs a model-form scenario (layer_widths + cut_index)")
     variant = Protocol(args.variant or sc.variant)
+    if not math.isfinite(args.lr):
+        raise InvalidParam(f"--lr must be finite, got {args.lr}")
     params = sc.params()
     k, n, p = params.clients, params.model_params, params.dataset_size
     for name, size, limit in (
@@ -288,6 +293,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _param_arg(name: str):
+    """argparse type reading ScenarioParams field ``name`` as a scenario file
+    does: underscores, scientific notation, and an exact ``a/b`` for eta."""
+    key = PARAM_KEYS[name]
+
+    def parse(text: str):
+        try:
+            return _as_field(name, _parse_number(text, key), key)
+        except ScenarioError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitfed",
@@ -321,9 +340,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_be = sub.add_parser("breakeven", help="break-even model size over a range of client counts")
     common(p_be, scenario_required=False, counts_traffic=False)
-    p_be.add_argument("--p", type=int, default=None, help="dataset size")
-    p_be.add_argument("--q", type=int, default=None, help="smashed layer width")
-    p_be.add_argument("--eta", type=float, default=None, help="client-side parameter fraction")
+    p_be.add_argument("--p", type=_param_arg("dataset_size"), default=None, help="dataset size")
+    p_be.add_argument("--q", type=_param_arg("smashed_size"), default=None, help="smashed layer width")
+    p_be.add_argument("--eta", type=_param_arg("client_fraction"), default=None,
+                      help="client-side parameter fraction, a decimal or an exact a/b")
     p_be.add_argument("--k-range", required=True,
                       help="client counts: A:B:STEP, A:B:xF (geometric), or comma list; "
                            f"at most {K_RANGE_MAX_POINTS} points")

@@ -320,13 +320,16 @@ def efficiency_ratio(params: ScenarioParams, protocol: Protocol, batch_size: int
     rho(N*) = 1 at the break-even size; federated against itself is rho = 1,
     a tie. Independent of epochs and of bytes_per_scalar since both methods
     scale identically. A zero split denominator (p = 0 with no weight
-    sharing, or p = 0 and eta = 0) reports winner Split with rho = +inf.
+    sharing, or p = 0 and eta = 0), or a ratio past the float range (p = 0
+    and a subnormal eta), reports winner Split with rho = +inf.
     """
     split = sum(traffic_by_kind(params, protocol, None, batch_size, exact=True).values())
-    if split == 0:
+    fed = sum(traffic_by_kind(params, Protocol.FEDERATED, exact=True).values())
+    try:
+        rho = fed / split
+        rho_f = float(rho)
+    except (ZeroDivisionError, OverflowError):
         return EfficiencyReport(rho=math.inf, winner=Winner.SPLIT)
-    rho = sum(traffic_by_kind(params, Protocol.FEDERATED, exact=True).values()) / split
-    rho_f = float(rho)
     if rho == 1 or abs(rho_f - 1.0) <= TIE_REL_TOL * max(1.0, abs(rho_f)):
         winner = Winner.TIE
     elif rho_f > 1.0:

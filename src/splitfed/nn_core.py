@@ -328,18 +328,45 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
     return params
 
 
+def fold_centered(total: np.ndarray, vec: np.ndarray, base: np.ndarray) -> None:
+    """Fold one vector into a running sum centered on ``base``, in place.
+
+    The first vector folded is ``base`` itself, which starts the sum at
+    ``base - base`` (+0.0 wherever base is finite). Every later ``vec`` adds
+    ``vec - base`` to ``total``; ``vec`` is scratch and holds that difference
+    afterwards. Folded in order, vectors of two or more scalars sum to the
+    bits of numpy's axis-0 sum of their stacked block, without the block.
+    """
+    if vec is base:
+        np.subtract(base, base, out=total)
+    else:
+        total += np.subtract(vec, base, out=vec)
+
+
+def centered_mean(base: np.ndarray, total: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``base + total / count``: the mean of the ``count`` vectors folded into
+    ``total`` by :func:`fold_centered`. ``total`` is scratch and holds
+    ``total / count`` afterwards; the mean is written into ``out`` if given."""
+    np.divide(total, count, out=total)
+    return np.add(base, total, out=out)
+
+
 def average_params(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise arithmetic mean of equally sized flat vectors.
+    """Elementwise arithmetic mean of equally sized flat vectors, as a new array.
 
     Computed centered on the first vector so that averaging k identical
-    vectors returns them bit-exactly.
+    vectors returns them bit-exactly. The vectors are folded in one at a
+    time (:func:`fold_centered`) through two scratch vectors, never stacked.
     """
     if len(vectors) == 0:
         raise EmptyList("cannot average zero parameter vectors")
     arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
-    size = arrays[0].size
-    if any(a.ndim != 1 or a.size != size for a in arrays):
+    base = arrays[0]
+    if any(a.ndim != 1 or a.size != base.size for a in arrays):
         raise LengthMismatch("parameter vectors differ in length")
-    stack = np.stack(arrays)
-    base = stack[0]
-    return base + (stack - base).sum(axis=0) / len(arrays)
+    total, scratch = np.empty_like(base), np.empty_like(base)
+    fold_centered(total, base, base)
+    for a in arrays[1:]:
+        np.copyto(scratch, a)
+        fold_centered(total, scratch, base)
+    return centered_mean(base, total, len(arrays))

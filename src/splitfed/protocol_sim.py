@@ -262,6 +262,12 @@ def run_federated_training(
     client, every client runs one local epoch of SGD on its shard, uploads
     its full N-scalar model, and the server replaces the global model with
     the elementwise average of the uploads.
+
+    Clients train one after another, so the server folds each upload into a
+    running sum as its client finishes (:func:`nn_core.fold_centered`):
+    client 1 trains in a kept ``base`` buffer, clients 2..K in one reusable
+    buffer. A run holds five N-vectors (global, base, working buffer, sum,
+    gradient) whatever K is.
     """
     if rounds < 0:
         raise InvalidParam(f"rounds must be >= 0, got {rounds}")
@@ -269,31 +275,34 @@ def run_federated_training(
         raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
     data = _checked_shards(spec, shards)
     global_vec = nn_core.init_params(spec, seed)
-    # One row per client, each with its own layer views; one gradient buffer.
-    uploads = np.empty((len(data), global_vec.size))
-    row_layers = [nn_core.unpack_params(spec, row) for row in uploads]
+    # Client 1's buffer (the base of the centered sum) and the one the other
+    # clients share, each with its own layer views; one gradient buffer.
+    base, work, total = np.empty_like(global_vec), np.empty_like(global_vec), np.empty_like(global_vec)
+    base_layers, work_layers = nn_core.unpack_params(spec, base), nn_core.unpack_params(spec, work)
     grads = np.empty_like(global_vec)
     grad_layers = nn_core.unpack_params(spec, grads)
     ledger = TrafficLedger()
     round_losses: list[float] = []
 
     for rnd in range(rounds):
-        for k, weights in enumerate(uploads):
+        for k in range(len(data)):
             ledger.append(rnd, SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS, global_vec.size)
-            np.copyto(weights, global_vec)
         client_losses: list[float] = []
-        for k, (weights, layers) in enumerate(zip(uploads, row_layers)):
+        for k, (x, y) in enumerate(data):
+            weights, layers = (base, base_layers) if k == 0 else (work, work_layers)
+            np.copyto(weights, global_vec)
             batch_losses = []
-            for xb, yb in _batches(*data[k], batch_size):
+            for xb, yb in _batches(x, y, batch_size):
                 zs, acts = nn_core._forward_layers(layers, spec.activation, xb)
                 loss, dout = nn_core._mse_and_grad(acts[-1], yb)
                 nn_core._backward_layers(layers, spec.activation, zs, acts, dout, grad_layers)
                 nn_core.sgd_step(weights, grads, local_lr)
                 batch_losses.append(loss)
             ledger.append(rnd, client_id(k + 1), SERVER, MessageKind.CLIENT_WEIGHTS, weights.size)
+            nn_core.fold_centered(total, weights, base)
             if batch_losses:
                 client_losses.append(float(np.mean(batch_losses)))
-        global_vec = nn_core.average_params(uploads)
+        nn_core.centered_mean(base, total, len(data), out=global_vec)
         round_losses.append(float(np.mean(client_losses)) if client_losses else math.nan)
 
     return FederatedRunResult(global_params=global_vec, ledger=ledger, round_losses=round_losses)

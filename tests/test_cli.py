@@ -274,6 +274,16 @@ def test_simulate_guard_bounds_memory_and_work_before_allocating(tmp_path, monke
     assert "too large to simulate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+def test_simulate_rejects_a_non_finite_learning_rate(monkeypatch, capsys, lr):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a non-finite --lr must be rejected before any data is generated")
+
+    monkeypatch.setattr("splitfed.cli.random_dataset", no_allocation)
+    assert main(["simulate", "--scenario", "tiny-dense", f"--lr={lr}"]) == 3
+    assert "--lr must be finite" in capsys.readouterr().err
+
+
 def test_simulate_raw_scenario_exits_2(tmp_path, capsys):
     raw = tmp_path / "raw.txt"
     raw.write_text(RAW_TEXT)
@@ -369,6 +379,32 @@ def test_breakeven_uses_the_scenario_variant(tmp_path, capsys):
     assert main(base + [str(nosync), "--variant", "nosync"]) == 0
     assert main(base + [str(sync), "--variant", "sync"]) == 0
     assert implied.read_bytes() == nosync.read_bytes() != sync.read_bytes()
+
+
+def test_breakeven_reads_numbers_as_a_scenario_file_does(tmp_path, capsys):
+    # --eta a/b keeps the exact rational and --p takes scientific notation,
+    # the spellings a scenario file accepts
+    scenario = tmp_path / "third.txt"
+    scenario.write_text(RAW_TEXT.replace("p = 1_000_000", "p = 1000").replace("eta = 0.1", "eta = 1/3"))
+    from_file, from_flags, decimal = (tmp_path / f"{name}.csv" for name in ("file", "flags", "decimal"))
+    k_range = ["--k-range", "1:1000:x10", "--csv"]
+    assert main(["breakeven", "--scenario", str(scenario), *k_range, str(from_file)]) == 0
+    assert main(["breakeven", "--p", "1e3", "--q", "100", "--eta", "1/3", *k_range, str(from_flags)]) == 0
+    assert from_flags.read_bytes() == from_file.read_bytes()
+    assert "p=1000 q=100 eta=0.333333333333" in capsys.readouterr().out
+    # a decimal eta is read as the float it spells, as argparse's float did
+    assert main(["breakeven", "--p", "1_000", "--q", "1e2", "--eta", repr(0.1), *k_range, str(decimal)]) == 0
+    assert main(["breakeven", "--p", "1000", "--q", "100", "--eta", "0.1", *k_range, str(from_flags)]) == 0
+    assert decimal.read_bytes() == from_flags.read_bytes()
+
+
+@pytest.mark.parametrize("flag,text", [("--p", "1.5"), ("--q", "ten"), ("--eta", "1/0"), ("--eta", "a/b")])
+def test_breakeven_bad_number_exits_2(capsys, flag, text):
+    values = {"--p": "10", "--q": "1", "--eta": "0.5", flag: text}
+    with pytest.raises(SystemExit) as exc:
+        main(["breakeven", *(item for pair in values.items() for item in pair), "--k-range", "1:4"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_breakeven_missing_params_exits_2(capsys):

@@ -264,6 +264,9 @@ def test_efficiency_undefined_denominator_is_split_with_inf():
     assert math.isinf(eff.rho) and eff.winner is Winner.SPLIT
     eff = efficiency_ratio(make_params(3, 10, 0, 1, 0.7), Method.SPLIT_NOSYNC)
     assert math.isinf(eff.rho) and eff.winner is Winner.SPLIT
+    # 2KN over a subnormal eta*N*K hand-off is past the float range
+    eff = efficiency_ratio(make_params(1, 1, 0, 1, 5e-324), Method.SPLIT_SYNC)
+    assert math.isinf(eff.rho) and eff.winner is Winner.SPLIT
 
 
 def test_efficiency_federated_against_itself_is_a_tie():
@@ -329,6 +332,35 @@ def test_rho_monotonicity_on_grids():
             assert all(rho_of(q=a) > rho_of(q=b) for a, b in zip(qs, qs[1:]))
 
 
+_ETAS = st.one_of(st.floats(0, 1), st.integers(1, 10**6).flatmap(
+    lambda b: st.integers(0, b).map(lambda a: Fraction(a, b))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    protocol=st.sampled_from([Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH]),
+    batch=st.integers(1, 64),
+    ks=st.lists(st.integers(1, 200), min_size=2, max_size=2).map(sorted),
+    ns=st.lists(st.integers(1, 10**12), min_size=2, max_size=2).map(sorted),
+    per_shard=st.lists(st.integers(0, 50), min_size=2, max_size=2).map(sorted),
+    qs=st.lists(st.integers(1, 4096), min_size=2, max_size=2).map(sorted),
+    etas=st.lists(_ETAS, min_size=2, max_size=2).map(sorted),
+)
+def test_rho_is_monotone_in_every_parameter(protocol, batch, ks, ns, per_shard, qs, etas):
+    # Against federated, rho never falls as K or N grows and never rises as
+    # p, q or eta grows. Both p values split evenly over both K values.
+    (k, k_up), (n, n_up), (q, q_up), (eta, eta_up) = ks, ns, qs, etas
+    p, p_up = (math.lcm(k, k_up) * r for r in per_shard)
+
+    def rho(**moved):
+        a = {"K": k, "N": n, "p": p, "q": q, "eta": eta, **moved}
+        return efficiency_ratio(make_params(a["K"], a["N"], a["p"], a["q"], a["eta"]), protocol, batch).rho
+
+    at = rho()
+    assert rho(K=k_up) >= at and rho(N=n_up) >= at
+    assert rho(p=p_up) <= at and rho(q=q_up) <= at and rho(eta=eta_up) <= at
+
+
 # --- break-even --------------------------------------------------------------
 
 def test_break_even_examples():
@@ -369,8 +401,7 @@ def _line(params_at, protocol, batch):
     records_per_client=st.integers(1, 1000),
     spare=st.integers(0, 2999),
     q=st.integers(1, 2048),
-    eta=st.one_of(st.floats(0, 1), st.integers(1, 10**6).flatmap(
-        lambda b: st.integers(0, b).map(lambda a: Fraction(a, b)))),
+    eta=_ETAS,
     batch=st.integers(1, 64),
     protocol=st.sampled_from([Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH]),
 )

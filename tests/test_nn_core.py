@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from splitfed import (
     Activation,
@@ -35,6 +38,8 @@ from splitfed.nn_core import (
     _forward_layers,
     _mse_and_grad,
     _unpack,
+    centered_mean,
+    fold_centered,
     layer_param_counts,
     mse_loss,
     uniform01,
@@ -310,6 +315,40 @@ def test_average_matches_summation_oracle():
     scale = np.abs(np.stack(vectors)).max(axis=0)
     rel = np.abs(got - oracle) / np.maximum(scale, 1e-300)
     assert rel.max() < 1e-15
+
+
+# Any double, infinities and NaN included, with signed zeros drawn often.
+_SCALARS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats())
+
+
+# N >= 2: at N = 1 numpy sums a (K, 1) block's one column pairwise rather than
+# row by row, so the stacked form is no reference there; every model has N >= 2.
+@settings(max_examples=200, deadline=None)
+@given(block=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(2, 8)), elements=_SCALARS),
+       identical=st.booleans())
+def test_fold_is_the_stacked_centered_mean_bit_for_bit(block, identical):
+    k, size = block.shape
+    vectors = [block[0]] * k if identical else list(block)
+    base = vectors[0]
+    total, out = np.empty(size), np.empty(size)
+    with np.errstate(over="ignore", invalid="ignore"):  # sums may overflow, inf - inf is NaN
+        stacked = base + (np.stack(vectors) - base).sum(axis=0) / k
+        assert average_params(vectors).tobytes() == stacked.tobytes()
+        # the federated round's use: the base buffer starts the sum, each later vector is scratch
+        fold_centered(total, base, base)
+        for v in vectors[1:]:
+            fold_centered(total, v.copy(), base)
+        assert centered_mean(base, total, k, out=out) is out
+    assert out.tobytes() == stacked.tobytes()
+    if identical:  # a centered mean of infinities is NaN, as base - base is
+        assert np.array_equal(out[np.isfinite(base)], base[np.isfinite(base)])
+
+
+def test_average_params_leaves_its_inputs_alone():
+    vectors = [np.array([1.0, -0.0]), np.array([3.0, 5.0]), np.array([-2.0, 0.5])]
+    copies = [v.copy() for v in vectors]
+    average_params(vectors)
+    assert all(v.tobytes() == c.tobytes() for v, c in zip(vectors, copies))
 
 
 def test_average_errors():

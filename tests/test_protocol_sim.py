@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -26,6 +27,7 @@ from splitfed import (
     comm_report,
     init_params,
     measured_comm,
+    param_count,
     partition_dataset,
     random_dataset,
     run_federated_training,
@@ -250,7 +252,7 @@ class _CountingCore:
         return counted
 
 
-STEP_PHASES = ("_forward_layers", "_mse_and_grad", "_backward_layers", "sgd_step", "average_params")
+STEP_PHASES = ("_forward_layers", "_mse_and_grad", "_backward_layers", "sgd_step", "fold_centered", "centered_mean")
 
 
 @pytest.mark.parametrize("variant", [*SPLIT_PROTOCOLS, Method.FEDERATED])
@@ -270,7 +272,9 @@ def test_training_step_calls_through_nn_core(monkeypatch, variant):
         batches, sgd_per_batch = turns * 3, 2
     expected = {"_forward_layers": batches, "_mse_and_grad": batches, "_backward_layers": batches,
                 "sgd_step": sgd_per_batch * batches,
-                "average_params": rounds if variant is Method.FEDERATED else 0}
+                # federated folds each of the 2 uploads as its client finishes, then takes the mean once a round
+                "fold_centered": rounds * 2 if variant is Method.FEDERATED else 0,
+                "centered_mean": rounds if variant is Method.FEDERATED else 0}
     assert {name: core.calls[name] for name in STEP_PHASES} == expected
 
 
@@ -283,6 +287,24 @@ def test_federated_golden_totals():
     assert totals[MessageKind.GLOBAL_WEIGHTS] == 23 * 2 * 5
     assert totals[MessageKind.CLIENT_WEIGHTS] == 23 * 2 * 5
     assert totals[MessageKind.ACTIVATIONS] == 0
+
+
+def test_federated_memory_does_not_grow_with_clients():
+    # Each upload is folded into a running sum as its client finishes, so a
+    # round holds the same few N-vectors at K = 2 as at K = 16.
+    spec = ModelSpec((256, 768, 256, 10))
+
+    def traced_peak(clients):
+        shards = partition_dataset(*random_dataset(spec, clients, 5), clients)
+        tracemalloc.start()
+        try:
+            run_federated_training(spec, shards, rounds=1, local_lr=0.01, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n_vector_bytes = 8 * param_count(spec)
+    assert abs(traced_peak(16) - traced_peak(2)) < n_vector_bytes
 
 
 def test_federated_one_download_one_upload_per_client_per_round():
