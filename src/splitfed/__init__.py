@@ -21,6 +21,7 @@ from .cost_model import (
 )
 from .errors import (
     CutOutOfRange,
+    Diverged,
     DivisibilityError,
     EmptyList,
     InvalidParam,

@@ -39,12 +39,18 @@ from .svg import render_breakeven_svg
 # production training.
 SIMULATE_MAX_PARAMS = 10**6  # N
 SIMULATE_MAX_RECORDS = 10**5  # p
-# K * N bounds split's K held client vectors (up to N float64 scalars each,
-# 80 MB at the limit) and every protocol's weight copies and ledger scalars per
-# round: K hand-offs or K downloads and uploads of up to N scalars each.
-# Federated folds each upload into a running mean, so it holds five N-vectors
-# whatever K is.
+# K * N bounds a split run's K held client vectors (up to N float64 scalars
+# each, 80 MB at the limit) and the K hand-offs a round copies. Federated folds
+# each upload into a running mean and holds five N-vectors whatever K is, so
+# K * N does not bound it.
 SIMULATE_MAX_HELD_SCALARS = 10**7
+# epochs * K * N bounds a federated run's copy and fold work: every round
+# copies the N-scalar global model into each of K clients' buffers and folds
+# the K uploads into the running sum.
+SIMULATE_MAX_FOLDED_SCALARS = 10**9
+# p * (input + output width) bounds the synthetic dataset, generated whole
+# before training (80 MB of float64 at the limit).
+SIMULATE_MAX_DATA_SCALARS = 10**7
 # epochs * max(p, K) bounds a run's training steps and its ledger, which logs
 # at most 4 messages per batch plus 2 per client in every epoch.
 SIMULATE_MAX_RECORD_EPOCHS = 10**6
@@ -142,12 +148,15 @@ def cmd_simulate(args) -> int:
     if not math.isfinite(args.lr):
         raise InvalidParam(f"--lr must be finite, got {args.lr}")
     params = sc.params()
-    k, n, p = params.clients, params.model_params, params.dataset_size
+    k, n, p, epochs = params.clients, params.model_params, params.dataset_size, params.epochs
+    held = (("epochs*K*N", epochs * k * n, SIMULATE_MAX_FOLDED_SCALARS) if variant is Protocol.FEDERATED
+            else ("K*N", k * n, SIMULATE_MAX_HELD_SCALARS))
     for name, size, limit in (
         (PARAM_KEYS["model_params"], n, SIMULATE_MAX_PARAMS),
         (PARAM_KEYS["dataset_size"], p, SIMULATE_MAX_RECORDS),
-        ("K*N", k * n, SIMULATE_MAX_HELD_SCALARS),
-        ("epochs*max(p,K)", params.epochs * max(p, k), SIMULATE_MAX_RECORD_EPOCHS),
+        held,
+        ("epochs*max(p,K)", epochs * max(p, k), SIMULATE_MAX_RECORD_EPOCHS),
+        ("p*(input+output width)", p * (sc.model.input_width + sc.model.output_width), SIMULATE_MAX_DATA_SCALARS),
     ):
         if size > limit:
             raise InvalidParam(f"scenario too large to simulate ({name}={size} > {limit})")

@@ -25,6 +25,10 @@ class LengthMismatch(SplitFedError):
     """Flat parameter vectors differ in length."""
 
 
+class Diverged(SplitFedError):
+    """Training reached a non-finite loss on records it trained on."""
+
+
 class EmptyList(SplitFedError):
     """An aggregation was asked to average zero vectors."""
 

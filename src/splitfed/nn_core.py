@@ -24,6 +24,16 @@ import numpy as np
 
 from .errors import CutOutOfRange, EmptyList, InvalidParam, LengthMismatch, ShapeMismatch
 
+# numpy's C einsum kernel, without the Python dispatch of the public np.einsum
+# (about 1 us per call): the batch-1 weight gradient is the only caller.
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum  # numpy >= 2
+except ImportError:
+    try:
+        from numpy.core.multiarray import c_einsum as _c_einsum  # numpy 1.x
+    except ImportError:
+        _c_einsum = np.einsum
+
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -215,7 +225,8 @@ def _forward_layers(layers, activation: Activation, batch: np.ndarray):
     a = batch
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
+        z = np.dot(a, w) if len(w) > 1 else np.matmul(a, w)  # see _backward_layers
+        z += b
         zs.append(z)
         a = z if i == last else _apply_activation(activation, z)
         acts.append(a)
@@ -269,8 +280,17 @@ def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndar
     g = upstream
     act_grads: list = [None] * len(layers) + [upstream]
     last = len(layers) - 1
+    # Every product keeps np.matmul's bits. np.dot has less call overhead and
+    # the same bits over a contraction of two or more terms; over one term it
+    # multiplies and keeps a -0.0 where matmul adds the product to +0.0, so
+    # such products stay with matmul. At batch 1, dW = a.T @ dz is that case,
+    # and numpy's einsum kernel writes it ~3x faster than BLAS: it too adds
+    # each product to +0.0, so the bits agree, but for which payload a product
+    # of two NaNs keeps. Over more records einsum sums in another order than
+    # BLAS, so larger batches go through np.dot.
+    one_record = upstream.shape[0] == 1
     for i in reversed(range(len(layers))):
-        w, _ = layers[i]
+        w, b = layers[i]
         dw, db = grad_layers[i]
         if i == last or activation is Activation.IDENTITY:
             dz = g
@@ -279,10 +299,14 @@ def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndar
         else:
             s = acts[i + 1]  # the sigmoid of zs[i], as the forward pass computed it
             dz = g * (s * (1.0 - s))
-        np.matmul(acts[i].T, dz, out=dw)
+        if one_record:
+            _c_einsum("bi,bj->ij", acts[i], dz, out=dw)
+        else:
+            np.dot(acts[i].T, dz, out=dw)
         np.add.reduce(dz, axis=0, out=db)
         if i:
-            g = act_grads[i] = dz @ w.T
+            # the contraction runs over the layer's outputs, len(b) of them
+            g = act_grads[i] = np.dot(dz, w.T) if len(b) > 1 else np.matmul(dz, w.T)
     return act_grads
 
 

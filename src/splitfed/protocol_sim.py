@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn_core
 from .cost_model import CommReport, MessageKind, Protocol, ScenarioParams, shard_sizes, traffic_by_kind
-from .errors import InvalidParam, ShapeMismatch
+from .errors import Diverged, InvalidParam, ShapeMismatch
 from .nn_core import CutPoint, ModelSpec
 
 SERVER = "server"
@@ -155,6 +155,20 @@ def _batches(x: np.ndarray, y: np.ndarray, batch_size: int):
         yield x[lo : lo + batch_size], y[lo : lo + batch_size]
 
 
+def _epoch_loss(losses: list[float], unit: str, index: int) -> float:
+    """Mean of an epoch's (or round's) losses; NaN when it saw no records.
+
+    A non-finite mean over records it did train on means the run diverged,
+    which raises :class:`Diverged` naming ``unit`` and ``index``.
+    """
+    if not losses:
+        return math.nan
+    loss = float(np.mean(losses))
+    if not math.isfinite(loss):
+        raise Diverged(f"training diverged: {unit} {index} loss is {loss} (try a smaller learning rate)")
+    return loss
+
+
 @dataclass
 class SplitRunResult:
     client_params: list[np.ndarray]  # per client, latest weights held
@@ -170,6 +184,7 @@ class FederatedRunResult:
     round_losses: list[float]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_split_training(
     spec: ModelSpec,
     cut: CutPoint | int,
@@ -193,7 +208,9 @@ def run_split_training(
     its own buffer, and a hand-off copies the weights into the receiver's.
 
     Epoch loss is the mean training loss over the batches processed in that
-    epoch (NaN when the epoch saw no records).
+    epoch (NaN when the epoch saw no records). An epoch whose records give a
+    non-finite loss raises :class:`Diverged` when it ends; the overflows on
+    the way there raise no numpy warning.
     """
     if epochs < 0:
         raise InvalidParam(f"epochs must be >= 0, got {epochs}")
@@ -238,7 +255,7 @@ def run_split_training(
             if variant is Protocol.SPLIT_SYNC:
                 ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, weights.size)
                 np.copyto(client_vecs[(k + 1) % k_clients], weights)
-        epoch_losses.append(float(np.mean(batch_losses)) if batch_losses else math.nan)
+        epoch_losses.append(_epoch_loss(batch_losses, "epoch", epoch))
 
     return SplitRunResult(
         client_params=client_vecs,
@@ -248,6 +265,7 @@ def run_split_training(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_federated_training(
     spec: ModelSpec,
     shards: ShardedDataset,
@@ -268,6 +286,10 @@ def run_federated_training(
     client 1 trains in a kept ``base`` buffer, clients 2..K in one reusable
     buffer. A run holds five N-vectors (global, base, working buffer, sum,
     gradient) whatever K is.
+
+    Round loss is the mean over clients with records of their mean batch
+    loss (NaN when no client had records); a non-finite one raises
+    :class:`Diverged`, as for split training.
     """
     if rounds < 0:
         raise InvalidParam(f"rounds must be >= 0, got {rounds}")
@@ -303,7 +325,7 @@ def run_federated_training(
             if batch_losses:
                 client_losses.append(float(np.mean(batch_losses)))
         nn_core.centered_mean(base, total, len(data), out=global_vec)
-        round_losses.append(float(np.mean(client_losses)) if client_losses else math.nan)
+        round_losses.append(_epoch_loss(client_losses, "round", rnd))
 
     return FederatedRunResult(global_params=global_vec, ledger=ledger, round_losses=round_losses)
 

@@ -251,19 +251,26 @@ def test_simulate_guard_exits_3(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(big)]) == 3
 
 
-@pytest.mark.parametrize("text", [
+@pytest.mark.parametrize("text, bound", [
     # K = p = 100,000 clients of an N = 999,001 federated model: ~800 GB of uploads
     pytest.param("layer_widths = 997, 1000, 1\ncut_index = 1\nK = 100_000\np = 100_000\nvariant = federated\n",
-                 id="federated-uploads"),
+                 "epochs*K*N", id="federated-uploads"),
+    # 2,000 clients copy and fold 2e9 scalars of the same model in one round
+    pytest.param("layer_widths = 997, 1000, 1\ncut_index = 1\nK = 2_000\np = 2_000\nvariant = federated\n",
+                 "epochs*K*N", id="federated-folds"),
     # K * N = 100,000 x 172 held scalars, with N and p each within its own limit
-    pytest.param("layer_widths = 16, 8, 4\ncut_index = 1\nK = 100_000\np = 100_000\n", id="held-weights"),
+    pytest.param("layer_widths = 16, 8, 4\ncut_index = 1\nK = 100_000\np = 100_000\n", "K*N", id="held-weights"),
     # epochs * p = 11 x 100,000 records trained and ~3.3M ledger rows
-    pytest.param("layer_widths = 4, 3, 2\ncut_index = 1\nK = 2\np = 100_000\nepochs = 11\n", id="record-epochs"),
+    pytest.param("layer_widths = 4, 3, 2\ncut_index = 1\nK = 2\np = 100_000\nepochs = 11\n", "epochs*max(p,K)",
+                 id="record-epochs"),
     # no records, yet a hand-off per epoch: epochs * K
-    pytest.param("layer_widths = 4, 3, 2\ncut_index = 1\nK = 2\np = 0\nepochs = 1_000_000\n",
+    pytest.param("layer_widths = 4, 3, 2\ncut_index = 1\nK = 2\np = 0\nepochs = 1_000_000\n", "epochs*max(p,K)",
                  id="hand-offs-without-records"),
+    # 100,000 records of 499,997 inputs: 400 GB of synthetic data, with N, p and K*N within their limits
+    pytest.param("layer_widths = 499_997, 2, 1\ncut_index = 1\nK = 1\np = 100_000\n", "p*(input+output width)",
+                 id="dataset"),
 ])
-def test_simulate_guard_bounds_memory_and_work_before_allocating(tmp_path, monkeypatch, capsys, text):
+def test_simulate_guard_bounds_memory_and_work_before_allocating(tmp_path, monkeypatch, capsys, text, bound):
     def no_allocation(*args, **kwargs):
         raise AssertionError("the guard must reject the scenario before any data is generated")
 
@@ -271,7 +278,18 @@ def test_simulate_guard_bounds_memory_and_work_before_allocating(tmp_path, monke
     big = tmp_path / "big.txt"
     big.write_text(text)
     assert main(["simulate", "--scenario", str(big)]) == 3
-    assert "too large to simulate" in capsys.readouterr().err
+    assert f"too large to simulate ({bound}=" in capsys.readouterr().err
+
+
+def test_simulate_bounds_federated_by_its_fold_work_not_k_times_n(tmp_path, capsys):
+    # K * N = 20 x 999,001 is past split's held-weights limit, but a federated
+    # run holds five N-vectors whatever K is, so it runs and verifies.
+    scenario = tmp_path / "many-clients.txt"
+    scenario.write_text("layer_widths = 997, 1000, 1\ncut_index = 1\nK = 20\np = 20\nvariant = federated\n")
+    assert main(["simulate", "--scenario", str(scenario)]) == 0
+    assert "verification: exact match" in capsys.readouterr().out
+    assert main(["simulate", "--scenario", str(scenario), "--variant", "sync"]) == 3
+    assert "too large to simulate (K*N=19980020 > 10000000)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
@@ -282,6 +300,41 @@ def test_simulate_rejects_a_non_finite_learning_rate(monkeypatch, capsys, lr):
     monkeypatch.setattr("splitfed.cli.random_dataset", no_allocation)
     assert main(["simulate", "--scenario", "tiny-dense", f"--lr={lr}"]) == 3
     assert "--lr must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant, unit", [
+    ("sync", "epoch"), ("sync_batch", "epoch"), ("nosync", "epoch"), ("federated", "round"),
+])
+def test_simulate_diverged_run_exits_3_with_one_error_line(variant, unit):
+    # A huge but finite --lr overflows in the first step; the run must say so
+    # on one line, with no numpy warning on stderr and no NaN loss written.
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitfed.cli", "simulate", "--scenario", "tiny-dense",
+         "--variant", variant, "--lr", "1e300"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: training diverged: {unit} 0 loss is nan (try a smaller learning rate)\n"
+
+
+def test_simulate_names_the_first_diverged_epoch(tmp_path, capsys):
+    scenario = tmp_path / "three-epochs.txt"
+    scenario.write_text(MODEL_TEXT + "epochs = 3\n")
+    losses = tmp_path / "loss.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--lr", "1e30", "--loss-csv", str(losses)]) == 3
+    assert capsys.readouterr().err == "error: training diverged: epoch 1 loss is nan (try a smaller learning rate)\n"
+    assert not losses.exists()
+
+
+def test_simulate_epoch_without_records_keeps_its_nan(tmp_path, capsys):
+    # nosync visits client (e mod K)+1 alone; with p = 2 over K = 4 lenient
+    # shards, epochs 2 and 3 visit empty shards and report NaN, not divergence.
+    scenario = tmp_path / "empty-shards.txt"
+    scenario.write_text("layer_widths = 4, 3, 2\ncut_index = 1\nK = 4\np = 2\nepochs = 4\nvariant = nosync\n")
+    losses = tmp_path / "loss.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--lenient-shards", "--loss-csv", str(losses)]) == 0
+    rows = [line.split(",") for line in losses.read_text().splitlines()[1:]]
+    assert [loss == "nan" for _, loss in rows] == [False, False, True, True]
 
 
 def test_simulate_raw_scenario_exits_2(tmp_path, capsys):

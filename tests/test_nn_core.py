@@ -1,7 +1,9 @@
 """Network core: parameter accounting, reproducible init, exact backprop."""
 
 import math
+import types
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,7 +45,9 @@ from splitfed.nn_core import (
     layer_param_counts,
     mse_loss,
     uniform01,
+    unpack_params,
 )
+from splitfed import nn_core
 
 MASK64 = (1 << 64) - 1
 
@@ -342,6 +346,74 @@ def test_fold_is_the_stacked_centered_mean_bit_for_bit(block, identical):
     assert out.tobytes() == stacked.tobytes()
     if identical:  # a centered mean of infinities is NaN, as base - base is
         assert np.array_equal(out[np.isfinite(base)], base[np.isfinite(base)])
+
+
+# Any double, with the values a batch-1 outer product could get wrong drawn
+# often: signed zeros (a product of -0.0 plus +0.0 is +0.0), the extreme
+# subnormals and normals (products that underflow to a signed zero or
+# overflow to infinity), infinities (inf * 0 is NaN) and NaN.
+_KERNEL_SCALARS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=arrays(np.float64, st.tuples(st.just(1), st.integers(1, 64)), elements=_KERNEL_SCALARS),
+       dz=arrays(np.float64, st.tuples(st.just(1), st.integers(1, 64)), elements=_KERNEL_SCALARS))
+def test_batch_one_weight_gradient_is_matmul_bit_for_bit(a, dz):
+    # One linear layer fed the record a, with dz as the loss gradient at its
+    # output: the backward pass writes exactly a.T @ dz into the dW view.
+    w, b = np.empty((a.shape[1], dz.shape[1])), np.empty(dz.shape[1])
+    out, db = np.empty_like(w), np.empty_like(b)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        _backward_layers([(w, b)], Activation.SIGMOID, [None], [a, None], dz, [(out, db)])
+        expected = np.matmul(a.T, dz)
+    # Where both factors are NaN the product is NaN either way, but which
+    # factor's payload it carries differs between numpy's kernels (and
+    # between einsum's vector lanes and its scalar tail); every other entry,
+    # NaN included, has the same 64 bits.
+    both_nan = np.isnan(a.T) & np.isnan(dz)
+    assert np.array_equal(out.view(np.int64)[~both_nan], expected.view(np.int64)[~both_nan])
+    assert np.isnan(out[both_nan]).all()
+
+
+# numpy as nn_core sees it, with every product of the step done by np.matmul.
+_MATMUL_ONLY = types.SimpleNamespace(**{**vars(np), "dot": np.matmul})
+
+
+def _matmul_einsum(subscripts, a, dz, out):
+    return np.matmul(a.T, dz, out=out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(widths=st.lists(st.integers(1, 3), min_size=2, max_size=5), batch=st.integers(1, 3),
+       activation=st.sampled_from(Activation), data=st.data())
+def test_training_step_products_have_matmul_bits(widths, batch, activation, data):
+    # Layers of width 1 make contractions of one term, where np.dot keeps a
+    # -0.0 that matmul turns into +0.0; exact zeros are drawn often so that
+    # every sign of zero shows.
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                       st.floats(-1e3, 1e3, allow_nan=False))
+    spec = ModelSpec(tuple(widths), activation)
+    params = data.draw(arrays(np.float64, param_count(spec), elements=values))
+    x = data.draw(arrays(np.float64, (batch, spec.input_width), elements=values))
+    y = data.draw(arrays(np.float64, (batch, spec.output_width), elements=values))
+
+    def step():
+        layers, grads = unpack_params(spec, params), np.empty_like(params)
+        zs, acts = _forward_layers(layers, activation, x)
+        loss, dout = _mse_and_grad(acts[-1], y)
+        act_grads = _backward_layers(layers, activation, zs, acts, dout, unpack_params(spec, grads))
+        return [*zs, *acts, *act_grads[1:], grads]
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = step()
+        with mock.patch.object(nn_core, "np", _MATMUL_ONLY), \
+                mock.patch.object(nn_core, "_c_einsum", _matmul_einsum):
+            expected = step()
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
 def test_average_params_leaves_its_inputs_alone():

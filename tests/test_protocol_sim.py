@@ -11,6 +11,7 @@ import pytest
 
 from splitfed import (
     Activation,
+    Diverged,
     DivisibilityError,
     InvalidParam,
     Message,
@@ -172,6 +173,19 @@ def test_epoch_losses_finite_for_small_lr():
         run = run_split_training(SPEC, 1, golden_shards(), variant, epochs=4, lr=0.01, seed=42)
         assert len(run.epoch_losses) == 4
         assert all(math.isfinite(loss) for loss in run.epoch_losses)
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverged_run_raises_at_its_first_non_finite_epoch():
+    # lr 1e30: epoch 0's losses are huge but finite, epoch 1's are NaN; no
+    # numpy overflow warning escapes on the way (warnings are errors here).
+    for variant in (SplitVariant.SYNC_EPOCH, SplitVariant.SYNC_BATCH):
+        with pytest.raises(Diverged, match="epoch 1 loss is nan"):
+            run_split_training(SPEC, 1, golden_shards(), variant, epochs=3, lr=1e30, seed=42)
+    with pytest.raises(Diverged, match="epoch 2 loss is nan"):
+        run_split_training(SPEC, 1, golden_shards(), SplitVariant.ALTERNATING, epochs=3, lr=1e30, seed=42)
+    with pytest.raises(Diverged, match="round 2 loss is nan"):
+        run_federated_training(SPEC, golden_shards(), rounds=3, local_lr=1e30, seed=42)
 
 
 def test_split_run_deterministic():
