@@ -225,8 +225,7 @@ def _forward_layers(layers, activation: Activation, batch: np.ndarray):
     a = batch
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = np.dot(a, w) if len(w) > 1 else np.matmul(a, w)  # see _backward_layers
-        z += b
+        z = a @ w + b
         zs.append(z)
         a = z if i == last else _apply_activation(activation, z)
         acts.append(a)
@@ -280,17 +279,14 @@ def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndar
     g = upstream
     act_grads: list = [None] * len(layers) + [upstream]
     last = len(layers) - 1
-    # Every product keeps np.matmul's bits. np.dot has less call overhead and
-    # the same bits over a contraction of two or more terms; over one term it
-    # multiplies and keeps a -0.0 where matmul adds the product to +0.0, so
-    # such products stay with matmul. At batch 1, dW = a.T @ dz is that case,
-    # and numpy's einsum kernel writes it ~3x faster than BLAS: it too adds
-    # each product to +0.0, so the bits agree, but for which payload a product
-    # of two NaNs keeps. Over more records einsum sums in another order than
-    # BLAS, so larger batches go through np.dot.
+    # At batch 1, dW = a.T @ dz is an outer product, and numpy's einsum kernel
+    # writes it ~3x faster than BLAS. Like matmul it adds each product to
+    # +0.0, so the bits agree, but for which payload a product of two NaNs
+    # keeps. Over more records einsum sums in another order than BLAS, so
+    # larger batches stay with matmul.
     one_record = upstream.shape[0] == 1
     for i in reversed(range(len(layers))):
-        w, b = layers[i]
+        w, _ = layers[i]
         dw, db = grad_layers[i]
         if i == last or activation is Activation.IDENTITY:
             dz = g
@@ -302,11 +298,10 @@ def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndar
         if one_record:
             _c_einsum("bi,bj->ij", acts[i], dz, out=dw)
         else:
-            np.dot(acts[i].T, dz, out=dw)
+            np.matmul(acts[i].T, dz, out=dw)
         np.add.reduce(dz, axis=0, out=db)
         if i:
-            # the contraction runs over the layer's outputs, len(b) of them
-            g = act_grads[i] = np.dot(dz, w.T) if len(b) > 1 else np.matmul(dz, w.T)
+            g = act_grads[i] = dz @ w.T
     return act_grads
 
 
