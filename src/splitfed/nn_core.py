@@ -29,10 +29,7 @@ from .errors import CutOutOfRange, EmptyList, InvalidParam, LengthMismatch, Shap
 try:
     from numpy._core.multiarray import c_einsum as _c_einsum  # numpy >= 2
 except ImportError:
-    try:
-        from numpy.core.multiarray import c_einsum as _c_einsum  # numpy 1.x
-    except ImportError:
-        _c_einsum = np.einsum
+    from numpy.core.multiarray import c_einsum as _c_einsum  # numpy 1.x
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -165,28 +162,22 @@ def random_dataset(spec: ModelSpec, count: int, seed: int) -> tuple[np.ndarray, 
     return x, y
 
 
-def _unpack(widths: Sequence[int], flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    flat = np.asarray(flat, dtype=np.float64)
+def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Flat vector to per-layer (W, b) views."""
+    flat = np.asarray(params, dtype=np.float64)
     if flat.ndim != 1:
         raise LengthMismatch(f"parameter vector must be flat, got shape {flat.shape}")
-    expected = sum(widths[i] * widths[i + 1] + widths[i + 1] for i in range(len(widths) - 1))
-    if flat.size != expected:
-        raise LengthMismatch(f"expected {expected} parameters, got {flat.size}")
+    if flat.size != param_count(spec):
+        raise LengthMismatch(f"expected {param_count(spec)} parameters, got {flat.size}")
     layers = []
     offset = 0
-    for i in range(len(widths) - 1):
-        n_in, n_out = widths[i], widths[i + 1]
+    for n_in, n_out in zip(spec.layer_widths, spec.layer_widths[1:]):
         w = flat[offset : offset + n_in * n_out].reshape(n_in, n_out)
         offset += n_in * n_out
         b = flat[offset : offset + n_out]
         offset += n_out
         layers.append((w, b))
     return layers
-
-
-def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flat vector to per-layer (W, b) views."""
-    return _unpack(spec.layer_widths, params)
 
 
 def split_params(spec: ModelSpec, cut: CutPoint | int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -136,8 +136,13 @@ def partition_dataset(inputs, labels, clients: int, strict: bool = True) -> Shar
     return ShardedDataset(shards=tuple((x[lo:hi], y[lo:hi]) for lo, hi in bounds))
 
 
-def _checked_shards(spec: ModelSpec, shards: ShardedDataset) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every shard as float64 (inputs, labels) of the model's widths, checked once per run."""
+def _checked_run(spec: ModelSpec, shards: ShardedDataset, unit: str, count: int, batch_size: int) -> list:
+    """Check a run's ``count`` epochs or rounds and its batch size, and return
+    every shard as float64 (inputs, labels) of the model's widths."""
+    if count < 0:
+        raise InvalidParam(f"{unit} must be >= 0, got {count}")
+    if batch_size < 1:
+        raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
     if shards.clients < 1:
         raise InvalidParam("need at least one client shard")
     checked = []
@@ -150,9 +155,30 @@ def _checked_shards(spec: ModelSpec, shards: ShardedDataset) -> list[tuple[np.nd
     return checked
 
 
-def _batches(x: np.ndarray, y: np.ndarray, batch_size: int):
+class _WorkingModel:
+    """The one model a run trains: a flat weight vector and a gradient buffer,
+    each with its per-layer views, built once per run. A turn copies the
+    weights it trains in and out; nothing else holds a view of them."""
+
+    def __init__(self, spec: ModelSpec, params: np.ndarray) -> None:
+        self.activation, self.params, self.grads = spec.activation, params, np.empty_like(params)
+        self.layers, self.grad_layers = [nn_core.unpack_params(spec, v) for v in (params, self.grads)]
+
+
+def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, batch_size: int, lr: float):
+    """Train ``model`` on one shard, batch by batch: every protocol's one training step.
+
+    Each batch runs forward, loss, backward and one ``sgd_step`` on the whole
+    flat vector, then yields ``(loss, activations, activation gradients,
+    labels)``; index ``c`` of both lists is what crosses a cut at ``c``.
+    """
     for lo in range(0, x.shape[0], batch_size):
-        yield x[lo : lo + batch_size], y[lo : lo + batch_size]
+        yb = y[lo : lo + batch_size]
+        zs, acts = nn_core._forward_layers(model.layers, model.activation, x[lo : lo + batch_size])
+        loss, dout = nn_core._mse_and_grad(acts[-1], yb)
+        act_grads = nn_core._backward_layers(model.layers, model.activation, zs, acts, dout, model.grad_layers)
+        nn_core.sgd_step(model.params, model.grads, lr)
+        yield loss, acts, act_grads, yb
 
 
 def _epoch_loss(losses: list[float], unit: str, index: int) -> float:
@@ -204,32 +230,25 @@ def run_split_training(
     exactly K hand-offs, including the self-loop when K = 1). SyncBatch makes
     the same hand-off after every batch. AlternatingNoSync gives epoch e to
     client (e mod K)+1 alone and never exchanges client weights; each client
-    keeps its own stale front weights between turns. Every client trains in
-    its own buffer, and a hand-off copies the weights into the receiver's.
+    keeps its own stale front weights between turns. A turn copies the
+    client's weights into the front of the run's one working model and back
+    out; a hand-off copies them into the receiver's own vector.
 
     Epoch loss is the mean training loss over the batches processed in that
     epoch (NaN when the epoch saw no records). An epoch whose records give a
     non-finite loss raises :class:`Diverged` when it ends; the overflows on
     the way there raise no numpy warning.
     """
-    if epochs < 0:
-        raise InvalidParam(f"epochs must be >= 0, got {epochs}")
-    if batch_size < 1:
-        raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
+    data = _checked_run(spec, shards, "epochs", epochs, batch_size)
     if variant is Protocol.FEDERATED:
         raise InvalidParam("run_split_training needs a split protocol; use run_federated_training")
     c = nn_core._cut_index(spec, cut)
-    data = _checked_shards(spec, shards)
     k_clients = len(data)
-    init_client, server = nn_core.split_params(spec, c, nn_core.init_params(spec, seed))
-    client_vecs = [init_client.copy() for _ in range(k_clients)]
-    # Layer views, built once: each client's own, the server's, and the
-    # gradient buffers' (client half first, so one backward pass fills both).
-    front, back = spec.layer_widths[: c + 1], spec.layer_widths[c:]
-    client_layers = [nn_core._unpack(front, vec) for vec in client_vecs]
-    server_layers = nn_core._unpack(back, server)
-    client_grads, server_grads = np.empty_like(init_client), np.empty_like(server)
-    grad_layers = nn_core._unpack(front, client_grads) + nn_core._unpack(back, server_grads)
+    # The client layers are the front of the working model, the server's its back.
+    model = _WorkingModel(spec, nn_core.init_params(spec, seed))
+    n_client = nn_core.client_param_count(spec, c)
+    front = model.params[:n_client]
+    client_vecs = [front.copy() for _ in range(k_clients)]
     ledger = TrafficLedger()
     epoch_losses: list[float] = []
 
@@ -238,31 +257,23 @@ def run_split_training(
         turns = [epoch % k_clients] if variant is Protocol.SPLIT_NOSYNC else range(k_clients)
         for k in turns:
             me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
-            weights, layers = client_vecs[k], client_layers[k] + server_layers
-            for xb, yb in _batches(*data[k], batch_size):
-                zs, acts = nn_core._forward_layers(layers, spec.activation, xb)
+            held, receiver = client_vecs[k], client_vecs[(k + 1) % k_clients]
+            np.copyto(front, held)
+            for loss, acts, act_grads, yb in _local_pass(model, *data[k], batch_size, lr):
                 ledger.append(epoch, me, SERVER, MessageKind.ACTIVATIONS, acts[c].size)
                 ledger.append(epoch, me, SERVER, MessageKind.LABELS, yb.size)
-                loss, dout = nn_core._mse_and_grad(acts[-1], yb)
-                act_grads = nn_core._backward_layers(layers, spec.activation, zs, acts, dout, grad_layers)
                 ledger.append(epoch, SERVER, me, MessageKind.GRADIENTS, act_grads[c].size)
-                nn_core.sgd_step(weights, client_grads, lr)
-                nn_core.sgd_step(server, server_grads, lr)
                 batch_losses.append(loss)
                 if variant is Protocol.SPLIT_SYNC_BATCH:
-                    ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, weights.size)
-                    np.copyto(client_vecs[(k + 1) % k_clients], weights)
+                    ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
+                    np.copyto(receiver, front)
+            np.copyto(held, front)
             if variant is Protocol.SPLIT_SYNC:
-                ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, weights.size)
-                np.copyto(client_vecs[(k + 1) % k_clients], weights)
+                ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
+                np.copyto(receiver, front)
         epoch_losses.append(_epoch_loss(batch_losses, "epoch", epoch))
 
-    return SplitRunResult(
-        client_params=client_vecs,
-        server_params=server,
-        ledger=ledger,
-        epoch_losses=epoch_losses,
-    )
+    return SplitRunResult(client_vecs, model.params[n_client:].copy(), ledger, epoch_losses)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -282,27 +293,19 @@ def run_federated_training(
     the elementwise average of the uploads.
 
     Clients train one after another, so the server folds each upload into a
-    running sum as its client finishes (:func:`nn_core.fold_centered`):
-    client 1 trains in a kept ``base`` buffer, clients 2..K in one reusable
-    buffer. A run holds five N-vectors (global, base, working buffer, sum,
-    gradient) whatever K is.
+    running sum as its client finishes (:func:`nn_core.fold_centered`).
+    Every client trains in the run's one working model, and client 1's upload
+    is kept as the ``base`` of the sum. A run holds five N-vectors (global,
+    working weights and gradient, base, sum) whatever K is.
 
     Round loss is the mean over clients with records of their mean batch
     loss (NaN when no client had records); a non-finite one raises
     :class:`Diverged`, as for split training.
     """
-    if rounds < 0:
-        raise InvalidParam(f"rounds must be >= 0, got {rounds}")
-    if batch_size < 1:
-        raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
-    data = _checked_shards(spec, shards)
+    data = _checked_run(spec, shards, "rounds", rounds, batch_size)
     global_vec = nn_core.init_params(spec, seed)
-    # Client 1's buffer (the base of the centered sum) and the one the other
-    # clients share, each with its own layer views; one gradient buffer.
-    base, work, total = np.empty_like(global_vec), np.empty_like(global_vec), np.empty_like(global_vec)
-    base_layers, work_layers = nn_core.unpack_params(spec, base), nn_core.unpack_params(spec, work)
-    grads = np.empty_like(global_vec)
-    grad_layers = nn_core.unpack_params(spec, grads)
+    model = _WorkingModel(spec, np.empty_like(global_vec))
+    base, total = np.empty_like(global_vec), np.empty_like(global_vec)
     ledger = TrafficLedger()
     round_losses: list[float] = []
 
@@ -311,17 +314,12 @@ def run_federated_training(
             ledger.append(rnd, SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS, global_vec.size)
         client_losses: list[float] = []
         for k, (x, y) in enumerate(data):
-            weights, layers = (base, base_layers) if k == 0 else (work, work_layers)
-            np.copyto(weights, global_vec)
-            batch_losses = []
-            for xb, yb in _batches(x, y, batch_size):
-                zs, acts = nn_core._forward_layers(layers, spec.activation, xb)
-                loss, dout = nn_core._mse_and_grad(acts[-1], yb)
-                nn_core._backward_layers(layers, spec.activation, zs, acts, dout, grad_layers)
-                nn_core.sgd_step(weights, grads, local_lr)
-                batch_losses.append(loss)
-            ledger.append(rnd, client_id(k + 1), SERVER, MessageKind.CLIENT_WEIGHTS, weights.size)
-            nn_core.fold_centered(total, weights, base)
+            np.copyto(model.params, global_vec)
+            batch_losses = [loss for loss, *_ in _local_pass(model, x, y, batch_size, local_lr)]
+            ledger.append(rnd, client_id(k + 1), SERVER, MessageKind.CLIENT_WEIGHTS, model.params.size)
+            if k == 0:  # client 1's upload, kept as the base the others are folded around
+                np.copyto(base, model.params)
+            nn_core.fold_centered(total, model.params if k else base, base)
             if batch_losses:
                 client_losses.append(float(np.mean(batch_losses)))
         nn_core.centered_mean(base, total, len(data), out=global_vec)

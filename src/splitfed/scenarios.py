@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cost_model import Protocol, ScenarioParams
-from .errors import ScenarioError
+from .errors import InvalidParam, ScenarioError
 from .nn_core import Activation, ModelSpec
 
 # Scenario-file key of each ScenarioParams field, in field order: the one map
@@ -150,6 +150,8 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
     for key in ("seed", "batch_size"):
         if key in entries:
             setattr(sc, key, _as_int(_parse_number(entries[key], key), key))
+    if sc.batch_size < 1:
+        raise InvalidParam(f"batch_size must be >= 1, got {sc.batch_size}")
     for name, key in PARAM_KEYS.items():
         if key in entries:
             sc.values[name] = _as_field(name, _parse_number(entries[key], key), key)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from splitfed import Method, ScenarioError, Winner, efficiency_ratio
+from splitfed import Method, Protocol, ScenarioError, Winner, efficiency_ratio
 from splitfed.cli import main
 from splitfed.scenarios import (
     BUILTIN_SUITES,
@@ -188,11 +188,16 @@ def test_analyze_divisibility_exits_3(tmp_path, capsys):
     assert main(["analyze", "--scenario", str(scenario), "--lenient-shards"]) == 0
 
 
-def test_analyze_rejects_a_zero_batch_size(tmp_path, capsys):
+@pytest.mark.parametrize("variant", [protocol.value for protocol in Protocol])
+@pytest.mark.parametrize("command", ["analyze", "breakeven", "simulate", "sweep"])
+def test_every_subcommand_rejects_a_zero_batch_size(tmp_path, capsys, command, variant):
     scenario = tmp_path / "batch0.txt"
-    scenario.write_text(MODEL_TEXT + "variant = sync_batch\nbatch_size = 0\n")
-    assert main(["analyze", "--scenario", str(scenario)]) == 3
-    assert "batch_size must be >= 1" in capsys.readouterr().err
+    scenario.write_text(MODEL_TEXT + f"variant = {variant}\nbatch_size = 0\n")
+    extra = ["--k-range", "1:4:1"] if command == "breakeven" else []
+    assert main([command, "--scenario", str(scenario), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: batch_size must be >= 1, got 0\n"
+    assert captured.out == ""
 
 
 def test_analyze_ignores_env_seed(monkeypatch, capsys):

@@ -38,7 +38,6 @@ from splitfed.nn_core import (
     _backward_layers,
     _forward_layers,
     _mse_and_grad,
-    _unpack,
     centered_mean,
     fold_centered,
     layer_param_counts,
@@ -166,8 +165,8 @@ def test_forward_shape_mismatch():
 def _split_layers(spec, cut, params):
     """Client and server halves of ``params``, and one pass's layer views over them."""
     client, server = split_params(spec, cut, params)
-    widths = spec.layer_widths
-    return client, server, _unpack(widths[: cut + 1], client) + _unpack(widths[cut:], server)
+    front, back = ModelSpec(spec.layer_widths[: cut + 1]), ModelSpec(spec.layer_widths[cut:])
+    return client, server, unpack_params(front, client) + unpack_params(back, server)
 
 
 @pytest.mark.parametrize("activation", list(Activation))

@@ -225,17 +225,36 @@ def test_single_client_split_equals_monolithic_sgd():
                 assert [m.scalar_count for m in run.ledger if m.kind is kind] == [r * q for r in records]
 
 
-def test_held_weights_never_alias():
-    # a hand-off copies into the receiver's buffer, so no two clients share an array
-    x, y = random_dataset(SPEC, 6, 42)
-    for variant in (SplitVariant.SYNC_EPOCH, SplitVariant.SYNC_BATCH):
-        run = run_split_training(SPEC, 1, partition_dataset(x, y, 3), variant, epochs=2, lr=0.01, seed=42)
-        held = [*run.client_params, run.server_params]
-        for i, a in enumerate(held):
-            for b in held[i + 1 :]:
+def test_held_weights_never_alias(monkeypatch):
+    # A turn copies weights in and out of the run's one working model, a
+    # hand-off copies into the receiver's buffer, and a run returns its own
+    # vectors: no held, server or global vector shares memory with another,
+    # or with the working model's weights and gradients.
+    models = []
+
+    class RecordedModel(protocol_sim._WorkingModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            models.append(self)
+
+    monkeypatch.setattr(protocol_sim, "_WorkingModel", RecordedModel)
+    shards = partition_dataset(*random_dataset(SPEC, 6, 42), 3)
+    for variant in (*SPLIT_PROTOCOLS, Method.FEDERATED):
+        if variant is Method.FEDERATED:
+            run = run_federated_training(SPEC, shards, rounds=2, local_lr=0.01, seed=42)
+            held = [run.global_params]
+        else:
+            run = run_split_training(SPEC, 1, shards, variant, epochs=2, lr=0.01, seed=42)
+            held = [*run.client_params, run.server_params]
+        (model,) = models
+        models.clear()
+        buffers = [*held, model.params, model.grads]
+        for i, a in enumerate(buffers):
+            for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b), variant
-        # the ring's last hand-off gave client1 a copy of client3's weights
-        assert np.array_equal(run.client_params[0], run.client_params[2])
+        if variant in (SplitVariant.SYNC_EPOCH, SplitVariant.SYNC_BATCH):
+            # the ring's last hand-off gave client1 a copy of client3's weights
+            assert np.array_equal(run.client_params[0], run.client_params[2])
 
 
 def test_shard_widths_checked_once_per_run():
@@ -279,13 +298,14 @@ def test_training_step_calls_through_nn_core(monkeypatch, variant):
     rounds, batch_size = 3, 2
     if variant is Method.FEDERATED:
         run_federated_training(SPEC, shards, rounds=rounds, local_lr=0.01, seed=42, batch_size=batch_size)
-        batches, sgd_per_batch = rounds * 2 * 3, 1
+        batches = rounds * 2 * 3
     else:
         run_split_training(SPEC, 1, shards, variant, epochs=rounds, lr=0.01, seed=42, batch_size=batch_size)
         turns = rounds if variant is SplitVariant.ALTERNATING else rounds * 2
-        batches, sgd_per_batch = turns * 3, 2
+        batches = turns * 3
+    # one whole-model step per batch, split or federated
     expected = {"_forward_layers": batches, "_mse_and_grad": batches, "_backward_layers": batches,
-                "sgd_step": sgd_per_batch * batches,
+                "sgd_step": batches,
                 # federated folds each of the 2 uploads as its client finishes, then takes the mean once a round
                 "fold_centered": rounds * 2 if variant is Method.FEDERATED else 0,
                 "centered_mean": rounds if variant is Method.FEDERATED else 0}
