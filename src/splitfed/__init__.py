@@ -6,7 +6,6 @@ from .cost_model import (
     CommReport,
     EfficiencyReport,
     MessageKind,
-    Method,
     Protocol,
     ScenarioParams,
     SweepRow,
@@ -23,7 +22,6 @@ from .errors import (
     CutOutOfRange,
     Diverged,
     DivisibilityError,
-    EmptyList,
     InvalidParam,
     LengthMismatch,
     ScenarioError,
@@ -32,19 +30,12 @@ from .errors import (
 )
 from .nn_core import (
     Activation,
-    BackwardResult,
-    CutPoint,
-    ForwardTrace,
     ModelSpec,
-    average_params,
-    backward,
     cut_stats,
-    forward,
     init_params,
     param_count,
     random_dataset,
     sgd_step,
-    split_params,
     splitmix64,
 )
 from .protocol_sim import (
@@ -52,7 +43,6 @@ from .protocol_sim import (
     Message,
     ShardedDataset,
     SplitRunResult,
-    SplitVariant,
     TrafficLedger,
     VerificationReport,
     measured_comm,

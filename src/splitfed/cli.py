@@ -234,17 +234,16 @@ def _parse_k_range(text: str) -> list[int]:
                 stride = int(step)
                 if stride < 1:
                     raise ValueError("step must be >= 1")
-                points = range(lo, hi + 1, stride)
-                if len(points) > K_RANGE_MAX_POINTS:
-                    raise InvalidParam(
-                        f"K range {text!r} has {len(points)} points, more than {K_RANGE_MAX_POINTS}"
-                    )
-                values = list(points)
+                values = range(lo, hi + 1, stride)  # counted below before it is built
     except ValueError as exc:
         raise InvalidParam(f"bad K range {text!r}: {exc}") from exc
+    # len() of a range fails beyond sys.maxsize points, so a range is counted by arithmetic
+    count = len(values) if isinstance(values, list) else max(0, -((values.start - values.stop) // values.step))
+    if count > K_RANGE_MAX_POINTS:
+        raise InvalidParam(f"--k-range has {count} points, more than {K_RANGE_MAX_POINTS}")
     if not values or any(v < 1 for v in values):
         raise InvalidParam(f"K range {text!r} yields no valid client counts")
-    return values
+    return list(values)
 
 
 def cmd_breakeven(args) -> int:

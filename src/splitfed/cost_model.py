@@ -54,7 +54,7 @@ class Protocol(str, Enum):
     SPLIT_SYNC_BATCH = "sync_batch", "SplitSyncBatch"
     FEDERATED = "federated", "Federated"
 
-    # The simulator's names for the split protocols.
+    # Old names of the split protocols; perfbench/workloads.py is their last reader.
     SYNC_EPOCH = SPLIT_SYNC
     ALTERNATING = SPLIT_NOSYNC
     SYNC_BATCH = SPLIT_SYNC_BATCH
@@ -66,7 +66,7 @@ class Protocol(str, Enum):
         return member
 
 
-# The name reports give a protocol: CommReport.method and the CSV "method" column.
+# An old name of Protocol; perfbench/workloads.py is its last reader.
 Method = Protocol
 
 # The three protocols every report lists, in row order.

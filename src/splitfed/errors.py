@@ -29,9 +29,5 @@ class Diverged(SplitFedError):
     """Training reached a non-finite loss on records it trained on."""
 
 
-class EmptyList(SplitFedError):
-    """An aggregation was asked to average zero vectors."""
-
-
 class ScenarioError(SplitFedError):
     """A scenario file or built-in scenario name could not be parsed."""

@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .errors import CutOutOfRange, EmptyList, InvalidParam, LengthMismatch, ShapeMismatch
+from .errors import CutOutOfRange, InvalidParam, LengthMismatch, ShapeMismatch
 
 # numpy's C einsum kernel, without the Python dispatch of the public np.einsum
 # (about 1 us per call): the batch-1 weight gradient is the only caller.
@@ -76,15 +75,9 @@ class ModelSpec:
         return self.layer_widths[-1]
 
 
-@dataclass(frozen=True)
-class CutPoint:
-    """Boundary index: the client holds weight layers 1..cut_index."""
-
-    cut_index: int
-
-
-def _cut_index(spec: ModelSpec, cut: CutPoint | int) -> int:
-    c = cut.cut_index if isinstance(cut, CutPoint) else int(cut)
+def _cut_index(spec: ModelSpec, cut: int) -> int:
+    """``cut`` as an interior boundary index: the client holds weight layers 1..cut."""
+    c = int(cut)
     if not 1 <= c <= spec.weight_layers - 1:
         raise CutOutOfRange(
             f"cut {c} invalid for {spec.weight_layers} weight layers "
@@ -103,12 +96,12 @@ def param_count(spec: ModelSpec) -> int:
     return sum(layer_param_counts(spec))
 
 
-def client_param_count(spec: ModelSpec, cut: CutPoint | int) -> int:
+def client_param_count(spec: ModelSpec, cut: int) -> int:
     c = _cut_index(spec, cut)
     return sum(layer_param_counts(spec)[:c])
 
 
-def cut_stats(spec: ModelSpec, cut: CutPoint | int) -> tuple[int, Fraction]:
+def cut_stats(spec: ModelSpec, cut: int) -> tuple[int, Fraction]:
     """Smashed width q and exact client-side parameter fraction eta at the cut."""
     c = _cut_index(spec, cut)
     q = spec.layer_widths[c]
@@ -180,16 +173,6 @@ def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray,
     return layers
 
 
-def split_params(spec: ModelSpec, cut: CutPoint | int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Client-side and server-side halves of a flat parameter vector."""
-    c = _cut_index(spec, cut)
-    params = np.asarray(params, dtype=np.float64)
-    if params.size != param_count(spec):
-        raise LengthMismatch(f"expected {param_count(spec)} parameters, got {params.size}")
-    n_client = client_param_count(spec, c)
-    return params[:n_client].copy(), params[n_client:].copy()
-
-
 def _check_batch(batch, width: int, name: str) -> np.ndarray:
     arr = np.asarray(batch, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != width:
@@ -221,35 +204,6 @@ def _forward_layers(layers, activation: Activation, batch: np.ndarray):
         a = z if i == last else _apply_activation(activation, z)
         acts.append(a)
     return zs, acts
-
-
-@dataclass
-class ForwardTrace:
-    """Per-layer activations of a forward pass; activations[0] is the input."""
-
-    activations: list
-    pre_activations: list
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self.activations[-1]
-
-
-def forward(spec: ModelSpec, params: np.ndarray, batch) -> ForwardTrace:
-    """Full forward pass: affine + activation per hidden layer, linear output."""
-    x = _check_batch(batch, spec.input_width, "batch")
-    layers = unpack_params(spec, params)
-    zs, acts = _forward_layers(layers, spec.activation, x)
-    return ForwardTrace(activations=acts, pre_activations=zs)
-
-
-def mse_loss(outputs, labels) -> float:
-    """Mean squared error over every output element."""
-    outputs = np.asarray(outputs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if outputs.shape != labels.shape:
-        raise ShapeMismatch(f"outputs {outputs.shape} vs labels {labels.shape}")
-    return float(np.mean((outputs - labels) ** 2))
 
 
 def _mse_and_grad(outputs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -296,34 +250,6 @@ def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndar
     return act_grads
 
 
-@dataclass
-class BackwardResult:
-    """Loss, flat parameter gradients, and the gradient at every layer boundary.
-
-    ``activation_grads[c]`` is the tensor that would cross a cut at c (records
-    x width_c). Index 0 would be the gradient w.r.t. the input batch; no
-    training step needs it, so it is not computed and holds None.
-    """
-
-    loss: float
-    param_grads: np.ndarray
-    activation_grads: list
-
-
-def backward(spec: ModelSpec, params: np.ndarray, batch, labels) -> BackwardResult:
-    """Exact reverse-mode gradients of the mean squared error."""
-    x = _check_batch(batch, spec.input_width, "batch")
-    y = _check_batch(labels, spec.output_width, "labels")
-    if x.shape[0] != y.shape[0]:
-        raise ShapeMismatch(f"{x.shape[0]} records but {y.shape[0]} labels")
-    layers = unpack_params(spec, params)
-    grads = np.empty(param_count(spec))
-    zs, acts = _forward_layers(layers, spec.activation, x)
-    loss, dout = _mse_and_grad(acts[-1], y)
-    act_grads = _backward_layers(layers, spec.activation, zs, acts, dout, unpack_params(spec, grads))
-    return BackwardResult(loss=loss, param_grads=grads, activation_grads=act_grads)
-
-
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
     """One plain gradient step, in place: params -= lr * grads. Returns params.
 
@@ -360,23 +286,3 @@ def centered_mean(base: np.ndarray, total: np.ndarray, count: int, out: np.ndarr
     np.divide(total, count, out=total)
     return np.add(base, total, out=out)
 
-
-def average_params(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise arithmetic mean of equally sized flat vectors, as a new array.
-
-    Computed centered on the first vector so that averaging k identical
-    vectors returns them bit-exactly. The vectors are folded in one at a
-    time (:func:`fold_centered`) through two scratch vectors, never stacked.
-    """
-    if len(vectors) == 0:
-        raise EmptyList("cannot average zero parameter vectors")
-    arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
-    base = arrays[0]
-    if any(a.ndim != 1 or a.size != base.size for a in arrays):
-        raise LengthMismatch("parameter vectors differ in length")
-    total, scratch = np.empty_like(base), np.empty_like(base)
-    fold_centered(total, base, base)
-    for a in arrays[1:]:
-        np.copyto(scratch, a)
-        fold_centered(total, scratch, base)
-    return centered_mean(base, total, len(arrays))

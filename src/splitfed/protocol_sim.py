@@ -21,7 +21,7 @@ import numpy as np
 from . import nn_core
 from .cost_model import CommReport, MessageKind, Protocol, ScenarioParams, shard_sizes, traffic_by_kind
 from .errors import Diverged, InvalidParam, ShapeMismatch
-from .nn_core import CutPoint, ModelSpec
+from .nn_core import ModelSpec
 
 SERVER = "server"
 
@@ -31,7 +31,7 @@ def client_id(k: int) -> str:
     return f"client{k}"
 
 
-# The simulator's name for the protocol it runs (SYNC_EPOCH, SYNC_BATCH, ALTERNATING).
+# An old name of Protocol; perfbench/workloads.py is its last reader.
 SplitVariant = Protocol
 
 
@@ -116,10 +116,6 @@ class ShardedDataset:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(x.shape[0] for x, _ in self.shards)
-
-    @property
-    def total_records(self) -> int:
-        return sum(self.sizes)
 
 
 def partition_dataset(inputs, labels, clients: int, strict: bool = True) -> ShardedDataset:
@@ -213,7 +209,7 @@ class FederatedRunResult:
 @np.errstate(over="ignore", invalid="ignore")
 def run_split_training(
     spec: ModelSpec,
-    cut: CutPoint | int,
+    cut: int,
     shards: ShardedDataset,
     variant: Protocol,
     epochs: int,

@@ -313,7 +313,7 @@ def load_scenario(source: str) -> Scenario:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario file {source!r}: {exc}") from exc
         name_hint = os.path.splitext(os.path.basename(source))[0]
         return parse_scenario_text(text, name_hint=name_hint)

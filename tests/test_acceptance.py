@@ -13,17 +13,13 @@ import pytest
 from splitfed import (
     Activation,
     MessageKind,
-    Method,
     ModelSpec,
     Protocol,
     ScenarioParams,
-    SplitVariant,
     Winner,
-    backward,
     break_even_model_size,
     comm_report,
     efficiency_ratio,
-    forward,
     init_params,
     partition_dataset,
     random_dataset,
@@ -33,9 +29,10 @@ from splitfed import (
     verify_against_model,
 )
 from splitfed.cli import main
-from splitfed.nn_core import mse_loss
 from splitfed.protocol_sim import ShardedDataset
 from splitfed.scenarios import load_scenario
+
+from _step import gradients, loss
 
 
 def test_ledger_formula_identity_randomized():
@@ -63,23 +60,23 @@ def test_ledger_formula_identity_randomized():
             epochs = int(rng.integers(1, 3))
             params = ScenarioParams.from_model(spec, cut, clients=k, dataset_size=p, epochs=epochs)
 
-            sync = run_split_training(spec, cut, shards, SplitVariant.SYNC_EPOCH,
+            sync = run_split_training(spec, cut, shards, Protocol.SPLIT_SYNC,
                                       epochs=epochs, lr=0.01, seed=seed, batch_size=batch)
             assert sync.ledger.total_scalars() == comm_report(params, Protocol.SPLIT_SYNC).total_scalars
-            assert verify_against_model(sync.ledger, params, SplitVariant.SYNC_EPOCH).matches
+            assert verify_against_model(sync.ledger, params, Protocol.SPLIT_SYNC).matches
 
             cycle_params = ScenarioParams.from_model(spec, cut, clients=k, dataset_size=p,
                                                      epochs=k * epochs)
-            alt = run_split_training(spec, cut, shards, SplitVariant.ALTERNATING,
+            alt = run_split_training(spec, cut, shards, Protocol.SPLIT_NOSYNC,
                                      epochs=k * epochs, lr=0.01, seed=seed, batch_size=batch)
             assert alt.ledger.total_scalars() == comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars
             assert alt.ledger.totals_by_kind()[MessageKind.CLIENT_WEIGHTS] == 0
-            assert verify_against_model(alt.ledger, cycle_params, SplitVariant.ALTERNATING).matches
+            assert verify_against_model(alt.ledger, cycle_params, Protocol.SPLIT_NOSYNC).matches
 
             fed = run_federated_training(spec, shards, rounds=epochs, local_lr=0.01,
                                          seed=seed, batch_size=batch)
             assert fed.ledger.total_scalars() == comm_report(params, Protocol.FEDERATED).total_scalars
-            assert verify_against_model(fed.ledger, params, Method.FEDERATED).matches
+            assert verify_against_model(fed.ledger, params, Protocol.FEDERATED).matches
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"identity sweep took {elapsed:.1f}s"
     print(f"ACCEPTANCE PASS: ledger-formula identity "
@@ -97,16 +94,16 @@ def test_break_even_reproduction():
         q = int(10 ** rng.uniform(0, 4))
         k = int(10 ** rng.uniform(0, 3))
         eta = float(rng.choice([0.0, 1.0, rng.uniform()]))
-        n_sync = break_even_model_size(p, q, k, eta, Method.SPLIT_SYNC)
-        n_nosync = break_even_model_size(p, q, k, variant=Method.SPLIT_NOSYNC)
+        n_sync = break_even_model_size(p, q, k, eta, Protocol.SPLIT_SYNC)
+        n_nosync = break_even_model_size(p, q, k, variant=Protocol.SPLIT_NOSYNC)
         if n_sync < 1 or n_nosync < 1:
             continue
         accepted += 1
         assert n_sync == pytest.approx(2 * p * q / ((2 - eta) * k), rel=1e-12)
         assert n_nosync == pytest.approx(p * q / k, rel=1e-12)
-        eff = efficiency_ratio(ScenarioParams(k, n_sync, p, q, eta), Method.SPLIT_SYNC)
+        eff = efficiency_ratio(ScenarioParams(k, n_sync, p, q, eta), Protocol.SPLIT_SYNC)
         assert abs(eff.rho - 1.0) <= 1e-12 and eff.winner is Winner.TIE
-        eff = efficiency_ratio(ScenarioParams(k, n_nosync, p, q, eta), Method.SPLIT_NOSYNC)
+        eff = efficiency_ratio(ScenarioParams(k, n_nosync, p, q, eta), Protocol.SPLIT_NOSYNC)
         assert abs(eff.rho - 1.0) <= 1e-12 and eff.winner is Winner.TIE
 
     import tempfile, os
@@ -138,11 +135,11 @@ def test_regime_classification():
     }
     for name, winner in expected.items():
         params = load_scenario(name).params()
-        eff = efficiency_ratio(params, Method.SPLIT_SYNC)
+        eff = efficiency_ratio(params, Protocol.SPLIT_SYNC)
         assert eff.winner is winner, f"{name}: rho={eff.rho}"
 
     def rho(K=50, N=10**6, p=10**5, q=100, eta=0.3):
-        return efficiency_ratio(ScenarioParams(K, N, p, q, eta), Method.SPLIT_SYNC).rho
+        return efficiency_ratio(ScenarioParams(K, N, p, q, eta), Protocol.SPLIT_SYNC).rho
 
     for grid, key, increasing in (
         ([1, 4, 16, 64, 256, 1024], "K", True),
@@ -171,23 +168,22 @@ def test_numerical_core():
             seed = int(rng.integers(0, 2**31))
             params = init_params(spec, seed)
             x, y = random_dataset(spec, int(rng.integers(1, 9)), seed + 1)
-            analytic = backward(spec, params, x, y).param_grads
+            analytic = gradients(spec, params, x, y)[1]
             h = 1e-5
             numeric = np.zeros_like(params)
             for i in range(params.size):
                 up = params.copy(); up[i] += h
                 dn = params.copy(); dn[i] -= h
-                numeric[i] = (mse_loss(forward(spec, up, x).outputs, y)
-                              - mse_loss(forward(spec, dn, x).outputs, y)) / (2 * h)
+                numeric[i] = (loss(spec, up, x, y) - loss(spec, dn, x, y)) / (2 * h)
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-300)
             rel[(analytic == 0) & (numeric == 0)] = 0.0
             assert rel.max() < 1e-6, (activation, widths, rel.max())
 
             # one split step on the whole batch equals one monolithic step
-            step = sgd_step(params.copy(), backward(spec, params, x, y).param_grads, 0.05)
+            step = sgd_step(params.copy(), analytic.copy(), 0.05)
             shards = ShardedDataset(shards=((x, y),))
             for cut in range(1, spec.weight_layers):
-                run = run_split_training(spec, cut, shards, SplitVariant.SYNC_EPOCH, epochs=1,
+                run = run_split_training(spec, cut, shards, Protocol.SPLIT_SYNC, epochs=1,
                                          lr=0.05, seed=seed, batch_size=x.shape[0])
                 stitched = np.concatenate([run.client_params[0], run.server_params])
                 assert np.allclose(stitched, step, rtol=1e-12, atol=0.0)
@@ -200,7 +196,7 @@ def test_numerical_core():
     single = init_params(spec, 321)
     for _ in range(3):
         for i in range(x.shape[0]):
-            grads = backward(spec, single, x[i : i + 1], y[i : i + 1]).param_grads
+            grads = gradients(spec, single, x[i : i + 1], y[i : i + 1])[1]
             single = sgd_step(single, grads, 0.05)
     assert np.array_equal(fed.global_params, single)
     print("ACCEPTANCE PASS: numerical core (gradcheck 1e-6, split equivalence exact, "

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from splitfed import Method, Protocol, ScenarioError, Winner, efficiency_ratio
+from splitfed import Protocol, ScenarioError, Winner, efficiency_ratio
+from splitfed import cli
 from splitfed.cli import main
 from splitfed.scenarios import (
     BUILTIN_SUITES,
@@ -125,7 +126,7 @@ def test_builtin_regimes():
     }
     for name, winner in expected.items():
         params = load_scenario(name).params()
-        assert efficiency_ratio(params, Method.SPLIT_SYNC).winner is winner, name
+        assert efficiency_ratio(params, Protocol.SPLIT_SYNC).winner is winner, name
 
 
 def test_suites_have_three_cases():
@@ -169,6 +170,14 @@ def test_analyze_csv_byte_stable(tmp_path, capsys):
 
 def test_analyze_missing_scenario_exits_2(capsys):
     assert main(["analyze", "--scenario", "nowhere.conf"]) == 2
+
+
+def test_non_utf8_scenario_file_exits_2(tmp_path, capsys):
+    scenario = tmp_path / "latin1.txt"
+    scenario.write_bytes("name = caf\u00e9\nK = 2\np = 4\nN = 10\nq = 1\neta = 0.5\n".encode("latin-1"))
+    assert main(["analyze", "--scenario", str(scenario)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read scenario file") and "latin1.txt" in err[0]
 
 
 def test_analyze_total_rounds_the_exact_client_weights(tmp_path, capsys):
@@ -426,6 +435,17 @@ def test_breakeven_k_range_point_limit(capsys):
     # an arithmetic range is counted before it is built: one point over the limit exits 3
     assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "1:1000001"]) == 3
     assert "1000001 points" in capsys.readouterr().err
+    # more points than a len() can count
+    assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", f"1:{10**20}"]) == 3
+    assert f"{10**20} points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k_range", ["1,2,3,4", "1:4", "1:7:2", "1:8:x2"])
+def test_k_range_point_limit_covers_every_form(monkeypatch, capsys, k_range):
+    monkeypatch.setattr(cli, "K_RANGE_MAX_POINTS", 3)
+    assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", k_range]) == 3
+    assert "has 4 points, more than 3" in capsys.readouterr().err
+    assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "1:3"]) == 0
 
 
 def test_breakeven_uses_the_scenario_variant(tmp_path, capsys):

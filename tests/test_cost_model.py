@@ -12,9 +12,7 @@ from splitfed import (
     DivisibilityError,
     InvalidParam,
     MessageKind,
-    Method,
     Protocol,
-    SplitVariant,
     ScenarioParams,
     Winner,
     break_even_curve,
@@ -25,6 +23,7 @@ from splitfed import (
     sweep,
     traffic_by_kind,
 )
+from splitfed import cost_model, protocol_sim
 from splitfed.cli import compared_protocol
 from splitfed.cost_model import REPORTED, reported
 
@@ -104,10 +103,11 @@ def test_params_reject_non_finite(bad):
 def test_protocol_is_the_one_variant_lookup():
     names = ("sync", "nosync", "sync_batch", "federated")
     assert [Protocol(name) for name in names] == list(Protocol)
-    assert Method is Protocol and SplitVariant is Protocol
-    assert SplitVariant.SYNC_EPOCH is Protocol.SPLIT_SYNC
-    assert SplitVariant.SYNC_BATCH is Protocol.SPLIT_SYNC_BATCH
-    assert SplitVariant.ALTERNATING is Protocol.SPLIT_NOSYNC
+    # the aliases the benchmark's output check still imports
+    assert cost_model.Method is Protocol and protocol_sim.SplitVariant is Protocol
+    assert Protocol.SYNC_EPOCH is Protocol.SPLIT_SYNC
+    assert Protocol.SYNC_BATCH is Protocol.SPLIT_SYNC_BATCH
+    assert Protocol.ALTERNATING is Protocol.SPLIT_NOSYNC
     assert [p.label for p in REPORTED] == ["SplitSync", "SplitNoSync", "Federated"]
     # a scenario is compared as its own protocol; a federated one, which has no
     # split side, as sync
@@ -246,31 +246,31 @@ def test_sync_total_dominates_nosync_iff_weight_traffic():
 # --- efficiency ratio --------------------------------------------------------
 
 def test_efficiency_examples():
-    eff = efficiency_ratio(make_params(100, 10**6, 10**5, 1000, 0.2), Method.SPLIT_SYNC)
+    eff = efficiency_ratio(make_params(100, 10**6, 10**5, 1000, 0.2), Protocol.SPLIT_SYNC)
     assert eff.rho == pytest.approx(10 / 11, rel=1e-12)
     assert eff.winner is Winner.FEDERATED
 
-    eff = efficiency_ratio(make_params(4, 10, 0, 1, 0.5), Method.SPLIT_SYNC)
+    eff = efficiency_ratio(make_params(4, 10, 0, 1, 0.5), Protocol.SPLIT_SYNC)
     assert eff.rho == pytest.approx(4.0)
     assert eff.winner is Winner.SPLIT
 
-    eff = efficiency_ratio(make_params(10, 2000, 1000, 10, 1.0), Method.SPLIT_SYNC)
+    eff = efficiency_ratio(make_params(10, 2000, 1000, 10, 1.0), Protocol.SPLIT_SYNC)
     assert eff.rho == pytest.approx(1.0, rel=1e-15)
     assert eff.winner is Winner.TIE
 
 
 def test_efficiency_undefined_denominator_is_split_with_inf():
-    eff = efficiency_ratio(make_params(3, 10, 0, 1, 0.0), Method.SPLIT_SYNC)
+    eff = efficiency_ratio(make_params(3, 10, 0, 1, 0.0), Protocol.SPLIT_SYNC)
     assert math.isinf(eff.rho) and eff.winner is Winner.SPLIT
-    eff = efficiency_ratio(make_params(3, 10, 0, 1, 0.7), Method.SPLIT_NOSYNC)
+    eff = efficiency_ratio(make_params(3, 10, 0, 1, 0.7), Protocol.SPLIT_NOSYNC)
     assert math.isinf(eff.rho) and eff.winner is Winner.SPLIT
     # 2KN over a subnormal eta*N*K hand-off is past the float range
-    eff = efficiency_ratio(make_params(1, 1, 0, 1, 5e-324), Method.SPLIT_SYNC)
+    eff = efficiency_ratio(make_params(1, 1, 0, 1, 5e-324), Protocol.SPLIT_SYNC)
     assert math.isinf(eff.rho) and eff.winner is Winner.SPLIT
 
 
 def test_efficiency_federated_against_itself_is_a_tie():
-    eff = efficiency_ratio(make_params(2, 10, 4, 1, 0.5), Method.FEDERATED)
+    eff = efficiency_ratio(make_params(2, 10, 4, 1, 0.5), Protocol.FEDERATED)
     assert eff.rho == 1.0 and eff.winner is Winner.TIE
 
 
@@ -284,7 +284,7 @@ def test_rho_sign_matches_total_comparison():
         eta = Fraction(int(rng.integers(0, n + 1)), n)
         params = make_params(k, n, p, q, eta)
         batch = int(rng.integers(1, 6))
-        for variant in (Method.SPLIT_SYNC, Method.SPLIT_NOSYNC, Method.SPLIT_SYNC_BATCH):
+        for variant in (Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH):
             eff = efficiency_ratio(params, variant, batch)
             fed = comm_report(params, Protocol.FEDERATED).total_scalars
             split = comm_report(params, variant, batch_size=batch).total_scalars
@@ -297,7 +297,7 @@ def test_rho_sign_matches_total_comparison():
 def test_rho_invariant_under_epochs_and_byte_width():
     base = make_params(8, 5000, 400, 25, 0.3)
     scaled = make_params(8, 5000, 400, 25, 0.3, bytes_per_scalar=8, epochs=7)
-    for variant in (Method.SPLIT_SYNC, Method.SPLIT_NOSYNC):
+    for variant in (Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC):
         assert efficiency_ratio(base, variant).rho == efficiency_ratio(scaled, variant).rho
 
 
@@ -313,8 +313,8 @@ def test_rho_monotonicity_on_grids():
     qs = [10, 100, 1000, 10000]
     etas = [0.0, 0.1, Fraction(1, 3), 0.7, 1.0]
 
-    for protocol, batch in ((Method.SPLIT_SYNC, 1), (Method.SPLIT_NOSYNC, 1),
-                            (Method.SPLIT_SYNC_BATCH, 1), (Method.SPLIT_SYNC_BATCH, 64)):
+    for protocol, batch in ((Protocol.SPLIT_SYNC, 1), (Protocol.SPLIT_NOSYNC, 1),
+                            (Protocol.SPLIT_SYNC_BATCH, 1), (Protocol.SPLIT_SYNC_BATCH, 64)):
         def rho_of(**kw):
             a = dict(base, **kw)
             return efficiency_ratio(make_params(a["K"], a["N"], a["p"], a["q"], a["eta"]),
@@ -323,9 +323,9 @@ def test_rho_monotonicity_on_grids():
         for key, grid in (("N", ns), ("p", ps[::-1]), ("q", qs[::-1]), ("eta", etas[::-1])):
             values = [rho_of(**{key: g}) for g in grid]
             assert all(a <= b for a, b in zip(values, values[1:])), (protocol, batch, key, values)
-        if protocol is not Method.SPLIT_SYNC_BATCH:
+        if protocol is not Protocol.SPLIT_SYNC_BATCH:
             assert all(rho_of(K=a) <= rho_of(K=b) for a, b in zip(ks, ks[1:])), protocol
-        if protocol is Method.SPLIT_SYNC:
+        if protocol is Protocol.SPLIT_SYNC:
             assert all(rho_of(K=a) < rho_of(K=b) for a, b in zip(ks, ks[1:]))
             assert all(rho_of(N=a) < rho_of(N=b) for a, b in zip(ns, ns[1:]))
             assert all(rho_of(p=a) > rho_of(p=b) for a, b in zip(ps, ps[1:]))
@@ -364,14 +364,14 @@ def test_rho_is_monotone_in_every_parameter(protocol, batch, ks, ns, per_shard, 
 # --- break-even --------------------------------------------------------------
 
 def test_break_even_examples():
-    assert break_even_model_size(1000, 10, 10, 1.0, Method.SPLIT_SYNC) == pytest.approx(2000.0)
-    assert break_even_model_size(1000, 10, 10, variant=Method.SPLIT_NOSYNC) == pytest.approx(1000.0)
+    assert break_even_model_size(1000, 10, 10, 1.0, Protocol.SPLIT_SYNC) == pytest.approx(2000.0)
+    assert break_even_model_size(1000, 10, 10, variant=Protocol.SPLIT_NOSYNC) == pytest.approx(1000.0)
 
 
 def test_break_even_eta_zero_matches_nosync():
     for p, q, k in ((1000, 10, 10), (7, 3, 2), (123, 45, 6)):
-        sync = break_even_model_size(p, q, k, 0.0, Method.SPLIT_SYNC)
-        nosync = break_even_model_size(p, q, k, variant=Method.SPLIT_NOSYNC)
+        sync = break_even_model_size(p, q, k, 0.0, Protocol.SPLIT_SYNC)
+        nosync = break_even_model_size(p, q, k, variant=Protocol.SPLIT_NOSYNC)
         assert sync == pytest.approx(nosync, rel=1e-15)
 
 
@@ -383,8 +383,8 @@ def test_break_even_degenerate_inputs():
 
 
 def test_break_even_round_trip_spot():
-    n_star = break_even_model_size(1000, 10, 10, 1.0, Method.SPLIT_SYNC)
-    eff = efficiency_ratio(make_params(10, n_star, 1000, 10, 1.0), Method.SPLIT_SYNC)
+    n_star = break_even_model_size(1000, 10, 10, 1.0, Protocol.SPLIT_SYNC)
+    eff = efficiency_ratio(make_params(10, n_star, 1000, 10, 1.0), Protocol.SPLIT_SYNC)
     assert eff.winner is Winner.TIE
 
 
@@ -447,7 +447,7 @@ def test_break_even_without_a_crossing_raises():
 
 
 def test_break_even_curve_decreasing_in_k():
-    curve = break_even_curve(1000, 10, 1.0, [1, 10, 100], Method.SPLIT_SYNC)
+    curve = break_even_curve(1000, 10, 1.0, [1, 10, 100], Protocol.SPLIT_SYNC)
     values = [n for _, n in curve.points]
     assert values == pytest.approx([20000.0, 2000.0, 200.0])
     assert all(a > b for a, b in zip(values, values[1:]))

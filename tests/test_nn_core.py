@@ -13,25 +13,18 @@ from hypothesis.extra.numpy import arrays
 from splitfed import (
     Activation,
     CutOutOfRange,
-    CutPoint,
-    EmptyList,
     InvalidParam,
     LengthMismatch,
     MessageKind,
     ModelSpec,
     Protocol,
-    ShapeMismatch,
-    average_params,
-    backward,
     cut_stats,
-    forward,
     init_params,
     param_count,
     partition_dataset,
     random_dataset,
     run_split_training,
     sgd_step,
-    split_params,
     splitmix64,
 )
 from splitfed.nn_core import (
@@ -39,13 +32,15 @@ from splitfed.nn_core import (
     _forward_layers,
     _mse_and_grad,
     centered_mean,
+    client_param_count,
     fold_centered,
     layer_param_counts,
-    mse_loss,
     uniform01,
     unpack_params,
 )
 from splitfed import nn_core
+
+from _step import activations, gradients, loss
 
 MASK64 = (1 << 64) - 1
 
@@ -86,7 +81,7 @@ def test_model_spec_validation():
 def test_cut_stats_hand_counts():
     q, eta = cut_stats(ModelSpec((4, 3, 2)), 1)
     assert q == 3 and eta == Fraction(15, 23)
-    q, eta = cut_stats(ModelSpec((2, 5, 5, 1)), CutPoint(2))
+    q, eta = cut_stats(ModelSpec((2, 5, 5, 1)), 2)
     assert q == 5 and eta == Fraction(45, 51)
 
 
@@ -142,29 +137,32 @@ def test_random_dataset_shapes_and_range():
 
 def test_forward_zero_net_zero_input():
     spec = ModelSpec((4, 3, 2), Activation.IDENTITY)
-    trace = forward(spec, np.zeros(23), np.zeros((3, 4)))
-    assert np.array_equal(trace.outputs, np.zeros((3, 2)))
+    outputs = activations(spec, np.zeros(23), np.zeros((3, 4)))[-1]
+    assert np.array_equal(outputs, np.zeros((3, 2)))
 
 
 def test_forward_single_affine_unit():
     spec = ModelSpec((1, 1), Activation.IDENTITY)
     w, b = 1.75, -0.25
     for x in (-2.0, 0.0, 3.5):
-        out = forward(spec, np.array([w, b]), np.array([[x]])).outputs
+        out = activations(spec, np.array([w, b]), np.array([[x]]))[-1]
         assert out[0, 0] == pytest.approx(w * x + b, rel=1e-15)
 
 
-def test_forward_shape_mismatch():
+def test_unpack_params_checks_length():
     spec = ModelSpec((4, 3, 2))
-    with pytest.raises(ShapeMismatch):
-        forward(spec, init_params(spec, 1), np.zeros((3, 5)))
-    with pytest.raises(LengthMismatch):
-        forward(spec, np.zeros(10), np.zeros((3, 4)))
+    layers = unpack_params(spec, np.arange(23.0))
+    assert [(w.shape, b.shape) for w, b in layers] == [((4, 3), (3,)), ((3, 2), (2,))]
+    assert layers[1][1].tolist() == [21.0, 22.0]  # weights before bias, layer-major
+    for bad in (np.zeros(10), np.zeros(24), np.zeros((23, 1))):
+        with pytest.raises(LengthMismatch):
+            unpack_params(spec, bad)
 
 
 def _split_layers(spec, cut, params):
     """Client and server halves of ``params``, and one pass's layer views over them."""
-    client, server = split_params(spec, cut, params)
+    n_client = client_param_count(spec, cut)
+    client, server = params[:n_client].copy(), params[n_client:].copy()
     front, back = ModelSpec(spec.layer_widths[: cut + 1]), ModelSpec(spec.layer_widths[cut:])
     return client, server, unpack_params(front, client) + unpack_params(back, server)
 
@@ -174,13 +172,13 @@ def test_split_forward_matches_monolithic_at_every_cut(activation):
     spec = ModelSpec((5, 4, 3, 2), activation)
     params = init_params(spec, 9)
     x, _ = random_dataset(spec, 7, 3)
-    full = forward(spec, params, x)
+    full = activations(spec, params, x)
     for cut in range(1, spec.weight_layers):
         _, _, layers = _split_layers(spec, cut, params)
         _, acts = _forward_layers(layers, spec.activation, x)
         assert acts[cut].shape == (7, spec.layer_widths[cut])
-        assert np.array_equal(acts[cut], full.activations[cut])
-        assert np.array_equal(acts[-1], full.outputs)
+        assert np.array_equal(acts[cut], full[cut])
+        assert np.array_equal(acts[-1], full[-1])
 
 
 def test_smashed_scalar_count():
@@ -196,9 +194,9 @@ def test_smashed_scalar_count():
 
 def test_backward_zero_everything():
     spec = ModelSpec((4, 3, 2), Activation.IDENTITY)
-    result = backward(spec, np.zeros(23), np.zeros((2, 4)), np.zeros((2, 2)))
-    assert result.loss == 0.0
-    assert np.array_equal(result.param_grads, np.zeros(23))
+    value, grads, _ = gradients(spec, np.zeros(23), np.zeros((2, 4)), np.zeros((2, 2)))
+    assert value == 0.0
+    assert np.array_equal(grads, np.zeros(23))
 
 
 def test_backward_single_unit_closed_form():
@@ -207,11 +205,11 @@ def test_backward_single_unit_closed_form():
     w, b = 0.8, -0.3
     x = np.array([[0.5], [-1.0], [2.0]])
     y = np.array([[1.0], [0.0], [-0.5]])
-    result = backward(spec, np.array([w, b]), x, y)
+    value, grads, _ = gradients(spec, np.array([w, b]), x, y)
     resid = w * x + b - y
-    assert result.loss == pytest.approx(float(np.mean(resid**2)), rel=1e-15)
-    assert result.param_grads[0] == pytest.approx(float(np.mean(2 * resid * x)), rel=1e-14)
-    assert result.param_grads[1] == pytest.approx(float(np.mean(2 * resid)), rel=1e-14)
+    assert value == pytest.approx(float(np.mean(resid**2)), rel=1e-15)
+    assert grads[0] == pytest.approx(float(np.mean(2 * resid * x)), rel=1e-14)
+    assert grads[1] == pytest.approx(float(np.mean(2 * resid)), rel=1e-14)
 
 
 def fd_gradient(spec, params, x, y, h=1e-5):
@@ -219,9 +217,7 @@ def fd_gradient(spec, params, x, y, h=1e-5):
     for i in range(params.size):
         up = params.copy(); up[i] += h
         dn = params.copy(); dn[i] -= h
-        lp = mse_loss(forward(spec, up, x).outputs, y)
-        lm = mse_loss(forward(spec, dn, x).outputs, y)
-        g[i] = (lp - lm) / (2 * h)
+        g[i] = (loss(spec, up, x, y) - loss(spec, dn, x, y)) / (2 * h)
     return g
 
 
@@ -236,7 +232,7 @@ def test_gradient_matches_central_differences(activation, widths, batch, seed):
     spec = ModelSpec(widths, activation)
     params = init_params(spec, seed)
     x, y = random_dataset(spec, batch, seed + 1000)
-    analytic = backward(spec, params, x, y).param_grads
+    analytic = gradients(spec, params, x, y)[1]
     numeric = fd_gradient(spec, params, x, y)
     rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-300)
     rel[(analytic == 0) & (numeric == 0)] = 0.0
@@ -248,7 +244,7 @@ def test_split_backward_matches_monolithic_at_every_cut(activation):
     spec = ModelSpec((5, 4, 3, 2), activation)
     params = init_params(spec, 21)
     x, y = random_dataset(spec, 5, 22)
-    mono = backward(spec, params, x, y)
+    _, mono_grads, mono_act_grads = gradients(spec, params, x, y)
     for cut in range(1, spec.weight_layers):
         _, _, layers = _split_layers(spec, cut, params)
         # NaN-filled buffers: every gradient scalar must be written by the pass
@@ -256,19 +252,10 @@ def test_split_backward_matches_monolithic_at_every_cut(activation):
         zs, acts = _forward_layers(layers, spec.activation, x)
         _, dout = _mse_and_grad(acts[-1], y)
         act_grads = _backward_layers(layers, spec.activation, zs, acts, dout, grad_layers)
-        assert np.array_equal(np.concatenate([client_g, server_g]), mono.param_grads)
+        assert np.array_equal(np.concatenate([client_g, server_g]), mono_grads)
         # the tensor crossing the cut carries q scalars per record
         assert act_grads[cut].shape == (5, spec.layer_widths[cut])
-        assert np.array_equal(act_grads[cut], mono.activation_grads[cut])
-
-
-def test_backward_label_shape_mismatch():
-    spec = ModelSpec((4, 3, 2))
-    params = init_params(spec, 1)
-    with pytest.raises(ShapeMismatch):
-        backward(spec, params, np.zeros((3, 4)), np.zeros((3, 3)))
-    with pytest.raises(ShapeMismatch):
-        backward(spec, params, np.zeros((3, 4)), np.zeros((2, 2)))
+        assert np.array_equal(act_grads[cut], mono_act_grads[cut])
 
 
 # --- sgd and averaging -------------------------------------------------------
@@ -288,29 +275,39 @@ def test_sgd_step_examples():
 def test_sgd_piecewise_matches_whole_vector():
     spec = ModelSpec((4, 3, 2))
     params = init_params(spec, 5)
-    grads = backward(spec, params, *random_dataset(spec, 4, 6)).param_grads
+    grads = gradients(spec, params, *random_dataset(spec, 4, 6))[1]
     whole = sgd_step(params.copy(), grads.copy(), 0.1)  # the gradient is scratch to the step
-    client_p, server_p = split_params(spec, 1, params)
-    client_g, server_g = split_params(spec, 1, grads)
+    n = client_param_count(spec, 1)
+    client_p, server_p, client_g, server_g = params[:n].copy(), params[n:].copy(), grads[:n].copy(), grads[n:].copy()
     pieces = np.concatenate([sgd_step(client_p, client_g, 0.1), sgd_step(server_p, server_g, 0.1)])
     assert np.array_equal(whole, pieces)
 
 
-def test_average_params_examples():
-    assert np.array_equal(average_params([np.array([1.0, 2.0]), np.array([3.0, 4.0])]),
+def _fold_mean(vectors):
+    """The mean of ``vectors`` as a federated round takes it: each folded into a
+    running sum around the first (:func:`fold_centered`), one at a time."""
+    base, total = vectors[0].copy(), np.empty_like(vectors[0])
+    fold_centered(total, base, base)
+    for v in vectors[1:]:
+        fold_centered(total, v.copy(), base)
+    return centered_mean(base, total, len(vectors))
+
+
+def test_average_examples():
+    assert np.array_equal(_fold_mean([np.array([1.0, 2.0]), np.array([3.0, 4.0])]),
                           np.array([2.0, 3.0]))
 
 
 def test_average_of_identical_copies_is_bit_exact():
     v = init_params(ModelSpec((4, 3, 2)), 13)
     for k in (1, 2, 3, 5, 7):
-        assert np.array_equal(average_params([v] * k), v)
+        assert np.array_equal(_fold_mean([v] * k), v)
 
 
 def test_average_matches_summation_oracle():
     rng = np.random.default_rng(3)
     vectors = [rng.normal(size=50) for _ in range(3)]
-    got = average_params(vectors)
+    got = _fold_mean(vectors)
     oracle = np.array([math.fsum(v[i] for v in vectors) / 3 for i in range(50)])
     # error relative to the data scale; a near-cancelling mean would make
     # component-relative error meaningless for any float summation
@@ -335,7 +332,6 @@ def test_fold_is_the_stacked_centered_mean_bit_for_bit(block, identical):
     total, out = np.empty(size), np.empty(size)
     with np.errstate(over="ignore", invalid="ignore"):  # sums may overflow, inf - inf is NaN
         stacked = base + (np.stack(vectors) - base).sum(axis=0) / k
-        assert average_params(vectors).tobytes() == stacked.tobytes()
         # the federated round's use: the base buffer starts the sum, each later vector is scratch
         fold_centered(total, base, base)
         for v in vectors[1:]:
@@ -408,16 +404,3 @@ def test_training_step_products_have_matmul_bits(widths, batch, activation, data
             expected = step()
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
-
-def test_average_params_leaves_its_inputs_alone():
-    vectors = [np.array([1.0, -0.0]), np.array([3.0, 5.0]), np.array([-2.0, 0.5])]
-    copies = [v.copy() for v in vectors]
-    average_params(vectors)
-    assert all(v.tobytes() == c.tobytes() for v, c in zip(vectors, copies))
-
-
-def test_average_errors():
-    with pytest.raises(EmptyList):
-        average_params([])
-    with pytest.raises(LengthMismatch):
-        average_params([np.zeros(3), np.zeros(4)])

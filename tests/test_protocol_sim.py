@@ -16,15 +16,12 @@ from splitfed import (
     InvalidParam,
     Message,
     MessageKind,
-    Method,
     ModelSpec,
     Protocol,
     ScenarioParams,
     ShapeMismatch,
     ShardedDataset,
-    SplitVariant,
     TrafficLedger,
-    backward,
     comm_report,
     init_params,
     measured_comm,
@@ -38,6 +35,8 @@ from splitfed import (
 )
 from splitfed import nn_core, protocol_sim
 from splitfed.protocol_sim import SERVER, client_id
+
+from _step import gradients
 
 
 SPEC = ModelSpec((4, 3, 2))
@@ -57,7 +56,6 @@ def golden_params(p=6, clients=2, epochs=1):
 def test_partition_even():
     shards = golden_shards()
     assert shards.sizes == (3, 3)
-    assert shards.total_records == 6
 
 
 def test_partition_strict_rejects_remainder():
@@ -77,7 +75,7 @@ def test_partition_lenient_and_order_preserving():
 # --- split training ledger ---------------------------------------------------
 
 def test_sync_epoch_golden_ledger():
-    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
+    run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
     totals = run.ledger.totals_by_kind()
     assert totals[MessageKind.ACTIVATIONS] == 18
@@ -90,7 +88,7 @@ def test_sync_epoch_golden_ledger():
 
 
 def test_sync_epoch_ring_closes():
-    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
+    run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
     hand_offs = [m for m in run.ledger if m.kind is MessageKind.CLIENT_WEIGHTS]
     assert [(m.sender, m.receiver) for m in hand_offs] == [
@@ -101,7 +99,7 @@ def test_sync_epoch_ring_closes():
 
 def test_sync_epoch_self_loop_when_single_client():
     shards = golden_shards(p=4, clients=1)
-    run = run_split_training(SPEC, 1, shards, SplitVariant.SYNC_EPOCH, epochs=1, lr=0.01, seed=1)
+    run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=1)
     hand_offs = [m for m in run.ledger if m.kind is MessageKind.CLIENT_WEIGHTS]
     assert len(hand_offs) == 1 and hand_offs[0].sender == hand_offs[0].receiver == client_id(1)
     formula = comm_report(golden_params(p=4, clients=1), Protocol.SPLIT_SYNC)
@@ -109,7 +107,7 @@ def test_sync_epoch_self_loop_when_single_client():
 
 
 def test_alternating_takes_turns_and_never_shares_weights():
-    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.ALTERNATING,
+    run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_NOSYNC,
                              epochs=2, lr=0.01, seed=42)
     totals = run.ledger.totals_by_kind()
     assert totals[MessageKind.CLIENT_WEIGHTS] == 0
@@ -126,23 +124,23 @@ def test_alternating_takes_turns_and_never_shares_weights():
 
 
 def test_sync_batch_hand_off_per_batch():
-    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_BATCH,
+    run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC_BATCH,
                              epochs=1, lr=0.01, seed=42, batch_size=1)
     totals = run.ledger.totals_by_kind()
     assert totals[MessageKind.CLIENT_WEIGHTS] == 15 * 6  # one eta*N hand-off per batch
     assert totals[MessageKind.ACTIVATIONS] == 18
-    report = verify_against_model(run.ledger, golden_params(), SplitVariant.SYNC_BATCH, batch_size=1)
+    report = verify_against_model(run.ledger, golden_params(), Protocol.SPLIT_SYNC_BATCH, batch_size=1)
     assert report.matches
 
-    run2 = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_BATCH,
+    run2 = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC_BATCH,
                               epochs=1, lr=0.01, seed=42, batch_size=2)
     assert run2.ledger.totals_by_kind()[MessageKind.CLIENT_WEIGHTS] == 15 * 4  # ceil(3/2) per client
-    assert verify_against_model(run2.ledger, golden_params(), SplitVariant.SYNC_BATCH, batch_size=2).matches
+    assert verify_against_model(run2.ledger, golden_params(), Protocol.SPLIT_SYNC_BATCH, batch_size=2).matches
 
 
 def test_activation_traffic_is_batch_size_invariant():
     for batch_size in (1, 2, 3):
-        run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
+        run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                                  epochs=1, lr=0.01, seed=42, batch_size=batch_size)
         totals = run.ledger.totals_by_kind()
         assert totals[MessageKind.ACTIVATIONS] == 18
@@ -152,13 +150,13 @@ def test_activation_traffic_is_batch_size_invariant():
 
 def test_zero_records_leaves_only_sync_weight_traffic():
     shards = golden_shards(p=0, clients=3)
-    run = run_split_training(SPEC, 1, shards, SplitVariant.SYNC_EPOCH, epochs=1, lr=0.01, seed=1)
+    run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=1)
     kinds = {m.kind for m in run.ledger}
     assert kinds == {MessageKind.CLIENT_WEIGHTS}
     assert run.ledger.total_scalars() == 15 * 3
     assert math.isnan(run.epoch_losses[0])
 
-    for variant in (SplitVariant.ALTERNATING, SplitVariant.SYNC_BATCH):
+    for variant in (Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH):
         empty = run_split_training(SPEC, 1, shards, variant, epochs=1, lr=0.01, seed=1)
         assert len(empty.ledger) == 0
 
@@ -169,7 +167,7 @@ def test_split_training_rejects_federated():
 
 
 def test_epoch_losses_finite_for_small_lr():
-    for variant in (SplitVariant.SYNC_EPOCH, SplitVariant.SYNC_BATCH, SplitVariant.ALTERNATING):
+    for variant in (Protocol.SPLIT_SYNC, Protocol.SPLIT_SYNC_BATCH, Protocol.SPLIT_NOSYNC):
         run = run_split_training(SPEC, 1, golden_shards(), variant, epochs=4, lr=0.01, seed=42)
         assert len(run.epoch_losses) == 4
         assert all(math.isfinite(loss) for loss in run.epoch_losses)
@@ -179,25 +177,25 @@ def test_epoch_losses_finite_for_small_lr():
 def test_diverged_run_raises_at_its_first_non_finite_epoch():
     # lr 1e30: epoch 0's losses are huge but finite, epoch 1's are NaN; no
     # numpy overflow warning escapes on the way (warnings are errors here).
-    for variant in (SplitVariant.SYNC_EPOCH, SplitVariant.SYNC_BATCH):
+    for variant in (Protocol.SPLIT_SYNC, Protocol.SPLIT_SYNC_BATCH):
         with pytest.raises(Diverged, match="epoch 1 loss is nan"):
             run_split_training(SPEC, 1, golden_shards(), variant, epochs=3, lr=1e30, seed=42)
     with pytest.raises(Diverged, match="epoch 2 loss is nan"):
-        run_split_training(SPEC, 1, golden_shards(), SplitVariant.ALTERNATING, epochs=3, lr=1e30, seed=42)
+        run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_NOSYNC, epochs=3, lr=1e30, seed=42)
     with pytest.raises(Diverged, match="round 2 loss is nan"):
         run_federated_training(SPEC, golden_shards(), rounds=3, local_lr=1e30, seed=42)
 
 
 def test_split_run_deterministic():
-    a = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH, epochs=2, lr=0.01, seed=42)
-    b = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH, epochs=2, lr=0.01, seed=42)
+    a = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC, epochs=2, lr=0.01, seed=42)
+    b = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC, epochs=2, lr=0.01, seed=42)
     assert list(a.ledger) == list(b.ledger)
     assert np.array_equal(a.server_params, b.server_params)
     assert all(np.array_equal(x, y) for x, y in zip(a.client_params, b.client_params))
     assert a.epoch_losses == b.epoch_losses
 
 
-SPLIT_PROTOCOLS = (SplitVariant.SYNC_EPOCH, SplitVariant.SYNC_BATCH, SplitVariant.ALTERNATING)
+SPLIT_PROTOCOLS = (Protocol.SPLIT_SYNC, Protocol.SPLIT_SYNC_BATCH, Protocol.SPLIT_NOSYNC)
 
 
 def test_single_client_split_equals_monolithic_sgd():
@@ -212,7 +210,7 @@ def test_single_client_split_equals_monolithic_sgd():
         for _ in range(epochs):
             for lo in starts:
                 xb, yb = x[lo : lo + batch_size], y[lo : lo + batch_size]
-                params = sgd_step(params, backward(spec, params, xb, yb).param_grads, lr)
+                params = sgd_step(params, gradients(spec, params, xb, yb)[1], lr)
         records = [min(batch_size, x.shape[0] - lo) for lo in starts] * epochs
         for cut, variant in itertools.product(range(1, spec.weight_layers), SPLIT_PROTOCOLS):
             run = run_split_training(spec, cut, shards, variant, epochs=epochs, lr=lr, seed=7,
@@ -239,8 +237,8 @@ def test_held_weights_never_alias(monkeypatch):
 
     monkeypatch.setattr(protocol_sim, "_WorkingModel", RecordedModel)
     shards = partition_dataset(*random_dataset(SPEC, 6, 42), 3)
-    for variant in (*SPLIT_PROTOCOLS, Method.FEDERATED):
-        if variant is Method.FEDERATED:
+    for variant in (*SPLIT_PROTOCOLS, Protocol.FEDERATED):
+        if variant is Protocol.FEDERATED:
             run = run_federated_training(SPEC, shards, rounds=2, local_lr=0.01, seed=42)
             held = [run.global_params]
         else:
@@ -252,7 +250,7 @@ def test_held_weights_never_alias(monkeypatch):
         for i, a in enumerate(buffers):
             for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b), variant
-        if variant in (SplitVariant.SYNC_EPOCH, SplitVariant.SYNC_BATCH):
+        if variant in (Protocol.SPLIT_SYNC, Protocol.SPLIT_SYNC_BATCH):
             # the ring's last hand-off gave client1 a copy of client3's weights
             assert np.array_equal(run.client_params[0], run.client_params[2])
 
@@ -264,7 +262,7 @@ def test_shard_widths_checked_once_per_run():
     short_y = ShardedDataset(shards=((x[:3], y[:2]),))
     for bad in (wide_x, wide_y, short_y):
         with pytest.raises(ShapeMismatch):
-            run_split_training(SPEC, 1, bad, SplitVariant.SYNC_EPOCH, epochs=1, lr=0.01, seed=42)
+            run_split_training(SPEC, 1, bad, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=42)
         with pytest.raises(ShapeMismatch):
             run_federated_training(SPEC, bad, rounds=1, local_lr=0.01, seed=42)
 
@@ -288,7 +286,7 @@ class _CountingCore:
 STEP_PHASES = ("_forward_layers", "_mse_and_grad", "_backward_layers", "sgd_step", "fold_centered", "centered_mean")
 
 
-@pytest.mark.parametrize("variant", [*SPLIT_PROTOCOLS, Method.FEDERATED])
+@pytest.mark.parametrize("variant", [*SPLIT_PROTOCOLS, Protocol.FEDERATED])
 def test_training_step_calls_through_nn_core(monkeypatch, variant):
     # The benchmark tracer wraps these names on protocol_sim's nn_core, and
     # counts one training step per _mse_and_grad call.
@@ -296,19 +294,19 @@ def test_training_step_calls_through_nn_core(monkeypatch, variant):
     monkeypatch.setattr(protocol_sim, "nn_core", core)
     shards = golden_shards(p=10, clients=2)  # 5 records per client
     rounds, batch_size = 3, 2
-    if variant is Method.FEDERATED:
+    if variant is Protocol.FEDERATED:
         run_federated_training(SPEC, shards, rounds=rounds, local_lr=0.01, seed=42, batch_size=batch_size)
         batches = rounds * 2 * 3
     else:
         run_split_training(SPEC, 1, shards, variant, epochs=rounds, lr=0.01, seed=42, batch_size=batch_size)
-        turns = rounds if variant is SplitVariant.ALTERNATING else rounds * 2
+        turns = rounds if variant is Protocol.SPLIT_NOSYNC else rounds * 2
         batches = turns * 3
     # one whole-model step per batch, split or federated
     expected = {"_forward_layers": batches, "_mse_and_grad": batches, "_backward_layers": batches,
                 "sgd_step": batches,
                 # federated folds each of the 2 uploads as its client finishes, then takes the mean once a round
-                "fold_centered": rounds * 2 if variant is Method.FEDERATED else 0,
-                "centered_mean": rounds if variant is Method.FEDERATED else 0}
+                "fold_centered": rounds * 2 if variant is Protocol.FEDERATED else 0,
+                "centered_mean": rounds if variant is Protocol.FEDERATED else 0}
     assert {name: core.calls[name] for name in STEP_PHASES} == expected
 
 
@@ -368,7 +366,7 @@ def test_federated_identical_shards_match_single_client_training():
     params = init_params(SPEC, 11)
     for _ in range(4):
         for i in range(x.shape[0]):
-            grads = backward(SPEC, params, x[i : i + 1], y[i : i + 1]).param_grads
+            grads = gradients(SPEC, params, x[i : i + 1], y[i : i + 1])[1]
             params = sgd_step(params, grads, 0.05)
     assert np.array_equal(run.global_params, params)
 
@@ -376,56 +374,56 @@ def test_federated_identical_shards_match_single_client_training():
 # --- measured reports and verification ----------------------------------------
 
 def test_measured_comm_empty_ledger():
-    report = measured_comm(TrafficLedger(), clients=3, method=Method.SPLIT_SYNC)
+    report = measured_comm(TrafficLedger(), clients=3, method=Protocol.SPLIT_SYNC)
     assert report.per_client_scalars == 0 and report.total_scalars == 0
 
 
 def test_measured_comm_golden_run():
-    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
+    run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
-    report = measured_comm(run.ledger, clients=2, method=Method.SPLIT_SYNC)
-    assert report.method is Method.SPLIT_SYNC
+    report = measured_comm(run.ledger, clients=2, method=Protocol.SPLIT_SYNC)
+    assert report.method is Protocol.SPLIT_SYNC
     assert report.total_scalars == 66
     # per client: 9 activations out, 9 gradients in, the one hand-off it sends
     assert report.per_client_scalars == 9 + 9 + 15
 
-    with_labels = measured_comm(run.ledger, clients=2, method=Method.SPLIT_SYNC, exclude=())
+    with_labels = measured_comm(run.ledger, clients=2, method=Protocol.SPLIT_SYNC, exclude=())
     assert with_labels.total_scalars == 66 + 6 * 2
 
 
 def test_verify_golden_runs_exactly():
     shards = golden_shards()
-    sync = run_split_training(SPEC, 1, shards, SplitVariant.SYNC_EPOCH, epochs=2, lr=0.01, seed=42)
-    assert verify_against_model(sync.ledger, golden_params(epochs=2), SplitVariant.SYNC_EPOCH).matches
+    sync = run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=2, lr=0.01, seed=42)
+    assert verify_against_model(sync.ledger, golden_params(epochs=2), Protocol.SPLIT_SYNC).matches
 
-    alt = run_split_training(SPEC, 1, shards, SplitVariant.ALTERNATING, epochs=4, lr=0.01, seed=42)
-    assert verify_against_model(alt.ledger, golden_params(epochs=4), SplitVariant.ALTERNATING).matches
+    alt = run_split_training(SPEC, 1, shards, Protocol.SPLIT_NOSYNC, epochs=4, lr=0.01, seed=42)
+    assert verify_against_model(alt.ledger, golden_params(epochs=4), Protocol.SPLIT_NOSYNC).matches
 
     fed = run_federated_training(SPEC, shards, rounds=3, local_lr=0.01, seed=42)
-    assert verify_against_model(fed.ledger, golden_params(epochs=3), Method.FEDERATED).matches
+    assert verify_against_model(fed.ledger, golden_params(epochs=3), Protocol.FEDERATED).matches
 
 
 def test_verify_alternating_cycle_equals_nosync_closed_form():
     # K simulated epochs form one full data pass: totals match the no-sync
     # closed form at one epoch
     shards = golden_shards(p=12, clients=3)
-    run = run_split_training(SPEC, 1, shards, SplitVariant.ALTERNATING, epochs=3, lr=0.01, seed=9)
+    run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_NOSYNC, epochs=3, lr=0.01, seed=9)
     formula = comm_report(golden_params(p=12, clients=3, epochs=1), Protocol.SPLIT_NOSYNC)
     assert run.ledger.total_scalars() == formula.total_scalars
 
 
 def test_verify_flags_injected_fault():
-    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
+    run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
     run.ledger.append(0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3)
-    report = verify_against_model(run.ledger, golden_params(), SplitVariant.SYNC_EPOCH)
+    report = verify_against_model(run.ledger, golden_params(), Protocol.SPLIT_SYNC)
     assert not report.matches
     assert report.deltas == {MessageKind.ACTIVATIONS: 3}
     assert "Activations" in report.describe() and "+3" in report.describe()
 
 
 def test_verify_flags_hand_off_credited_to_the_wrong_client():
-    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
+    run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
     forged = TrafficLedger()
     for m in run.ledger:
@@ -434,7 +432,7 @@ def test_verify_flags_hand_off_credited_to_the_wrong_client():
             m = Message(m.epoch, client_id(2), client_id(1), m.kind, m.scalar_count)
         forged.append(*m)
     assert forged.totals_by_kind() == run.ledger.totals_by_kind()
-    report = verify_against_model(forged, golden_params(), SplitVariant.SYNC_EPOCH)
+    report = verify_against_model(forged, golden_params(), Protocol.SPLIT_SYNC)
     assert not report.matches
     assert report.deltas == {}
     assert report.client == client_id(1)
@@ -443,30 +441,30 @@ def test_verify_flags_hand_off_credited_to_the_wrong_client():
 
 
 def test_verify_flags_a_message_no_client_owns():
-    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
+    run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
     run.ledger.append(0, SERVER, client_id(3), MessageKind.GRADIENTS, 3)
-    report = verify_against_model(run.ledger, golden_params(), SplitVariant.SYNC_EPOCH)
+    report = verify_against_model(run.ledger, golden_params(), Protocol.SPLIT_SYNC)
     assert not report.matches
     assert report.client == client_id(3)
     assert report.deltas == {MessageKind.GRADIENTS: 3}
 
 
 def test_verify_method_aliases():
-    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
+    run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
-    assert verify_against_model(run.ledger, golden_params(), Method.SPLIT_SYNC).matches
-    alt = run_split_training(SPEC, 1, golden_shards(), SplitVariant.ALTERNATING,
+    assert verify_against_model(run.ledger, golden_params(), Protocol.SPLIT_SYNC).matches
+    alt = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_NOSYNC,
                              epochs=2, lr=0.01, seed=42)
-    assert verify_against_model(alt.ledger, golden_params(epochs=2), Method.SPLIT_NOSYNC).matches
+    assert verify_against_model(alt.ledger, golden_params(epochs=2), Protocol.SPLIT_NOSYNC).matches
 
 
 def test_verify_lenient_shards():
     x, y = random_dataset(SPEC, 7, 1)
     shards = partition_dataset(x, y, 2, strict=False)
-    run = run_split_training(SPEC, 1, shards, SplitVariant.SYNC_EPOCH, epochs=1, lr=0.01, seed=1)
+    run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=1)
     params = golden_params(p=7)
-    report = verify_against_model(run.ledger, params, SplitVariant.SYNC_EPOCH,
+    report = verify_against_model(run.ledger, params, Protocol.SPLIT_SYNC,
                                   shard_sizes_override=shards.sizes)
     assert report.matches
     # forward+backward split traffic still totals 2 p q regardless of the remainder
@@ -476,7 +474,7 @@ def test_verify_lenient_shards():
 # --- ledger CSV --------------------------------------------------------------
 
 def test_ledger_csv_format_and_order():
-    run = run_split_training(SPEC, 1, golden_shards(), SplitVariant.SYNC_EPOCH,
+    run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
     buf = io.StringIO()
     run.ledger.to_csv(buf)
