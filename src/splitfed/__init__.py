@@ -11,7 +11,6 @@ from .cost_model import (
     SweepRow,
     Winner,
     break_even_curve,
-    break_even_model_size,
     comm_report,
     efficiency_ratio,
     shard_sizes,
@@ -41,7 +40,6 @@ from .nn_core import (
 from .protocol_sim import (
     FederatedRunResult,
     Message,
-    ShardedDataset,
     SplitRunResult,
     TrafficLedger,
     VerificationReport,

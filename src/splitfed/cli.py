@@ -56,6 +56,9 @@ SIMULATE_MAX_DATA_SCALARS = 10**7
 SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this.
 K_RANGE_MAX_POINTS = 10**6
+# sweep refuses a suite whose grids hold more cells than this, before it
+# expands them: it holds every row in memory, about 2 KB a cell.
+SWEEP_MAX_CELLS = 10**5
 
 # The parameter columns of a report row, field -> key (bytes_per_scalar shows
 # only in the byte columns), and the getter that reads them from a dict of fields.
@@ -192,9 +195,7 @@ def cmd_simulate(args) -> int:
     exclude = () if args.include_labels else (MessageKind.LABELS,)
     measured = protocol_sim.measured_comm(ledger, params.clients, variant, exclude=exclude,
                                           bytes_per_scalar=params.bytes_per_scalar)
-    verdict = protocol_sim.verify_against_model(
-        ledger, params, variant, shard_sizes_override=shards.sizes, batch_size=sc.batch_size
-    )
+    verdict = protocol_sim.verify_against_model(ledger, params, variant, batch_size=sc.batch_size)
 
     print(f"scenario {sc.name}: variant={variant.value} K={params.clients} p={params.dataset_size} "
           f"epochs={params.epochs} seed={sc.seed}")
@@ -207,42 +208,51 @@ def cmd_simulate(args) -> int:
     return 0 if verdict.matches else 4
 
 
+def _k_int(item: str, where: str | int, least: int | None = None) -> int:
+    """One integer of a K range at ``where``, a part or a comma-list item number; an
+    error quotes that item alone, cut to 20 characters, never the whole range."""
+    try:
+        value = int(item)
+    except ValueError:
+        value = None
+    if value is not None and (least is None or value >= least):
+        return value
+    shown = item.strip()
+    shown = repr(shown) if len(shown) <= 20 else repr(shown[:20]) + "..."
+    where = f"K at item {where}" if isinstance(where, int) else where
+    if value is None:
+        raise InvalidParam(f"bad K range: {where} is {shown}, not an integer")
+    raise InvalidParam(f"bad K range: need {where} >= {least}, got {shown}")
+
+
 def _parse_k_range(text: str) -> list[int]:
     """A:B:STEP (arithmetic, inclusive), A:B:xF (geometric), or a comma list."""
     text = text.strip()
-    try:
-        if ":" not in text:
-            values = [int(v) for v in text.split(",") if v.strip()]
-        else:
-            parts = text.split(":")
-            if len(parts) == 2:
-                parts.append("1")
-            if len(parts) != 3:
-                raise ValueError(f"expected A:B:STEP, got {text!r}")
-            lo, hi = int(parts[0]), int(parts[1])
-            step = parts[2].strip()
+    if ":" not in text:
+        values = [_k_int(v, i, 1) for i, v in enumerate(text.split(","), 1) if v.strip()]
+    else:
+        parts = text.split(":")
+        if len(parts) == 2:
+            parts.append("1")
+        if len(parts) != 3:
+            raise InvalidParam(f"bad K range: expected A:B:STEP, got {len(parts)} ':'-separated parts")
+        lo, hi = _k_int(parts[0], "A", 1), _k_int(parts[1], "B")
+        step = parts[2].strip()
+        if step.lower().startswith("x"):
+            factor = _k_int(step[1:], "F", 2)  # else k never passes hi
             values = []
-            if step.lower().startswith("x"):
-                factor = int(step[1:])
-                if factor < 2 or lo < 1:  # else k never passes hi
-                    raise ValueError("a geometric range needs A >= 1 and a factor >= 2")
-                k = lo
-                while k <= hi:
-                    values.append(k)
-                    k *= factor
-            else:
-                stride = int(step)
-                if stride < 1:
-                    raise ValueError("step must be >= 1")
-                values = range(lo, hi + 1, stride)  # counted below before it is built
-    except ValueError as exc:
-        raise InvalidParam(f"bad K range {text!r}: {exc}") from exc
+            k = lo
+            while k <= hi:
+                values.append(k)
+                k *= factor
+        else:
+            values = range(lo, hi + 1, _k_int(step, "STEP", 1))  # counted below before it is built
     # len() of a range fails beyond sys.maxsize points, so a range is counted by arithmetic
     count = len(values) if isinstance(values, list) else max(0, -((values.start - values.stop) // values.step))
     if count > K_RANGE_MAX_POINTS:
         raise InvalidParam(f"--k-range has {count} points, more than {K_RANGE_MAX_POINTS}")
-    if not values or any(v < 1 for v in values):
-        raise InvalidParam(f"K range {text!r} yields no valid client counts")
+    if not values:
+        raise InvalidParam("K range yields no client counts")
     return list(values)
 
 
@@ -276,14 +286,15 @@ def cmd_breakeven(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenarios = load_suite(args.scenario)
+    cells = sum(math.prod(map(len, sc.grids.values())) for sc in scenarios)
+    if cells > SWEEP_MAX_CELLS:
+        raise InvalidParam(f"sweep has {cells} cells, more than {SWEEP_MAX_CELLS}")
     strict = not args.lenient_shards
     rows_out: list[tuple] = []
-    cells = 0
     for sc in scenarios:
         split = compared_protocol(args.variant or sc.variant)
         label_width = sc.label_width if args.include_labels else 0
         for row in sweep(sc.grid(), split, strict, label_width, sc.batch_size):
-            cells += 1
             if row.error is not None:
                 rows_out.extend(_error_rows(row.values, row.error))
             else:

@@ -226,12 +226,12 @@ class BreakEvenCurve:
     points: tuple[tuple[int, float], ...]
 
 
-def _epoch_counts(protocol: Protocol, k: int, p: int, shards, batch_size: int) -> tuple[int, int, int]:
+def _epoch_counts(protocol: Protocol, k: int, p: int, batch_size: int) -> tuple[int, int, int]:
     """(records sent up, client-weight hand-offs, full-model round trips) in one
     epoch over k clients and p records, the one place protocols differ: sync hands
-    off after each client's turn, sync_batch after every batch (on the even split's
-    two shard sizes without ``shards``), nosync never (the simulator spends K of
-    its epochs on one such pass); federated makes one round trip per client."""
+    off after each client's turn, sync_batch after every batch of the even split's
+    shards, nosync never (the simulator spends K of its epochs on one such pass);
+    federated makes one round trip per client."""
     if protocol is Protocol.SPLIT_SYNC:
         return p, k, 0
     if protocol is Protocol.SPLIT_NOSYNC:
@@ -242,16 +242,14 @@ def _epoch_counts(protocol: Protocol, k: int, p: int, shards, batch_size: int) -
         raise InvalidParam(f"unknown protocol {protocol!r}")
     if batch_size < 1:
         raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
-    if shards is None:
-        base, rem = _even_split(p, k, strict=False)
-        return p, rem * -(-(base + 1) // batch_size) + (k - rem) * -(-base // batch_size), 0
-    return p, sum(-(-size // batch_size) for size in shards), 0
+    base, rem = _even_split(p, k, strict=False)
+    return p, rem * -(-(base + 1) // batch_size) + (k - rem) * -(-base // batch_size), 0
 
 
 def traffic_by_kind(
     params: ScenarioParams,
     protocol: Protocol,
-    shards: Sequence[int] | None = None,
+    shard: int | None = None,
     batch_size: int = 1,
     label_width: int = 0,
     exact: bool = False,
@@ -262,21 +260,18 @@ def traffic_by_kind(
     Labels, each hand-off eta*N ClientWeights, and each round trip N
     GlobalWeights and N ClientWeights; :func:`_epoch_counts` counts them.
 
-    ``shards`` lists each client's records, so K and p are its length
-    and sum; by default p = ``params.dataset_size`` records are spread over
-    K = ``params.clients`` clients as evenly as possible.
+    By default p = ``params.dataset_size`` records are spread over K =
+    ``params.clients`` clients as :func:`shard_sizes` splits them; ``shard``
+    counts one client holding that many records instead (K = 1, p = shard).
 
     Wire counts round each hand-off to ``client_param_count`` and need a
     whole N. ``exact=True`` keeps eta*N and N exact rationals, as the
     break-even algebra behind rho needs.
     """
-    if shards is None:
-        k, p = params.clients, params.dataset_size
-    else:
-        k, p = len(shards), sum(shards)
+    k, p = (params.clients, params.dataset_size) if shard is None else (1, shard)
     if not exact and params.model_params != int(params.model_params):
         raise InvalidParam(f"wire traffic needs a whole model_params, got {params.model_params}")
-    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, shards, batch_size)
+    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
     e = params.epochs
     kinds = dict.fromkeys(_KINDS, 0)
     kinds[MessageKind.ACTIVATIONS] = kinds[MessageKind.GRADIENTS] = records * params.smashed_size * e
@@ -306,7 +301,7 @@ def comm_report(
     is exact either way.
     """
     base, rem = _even_split(params.dataset_size, params.clients, strict)
-    per_client = traffic_by_kind(params, protocol, [base + (rem > 0)], batch_size, label_width)
+    per_client = traffic_by_kind(params, protocol, base + (rem > 0), batch_size, label_width)
     total = traffic_by_kind(params, protocol, None, batch_size, label_width)
     return CommReport.from_scalars(
         protocol, sum(per_client.values()), sum(total.values()), params.bytes_per_scalar
@@ -339,20 +334,6 @@ def efficiency_ratio(params: ScenarioParams, protocol: Protocol, batch_size: int
     return EfficiencyReport(rho=rho_f, winner=winner)
 
 
-def break_even_model_size(
-    dataset_size: int,
-    smashed_size: int,
-    clients: int,
-    client_fraction: float | Fraction = 0.0,
-    variant: Protocol = Protocol.SPLIT_SYNC,
-    batch_size: int = 1,
-) -> float:
-    """Model size N* at which ``variant`` and federated averaging move the same
-    traffic: the one point of :func:`break_even_curve` at K = ``clients``."""
-    curve = break_even_curve(dataset_size, smashed_size, client_fraction, [clients], variant, batch_size)
-    return curve.points[0][1]
-
-
 def break_even_curve(
     dataset_size: int,
     smashed_size: int,
@@ -364,7 +345,7 @@ def break_even_curve(
     """The break-even hyperbola: N* = (A_s - A_f) / (B_f - B_s) on the two lines
     A + B*N at each client count. Scaled by v for eta = u/v, N* is a ratio of
     integers, so int / int rounds it correctly. Raises InvalidParam at a K where
-    no positive N balances the two.
+    no positive N balances the two, or where N* lies past the float range.
     """
     if dataset_size < 1 or smashed_size < 1:
         raise InvalidParam("break-even is undefined for p = 0 or q = 0")
@@ -375,12 +356,15 @@ def break_even_curve(
     u, v = client_fraction.as_integer_ratio()
     points = []
     for k in sorted(set(int(k) for k in clients_values)):
-        records_s, hand_offs_s, trips_s = _epoch_counts(variant, k, dataset_size, None, batch_size)
-        records_f, hand_offs_f, trips_f = _epoch_counts(Protocol.FEDERATED, k, dataset_size, None, 1)
+        records_s, hand_offs_s, trips_s = _epoch_counts(variant, k, dataset_size, batch_size)
+        records_f, hand_offs_f, trips_f = _epoch_counts(Protocol.FEDERATED, k, dataset_size, 1)
         slope = u * (hand_offs_f - hand_offs_s) + 2 * v * (trips_f - trips_s)  # (B_f - B_s) * v
         if slope <= 0:
             raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={k}")
-        points.append((k, 2 * smashed_size * (records_s - records_f) * v / slope))
+        try:
+            points.append((k, 2 * smashed_size * (records_s - records_f) * v / slope))
+        except OverflowError:
+            raise InvalidParam(f"the break-even model size at K={k} lies past the float range") from None
     return BreakEvenCurve(variant, dataset_size, smashed_size, client_fraction, tuple(points))
 
 

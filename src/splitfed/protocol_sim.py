@@ -67,10 +67,6 @@ class TrafficLedger:
     def __iter__(self) -> Iterator[Message]:
         return map(Message._make, self._rows)
 
-    def total_scalars(self, exclude: Iterable[MessageKind] = (MessageKind.LABELS,)) -> int:
-        included = set(MessageKind).difference(exclude)
-        return sum(kinds[kind] for kinds in self._owned().values() for kind in included)
-
     def totals_by_kind(self) -> dict[MessageKind, int]:
         owned = self._owned().values()  # every message has exactly one owner
         return {kind: sum(kinds[kind] for kinds in owned) for kind in MessageKind}
@@ -103,46 +99,30 @@ class TrafficLedger:
         fh.writelines(f"{e},{s},{r},{k.value},{n}\n" for e, s, r, k, n in self._rows)
 
 
-@dataclass(frozen=True)
-class ShardedDataset:
-    """Per-client (inputs, labels) blocks; record order is preserved."""
-
-    shards: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    @property
-    def clients(self) -> int:
-        return len(self.shards)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(x.shape[0] for x, _ in self.shards)
-
-
-def partition_dataset(inputs, labels, clients: int, strict: bool = True) -> ShardedDataset:
-    """Slice the dataset into consecutive per-client blocks.
-
-    Strict mode demands an even split; lenient mode gives the first
-    ``p % clients`` clients one extra record.
+def partition_dataset(inputs, labels, clients: int, strict: bool = True) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Slice the dataset into consecutive per-client (inputs, labels) blocks,
+    sized by :func:`shard_sizes`: strict mode demands an even split; lenient
+    mode gives the first ``p % clients`` clients one extra record.
     """
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
         raise InvalidParam(f"{x.shape[0]} inputs but {y.shape[0]} labels")
     bounds = pairwise(accumulate(shard_sizes(x.shape[0], clients, strict=strict), initial=0))
-    return ShardedDataset(shards=tuple((x[lo:hi], y[lo:hi]) for lo, hi in bounds))
+    return tuple((x[lo:hi], y[lo:hi]) for lo, hi in bounds)
 
 
-def _checked_run(spec: ModelSpec, shards: ShardedDataset, unit: str, count: int, batch_size: int) -> list:
+def _checked_run(spec: ModelSpec, shards: Sequence, unit: str, count: int, batch_size: int) -> list:
     """Check a run's ``count`` epochs or rounds and its batch size, and return
     every shard as float64 (inputs, labels) of the model's widths."""
     if count < 0:
         raise InvalidParam(f"{unit} must be >= 0, got {count}")
     if batch_size < 1:
         raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
-    if shards.clients < 1:
+    if not shards:
         raise InvalidParam("need at least one client shard")
     checked = []
-    for x, y in shards.shards:
+    for x, y in shards:
         x = nn_core._check_batch(x, spec.input_width, "shard inputs")
         y = nn_core._check_batch(y, spec.output_width, "shard labels")
         if x.shape[0] != y.shape[0]:
@@ -210,7 +190,7 @@ class FederatedRunResult:
 def run_split_training(
     spec: ModelSpec,
     cut: int,
-    shards: ShardedDataset,
+    shards: Sequence[tuple[np.ndarray, np.ndarray]],
     variant: Protocol,
     epochs: int,
     lr: float,
@@ -275,7 +255,7 @@ def run_split_training(
 @np.errstate(over="ignore", invalid="ignore")
 def run_federated_training(
     spec: ModelSpec,
-    shards: ShardedDataset,
+    shards: Sequence[tuple[np.ndarray, np.ndarray]],
     rounds: int,
     local_lr: float,
     seed: int,
@@ -369,35 +349,29 @@ class VerificationReport:
 
 
 def client_kind_totals(
-    params: ScenarioParams,
-    variant: Protocol,
-    shard_sizes_override: Sequence[int] | None = None,
-    batch_size: int = 1,
+    params: ScenarioParams, variant: Protocol, batch_size: int = 1
 ) -> dict[str, dict[MessageKind, int]]:
     """Closed-form per-kind scalars each client owns over a simulated run of
-    ``params.epochs`` epochs (or federated rounds), keyed client1..clientK."""
-    if (shards := shard_sizes_override) is None:
-        shards = shard_sizes(params.dataset_size, params.clients, strict=False)
-    k, e = len(shards), params.epochs
+    ``params.epochs`` epochs (or federated rounds), keyed client1..clientK:
+    each client's one-client form on its :func:`shard_sizes` share."""
+    k, e = params.clients, params.epochs
     if variant is Protocol.SPLIT_NOSYNC:
-        # Epoch t goes to client (t mod K) alone, so a client's shard counts
-        # once per epoch that visits it, and a full pass takes K epochs.
-        visits = [(size,) * (e // k + (i < e % k)) for i, size in enumerate(shards)]
-        params = replace(params, epochs=1)
+        # Epoch t goes to client (t mod K) alone, so a client's one-epoch form
+        # counts once per epoch that visits it, and a full pass takes K epochs.
+        params, visits = replace(params, epochs=1), [e // k + (i < e % k) for i in range(k)]
     else:
-        visits = [(size,) for size in shards]
-    forms = {run: traffic_by_kind(params, variant, run, batch_size) for run in set(visits)}
-    return {client_id(i + 1): forms[run] for i, run in enumerate(visits)}
+        visits = [1] * k
+    runs = list(zip(shard_sizes(params.dataset_size, k, strict=False), visits))
+    forms = {(size, v): {kind: n * v for kind, n in traffic_by_kind(params, variant, size, batch_size).items()}
+             for size, v in set(runs)}
+    return {client_id(i + 1): forms[run] for i, run in enumerate(runs)}
 
 
 def expected_kind_totals(
-    params: ScenarioParams,
-    variant: Protocol,
-    shard_sizes_override: Sequence[int] | None = None,
-    batch_size: int = 1,
+    params: ScenarioParams, variant: Protocol, batch_size: int = 1
 ) -> dict[MessageKind, int]:
     """Closed-form per-kind scalar totals of a simulated run: the sums of its clients' forms."""
-    forms = client_kind_totals(params, variant, shard_sizes_override, batch_size)
+    forms = client_kind_totals(params, variant, batch_size)
     return {kind: sum(form[kind] for form in forms.values()) for kind in MessageKind}
 
 
@@ -405,15 +379,16 @@ def verify_against_model(
     ledger: TrafficLedger,
     params: ScenarioParams,
     variant: Protocol,
-    shard_sizes_override: Sequence[int] | None = None,
     batch_size: int = 1,
 ) -> VerificationReport:
-    """Exact integer check of every client's tally against its own closed form.
+    """Exact integer check of every client's tally against its own closed form,
+    on the shard :func:`shard_sizes` gives it in lenient mode (strict mode
+    either agrees or refuses to split).
 
     A message owned by anything but client1..clientK is a mismatch. Labels
     are excluded on both sides. A mismatch is a result, not an error.
     """
-    forms = client_kind_totals(params, variant, shard_sizes_override, batch_size)
+    forms = client_kind_totals(params, variant, batch_size)
     tally = ledger.tally()
     zero = dict.fromkeys(MessageKind, 0)
     # client1..clientK first, then any other owner, which no closed form allows

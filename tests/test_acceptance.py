@@ -17,10 +17,11 @@ from splitfed import (
     Protocol,
     ScenarioParams,
     Winner,
-    break_even_model_size,
+    break_even_curve,
     comm_report,
     efficiency_ratio,
     init_params,
+    measured_comm,
     partition_dataset,
     random_dataset,
     run_federated_training,
@@ -29,7 +30,6 @@ from splitfed import (
     verify_against_model,
 )
 from splitfed.cli import main
-from splitfed.protocol_sim import ShardedDataset
 from splitfed.scenarios import load_scenario
 
 from _step import gradients, loss
@@ -62,20 +62,20 @@ def test_ledger_formula_identity_randomized():
 
             sync = run_split_training(spec, cut, shards, Protocol.SPLIT_SYNC,
                                       epochs=epochs, lr=0.01, seed=seed, batch_size=batch)
-            assert sync.ledger.total_scalars() == comm_report(params, Protocol.SPLIT_SYNC).total_scalars
+            assert measured_comm(sync.ledger, k, Protocol.SPLIT_SYNC).total_scalars == comm_report(params, Protocol.SPLIT_SYNC).total_scalars
             assert verify_against_model(sync.ledger, params, Protocol.SPLIT_SYNC).matches
 
             cycle_params = ScenarioParams.from_model(spec, cut, clients=k, dataset_size=p,
                                                      epochs=k * epochs)
             alt = run_split_training(spec, cut, shards, Protocol.SPLIT_NOSYNC,
                                      epochs=k * epochs, lr=0.01, seed=seed, batch_size=batch)
-            assert alt.ledger.total_scalars() == comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars
+            assert measured_comm(alt.ledger, k, Protocol.SPLIT_NOSYNC).total_scalars == comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars
             assert alt.ledger.totals_by_kind()[MessageKind.CLIENT_WEIGHTS] == 0
             assert verify_against_model(alt.ledger, cycle_params, Protocol.SPLIT_NOSYNC).matches
 
             fed = run_federated_training(spec, shards, rounds=epochs, local_lr=0.01,
                                          seed=seed, batch_size=batch)
-            assert fed.ledger.total_scalars() == comm_report(params, Protocol.FEDERATED).total_scalars
+            assert measured_comm(fed.ledger, k, Protocol.FEDERATED).total_scalars == comm_report(params, Protocol.FEDERATED).total_scalars
             assert verify_against_model(fed.ledger, params, Protocol.FEDERATED).matches
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"identity sweep took {elapsed:.1f}s"
@@ -94,8 +94,8 @@ def test_break_even_reproduction():
         q = int(10 ** rng.uniform(0, 4))
         k = int(10 ** rng.uniform(0, 3))
         eta = float(rng.choice([0.0, 1.0, rng.uniform()]))
-        n_sync = break_even_model_size(p, q, k, eta, Protocol.SPLIT_SYNC)
-        n_nosync = break_even_model_size(p, q, k, variant=Protocol.SPLIT_NOSYNC)
+        n_sync = break_even_curve(p, q, eta, [k], Protocol.SPLIT_SYNC).points[0][1]
+        n_nosync = break_even_curve(p, q, 0.0, [k], Protocol.SPLIT_NOSYNC).points[0][1]
         if n_sync < 1 or n_nosync < 1:
             continue
         accepted += 1
@@ -181,7 +181,7 @@ def test_numerical_core():
 
             # one split step on the whole batch equals one monolithic step
             step = sgd_step(params.copy(), analytic.copy(), 0.05)
-            shards = ShardedDataset(shards=((x, y),))
+            shards = [(x, y)]
             for cut in range(1, spec.weight_layers):
                 run = run_split_training(spec, cut, shards, Protocol.SPLIT_SYNC, epochs=1,
                                          lr=0.05, seed=seed, batch_size=x.shape[0])
@@ -191,7 +191,7 @@ def test_numerical_core():
 
     spec = ModelSpec((5, 4, 2))
     x, y = random_dataset(spec, 6, 123)
-    clones = ShardedDataset(shards=tuple((x, y) for _ in range(5)))
+    clones = [(x, y)] * 5
     fed = run_federated_training(spec, clones, rounds=3, local_lr=0.05, seed=321)
     single = init_params(spec, 321)
     for _ in range(3):

@@ -351,6 +351,18 @@ def test_simulate_epoch_without_records_keeps_its_nan(tmp_path, capsys):
     assert [loss == "nan" for _, loss in rows] == [False, False, True, True]
 
 
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("variant", [protocol.value for protocol in Protocol])
+def test_simulate_lenient_shards_verify_exactly(tmp_path, capsys, variant, batch_size):
+    # p = 7 over K = 3 gives shards of 3, 2 and 2; the ledger check reads the
+    # same split from shard_sizes that the data partition was cut by
+    scenario = tmp_path / "lenient.txt"
+    scenario.write_text(f"layer_widths = 4, 3, 2\ncut_index = 1\nK = 3\np = 7\nepochs = 3\n"
+                        f"batch_size = {batch_size}\nvariant = {variant}\n")
+    assert main(["simulate", "--scenario", str(scenario), "--lenient-shards"]) == 0
+    assert "verification: exact match" in capsys.readouterr().out
+
+
 def test_simulate_raw_scenario_exits_2(tmp_path, capsys):
     raw = tmp_path / "raw.txt"
     raw.write_text(RAW_TEXT)
@@ -446,6 +458,27 @@ def test_k_range_point_limit_covers_every_form(monkeypatch, capsys, k_range):
     assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", k_range]) == 3
     assert "has 4 points, more than 3" in capsys.readouterr().err
     assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "1:3"]) == 0
+
+
+@pytest.mark.parametrize("k_range, item", [
+    (",".join(["1"] * 99_999 + ["x"]), "K at item 100000 is 'x'"),
+    (",".join(["0"] * 100_000), "need K at item 1 >= 1, got '0'"),
+    ("1:" + "9" * 100_000 + "y", "B is '99999999999999999999'..."),
+])
+def test_breakeven_k_range_error_names_the_first_bad_item(capsys, k_range, item):
+    assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", k_range]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+    assert item in err
+
+
+def test_breakeven_n_star_past_the_float_range_exits_3(tmp_path, capsys):
+    csv_path, svg_path = tmp_path / "curve.csv", tmp_path / "curve.svg"
+    assert main(["breakeven", "--p", "1e300", "--q", "1e10", "--eta", "0.5", "--k-range", "1:2",
+                 "--csv", str(csv_path), "--svg", str(svg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "K=1" in err
+    assert not csv_path.exists() and not svg_path.exists()
 
 
 def test_breakeven_uses_the_scenario_variant(tmp_path, capsys):
@@ -555,6 +588,29 @@ def test_sweep_empty_grid_exits_2(tmp_path, capsys):
     scenario = tmp_path / "empty.txt"
     scenario.write_text(RAW_TEXT + "grid.K =\n")
     assert main(["sweep", "--scenario", str(scenario)]) == 2
+
+
+def test_sweep_refuses_too_many_cells_before_expanding_them(tmp_path, monkeypatch, capsys):
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("an oversized grid must be refused before it is swept")
+
+    # five 100-value axes: 10**10 cells, counted without building one
+    scenario = tmp_path / "huge.txt"
+    axes = {"K": range(1, 101), "N": range(1000, 1100), "p": range(100, 200), "q": range(1, 101),
+            "eta": (f"{i}/100" for i in range(1, 101))}
+    scenario.write_text(RAW_TEXT + "".join(f"grid.{key} = {', '.join(map(str, values))}\n"
+                                           for key, values in axes.items()))
+    monkeypatch.setattr(cli, "sweep", no_expansion)
+    assert main(["sweep", "--scenario", str(scenario)]) == 3
+    assert capsys.readouterr().err == f"error: sweep has {10**10} cells, more than {cli.SWEEP_MAX_CELLS}\n"
+    monkeypatch.undo()
+
+    # the count sums over a suite's scenarios: smartwatch has three one-cell cases
+    monkeypatch.setattr(cli, "SWEEP_MAX_CELLS", 2)
+    assert main(["sweep", "--scenario", "smartwatch"]) == 3
+    assert "sweep has 3 cells, more than 2" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "SWEEP_MAX_CELLS", 3)
+    assert main(["sweep", "--scenario", "smartwatch"]) == 0
 
 
 def test_bad_grid_axes_report_the_same_error_under_every_hash_seed(tmp_path):

@@ -1,6 +1,7 @@
 """Closed-form traffic formulas, the efficiency ratio, and break-even solving."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from splitfed import (
     ScenarioParams,
     Winner,
     break_even_curve,
-    break_even_model_size,
     comm_report,
     efficiency_ratio,
     shard_sizes,
@@ -30,6 +30,11 @@ from splitfed.cost_model import REPORTED, reported
 
 def make_params(K, N, p, q, eta, bytes_per_scalar=4, epochs=1):
     return ScenarioParams(K, N, p, q, eta, bytes_per_scalar, epochs)
+
+
+def break_even_at(p, q, k, eta=0.0, variant=Protocol.SPLIT_SYNC, batch_size=1):
+    """N* at one client count: the one point of that curve."""
+    return break_even_curve(p, q, eta, [k], variant, batch_size).points[0][1]
 
 
 # --- shard sizes -------------------------------------------------------------
@@ -132,8 +137,8 @@ def test_traffic_by_kind_golden_432_cut1():
     # batches of 2 over shards of 3 and 3 records: two hand-offs per client per epoch
     batched = traffic_by_kind(params, Protocol.SPLIT_SYNC_BATCH, batch_size=2)
     assert batched[MessageKind.CLIENT_WEIGHTS] == 15 * 4 * 2
-    # explicit shards set K and p
-    assert traffic_by_kind(params, Protocol.SPLIT_SYNC, [4])[MessageKind.CLIENT_WEIGHTS] == 15 * 2
+    # one client's shard: K = 1, p = shard
+    assert traffic_by_kind(params, Protocol.SPLIT_SYNC, 4)[MessageKind.CLIENT_WEIGHTS] == 15 * 2
 
 
 def test_traffic_by_kind_exact_keeps_the_rational_hand_off():
@@ -364,26 +369,26 @@ def test_rho_is_monotone_in_every_parameter(protocol, batch, ks, ns, per_shard, 
 # --- break-even --------------------------------------------------------------
 
 def test_break_even_examples():
-    assert break_even_model_size(1000, 10, 10, 1.0, Protocol.SPLIT_SYNC) == pytest.approx(2000.0)
-    assert break_even_model_size(1000, 10, 10, variant=Protocol.SPLIT_NOSYNC) == pytest.approx(1000.0)
+    assert break_even_at(1000, 10, 10, 1.0, Protocol.SPLIT_SYNC) == pytest.approx(2000.0)
+    assert break_even_at(1000, 10, 10, variant=Protocol.SPLIT_NOSYNC) == pytest.approx(1000.0)
 
 
 def test_break_even_eta_zero_matches_nosync():
     for p, q, k in ((1000, 10, 10), (7, 3, 2), (123, 45, 6)):
-        sync = break_even_model_size(p, q, k, 0.0, Protocol.SPLIT_SYNC)
-        nosync = break_even_model_size(p, q, k, variant=Protocol.SPLIT_NOSYNC)
+        sync = break_even_at(p, q, k, 0.0, Protocol.SPLIT_SYNC)
+        nosync = break_even_at(p, q, k, variant=Protocol.SPLIT_NOSYNC)
         assert sync == pytest.approx(nosync, rel=1e-15)
 
 
 def test_break_even_degenerate_inputs():
     with pytest.raises(InvalidParam):
-        break_even_model_size(0, 10, 10, 0.5)
+        break_even_at(0, 10, 10, 0.5)
     with pytest.raises(InvalidParam):
-        break_even_model_size(10, 0, 10, 0.5)
+        break_even_at(10, 0, 10, 0.5)
 
 
 def test_break_even_round_trip_spot():
-    n_star = break_even_model_size(1000, 10, 10, 1.0, Protocol.SPLIT_SYNC)
+    n_star = break_even_at(1000, 10, 10, 1.0, Protocol.SPLIT_SYNC)
     eff = efficiency_ratio(make_params(10, n_star, 1000, 10, 1.0), Protocol.SPLIT_SYNC)
     assert eff.winner is Winner.TIE
 
@@ -416,7 +421,7 @@ def test_break_even_is_the_exact_crossing_of_the_two_lines(k, records_per_client
     a_f, b_f = _line(params_at, Protocol.FEDERATED, 1)
     if b_s >= b_f:  # split moves at least as many weights: no N balances the two
         with pytest.raises(InvalidParam, match=f"K={k}"):
-            break_even_model_size(p, q, k, eta, protocol, batch)
+            break_even_at(p, q, k, eta, protocol, batch)
         return
     n_star = (a_s - a_f) / (b_f - b_s)
     split, fed = (sum(traffic_by_kind(params_at(n_star), m, batch_size=batch, exact=True).values())
@@ -424,26 +429,28 @@ def test_break_even_is_the_exact_crossing_of_the_two_lines(k, records_per_client
     assert split == fed
     assert efficiency_ratio(params_at(n_star), protocol, batch).winner is Winner.TIE
     # correctly rounded: float() of a Fraction is the nearest float
-    assert break_even_model_size(p, q, k, eta, protocol, batch) == float(n_star)
+    assert break_even_at(p, q, k, eta, protocol, batch) == float(n_star)
     curve = break_even_curve(p, q, eta, [k, 2 * k], protocol, batch)
     assert curve.points[0] == (k, float(n_star))
-    # sync_batch's O(1) hand-off count equals the count over the K-long shard list
-    assert traffic_by_kind(params_at(1), protocol, batch_size=batch) == traffic_by_kind(
-        params_at(1), protocol, shard_sizes(p, k, strict=False), batch_size=batch)
+    # the O(1) form over K clients is the sum of their one-client shard= shares
+    holders = Counter(shard_sizes(p, k, strict=False))
+    shares = {size: traffic_by_kind(params_at(1), protocol, size, batch) for size in holders}
+    assert traffic_by_kind(params_at(1), protocol, batch_size=batch) == {
+        kind: sum(n * shares[size][kind] for size, n in holders.items()) for kind in MessageKind}
 
 
 def test_break_even_without_a_crossing_raises():
     # one client with six batches hands off 6*eta*N > 2N for eta = 15/23: no N* at K=1
     with pytest.raises(InvalidParam, match="K=1"):
-        break_even_model_size(6, 3, 1, Fraction(15, 23), Protocol.SPLIT_SYNC_BATCH)
+        break_even_at(6, 3, 1, Fraction(15, 23), Protocol.SPLIT_SYNC_BATCH)
     for protocol in (Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH):
         with pytest.raises(InvalidParam):
-            break_even_model_size(6, 3, 0, 0.5, protocol)
+            break_even_at(6, 3, 0, 0.5, protocol)
     with pytest.raises(InvalidParam, match="K=1"):
         break_even_curve(6, 3, Fraction(15, 23), [1, 2, 4], Protocol.SPLIT_SYNC_BATCH)
     with pytest.raises(InvalidParam):  # federated against itself ties at every N
-        break_even_model_size(6, 3, 2, 0.5, Protocol.FEDERATED)
-    assert break_even_model_size(6, 3, 2, Fraction(15, 23), Protocol.SPLIT_SYNC_BATCH) == 414
+        break_even_at(6, 3, 2, 0.5, Protocol.FEDERATED)
+    assert break_even_at(6, 3, 2, Fraction(15, 23), Protocol.SPLIT_SYNC_BATCH) == 414
 
 
 def test_break_even_curve_decreasing_in_k():

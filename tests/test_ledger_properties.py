@@ -71,19 +71,18 @@ def test_tally_equals_per_client_closed_form(arch, protocol, clients, records, e
 
     tally = ledger.tally()
     assert set(tally) <= {client_id(k + 1) for k in range(clients)}
-    for k, size in enumerate(shards.sizes):
-        if protocol is Protocol.SPLIT_NOSYNC:
-            # alternating epoch t belongs to client (t mod K) alone
-            visits = sum(1 for t in range(epochs) if t % clients == k)
-            form = traffic_by_kind(replace(params, epochs=1), protocol, [size] * visits, batch_size,
-                                   label_width=spec.output_width)
-        else:
-            form = traffic_by_kind(params, protocol, [size], batch_size, label_width=spec.output_width)
-        assert tally.get(client_id(k + 1), dict.fromkeys(MessageKind, 0)) == form
+    # alternating epoch t belongs to client (t mod K) alone; a one-visit form scales by visits
+    one_pass = replace(params, epochs=1) if protocol is Protocol.SPLIT_NOSYNC else params
+    for k in range(clients):
+        size = records // clients + (k < records % clients)  # the first p mod K clients hold one more
+        visits = sum(1 for t in range(epochs) if t % clients == k) if protocol is Protocol.SPLIT_NOSYNC else 1
+        form = traffic_by_kind(one_pass, protocol, size, batch_size, label_width=spec.output_width)
+        assert tally.get(client_id(k + 1), dict.fromkeys(MessageKind, 0)) == {
+            kind: n * visits for kind, n in form.items()}
 
     totals = ledger.totals_by_kind()
     assert {kind: sum(kinds[kind] for kinds in tally.values()) for kind in MessageKind} == totals
-    assert verify_against_model(ledger, params, protocol, shards.sizes, batch_size).matches
+    assert verify_against_model(ledger, params, protocol, batch_size).matches
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,7 +162,8 @@ def test_ledger_rows_csv_and_cached_tally(first, later):
         assert ledger.tally() == naive_tally(log)
         assert ledger.totals_by_kind() == {kind: sum(m.scalar_count for m in log if m.kind is kind)
                                            for kind in MessageKind}
-        assert ledger.total_scalars() == sum(m.scalar_count for m in log if m.kind is not MessageKind.LABELS)
+        assert measured_comm(ledger, 1, Protocol.SPLIT_SYNC).total_scalars == sum(
+            m.scalar_count for m in log if m.kind is not MessageKind.LABELS)
 
     with pytest.raises(InvalidParam):
         ledger.append(0, client_id(1), SERVER, MessageKind.ACTIVATIONS, -1)

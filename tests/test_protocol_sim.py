@@ -20,7 +20,6 @@ from splitfed import (
     Protocol,
     ScenarioParams,
     ShapeMismatch,
-    ShardedDataset,
     TrafficLedger,
     comm_report,
     init_params,
@@ -54,8 +53,7 @@ def golden_params(p=6, clients=2, epochs=1):
 # --- dataset partitioning ----------------------------------------------------
 
 def test_partition_even():
-    shards = golden_shards()
-    assert shards.sizes == (3, 3)
+    assert [x.shape[0] for x, _ in golden_shards()] == [3, 3]
 
 
 def test_partition_strict_rejects_remainder():
@@ -67,9 +65,9 @@ def test_partition_strict_rejects_remainder():
 def test_partition_lenient_and_order_preserving():
     x, y = random_dataset(SPEC, 7, 1)
     shards = partition_dataset(x, y, 2, strict=False)
-    assert shards.sizes == (4, 3)
-    assert np.array_equal(np.vstack([s[0] for s in shards.shards]), x)
-    assert np.array_equal(np.vstack([s[1] for s in shards.shards]), y)
+    assert [xs.shape[0] for xs, _ in shards] == [4, 3]
+    assert np.array_equal(np.vstack([s[0] for s in shards]), x)
+    assert np.array_equal(np.vstack([s[1] for s in shards]), y)
 
 
 # --- split training ledger ---------------------------------------------------
@@ -83,8 +81,8 @@ def test_sync_epoch_golden_ledger():
     assert totals[MessageKind.CLIENT_WEIGHTS] == 30
     assert totals[MessageKind.GLOBAL_WEIGHTS] == 0
     assert totals[MessageKind.LABELS] == 12  # 6 records x label width 2
-    assert run.ledger.total_scalars() == 66
-    assert run.ledger.total_scalars() == comm_report(golden_params(), Protocol.SPLIT_SYNC).total_scalars
+    total = measured_comm(run.ledger, 2, Protocol.SPLIT_SYNC).total_scalars
+    assert total == 66 == comm_report(golden_params(), Protocol.SPLIT_SYNC).total_scalars
 
 
 def test_sync_epoch_ring_closes():
@@ -103,7 +101,7 @@ def test_sync_epoch_self_loop_when_single_client():
     hand_offs = [m for m in run.ledger if m.kind is MessageKind.CLIENT_WEIGHTS]
     assert len(hand_offs) == 1 and hand_offs[0].sender == hand_offs[0].receiver == client_id(1)
     formula = comm_report(golden_params(p=4, clients=1), Protocol.SPLIT_SYNC)
-    assert run.ledger.total_scalars() == formula.total_scalars
+    assert measured_comm(run.ledger, 1, Protocol.SPLIT_SYNC).total_scalars == formula.total_scalars
 
 
 def test_alternating_takes_turns_and_never_shares_weights():
@@ -119,8 +117,8 @@ def test_alternating_takes_turns_and_never_shares_weights():
         up = sum(m.scalar_count for m in msgs if m.kind is MessageKind.ACTIVATIONS)
         assert up == 3 * 3  # active shard x q
     # over K consecutive epochs the ledger moves 2 p q scalars
-    assert run.ledger.total_scalars() == 36
-    assert run.ledger.total_scalars() == comm_report(golden_params(), Protocol.SPLIT_NOSYNC).total_scalars
+    total = measured_comm(run.ledger, 2, Protocol.SPLIT_NOSYNC).total_scalars
+    assert total == 36 == comm_report(golden_params(), Protocol.SPLIT_NOSYNC).total_scalars
 
 
 def test_sync_batch_hand_off_per_batch():
@@ -153,7 +151,7 @@ def test_zero_records_leaves_only_sync_weight_traffic():
     run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=1)
     kinds = {m.kind for m in run.ledger}
     assert kinds == {MessageKind.CLIENT_WEIGHTS}
-    assert run.ledger.total_scalars() == 15 * 3
+    assert measured_comm(run.ledger, 3, Protocol.SPLIT_SYNC).total_scalars == 15 * 3
     assert math.isnan(run.epoch_losses[0])
 
     for variant in (Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH):
@@ -257,9 +255,9 @@ def test_held_weights_never_alias(monkeypatch):
 
 def test_shard_widths_checked_once_per_run():
     x, y = random_dataset(SPEC, 6, 42)
-    wide_x = ShardedDataset(shards=((np.zeros((3, 5)), y[:3]),))
-    wide_y = ShardedDataset(shards=((x[:3], np.zeros((3, 3))),))
-    short_y = ShardedDataset(shards=((x[:3], y[:2]),))
+    wide_x = [(np.zeros((3, 5)), y[:3])]
+    wide_y = [(x[:3], np.zeros((3, 3)))]
+    short_y = [(x[:3], y[:2])]
     for bad in (wide_x, wide_y, short_y):
         with pytest.raises(ShapeMismatch):
             run_split_training(SPEC, 1, bad, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=42)
@@ -314,7 +312,7 @@ def test_training_step_calls_through_nn_core(monkeypatch, variant):
 
 def test_federated_golden_totals():
     run = run_federated_training(SPEC, golden_shards(), rounds=5, local_lr=0.01, seed=42)
-    assert run.ledger.total_scalars() == 460  # 2 K N rounds
+    assert measured_comm(run.ledger, 2, Protocol.FEDERATED).total_scalars == 460  # 2 K N rounds
     totals = run.ledger.totals_by_kind()
     assert totals[MessageKind.GLOBAL_WEIGHTS] == 23 * 2 * 5
     assert totals[MessageKind.CLIENT_WEIGHTS] == 23 * 2 * 5
@@ -358,9 +356,7 @@ def test_federated_zero_rounds():
 
 def test_federated_identical_shards_match_single_client_training():
     x, y = random_dataset(SPEC, 4, seed=3)
-    from splitfed.protocol_sim import ShardedDataset
-
-    clones = ShardedDataset(shards=tuple((x, y) for _ in range(3)))
+    clones = [(x, y)] * 3
     run = run_federated_training(SPEC, clones, rounds=4, local_lr=0.05, seed=11)
 
     params = init_params(SPEC, 11)
@@ -409,7 +405,7 @@ def test_verify_alternating_cycle_equals_nosync_closed_form():
     shards = golden_shards(p=12, clients=3)
     run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_NOSYNC, epochs=3, lr=0.01, seed=9)
     formula = comm_report(golden_params(p=12, clients=3, epochs=1), Protocol.SPLIT_NOSYNC)
-    assert run.ledger.total_scalars() == formula.total_scalars
+    assert measured_comm(run.ledger, 3, Protocol.SPLIT_NOSYNC).total_scalars == formula.total_scalars
 
 
 def test_verify_flags_injected_fault():
@@ -464,11 +460,10 @@ def test_verify_lenient_shards():
     shards = partition_dataset(x, y, 2, strict=False)
     run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=1)
     params = golden_params(p=7)
-    report = verify_against_model(run.ledger, params, Protocol.SPLIT_SYNC,
-                                  shard_sizes_override=shards.sizes)
-    assert report.matches
+    assert verify_against_model(run.ledger, params, Protocol.SPLIT_SYNC).matches
     # forward+backward split traffic still totals 2 p q regardless of the remainder
-    assert run.ledger.total_scalars() == comm_report(params, Protocol.SPLIT_SYNC, strict=False).total_scalars
+    measured = measured_comm(run.ledger, 2, Protocol.SPLIT_SYNC).total_scalars
+    assert measured == comm_report(params, Protocol.SPLIT_SYNC, strict=False).total_scalars
 
 
 # --- ledger CSV --------------------------------------------------------------
