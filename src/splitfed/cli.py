@@ -12,6 +12,7 @@ significant digits, "\n" line endings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import operator
 import os
@@ -20,9 +21,9 @@ from fractions import Fraction
 
 from . import protocol_sim
 from .cost_model import (
-    CommReport,
     MessageKind,
     Protocol,
+    SweepRow,
     break_even_curve,
     comm_report,
     efficiency_ratio,
@@ -57,7 +58,7 @@ SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this.
 K_RANGE_MAX_POINTS = 10**6
 # sweep refuses a suite whose grids hold more cells than this, before it
-# expands them: it holds every row in memory, about 2 KB a cell.
+# expands them: it holds every cell's SweepRow in memory, about 1.6 KB a cell.
 SWEEP_MAX_CELLS = 10**5
 
 # The parameter columns of a report row, field -> key (bytes_per_scalar shows
@@ -72,39 +73,45 @@ CSV_HEADER = [
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        x = float(x)
-    if isinstance(x, int):
+    """One output value: an int verbatim; a real (a Fraction as its float) as an integer when
+    integral and below 1e15 in size, "inf" if infinite, else to 12 significant digits; else str."""
+    # exact types first: ints and floats skip isinstance, whose Fraction check goes through ABCMeta
+    if type(x) is int:
         return str(x)
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        if math.isnan(x):
-            return "nan"
-        if x == int(x) and abs(x) < 1e15:
-            return str(int(x))
-        return format(x, ".12g")
-    return str(x)
+    if type(x) is not float:
+        if isinstance(x, Fraction):
+            x = float(x)
+        elif not isinstance(x, float):
+            return str(x)
+    if x.is_integer() and -1e15 < x < 1e15:
+        return str(int(x))
+    if math.isinf(x):
+        return "inf"
+    return format(x, ".12g")  # "nan" for either NaN
 
 
-def _write_csv_lines(path: str, header: list[str], rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+@contextlib.contextmanager
+def _csv_lines(path: str | None, header: list[str]):
+    """The write function of a CSV stream, header written: a new file at ``path``, named on
+    stdout once closed, or stdout itself when ``path`` is None. Lines go out as they are formatted."""
+    with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        yield fh.write
+    if path:
+        print(f"wrote {path}")
 
 
-def _report_rows(values: dict, reports: dict[Protocol, CommReport], rho, winner) -> list[tuple]:
-    columns = _param_columns(values)
-    return [
-        (method.label, *columns, r.per_client_scalars, r.total_scalars, r.per_client_bytes, r.total_bytes,
-         rho, winner)
-        for method, r in reports.items()
-    ]
-
-
-def _error_rows(values: dict, message: str) -> list[tuple]:
-    return [("Error", *_param_columns(values), "", "", "", "", "", message)]
+def _write_cell(write, cell: SweepRow) -> None:
+    """One grid cell's CSV lines: an Error line, or a line per method. The columns
+    the methods share (parameters, rho, winner) are formatted once."""
+    columns = ",".join(map(_fmt, _param_columns(cell.values)))
+    if cell.error is not None:
+        write(f"Error,{columns},,,,,,{cell.error}\n")
+        return
+    tail = f"{_fmt(cell.efficiency.rho)},{cell.efficiency.winner.value}\n"
+    for method, r in cell.reports.items():
+        write(f"{method.label},{columns},{_fmt(r.per_client_scalars)},{_fmt(r.total_scalars)},"
+              f"{_fmt(r.per_client_bytes)},{_fmt(r.total_bytes)},{tail}")
 
 
 def compared_protocol(variant: str) -> Protocol:
@@ -132,8 +139,8 @@ def cmd_analyze(args) -> int:
     print(f"rho ({split.label} vs Federated) = {_fmt(eff.rho)}  winner: {eff.winner.value}")
 
     if args.csv:
-        _write_csv_lines(args.csv, CSV_HEADER, _report_rows(values, reports, eff.rho, eff.winner.value))
-        print(f"wrote {args.csv}")
+        with _csv_lines(args.csv, CSV_HEADER) as write:
+            _write_cell(write, SweepRow(values, params, reports, eff, None))
     return 0
 
 
@@ -189,8 +196,9 @@ def cmd_simulate(args) -> int:
         ledger.to_csv(args.csv)
         print(f"wrote {args.csv}")
     if args.loss_csv:
-        _write_csv_lines(args.loss_csv, ["epoch", "loss"], [[i, loss] for i, loss in enumerate(losses)])
-        print(f"wrote {args.loss_csv}")
+        with _csv_lines(args.loss_csv, ["epoch", "loss"]) as write:
+            for i, loss in enumerate(losses):
+                write(f"{i},{_fmt(loss)}\n")
 
     exclude = () if args.include_labels else (MessageKind.LABELS,)
     measured = protocol_sim.measured_comm(ledger, params.clients, variant, exclude=exclude,
@@ -226,10 +234,13 @@ def _k_int(item: str, where: str | int, least: int | None = None) -> int:
 
 
 def _parse_k_range(text: str) -> list[int]:
-    """A:B:STEP (arithmetic, inclusive), A:B:xF (geometric), or a comma list."""
+    """A:B:STEP (arithmetic, inclusive), A:B:xF (geometric), or a comma list.
+    The points are counted before any list item is converted."""
     text = text.strip()
     if ":" not in text:
-        values = [_k_int(v, i, 1) for i, v in enumerate(text.split(","), 1) if v.strip()]
+        items = text.split(",")
+        count = sum(1 for v in items if v.strip())
+        values = (_k_int(v, i, 1) for i, v in enumerate(items, 1) if v.strip())
     else:
         parts = text.split(":")
         if len(parts) == 2:
@@ -247,11 +258,11 @@ def _parse_k_range(text: str) -> list[int]:
                 k *= factor
         else:
             values = range(lo, hi + 1, _k_int(step, "STEP", 1))  # counted below before it is built
-    # len() of a range fails beyond sys.maxsize points, so a range is counted by arithmetic
-    count = len(values) if isinstance(values, list) else max(0, -((values.start - values.stop) // values.step))
+        # len() of a range fails beyond sys.maxsize points, so a range is counted by arithmetic
+        count = len(values) if isinstance(values, list) else max(0, -((values.start - values.stop) // values.step))
     if count > K_RANGE_MAX_POINTS:
         raise InvalidParam(f"--k-range has {count} points, more than {K_RANGE_MAX_POINTS}")
-    if not values:
+    if not count:
         raise InvalidParam("K range yields no client counts")
     return list(values)
 
@@ -273,11 +284,14 @@ def cmd_breakeven(args) -> int:
     curve = break_even_curve(p, q, eta, ks, variant, batch_size)
 
     print(f"break-even curve: p={_fmt(p)} q={_fmt(q)} eta={_fmt(eta)} variant={variant.label}")
-    for k, n_star in curve.points:
-        print(f"  K={k:<10} N*={_fmt(n_star)}")
-    if args.csv:
-        _write_csv_lines(args.csv, [PARAM_KEYS["clients"], "N_break_even"], [[k, n] for k, n in curve.points])
-        print(f"wrote {args.csv}")
+    show, header = sys.stdout.write, [PARAM_KEYS["clients"], "N_break_even"]
+    # each N* is formatted once, for its stdout line and its CSV line
+    with _csv_lines(args.csv, header) if args.csv else contextlib.nullcontext() as write:
+        for k, n_star in curve.points:
+            n_text = _fmt(n_star)
+            show(f"  K={k:<10} N*={n_text}\n")
+            if write:
+                write(f"{k},{n_text}\n")
     if args.svg:
         render_breakeven_svg(curve, args.svg)
         print(f"wrote {args.svg}")
@@ -290,25 +304,15 @@ def cmd_sweep(args) -> int:
     if cells > SWEEP_MAX_CELLS:
         raise InvalidParam(f"sweep has {cells} cells, more than {SWEEP_MAX_CELLS}")
     strict = not args.lenient_shards
-    rows_out: list[tuple] = []
+    rows = []
     for sc in scenarios:
-        split = compared_protocol(args.variant or sc.variant)
         label_width = sc.label_width if args.include_labels else 0
-        for row in sweep(sc.grid(), split, strict, label_width, sc.batch_size):
-            if row.error is not None:
-                rows_out.extend(_error_rows(row.values, row.error))
-            else:
-                rows_out.extend(
-                    _report_rows(row.values, row.reports, row.efficiency.rho, row.efficiency.winner.value)
-                )
-    print(f"swept {cells} parameter combinations ({len(rows_out)} CSV rows)")
-    if args.csv:
-        _write_csv_lines(args.csv, CSV_HEADER, rows_out)
-        print(f"wrote {args.csv}")
-    else:
-        print(",".join(CSV_HEADER))
-        for row in rows_out:
-            print(",".join(_fmt(v) for v in row))
+        rows += sweep(sc.grid(), compared_protocol(args.variant or sc.variant), strict, label_width, sc.batch_size)
+    csv_rows = sum(1 if row.error is not None else len(row.reports) for row in rows)
+    print(f"swept {cells} parameter combinations ({csv_rows} CSV rows)")
+    with _csv_lines(args.csv, CSV_HEADER) as write:
+        for row in rows:
+            _write_cell(write, row)
     return 0
 
 

@@ -460,6 +460,21 @@ def test_k_range_point_limit_covers_every_form(monkeypatch, capsys, k_range):
     assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "1:3"]) == 0
 
 
+def test_k_range_list_over_the_limit_converts_no_item(monkeypatch, capsys):
+    # the non-empty items are counted first: an oversized list is refused before
+    # any item goes through _k_int
+    calls = []
+    k_int = cli._k_int
+    monkeypatch.setattr(cli, "_k_int", lambda *args: calls.append(args) or k_int(*args))
+    over = cli.K_RANGE_MAX_POINTS + 1
+    assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", ",".join(["1"] * over)]) == 3
+    assert f"has {over} points" in capsys.readouterr().err
+    assert calls == []
+    # blank items are not points, and each point is converted once
+    assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "1,, 2 ,,3,"]) == 0
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("k_range, item", [
     (",".join(["1"] * 99_999 + ["x"]), "K at item 100000 is 'x'"),
     (",".join(["0"] * 100_000), "need K at item 1 >= 1, got '0'"),

@@ -50,6 +50,12 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
     for suite in BUILTIN_SUITES:
         cases[f"sweep-{suite}"] = (["sweep", "--scenario", suite, "--csv", "sweep.csv"], ["sweep.csv"])
     cases["sweep-grid"] = (["sweep", "--scenario", GRID, "--csv", "sweep.csv"], ["sweep.csv"])
+    # Without --csv, sweep prints its rows and breakeven its points on stdout
+    # and neither writes a file.
+    cases["sweep-grid-stdout"] = (["sweep", "--scenario", GRID], [])
+    cases["breakeven-tiny-dense-stdout"] = (
+        ["breakeven", "--scenario", "tiny-dense", "--k-range", "1:4096:x2"], []
+    )
     cases["sweep-grid-nosync-lenient-labels"] = (
         ["sweep", "--scenario", GRID, "--variant", "nosync", "--lenient-shards", "--include-labels",
          "--csv", "sweep.csv"],
@@ -82,6 +88,7 @@ CASES = _cases()
 def run_case(argv: list[str], outputs: list[str], workdir: Path) -> dict[str, bytes]:
     """Run one command inside ``workdir``; return its exit code and stdout plus its files."""
     stdout = io.StringIO()
+    before = set(workdir.iterdir())
     previous = os.getcwd()
     os.chdir(workdir)
     try:
@@ -89,6 +96,8 @@ def run_case(argv: list[str], outputs: list[str], workdir: Path) -> dict[str, by
             code = main(argv)
     finally:
         os.chdir(previous)
+    written = sorted(path.name for path in set(workdir.iterdir()) - before)
+    assert written == sorted(outputs), f"{argv[0]} wrote {written}, expected {sorted(outputs)}"
     files = {"stdout.txt": f"exit {code}\n{stdout.getvalue()}".encode("utf-8")}
     for name in outputs:
         files[name] = (workdir / name).read_bytes()
