@@ -101,12 +101,19 @@ def _csv_lines(path: str | None, header: list[str]):
         print(f"wrote {path}")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted RFC 4180 style if it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_cell(write, cell: SweepRow) -> None:
     """One grid cell's CSV lines: an Error line, or a line per method. The columns
     the methods share (parameters, rho, winner) are formatted once."""
     columns = ",".join(map(_fmt, _param_columns(cell.values)))
     if cell.error is not None:
-        write(f"Error,{columns},,,,,,{cell.error}\n")
+        write(f"Error,{columns},,,,,,{_csv_field(cell.error)}\n")
         return
     tail = f"{_fmt(cell.efficiency.rho)},{cell.efficiency.winner.value}\n"
     for method, r in cell.reports.items():

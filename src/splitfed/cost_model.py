@@ -9,9 +9,12 @@ eta the client-side fraction of parameters, the per-epoch totals are
     split, no client weight sharing:     2*p*q
     federated averaging:                 2*K*N
 
-:func:`traffic_by_kind` spreads a protocol's per-epoch counts (records sent
-up, client-weight hand-offs, full-model round trips) over message kinds, so
-every total is a line A + B*N; reports, rho and the ledger check sum its kinds.
+:func:`_epoch_counts` gives a protocol's per-epoch counts (records sent up,
+client-weight hand-offs, full-model round trips), so every total is a line
+A + B*N. :func:`traffic_by_kind` spreads them over message kinds; reports and
+the ledger check sum its kinds. rho and N* read one integer line per protocol
+instead, scaled by v for eta = u/v (:func:`_scaled_line`), and
+``traffic_by_kind(exact=True)`` is the rational form the tests check them against.
 rho = (federated total) / (split total): rho > 1 favors split, rho < 1 federated.
 The lines meet at the break-even size N* = (A_s - A_f) / (B_f - B_s), the
 hyperbola in the (K, N) plane; where B_s >= B_f no positive N* exists.
@@ -182,8 +185,13 @@ class ScenarioParams:
     @property
     def client_param_count(self) -> int:
         """Client-side weights on the wire: eta*N rounded once, to the nearest
-        whole scalar (ties to even)."""
-        return round(self.client_weights)
+        whole scalar (ties to even), in integers: eta = u/v and N = a/b exactly."""
+        u, v = self.client_fraction.as_integer_ratio()
+        a, b = self.model_params.as_integer_ratio()
+        den = v * b
+        # floor(eta*N + 1/2); an exact tie (no remainder) landing on an odd count steps down
+        count, rem = divmod(2 * u * a + den, 2 * den)
+        return count - 1 if rem == 0 and count % 2 else count
 
 
 @dataclass(frozen=True)
@@ -246,6 +254,14 @@ def _epoch_counts(protocol: Protocol, k: int, p: int, batch_size: int) -> tuple[
     return p, rem * -(-(base + 1) // batch_size) + (k - rem) * -(-base // batch_size), 0
 
 
+def _scaled_line(protocol: Protocol, k: int, p: int, q: int, u: int, v: int,
+                 batch_size: int = 1) -> tuple[int, int]:
+    """(A, B) of one epoch's total scalars over k clients and p records, labels left
+    out, scaled by v for eta = u/v: v * total = A + B*N, in integers."""
+    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
+    return 2 * q * v * records, u * hand_offs + 2 * v * round_trips
+
+
 def traffic_by_kind(
     params: ScenarioParams,
     protocol: Protocol,
@@ -301,37 +317,44 @@ def comm_report(
     is exact either way.
     """
     base, rem = _even_split(params.dataset_size, params.clients, strict)
-    per_client = traffic_by_kind(params, protocol, base + (rem > 0), batch_size, label_width)
-    total = traffic_by_kind(params, protocol, None, batch_size, label_width)
-    return CommReport.from_scalars(
-        protocol, sum(per_client.values()), sum(total.values()), params.bytes_per_scalar
-    )
+    # the K-client total sums one-shard forms: rem clients hold base + 1 records, the rest base
+    small = sum(traffic_by_kind(params, protocol, base, batch_size, label_width).values())
+    big = sum(traffic_by_kind(params, protocol, base + 1, batch_size, label_width).values()) if rem else small
+    total = rem * big + (params.clients - rem) * small
+    return CommReport.from_scalars(protocol, big, total, params.bytes_per_scalar)
 
 
 def efficiency_ratio(params: ScenarioParams, protocol: Protocol, batch_size: int = 1) -> EfficiencyReport:
-    """rho = federated total over ``protocol``'s total, both summed from exact kinds.
+    """rho = federated total over ``protocol``'s total, from the two scaled integer lines.
 
-    The hand-off stays at the exact eta*N rather than its wire rounding, so
-    rho(N*) = 1 at the break-even size; federated against itself is rho = 1,
-    a tie. Independent of epochs and of bytes_per_scalar since both methods
-    scale identically. A zero split denominator (p = 0 with no weight
-    sharing, or p = 0 and eta = 0), or a ratio past the float range (p = 0
-    and a subnormal eta), reports winner Split with rho = +inf.
+    With eta = u/v and N = a/b, v*b times each one-epoch total is the integer
+    A*b + B*a on its scaled line (:func:`_scaled_line`), so rho is one
+    int / int division, correctly rounded: the float nearest the exact ratio
+    of the ``traffic_by_kind(exact=True)`` totals. The hand-off stays at the exact
+    eta*N rather than its wire rounding, so rho(N*) = 1 at the break-even
+    size; federated against itself is rho = 1, a tie. Independent of epochs
+    and of bytes_per_scalar since both methods scale identically. A zero
+    split denominator (p = 0 with no weight sharing, or p = 0 and eta = 0),
+    or a ratio past the float range (p = 0 and a subnormal eta), reports
+    winner Split with rho = +inf.
     """
-    split = sum(traffic_by_kind(params, protocol, None, batch_size, exact=True).values())
-    fed = sum(traffic_by_kind(params, Protocol.FEDERATED, exact=True).values())
+    k, p, q = params.clients, params.dataset_size, params.smashed_size
+    u, v = params.client_fraction.as_integer_ratio()
+    a, b = params.model_params.as_integer_ratio()
+    a_s, b_s = _scaled_line(protocol, k, p, q, u, v, batch_size)
+    a_f, b_f = _scaled_line(Protocol.FEDERATED, k, p, q, u, v)
+    fed, split = a_f * b + b_f * a, a_s * b + b_s * a
     try:
         rho = fed / split
-        rho_f = float(rho)
     except (ZeroDivisionError, OverflowError):
         return EfficiencyReport(rho=math.inf, winner=Winner.SPLIT)
-    if rho == 1 or abs(rho_f - 1.0) <= TIE_REL_TOL * max(1.0, abs(rho_f)):
+    if fed == split or abs(rho - 1.0) <= TIE_REL_TOL * max(1.0, abs(rho)):
         winner = Winner.TIE
-    elif rho_f > 1.0:
+    elif rho > 1.0:
         winner = Winner.SPLIT
     else:
         winner = Winner.FEDERATED
-    return EfficiencyReport(rho=rho_f, winner=winner)
+    return EfficiencyReport(rho=rho, winner=winner)
 
 
 def break_even_curve(
@@ -343,9 +366,10 @@ def break_even_curve(
     batch_size: int = 1,
 ) -> BreakEvenCurve:
     """The break-even hyperbola: N* = (A_s - A_f) / (B_f - B_s) on the two lines
-    A + B*N at each client count. Scaled by v for eta = u/v, N* is a ratio of
-    integers, so int / int rounds it correctly. Raises InvalidParam at a K where
-    no positive N balances the two, or where N* lies past the float range.
+    A + B*N at each client count. Scaled by v for eta = u/v (:func:`_scaled_line`),
+    N* is a ratio of integers, so int / int rounds it correctly. Raises
+    InvalidParam at a K where no positive N balances the two, or where N* lies
+    past the float range.
     """
     if dataset_size < 1 or smashed_size < 1:
         raise InvalidParam("break-even is undefined for p = 0 or q = 0")
@@ -356,13 +380,12 @@ def break_even_curve(
     u, v = client_fraction.as_integer_ratio()
     points = []
     for k in sorted(set(int(k) for k in clients_values)):
-        records_s, hand_offs_s, trips_s = _epoch_counts(variant, k, dataset_size, batch_size)
-        records_f, hand_offs_f, trips_f = _epoch_counts(Protocol.FEDERATED, k, dataset_size, 1)
-        slope = u * (hand_offs_f - hand_offs_s) + 2 * v * (trips_f - trips_s)  # (B_f - B_s) * v
-        if slope <= 0:
+        a_s, b_s = _scaled_line(variant, k, dataset_size, smashed_size, u, v, batch_size)
+        a_f, b_f = _scaled_line(Protocol.FEDERATED, k, dataset_size, smashed_size, u, v)
+        if b_f <= b_s:
             raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={k}")
         try:
-            points.append((k, 2 * smashed_size * (records_s - records_f) * v / slope))
+            points.append((k, (a_s - a_f) / (b_f - b_s)))
         except OverflowError:
             raise InvalidParam(f"the break-even model size at K={k} lies past the float range") from None
     return BreakEvenCurve(variant, dataset_size, smashed_size, client_fraction, tuple(points))

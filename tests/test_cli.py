@@ -1,5 +1,6 @@
 """Scenario files, built-in suites, and the four CLI subcommands."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -589,6 +590,25 @@ def test_sweep_error_rows_marked(tmp_path, capsys):
     lines = out.read_text().splitlines()[1:]
     assert len(lines) == 4  # 3 method rows + 1 error row
     assert sum(1 for line in lines if line.startswith("Error,")) == 1
+
+
+def test_sweep_error_messages_with_commas_stay_one_field(tmp_path, capsys):
+    scenario = tmp_path / "bad.txt"
+    scenario.write_text(RAW_TEXT + "grid.K = 0, 2\ngrid.eta = 0.5, 1.5\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", str(scenario), "--csv", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == cli.CSV_HEADER and len(rows) == 1 + 3 + 3  # 3 Error cells, 1 valid cell
+    assert all(len(row) == 13 for row in rows)
+    assert [row[-1] for row in rows if row[0] == "Error"] == [
+        "clients must be a positive integer, got 0",
+        "clients must be a positive integer, got 0",
+        "client_fraction must lie in [0, 1], got 1.5",
+    ]
+    # quoted only where needed, quotes doubled
+    assert cli._csv_field("plain text") == "plain text"
+    assert cli._csv_field('say "hi"\n') == '"say ""hi""\n"'
 
 
 def test_sweep_ignores_env_seed(tmp_path, monkeypatch, capsys):

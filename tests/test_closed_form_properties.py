@@ -1,0 +1,197 @@
+"""The integer closed forms against the Fraction arithmetic they replaced.
+
+``reference_*`` are the earlier ``cost_model`` functions, kept verbatim but
+for the names they call: the wire count rounded ``Fraction(eta) *
+Fraction(N)``, ``comm_report`` summed the K-client form next to the
+one-client form, and ``efficiency_ratio`` divided two sums of exact
+``Fraction`` kinds. The integer forms must give the same rounded count, the
+same four report figures, the same rho bits and the same winner, or raise
+the same error.
+"""
+
+import fractions
+import math
+import sys
+from fractions import Fraction
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from splitfed.cost_model import (
+    TIE_REL_TOL,
+    CommReport,
+    EfficiencyReport,
+    MessageKind,
+    Protocol,
+    ScenarioParams,
+    Winner,
+    _KINDS,
+    _epoch_counts,
+    _even_split,
+    comm_report,
+    efficiency_ratio,
+)
+from splitfed.errors import InvalidParam, SplitFedError
+
+
+def reference_client_weights(params):
+    return Fraction(params.client_fraction) * Fraction(params.model_params)
+
+
+def reference_client_param_count(params):
+    return round(reference_client_weights(params))
+
+
+def reference_traffic_by_kind(params, protocol, shard=None, batch_size=1, label_width=0, exact=False):
+    k, p = (params.clients, params.dataset_size) if shard is None else (1, shard)
+    if not exact and params.model_params != int(params.model_params):
+        raise InvalidParam(f"wire traffic needs a whole model_params, got {params.model_params}")
+    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
+    e = params.epochs
+    kinds = dict.fromkeys(_KINDS, 0)
+    kinds[MessageKind.ACTIVATIONS] = kinds[MessageKind.GRADIENTS] = records * params.smashed_size * e
+    kinds[MessageKind.LABELS] = records * label_width * e
+    if hand_offs:
+        weights = reference_client_weights(params) if exact else reference_client_param_count(params)
+        kinds[MessageKind.CLIENT_WEIGHTS] = weights * hand_offs * e
+    if round_trips:
+        n = Fraction(params.model_params) if exact else int(params.model_params)
+        kinds[MessageKind.GLOBAL_WEIGHTS] = n * round_trips * e
+        kinds[MessageKind.CLIENT_WEIGHTS] += kinds[MessageKind.GLOBAL_WEIGHTS]
+    return kinds
+
+
+def reference_comm_report(params, protocol, strict=True, label_width=0, batch_size=1):
+    base, rem = _even_split(params.dataset_size, params.clients, strict)
+    per_client = reference_traffic_by_kind(params, protocol, base + (rem > 0), batch_size, label_width)
+    total = reference_traffic_by_kind(params, protocol, None, batch_size, label_width)
+    return CommReport.from_scalars(
+        protocol, sum(per_client.values()), sum(total.values()), params.bytes_per_scalar
+    )
+
+
+def reference_efficiency_ratio(params, protocol, batch_size=1):
+    split = sum(reference_traffic_by_kind(params, protocol, None, batch_size, exact=True).values())
+    fed = sum(reference_traffic_by_kind(params, Protocol.FEDERATED, exact=True).values())
+    try:
+        rho = fed / split
+        rho_f = float(rho)
+    except (ZeroDivisionError, OverflowError):
+        return EfficiencyReport(rho=math.inf, winner=Winner.SPLIT)
+    if rho == 1 or abs(rho_f - 1.0) <= TIE_REL_TOL * max(1.0, abs(rho_f)):
+        winner = Winner.TIE
+    elif rho_f > 1.0:
+        winner = Winner.SPLIT
+    else:
+        winner = Winner.FEDERATED
+    return EfficiencyReport(rho=rho_f, winner=winner)
+
+
+def _outcome(fn, *args):
+    """The value, or the type and message of the SplitFedError raised."""
+    try:
+        return fn(*args)
+    except SplitFedError as exc:
+        return type(exc), str(exc)
+
+
+def _bits(eff):
+    return eff if isinstance(eff, tuple) else (eff.rho.hex(), eff.winner)
+
+
+# eta*N = m + 1/2 exactly, m odd and even: an odd numerator over 2^(j+1) (a float or a
+# Fraction) times N = 2^j * c with c odd.
+_HALVES = st.tuples(st.integers(0, 30), st.integers(0, 2**31), st.integers(0, 10**4),
+                    st.booleans()).map(
+    lambda t: ((float if t[3] else Fraction)(Fraction(2 * (t[1] % 2**t[0]) + 1, 2 ** (t[0] + 1))),
+               2 ** t[0] * (2 * t[2] + 1)))
+_ETAS = st.one_of(
+    st.sampled_from([0, 1, 5e-324, 0.5, Fraction(1, 2)]),
+    st.floats(0, 1),
+    st.integers(1, 10**6).flatmap(lambda b: st.integers(0, b).map(lambda a: Fraction(a, b))),
+)
+_PROTOCOLS = st.sampled_from(list(Protocol))
+
+
+def _eta_and_n(n_strategy):
+    return st.one_of(st.tuples(_ETAS, n_strategy), _HALVES)
+
+
+def _params(eta_n, k, p, q, epochs=1, bytes_per_scalar=4):
+    eta, n = eta_n
+    return ScenarioParams(k, n, p, q, eta, bytes_per_scalar, epochs)
+
+
+@example(eta_n=(Fraction(1, 2), 3))  # 1.5 -> 2
+@example(eta_n=(0.5, 5))  # 2.5 -> 2
+@example(eta_n=(0.37, 150))  # 55.4999... -> 55, where float multiplication gives 55.5 -> 56
+@example(eta_n=(5e-324, 10**12))
+@given(eta_n=st.one_of(_eta_and_n(st.integers(1, 10**15)),
+                       st.tuples(_ETAS, st.floats(1, 1e15))))
+def test_client_param_count_rounds_as_the_fraction_did(eta_n):
+    params = _params(eta_n, 1, 0, 1)
+    count = params.client_param_count
+    assert type(count) is int and count == reference_client_param_count(params)
+
+
+@given(
+    eta_n=_eta_and_n(st.one_of(st.integers(1, 10**12), st.floats(1, 1e15))),
+    protocol=_PROTOCOLS,
+    batch=st.integers(1, 64),
+    k=st.integers(1, 3000),
+    records_per_client=st.integers(0, 300),
+    spare=st.one_of(st.just(0), st.integers(0, 10**4)),
+    q=st.integers(1, 4096),
+    strict=st.booleans(),
+    label_width=st.integers(0, 3),
+    epochs=st.integers(1, 3),
+    bytes_per_scalar=st.integers(1, 8),
+)
+def test_comm_report_equals_the_fraction_path(eta_n, protocol, batch, k, records_per_client, spare, q, strict,
+                                              label_width, epochs, bytes_per_scalar):
+    # p = 0 with no spare records; an uneven p is refused in strict mode, split up front in lenient mode
+    params = _params(eta_n, k, k * records_per_client + spare, q, epochs, bytes_per_scalar)
+    args = (params, protocol, strict, label_width, batch)
+    got = _outcome(comm_report, *args)
+    assert got == _outcome(reference_comm_report, *args)
+    if isinstance(got, CommReport):
+        figures = (got.per_client_scalars, got.total_scalars, got.per_client_bytes, got.total_bytes)
+        assert all(type(x) is int for x in figures)
+
+
+@example(eta_n=(5e-324, 1), protocol=Protocol.SPLIT_SYNC, batch=1, k=1, p=0, q=1)  # past the float range
+@example(eta_n=(0, 10), protocol=Protocol.SPLIT_SYNC, batch=1, k=3, p=0, q=1)  # zero split total
+@example(eta_n=(1.0, 2000), protocol=Protocol.SPLIT_SYNC, batch=1, k=10, p=1000, q=10)  # exact tie
+@given(
+    eta_n=st.one_of(_eta_and_n(st.integers(1, 10**12)),
+                    st.tuples(_ETAS, st.floats(1, 1e15).filter(lambda n: not n.is_integer()))),
+    protocol=_PROTOCOLS,
+    batch=st.integers(1, 64),
+    k=st.integers(1, 3000),
+    p=st.one_of(st.just(0), st.integers(0, 10**6)),
+    q=st.integers(1, 4096),
+)
+def test_efficiency_ratio_has_the_bits_of_the_fraction_path(eta_n, protocol, batch, k, p, q):
+    params = _params(eta_n, k, p, q)
+    got = _outcome(efficiency_ratio, params, protocol, batch)
+    assert _bits(got) == _bits(_outcome(reference_efficiency_ratio, params, protocol, batch))
+
+
+def test_the_wire_path_builds_no_fraction():
+    # A rational eta and an odd split, on every protocol: reports and rho call
+    # into fractions.py only to read eta's integer ratio, and build no Fraction.
+    params = ScenarioParams(7, 10**9 + 7, 10**6 + 3, 64, Fraction(15, 23))
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(record)
+    try:
+        for protocol in Protocol:
+            comm_report(params, protocol, strict=False, batch_size=8)
+            efficiency_ratio(params, protocol, 8)
+    finally:
+        sys.setprofile(None)
+    assert called == {"as_integer_ratio"}

@@ -508,3 +508,33 @@ def test_sweep_non_finite_cells_become_error_rows():
     assert [row.error is None for row in rows] == [True] + [False] * 8
     assert all(row.reports is None and row.efficiency is None for row in rows[1:])
     assert "model_params" in rows[3].error and "client_fraction" in rows[1].error
+
+
+def test_sweep_at_benchmark_scale_matches_exact_integers():
+    # A grid shaped like the closed-form-grid benchmark: K from 1 to 9,900, three
+    # p values every K divides and one (a prime past K's range added on) that only
+    # K = 1 divides, q up to 2048, float and rational eta.
+    h = 2**5 * 3**3 * 5**2 * 7 * 11 * 13
+    ks = [1, 3, 12, 77, 360, 1430, 5544, 9900]
+    ps = [h, 3 * h, 7 * h, 2 * h + 10_007]
+    etas = [0.123456789, 0.987654321, Fraction(1, 997), Fraction(496, 997)]
+    rows = sweep({"clients": ks, "model_params": [123_457, 98_765_431], "dataset_size": ps,
+                  "smashed_size": [1, 777, 2048], "client_fraction": etas})
+    assert len(rows) == 8 * 2 * 4 * 3 * 4
+    errors = 0
+    for row in rows:
+        k, n, p, q, eta = (row.values[name] for name in
+                           ("clients", "model_params", "dataset_size", "smashed_size", "client_fraction"))
+        if p % k:
+            assert row.error == f"{p} records do not split evenly across {k} clients"
+            errors += 1
+            continue
+        weights = round(Fraction(eta) * n)  # eta*N to the nearest scalar, exactly
+        totals = {m: (r.per_client_scalars, r.total_scalars) for m, r in row.reports.items()}
+        assert totals == {
+            Protocol.SPLIT_SYNC: (2 * (p // k) * q + weights, 2 * p * q + weights * k),
+            Protocol.SPLIT_NOSYNC: (2 * (p // k) * q, 2 * p * q),
+            Protocol.FEDERATED: (2 * n, 2 * k * n),
+        }
+        assert row.efficiency.rho == float(Fraction(2 * k * n) / (2 * p * q + Fraction(eta) * n * k))
+    assert errors == 7 * 2 * 3 * 4  # the last p on every K > 1
