@@ -34,7 +34,6 @@ from .nn_core import (
     init_params,
     param_count,
     random_dataset,
-    sgd_step,
     splitmix64,
 )
 from .protocol_sim import (

@@ -42,8 +42,8 @@ SIMULATE_MAX_PARAMS = 10**6  # N
 SIMULATE_MAX_RECORDS = 10**5  # p
 # K * N bounds a split run's K held client vectors (up to N float64 scalars
 # each, 80 MB at the limit) and the K hand-offs a round copies. Federated folds
-# each upload into a running mean and holds five N-vectors whatever K is, so
-# K * N does not bound it.
+# each upload into a running mean and holds four N-vectors (and the SGD step's
+# block scratch) whatever K is, so K * N does not bound it.
 SIMULATE_MAX_HELD_SCALARS = 10**7
 # epochs * K * N bounds a federated run's copy and fold work: every round
 # copies the N-scalar global model into each of K clients' buffers and folds

@@ -378,10 +378,12 @@ def break_even_curve(
     if not clients_values:
         raise InvalidParam("clients_values must be non-empty")
     u, v = client_fraction.as_integer_ratio()
+    # Federated makes one round trip per client, so its line at K is K times its one-client line.
+    a_f1, b_f1 = _scaled_line(Protocol.FEDERATED, 1, dataset_size, smashed_size, u, v)
     points = []
     for k in sorted(set(int(k) for k in clients_values)):
         a_s, b_s = _scaled_line(variant, k, dataset_size, smashed_size, u, v, batch_size)
-        a_f, b_f = _scaled_line(Protocol.FEDERATED, k, dataset_size, smashed_size, u, v)
+        a_f, b_f = k * a_f1, k * b_f1
         if b_f <= b_s:
             raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={k}")
         try:

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 
@@ -185,14 +186,15 @@ def _apply_activation(activation: Activation, z: np.ndarray) -> np.ndarray:
         return z
     if activation is Activation.RELU:
         return np.maximum(z, 0.0)
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _forward_layers(layers, activation: Activation, batch: np.ndarray):
     """Run every layer in order; the last one stays linear.
 
-    Returns (pre_activations, activations) with activations[0] = batch.
+    Returns (pre_activations, activations) with activations[0] = batch. The
+    caller sets ``np.errstate``: a sigmoid of a large negative pre-activation
+    overflows ``exp`` on its way to 0.
     """
     zs = []
     acts = [batch]
@@ -213,26 +215,20 @@ def _mse_and_grad(outputs: np.ndarray, labels: np.ndarray) -> tuple[float, np.nd
     return loss, (2.0 / diff.size) * diff
 
 
-def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndarray, grad_layers):
+def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndarray):
     """Reverse pass over every layer of a :func:`_forward_layers` trace.
 
-    ``upstream`` is the loss gradient w.r.t. the output. Each layer's dW and
-    db are written into its (dW, db) views in ``grad_layers``. Returns the
-    per-boundary activation gradients, index j = d loss / d acts[j], for
-    j >= 1; index 0 (the input batch's gradient, which no step reads) is None.
+    ``upstream`` is the loss gradient w.r.t. the output. Returns
+    ``(act_grads, dzs)``: ``act_grads[j]`` = d loss / d acts[j] for j >= 1
+    (index 0, the input batch's gradient, which no step reads, is None), and
+    ``dzs[i]`` = d loss / d zs[i], the delta from which :func:`sgd_step` forms
+    layer i's weight and bias gradients. The weights are only read.
     """
     g = upstream
     act_grads: list = [None] * len(layers) + [upstream]
+    dzs: list = [None] * len(layers)
     last = len(layers) - 1
-    # At batch 1, dW = a.T @ dz is an outer product, and numpy's einsum kernel
-    # writes it ~3x faster than BLAS. Like matmul it adds each product to
-    # +0.0, so the bits agree, but for which payload a product of two NaNs
-    # keeps. Over more records einsum sums in another order than BLAS, so
-    # larger batches stay with matmul.
-    one_record = upstream.shape[0] == 1
     for i in reversed(range(len(layers))):
-        w, _ = layers[i]
-        dw, db = grad_layers[i]
         if i == last or activation is Activation.IDENTITY:
             dz = g
         elif activation is Activation.RELU:
@@ -240,28 +236,83 @@ def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndar
         else:
             s = acts[i + 1]  # the sigmoid of zs[i], as the forward pass computed it
             dz = g * (s * (1.0 - s))
-        if one_record:
-            _c_einsum("bi,bj->ij", acts[i], dz, out=dw)
-        else:
-            np.matmul(acts[i].T, dz, out=dw)
-        np.add.reduce(dz, axis=0, out=db)
+        dzs[i] = dz
         if i:
-            g = act_grads[i] = dz @ w.T
-    return act_grads
+            g = act_grads[i] = dz @ layers[i][0].T
+    return act_grads, dzs
 
 
-def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
-    """One plain gradient step, in place: params -= lr * grads. Returns params.
+# Scalars of the flat vector one sgd_step block covers (512 KB): the block's
+# gradient is written and subtracted while it is still in L2 cache.
+SGD_BLOCK = 1 << 16
 
-    ``grads`` is scratch: it is scaled by ``lr`` in place, so the step
-    allocates nothing, and holds ``lr * grads`` afterwards.
+
+def sgd_plan(spec: ModelSpec, params: np.ndarray, batch_size: int, block: int = SGD_BLOCK):
+    """The blocks :func:`sgd_step` walks over ``params``, and their one scratch.
+
+    Each block is a contiguous run of the flat vector of at most ``block``
+    scalars, cut only between whole units: a weight row and a bias at batch 1,
+    a layer's whole weight matrix and a bias otherwise (BLAS may round a
+    subset of a multi-record product's rows differently from the whole). A
+    unit wider than ``block`` is a block of its own. Returns ``(scratch,
+    blocks)``; a block is ``(params view, scratch view, weights, biases)``, with
+    ``(layer, rows, dW view)`` per weight piece (``rows`` None for all of the
+    layer's rows) and ``(layer, db view)`` per bias, the views into scratch.
     """
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape:
-        raise LengthMismatch(f"params {params.shape} vs grads {grads.shape}")
-    params -= np.multiply(grads, lr, out=grads)
-    return params
+    if params.shape != (param_count(spec),):
+        raise LengthMismatch(f"expected {param_count(spec)} parameters, got shape {params.shape}")
+    shapes = list(pairwise(spec.layer_widths))
+    spans, lo, hi = [], 0, 0
+    for n_in, n_out in shapes:
+        for width in ([n_out] * n_in if batch_size == 1 else [n_in * n_out]) + [n_out]:
+            if hi > lo and hi - lo + width > block:
+                spans.append((lo, hi))
+                lo = hi
+            hi += width
+    spans.append((lo, hi))
+    scratch = np.empty(max(hi - lo for lo, hi in spans))
+    blocks = []
+    for lo, hi in spans:
+        weights, biases, start = [], [], 0
+        for i, (n_in, n_out) in enumerate(shapes):
+            w_end, b_end = start + n_in * n_out, start + n_in * n_out + n_out
+            r0, r1 = (max(lo, start) - start) // n_out, (min(hi, w_end) - start) // n_out
+            if r0 < r1:
+                dw = scratch[start + r0 * n_out - lo : start + r1 * n_out - lo].reshape(r1 - r0, n_out)
+                weights.append((i, None if r1 - r0 == n_in else slice(r0, r1), dw))
+            if lo <= w_end and b_end <= hi:
+                biases.append((i, scratch[w_end - lo : b_end - lo]))
+            start = b_end
+        blocks.append((params[lo:hi], scratch[: hi - lo], weights, biases))
+    return scratch, blocks
+
+
+def sgd_step(blocks, acts, dzs, lr: float) -> None:
+    """One plain gradient step, in place: params -= lr * grads, block by block.
+
+    ``blocks`` come from :func:`sgd_plan`; ``acts`` and ``dzs`` are a batch's
+    activations and deltas from :func:`_forward_layers` and
+    :func:`_backward_layers`. Each block's dW rows (a.T @ dz) and db (dz
+    summed over the records) are written into the scratch, scaled by ``lr``
+    and subtracted while they are in cache; no N-sized gradient exists. The
+    bits are those of one whole-vector step.
+    """
+    # At batch 1, dW = a.T @ dz is an outer product, and numpy's einsum kernel
+    # writes it ~3x faster than BLAS. Like matmul it adds each product to
+    # +0.0, so the bits agree, but for which payload a product of two NaNs
+    # keeps. Over more records einsum sums in another order than BLAS, so
+    # larger batches stay with matmul.
+    one_record = acts[0].shape[0] == 1
+    for params_block, scratch_block, weights, biases in blocks:
+        for i, rows, dw in weights:
+            a = acts[i] if rows is None else acts[i][:, rows]
+            if one_record:
+                _c_einsum("bi,bj->ij", a, dzs[i], out=dw)
+            else:
+                np.matmul(a.T, dzs[i], out=dw)
+        for i, db in biases:
+            np.add.reduce(dzs[i], axis=0, out=db)
+        params_block -= np.multiply(scratch_block, lr, out=scratch_block)
 
 
 def fold_centered(total: np.ndarray, vec: np.ndarray, base: np.ndarray) -> None:

@@ -132,13 +132,15 @@ def _checked_run(spec: ModelSpec, shards: Sequence, unit: str, count: int, batch
 
 
 class _WorkingModel:
-    """The one model a run trains: a flat weight vector and a gradient buffer,
-    each with its per-layer views, built once per run. A turn copies the
-    weights it trains in and out; nothing else holds a view of them."""
+    """The one model a run trains: a flat weight vector with its per-layer
+    views, and the block plan of its SGD step over a small scratch, built once
+    per run. A turn copies the weights it trains in and out; nothing else
+    holds a view of them."""
 
-    def __init__(self, spec: ModelSpec, params: np.ndarray) -> None:
-        self.activation, self.params, self.grads = spec.activation, params, np.empty_like(params)
-        self.layers, self.grad_layers = [nn_core.unpack_params(spec, v) for v in (params, self.grads)]
+    def __init__(self, spec: ModelSpec, params: np.ndarray, batch_size: int) -> None:
+        self.activation, self.params = spec.activation, params
+        self.layers = nn_core.unpack_params(spec, params)
+        self.scratch, self.blocks = nn_core.sgd_plan(spec, params, batch_size)
 
 
 def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, batch_size: int, lr: float):
@@ -152,8 +154,8 @@ def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, batch_size: 
         yb = y[lo : lo + batch_size]
         zs, acts = nn_core._forward_layers(model.layers, model.activation, x[lo : lo + batch_size])
         loss, dout = nn_core._mse_and_grad(acts[-1], yb)
-        act_grads = nn_core._backward_layers(model.layers, model.activation, zs, acts, dout, model.grad_layers)
-        nn_core.sgd_step(model.params, model.grads, lr)
+        act_grads, dzs = nn_core._backward_layers(model.layers, model.activation, zs, acts, dout)
+        nn_core.sgd_step(model.blocks, acts, dzs, lr)
         yield loss, acts, act_grads, yb
 
 
@@ -221,7 +223,7 @@ def run_split_training(
     c = nn_core._cut_index(spec, cut)
     k_clients = len(data)
     # The client layers are the front of the working model, the server's its back.
-    model = _WorkingModel(spec, nn_core.init_params(spec, seed))
+    model = _WorkingModel(spec, nn_core.init_params(spec, seed), batch_size)
     n_client = nn_core.client_param_count(spec, c)
     front = model.params[:n_client]
     client_vecs = [front.copy() for _ in range(k_clients)]
@@ -271,8 +273,8 @@ def run_federated_training(
     Clients train one after another, so the server folds each upload into a
     running sum as its client finishes (:func:`nn_core.fold_centered`).
     Every client trains in the run's one working model, and client 1's upload
-    is kept as the ``base`` of the sum. A run holds five N-vectors (global,
-    working weights and gradient, base, sum) whatever K is.
+    is kept as the ``base`` of the sum. A run holds four N-vectors (global,
+    working weights, base, sum) and the SGD step's block scratch whatever K is.
 
     Round loss is the mean over clients with records of their mean batch
     loss (NaN when no client had records); a non-finite one raises
@@ -280,7 +282,7 @@ def run_federated_training(
     """
     data = _checked_run(spec, shards, "rounds", rounds, batch_size)
     global_vec = nn_core.init_params(spec, seed)
-    model = _WorkingModel(spec, np.empty_like(global_vec))
+    model = _WorkingModel(spec, np.empty_like(global_vec), batch_size)
     base, total = np.empty_like(global_vec), np.empty_like(global_vec)
     ledger = TrafficLedger()
     round_losses: list[float] = []

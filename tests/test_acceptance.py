@@ -26,13 +26,12 @@ from splitfed import (
     random_dataset,
     run_federated_training,
     run_split_training,
-    sgd_step,
     verify_against_model,
 )
 from splitfed.cli import main
 from splitfed.scenarios import load_scenario
 
-from _step import gradients, loss
+from _step import gradients, loss, sgd_step
 
 
 def test_ledger_formula_identity_randomized():

@@ -24,7 +24,6 @@ from splitfed import (
     partition_dataset,
     random_dataset,
     run_split_training,
-    sgd_step,
     splitmix64,
 )
 from splitfed.nn_core import (
@@ -35,12 +34,15 @@ from splitfed.nn_core import (
     client_param_count,
     fold_centered,
     layer_param_counts,
+    sgd_plan,
+    sgd_step,
     uniform01,
     unpack_params,
 )
 from splitfed import nn_core
 
-from _step import activations, gradients, loss
+from _step import activations, flat_gradient, gradients, loss
+from _step import sgd_step as whole_vector_step
 
 MASK64 = (1 << 64) - 1
 
@@ -247,12 +249,10 @@ def test_split_backward_matches_monolithic_at_every_cut(activation):
     _, mono_grads, mono_act_grads = gradients(spec, params, x, y)
     for cut in range(1, spec.weight_layers):
         _, _, layers = _split_layers(spec, cut, params)
-        # NaN-filled buffers: every gradient scalar must be written by the pass
-        client_g, server_g, grad_layers = _split_layers(spec, cut, np.full_like(params, np.nan))
         zs, acts = _forward_layers(layers, spec.activation, x)
         _, dout = _mse_and_grad(acts[-1], y)
-        act_grads = _backward_layers(layers, spec.activation, zs, acts, dout, grad_layers)
-        assert np.array_equal(np.concatenate([client_g, server_g]), mono_grads)
+        act_grads, dzs = _backward_layers(layers, spec.activation, zs, acts, dout)
+        assert np.array_equal(flat_gradient(spec, acts, dzs), mono_grads)
         # the tensor crossing the cut carries q scalars per record
         assert act_grads[cut].shape == (5, spec.layer_widths[cut])
         assert np.array_equal(act_grads[cut], mono_act_grads[cut])
@@ -260,27 +260,87 @@ def test_split_backward_matches_monolithic_at_every_cut(activation):
 
 # --- sgd and averaging -------------------------------------------------------
 
+def _blocked_step(spec, params, x, y, lr, batch_size=None, block=nn_core.SGD_BLOCK):
+    """One training step on ``params`` in place, as ``_local_pass`` takes it: forward,
+    backward, then ``sgd_step`` over a plan for runs of ``batch_size`` (default: the
+    batch's records) and ``block``. The scratch starts as NaN, so a scalar the step
+    does not write shows. Returns (params, scratch, zs, acts, act_grads, dzs)."""
+    layers = unpack_params(spec, params)
+    zs, acts = _forward_layers(layers, spec.activation, x)
+    _, dout = _mse_and_grad(acts[-1], y)
+    act_grads, dzs = _backward_layers(layers, spec.activation, zs, acts, dout)
+    scratch, blocks = sgd_plan(spec, params, batch_size or x.shape[0], block)
+    scratch.fill(np.nan)
+    sgd_step(blocks, acts, dzs, lr)
+    return params, scratch, zs, acts, act_grads, dzs
+
+
 def test_sgd_step_examples():
+    # one unit: out = w x + b, dout = 2 (out - y), dW = x dout, db = dout
+    spec = ModelSpec((1, 1), Activation.IDENTITY)
+    x, y = np.array([[1.0]]), np.array([[0.0]])  # w = 1, b = 2: out 3, dout 6, dW = db = 6
     params = np.array([1.0, 2.0])
-    assert np.array_equal(sgd_step(params, np.array([5.0, -3.0]), 0.0), params)
-    assert np.array_equal(sgd_step(params, np.array([1.0, 1.0]), 0.5), np.array([0.5, 1.5]))
+    _blocked_step(spec, params, x, y, 0.0)
+    assert np.array_equal(params, [1.0, 2.0])
+    _blocked_step(spec, params, x, y, 0.5)
+    assert np.array_equal(params, [-2.0, -1.0])  # the step is taken in place
     with pytest.raises(LengthMismatch):
-        sgd_step(params, np.array([1.0]), 0.1)
-    # the step is taken in place
-    params = np.array([1.0, 2.0])
-    assert sgd_step(params, np.array([1.0, -1.0]), 0.5) is params
-    assert np.array_equal(params, np.array([0.5, 2.5]))
+        sgd_plan(spec, np.zeros(3), 1)
 
 
 def test_sgd_piecewise_matches_whole_vector():
-    spec = ModelSpec((4, 3, 2))
-    params = init_params(spec, 5)
-    grads = gradients(spec, params, *random_dataset(spec, 4, 6))[1]
-    whole = sgd_step(params.copy(), grads.copy(), 0.1)  # the gradient is scratch to the step
-    n = client_param_count(spec, 1)
-    client_p, server_p, client_g, server_g = params[:n].copy(), params[n:].copy(), grads[:n].copy(), grads[n:].copy()
-    pieces = np.concatenate([sgd_step(client_p, client_g, 0.1), sgd_step(server_p, server_g, 0.1)])
-    assert np.array_equal(whole, pieces)
+    # Every block size from one scalar to past N, for every activation: at
+    # batch 1 (blocks cut between weight rows), at batch 4 (blocks cut between
+    # whole layers) and on a batch-4 run's one-record remainder.
+    for activation in Activation:
+        spec = ModelSpec((4, 3, 2), activation)
+        params = init_params(spec, 5)
+        for records, batch_size in ((1, 1), (4, 4), (1, 4)):
+            x, y = random_dataset(spec, records, 6)
+            whole = whole_vector_step(params.copy(), gradients(spec, params, x, y)[1], 0.1)
+            for block in range(1, param_count(spec) + 2):
+                stepped = _blocked_step(spec, params.copy(), x, y, 0.1, batch_size, block)[0]
+                assert np.array_equal(stepped, whole), (activation, records, batch_size, block)
+
+
+def _unit_widths(spec, batch_size):
+    """Widths of the pieces a block plan never cuts, in flat order."""
+    units = []
+    for n_in, n_out in zip(spec.layer_widths, spec.layer_widths[1:]):
+        units += [n_out] * n_in if batch_size == 1 else [n_in * n_out]
+        units.append(n_out)
+    return units
+
+
+# Exact zeros of both signs drawn often, so that every sign of zero shows.
+_STEP_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                         st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(widths=st.lists(st.integers(1, 9), min_size=2, max_size=5), batch_size=st.integers(1, 4),
+       activation=st.sampled_from(Activation), data=st.data())
+def test_blocked_sgd_step_is_the_whole_vector_step_bit_for_bit(widths, batch_size, activation, data):
+    # The blocked step against params - lr * grads over the whole vector, with
+    # grads formed layer by layer by the same kernels. Block sizes: 1 (every
+    # weight row wider than its block), sizes that cut a layer between rows at
+    # batch 1, and N or more (one block).
+    spec = ModelSpec(tuple(widths), activation)
+    n = param_count(spec)
+    block = data.draw(st.one_of(st.just(1), st.integers(2, n), st.integers(n, 2 * n)))
+    records = data.draw(st.sampled_from(sorted({1, batch_size})))  # a full batch, or a one-record remainder
+    lr = data.draw(st.sampled_from([0.0, 0.05, 0.5, 1.0, -0.25]))
+    params = data.draw(arrays(np.float64, n, elements=_STEP_VALUES))
+    x = data.draw(arrays(np.float64, (records, spec.input_width), elements=_STEP_VALUES))
+    y = data.draw(arrays(np.float64, (records, spec.output_width), elements=_STEP_VALUES))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        expected = whole_vector_step(params.copy(), gradients(spec, params.copy(), x, y)[1], lr)
+        stepped, scratch, *_ = _blocked_step(spec, params.copy(), x, y, lr, batch_size, block)
+    assert stepped.tobytes() == expected.tobytes()
+    # The blocks tile the vector, each at most ``block`` scalars or one uncut unit.
+    blocks = sgd_plan(spec, params, batch_size, block)[1]
+    assert sum(b[0].size for b in blocks) == n
+    assert scratch.size == max(b[0].size for b in blocks) <= max(block, *_unit_widths(spec, batch_size))
 
 
 def _fold_mean(vectors):
@@ -358,12 +418,14 @@ _KERNEL_SCALARS = st.one_of(
        dz=arrays(np.float64, st.tuples(st.just(1), st.integers(1, 64)), elements=_KERNEL_SCALARS))
 def test_batch_one_weight_gradient_is_matmul_bit_for_bit(a, dz):
     # One linear layer fed the record a, with dz as the loss gradient at its
-    # output: the backward pass writes exactly a.T @ dz into the dW view.
-    w, b = np.empty((a.shape[1], dz.shape[1])), np.empty(dz.shape[1])
-    out, db = np.empty_like(w), np.empty_like(b)
+    # output: the step writes exactly a.T @ dz into its scratch, and scaling
+    # it by lr = 1 keeps every bit.
+    spec = ModelSpec((a.shape[1], dz.shape[1]))
+    scratch, blocks = sgd_plan(spec, np.zeros(param_count(spec)), 1)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        _backward_layers([(w, b)], Activation.SIGMOID, [None], [a, None], dz, [(out, db)])
+        sgd_step(blocks, [a, None], [dz], 1.0)
         expected = np.matmul(a.T, dz)
+    out = scratch[: expected.size].reshape(expected.shape)
     # Where both factors are NaN the product is NaN either way, but which
     # factor's payload it carries differs between numpy's kernels (and
     # between einsum's vector lanes and its scalar tail); every other entry,
@@ -381,9 +443,10 @@ def _matmul_einsum(subscripts, a, dz, out):
 @given(widths=st.lists(st.integers(1, 3), min_size=2, max_size=5), batch=st.integers(1, 3),
        activation=st.sampled_from(Activation), data=st.data())
 def test_training_step_products_have_matmul_bits(widths, batch, activation, data):
-    # The whole step against the same step with the batch-1 kernel replaced by
-    # matmul. Batches of 2 and 3 check that einsum is chosen at batch 1 only;
-    # exact zeros are drawn often so that every sign of zero shows.
+    # The whole step, SGD included, against the same step with the batch-1
+    # kernel replaced by matmul. Batches of 2 and 3 check that einsum is
+    # chosen at batch 1 only; exact zeros are drawn often so that every sign
+    # of zero shows.
     values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
                        st.floats(-1e3, 1e3, allow_nan=False))
     spec = ModelSpec(tuple(widths), activation)
@@ -392,11 +455,9 @@ def test_training_step_products_have_matmul_bits(widths, batch, activation, data
     y = data.draw(arrays(np.float64, (batch, spec.output_width), elements=values))
 
     def step():
-        layers, grads = unpack_params(spec, params), np.empty_like(params)
-        zs, acts = _forward_layers(layers, activation, x)
-        loss, dout = _mse_and_grad(acts[-1], y)
-        act_grads = _backward_layers(layers, activation, zs, acts, dout, unpack_params(spec, grads))
-        return [*zs, *acts, *act_grads[1:], grads]
+        # one block (N < SGD_BLOCK) at lr = 1: the scratch holds the whole gradient
+        stepped, grads, zs, acts, act_grads, dzs = _blocked_step(spec, params.copy(), x, y, 1.0)
+        return [*zs, *acts, *act_grads[1:], *dzs, grads, stepped]
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         got = step()

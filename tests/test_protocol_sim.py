@@ -29,13 +29,12 @@ from splitfed import (
     random_dataset,
     run_federated_training,
     run_split_training,
-    sgd_step,
     verify_against_model,
 )
 from splitfed import nn_core, protocol_sim
 from splitfed.protocol_sim import SERVER, client_id
 
-from _step import gradients
+from _step import gradients, sgd_step
 
 
 SPEC = ModelSpec((4, 3, 2))
@@ -225,7 +224,7 @@ def test_held_weights_never_alias(monkeypatch):
     # A turn copies weights in and out of the run's one working model, a
     # hand-off copies into the receiver's buffer, and a run returns its own
     # vectors: no held, server or global vector shares memory with another,
-    # or with the working model's weights and gradients.
+    # or with the working model's weights and its SGD scratch.
     models = []
 
     class RecordedModel(protocol_sim._WorkingModel):
@@ -244,7 +243,7 @@ def test_held_weights_never_alias(monkeypatch):
             held = [*run.client_params, run.server_params]
         (model,) = models
         models.clear()
-        buffers = [*held, model.params, model.grads]
+        buffers = [*held, model.params, model.scratch]
         for i, a in enumerate(buffers):
             for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b), variant
@@ -335,6 +334,21 @@ def test_federated_memory_does_not_grow_with_clients():
 
     n_vector_bytes = 8 * param_count(spec)
     assert abs(traced_peak(16) - traced_peak(2)) < n_vector_bytes
+
+
+def test_federated_round_holds_four_model_vectors():
+    # Global, working weights, base and sum are N scalars each; the SGD step
+    # writes its gradient block by block into a scratch of at most SGD_BLOCK
+    # scalars (an N-sized gradient buffer would read five vectors).
+    spec = ModelSpec((256, 768, 256, 10))
+    shards = partition_dataset(*random_dataset(spec, 2, 5), 2)
+    tracemalloc.start()
+    try:
+        run_federated_training(spec, shards, rounds=1, local_lr=0.01, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * param_count(spec)
 
 
 def test_federated_one_download_one_upload_per_client_per_round():
