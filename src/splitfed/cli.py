@@ -58,7 +58,9 @@ SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this.
 K_RANGE_MAX_POINTS = 10**6
 # sweep refuses a suite whose grids hold more cells than this, before it
-# expands them: it holds every cell's SweepRow in memory, about 1.6 KB a cell.
+# expands them: it holds every cell's SweepRow in memory, about 1.0 KB a cell
+# (tracemalloc bytes still held once sweep returns, over the 576 cells of
+# tests/golden/inputs/grid.txt, 216 of them Error cells; Python 3.11).
 SWEEP_MAX_CELLS = 10**5
 
 # The parameter columns of a report row, field -> key (bytes_per_scalar shows
@@ -147,7 +149,7 @@ def cmd_analyze(args) -> int:
 
     if args.csv:
         with _csv_lines(args.csv, CSV_HEADER) as write:
-            _write_cell(write, SweepRow(values, params, reports, eff, None))
+            _write_cell(write, SweepRow(values, reports, eff, None))
     return 0
 
 

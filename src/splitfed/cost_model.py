@@ -13,8 +13,9 @@ eta the client-side fraction of parameters, the per-epoch totals are
 client-weight hand-offs, full-model round trips), so every total is a line
 A + B*N. :func:`traffic_by_kind` spreads them over message kinds; reports and
 the ledger check sum its kinds. rho and N* read one integer line per protocol
-instead, scaled by v for eta = u/v (:func:`_scaled_line`), and
-``traffic_by_kind(exact=True)`` is the rational form the tests check them against.
+instead, scaled by v for eta = u/v (:func:`_scaled_line`); the tests check
+them against the same kinds summed as ``Fraction``s, eta*N and N kept exact
+(``tests/_closed_forms.py``).
 rho = (federated total) / (split total): rho > 1 favors split, rho < 1 federated.
 The lines meet at the break-even size N* = (A_s - A_f) / (B_f - B_s), the
 hyperbola in the (K, N) plane; where B_s >= B_f no positive N* exists.
@@ -177,12 +178,6 @@ class ScenarioParams:
         )
 
     @property
-    def client_weights(self) -> Fraction:
-        """eta*N, exactly: ``Fraction`` of a float is exact, so eta and N turn
-        rational here, once, and no float arithmetic follows."""
-        return Fraction(self.client_fraction) * Fraction(self.model_params)
-
-    @property
     def client_param_count(self) -> int:
         """Client-side weights on the wire: eta*N rounded once, to the nearest
         whole scalar (ties to even), in integers: eta = u/v and N = a/b exactly."""
@@ -268,8 +263,7 @@ def traffic_by_kind(
     shard: int | None = None,
     batch_size: int = 1,
     label_width: int = 0,
-    exact: bool = False,
-) -> dict[MessageKind, int | Fraction]:
+) -> dict[MessageKind, int]:
     """Closed-form scalars per message kind over ``params.epochs`` epochs.
 
     Each record sent up moves q Activations, q Gradients and ``label_width``
@@ -281,11 +275,10 @@ def traffic_by_kind(
     counts one client holding that many records instead (K = 1, p = shard).
 
     Wire counts round each hand-off to ``client_param_count`` and need a
-    whole N. ``exact=True`` keeps eta*N and N exact rationals, as the
-    break-even algebra behind rho needs.
+    whole N.
     """
     k, p = (params.clients, params.dataset_size) if shard is None else (1, shard)
-    if not exact and params.model_params != int(params.model_params):
+    if params.model_params != int(params.model_params):
         raise InvalidParam(f"wire traffic needs a whole model_params, got {params.model_params}")
     records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
     e = params.epochs
@@ -293,11 +286,9 @@ def traffic_by_kind(
     kinds[MessageKind.ACTIVATIONS] = kinds[MessageKind.GRADIENTS] = records * params.smashed_size * e
     kinds[MessageKind.LABELS] = records * label_width * e
     if hand_offs:
-        weights = params.client_weights if exact else params.client_param_count
-        kinds[MessageKind.CLIENT_WEIGHTS] = weights * hand_offs * e
+        kinds[MessageKind.CLIENT_WEIGHTS] = params.client_param_count * hand_offs * e
     if round_trips:
-        n = Fraction(params.model_params) if exact else int(params.model_params)
-        kinds[MessageKind.GLOBAL_WEIGHTS] = n * round_trips * e
+        kinds[MessageKind.GLOBAL_WEIGHTS] = int(params.model_params) * round_trips * e
         kinds[MessageKind.CLIENT_WEIGHTS] += kinds[MessageKind.GLOBAL_WEIGHTS]
     return kinds
 
@@ -330,13 +321,13 @@ def efficiency_ratio(params: ScenarioParams, protocol: Protocol, batch_size: int
     With eta = u/v and N = a/b, v*b times each one-epoch total is the integer
     A*b + B*a on its scaled line (:func:`_scaled_line`), so rho is one
     int / int division, correctly rounded: the float nearest the exact ratio
-    of the ``traffic_by_kind(exact=True)`` totals. The hand-off stays at the exact
-    eta*N rather than its wire rounding, so rho(N*) = 1 at the break-even
-    size; federated against itself is rho = 1, a tie. Independent of epochs
-    and of bytes_per_scalar since both methods scale identically. A zero
-    split denominator (p = 0 with no weight sharing, or p = 0 and eta = 0),
-    or a ratio past the float range (p = 0 and a subnormal eta), reports
-    winner Split with rho = +inf.
+    of the rational totals, which ``tests/_closed_forms.py`` sums as
+    ``Fraction``s. The hand-off stays at the exact eta*N rather than its wire
+    rounding, so rho(N*) = 1 at the break-even size; federated against itself
+    is rho = 1, a tie. Independent of epochs and of bytes_per_scalar since
+    both methods scale identically. A zero split denominator (p = 0 with no
+    weight sharing, or p = 0 and eta = 0), or a ratio past the float range
+    (p = 0 and a subnormal eta), reports winner Split with rho = +inf.
     """
     k, p, q = params.clients, params.dataset_size, params.smashed_size
     u, v = params.client_fraction.as_integer_ratio()
@@ -402,7 +393,6 @@ class SweepRow:
     """One grid cell: parameters, the reports of ``reported(variant)``, the ratio, or an error."""
 
     values: dict
-    params: ScenarioParams | None
     reports: dict[Protocol, CommReport] | None
     efficiency: EfficiencyReport | None
     error: str | None
@@ -448,7 +438,7 @@ def sweep(
                        for m in methods}
             efficiency = efficiency_ratio(params, variant, batch_size)
         except SplitFedError as exc:
-            rows.append(SweepRow(values, None, None, None, str(exc)))
+            rows.append(SweepRow(values, None, None, str(exc)))
             continue
-        rows.append(SweepRow(values, params, reports, efficiency, None))
+        rows.append(SweepRow(values, reports, efficiency, None))
     return rows

@@ -53,13 +53,13 @@ class TrafficLedger:
 
     def __init__(self) -> None:
         self._rows: list[tuple[int, str, str, MessageKind, int]] = []
-        self._tally: dict[str, dict[MessageKind, int]] | None = None
+        self._tally: defaultdict[str, dict[MessageKind, int]] = defaultdict(lambda: dict.fromkeys(MessageKind, 0))
 
     def append(self, epoch: int, sender: str, receiver: str, kind: MessageKind, scalar_count: int) -> None:
         if scalar_count < 0:
             raise InvalidParam(f"negative scalar_count in {Message(epoch, sender, receiver, kind, scalar_count)}")
         self._rows.append((epoch, sender, receiver, kind, scalar_count))
-        self._tally = None
+        self._tally[receiver if sender == SERVER else sender][kind] += scalar_count
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -68,29 +68,21 @@ class TrafficLedger:
         return map(Message._make, self._rows)
 
     def totals_by_kind(self) -> dict[MessageKind, int]:
-        owned = self._owned().values()  # every message has exactly one owner
+        owned = self._tally.values()  # every message has exactly one owner
         return {kind: sum(kinds[kind] for kinds in owned) for kind in MessageKind}
 
     def tally(self) -> dict[str, dict[MessageKind, int]]:
         """Scalars per (owner, kind), as a copy the caller owns. A message's one
-        owner is the client that sends it, or the client the server sends it to."""
-        return {owner: dict(kinds) for owner, kinds in self._owned().items()}
-
-    def _owned(self) -> dict[str, dict[MessageKind, int]]:
-        """The shared tally, computed in one pass the first time it is read after an append."""
-        if self._tally is None:
-            tally = defaultdict(lambda: dict.fromkeys(MessageKind, 0))
-            for _, sender, receiver, kind, count in self._rows:
-                tally[receiver if sender == SERVER else sender][kind] += count
-            self._tally = dict(tally)
-        return self._tally
+        owner is the client that sends it, or the client the server sends it to;
+        ``append`` adds each message to its owner's row."""
+        return {owner: dict(kinds) for owner, kinds in self._tally.items()}
 
     def to_csv(self, path_or_file) -> None:
         """Write "epoch,sender,receiver,kind,scalar_count"; row order = event order."""
         if hasattr(path_or_file, "write"):
             self._write_csv(path_or_file)
         else:
-            with open(path_or_file, "w", newline="") as fh:
+            with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
                 self._write_csv(fh)
 
     def _write_csv(self, fh) -> None:

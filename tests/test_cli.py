@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -669,3 +670,22 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "winner: Split" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "tiny-dense", "--csv", "ledger.csv", "--loss-csv", "loss.csv"],
+    ["analyze", "--scenario", "tiny-dense", "--csv", "analyze.csv"],
+    ["sweep", "--scenario", "tiny-dense", "--csv", "sweep.csv"],
+    ["breakeven", "--scenario", "tiny-dense", "--k-range", "1:8", "--csv", "curve.csv", "--svg", "curve.svg"],
+], ids=lambda argv: argv[0])
+def test_every_file_output_names_its_encoding(tmp_path, argv):
+    # -X warn_default_encoding warns at each open() that falls back to the
+    # locale's encoding; -W error makes that warning exit 1 with a traceback
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "splitfed.cli", *argv],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / name).stat().st_size for name in argv if name.endswith((".csv", ".svg")))

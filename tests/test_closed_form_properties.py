@@ -2,11 +2,11 @@
 
 ``reference_*`` are the earlier ``cost_model`` functions, kept verbatim but
 for the names they call: the wire count rounded ``Fraction(eta) *
-Fraction(N)``, ``comm_report`` summed the K-client form next to the
-one-client form, and ``efficiency_ratio`` divided two sums of exact
-``Fraction`` kinds. The integer forms must give the same rounded count, the
-same four report figures, the same rho bits and the same winner, or raise
-the same error.
+Fraction(N)`` and the kinds kept eta*N exact (both in ``_closed_forms.py``),
+``comm_report`` summed the K-client form next to the one-client form, and
+``efficiency_ratio`` divided two sums of exact ``Fraction`` kinds. The
+integer forms must give the same rounded count, the same four report
+figures, the same rho bits and the same winner, or raise the same error.
 """
 
 import fractions
@@ -21,44 +21,16 @@ from splitfed.cost_model import (
     TIE_REL_TOL,
     CommReport,
     EfficiencyReport,
-    MessageKind,
     Protocol,
     ScenarioParams,
     Winner,
-    _KINDS,
-    _epoch_counts,
     _even_split,
     comm_report,
     efficiency_ratio,
 )
-from splitfed.errors import InvalidParam, SplitFedError
+from splitfed.errors import SplitFedError
 
-
-def reference_client_weights(params):
-    return Fraction(params.client_fraction) * Fraction(params.model_params)
-
-
-def reference_client_param_count(params):
-    return round(reference_client_weights(params))
-
-
-def reference_traffic_by_kind(params, protocol, shard=None, batch_size=1, label_width=0, exact=False):
-    k, p = (params.clients, params.dataset_size) if shard is None else (1, shard)
-    if not exact and params.model_params != int(params.model_params):
-        raise InvalidParam(f"wire traffic needs a whole model_params, got {params.model_params}")
-    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
-    e = params.epochs
-    kinds = dict.fromkeys(_KINDS, 0)
-    kinds[MessageKind.ACTIVATIONS] = kinds[MessageKind.GRADIENTS] = records * params.smashed_size * e
-    kinds[MessageKind.LABELS] = records * label_width * e
-    if hand_offs:
-        weights = reference_client_weights(params) if exact else reference_client_param_count(params)
-        kinds[MessageKind.CLIENT_WEIGHTS] = weights * hand_offs * e
-    if round_trips:
-        n = Fraction(params.model_params) if exact else int(params.model_params)
-        kinds[MessageKind.GLOBAL_WEIGHTS] = n * round_trips * e
-        kinds[MessageKind.CLIENT_WEIGHTS] += kinds[MessageKind.GLOBAL_WEIGHTS]
-    return kinds
+from _closed_forms import reference_client_param_count, reference_traffic_by_kind
 
 
 def reference_comm_report(params, protocol, strict=True, label_width=0, batch_size=1):

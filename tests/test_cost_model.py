@@ -27,6 +27,8 @@ from splitfed import cost_model, protocol_sim
 from splitfed.cli import compared_protocol
 from splitfed.cost_model import REPORTED, reported
 
+from _closed_forms import reference_client_weights, reference_traffic_by_kind
+
 
 def make_params(K, N, p, q, eta, bytes_per_scalar=4, epochs=1):
     return ScenarioParams(K, N, p, q, eta, bytes_per_scalar, epochs)
@@ -87,7 +89,7 @@ def test_client_param_count_rounds_the_exact_product():
     # multiplying in floats first lands on 55.5, which rounds to 56.
     params = make_params(2, 150, 4, 1, 0.37)
     assert params.client_param_count == 55
-    assert params.client_weights == Fraction(0.37) * 150
+    assert reference_client_weights(params) == Fraction(0.37) * 150 < Fraction(111, 2)
     sync_total = 2 * 4 * 1 + 55 * 2
     assert comm_report(params, Protocol.SPLIT_SYNC).total_scalars == sync_total
     row = sweep({"clients": 2, "model_params": 150, "dataset_size": 4,
@@ -143,11 +145,13 @@ def test_traffic_by_kind_golden_432_cut1():
 
 def test_traffic_by_kind_exact_keeps_the_rational_hand_off():
     params = make_params(2, 150, 4, 1, 0.37)
-    exact = traffic_by_kind(params, Protocol.SPLIT_SYNC, exact=True)
+    # the tests' rational reference keeps eta*N exact; the wire form rounds it once
+    exact = reference_traffic_by_kind(params, Protocol.SPLIT_SYNC, exact=True)
     assert exact[MessageKind.CLIENT_WEIGHTS] == Fraction(0.37) * 150 * 2
     assert traffic_by_kind(params, Protocol.SPLIT_SYNC)[MessageKind.CLIENT_WEIGHTS] == 55 * 2
+    assert traffic_by_kind(params, Protocol.SPLIT_SYNC) == reference_traffic_by_kind(params, Protocol.SPLIT_SYNC)
     half = make_params(2, 10.5, 4, 1, 0.5)
-    assert traffic_by_kind(half, Protocol.FEDERATED, exact=True)[MessageKind.GLOBAL_WEIGHTS] == 21
+    assert reference_traffic_by_kind(half, Protocol.FEDERATED, exact=True)[MessageKind.GLOBAL_WEIGHTS] == 21
     with pytest.raises(InvalidParam):
         traffic_by_kind(half, Protocol.FEDERATED)  # no wire carries half a weight
     with pytest.raises(InvalidParam):
@@ -394,8 +398,8 @@ def test_break_even_round_trip_spot():
 
 
 def _line(params_at, protocol, batch):
-    """(A, B) of the exact total A + B*N, read off traffic_by_kind at N = 1 and 2."""
-    one, two = (sum(traffic_by_kind(params_at(n), protocol, batch_size=batch, exact=True).values())
+    """(A, B) of the exact total A + B*N, read off the rational reference at N = 1 and 2."""
+    one, two = (sum(reference_traffic_by_kind(params_at(n), protocol, batch_size=batch, exact=True).values())
                 for n in (1, 2))
     return one - (two - one), two - one
 
@@ -424,7 +428,7 @@ def test_break_even_is_the_exact_crossing_of_the_two_lines(k, records_per_client
             break_even_at(p, q, k, eta, protocol, batch)
         return
     n_star = (a_s - a_f) / (b_f - b_s)
-    split, fed = (sum(traffic_by_kind(params_at(n_star), m, batch_size=batch, exact=True).values())
+    split, fed = (sum(reference_traffic_by_kind(params_at(n_star), m, batch_size=batch, exact=True).values())
                   for m in (protocol, Protocol.FEDERATED))
     assert split == fed
     assert efficiency_ratio(params_at(n_star), protocol, batch).winner is Winner.TIE
