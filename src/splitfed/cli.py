@@ -49,11 +49,14 @@ SIMULATE_MAX_HELD_SCALARS = 10**7
 # copies the N-scalar global model into each of K clients' buffers and folds
 # the K uploads into the running sum.
 SIMULATE_MAX_FOLDED_SCALARS = 10**9
-# p * (input + output width) bounds the synthetic dataset, generated whole
-# before training (80 MB of float64 at the limit).
+# p * (input + output width) bounds the synthetic dataset, generated before
+# training into one float64 vector (80 MB at the limit) with two 256 KB blocks
+# of scratch.
 SIMULATE_MAX_DATA_SCALARS = 10**7
 # epochs * max(p, K) bounds a run's training steps and its ledger, which logs
-# at most 4 messages per batch plus 2 per client in every epoch.
+# at most 4 messages per batch plus 2 per client in every epoch, about 22
+# bytes each. A sync run of (4, 3, 2) at K = 10, p = 100,000 and 10 epochs
+# logs 3,000,100 messages and peaks at 99 MB RSS (Python 3.11, numpy 2.4).
 SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this.
 K_RANGE_MAX_POINTS = 10**6

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import pairwise
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -35,6 +35,13 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# The finalizer's (shift, multiplier) rounds and its last shift, as uint64
+# operands; a double takes an output's top 53 bits.
+_MIX_ROUNDS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
+_FINAL_SHIFT, _UNIT_SHIFT = np.uint64(31), np.uint64(11)
+# The stream is generated this many outputs at a time: its two block-sized
+# temporaries (256 KB each) stay in cache.
+STREAM_BLOCK = 1 << 15
 # Tweak applied to run seeds so synthetic data and weight init draw from
 # disjoint streams even when given the same seed.
 _DATA_SEED_TWEAK = 0xDA7A5EEDDA7A5EED
@@ -110,47 +117,72 @@ def cut_stats(spec: ModelSpec, cut: int) -> tuple[int, Fraction]:
     return q, eta
 
 
-def splitmix64(seed: int, count: int) -> np.ndarray:
-    """First ``count`` outputs of the splitmix64 stream seeded with ``seed``.
+def _stream(seed: int, count: int, unit: bool) -> np.ndarray:
+    """The first ``count`` outputs of the splitmix64 stream seeded with ``seed``:
+    uint64, or with ``unit`` doubles in [0, 1) from each output's top 53 bits.
 
-    splitmix64 is counter-based, so the whole block vectorizes: output i is
-    the finalizer applied to ``seed + (i+1) * gamma`` mod 2**64.
+    splitmix64 is counter-based: output i is the finalizer applied to
+    ``seed + (i+1) * gamma`` mod 2**64. The stream is made in blocks of
+    STREAM_BLOCK outputs, each written in place into its slice of the one
+    output vector, so the temporaries are two blocks whatever ``count`` is.
     """
     if count < 0:
         raise InvalidParam(f"count must be >= 0, got {count}")
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed & _MASK64) + idx * np.uint64(_SPLITMIX_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+    out = np.empty(count, dtype=np.float64 if unit else np.uint64)
+    z, doubles = out.view(np.uint64), out.view(np.float64)
+    steps = np.arange(1, min(count, STREAM_BLOCK) + 1, dtype=np.uint64)
+    steps *= np.uint64(_SPLITMIX_GAMMA)  # (1..block) * gamma: each block's offsets from its start
+    shifted = np.empty_like(steps)
+    for lo in range(0, count, STREAM_BLOCK):
+        block, tmp = z[lo : lo + STREAM_BLOCK], shifted[: min(count - lo, STREAM_BLOCK)]
+        np.add(steps[: tmp.size], np.uint64((seed + lo * _SPLITMIX_GAMMA) & _MASK64), out=block)
+        for shift, mix in _MIX_ROUNDS:
+            np.right_shift(block, shift, out=tmp)
+            block ^= tmp
+            block *= mix
+        np.right_shift(block, _FINAL_SHIFT, out=tmp)
+        block ^= tmp
+        if unit:
+            block >>= _UNIT_SHIFT
+            np.multiply(block, 2.0**-53, out=doubles[lo : lo + STREAM_BLOCK])  # exact below 2**53
+    return out
+
+
+def splitmix64(seed: int, count: int) -> np.ndarray:
+    """First ``count`` outputs of the splitmix64 stream seeded with ``seed``."""
+    return _stream(seed, count, unit=False)
 
 
 def uniform01(seed: int, count: int) -> np.ndarray:
     """Doubles in [0, 1) from the top 53 bits of the splitmix64 stream."""
-    return (splitmix64(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return _stream(seed, count, unit=True)
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
-    """Flat parameter vector with every scalar uniform in +-1/sqrt(fan_in)."""
-    u = uniform01(seed, param_count(spec))
-    out = np.empty_like(u)
-    offset = 0
-    for i, count in enumerate(layer_param_counts(spec)):
-        bound = 1.0 / math.sqrt(spec.layer_widths[i])
-        out[offset : offset + count] = (2.0 * u[offset : offset + count] - 1.0) * bound
-        offset += count
-    return out
+    """Flat parameter vector with every scalar uniform in +-1/sqrt(fan_in).
+
+    ``(2u - 1) * bound`` is computed in place on the uniform vector, operation
+    by operation, so it is the same bits as the whole-vector expression."""
+    params = uniform01(seed, param_count(spec))
+    params *= 2.0
+    params -= 1.0
+    bounds = pairwise(accumulate(layer_param_counts(spec), initial=0))
+    for (lo, hi), fan_in in zip(bounds, spec.layer_widths):
+        layer = params[lo:hi]
+        layer *= 1.0 / math.sqrt(fan_in)
+    return params
 
 
 def random_dataset(spec: ModelSpec, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic (inputs, labels) batch, every value uniform in [-1, 1]."""
+    """Synthetic (inputs, labels) batch, every value uniform in [-1, 1]: ``2u - 1``
+    in place on one uniform vector, whose two slices are the inputs and labels."""
     if count < 0:
         raise InvalidParam(f"count must be >= 0, got {count}")
     n_x = count * spec.input_width
     n_y = count * spec.output_width
-    u = uniform01(seed ^ _DATA_SEED_TWEAK, n_x + n_y)
-    values = 2.0 * u - 1.0
+    values = uniform01(seed ^ _DATA_SEED_TWEAK, n_x + n_y)
+    values *= 2.0
+    values -= 1.0
     x = values[:n_x].reshape(count, spec.input_width)
     y = values[n_x:].reshape(count, spec.output_width)
     return x, y

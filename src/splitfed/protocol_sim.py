@@ -11,7 +11,7 @@ genuine cross-check rather than the same formula evaluated twice.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, pairwise
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -43,39 +43,87 @@ class Message(NamedTuple):
     scalar_count: int
 
 
+# Kind codes of the ledger's kind column, and the ranges of its epoch ("i")
+# and count ("q") columns.
+_KINDS = tuple(MessageKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+_EPOCH_END = 1 << 31
+_COUNT_END = 1 << 63
+
+
 class TrafficLedger:
     """Append-only, ordered log of every simulated transfer.
 
-    Each message is stored as a plain row ``(epoch, sender, receiver, kind,
-    scalar_count)``; iterating the ledger yields them as :class:`Message`.
-    Endpoint ids are identifiers, so no CSV field ever needs quoting.
+    A message takes 21 bytes, one entry in each of five stdlib ``array``
+    columns: the epoch (``i``), the sender and the receiver as indices into
+    the ledger's endpoint table (``i``; SERVER is 0), the kind's code (``B``)
+    and the scalar count (``q``). Iterating the ledger yields the messages as
+    :class:`Message` rows with string endpoints. Endpoint ids are
+    identifiers, so no CSV field ever needs quoting.
     """
 
     def __init__(self) -> None:
-        self._rows: list[tuple[int, str, str, MessageKind, int]] = []
-        self._tally: defaultdict[str, dict[MessageKind, int]] = defaultdict(lambda: dict.fromkeys(MessageKind, 0))
+        self._epochs, self._senders, self._receivers = array("i"), array("i"), array("i")
+        self._kinds, self._counts = array("B"), array("q")
+        self._names = [SERVER]  # the endpoint table: index -> id
+        self._index = {SERVER: 0}
+        self._tally: list[list[int] | None] = [None]  # per endpoint: scalars it owns by kind code, or None
 
     def append(self, epoch: int, sender: str, receiver: str, kind: MessageKind, scalar_count: int) -> None:
-        if scalar_count < 0:
-            raise InvalidParam(f"negative scalar_count in {Message(epoch, sender, receiver, kind, scalar_count)}")
-        self._rows.append((epoch, sender, receiver, kind, scalar_count))
-        self._tally[receiver if sender == SERVER else sender][kind] += scalar_count
+        """Log one message, checked whole before any column grows: ``kind`` a
+        :class:`MessageKind`, ``epoch`` an int in [0, 2**31), ``scalar_count``
+        an int in [0, 2**63) and both endpoints identifiers. Anything else
+        raises :class:`InvalidParam` and leaves the ledger as it was."""
+        if not (type(kind) is MessageKind and type(epoch) is int and type(scalar_count) is int
+                and 0 <= epoch < _EPOCH_END and 0 <= scalar_count < _COUNT_END):
+            raise _message_error(Message(epoch, sender, receiver, kind, scalar_count))
+        try:
+            s, r = self._index[sender], self._index[receiver]
+        except (KeyError, TypeError):
+            s, r = self._register(sender, receiver)
+        code = _KIND_CODES[kind]
+        self._epochs.append(epoch)
+        self._senders.append(s)
+        self._receivers.append(r)
+        self._kinds.append(code)
+        self._counts.append(scalar_count)
+        # The one owner: the client that sends it, or the client the server (0) sends it to.
+        owner = s or r
+        try:
+            self._tally[owner][code] += scalar_count
+        except TypeError:  # the owner's first message
+            self._tally[owner] = row = [0] * len(_KINDS)
+            row[code] = scalar_count
+
+    def _register(self, *names) -> tuple[int, ...]:
+        """The endpoint indices of ``names``, adding new ones to the table once all are checked."""
+        for name in names:
+            if type(name) is not str or not name.isidentifier():
+                raise InvalidParam(f"endpoint id must be an identifier, got {name!r}")
+        for name in names:
+            if name not in self._index:
+                self._index[name] = len(self._names)
+                self._names.append(name)
+                self._tally.append(None)
+        return tuple(self._index[name] for name in names)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._kinds)
 
     def __iter__(self) -> Iterator[Message]:
-        return map(Message._make, self._rows)
+        name = self._names.__getitem__
+        return map(Message, self._epochs, map(name, self._senders), map(name, self._receivers),
+                   map(_KINDS.__getitem__, self._kinds), self._counts)
 
     def totals_by_kind(self) -> dict[MessageKind, int]:
-        owned = self._tally.values()  # every message has exactly one owner
-        return {kind: sum(kinds[kind] for kinds in owned) for kind in MessageKind}
+        owned = [row for row in self._tally if row is not None]  # every message has exactly one owner
+        return {kind: sum(row[code] for row in owned) for code, kind in enumerate(_KINDS)}
 
     def tally(self) -> dict[str, dict[MessageKind, int]]:
         """Scalars per (owner, kind), as a copy the caller owns. A message's one
         owner is the client that sends it, or the client the server sends it to;
         ``append`` adds each message to its owner's row."""
-        return {owner: dict(kinds) for owner, kinds in self._tally.items()}
+        return {name: dict(zip(_KINDS, row)) for name, row in zip(self._names, self._tally) if row is not None}
 
     def to_csv(self, path_or_file) -> None:
         """Write "epoch,sender,receiver,kind,scalar_count"; row order = event order."""
@@ -87,8 +135,23 @@ class TrafficLedger:
 
     def _write_csv(self, fh) -> None:
         # The bytes csv.writer would write: no field of ints and identifiers needs quoting.
+        names, values = self._names, [kind.value for kind in _KINDS]
         fh.write("epoch,sender,receiver,kind,scalar_count\n")
-        fh.writelines(f"{e},{s},{r},{k.value},{n}\n" for e, s, r, k, n in self._rows)
+        fh.writelines(
+            f"{e},{names[s]},{names[r]},{values[k]},{n}\n"
+            for e, s, r, k, n in zip(self._epochs, self._senders, self._receivers, self._kinds, self._counts)
+        )
+
+
+def _message_error(message: Message) -> InvalidParam:
+    """What is wrong with a message ``append`` refuses."""
+    if type(message.kind) is not MessageKind:
+        what = f"kind must be a MessageKind, got {message.kind!r}"
+    elif type(message.epoch) is not int or not 0 <= message.epoch < _EPOCH_END:
+        what = f"epoch must be an int in [0, 2**31), got {message.epoch!r}"
+    else:
+        what = f"scalar_count must be an int in [0, 2**63), got {message.scalar_count!r}"
+    return InvalidParam(f"{what} in {message}")
 
 
 def partition_dataset(inputs, labels, clients: int, strict: bool = True) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

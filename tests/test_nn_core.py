@@ -1,6 +1,7 @@
 """Network core: parameter accounting, reproducible init, exact backprop."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -41,6 +42,7 @@ from splitfed.nn_core import (
 )
 from splitfed import nn_core
 
+import _stream
 from _step import activations, flat_gradient, gradients, loss
 from _step import sgd_step as whole_vector_step
 
@@ -133,6 +135,62 @@ def test_random_dataset_shapes_and_range():
     assert np.all(np.abs(x) <= 1.0) and np.all(np.abs(y) <= 1.0)
     x2, y2 = random_dataset(spec, 6, 42)
     assert np.array_equal(x, x2) and np.array_equal(y, y2)
+
+
+# --- the stream in blocks ----------------------------------------------------
+
+BLOCK = nn_core.STREAM_BLOCK
+# No count, one, either side of a block edge, and several blocks plus a remainder.
+STREAM_COUNTS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1234]
+STREAM_SEEDS = st.one_of(
+    st.sampled_from([0, MASK64, -1, -(1 << 70) - 3, (1 << 64) + 5, (1 << 200) + 17]),
+    st.integers(-(1 << 80), 1 << 80),
+)
+
+
+def same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=STREAM_SEEDS, count=st.sampled_from(STREAM_COUNTS))
+def test_blocked_stream_matches_the_whole_vector_stream(seed, count):
+    assert same_bits(splitmix64(seed, count), _stream.splitmix64(seed, count))
+    assert same_bits(uniform01(seed, count), _stream.uniform01(seed, count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=STREAM_SEEDS, size=st.sampled_from(STREAM_COUNTS[2:]), records=st.integers(0, 4000),
+       widths=st.sampled_from([(4, 3, 2), (16, 8, 4), (180, 300, 40)]))
+def test_blocked_init_params_and_random_dataset_match_the_whole_vector_ones(seed, size, records, widths):
+    # A (size - 1, 1) model holds ``size`` parameters, and one record of it
+    # ``size`` scalars; (180, 300, 40) has a layer edge inside a block and a
+    # layer that crosses a block edge.
+    for spec, count in ((ModelSpec((size - 1, 1)), 1), (ModelSpec(widths), records)):
+        assert same_bits(init_params(spec, seed), _stream.init_params(spec, seed))
+        for got, want in zip(random_dataset(spec, count, seed), _stream.random_dataset(spec, count, seed)):
+            assert same_bits(got, want)
+
+
+def test_stream_users_peak_at_their_output_plus_two_blocks():
+    # Both write the stream into the vector they return, with two uint64
+    # block temporaries; the whole-vector forms peaked at about 3x the output.
+    allowance = 4 * 8 * BLOCK
+
+    def peak_above_start(make):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            make()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    spec = ModelSpec((999, 1000))  # N = 1,000,000
+    assert peak_above_start(lambda: init_params(spec, 3)) <= 8 * param_count(spec) + allowance
+    data = ModelSpec((16, 8, 4))
+    assert peak_above_start(lambda: random_dataset(data, 50_000, 3)) <= 8 * 50_000 * 20 + allowance
 
 
 # --- forward -----------------------------------------------------------------

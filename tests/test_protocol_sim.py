@@ -495,3 +495,59 @@ def test_ledger_csv_format_and_order():
     assert lines[3] == "0,server,client1,Gradients,3"
     assert lines[10] == "0,client1,client2,ClientWeights,15"
     assert len(lines) == 1 + len(run.ledger)
+
+
+# --- the ledger's columns ------------------------------------------------------
+
+def ledger_state(ledger):
+    buf = io.StringIO()
+    ledger.to_csv(buf)
+    return list(ledger), ledger.tally(), ledger.totals_by_kind(), buf.getvalue()
+
+
+@pytest.mark.parametrize("epoch, sender, receiver, kind, count", [
+    (0, client_id(1), SERVER, "Activations", 3),  # equal to a kind, but a str
+    (-1, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3),
+    (2**31, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3),
+    (1.0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3),
+    (0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3.5),
+    (0, client_id(1), SERVER, MessageKind.ACTIVATIONS, -1),
+    (0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 2**63),
+    (0, "client 1", SERVER, MessageKind.ACTIVATIONS, 3),  # no identifier: the CSV would need quoting
+    (0, client_id(3), None, MessageKind.ACTIVATIONS, 3),
+], ids=["kind-str", "epoch-negative", "epoch-past-int32", "epoch-float", "count-float", "count-negative",
+        "count-past-int64", "sender-not-identifier", "receiver-none"])
+def test_append_refuses_a_bad_message_and_changes_nothing(epoch, sender, receiver, kind, count):
+    ledger = TrafficLedger()
+    ledger.append(0, client_id(1), SERVER, MessageKind.LABELS, 2)
+    before = ledger_state(ledger)
+    with pytest.raises(InvalidParam):
+        ledger.append(epoch, sender, receiver, kind, count)
+    assert ledger_state(ledger) == before
+    # the columns stay in step: the next message is read back whole
+    ledger.append(2**31 - 1, SERVER, client_id(2), MessageKind.GRADIENTS, 2**63 - 1)
+    assert list(ledger)[1:] == [Message(2**31 - 1, SERVER, client_id(2), MessageKind.GRADIENTS, 2**63 - 1)]
+    assert ledger_state(ledger)[3].endswith(f"\n{2**31 - 1},server,client2,Gradients,{2**63 - 1}\n")
+
+
+def test_ledger_holds_a_message_in_24_bytes():
+    # ring-many-clients' pattern over 3 epochs, 115,968 messages: per record,
+    # Activations and Labels up and Gradients down; a hand-off ends each turn.
+    clients, records = 256, 50
+    names = [client_id(k + 1) for k in range(clients)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ledger = TrafficLedger()
+        for epoch in range(3):
+            for k, me in enumerate(names):
+                for _ in range(records):
+                    ledger.append(epoch, me, SERVER, MessageKind.ACTIVATIONS, 4)
+                    ledger.append(epoch, me, SERVER, MessageKind.LABELS, 4)
+                    ledger.append(epoch, SERVER, me, MessageKind.GRADIENTS, 8)
+                ledger.append(epoch, me, names[(k + 1) % clients], MessageKind.CLIENT_WEIGHTS, 172)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(ledger) == 3 * clients * (3 * records + 1) >= 10**5
+    assert held / len(ledger) <= 24
