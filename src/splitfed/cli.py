@@ -1,12 +1,17 @@
 """Command-line front end: analyze, simulate, breakeven, sweep.
 
-Exit codes: 0 ok, 2 scenario/config error, 3 domain error (for example a
-divisibility or range violation), 4 ledger-versus-formula mismatch. The
+Exit codes: 0 ok, 2 scenario/config error (an output path that cannot be
+written among them), 3 domain error (for example a divisibility or range
+violation), 4 ledger-versus-formula mismatch. The
 environment variable SPLITFED_SEED overrides the scenario seed in simulate,
 the only subcommand that uses a seed; no other subcommand reads it.
 
 CSV output is byte-stable across runs: integers verbatim, reals with 12
 significant digits, "\n" line endings.
+
+Only simulate needs the simulator: ``protocol_sim`` and ``random_dataset``
+are names of this module that load, with numpy, on first use, so the other
+subcommands never import numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import protocol_sim
 from .cost_model import (
     MessageKind,
     Protocol,
@@ -31,7 +35,6 @@ from .cost_model import (
     sweep,
 )
 from .errors import InvalidParam, ScenarioError, SplitFedError
-from .nn_core import random_dataset
 from .scenarios import PARAM_KEYS, _as_field, _parse_number, load_scenario, load_suite
 from .svg import render_breakeven_svg
 
@@ -75,6 +78,19 @@ CSV_HEADER = [
     "per_client_scalars", "total_scalars", "per_client_bytes", "total_bytes",
     "rho", "winner",
 ]
+
+
+def __getattr__(name: str):
+    """Load ``protocol_sim`` or ``random_dataset`` on first use; from then on the
+    name is an ordinary global, which a caller may replace."""
+    if name == "protocol_sim":
+        from . import protocol_sim as value
+    elif name == "random_dataset":
+        from .nn_core import random_dataset as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def _fmt(x) -> str:
@@ -183,6 +199,9 @@ def cmd_simulate(args) -> int:
         if size > limit:
             raise InvalidParam(f"scenario too large to simulate ({name}={size} > {limit})")
     strict = not args.lenient_shards
+    # read through the module at call time, so a replaced name is the one called
+    this = sys.modules[__name__]
+    protocol_sim, random_dataset = this.protocol_sim, this.random_dataset
     x, y = random_dataset(sc.model, params.dataset_size, sc.seed)
     shards = protocol_sim.partition_dataset(x, y, params.clients, strict=strict)
 
@@ -401,6 +420,12 @@ def main(argv=None) -> int:
     except SplitFedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # a scenario file that cannot be read is a ScenarioError, so a file named here is an output
+        if exc.filename is None:
+            raise
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,6 +19,10 @@ them against the same kinds summed as ``Fraction``s, eta*N and N kept exact
 rho = (federated total) / (split total): rho > 1 favors split, rho < 1 federated.
 The lines meet at the break-even size N* = (A_s - A_f) / (B_f - B_s), the
 hyperbola in the (K, N) plane; where B_s >= B_f no positive N* exists.
+
+A dense network's shape (:class:`ModelSpec`) and the integers read off it
+(N, and q and eta at a cut) live here too, so the closed forms, model-form
+scenarios included, run without numpy; ``nn_core`` re-exports them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .errors import DivisibilityError, InvalidParam, SplitFedError
+from .errors import CutOutOfRange, DivisibilityError, InvalidParam, SplitFedError
 
 # |rho - 1| within this relative band is a tie, so exact-integer break-even
 # scenarios classify stably under float evaluation.
@@ -115,6 +119,76 @@ def shard_sizes(dataset_size: int, clients: int, strict: bool = True) -> list[in
     return [base + 1 if k < rem else base for k in range(clients)]
 
 
+class Activation(str, Enum):
+    IDENTITY = "Identity"
+    RELU = "ReLU"
+    SIGMOID = "Sigmoid"
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Dense network: ordered layer widths plus the hidden-layer activation."""
+
+    layer_widths: tuple[int, ...]
+    activation: Activation = Activation.SIGMOID
+
+    def __post_init__(self) -> None:
+        widths = tuple(int(w) for w in self.layer_widths)
+        object.__setattr__(self, "layer_widths", widths)
+        if len(widths) < 2:
+            raise InvalidParam("layer_widths needs an input and an output width")
+        if any(w < 1 for w in widths):
+            raise InvalidParam(f"layer widths must be positive, got {widths}")
+        if not isinstance(self.activation, Activation):
+            raise InvalidParam(f"unknown activation {self.activation!r}")
+
+    @property
+    def weight_layers(self) -> int:
+        return len(self.layer_widths) - 1
+
+    @property
+    def input_width(self) -> int:
+        return self.layer_widths[0]
+
+    @property
+    def output_width(self) -> int:
+        return self.layer_widths[-1]
+
+
+def _cut_index(spec: ModelSpec, cut: int) -> int:
+    """``cut`` as an interior boundary index: the client holds weight layers 1..cut."""
+    c = int(cut)
+    if not 1 <= c <= spec.weight_layers - 1:
+        raise CutOutOfRange(
+            f"cut {c} invalid for {spec.weight_layers} weight layers "
+            f"(valid range 1..{spec.weight_layers - 1})"
+        )
+    return c
+
+
+def layer_param_counts(spec: ModelSpec) -> tuple[int, ...]:
+    """Weights plus biases per layer."""
+    w = spec.layer_widths
+    return tuple(w[i] * w[i + 1] + w[i + 1] for i in range(spec.weight_layers))
+
+
+def param_count(spec: ModelSpec) -> int:
+    return sum(layer_param_counts(spec))
+
+
+def client_param_count(spec: ModelSpec, cut: int) -> int:
+    c = _cut_index(spec, cut)
+    return sum(layer_param_counts(spec)[:c])
+
+
+def cut_stats(spec: ModelSpec, cut: int) -> tuple[int, Fraction]:
+    """Smashed width q and exact client-side parameter fraction eta at the cut."""
+    c = _cut_index(spec, cut)
+    q = spec.layer_widths[c]
+    eta = Fraction(client_param_count(spec, c), param_count(spec))
+    return q, eta
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """One point in the comparison space.
@@ -152,8 +226,8 @@ class ScenarioParams:
     @classmethod
     def from_model(
         cls,
-        spec,
-        cut,
+        spec: ModelSpec,
+        cut: int,
         clients: int,
         dataset_size: int,
         bytes_per_scalar: int = 4,
@@ -164,12 +238,10 @@ class ScenarioParams:
         eta is stored as an exact rational so ledger comparisons stay
         integer-exact.
         """
-        from . import nn_core
-
-        q, eta = nn_core.cut_stats(spec, cut)
+        q, eta = cut_stats(spec, cut)
         return cls(
             clients=clients,
-            model_params=nn_core.param_count(spec),
+            model_params=param_count(spec),
             dataset_size=dataset_size,
             smashed_size=q,
             client_fraction=eta,
@@ -257,6 +329,20 @@ def _scaled_line(protocol: Protocol, k: int, p: int, q: int, u: int, v: int,
     return 2 * q * v * records, u * hand_offs + 2 * v * round_trips
 
 
+def _kind_scalars(
+    params: ScenarioParams, protocol: Protocol, k: int, p: int, batch_size: int, label_width: int
+) -> tuple[int, int, int, int, int]:
+    """:func:`traffic_by_kind`'s scalars over k clients and p records, in ``_KINDS`` order."""
+    if params.model_params != int(params.model_params):
+        raise InvalidParam(f"wire traffic needs a whole model_params, got {params.model_params}")
+    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
+    e = params.epochs
+    smashed = records * params.smashed_size * e
+    global_weights = int(params.model_params) * round_trips * e
+    client_weights = global_weights + (params.client_param_count * hand_offs * e if hand_offs else 0)
+    return smashed, records * label_width * e, smashed, client_weights, global_weights
+
+
 def traffic_by_kind(
     params: ScenarioParams,
     protocol: Protocol,
@@ -278,19 +364,7 @@ def traffic_by_kind(
     whole N.
     """
     k, p = (params.clients, params.dataset_size) if shard is None else (1, shard)
-    if params.model_params != int(params.model_params):
-        raise InvalidParam(f"wire traffic needs a whole model_params, got {params.model_params}")
-    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
-    e = params.epochs
-    kinds = dict.fromkeys(_KINDS, 0)
-    kinds[MessageKind.ACTIVATIONS] = kinds[MessageKind.GRADIENTS] = records * params.smashed_size * e
-    kinds[MessageKind.LABELS] = records * label_width * e
-    if hand_offs:
-        kinds[MessageKind.CLIENT_WEIGHTS] = params.client_param_count * hand_offs * e
-    if round_trips:
-        kinds[MessageKind.GLOBAL_WEIGHTS] = int(params.model_params) * round_trips * e
-        kinds[MessageKind.CLIENT_WEIGHTS] += kinds[MessageKind.GLOBAL_WEIGHTS]
-    return kinds
+    return dict(zip(_KINDS, _kind_scalars(params, protocol, k, p, batch_size, label_width)))
 
 
 def comm_report(
@@ -309,8 +383,8 @@ def comm_report(
     """
     base, rem = _even_split(params.dataset_size, params.clients, strict)
     # the K-client total sums one-shard forms: rem clients hold base + 1 records, the rest base
-    small = sum(traffic_by_kind(params, protocol, base, batch_size, label_width).values())
-    big = sum(traffic_by_kind(params, protocol, base + 1, batch_size, label_width).values()) if rem else small
+    small = sum(_kind_scalars(params, protocol, 1, base, batch_size, label_width))
+    big = sum(_kind_scalars(params, protocol, 1, base + 1, batch_size, label_width)) if rem else small
     total = rem * big + (params.clients - rem) * small
     return CommReport.from_scalars(protocol, big, total, params.bytes_per_scalar)
 

@@ -15,14 +15,14 @@ a batch ``a`` to ``a @ W_i + b_i`` with ``W_i`` of shape
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
 from itertools import accumulate, pairwise
 
 import numpy as np
 
-from .errors import CutOutOfRange, InvalidParam, LengthMismatch, ShapeMismatch
+# The network's shape and its integer counts live with the closed forms, which
+# import no numpy; they are names of this module too.
+from .cost_model import Activation, ModelSpec, _cut_index, client_param_count, cut_stats, layer_param_counts, param_count
+from .errors import InvalidParam, LengthMismatch, ShapeMismatch
 
 # numpy's C einsum kernel, without the Python dispatch of the public np.einsum
 # (about 1 us per call): the batch-1 weight gradient is the only caller.
@@ -45,76 +45,6 @@ STREAM_BLOCK = 1 << 15
 # Tweak applied to run seeds so synthetic data and weight init draw from
 # disjoint streams even when given the same seed.
 _DATA_SEED_TWEAK = 0xDA7A5EEDDA7A5EED
-
-
-class Activation(str, Enum):
-    IDENTITY = "Identity"
-    RELU = "ReLU"
-    SIGMOID = "Sigmoid"
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Dense network: ordered layer widths plus the hidden-layer activation."""
-
-    layer_widths: tuple[int, ...]
-    activation: Activation = Activation.SIGMOID
-
-    def __post_init__(self) -> None:
-        widths = tuple(int(w) for w in self.layer_widths)
-        object.__setattr__(self, "layer_widths", widths)
-        if len(widths) < 2:
-            raise InvalidParam("layer_widths needs an input and an output width")
-        if any(w < 1 for w in widths):
-            raise InvalidParam(f"layer widths must be positive, got {widths}")
-        if not isinstance(self.activation, Activation):
-            raise InvalidParam(f"unknown activation {self.activation!r}")
-
-    @property
-    def weight_layers(self) -> int:
-        return len(self.layer_widths) - 1
-
-    @property
-    def input_width(self) -> int:
-        return self.layer_widths[0]
-
-    @property
-    def output_width(self) -> int:
-        return self.layer_widths[-1]
-
-
-def _cut_index(spec: ModelSpec, cut: int) -> int:
-    """``cut`` as an interior boundary index: the client holds weight layers 1..cut."""
-    c = int(cut)
-    if not 1 <= c <= spec.weight_layers - 1:
-        raise CutOutOfRange(
-            f"cut {c} invalid for {spec.weight_layers} weight layers "
-            f"(valid range 1..{spec.weight_layers - 1})"
-        )
-    return c
-
-
-def layer_param_counts(spec: ModelSpec) -> tuple[int, ...]:
-    """Weights plus biases per layer."""
-    w = spec.layer_widths
-    return tuple(w[i] * w[i + 1] + w[i + 1] for i in range(spec.weight_layers))
-
-
-def param_count(spec: ModelSpec) -> int:
-    return sum(layer_param_counts(spec))
-
-
-def client_param_count(spec: ModelSpec, cut: int) -> int:
-    c = _cut_index(spec, cut)
-    return sum(layer_param_counts(spec)[:c])
-
-
-def cut_stats(spec: ModelSpec, cut: int) -> tuple[int, Fraction]:
-    """Smashed width q and exact client-side parameter fraction eta at the cut."""
-    c = _cut_index(spec, cut)
-    q = spec.layer_widths[c]
-    eta = Fraction(client_param_count(spec, c), param_count(spec))
-    return q, eta
 
 
 def _stream(seed: int, count: int, unit: bool) -> np.ndarray:

@@ -20,9 +20,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cost_model import Protocol, ScenarioParams
+from .cost_model import Activation, ModelSpec, Protocol, ScenarioParams
 from .errors import InvalidParam, ScenarioError
-from .nn_core import Activation, ModelSpec
 
 # Scenario-file key of each ScenarioParams field, in field order: the one map
 # from keys to fields. The parser, the grid.* axes and the report columns read it.

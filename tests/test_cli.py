@@ -689,3 +689,18 @@ def test_every_file_output_names_its_encoding(tmp_path, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert all((tmp_path / name).stat().st_size for name in argv if name.endswith((".csv", ".svg")))
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--scenario", "tiny-dense", "--csv"],
+    ["sweep", "--scenario", "tiny-dense", "--csv"],
+    ["breakeven", "--scenario", "tiny-dense", "--k-range", "1:8", "--csv"],
+    ["breakeven", "--scenario", "tiny-dense", "--k-range", "1:8", "--svg"],
+    ["simulate", "--scenario", "tiny-dense", "--csv"],
+    ["simulate", "--scenario", "tiny-dense", "--loss-csv"],
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_an_unwritable_output_path_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
