@@ -50,7 +50,7 @@ measured = measured_comm(run.ledger, CLIENTS, Protocol.SPLIT_SYNC)
 print(f"ledger total excluding labels: {measured.total_scalars}")
 print(f"closed form 2pq + eta*N*K:     {formula.total_scalars}")
 print(f"verification: {verify_against_model(run.ledger, params, Protocol.SPLIT_SYNC).describe()}")
-print(f"per-epoch training loss: {[round(l, 4) for l in run.epoch_losses]}")
+print(f"per-epoch training loss: {[round(l, 4) for l in run.losses]}")
 
 print()
 print("=" * 72)

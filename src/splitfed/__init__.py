@@ -48,9 +48,8 @@ _LAZY = {
     "protocol_sim": None,
     **dict.fromkeys(("init_params", "random_dataset", "splitmix64"), "nn_core"),
     **dict.fromkeys((
-        "FederatedRunResult", "Message", "SplitRunResult", "TrafficLedger", "VerificationReport",
-        "measured_comm", "partition_dataset", "run_federated_training", "run_split_training",
-        "verify_against_model",
+        "Message", "RunResult", "TrafficLedger", "VerificationReport", "measured_comm",
+        "partition_dataset", "run_federated_training", "run_split_training", "verify_against_model",
     ), "protocol_sim"),
 }
 

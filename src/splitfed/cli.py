@@ -1,8 +1,8 @@
 """Command-line front end: analyze, simulate, breakeven, sweep.
 
 Exit codes: 0 ok, 2 scenario/config error (an output path that cannot be
-written among them), 3 domain error (for example a divisibility or range
-violation), 4 ledger-versus-formula mismatch. The
+written among them, refused before any work), 3 domain error (for example a
+divisibility or range violation), 4 ledger-versus-formula mismatch. The
 environment variable SPLITFED_SEED overrides the scenario seed in simulate,
 the only subcommand that uses a seed; no other subcommand reads it.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import math
 import operator
 import os
@@ -206,18 +207,11 @@ def cmd_simulate(args) -> int:
     shards = protocol_sim.partition_dataset(x, y, params.clients, strict=strict)
 
     if variant is Protocol.FEDERATED:
-        run = protocol_sim.run_federated_training(
-            sc.model, shards, rounds=params.epochs, local_lr=args.lr, seed=sc.seed, batch_size=sc.batch_size
-        )
-        losses = run.round_losses
+        run = protocol_sim.run_federated_training(sc.model, shards, epochs, args.lr, sc.seed, sc.batch_size)
     else:
-        run = protocol_sim.run_split_training(
-            sc.model, sc.cut_index, shards, variant,
-            epochs=params.epochs, lr=args.lr, seed=sc.seed, batch_size=sc.batch_size,
-        )
-        losses = run.epoch_losses
-
-    ledger = run.ledger
+        run = protocol_sim.run_split_training(sc.model, sc.cut_index, shards, variant, epochs, args.lr, sc.seed,
+                                              sc.batch_size)
+    ledger, losses = run.ledger, run.losses
     if args.inject_fault:
         # verification self-test: one bogus message must trip a mismatch
         ledger.append(0, protocol_sim.client_id(1), protocol_sim.SERVER, MessageKind.ACTIVATIONS,
@@ -410,9 +404,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output path that names a directory or lies in a
+    missing or unwritable one; open() still reports what this cannot see."""
+    for path in filter(None, (getattr(args, name, None) for name in ("csv", "loss_csv", "svg"))):
+        folder = os.path.dirname(path) or "."
+        code = (errno.EISDIR if os.path.isdir(path)
+                else errno.ENOENT if not os.path.exists(folder)
+                else errno.ENOTDIR if not os.path.isdir(folder)
+                else errno.EACCES if not os.access(path if os.path.exists(path) else folder, os.W_OK)
+                else None)
+        if code:
+            raise OSError(code, os.strerror(code), path)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

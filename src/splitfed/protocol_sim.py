@@ -2,10 +2,14 @@
 
 Runs split training (three weight-sync variants) and federated averaging as
 strictly sequential event sequences over an in-process message bus with zero
-loss and zero latency; only payload sizes matter. Every transfer lands in an
-append-only ledger whose scalar counts come from the actual array sizes, so
-comparing ledger totals against the closed forms in :mod:`.cost_model` is a
-genuine cross-check rather than the same formula evaluated twice.
+loss and zero latency; only payload sizes matter. One loop walks epochs
+(federated rounds), client turns and batches for every protocol and returns a
+:class:`RunResult`, whose ``server_params`` is the global model under
+federated. Split loss averages an epoch's batches; federated loss averages a
+round's per-client means. Every transfer lands in an append-only ledger whose
+scalar counts come from the actual array sizes, so comparing ledger totals
+against the closed forms in :mod:`.cost_model` is a genuine cross-check
+rather than the same formula evaluated twice.
 """
 
 from __future__ import annotations
@@ -214,36 +218,89 @@ def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, batch_size: 
         yield loss, acts, act_grads, yb
 
 
-def _epoch_loss(losses: list[float], unit: str, index: int) -> float:
-    """Mean of an epoch's (or round's) losses; NaN when it saw no records.
-
-    A non-finite mean over records it did train on means the run diverged,
-    which raises :class:`Diverged` naming ``unit`` and ``index``.
-    """
-    if not losses:
-        return math.nan
-    loss = float(np.mean(losses))
-    if not math.isfinite(loss):
-        raise Diverged(f"training diverged: {unit} {index} loss is {loss} (try a smaller learning rate)")
-    return loss
+def _turns(protocol: Protocol, epoch: int, clients: int) -> range:
+    """The clients that take a turn in ``epoch``, in order: nosync gives epoch
+    e to client (e mod K)+1 alone; every other protocol runs all K."""
+    if protocol is Protocol.SPLIT_NOSYNC:
+        return range(epoch % clients, epoch % clients + 1)
+    return range(clients)
 
 
 @dataclass
-class SplitRunResult:
-    client_params: list[np.ndarray]  # per client, latest weights held
-    server_params: np.ndarray
+class RunResult:
+    client_params: list[np.ndarray]  # per split client, latest weights held; [] under federated
+    server_params: np.ndarray  # the split server's back, or the federated global model
     ledger: TrafficLedger
-    epoch_losses: list[float]
-
-
-@dataclass
-class FederatedRunResult:
-    global_params: np.ndarray
-    ledger: TrafficLedger
-    round_losses: list[float]
+    losses: list[float]  # per epoch (federated round)
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protocol, epochs: int, lr: float,
+           seed: int, batch_size: int) -> RunResult:
+    """Every protocol's run: epochs, then the clients of :func:`_turns`, then
+    the batches of :func:`_local_pass` on the one working model. A turn copies
+    its client's weights in: a split client's into the front ``[:n_client]``,
+    logged at ``cut`` per batch and copied back out, or the global model
+    into the whole of it, uploaded and folded into the round's mean. A
+    non-finite loss over trained records raises :class:`Diverged`."""
+    federated = protocol is Protocol.FEDERATED
+    data = _checked_run(spec, shards, "rounds" if federated else "epochs", epochs, batch_size)
+    c = None if federated else nn_core._cut_index(spec, cut)
+    k_clients = len(data)
+    model = _WorkingModel(spec, nn_core.init_params(spec, seed), batch_size)  # split: client front, server back
+    front = model.params if federated else model.params[:nn_core.client_param_count(spec, c)]
+    if federated:
+        global_vec, base, total = front.copy(), np.empty_like(front), np.empty_like(front)
+        held = [global_vec] * k_clients  # every turn starts from the global model
+    else:
+        held = [front.copy() for _ in range(k_clients)]
+    ledger, losses = TrafficLedger(), []
+
+    for epoch in range(epochs):
+        turns = _turns(protocol, epoch, k_clients)
+        if federated:
+            for k in turns:
+                ledger.append(epoch, SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS, front.size)
+        epoch_losses: list[float] = []
+        for k in turns:
+            me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
+            mine, receiver = held[k], held[(k + 1) % k_clients]
+            np.copyto(front, mine)
+            batch_losses = []
+            for loss, acts, act_grads, yb in _local_pass(model, *data[k], batch_size, lr):
+                batch_losses.append(loss)
+                if not federated:
+                    ledger.append(epoch, me, SERVER, MessageKind.ACTIVATIONS, acts[c].size)
+                    ledger.append(epoch, me, SERVER, MessageKind.LABELS, yb.size)
+                    ledger.append(epoch, SERVER, me, MessageKind.GRADIENTS, act_grads[c].size)
+                if protocol is Protocol.SPLIT_SYNC_BATCH:
+                    ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
+                    np.copyto(receiver, front)
+            if federated:
+                ledger.append(epoch, me, SERVER, MessageKind.CLIENT_WEIGHTS, front.size)
+                if k == 0:  # client 1's upload, kept as the base the others are folded around
+                    np.copyto(base, front)
+                nn_core.fold_centered(total, front if k else base, base)
+                if batch_losses:  # federated loss: the mean of the per-client means
+                    epoch_losses.append(float(np.mean(batch_losses)))
+            else:
+                np.copyto(mine, front)
+                epoch_losses += batch_losses  # split loss: the mean over the epoch's batches
+            if protocol is Protocol.SPLIT_SYNC:
+                ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
+                np.copyto(receiver, front)
+        if federated:
+            nn_core.centered_mean(base, total, k_clients, out=global_vec)
+        loss = float(np.mean(epoch_losses)) if epoch_losses else math.nan  # NaN: no records seen
+        if epoch_losses and not math.isfinite(loss):
+            raise Diverged(f"training diverged: {'round' if federated else 'epoch'} {epoch} loss is {loss} "
+                           "(try a smaller learning rate)")
+        losses.append(loss)
+
+    server = global_vec if federated else model.params[front.size:].copy()
+    return RunResult([] if federated else held, server, ledger, losses)
+
+
 def run_split_training(
     spec: ModelSpec,
     cut: int,
@@ -253,7 +310,7 @@ def run_split_training(
     lr: float,
     seed: int,
     batch_size: int = 1,
-) -> SplitRunResult:
+) -> RunResult:
     """Simulate split training and log every transfer.
 
     Per batch the active client sends Activations and Labels up and receives
@@ -263,53 +320,17 @@ def run_split_training(
     exactly K hand-offs, including the self-loop when K = 1). SyncBatch makes
     the same hand-off after every batch. AlternatingNoSync gives epoch e to
     client (e mod K)+1 alone and never exchanges client weights; each client
-    keeps its own stale front weights between turns. A turn copies the
-    client's weights into the front of the run's one working model and back
-    out; a hand-off copies them into the receiver's own vector.
+    keeps its own stale front weights between turns.
 
     Epoch loss is the mean training loss over the batches processed in that
-    epoch (NaN when the epoch saw no records). An epoch whose records give a
-    non-finite loss raises :class:`Diverged` when it ends; the overflows on
-    the way there raise no numpy warning.
+    epoch (NaN when the epoch saw no records); the overflows on the way to a
+    :class:`Diverged` epoch raise no numpy warning.
     """
-    data = _checked_run(spec, shards, "epochs", epochs, batch_size)
     if variant is Protocol.FEDERATED:
         raise InvalidParam("run_split_training needs a split protocol; use run_federated_training")
-    c = nn_core._cut_index(spec, cut)
-    k_clients = len(data)
-    # The client layers are the front of the working model, the server's its back.
-    model = _WorkingModel(spec, nn_core.init_params(spec, seed), batch_size)
-    n_client = nn_core.client_param_count(spec, c)
-    front = model.params[:n_client]
-    client_vecs = [front.copy() for _ in range(k_clients)]
-    ledger = TrafficLedger()
-    epoch_losses: list[float] = []
-
-    for epoch in range(epochs):
-        batch_losses: list[float] = []
-        turns = [epoch % k_clients] if variant is Protocol.SPLIT_NOSYNC else range(k_clients)
-        for k in turns:
-            me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
-            held, receiver = client_vecs[k], client_vecs[(k + 1) % k_clients]
-            np.copyto(front, held)
-            for loss, acts, act_grads, yb in _local_pass(model, *data[k], batch_size, lr):
-                ledger.append(epoch, me, SERVER, MessageKind.ACTIVATIONS, acts[c].size)
-                ledger.append(epoch, me, SERVER, MessageKind.LABELS, yb.size)
-                ledger.append(epoch, SERVER, me, MessageKind.GRADIENTS, act_grads[c].size)
-                batch_losses.append(loss)
-                if variant is Protocol.SPLIT_SYNC_BATCH:
-                    ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
-                    np.copyto(receiver, front)
-            np.copyto(held, front)
-            if variant is Protocol.SPLIT_SYNC:
-                ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
-                np.copyto(receiver, front)
-        epoch_losses.append(_epoch_loss(batch_losses, "epoch", epoch))
-
-    return SplitRunResult(client_vecs, model.params[n_client:].copy(), ledger, epoch_losses)
+    return _train(spec, cut, shards, variant, epochs, lr, seed, batch_size)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def run_federated_training(
     spec: ModelSpec,
     shards: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -317,48 +338,19 @@ def run_federated_training(
     local_lr: float,
     seed: int,
     batch_size: int = 1,
-) -> FederatedRunResult:
-    """Simulate federated averaging.
+) -> RunResult:
+    """Simulate federated averaging; the result's ``server_params`` is the global model.
 
     Each round the server sends the N-scalar global model down to every
     client, every client runs one local epoch of SGD on its shard, uploads
     its full N-scalar model, and the server replaces the global model with
-    the elementwise average of the uploads.
-
-    Clients train one after another, so the server folds each upload into a
-    running sum as its client finishes (:func:`nn_core.fold_centered`).
-    Every client trains in the run's one working model, and client 1's upload
-    is kept as the ``base`` of the sum. A run holds four N-vectors (global,
-    working weights, base, sum) and the SGD step's block scratch whatever K is.
-
-    Round loss is the mean over clients with records of their mean batch
-    loss (NaN when no client had records); a non-finite one raises
-    :class:`Diverged`, as for split training.
+    the elementwise average of the uploads, folded as each client finishes
+    (:func:`nn_core.fold_centered`) around client 1's upload. A run holds
+    four N-vectors (global, working weights, base, sum) and the SGD step's
+    block scratch whatever K is. Round loss is the mean over clients with
+    records of their mean batch loss (NaN when no client had records).
     """
-    data = _checked_run(spec, shards, "rounds", rounds, batch_size)
-    global_vec = nn_core.init_params(spec, seed)
-    model = _WorkingModel(spec, np.empty_like(global_vec), batch_size)
-    base, total = np.empty_like(global_vec), np.empty_like(global_vec)
-    ledger = TrafficLedger()
-    round_losses: list[float] = []
-
-    for rnd in range(rounds):
-        for k in range(len(data)):
-            ledger.append(rnd, SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS, global_vec.size)
-        client_losses: list[float] = []
-        for k, (x, y) in enumerate(data):
-            np.copyto(model.params, global_vec)
-            batch_losses = [loss for loss, *_ in _local_pass(model, x, y, batch_size, local_lr)]
-            ledger.append(rnd, client_id(k + 1), SERVER, MessageKind.CLIENT_WEIGHTS, model.params.size)
-            if k == 0:  # client 1's upload, kept as the base the others are folded around
-                np.copyto(base, model.params)
-            nn_core.fold_centered(total, model.params if k else base, base)
-            if batch_losses:
-                client_losses.append(float(np.mean(batch_losses)))
-        nn_core.centered_mean(base, total, len(data), out=global_vec)
-        round_losses.append(_epoch_loss(client_losses, "round", rnd))
-
-    return FederatedRunResult(global_params=global_vec, ledger=ledger, round_losses=round_losses)
+    return _train(spec, None, shards, Protocol.FEDERATED, rounds, local_lr, seed, batch_size)
 
 
 def measured_comm(
@@ -410,16 +402,15 @@ def client_kind_totals(
 ) -> dict[str, dict[MessageKind, int]]:
     """Closed-form per-kind scalars each client owns over a simulated run of
     ``params.epochs`` epochs (or federated rounds), keyed client1..clientK:
-    each client's one-client form on its :func:`shard_sizes` share."""
+    each client's one-client, one-epoch form on its :func:`shard_sizes` share,
+    times the epochs that visit it. Every epoch visits every client, except
+    under nosync, whose epoch t goes to client (t mod K)+1 alone. The visits
+    are counted here in arithmetic, apart from the simulator's turn rule."""
     k, e = params.clients, params.epochs
-    if variant is Protocol.SPLIT_NOSYNC:
-        # Epoch t goes to client (t mod K) alone, so a client's one-epoch form
-        # counts once per epoch that visits it, and a full pass takes K epochs.
-        params, visits = replace(params, epochs=1), [e // k + (i < e % k) for i in range(k)]
-    else:
-        visits = [1] * k
+    visits = [e // k + (i < e % k) for i in range(k)] if variant is Protocol.SPLIT_NOSYNC else [e] * k
+    one_epoch = replace(params, epochs=1)
     runs = list(zip(shard_sizes(params.dataset_size, k, strict=False), visits))
-    forms = {(size, v): {kind: n * v for kind, n in traffic_by_kind(params, variant, size, batch_size).items()}
+    forms = {(size, v): {kind: n * v for kind, n in traffic_by_kind(one_epoch, variant, size, batch_size).items()}
              for size, v in set(runs)}
     return {client_id(i + 1): forms[run] for i, run in enumerate(runs)}
 

@@ -197,7 +197,7 @@ def test_numerical_core():
         for i in range(x.shape[0]):
             grads = gradients(spec, single, x[i : i + 1], y[i : i + 1])[1]
             single = sgd_step(single, grads, 0.05)
-    assert np.array_equal(fed.global_params, single)
+    assert np.array_equal(fed.server_params, single)
     print("ACCEPTANCE PASS: numerical core (gradcheck 1e-6, split equivalence exact, "
           "identical-client averaging bit-equal)")
 

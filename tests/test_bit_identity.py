@@ -66,11 +66,10 @@ def digests() -> tuple[str, str, int]:
         shards = partition_dataset(*random_dataset(spec, p, SEED), k, strict=False)
         if protocol is Protocol.FEDERATED:
             run = run_federated_training(spec, shards, rounds=EPOCHS, local_lr=LR, seed=SEED, batch_size=batch)
-            vectors, losses = [run.global_params], run.round_losses
         else:
             run = run_split_training(spec, cut, shards, protocol, epochs=EPOCHS, lr=LR, seed=SEED,
                                      batch_size=batch)
-            vectors, losses = [*run.client_params, run.server_params], run.epoch_losses
+        vectors, losses = [*run.client_params, run.server_params], run.losses
         ledger_hash.update(header.encode())
         for epoch, sender, receiver, kind, count in run.ledger:
             ledger_hash.update(f"{epoch},{sender},{receiver},{kind.value},{count}\n".encode())

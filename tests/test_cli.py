@@ -704,3 +704,32 @@ def test_an_unwritable_output_path_exits_2_with_one_error_line(tmp_path, capsys,
     assert main([*argv, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+
+
+def test_breakeven_refuses_a_bad_svg_path_before_writing_the_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["breakeven", "--p", "100", "--q", "3", "--eta", "0.5", "--k-range", "1:5",
+            "--csv", "ok.csv", "--svg", str(tmp_path / "missing" / "x.svg")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {tmp_path / 'missing' / 'x.svg'}: ")
+    assert not (tmp_path / "ok.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--loss-csv"])
+def test_simulate_refuses_a_bad_output_path_before_generating_data(tmp_path, monkeypatch, capsys, flag):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a bad output path must be refused before any data is generated")
+
+    monkeypatch.setattr("splitfed.cli.random_dataset", no_allocation)
+    path = tmp_path / "missing" / "out.csv"
+    assert main(["simulate", "--scenario", "tiny-dense", flag, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("name, reason", [(".", "Is a directory"), ("file.txt/out.csv", "Not a directory")])
+def test_an_output_path_that_is_or_lies_under_a_non_directory_exits_2(tmp_path, monkeypatch, capsys, name, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.txt").write_text("")
+    assert main(["analyze", "--scenario", "tiny-dense", "--csv", name]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {name}: {reason}\n")

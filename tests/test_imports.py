@@ -12,7 +12,7 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 SIMULATOR_MODULES = ("numpy", "splitfed.nn_core", "splitfed.protocol_sim")
 
-# Every name splitfed/__init__.py exported when it imported each module eagerly.
+# Every name splitfed/__init__.py exports, the simulator's among them.
 PACKAGE_EXPORTS = (
     "BreakEvenCurve", "CommReport", "EfficiencyReport", "MessageKind", "Protocol", "ScenarioParams",
     "SweepRow", "Winner", "break_even_curve", "comm_report", "efficiency_ratio", "shard_sizes", "sweep",
@@ -20,7 +20,7 @@ PACKAGE_EXPORTS = (
     "CutOutOfRange", "Diverged", "DivisibilityError", "InvalidParam", "LengthMismatch", "ScenarioError",
     "ShapeMismatch", "SplitFedError",
     "Activation", "ModelSpec", "cut_stats", "init_params", "param_count", "random_dataset", "splitmix64",
-    "FederatedRunResult", "Message", "SplitRunResult", "TrafficLedger", "VerificationReport",
+    "Message", "RunResult", "TrafficLedger", "VerificationReport",
     "measured_comm", "partition_dataset", "run_federated_training", "run_split_training",
     "verify_against_model",
     "Scenario", "load_scenario", "load_suite", "parse_scenario_text",

@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from splitfed import (
     random_dataset,
     run_federated_training,
     run_split_training,
+    shard_sizes,
+    traffic_by_kind,
     verify_against_model,
 )
 from splitfed import nn_core, protocol_sim
@@ -151,7 +154,7 @@ def test_zero_records_leaves_only_sync_weight_traffic():
     kinds = {m.kind for m in run.ledger}
     assert kinds == {MessageKind.CLIENT_WEIGHTS}
     assert measured_comm(run.ledger, 3, Protocol.SPLIT_SYNC).total_scalars == 15 * 3
-    assert math.isnan(run.epoch_losses[0])
+    assert math.isnan(run.losses[0])
 
     for variant in (Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH):
         empty = run_split_training(SPEC, 1, shards, variant, epochs=1, lr=0.01, seed=1)
@@ -166,8 +169,8 @@ def test_split_training_rejects_federated():
 def test_epoch_losses_finite_for_small_lr():
     for variant in (Protocol.SPLIT_SYNC, Protocol.SPLIT_SYNC_BATCH, Protocol.SPLIT_NOSYNC):
         run = run_split_training(SPEC, 1, golden_shards(), variant, epochs=4, lr=0.01, seed=42)
-        assert len(run.epoch_losses) == 4
-        assert all(math.isfinite(loss) for loss in run.epoch_losses)
+        assert len(run.losses) == 4
+        assert all(math.isfinite(loss) for loss in run.losses)
 
 
 @pytest.mark.filterwarnings("error")
@@ -189,7 +192,7 @@ def test_split_run_deterministic():
     assert list(a.ledger) == list(b.ledger)
     assert np.array_equal(a.server_params, b.server_params)
     assert all(np.array_equal(x, y) for x, y in zip(a.client_params, b.client_params))
-    assert a.epoch_losses == b.epoch_losses
+    assert a.losses == b.losses
 
 
 SPLIT_PROTOCOLS = (Protocol.SPLIT_SYNC, Protocol.SPLIT_SYNC_BATCH, Protocol.SPLIT_NOSYNC)
@@ -237,13 +240,11 @@ def test_held_weights_never_alias(monkeypatch):
     for variant in (*SPLIT_PROTOCOLS, Protocol.FEDERATED):
         if variant is Protocol.FEDERATED:
             run = run_federated_training(SPEC, shards, rounds=2, local_lr=0.01, seed=42)
-            held = [run.global_params]
         else:
             run = run_split_training(SPEC, 1, shards, variant, epochs=2, lr=0.01, seed=42)
-            held = [*run.client_params, run.server_params]
         (model,) = models
         models.clear()
-        buffers = [*held, model.params, model.scratch]
+        buffers = [*run.client_params, run.server_params, model.params, model.scratch]
         for i, a in enumerate(buffers):
             for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b), variant
@@ -365,7 +366,7 @@ def test_federated_one_download_one_upload_per_client_per_round():
 def test_federated_zero_rounds():
     run = run_federated_training(SPEC, golden_shards(), rounds=0, local_lr=0.01, seed=42)
     assert len(run.ledger) == 0
-    assert np.array_equal(run.global_params, init_params(SPEC, 42))
+    assert np.array_equal(run.server_params, init_params(SPEC, 42))
 
 
 def test_federated_identical_shards_match_single_client_training():
@@ -378,7 +379,7 @@ def test_federated_identical_shards_match_single_client_training():
         for i in range(x.shape[0]):
             grads = gradients(SPEC, params, x[i : i + 1], y[i : i + 1])[1]
             params = sgd_step(params, grads, 0.05)
-    assert np.array_equal(run.global_params, params)
+    assert np.array_equal(run.server_params, params)
 
 
 # --- measured reports and verification ----------------------------------------
@@ -420,6 +421,23 @@ def test_verify_alternating_cycle_equals_nosync_closed_form():
     run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_NOSYNC, epochs=3, lr=0.01, seed=9)
     formula = comm_report(golden_params(p=12, clients=3, epochs=1), Protocol.SPLIT_NOSYNC)
     assert measured_comm(run.ledger, 3, Protocol.SPLIT_NOSYNC).total_scalars == formula.total_scalars
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_turn_rule_visits_each_client_as_often_as_the_closed_form_counts(protocol):
+    # The simulator's _turns and client_kind_totals' visit arithmetic stay
+    # apart, so the ledger check stays independent; this links the two rules
+    # beyond the ledger properties' K <= 4 and epochs <= 4.
+    for k in range(1, 10):
+        p = 2 * k + 1  # uneven shards, every client holding records
+        for epochs in range(1, 21):
+            params = golden_params(p=p, clients=k, epochs=epochs)
+            visits = Counter(i for e in range(epochs) for i in protocol_sim._turns(protocol, e, k))
+            forms = protocol_sim.client_kind_totals(params, protocol)
+            for i, size in enumerate(shard_sizes(p, k, strict=False)):
+                one_epoch = traffic_by_kind(replace(params, epochs=1), protocol, size)
+                assert forms[client_id(i + 1)] == {kind: n * visits[i] for kind, n in one_epoch.items()}, (k, epochs)
+            assert sum(visits.values()) == epochs * (1 if protocol is Protocol.SPLIT_NOSYNC else k)
 
 
 def test_verify_flags_injected_fault():

@@ -148,7 +148,7 @@ def test_split_training_matches_naive_reference(protocol, activation, batch_size
         clients, server, losses = _reference_split(spec, cut, sharded, protocol, batch_size)
         assert all(np.array_equal(a, b) for a, b in zip(run.client_params, clients, strict=True)), cut
         assert np.array_equal(run.server_params, server), cut
-        assert run.epoch_losses == losses, cut
+        assert run.losses == losses, cut
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
@@ -158,5 +158,5 @@ def test_federated_training_matches_naive_reference(activation, batch_size):
     sharded = _lenient_shards(spec)
     run = run_federated_training(spec, sharded, rounds=EPOCHS, local_lr=LR, seed=SEED, batch_size=batch_size)
     global_params, losses = _reference_federated(spec, sharded, batch_size)
-    assert np.array_equal(run.global_params, global_params)
-    assert run.round_losses == losses
+    assert np.array_equal(run.server_params, global_params)
+    assert run.losses == losses
