@@ -46,7 +46,7 @@ totals = run.ledger.totals_by_kind()
 for kind, value in totals.items():
     print(f"  {kind.value:<14} {value}")
 formula = comm_report(params, Protocol.SPLIT_SYNC)
-measured = measured_comm(run.ledger, CLIENTS, Protocol.SPLIT_SYNC)
+measured = measured_comm(run.ledger, params, Protocol.SPLIT_SYNC)
 print(f"ledger total excluding labels: {measured.total_scalars}")
 print(f"closed form 2pq + eta*N*K:     {formula.total_scalars}")
 print(f"verification: {verify_against_model(run.ledger, params, Protocol.SPLIT_SYNC).describe()}")
@@ -61,7 +61,7 @@ run = run_split_training(SPEC, CUT, shards, Protocol.SPLIT_NOSYNC,
                          epochs=CLIENTS, lr=0.01, seed=SEED)
 print(f"ClientWeights messages logged: {run.ledger.totals_by_kind()[MessageKind.CLIENT_WEIGHTS]} "
       f"(this variant never shares client weights)")
-measured = measured_comm(run.ledger, CLIENTS, Protocol.SPLIT_NOSYNC)
+measured = measured_comm(run.ledger, cycle, Protocol.SPLIT_NOSYNC)
 print(f"ledger total over a full K-epoch cycle: {measured.total_scalars}")
 print(f"closed form 2pq (one data pass):        {comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars}")
 print(f"verification: {verify_against_model(run.ledger, cycle, Protocol.SPLIT_NOSYNC).describe()}")
@@ -73,7 +73,7 @@ print("=" * 72)
 rounds = 5
 fed_params = ScenarioParams.from_model(SPEC, CUT, clients=CLIENTS, dataset_size=RECORDS, epochs=rounds)
 run = run_federated_training(SPEC, shards, rounds=rounds, local_lr=0.01, seed=SEED)
-measured = measured_comm(run.ledger, CLIENTS, Protocol.FEDERATED)
+measured = measured_comm(run.ledger, fed_params, Protocol.FEDERATED)
 print(f"ledger total over {rounds} rounds: {measured.total_scalars}")
 print(f"closed form 2KN per round:   {comm_report(fed_params, Protocol.FEDERATED).total_scalars}")
 print(f"verification: {verify_against_model(run.ledger, fed_params, Protocol.FEDERATED).describe()}")

@@ -23,6 +23,7 @@ import math
 import operator
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .cost_model import (
@@ -71,8 +72,9 @@ K_RANGE_MAX_POINTS = 10**6
 SWEEP_MAX_CELLS = 10**5
 
 # The parameter columns of a report row, field -> key (bytes_per_scalar shows
-# only in the byte columns), and the getter that reads them from a dict of fields.
-REPORT_KEYS = {name: key for name, key in PARAM_KEYS.items() if name != "bytes_per_scalar"}
+# only in the byte columns, batch_size in none), and the getter that reads them
+# from a dict of fields.
+REPORT_KEYS = {name: key for name, key in PARAM_KEYS.items() if name not in ("bytes_per_scalar", "batch_size")}
 _param_columns = operator.itemgetter(*REPORT_KEYS)
 CSV_HEADER = [
     "method", *REPORT_KEYS.values(),
@@ -148,15 +150,19 @@ def compared_protocol(variant: str) -> Protocol:
     return Protocol.SPLIT_SYNC if variant == Protocol.FEDERATED else Protocol(variant)
 
 
+def _label_width(sc, args) -> int:
+    """Label scalars counted per record: the scenario's label width under --include-labels, else 0."""
+    return sc.label_width if args.include_labels else 0
+
+
 def cmd_analyze(args) -> int:
     sc = load_scenario(args.scenario)
     split = compared_protocol(args.variant or sc.variant)
-    params = sc.params()
+    params = replace(sc.params(), label_width=_label_width(sc, args))
     values = vars(params)
     strict = not args.lenient_shards
-    label_width = sc.label_width if args.include_labels else 0
-    reports = {m: comm_report(params, m, strict, label_width, sc.batch_size) for m in reported(split)}
-    eff = efficiency_ratio(params, split, sc.batch_size)
+    reports = {m: comm_report(params, m, strict) for m in reported(split)}
+    eff = efficiency_ratio(params, split)
 
     print(f"scenario {sc.name}: " + " ".join(f"{key}={_fmt(values[name])}" for name, key in REPORT_KEYS.items()))
     print(f"{'method':<14} {'per-client':>16} {'total':>16} {'per-client bytes':>18} {'total bytes':>16}")
@@ -186,7 +192,7 @@ def cmd_simulate(args) -> int:
     variant = Protocol(args.variant or sc.variant)
     if not math.isfinite(args.lr):
         raise InvalidParam(f"--lr must be finite, got {args.lr}")
-    params = sc.params()
+    params = replace(sc.params(), label_width=_label_width(sc, args))
     k, n, p, epochs = params.clients, params.model_params, params.dataset_size, params.epochs
     held = (("epochs*K*N", epochs * k * n, SIMULATE_MAX_FOLDED_SCALARS) if variant is Protocol.FEDERATED
             else ("K*N", k * n, SIMULATE_MAX_HELD_SCALARS))
@@ -207,10 +213,10 @@ def cmd_simulate(args) -> int:
     shards = protocol_sim.partition_dataset(x, y, params.clients, strict=strict)
 
     if variant is Protocol.FEDERATED:
-        run = protocol_sim.run_federated_training(sc.model, shards, epochs, args.lr, sc.seed, sc.batch_size)
+        run = protocol_sim.run_federated_training(sc.model, shards, epochs, args.lr, sc.seed, params.batch_size)
     else:
         run = protocol_sim.run_split_training(sc.model, sc.cut_index, shards, variant, epochs, args.lr, sc.seed,
-                                              sc.batch_size)
+                                              params.batch_size)
     ledger, losses = run.ledger, run.losses
     if args.inject_fault:
         # verification self-test: one bogus message must trip a mismatch
@@ -225,16 +231,14 @@ def cmd_simulate(args) -> int:
             for i, loss in enumerate(losses):
                 write(f"{i},{_fmt(loss)}\n")
 
-    exclude = () if args.include_labels else (MessageKind.LABELS,)
-    measured = protocol_sim.measured_comm(ledger, params.clients, variant, exclude=exclude,
-                                          bytes_per_scalar=params.bytes_per_scalar)
-    verdict = protocol_sim.verify_against_model(ledger, params, variant, batch_size=sc.batch_size)
+    measured = protocol_sim.measured_comm(ledger, params, variant)
+    verdict = protocol_sim.verify_against_model(ledger, params, variant)
 
     print(f"scenario {sc.name}: variant={variant.value} K={params.clients} p={params.dataset_size} "
           f"epochs={params.epochs} seed={sc.seed}")
     totals = ledger.totals_by_kind()
     print("traffic by kind (scalars): " + " ".join(f"{k.value}={totals[k]}" for k in MessageKind))
-    print(f"measured total ({'labels included' if args.include_labels else 'labels excluded'}): "
+    print(f"measured total ({'labels included' if params.label_width else 'labels excluded'}): "
           f"{measured.total_scalars} scalars, {measured.total_bytes} bytes; "
           f"per client max {measured.per_client_scalars} scalars")
     print(f"verification: {verdict.describe()}")
@@ -297,7 +301,8 @@ def cmd_breakeven(args) -> int:
     scenario_variant, batch_size = Protocol.SPLIT_SYNC, 1
     if args.scenario:
         sc = load_scenario(args.scenario)
-        params, scenario_variant, batch_size = sc.params(), sc.variant, sc.batch_size
+        params = sc.params()
+        scenario_variant, batch_size = sc.variant, params.batch_size
         p = params.dataset_size if p is None else p
         q = params.smashed_size if q is None else q
         eta = params.client_fraction if eta is None else eta
@@ -331,8 +336,8 @@ def cmd_sweep(args) -> int:
     strict = not args.lenient_shards
     rows = []
     for sc in scenarios:
-        label_width = sc.label_width if args.include_labels else 0
-        rows += sweep(sc.grid(), compared_protocol(args.variant or sc.variant), strict, label_width, sc.batch_size)
+        grid = {**sc.grid(), "label_width": _label_width(sc, args)}
+        rows += sweep(grid, compared_protocol(args.variant or sc.variant), strict)
     csv_rows = sum(1 if row.error is not None else len(row.reports) for row in rows)
     print(f"swept {cells} parameter combinations ({csv_rows} CSV rows)")
     with _csv_lines(args.csv, CSV_HEADER) as write:
@@ -405,9 +410,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Refuse, before any work, an output path that names a directory or lies in a
-    missing or unwritable one; open() still reports what this cannot see."""
-    for path in filter(None, (getattr(args, name, None) for name in ("csv", "loss_csv", "svg"))):
+    """Refuse, before any work, two outputs that name one file, or an output path
+    that names a directory or lies in a missing or unwritable one; open() still
+    reports what this cannot see."""
+    flags = {f"--{name.replace('_', '-')}": getattr(args, name, None) for name in ("csv", "loss_csv", "svg")}
+    outputs = {flag: path for flag, path in flags.items() if path}
+    named = {}  # real path -> the first flag that names it
+    for flag, path in outputs.items():
+        first = named.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise ScenarioError(f"{first} and {flag} both name {path}")
+    for path in outputs.values():
         folder = os.path.dirname(path) or "."
         code = (errno.EISDIR if os.path.isdir(path)
                 else errno.ENOENT if not os.path.exists(folder)

@@ -62,10 +62,8 @@ class Protocol(str, Enum):
     SPLIT_SYNC_BATCH = "sync_batch", "SplitSyncBatch"
     FEDERATED = "federated", "Federated"
 
-    # Old names of the split protocols; perfbench/workloads.py is their last reader.
+    # An old name of SPLIT_SYNC; perfbench/workloads.py is its last reader.
     SYNC_EPOCH = SPLIT_SYNC
-    ALTERNATING = SPLIT_NOSYNC
-    SYNC_BATCH = SPLIT_SYNC_BATCH
 
     def __new__(cls, variant: str, label: str) -> "Protocol":
         member = str.__new__(cls, variant)
@@ -191,12 +189,14 @@ def cut_stats(spec: ModelSpec, cut: int) -> tuple[int, Fraction]:
 
 @dataclass(frozen=True)
 class ScenarioParams:
-    """One point in the comparison space.
+    """One point in the comparison space, and the shape of the run it counts.
 
     ``client_fraction`` may be a ``Fraction`` (exact, as derived from a model
     cut) or a plain float for analytic studies. ``model_params`` is integral
     for anything that crosses a wire; break-even round trips may pass a real
-    value.
+    value. ``batch_size`` records per batch sets sync_batch's hand-offs;
+    ``label_width`` label scalars go up with each record, and the default 0
+    leaves labels out of every total and of rho.
     """
 
     clients: int
@@ -206,6 +206,8 @@ class ScenarioParams:
     client_fraction: float | Fraction
     bytes_per_scalar: int = 4
     epochs: int = 1
+    batch_size: int = 1
+    label_width: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.clients, int) or self.clients < 1:
@@ -222,32 +224,21 @@ class ScenarioParams:
             raise InvalidParam(f"bytes_per_scalar must be a positive integer, got {self.bytes_per_scalar}")
         if not isinstance(self.epochs, int) or self.epochs < 1:
             raise InvalidParam(f"epochs must be a positive integer, got {self.epochs}")
+        if not isinstance(self.batch_size, int) or self.batch_size < 1:
+            raise InvalidParam(f"batch_size must be >= 1, got {self.batch_size}")
+        if not isinstance(self.label_width, int) or self.label_width < 0:
+            raise InvalidParam(f"label_width must be >= 0, got {self.label_width}")
 
     @classmethod
-    def from_model(
-        cls,
-        spec: ModelSpec,
-        cut: int,
-        clients: int,
-        dataset_size: int,
-        bytes_per_scalar: int = 4,
-        epochs: int = 1,
-    ) -> "ScenarioParams":
-        """Derive (N, q, eta) from a dense network and a cut position.
+    def from_model(cls, spec: ModelSpec, cut: int, **fields) -> "ScenarioParams":
+        """Derive (N, q, eta) from a dense network and a cut position; ``fields``
+        give the rest (clients and dataset_size at least).
 
         eta is stored as an exact rational so ledger comparisons stay
         integer-exact.
         """
         q, eta = cut_stats(spec, cut)
-        return cls(
-            clients=clients,
-            model_params=param_count(spec),
-            dataset_size=dataset_size,
-            smashed_size=q,
-            client_fraction=eta,
-            bytes_per_scalar=bytes_per_scalar,
-            epochs=epochs,
-        )
+        return cls(model_params=param_count(spec), smashed_size=q, client_fraction=eta, **fields)
 
     @property
     def client_param_count(self) -> int:
@@ -322,39 +313,33 @@ def _epoch_counts(protocol: Protocol, k: int, p: int, batch_size: int) -> tuple[
 
 
 def _scaled_line(protocol: Protocol, k: int, p: int, q: int, u: int, v: int,
-                 batch_size: int = 1) -> tuple[int, int]:
-    """(A, B) of one epoch's total scalars over k clients and p records, labels left
-    out, scaled by v for eta = u/v: v * total = A + B*N, in integers."""
+                 batch_size: int = 1, label_width: int = 0) -> tuple[int, int]:
+    """(A, B) of one epoch's total scalars over k clients and p records, each record
+    sent up moving q Activations, q Gradients and ``label_width`` Labels, scaled by
+    v for eta = u/v: v * total = A + B*N, in integers."""
     records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
-    return 2 * q * v * records, u * hand_offs + 2 * v * round_trips
+    return (2 * q + label_width) * v * records, u * hand_offs + 2 * v * round_trips
 
 
-def _kind_scalars(
-    params: ScenarioParams, protocol: Protocol, k: int, p: int, batch_size: int, label_width: int
-) -> tuple[int, int, int, int, int]:
+def _kind_scalars(params: ScenarioParams, protocol: Protocol, k: int, p: int) -> tuple[int, int, int, int, int]:
     """:func:`traffic_by_kind`'s scalars over k clients and p records, in ``_KINDS`` order."""
     if params.model_params != int(params.model_params):
         raise InvalidParam(f"wire traffic needs a whole model_params, got {params.model_params}")
-    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
+    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, params.batch_size)
     e = params.epochs
     smashed = records * params.smashed_size * e
     global_weights = int(params.model_params) * round_trips * e
     client_weights = global_weights + (params.client_param_count * hand_offs * e if hand_offs else 0)
-    return smashed, records * label_width * e, smashed, client_weights, global_weights
+    return smashed, records * params.label_width * e, smashed, client_weights, global_weights
 
 
-def traffic_by_kind(
-    params: ScenarioParams,
-    protocol: Protocol,
-    shard: int | None = None,
-    batch_size: int = 1,
-    label_width: int = 0,
-) -> dict[MessageKind, int]:
+def traffic_by_kind(params: ScenarioParams, protocol: Protocol, shard: int | None = None) -> dict[MessageKind, int]:
     """Closed-form scalars per message kind over ``params.epochs`` epochs.
 
-    Each record sent up moves q Activations, q Gradients and ``label_width``
-    Labels, each hand-off eta*N ClientWeights, and each round trip N
-    GlobalWeights and N ClientWeights; :func:`_epoch_counts` counts them.
+    Each record sent up moves q Activations, q Gradients and
+    ``params.label_width`` Labels, each hand-off eta*N ClientWeights, and
+    each round trip N GlobalWeights and N ClientWeights; :func:`_epoch_counts`
+    counts them.
 
     By default p = ``params.dataset_size`` records are spread over K =
     ``params.clients`` clients as :func:`shard_sizes` splits them; ``shard``
@@ -364,49 +349,45 @@ def traffic_by_kind(
     whole N.
     """
     k, p = (params.clients, params.dataset_size) if shard is None else (1, shard)
-    return dict(zip(_KINDS, _kind_scalars(params, protocol, k, p, batch_size, label_width)))
+    return dict(zip(_KINDS, _kind_scalars(params, protocol, k, p)))
 
 
-def comm_report(
-    params: ScenarioParams,
-    protocol: Protocol,
-    strict: bool = True,
-    label_width: int = 0,
-    batch_size: int = 1,
-) -> CommReport:
+def comm_report(params: ScenarioParams, protocol: Protocol, strict: bool = True) -> CommReport:
     """Per-client and total traffic of one protocol, summed from its kinds.
 
-    Each record sent up adds ``label_width`` label scalars; the default 0
-    leaves labels out. The per-client figure is the client with the largest
+    Labels count as :func:`traffic_by_kind` counts them, ``params.label_width``
+    per record sent up. The per-client figure is the client with the largest
     shard, ceil(p/K) records; strict mode requires an even split. The total
     is exact either way.
     """
     base, rem = _even_split(params.dataset_size, params.clients, strict)
     # the K-client total sums one-shard forms: rem clients hold base + 1 records, the rest base
-    small = sum(_kind_scalars(params, protocol, 1, base, batch_size, label_width))
-    big = sum(_kind_scalars(params, protocol, 1, base + 1, batch_size, label_width)) if rem else small
+    small = sum(_kind_scalars(params, protocol, 1, base))
+    big = sum(_kind_scalars(params, protocol, 1, base + 1)) if rem else small
     total = rem * big + (params.clients - rem) * small
     return CommReport.from_scalars(protocol, big, total, params.bytes_per_scalar)
 
 
-def efficiency_ratio(params: ScenarioParams, protocol: Protocol, batch_size: int = 1) -> EfficiencyReport:
+def efficiency_ratio(params: ScenarioParams, protocol: Protocol) -> EfficiencyReport:
     """rho = federated total over ``protocol``'s total, from the two scaled integer lines.
 
     With eta = u/v and N = a/b, v*b times each one-epoch total is the integer
     A*b + B*a on its scaled line (:func:`_scaled_line`), so rho is one
     int / int division, correctly rounded: the float nearest the exact ratio
     of the rational totals, which ``tests/_closed_forms.py`` sums as
-    ``Fraction``s. The hand-off stays at the exact eta*N rather than its wire
-    rounding, so rho(N*) = 1 at the break-even size; federated against itself
-    is rho = 1, a tie. Independent of epochs and of bytes_per_scalar since
-    both methods scale identically. A zero split denominator (p = 0 with no
-    weight sharing, or p = 0 and eta = 0), or a ratio past the float range
-    (p = 0 and a subnormal eta), reports winner Split with rho = +inf.
+    ``Fraction``s. Labels count as in :func:`comm_report`, so rho and the
+    winner weigh the totals it reports. The hand-off stays at the exact eta*N
+    rather than its wire rounding, so rho(N*) = 1 at the break-even size;
+    federated against itself is rho = 1, a tie. Independent of epochs and of
+    bytes_per_scalar since both methods scale identically. A zero split
+    denominator (p = 0 with no weight sharing, or p = 0 and eta = 0), or a
+    ratio past the float range (p = 0 and a subnormal eta), reports winner
+    Split with rho = +inf.
     """
     k, p, q = params.clients, params.dataset_size, params.smashed_size
     u, v = params.client_fraction.as_integer_ratio()
     a, b = params.model_params.as_integer_ratio()
-    a_s, b_s = _scaled_line(protocol, k, p, q, u, v, batch_size)
+    a_s, b_s = _scaled_line(protocol, k, p, q, u, v, params.batch_size, params.label_width)
     a_f, b_f = _scaled_line(Protocol.FEDERATED, k, p, q, u, v)
     fed, split = a_f * b + b_f * a, a_s * b + b_s * a
     try:
@@ -431,10 +412,10 @@ def break_even_curve(
     batch_size: int = 1,
 ) -> BreakEvenCurve:
     """The break-even hyperbola: N* = (A_s - A_f) / (B_f - B_s) on the two lines
-    A + B*N at each client count. Scaled by v for eta = u/v (:func:`_scaled_line`),
-    N* is a ratio of integers, so int / int rounds it correctly. Raises
-    InvalidParam at a K where no positive N balances the two, or where N* lies
-    past the float range.
+    A + B*N at each client count, labels left out. Scaled by v for eta = u/v
+    (:func:`_scaled_line`), N* is a ratio of integers, so int / int rounds it
+    correctly. Raises InvalidParam at a K where no positive N balances the
+    two, or where N* lies past the float range.
     """
     if dataset_size < 1 or smashed_size < 1:
         raise InvalidParam("break-even is undefined for p = 0 or q = 0")
@@ -472,13 +453,7 @@ class SweepRow:
     error: str | None
 
 
-def sweep(
-    grid: Mapping[str, object],
-    variant: Protocol = Protocol.SPLIT_SYNC,
-    strict: bool = True,
-    label_width: int = 0,
-    batch_size: int = 1,
-) -> list[SweepRow]:
+def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, strict: bool = True) -> list[SweepRow]:
     """Evaluate the Cartesian product of per-parameter value lists.
 
     Scalar grid entries count as single-value axes. Per-cell failures (for
@@ -508,9 +483,8 @@ def sweep(
         values = dict(zip(SWEEP_FIELD_ORDER, combo))
         try:
             params = ScenarioParams(**values)
-            reports = {m: comm_report(params, m, strict, label_width, batch_size)
-                       for m in methods}
-            efficiency = efficiency_ratio(params, variant, batch_size)
+            reports = {m: comm_report(params, m, strict) for m in methods}
+            efficiency = efficiency_ratio(params, variant)
         except SplitFedError as exc:
             rows.append(SweepRow(values, None, None, str(exc)))
             continue

@@ -18,7 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, pairwise
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -353,23 +353,19 @@ def run_federated_training(
     return _train(spec, None, shards, Protocol.FEDERATED, rounds, local_lr, seed, batch_size)
 
 
-def measured_comm(
-    ledger: TrafficLedger,
-    clients: int,
-    method: Protocol,
-    exclude: Iterable[MessageKind] = (MessageKind.LABELS,),
-    bytes_per_scalar: int = 4,
-) -> CommReport:
-    """Traffic report of a run of ``method``, measured from its ledger.
+def measured_comm(ledger: TrafficLedger, params: ScenarioParams, method: Protocol) -> CommReport:
+    """Traffic report of a run of ``method`` over ``params.clients`` clients,
+    measured from its ledger: Labels count exactly when ``params.label_width``
+    is nonzero, as the closed forms count them.
 
     per_client is the maximum over clients of the scalars each owns in the
-    included kinds (see :meth:`TrafficLedger.tally`), the paper's per-client
-    column. total counts every included message once.
+    counted kinds (see :meth:`TrafficLedger.tally`), the paper's per-client
+    column. total counts every counted message once.
     """
-    included = set(MessageKind).difference(exclude)
-    owned = {owner: sum(kinds[kind] for kind in included) for owner, kinds in ledger.tally().items()}
-    per_client = max((owned.get(client_id(k + 1), 0) for k in range(clients)), default=0)
-    return CommReport.from_scalars(method, per_client, sum(owned.values()), bytes_per_scalar)
+    counted = [kind for kind in MessageKind if params.label_width or kind is not MessageKind.LABELS]
+    owned = {owner: sum(kinds[kind] for kind in counted) for owner, kinds in ledger.tally().items()}
+    per_client = max((owned.get(client_id(k + 1), 0) for k in range(params.clients)), default=0)
+    return CommReport.from_scalars(method, per_client, sum(owned.values()), params.bytes_per_scalar)
 
 
 CHECKED_KINDS = tuple(kind for kind in MessageKind if kind is not MessageKind.LABELS)
@@ -397,9 +393,7 @@ class VerificationReport:
         return "mismatch: " + "; ".join(parts + [f"first differing client {self.client} ({owned})"])
 
 
-def client_kind_totals(
-    params: ScenarioParams, variant: Protocol, batch_size: int = 1
-) -> dict[str, dict[MessageKind, int]]:
+def client_kind_totals(params: ScenarioParams, variant: Protocol) -> dict[str, dict[MessageKind, int]]:
     """Closed-form per-kind scalars each client owns over a simulated run of
     ``params.epochs`` epochs (or federated rounds), keyed client1..clientK:
     each client's one-client, one-epoch form on its :func:`shard_sizes` share,
@@ -410,25 +404,26 @@ def client_kind_totals(
     visits = [e // k + (i < e % k) for i in range(k)] if variant is Protocol.SPLIT_NOSYNC else [e] * k
     one_epoch = replace(params, epochs=1)
     runs = list(zip(shard_sizes(params.dataset_size, k, strict=False), visits))
-    forms = {(size, v): {kind: n * v for kind, n in traffic_by_kind(one_epoch, variant, size, batch_size).items()}
+    forms = {(size, v): {kind: n * v for kind, n in traffic_by_kind(one_epoch, variant, size).items()}
              for size, v in set(runs)}
     return {client_id(i + 1): forms[run] for i, run in enumerate(runs)}
 
 
 def expected_kind_totals(
-    params: ScenarioParams, variant: Protocol, batch_size: int = 1
+    params: ScenarioParams, variant: Protocol, batch_size: int | None = None
 ) -> dict[MessageKind, int]:
-    """Closed-form per-kind scalar totals of a simulated run: the sums of its clients' forms."""
-    forms = client_kind_totals(params, variant, batch_size)
+    """Closed-form per-kind scalar totals of a simulated run: the sums of its clients' forms.
+
+    ``batch_size``, if given, replaces ``params.batch_size``; an old call form
+    kept because perfbench/workloads.py still passes it.
+    """
+    if batch_size is not None:
+        params = replace(params, batch_size=batch_size)
+    forms = client_kind_totals(params, variant)
     return {kind: sum(form[kind] for form in forms.values()) for kind in MessageKind}
 
 
-def verify_against_model(
-    ledger: TrafficLedger,
-    params: ScenarioParams,
-    variant: Protocol,
-    batch_size: int = 1,
-) -> VerificationReport:
+def verify_against_model(ledger: TrafficLedger, params: ScenarioParams, variant: Protocol) -> VerificationReport:
     """Exact integer check of every client's tally against its own closed form,
     on the shard :func:`shard_sizes` gives it in lenient mode (strict mode
     either agrees or refuses to split).
@@ -436,7 +431,7 @@ def verify_against_model(
     A message owned by anything but client1..clientK is a mismatch. Labels
     are excluded on both sides. A mismatch is a result, not an error.
     """
-    forms = client_kind_totals(params, variant, batch_size)
+    forms = client_kind_totals(params, variant)
     tally = ledger.tally()
     zero = dict.fromkeys(MessageKind, 0)
     # client1..clientK first, then any other owner, which no closed form allows

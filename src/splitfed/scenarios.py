@@ -11,7 +11,8 @@ bytes_per_scalar, seed, batch_size, activation (identity | relu | sigmoid),
 and per-parameter sweep axes ``grid.K``, ``grid.N``, ``grid.p``, ``grid.q``,
 ``grid.eta``. Numbers accept underscores and scientific notation; eta also
 accepts an exact ``a/b`` rational. :data:`PARAM_KEYS` maps each
-``ScenarioParams`` field to its key.
+``ScenarioParams`` field a file sets to its key. A file is UTF-8, with or
+without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cost_model import Activation, ModelSpec, Protocol, ScenarioParams
-from .errors import InvalidParam, ScenarioError
+from .errors import ScenarioError
 
-# Scenario-file key of each ScenarioParams field, in field order: the one map
-# from keys to fields. The parser, the grid.* axes and the report columns read it.
+# Scenario-file key of each ScenarioParams field a file sets, in field order:
+# the one map from keys to fields. The parser, the grid.* axes and the report
+# columns read it. label_width is no key: the CLI's --include-labels sets it.
 PARAM_KEYS = {
     "clients": "K",
     "model_params": "N",
@@ -33,6 +35,7 @@ PARAM_KEYS = {
     "client_fraction": "eta",
     "bytes_per_scalar": "bytes_per_scalar",
     "epochs": "epochs",
+    "batch_size": "batch_size",
 }
 # A field written as the paper's symbol is also a sweep axis, grid.<symbol>.
 _GRID_FIELDS = {f"grid.{key}": name for name, key in PARAM_KEYS.items() if key != name}
@@ -41,7 +44,7 @@ _RAW_ONLY = {PARAM_KEYS[name] for name in ("model_params", "smashed_size", "clie
 _MODEL_KEYS = {"layer_widths", "cut_index"}
 _KNOWN_KEYS = {
     *PARAM_KEYS.values(), *_GRID_FIELDS, *_MODEL_KEYS,
-    "name", "variant", "seed", "batch_size", "activation",
+    "name", "variant", "seed", "activation",
 }
 
 
@@ -53,7 +56,6 @@ class Scenario:
     values: dict[str, int | float | Fraction] = field(default_factory=dict)
     variant: Protocol = Protocol.SPLIT_SYNC
     seed: int = 0
-    batch_size: int = 1
     model: ModelSpec | None = None
     cut_index: int | None = None
     # sweep axes by ScenarioParams field, in PARAM_KEYS order
@@ -62,6 +64,10 @@ class Scenario:
     @property
     def is_model_form(self) -> bool:
         return self.model is not None
+
+    @property
+    def batch_size(self) -> int:  # perfbench/workloads.py reads it
+        return self.params().batch_size
 
     @property
     def label_width(self) -> int:  # label scalars per record
@@ -146,11 +152,8 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
         except ValueError:
             names = tuple(p.value for p in Protocol)
             raise ScenarioError(f"variant must be one of {names}, got {entries['variant']!r}") from None
-    for key in ("seed", "batch_size"):
-        if key in entries:
-            setattr(sc, key, _as_int(_parse_number(entries[key], key), key))
-    if sc.batch_size < 1:
-        raise InvalidParam(f"batch_size must be >= 1, got {sc.batch_size}")
+    if "seed" in entries:
+        sc.seed = _as_int(_parse_number(entries["seed"], "seed"), "seed")
     for name, key in PARAM_KEYS.items():
         if key in entries:
             sc.values[name] = _as_field(name, _parse_number(entries[key], key), key)
@@ -310,7 +313,7 @@ def load_scenario(source: str) -> Scenario:
     """
     if os.path.exists(source):
         try:
-            with open(source, "r", encoding="utf-8") as fh:
+            with open(source, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario file {source!r}: {exc}") from exc

@@ -1,5 +1,6 @@
 """The rational closed forms: the earlier ``cost_model`` functions that kept
-eta*N and N as exact ``Fraction``s, verbatim but for the names they call.
+eta*N and N as exact ``Fraction``s, verbatim but for the names they call and
+for reading the batch size and label width from ``params``, as ``src`` does.
 
 ``src`` evaluates every count in integers; these are the reference the tests
 hold it to. ``reference_traffic_by_kind(..., exact=True)`` gives the totals
@@ -22,15 +23,15 @@ def reference_client_param_count(params):
     return round(reference_client_weights(params))
 
 
-def reference_traffic_by_kind(params, protocol, shard=None, batch_size=1, label_width=0, exact=False):
+def reference_traffic_by_kind(params, protocol, shard=None, exact=False):
     k, p = (params.clients, params.dataset_size) if shard is None else (1, shard)
     if not exact and params.model_params != int(params.model_params):
         raise InvalidParam(f"wire traffic needs a whole model_params, got {params.model_params}")
-    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
+    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, params.batch_size)
     e = params.epochs
     kinds = dict.fromkeys(_KINDS, 0)
     kinds[MessageKind.ACTIVATIONS] = kinds[MessageKind.GRADIENTS] = records * params.smashed_size * e
-    kinds[MessageKind.LABELS] = records * label_width * e
+    kinds[MessageKind.LABELS] = records * params.label_width * e
     if hand_offs:
         weights = reference_client_weights(params) if exact else reference_client_param_count(params)
         kinds[MessageKind.CLIENT_WEIGHTS] = weights * hand_offs * e

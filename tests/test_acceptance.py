@@ -61,20 +61,20 @@ def test_ledger_formula_identity_randomized():
 
             sync = run_split_training(spec, cut, shards, Protocol.SPLIT_SYNC,
                                       epochs=epochs, lr=0.01, seed=seed, batch_size=batch)
-            assert measured_comm(sync.ledger, k, Protocol.SPLIT_SYNC).total_scalars == comm_report(params, Protocol.SPLIT_SYNC).total_scalars
+            assert measured_comm(sync.ledger, params, Protocol.SPLIT_SYNC).total_scalars == comm_report(params, Protocol.SPLIT_SYNC).total_scalars
             assert verify_against_model(sync.ledger, params, Protocol.SPLIT_SYNC).matches
 
             cycle_params = ScenarioParams.from_model(spec, cut, clients=k, dataset_size=p,
                                                      epochs=k * epochs)
             alt = run_split_training(spec, cut, shards, Protocol.SPLIT_NOSYNC,
                                      epochs=k * epochs, lr=0.01, seed=seed, batch_size=batch)
-            assert measured_comm(alt.ledger, k, Protocol.SPLIT_NOSYNC).total_scalars == comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars
+            assert measured_comm(alt.ledger, params, Protocol.SPLIT_NOSYNC).total_scalars == comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars
             assert alt.ledger.totals_by_kind()[MessageKind.CLIENT_WEIGHTS] == 0
             assert verify_against_model(alt.ledger, cycle_params, Protocol.SPLIT_NOSYNC).matches
 
             fed = run_federated_training(spec, shards, rounds=epochs, local_lr=0.01,
                                          seed=seed, batch_size=batch)
-            assert measured_comm(fed.ledger, k, Protocol.FEDERATED).total_scalars == comm_report(params, Protocol.FEDERATED).total_scalars
+            assert measured_comm(fed.ledger, params, Protocol.FEDERATED).total_scalars == comm_report(params, Protocol.FEDERATED).total_scalars
             assert verify_against_model(fed.ledger, params, Protocol.FEDERATED).matches
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"identity sweep took {elapsed:.1f}s"

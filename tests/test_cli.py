@@ -1,5 +1,6 @@
 """Scenario files, built-in suites, and the four CLI subcommands."""
 
+import codecs
 import csv
 import os
 import subprocess
@@ -180,6 +181,22 @@ def test_non_utf8_scenario_file_exits_2(tmp_path, capsys):
     assert main(["analyze", "--scenario", str(scenario)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot read scenario file") and "latin1.txt" in err[0]
+
+
+def test_a_scenario_file_with_a_byte_order_mark_reads_as_without_one(tmp_path, capsys):
+    text = RAW_TEXT.replace("# raw-parameter scenario", "").lstrip()  # the mark sits before the first key
+    plain, marked, latin1 = tmp_path / "plain.txt", tmp_path / "marked.txt", tmp_path / "latin1.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+    assert main(["analyze", "--scenario", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["analyze", "--scenario", str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+    # a mark does not make a file in another encoding readable
+    latin1.write_bytes(codecs.BOM_UTF8 + "name = caf\u00e9\n".encode("latin-1") + text.encode())
+    assert main(["analyze", "--scenario", str(latin1)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read scenario file")
 
 
 def test_analyze_total_rounds_the_exact_client_weights(tmp_path, capsys):
@@ -725,6 +742,26 @@ def test_simulate_refuses_a_bad_output_path_before_generating_data(tmp_path, mon
     path = tmp_path / "missing" / "out.csv"
     assert main(["simulate", "--scenario", "tiny-dense", flag, str(path)]) == 2
     assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_simulate_refuses_one_file_for_the_ledger_and_the_losses(tmp_path, monkeypatch, capsys):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("two outputs that name one file must be refused before any data is generated")
+
+    monkeypatch.setattr("splitfed.cli.random_dataset", no_allocation)
+    path = tmp_path / "same.csv"
+    assert main(["simulate", "--scenario", "tiny-dense", "--csv", str(path), "--loss-csv", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: --csv and --loss-csv both name {path}\n")
+    assert not path.exists()
+
+
+def test_breakeven_refuses_one_file_for_the_csv_and_the_svg(tmp_path, monkeypatch, capsys):
+    # two spellings of one path, relative and absolute
+    monkeypatch.chdir(tmp_path)
+    argv = ["breakeven", "--scenario", "tiny-dense", "--k-range", "1:8", "--csv", "x", "--svg", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: --csv and --svg both name {tmp_path / 'x'}\n")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("name, reason", [(".", "Is a directory"), ("file.txt/out.csv", "Not a directory")])

@@ -33,17 +33,17 @@ from splitfed.errors import SplitFedError
 from _closed_forms import reference_client_param_count, reference_traffic_by_kind
 
 
-def reference_comm_report(params, protocol, strict=True, label_width=0, batch_size=1):
+def reference_comm_report(params, protocol, strict=True):
     base, rem = _even_split(params.dataset_size, params.clients, strict)
-    per_client = reference_traffic_by_kind(params, protocol, base + (rem > 0), batch_size, label_width)
-    total = reference_traffic_by_kind(params, protocol, None, batch_size, label_width)
+    per_client = reference_traffic_by_kind(params, protocol, base + (rem > 0))
+    total = reference_traffic_by_kind(params, protocol)
     return CommReport.from_scalars(
         protocol, sum(per_client.values()), sum(total.values()), params.bytes_per_scalar
     )
 
 
-def reference_efficiency_ratio(params, protocol, batch_size=1):
-    split = sum(reference_traffic_by_kind(params, protocol, None, batch_size, exact=True).values())
+def reference_efficiency_ratio(params, protocol):
+    split = sum(reference_traffic_by_kind(params, protocol, exact=True).values())
     fed = sum(reference_traffic_by_kind(params, Protocol.FEDERATED, exact=True).values())
     try:
         rho = fed / split
@@ -89,9 +89,9 @@ def _eta_and_n(n_strategy):
     return st.one_of(st.tuples(_ETAS, n_strategy), _HALVES)
 
 
-def _params(eta_n, k, p, q, epochs=1, bytes_per_scalar=4):
+def _params(eta_n, k, p, q, epochs=1, bytes_per_scalar=4, batch_size=1, label_width=0):
     eta, n = eta_n
-    return ScenarioParams(k, n, p, q, eta, bytes_per_scalar, epochs)
+    return ScenarioParams(k, n, p, q, eta, bytes_per_scalar, epochs, batch_size, label_width)
 
 
 @example(eta_n=(Fraction(1, 2), 3))  # 1.5 -> 2
@@ -115,15 +115,15 @@ def test_client_param_count_rounds_as_the_fraction_did(eta_n):
     spare=st.one_of(st.just(0), st.integers(0, 10**4)),
     q=st.integers(1, 4096),
     strict=st.booleans(),
-    label_width=st.integers(0, 3),
+    label_width=st.one_of(st.just(0), st.integers(1, 4096)),
     epochs=st.integers(1, 3),
     bytes_per_scalar=st.integers(1, 8),
 )
 def test_comm_report_equals_the_fraction_path(eta_n, protocol, batch, k, records_per_client, spare, q, strict,
                                               label_width, epochs, bytes_per_scalar):
     # p = 0 with no spare records; an uneven p is refused in strict mode, split up front in lenient mode
-    params = _params(eta_n, k, k * records_per_client + spare, q, epochs, bytes_per_scalar)
-    args = (params, protocol, strict, label_width, batch)
+    params = _params(eta_n, k, k * records_per_client + spare, q, epochs, bytes_per_scalar, batch, label_width)
+    args = (params, protocol, strict)
     got = _outcome(comm_report, *args)
     assert got == _outcome(reference_comm_report, *args)
     if isinstance(got, CommReport):
@@ -131,9 +131,11 @@ def test_comm_report_equals_the_fraction_path(eta_n, protocol, batch, k, records
         assert all(type(x) is int for x in figures)
 
 
-@example(eta_n=(5e-324, 1), protocol=Protocol.SPLIT_SYNC, batch=1, k=1, p=0, q=1)  # past the float range
-@example(eta_n=(0, 10), protocol=Protocol.SPLIT_SYNC, batch=1, k=3, p=0, q=1)  # zero split total
-@example(eta_n=(1.0, 2000), protocol=Protocol.SPLIT_SYNC, batch=1, k=10, p=1000, q=10)  # exact tie
+# past the float range; a zero split total; an exact tie; a tie only when labels count
+@example(eta_n=(5e-324, 1), protocol=Protocol.SPLIT_SYNC, batch=1, k=1, p=0, q=1, label_width=0)
+@example(eta_n=(0, 10), protocol=Protocol.SPLIT_SYNC, batch=1, k=3, p=0, q=1, label_width=0)
+@example(eta_n=(1.0, 2000), protocol=Protocol.SPLIT_SYNC, batch=1, k=10, p=1000, q=10, label_width=0)
+@example(eta_n=(1.0, 2000), protocol=Protocol.SPLIT_SYNC, batch=1, k=10, p=1000, q=9, label_width=2)
 @given(
     eta_n=st.one_of(_eta_and_n(st.integers(1, 10**12)),
                     st.tuples(_ETAS, st.floats(1, 1e15).filter(lambda n: not n.is_integer()))),
@@ -142,17 +144,18 @@ def test_comm_report_equals_the_fraction_path(eta_n, protocol, batch, k, records
     k=st.integers(1, 3000),
     p=st.one_of(st.just(0), st.integers(0, 10**6)),
     q=st.integers(1, 4096),
+    label_width=st.one_of(st.just(0), st.integers(1, 4096)),
 )
-def test_efficiency_ratio_has_the_bits_of_the_fraction_path(eta_n, protocol, batch, k, p, q):
-    params = _params(eta_n, k, p, q)
-    got = _outcome(efficiency_ratio, params, protocol, batch)
-    assert _bits(got) == _bits(_outcome(reference_efficiency_ratio, params, protocol, batch))
+def test_efficiency_ratio_has_the_bits_of_the_fraction_path(eta_n, protocol, batch, k, p, q, label_width):
+    params = _params(eta_n, k, p, q, batch_size=batch, label_width=label_width)
+    got = _outcome(efficiency_ratio, params, protocol)
+    assert _bits(got) == _bits(_outcome(reference_efficiency_ratio, params, protocol))
 
 
 def test_the_wire_path_builds_no_fraction():
     # A rational eta and an odd split, on every protocol: reports and rho call
     # into fractions.py only to read eta's integer ratio, and build no Fraction.
-    params = ScenarioParams(7, 10**9 + 7, 10**6 + 3, 64, Fraction(15, 23))
+    params = ScenarioParams(7, 10**9 + 7, 10**6 + 3, 64, Fraction(15, 23), batch_size=8, label_width=3)
     called = set()
 
     def record(frame, event, arg):
@@ -162,8 +165,8 @@ def test_the_wire_path_builds_no_fraction():
     sys.setprofile(record)
     try:
         for protocol in Protocol:
-            comm_report(params, protocol, strict=False, batch_size=8)
-            efficiency_ratio(params, protocol, 8)
+            comm_report(params, protocol, strict=False)
+            efficiency_ratio(params, protocol)
     finally:
         sys.setprofile(None)
     assert called == {"as_integer_ratio"}

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +31,8 @@ from splitfed.cost_model import REPORTED, reported
 from _closed_forms import reference_client_weights, reference_traffic_by_kind
 
 
-def make_params(K, N, p, q, eta, bytes_per_scalar=4, epochs=1):
-    return ScenarioParams(K, N, p, q, eta, bytes_per_scalar, epochs)
+def make_params(K, N, p, q, eta, bytes_per_scalar=4, epochs=1, batch_size=1, label_width=0):
+    return ScenarioParams(K, N, p, q, eta, bytes_per_scalar, epochs, batch_size, label_width)
 
 
 def break_even_at(p, q, k, eta=0.0, variant=Protocol.SPLIT_SYNC, batch_size=1):
@@ -113,8 +114,6 @@ def test_protocol_is_the_one_variant_lookup():
     # the aliases the benchmark's output check still imports
     assert cost_model.Method is Protocol and protocol_sim.SplitVariant is Protocol
     assert Protocol.SYNC_EPOCH is Protocol.SPLIT_SYNC
-    assert Protocol.SYNC_BATCH is Protocol.SPLIT_SYNC_BATCH
-    assert Protocol.ALTERNATING is Protocol.SPLIT_NOSYNC
     assert [p.label for p in REPORTED] == ["SplitSync", "SplitNoSync", "Federated"]
     # a scenario is compared as its own protocol; a federated one, which has no
     # split side, as sync
@@ -132,12 +131,12 @@ def test_traffic_by_kind_golden_432_cut1():
     kinds = {kind: 0 for kind in MessageKind}
     assert traffic_by_kind(params, Protocol.SPLIT_SYNC) == dict(kinds, **{
         MessageKind.ACTIVATIONS: 36, MessageKind.GRADIENTS: 36, MessageKind.CLIENT_WEIGHTS: 60})
-    assert traffic_by_kind(params, Protocol.SPLIT_NOSYNC, label_width=2) == dict(kinds, **{
+    assert traffic_by_kind(replace(params, label_width=2), Protocol.SPLIT_NOSYNC) == dict(kinds, **{
         MessageKind.ACTIVATIONS: 36, MessageKind.GRADIENTS: 36, MessageKind.LABELS: 24})
     assert traffic_by_kind(params, Protocol.FEDERATED) == dict(kinds, **{
         MessageKind.CLIENT_WEIGHTS: 92, MessageKind.GLOBAL_WEIGHTS: 92})
     # batches of 2 over shards of 3 and 3 records: two hand-offs per client per epoch
-    batched = traffic_by_kind(params, Protocol.SPLIT_SYNC_BATCH, batch_size=2)
+    batched = traffic_by_kind(replace(params, batch_size=2), Protocol.SPLIT_SYNC_BATCH)
     assert batched[MessageKind.CLIENT_WEIGHTS] == 15 * 4 * 2
     # one client's shard: K = 1, p = shard
     assert traffic_by_kind(params, Protocol.SPLIT_SYNC, 4)[MessageKind.CLIENT_WEIGHTS] == 15 * 2
@@ -205,7 +204,7 @@ def test_split_sync_epoch_scaling():
 
 def test_split_sync_label_accounting():
     base = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23)), Protocol.SPLIT_SYNC)
-    with_labels = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23)), Protocol.SPLIT_SYNC, label_width=2)
+    with_labels = comm_report(make_params(2, 23, 6, 3, Fraction(15, 23), label_width=2), Protocol.SPLIT_SYNC)
     assert with_labels.total_scalars == base.total_scalars + 6 * 2
     assert with_labels.per_client_scalars == base.per_client_scalars + 3 * 2
 
@@ -283,7 +282,20 @@ def test_efficiency_federated_against_itself_is_a_tie():
     assert eff.rho == 1.0 and eff.winner is Winner.TIE
 
 
+def _assert_rho_sign_matches_totals(params, variant):
+    eff = efficiency_ratio(params, variant)
+    fed = comm_report(params, Protocol.FEDERATED).total_scalars
+    split = comm_report(params, variant).total_scalars
+    if eff.winner is Winner.TIE:
+        assert fed == split
+    else:
+        assert (eff.rho > 1) == (fed > split), (params, variant, eff, fed, split)
+
+
 def test_rho_sign_matches_total_comparison():
+    # a cell of the golden nosync sweep with labels: 7 * 448 = 3136 scalars
+    # against federated's 2 * 64 * 23 = 2944, so federated wins
+    _assert_rho_sign_matches_totals(make_params(64, 23, 448, 3, 0, label_width=1), Protocol.SPLIT_NOSYNC)
     rng = np.random.default_rng(7)
     for _ in range(200):
         k = int(rng.integers(1, 20))
@@ -291,16 +303,11 @@ def test_rho_sign_matches_total_comparison():
         p = k * int(rng.integers(0, 100))
         q = int(rng.integers(1, 100))
         eta = Fraction(int(rng.integers(0, n + 1)), n)
-        params = make_params(k, n, p, q, eta)
         batch = int(rng.integers(1, 6))
-        for variant in (Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH):
-            eff = efficiency_ratio(params, variant, batch)
-            fed = comm_report(params, Protocol.FEDERATED).total_scalars
-            split = comm_report(params, variant, batch_size=batch).total_scalars
-            if eff.winner is Winner.TIE:
-                assert fed == split
-            else:
-                assert (eff.rho > 1) == (fed > split)
+        for label_width in (0, 1, 3):
+            params = make_params(k, n, p, q, eta, batch_size=batch, label_width=label_width)
+            for variant in (Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH):
+                _assert_rho_sign_matches_totals(params, variant)
 
 
 def test_rho_invariant_under_epochs_and_byte_width():
@@ -326,8 +333,8 @@ def test_rho_monotonicity_on_grids():
                             (Protocol.SPLIT_SYNC_BATCH, 1), (Protocol.SPLIT_SYNC_BATCH, 64)):
         def rho_of(**kw):
             a = dict(base, **kw)
-            return efficiency_ratio(make_params(a["K"], a["N"], a["p"], a["q"], a["eta"]),
-                                    protocol, batch).rho
+            return efficiency_ratio(make_params(a["K"], a["N"], a["p"], a["q"], a["eta"], batch_size=batch),
+                                    protocol).rho
 
         for key, grid in (("N", ns), ("p", ps[::-1]), ("q", qs[::-1]), ("eta", etas[::-1])):
             values = [rho_of(**{key: g}) for g in grid]
@@ -363,7 +370,7 @@ def test_rho_is_monotone_in_every_parameter(protocol, batch, ks, ns, per_shard, 
 
     def rho(**moved):
         a = {"K": k, "N": n, "p": p, "q": q, "eta": eta, **moved}
-        return efficiency_ratio(make_params(a["K"], a["N"], a["p"], a["q"], a["eta"]), protocol, batch).rho
+        return efficiency_ratio(make_params(a["K"], a["N"], a["p"], a["q"], a["eta"], batch_size=batch), protocol).rho
 
     at = rho()
     assert rho(K=k_up) >= at and rho(N=n_up) >= at
@@ -397,10 +404,9 @@ def test_break_even_round_trip_spot():
     assert eff.winner is Winner.TIE
 
 
-def _line(params_at, protocol, batch):
+def _line(params_at, protocol):
     """(A, B) of the exact total A + B*N, read off the rational reference at N = 1 and 2."""
-    one, two = (sum(reference_traffic_by_kind(params_at(n), protocol, batch_size=batch, exact=True).values())
-                for n in (1, 2))
+    one, two = (sum(reference_traffic_by_kind(params_at(n), protocol, exact=True).values()) for n in (1, 2))
     return one - (two - one), two - one
 
 
@@ -419,27 +425,27 @@ def test_break_even_is_the_exact_crossing_of_the_two_lines(k, records_per_client
     p = k * records_per_client + spare % k  # p >= K, so N* >= 1 wherever it exists
 
     def params_at(n):
-        return ScenarioParams(k, n, p, q, eta)
+        return ScenarioParams(k, n, p, q, eta, batch_size=batch)
 
-    a_s, b_s = _line(params_at, protocol, batch)
-    a_f, b_f = _line(params_at, Protocol.FEDERATED, 1)
+    a_s, b_s = _line(params_at, protocol)
+    a_f, b_f = _line(params_at, Protocol.FEDERATED)
     if b_s >= b_f:  # split moves at least as many weights: no N balances the two
         with pytest.raises(InvalidParam, match=f"K={k}"):
             break_even_at(p, q, k, eta, protocol, batch)
         return
     n_star = (a_s - a_f) / (b_f - b_s)
-    split, fed = (sum(reference_traffic_by_kind(params_at(n_star), m, batch_size=batch, exact=True).values())
+    split, fed = (sum(reference_traffic_by_kind(params_at(n_star), m, exact=True).values())
                   for m in (protocol, Protocol.FEDERATED))
     assert split == fed
-    assert efficiency_ratio(params_at(n_star), protocol, batch).winner is Winner.TIE
+    assert efficiency_ratio(params_at(n_star), protocol).winner is Winner.TIE
     # correctly rounded: float() of a Fraction is the nearest float
     assert break_even_at(p, q, k, eta, protocol, batch) == float(n_star)
     curve = break_even_curve(p, q, eta, [k, 2 * k], protocol, batch)
     assert curve.points[0] == (k, float(n_star))
     # the O(1) form over K clients is the sum of their one-client shard= shares
     holders = Counter(shard_sizes(p, k, strict=False))
-    shares = {size: traffic_by_kind(params_at(1), protocol, size, batch) for size in holders}
-    assert traffic_by_kind(params_at(1), protocol, batch_size=batch) == {
+    shares = {size: traffic_by_kind(params_at(1), protocol, size) for size in holders}
+    assert traffic_by_kind(params_at(1), protocol) == {
         kind: sum(n * shares[size][kind] for size, n in holders.items()) for kind in MessageKind}
 
 

@@ -67,7 +67,8 @@ def test_tally_equals_per_client_closed_form(arch, protocol, clients, records, e
     x, y = random_dataset(spec, records, seed=5)
     shards = partition_dataset(x, y, clients, strict=False)
     ledger = simulate(spec, cut, protocol, shards, epochs, batch_size)
-    params = ScenarioParams.from_model(spec, cut, clients=clients, dataset_size=records, epochs=epochs)
+    params = ScenarioParams.from_model(spec, cut, clients=clients, dataset_size=records, epochs=epochs,
+                                       batch_size=batch_size, label_width=spec.output_width)
 
     tally = ledger.tally()
     assert set(tally) <= {client_id(k + 1) for k in range(clients)}
@@ -76,13 +77,13 @@ def test_tally_equals_per_client_closed_form(arch, protocol, clients, records, e
     for k in range(clients):
         size = records // clients + (k < records % clients)  # the first p mod K clients hold one more
         visits = sum(1 for t in range(epochs) if t % clients == k) if protocol is Protocol.SPLIT_NOSYNC else 1
-        form = traffic_by_kind(one_pass, protocol, size, batch_size, label_width=spec.output_width)
+        form = traffic_by_kind(one_pass, protocol, size)
         assert tally.get(client_id(k + 1), dict.fromkeys(MessageKind, 0)) == {
             kind: n * visits for kind, n in form.items()}
 
     totals = ledger.totals_by_kind()
     assert {kind: sum(kinds[kind] for kinds in tally.values()) for kind in MessageKind} == totals
-    assert verify_against_model(ledger, params, protocol, batch_size).matches
+    assert verify_against_model(ledger, params, protocol).matches
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,10 +105,10 @@ def test_measured_per_client_equals_comm_report(arch, protocol, clients, per_cli
     ledger = simulate(spec, cut, protocol, shards, epochs, batch_size=1)
     params = ScenarioParams.from_model(spec, cut, clients=clients, dataset_size=records, epochs=passes)
 
-    for include_labels in (False, True):
-        exclude = () if include_labels else (MessageKind.LABELS,)
-        measured = measured_comm(ledger, clients, protocol, exclude=exclude)
-        formula = comm_report(params, protocol, label_width=spec.output_width if include_labels else 0)
+    for label_width in (0, spec.output_width):
+        counted = replace(params, label_width=label_width)
+        measured = measured_comm(ledger, counted, protocol)
+        formula = comm_report(counted, protocol)
         assert measured.per_client_scalars == formula.per_client_scalars
         assert measured.total_scalars == formula.total_scalars
 
@@ -162,8 +163,11 @@ def test_ledger_rows_csv_and_cached_tally(first, later):
         assert ledger.tally() == naive_tally(log)
         assert ledger.totals_by_kind() == {kind: sum(m.scalar_count for m in log if m.kind is kind)
                                            for kind in MessageKind}
-        assert measured_comm(ledger, 1, Protocol.SPLIT_SYNC).total_scalars == sum(
-            m.scalar_count for m in log if m.kind is not MessageKind.LABELS)
+        # Labels count exactly when the params count a label width
+        for label_width in (0, 1):
+            one_client = ScenarioParams(1, 1, 0, 1, 0, label_width=label_width)
+            assert measured_comm(ledger, one_client, Protocol.SPLIT_SYNC).total_scalars == sum(
+                m.scalar_count for m in log if label_width or m.kind is not MessageKind.LABELS)
 
     with pytest.raises(InvalidParam):
         ledger.append(0, client_id(1), SERVER, MessageKind.ACTIVATIONS, -1)

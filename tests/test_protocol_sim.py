@@ -48,8 +48,8 @@ def golden_shards(p=6, clients=2, seed=42):
     return partition_dataset(x, y, clients)
 
 
-def golden_params(p=6, clients=2, epochs=1):
-    return ScenarioParams.from_model(SPEC, 1, clients=clients, dataset_size=p, epochs=epochs)
+def golden_params(p=6, clients=2, epochs=1, **fields):
+    return ScenarioParams.from_model(SPEC, 1, clients=clients, dataset_size=p, epochs=epochs, **fields)
 
 
 # --- dataset partitioning ----------------------------------------------------
@@ -83,7 +83,7 @@ def test_sync_epoch_golden_ledger():
     assert totals[MessageKind.CLIENT_WEIGHTS] == 30
     assert totals[MessageKind.GLOBAL_WEIGHTS] == 0
     assert totals[MessageKind.LABELS] == 12  # 6 records x label width 2
-    total = measured_comm(run.ledger, 2, Protocol.SPLIT_SYNC).total_scalars
+    total = measured_comm(run.ledger, golden_params(), Protocol.SPLIT_SYNC).total_scalars
     assert total == 66 == comm_report(golden_params(), Protocol.SPLIT_SYNC).total_scalars
 
 
@@ -102,8 +102,9 @@ def test_sync_epoch_self_loop_when_single_client():
     run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=1)
     hand_offs = [m for m in run.ledger if m.kind is MessageKind.CLIENT_WEIGHTS]
     assert len(hand_offs) == 1 and hand_offs[0].sender == hand_offs[0].receiver == client_id(1)
-    formula = comm_report(golden_params(p=4, clients=1), Protocol.SPLIT_SYNC)
-    assert measured_comm(run.ledger, 1, Protocol.SPLIT_SYNC).total_scalars == formula.total_scalars
+    params = golden_params(p=4, clients=1)
+    formula = comm_report(params, Protocol.SPLIT_SYNC)
+    assert measured_comm(run.ledger, params, Protocol.SPLIT_SYNC).total_scalars == formula.total_scalars
 
 
 def test_alternating_takes_turns_and_never_shares_weights():
@@ -119,7 +120,7 @@ def test_alternating_takes_turns_and_never_shares_weights():
         up = sum(m.scalar_count for m in msgs if m.kind is MessageKind.ACTIVATIONS)
         assert up == 3 * 3  # active shard x q
     # over K consecutive epochs the ledger moves 2 p q scalars
-    total = measured_comm(run.ledger, 2, Protocol.SPLIT_NOSYNC).total_scalars
+    total = measured_comm(run.ledger, golden_params(), Protocol.SPLIT_NOSYNC).total_scalars
     assert total == 36 == comm_report(golden_params(), Protocol.SPLIT_NOSYNC).total_scalars
 
 
@@ -129,13 +130,13 @@ def test_sync_batch_hand_off_per_batch():
     totals = run.ledger.totals_by_kind()
     assert totals[MessageKind.CLIENT_WEIGHTS] == 15 * 6  # one eta*N hand-off per batch
     assert totals[MessageKind.ACTIVATIONS] == 18
-    report = verify_against_model(run.ledger, golden_params(), Protocol.SPLIT_SYNC_BATCH, batch_size=1)
+    report = verify_against_model(run.ledger, golden_params(batch_size=1), Protocol.SPLIT_SYNC_BATCH)
     assert report.matches
 
     run2 = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC_BATCH,
                               epochs=1, lr=0.01, seed=42, batch_size=2)
     assert run2.ledger.totals_by_kind()[MessageKind.CLIENT_WEIGHTS] == 15 * 4  # ceil(3/2) per client
-    assert verify_against_model(run2.ledger, golden_params(), Protocol.SPLIT_SYNC_BATCH, batch_size=2).matches
+    assert verify_against_model(run2.ledger, golden_params(batch_size=2), Protocol.SPLIT_SYNC_BATCH).matches
 
 
 def test_activation_traffic_is_batch_size_invariant():
@@ -153,7 +154,7 @@ def test_zero_records_leaves_only_sync_weight_traffic():
     run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=1)
     kinds = {m.kind for m in run.ledger}
     assert kinds == {MessageKind.CLIENT_WEIGHTS}
-    assert measured_comm(run.ledger, 3, Protocol.SPLIT_SYNC).total_scalars == 15 * 3
+    assert measured_comm(run.ledger, golden_params(p=0, clients=3), Protocol.SPLIT_SYNC).total_scalars == 15 * 3
     assert math.isnan(run.losses[0])
 
     for variant in (Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH):
@@ -312,7 +313,7 @@ def test_training_step_calls_through_nn_core(monkeypatch, variant):
 
 def test_federated_golden_totals():
     run = run_federated_training(SPEC, golden_shards(), rounds=5, local_lr=0.01, seed=42)
-    assert measured_comm(run.ledger, 2, Protocol.FEDERATED).total_scalars == 460  # 2 K N rounds
+    assert measured_comm(run.ledger, golden_params(epochs=5), Protocol.FEDERATED).total_scalars == 460  # 2 K N rounds
     totals = run.ledger.totals_by_kind()
     assert totals[MessageKind.GLOBAL_WEIGHTS] == 23 * 2 * 5
     assert totals[MessageKind.CLIENT_WEIGHTS] == 23 * 2 * 5
@@ -385,20 +386,20 @@ def test_federated_identical_shards_match_single_client_training():
 # --- measured reports and verification ----------------------------------------
 
 def test_measured_comm_empty_ledger():
-    report = measured_comm(TrafficLedger(), clients=3, method=Protocol.SPLIT_SYNC)
+    report = measured_comm(TrafficLedger(), golden_params(clients=3), method=Protocol.SPLIT_SYNC)
     assert report.per_client_scalars == 0 and report.total_scalars == 0
 
 
 def test_measured_comm_golden_run():
     run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
-    report = measured_comm(run.ledger, clients=2, method=Protocol.SPLIT_SYNC)
+    report = measured_comm(run.ledger, golden_params(), method=Protocol.SPLIT_SYNC)
     assert report.method is Protocol.SPLIT_SYNC
     assert report.total_scalars == 66
     # per client: 9 activations out, 9 gradients in, the one hand-off it sends
     assert report.per_client_scalars == 9 + 9 + 15
 
-    with_labels = measured_comm(run.ledger, clients=2, method=Protocol.SPLIT_SYNC, exclude=())
+    with_labels = measured_comm(run.ledger, golden_params(label_width=2), method=Protocol.SPLIT_SYNC)
     assert with_labels.total_scalars == 66 + 6 * 2
 
 
@@ -419,8 +420,9 @@ def test_verify_alternating_cycle_equals_nosync_closed_form():
     # closed form at one epoch
     shards = golden_shards(p=12, clients=3)
     run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_NOSYNC, epochs=3, lr=0.01, seed=9)
-    formula = comm_report(golden_params(p=12, clients=3, epochs=1), Protocol.SPLIT_NOSYNC)
-    assert measured_comm(run.ledger, 3, Protocol.SPLIT_NOSYNC).total_scalars == formula.total_scalars
+    params = golden_params(p=12, clients=3, epochs=1)
+    formula = comm_report(params, Protocol.SPLIT_NOSYNC)
+    assert measured_comm(run.ledger, params, Protocol.SPLIT_NOSYNC).total_scalars == formula.total_scalars
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
@@ -494,7 +496,7 @@ def test_verify_lenient_shards():
     params = golden_params(p=7)
     assert verify_against_model(run.ledger, params, Protocol.SPLIT_SYNC).matches
     # forward+backward split traffic still totals 2 p q regardless of the remainder
-    measured = measured_comm(run.ledger, 2, Protocol.SPLIT_SYNC).total_scalars
+    measured = measured_comm(run.ledger, params, Protocol.SPLIT_SYNC).total_scalars
     assert measured == comm_report(params, Protocol.SPLIT_SYNC, strict=False).total_scalars
 
 

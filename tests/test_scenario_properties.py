@@ -77,7 +77,7 @@ def scenarios(draw):
     """(scenario text, the ScenarioParams it describes, the grid axes it writes)."""
     values = {"clients": draw(st.integers(1, 10**7)), "dataset_size": draw(st.integers(0, 10**9))}
     lines = [f"K = {draw(int_text(values['clients']))}", f"p = {draw(int_text(values['dataset_size']))}"]
-    for key in ("bytes_per_scalar", "epochs"):
+    for key in ("bytes_per_scalar", "epochs", "batch_size"):
         if draw(st.booleans()):
             values[key] = draw(st.integers(1, 100))
             lines.append(f"{key} = {draw(int_text(values[key]))}")
