@@ -61,12 +61,12 @@ SIMULATE_MAX_DATA_SCALARS = 10**7
 # epochs * max(p, K) bounds a run's training steps and its ledger, which logs
 # at most 4 messages per batch plus 2 per client in every epoch, about 22
 # bytes each. A sync run of (4, 3, 2) at K = 10, p = 100,000 and 10 epochs
-# logs 3,000,100 messages and peaks at 99 MB RSS (Python 3.11, numpy 2.4).
+# logs 3,000,100 messages and peaks at about 100 MB RSS (Python 3.11, numpy 2.4).
 SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this.
 K_RANGE_MAX_POINTS = 10**6
 # sweep refuses a suite whose grids hold more cells than this, before it
-# expands them: it holds every cell's SweepRow in memory, about 1.0 KB a cell
+# expands them: it holds every cell's SweepRow in memory, 1,344 B a cell
 # (tracemalloc bytes still held once sweep returns, over the 576 cells of
 # tests/golden/inputs/grid.txt, 216 of them Error cells; Python 3.11).
 SWEEP_MAX_CELLS = 10**5
@@ -232,7 +232,8 @@ def cmd_simulate(args) -> int:
                 write(f"{i},{_fmt(loss)}\n")
 
     measured = protocol_sim.measured_comm(ledger, params, variant)
-    verdict = protocol_sim.verify_against_model(ledger, params, variant)
+    # the check counts every kind, Labels at the width the run sends
+    verdict = protocol_sim.verify_against_model(ledger, replace(params, label_width=sc.label_width), variant)
 
     print(f"scenario {sc.name}: variant={variant.value} K={params.clients} p={params.dataset_size} "
           f"epochs={params.epochs} seed={sc.seed}")

@@ -74,33 +74,52 @@ class TrafficLedger:
         self._tally: list[list[int] | None] = [None]  # per endpoint: scalars it owns by kind code, or None
 
     def append(self, epoch: int, sender: str, receiver: str, kind: MessageKind, scalar_count: int) -> None:
-        """Log one message, checked whole before any column grows: ``kind`` a
-        :class:`MessageKind`, ``epoch`` an int in [0, 2**31), ``scalar_count``
-        an int in [0, 2**63) and both endpoints identifiers. Anything else
-        raises :class:`InvalidParam` and leaves the ledger as it was."""
-        if not (type(kind) is MessageKind and type(epoch) is int and type(scalar_count) is int
-                and 0 <= epoch < _EPOCH_END and 0 <= scalar_count < _COUNT_END):
-            raise _message_error(Message(epoch, sender, receiver, kind, scalar_count))
-        try:
-            s, r = self._index[sender], self._index[receiver]
-        except (KeyError, TypeError):
-            s, r = self._register(sender, receiver)
-        code = _KIND_CODES[kind]
-        self._epochs.append(epoch)
-        self._senders.append(s)
-        self._receivers.append(r)
-        self._kinds.append(code)
-        self._counts.append(scalar_count)
-        # The one owner: the client that sends it, or the client the server (0) sends it to.
-        owner = s or r
-        try:
-            self._tally[owner][code] += scalar_count
-        except TypeError:  # the owner's first message
-            self._tally[owner] = row = [0] * len(_KINDS)
-            row[code] = scalar_count
+        """Log one message: the one-message case of :meth:`log_turn`."""
+        self.log_turn(epoch, ((sender, receiver, kind),), (scalar_count,))
 
-    def _register(self, *names) -> tuple[int, ...]:
-        """The endpoint indices of ``names``, adding new ones to the table once all are checked."""
+    def log_turn(self, epoch: int, batch: Sequence[tuple[str, str, MessageKind]], counts: Sequence[int]) -> None:
+        """Log a turn's messages in ``epoch``, checked whole before any column
+        grows: ``batch`` gives the (sender, receiver, kind) of each message a
+        batch sends, and ``counts`` every message's scalar count, batch after
+        batch, so message j is ``batch[j % len(batch)]`` with ``counts[j]``.
+        ``kind`` must be a :class:`MessageKind`, ``epoch`` an int in [0, 2**31),
+        each count an int in [0, 2**63) and both endpoints identifiers, and
+        ``counts`` a whole number of batches. Anything else raises
+        :class:`InvalidParam` and leaves the ledger as it was."""
+        width, size = len(batch), len(counts)
+        if not width or size % width:
+            raise InvalidParam(f"{size} scalar counts are not a whole number of {width}-message batches")
+        if not (type(epoch) is int and 0 <= epoch < _EPOCH_END
+                and all(type(kind) is MessageKind for _, _, kind in batch)
+                and all(type(n) is int for n in counts)
+                and (not size or 0 <= min(counts) and max(counts) < _COUNT_END)):
+            # the first bad message; a turn of no batches is checked as one batch of zero counts
+            raise next(filter(None, (_message_error(Message(epoch, *batch[j % width], n))
+                                     for j, n in enumerate(counts if size else [0] * width))))
+        index = self._index
+        try:
+            ends = [(index[sender], index[receiver], _KIND_CODES[kind]) for sender, receiver, kind in batch]
+        except (KeyError, TypeError):
+            self._register(*(name for sender, receiver, _ in batch for name in (sender, receiver)))
+            ends = [(index[sender], index[receiver], _KIND_CODES[kind]) for sender, receiver, kind in batch]
+        batches = size // width
+        if not batches:
+            return
+        senders, receivers, codes = zip(*ends)
+        self._epochs.extend(array("i", (epoch,)) * size)
+        self._senders.extend(array("i", senders) * batches)
+        self._receivers.extend(array("i", receivers) * batches)
+        self._kinds.extend(array("B", codes) * batches)
+        self._counts.extend(counts)
+        tally = self._tally
+        for j, (s, r, code) in enumerate(ends):
+            owner = s or r  # the client that sends it, or the client the server (0) sends it to
+            if tally[owner] is None:  # the owner's first message
+                tally[owner] = [0] * len(_KINDS)
+            tally[owner][code] += sum(counts[j::width])
+
+    def _register(self, *names) -> None:
+        """Add ``names`` that are new to the endpoint table, once all are checked."""
         for name in names:
             if type(name) is not str or not name.isidentifier():
                 raise InvalidParam(f"endpoint id must be an identifier, got {name!r}")
@@ -109,7 +128,6 @@ class TrafficLedger:
                 self._index[name] = len(self._names)
                 self._names.append(name)
                 self._tally.append(None)
-        return tuple(self._index[name] for name in names)
 
     def __len__(self) -> int:
         return len(self._kinds)
@@ -126,7 +144,7 @@ class TrafficLedger:
     def tally(self) -> dict[str, dict[MessageKind, int]]:
         """Scalars per (owner, kind), as a copy the caller owns. A message's one
         owner is the client that sends it, or the client the server sends it to;
-        ``append`` adds each message to its owner's row."""
+        logging a message adds it to its owner's row."""
         return {name: dict(zip(_KINDS, row)) for name, row in zip(self._names, self._tally) if row is not None}
 
     def to_csv(self, path_or_file) -> None:
@@ -147,14 +165,16 @@ class TrafficLedger:
         )
 
 
-def _message_error(message: Message) -> InvalidParam:
-    """What is wrong with a message ``append`` refuses."""
+def _message_error(message: Message) -> InvalidParam | None:
+    """What is wrong with a message the ledger refuses, or None if its fields are good."""
     if type(message.kind) is not MessageKind:
         what = f"kind must be a MessageKind, got {message.kind!r}"
     elif type(message.epoch) is not int or not 0 <= message.epoch < _EPOCH_END:
         what = f"epoch must be an int in [0, 2**31), got {message.epoch!r}"
-    else:
+    elif type(message.scalar_count) is not int or not 0 <= message.scalar_count < _COUNT_END:
         what = f"scalar_count must be an int in [0, 2**63), got {message.scalar_count!r}"
+    else:
+        return None
     return InvalidParam(f"{what} in {message}")
 
 
@@ -198,7 +218,8 @@ class _WorkingModel:
 
     def __init__(self, spec: ModelSpec, params: np.ndarray, batch_size: int) -> None:
         self.activation, self.params = spec.activation, params
-        self.layers = nn_core.unpack_params(spec, params)
+        # each bias as a (1, n) view: a one-record batch's a @ w + b then adds without broadcasting
+        self.layers = [(w, b.reshape(1, -1)) for w, b in nn_core.unpack_params(spec, params)]
         self.scratch, self.blocks = nn_core.sgd_plan(spec, params, batch_size)
 
 
@@ -240,7 +261,8 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
     """Every protocol's run: epochs, then the clients of :func:`_turns`, then
     the batches of :func:`_local_pass` on the one working model. A turn copies
     its client's weights in: a split client's into the front ``[:n_client]``,
-    logged at ``cut`` per batch and copied back out, or the global model
+    its batches' traffic at ``cut`` logged in one :meth:`TrafficLedger.log_turn`
+    call when the turn ends, and copied back out, or the global model
     into the whole of it, uploaded and folded into the round's mean. A
     non-finite loss over trained records raises :class:`Diverged`."""
     federated = protocol is Protocol.FEDERATED
@@ -255,6 +277,7 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
     else:
         held = [front.copy() for _ in range(k_clients)]
     ledger, losses = TrafficLedger(), []
+    sync_batch = protocol is Protocol.SPLIT_SYNC_BATCH
 
     for epoch in range(epochs):
         turns = _turns(protocol, epoch, k_clients)
@@ -266,15 +289,13 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
             me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
             mine, receiver = held[k], held[(k + 1) % k_clients]
             np.copyto(front, mine)
-            batch_losses = []
+            batch_losses, counts = [], []  # counts: a split turn's scalar counts, batch by batch
             for loss, acts, act_grads, yb in _local_pass(model, *data[k], batch_size, lr):
                 batch_losses.append(loss)
                 if not federated:
-                    ledger.append(epoch, me, SERVER, MessageKind.ACTIVATIONS, acts[c].size)
-                    ledger.append(epoch, me, SERVER, MessageKind.LABELS, yb.size)
-                    ledger.append(epoch, SERVER, me, MessageKind.GRADIENTS, act_grads[c].size)
-                if protocol is Protocol.SPLIT_SYNC_BATCH:
-                    ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
+                    counts += acts[c].size, yb.size, act_grads[c].size
+                if sync_batch:
+                    counts.append(front.size)
                     np.copyto(receiver, front)
             if federated:
                 ledger.append(epoch, me, SERVER, MessageKind.CLIENT_WEIGHTS, front.size)
@@ -284,6 +305,9 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
                 if batch_losses:  # federated loss: the mean of the per-client means
                     epoch_losses.append(float(np.mean(batch_losses)))
             else:
+                batch = ((me, SERVER, MessageKind.ACTIVATIONS), (me, SERVER, MessageKind.LABELS),
+                         (SERVER, me, MessageKind.GRADIENTS), (me, nxt, MessageKind.CLIENT_WEIGHTS))
+                ledger.log_turn(epoch, batch if sync_batch else batch[:3], counts)
                 np.copyto(mine, front)
                 epoch_losses += batch_losses  # split loss: the mean over the epoch's batches
             if protocol is Protocol.SPLIT_SYNC:
@@ -315,12 +339,13 @@ def run_split_training(
 
     Per batch the active client sends Activations and Labels up and receives
     Gradients back, each records*width scalars sized from the real arrays.
-    SyncEpoch passes ClientWeights to the next client after each turn, the
-    last client closing the ring back to client 1 (so every epoch moves
-    exactly K hand-offs, including the self-loop when K = 1). SyncBatch makes
-    the same hand-off after every batch. AlternatingNoSync gives epoch e to
-    client (e mod K)+1 alone and never exchanges client weights; each client
-    keeps its own stale front weights between turns.
+    ``Protocol.SPLIT_SYNC`` passes ClientWeights to the next client after
+    each turn, the last client closing the ring back to client 1 (so every
+    epoch moves exactly K hand-offs, including the self-loop when K = 1).
+    ``Protocol.SPLIT_SYNC_BATCH`` makes the same hand-off after every batch.
+    ``Protocol.SPLIT_NOSYNC`` gives epoch e to client (e mod K)+1 alone and
+    never exchanges client weights; each client keeps its own stale front
+    weights between turns.
 
     Epoch loss is the mean training loss over the batches processed in that
     epoch (NaN when the epoch saw no records); the overflows on the way to a
@@ -368,12 +393,9 @@ def measured_comm(ledger: TrafficLedger, params: ScenarioParams, method: Protoco
     return CommReport.from_scalars(method, per_client, sum(owned.values()), params.bytes_per_scalar)
 
 
-CHECKED_KINDS = tuple(kind for kind in MessageKind if kind is not MessageKind.LABELS)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the ledger-versus-closed-form cross-check (Labels excluded)."""
+    """Outcome of the ledger-versus-closed-form cross-check."""
 
     matches: bool
     expected: dict[MessageKind, int]
@@ -428,8 +450,10 @@ def verify_against_model(ledger: TrafficLedger, params: ScenarioParams, variant:
     on the shard :func:`shard_sizes` gives it in lenient mode (strict mode
     either agrees or refuses to split).
 
-    A message owned by anything but client1..clientK is a mismatch. Labels
-    are excluded on both sides. A mismatch is a result, not an error.
+    Every kind is compared, Labels at ``params.label_width`` scalars a record
+    (the simulator sends the model's output width). A message owned by
+    anything but client1..clientK is a mismatch. A mismatch is a result, not
+    an error.
     """
     forms = client_kind_totals(params, variant)
     tally = ledger.tally()
@@ -437,12 +461,12 @@ def verify_against_model(ledger: TrafficLedger, params: ScenarioParams, variant:
     # client1..clientK first, then any other owner, which no closed form allows
     by_owner = {o: _deltas(tally.get(o, zero), forms.get(o, zero)) for o in {**forms, **tally}}
     client = next((owner for owner, deltas in by_owner.items() if deltas), None)
-    expected = {kind: sum(form[kind] for form in forms.values()) for kind in CHECKED_KINDS}
-    actual = {kind: sum(kinds[kind] for kinds in tally.values()) for kind in CHECKED_KINDS}
+    expected = {kind: sum(form[kind] for form in forms.values()) for kind in MessageKind}
+    actual = ledger.totals_by_kind()
     return VerificationReport(
         client is None, expected, actual, _deltas(actual, expected), client, by_owner.get(client, {})
     )
 
 
 def _deltas(actual: dict[MessageKind, int], expected: dict[MessageKind, int]) -> dict[MessageKind, int]:
-    return {kind: actual[kind] - expected[kind] for kind in CHECKED_KINDS if actual[kind] != expected[kind]}
+    return {kind: actual[kind] - expected[kind] for kind in MessageKind if actual[kind] != expected[kind]}

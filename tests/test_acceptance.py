@@ -6,6 +6,7 @@ pass lines.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,10 +36,11 @@ from _step import gradients, loss, sgd_step
 
 
 def test_ledger_formula_identity_randomized():
-    """Simulated traffic (Labels excluded) equals the closed forms exactly:
-    2pq + eta*N*K per epoch with weight sharing, 2pq per K-epoch cycle
-    without, 2KN per federated round. >= 200 configurations, zero tolerance,
-    under 30 seconds."""
+    """Simulated traffic equals the closed forms exactly: 2pq + eta*N*K per
+    epoch with weight sharing, 2pq per K-epoch cycle without, 2KN per
+    federated round (totals without Labels), and every client's five kinds,
+    Labels at the output width, against its own form. >= 200
+    configurations, zero tolerance, under 30 seconds."""
     rng = np.random.default_rng(20250809)
     start = time.monotonic()
     configs = 0
@@ -58,14 +60,14 @@ def test_ledger_formula_identity_randomized():
             configs += 1
             epochs = int(rng.integers(1, 3))
             params = ScenarioParams.from_model(spec, cut, clients=k, dataset_size=p, epochs=epochs)
+            checked = replace(params, label_width=spec.output_width)  # the labels the runs send
 
             sync = run_split_training(spec, cut, shards, Protocol.SPLIT_SYNC,
                                       epochs=epochs, lr=0.01, seed=seed, batch_size=batch)
             assert measured_comm(sync.ledger, params, Protocol.SPLIT_SYNC).total_scalars == comm_report(params, Protocol.SPLIT_SYNC).total_scalars
-            assert verify_against_model(sync.ledger, params, Protocol.SPLIT_SYNC).matches
+            assert verify_against_model(sync.ledger, checked, Protocol.SPLIT_SYNC).matches
 
-            cycle_params = ScenarioParams.from_model(spec, cut, clients=k, dataset_size=p,
-                                                     epochs=k * epochs)
+            cycle_params = replace(checked, epochs=k * epochs)
             alt = run_split_training(spec, cut, shards, Protocol.SPLIT_NOSYNC,
                                      epochs=k * epochs, lr=0.01, seed=seed, batch_size=batch)
             assert measured_comm(alt.ledger, params, Protocol.SPLIT_NOSYNC).total_scalars == comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars
@@ -75,7 +77,7 @@ def test_ledger_formula_identity_randomized():
             fed = run_federated_training(spec, shards, rounds=epochs, local_lr=0.01,
                                          seed=seed, batch_size=batch)
             assert measured_comm(fed.ledger, params, Protocol.FEDERATED).total_scalars == comm_report(params, Protocol.FEDERATED).total_scalars
-            assert verify_against_model(fed.ledger, params, Protocol.FEDERATED).matches
+            assert verify_against_model(fed.ledger, checked, Protocol.FEDERATED).matches
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"identity sweep took {elapsed:.1f}s"
     print(f"ACCEPTANCE PASS: ledger-formula identity "

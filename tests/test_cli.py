@@ -278,6 +278,25 @@ def test_simulate_injected_fault_exits_4(capsys):
     assert "mismatch" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("include_labels", [[], ["--include-labels"]])
+def test_simulate_exits_4_on_a_forged_labels_message(monkeypatch, capsys, include_labels):
+    # The ledger check counts Labels whether or not the reported totals do:
+    # one extra 5-scalar Labels message is a mismatch.
+    from splitfed import MessageKind, protocol_sim
+
+    train = protocol_sim.run_split_training
+
+    def forging(*args, **kwargs):
+        run = train(*args, **kwargs)
+        run.ledger.append(0, protocol_sim.client_id(1), protocol_sim.SERVER, MessageKind.LABELS, 5)
+        return run
+
+    monkeypatch.setattr(protocol_sim, "run_split_training", forging)
+    assert main(["simulate", "--scenario", "tiny-dense", *include_labels]) == 4
+    out = capsys.readouterr().out
+    assert "verification: mismatch: Labels: expected 12, got 17 (+5); first differing client client1 (Labels +5)" in out
+
+
 def test_simulate_guard_exits_3(tmp_path, capsys):
     big = tmp_path / "big.txt"
     big.write_text("layer_widths = 4, 3, 2\ncut_index = 1\nK = 2\np = 200_000\n")

@@ -172,3 +172,32 @@ def test_ledger_rows_csv_and_cached_tally(first, later):
     with pytest.raises(InvalidParam):
         ledger.append(0, client_id(1), SERVER, MessageKind.ACTIVATIONS, -1)
     assert list(ledger) == log
+
+
+turns = st.lists(st.tuples(
+    st.integers(0, 5),
+    st.lists(st.tuples(st.sampled_from(ENDPOINTS), st.sampled_from(ENDPOINTS), st.sampled_from(list(MessageKind))),
+             min_size=1, max_size=4),
+    st.integers(0, 5),
+    st.data(),
+), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(turns=turns)
+def test_a_turn_logs_what_its_messages_appended_one_by_one_log(turns):
+    by_turn, by_message = TrafficLedger(), TrafficLedger()
+    for epoch, batch, batches, data in turns:
+        counts = data.draw(st.lists(st.integers(0, 10**9), min_size=batches * len(batch),
+                                    max_size=batches * len(batch)))
+        by_turn.log_turn(epoch, batch, counts)
+        for j, n in enumerate(counts):
+            by_message.append(epoch, *batch[j % len(batch)], n)
+    assert len(by_turn) == len(by_message)
+    assert list(by_turn) == list(by_message)
+    turn_csv, message_csv = io.StringIO(), io.StringIO()
+    by_turn.to_csv(turn_csv)
+    by_message.to_csv(message_csv)
+    assert turn_csv.getvalue().encode() == message_csv.getvalue().encode()
+    assert by_turn.tally() == by_message.tally()
+    assert by_turn.totals_by_kind() == by_message.totals_by_kind()

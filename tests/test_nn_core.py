@@ -493,6 +493,53 @@ def test_batch_one_weight_gradient_is_matmul_bit_for_bit(a, dz):
     assert np.isnan(out[both_nan]).all()
 
 
+# Any 64-bit pattern as a double, with signed zeros, infinities and NaNs of
+# every payload and either sign (signalling ones included) drawn often.
+_BITS = st.one_of(
+    st.sampled_from([0, 1 << 63, 0x7FF << 52, 0xFFF << 52]),
+    st.tuples(st.sampled_from([0x7FF << 52, 0xFFF << 52]), st.integers(1, (1 << 52) - 1)).map(sum),
+    st.integers(0, (1 << 64) - 1),
+)
+
+
+def _doubles(shape):
+    return arrays(np.uint64, shape, elements=_BITS).map(lambda bits: bits.view(np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dz=_doubles(st.tuples(st.just(1), st.integers(1, 64))))
+def test_batch_one_bias_gradient_is_the_one_row_sum_bit_for_bit(dz):
+    # One linear layer fed a zero record, with dz as the loss gradient at its
+    # output: the step writes dz summed over its one record into the bias
+    # slot of its scratch, and scaling it by lr = 1 keeps every bit. Like the
+    # sum, which adds the row to +0.0, it gives +0.0 for -0.0.
+    spec = ModelSpec((1, dz.shape[1]))
+    scratch, blocks = sgd_plan(spec, np.zeros(param_count(spec)), 1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sgd_step(blocks, [np.zeros((1, 1)), None], [dz], 1.0)
+        expected = np.multiply(np.add.reduce(dz, axis=0), 1.0)
+    assert scratch[dz.shape[1] : 2 * dz.shape[1]].tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.integers(1, 3), widths=st.lists(st.integers(1, 8), min_size=2, max_size=3),
+       activation=st.sampled_from(Activation), data=st.data())
+def test_row_bias_forward_is_the_broadcast_forward_bit_for_bit(records, widths, activation, data):
+    # The simulator keeps each bias as a (1, n) view, so a @ w + b adds
+    # without broadcasting at batch 1; every pre-activation and activation
+    # has the bits of the forward pass over 1-D biases, a @ w + b.
+    layers = [(data.draw(_doubles((n_in, n_out))), data.draw(_doubles((n_out,))))
+              for n_in, n_out in zip(widths, widths[1:])]
+    a = data.draw(_doubles((records, widths[0])))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        zs, acts = _forward_layers([(w, b.reshape(1, -1)) for w, b in layers], activation, a)
+        flat_zs, flat_acts = _forward_layers(layers, activation, a)
+        first = a @ layers[0][0] + layers[0][1]
+    assert all(z.shape == (records, w.shape[1]) for z, (w, _) in zip(zs, layers))
+    assert zs[0].tobytes() == first.tobytes()
+    assert [x.tobytes() for x in zs + acts] == [x.tobytes() for x in flat_zs + flat_acts]
+
+
 def _matmul_einsum(subscripts, a, dz, out):
     return np.matmul(a.T, dz, out=out)
 

@@ -41,6 +41,8 @@ from _step import gradients, sgd_step
 
 
 SPEC = ModelSpec((4, 3, 2))
+# The label scalars a record sends: every ledger check counts them.
+LABEL_WIDTH = SPEC.output_width
 
 
 def golden_shards(p=6, clients=2, seed=42):
@@ -130,13 +132,15 @@ def test_sync_batch_hand_off_per_batch():
     totals = run.ledger.totals_by_kind()
     assert totals[MessageKind.CLIENT_WEIGHTS] == 15 * 6  # one eta*N hand-off per batch
     assert totals[MessageKind.ACTIVATIONS] == 18
-    report = verify_against_model(run.ledger, golden_params(batch_size=1), Protocol.SPLIT_SYNC_BATCH)
+    report = verify_against_model(run.ledger, golden_params(batch_size=1, label_width=LABEL_WIDTH),
+                                  Protocol.SPLIT_SYNC_BATCH)
     assert report.matches
 
     run2 = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC_BATCH,
                               epochs=1, lr=0.01, seed=42, batch_size=2)
     assert run2.ledger.totals_by_kind()[MessageKind.CLIENT_WEIGHTS] == 15 * 4  # ceil(3/2) per client
-    assert verify_against_model(run2.ledger, golden_params(batch_size=2), Protocol.SPLIT_SYNC_BATCH).matches
+    assert verify_against_model(run2.ledger, golden_params(batch_size=2, label_width=LABEL_WIDTH),
+                                Protocol.SPLIT_SYNC_BATCH).matches
 
 
 def test_activation_traffic_is_batch_size_invariant():
@@ -406,13 +410,16 @@ def test_measured_comm_golden_run():
 def test_verify_golden_runs_exactly():
     shards = golden_shards()
     sync = run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=2, lr=0.01, seed=42)
-    assert verify_against_model(sync.ledger, golden_params(epochs=2), Protocol.SPLIT_SYNC).matches
+    assert verify_against_model(sync.ledger, golden_params(epochs=2, label_width=LABEL_WIDTH),
+                                Protocol.SPLIT_SYNC).matches
 
     alt = run_split_training(SPEC, 1, shards, Protocol.SPLIT_NOSYNC, epochs=4, lr=0.01, seed=42)
-    assert verify_against_model(alt.ledger, golden_params(epochs=4), Protocol.SPLIT_NOSYNC).matches
+    assert verify_against_model(alt.ledger, golden_params(epochs=4, label_width=LABEL_WIDTH),
+                                Protocol.SPLIT_NOSYNC).matches
 
     fed = run_federated_training(SPEC, shards, rounds=3, local_lr=0.01, seed=42)
-    assert verify_against_model(fed.ledger, golden_params(epochs=3), Protocol.FEDERATED).matches
+    assert verify_against_model(fed.ledger, golden_params(epochs=3, label_width=LABEL_WIDTH),
+                                Protocol.FEDERATED).matches
 
 
 def test_verify_alternating_cycle_equals_nosync_closed_form():
@@ -446,7 +453,7 @@ def test_verify_flags_injected_fault():
     run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
     run.ledger.append(0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3)
-    report = verify_against_model(run.ledger, golden_params(), Protocol.SPLIT_SYNC)
+    report = verify_against_model(run.ledger, golden_params(label_width=LABEL_WIDTH), Protocol.SPLIT_SYNC)
     assert not report.matches
     assert report.deltas == {MessageKind.ACTIVATIONS: 3}
     assert "Activations" in report.describe() and "+3" in report.describe()
@@ -462,7 +469,7 @@ def test_verify_flags_hand_off_credited_to_the_wrong_client():
             m = Message(m.epoch, client_id(2), client_id(1), m.kind, m.scalar_count)
         forged.append(*m)
     assert forged.totals_by_kind() == run.ledger.totals_by_kind()
-    report = verify_against_model(forged, golden_params(), Protocol.SPLIT_SYNC)
+    report = verify_against_model(forged, golden_params(label_width=LABEL_WIDTH), Protocol.SPLIT_SYNC)
     assert not report.matches
     assert report.deltas == {}
     assert report.client == client_id(1)
@@ -474,7 +481,7 @@ def test_verify_flags_a_message_no_client_owns():
     run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
     run.ledger.append(0, SERVER, client_id(3), MessageKind.GRADIENTS, 3)
-    report = verify_against_model(run.ledger, golden_params(), Protocol.SPLIT_SYNC)
+    report = verify_against_model(run.ledger, golden_params(label_width=LABEL_WIDTH), Protocol.SPLIT_SYNC)
     assert not report.matches
     assert report.client == client_id(3)
     assert report.deltas == {MessageKind.GRADIENTS: 3}
@@ -483,10 +490,11 @@ def test_verify_flags_a_message_no_client_owns():
 def test_verify_method_aliases():
     run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
                              epochs=1, lr=0.01, seed=42)
-    assert verify_against_model(run.ledger, golden_params(), Protocol.SPLIT_SYNC).matches
+    assert verify_against_model(run.ledger, golden_params(label_width=LABEL_WIDTH), Protocol.SPLIT_SYNC).matches
     alt = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_NOSYNC,
                              epochs=2, lr=0.01, seed=42)
-    assert verify_against_model(alt.ledger, golden_params(epochs=2), Protocol.SPLIT_NOSYNC).matches
+    assert verify_against_model(alt.ledger, golden_params(epochs=2, label_width=LABEL_WIDTH),
+                                Protocol.SPLIT_NOSYNC).matches
 
 
 def test_verify_lenient_shards():
@@ -494,7 +502,7 @@ def test_verify_lenient_shards():
     shards = partition_dataset(x, y, 2, strict=False)
     run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=1)
     params = golden_params(p=7)
-    assert verify_against_model(run.ledger, params, Protocol.SPLIT_SYNC).matches
+    assert verify_against_model(run.ledger, replace(params, label_width=LABEL_WIDTH), Protocol.SPLIT_SYNC).matches
     # forward+backward split traffic still totals 2 p q regardless of the remainder
     measured = measured_comm(run.ledger, params, Protocol.SPLIT_SYNC).total_scalars
     assert measured == comm_report(params, Protocol.SPLIT_SYNC, strict=False).total_scalars
@@ -544,15 +552,52 @@ def test_append_refuses_a_bad_message_and_changes_nothing(epoch, sender, receive
     with pytest.raises(InvalidParam):
         ledger.append(epoch, sender, receiver, kind, count)
     assert ledger_state(ledger) == before
+    # a turn of three two-message batches whose second message is the bad
+    # one's, its count in the first, the middle or the last batch
+    batch = ((client_id(1), SERVER, MessageKind.ACTIVATIONS), (sender, receiver, kind))
+    for bad in range(3):
+        counts = [3] * 6
+        counts[2 * bad + 1] = count
+        with pytest.raises(InvalidParam):
+            ledger.log_turn(epoch, batch, counts)
+        assert ledger_state(ledger) == before
     # the columns stay in step: the next message is read back whole
     ledger.append(2**31 - 1, SERVER, client_id(2), MessageKind.GRADIENTS, 2**63 - 1)
     assert list(ledger)[1:] == [Message(2**31 - 1, SERVER, client_id(2), MessageKind.GRADIENTS, 2**63 - 1)]
     assert ledger_state(ledger)[3].endswith(f"\n{2**31 - 1},server,client2,Gradients,{2**63 - 1}\n")
 
 
+@pytest.mark.parametrize("batch, counts", [
+    (((client_id(1), SERVER, MessageKind.ACTIVATIONS), (SERVER, client_id(1), MessageKind.GRADIENTS)), [3] * 5),
+    (((client_id(1), SERVER, MessageKind.ACTIVATIONS),) * 3, [3] * 4),
+    ((), []),
+    ((), [3]),
+], ids=["2-message-batches-5-counts", "3-message-batches-4-counts", "empty-batch", "empty-batch-1-count"])
+def test_log_turn_refuses_counts_that_are_not_whole_batches(batch, counts):
+    ledger = TrafficLedger()
+    ledger.append(0, client_id(1), SERVER, MessageKind.LABELS, 2)
+    before = ledger_state(ledger)
+    with pytest.raises(InvalidParam, match="not a whole number of"):
+        ledger.log_turn(0, batch, counts)
+    assert ledger_state(ledger) == before
+
+
+def test_a_turn_of_no_batches_logs_nothing_but_checks_its_batch():
+    ledger = TrafficLedger()
+    ledger.log_turn(0, ((client_id(1), SERVER, MessageKind.ACTIVATIONS),), [])
+    assert len(ledger) == 0 and ledger.tally() == {}
+    for epoch, batch in [(0, ((client_id(1), SERVER, "Activations"),)),
+                         (-1, ((client_id(1), SERVER, MessageKind.ACTIVATIONS),)),
+                         (0, (("client 1", SERVER, MessageKind.ACTIVATIONS),))]:
+        with pytest.raises(InvalidParam):
+            ledger.log_turn(epoch, batch, [])
+    assert ledger_state(ledger) == ([], {}, dict.fromkeys(MessageKind, 0), "epoch,sender,receiver,kind,scalar_count\n")
+
+
 def test_ledger_holds_a_message_in_24_bytes():
-    # ring-many-clients' pattern over 3 epochs, 115,968 messages: per record,
-    # Activations and Labels up and Gradients down; a hand-off ends each turn.
+    # ring-many-clients' pattern over 3 epochs, 115,968 messages, logged as
+    # the simulator logs them: one call per turn for its records' Activations
+    # and Labels up and Gradients down, then the hand-off that ends the turn.
     clients, records = 256, 50
     names = [client_id(k + 1) for k in range(clients)]
     tracemalloc.start()
@@ -561,10 +606,9 @@ def test_ledger_holds_a_message_in_24_bytes():
         ledger = TrafficLedger()
         for epoch in range(3):
             for k, me in enumerate(names):
-                for _ in range(records):
-                    ledger.append(epoch, me, SERVER, MessageKind.ACTIVATIONS, 4)
-                    ledger.append(epoch, me, SERVER, MessageKind.LABELS, 4)
-                    ledger.append(epoch, SERVER, me, MessageKind.GRADIENTS, 8)
+                batch = ((me, SERVER, MessageKind.ACTIVATIONS), (me, SERVER, MessageKind.LABELS),
+                         (SERVER, me, MessageKind.GRADIENTS))
+                ledger.log_turn(epoch, batch, [4, 4, 8] * records)
                 ledger.append(epoch, me, names[(k + 1) % clients], MessageKind.CLIENT_WEIGHTS, 172)
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
