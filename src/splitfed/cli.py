@@ -11,7 +11,8 @@ significant digits, "\n" line endings.
 
 Only simulate needs the simulator: ``protocol_sim`` and ``random_dataset``
 are names of this module that load, with numpy, on first use, so the other
-subcommands never import numpy.
+subcommands never import numpy. ``render_breakeven_svg`` loads the same way,
+so only breakeven --svg loads the SVG module.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fractions import Fraction
 from .cost_model import (
     MessageKind,
     Protocol,
+    SWEEP_FIELD_ORDER,
     SweepRow,
     break_even_curve,
     comm_report,
@@ -38,7 +40,6 @@ from .cost_model import (
 )
 from .errors import InvalidParam, ScenarioError, SplitFedError
 from .scenarios import PARAM_KEYS, _as_field, _parse_number, load_scenario, load_suite
-from .svg import render_breakeven_svg
 
 # cmd_simulate refuses anything bigger than these, before it allocates; the
 # simulator moves real tensors and is meant for desk-scale cross-checks, not
@@ -63,12 +64,19 @@ SIMULATE_MAX_DATA_SCALARS = 10**7
 # bytes each. A sync run of (4, 3, 2) at K = 10, p = 100,000 and 10 epochs
 # logs 3,000,100 messages and peaks at about 100 MB RSS (Python 3.11, numpy 2.4).
 SIMULATE_MAX_RECORD_EPOCHS = 10**6
-# breakeven refuses a --k-range with more points than this.
+# breakeven refuses a --k-range with more points than this, a bound on time
+# (about 6 s at the limit): a curve holds 8 B a point (N* in an array('d'),
+# an arithmetic range kept as a range) and its SVG document about 12.5 B a
+# point, held about twice while it is joined and written; 10**6 points with
+# --csv and --svg peak at about 48 MB RSS (Python 3.11, no numpy loaded).
 K_RANGE_MAX_POINTS = 10**6
 # sweep refuses a suite whose grids hold more cells than this, before it
-# expands them: it holds every cell's SweepRow in memory, 1,344 B a cell
-# (tracemalloc bytes still held once sweep returns, over the 576 cells of
-# tests/golden/inputs/grid.txt, 216 of them Error cells; Python 3.11).
+# expands them, a bound on time (about 2 s at the limit) and on the text held
+# without --csv. It holds one slice of a grid at a time (one value of the
+# outermost multi-valued axis), 1,344 B a cell of the slice (tracemalloc,
+# over the 576 cells of tests/golden/inputs/grid.txt, 216 of them Error
+# cells; Python 3.11); without --csv the formatted lines wait for the summary
+# line, about the CSV text, ~150 B a cell.
 SWEEP_MAX_CELLS = 10**5
 
 # The parameter columns of a report row, field -> key (bytes_per_scalar shows
@@ -84,12 +92,14 @@ CSV_HEADER = [
 
 
 def __getattr__(name: str):
-    """Load ``protocol_sim`` or ``random_dataset`` on first use; from then on the
-    name is an ordinary global, which a caller may replace."""
+    """Load ``protocol_sim``, ``random_dataset`` or ``render_breakeven_svg`` on first
+    use; from then on the name is an ordinary global, which a caller may replace."""
     if name == "protocol_sim":
         from . import protocol_sim as value
     elif name == "random_dataset":
         from .nn_core import random_dataset as value
+    elif name == "render_breakeven_svg":
+        from .svg import render_breakeven_svg as value
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
@@ -132,17 +142,19 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _write_cell(write, cell: SweepRow) -> None:
-    """One grid cell's CSV lines: an Error line, or a line per method. The columns
-    the methods share (parameters, rho, winner) are formatted once."""
+def _write_cell(write, cell: SweepRow) -> int:
+    """Write one grid cell's CSV lines, an Error line or a line per method, and
+    return how many. The columns the methods share (parameters, rho, winner)
+    are formatted once."""
     columns = ",".join(map(_fmt, _param_columns(cell.values)))
     if cell.error is not None:
         write(f"Error,{columns},,,,,,{_csv_field(cell.error)}\n")
-        return
+        return 1
     tail = f"{_fmt(cell.efficiency.rho)},{cell.efficiency.winner.value}\n"
     for method, r in cell.reports.items():
         write(f"{method.label},{columns},{_fmt(r.per_client_scalars)},{_fmt(r.total_scalars)},"
               f"{_fmt(r.per_client_bytes)},{_fmt(r.total_bytes)},{tail}")
+    return len(cell.reports)
 
 
 def compared_protocol(variant: str) -> Protocol:
@@ -263,9 +275,9 @@ def _k_int(item: str, where: str | int, least: int | None = None) -> int:
     raise InvalidParam(f"bad K range: need {where} >= {least}, got {shown}")
 
 
-def _parse_k_range(text: str) -> list[int]:
-    """A:B:STEP (arithmetic, inclusive), A:B:xF (geometric), or a comma list.
-    The points are counted before any list item is converted."""
+def _parse_k_range(text: str) -> range | list[int]:
+    """A:B:STEP (arithmetic, inclusive, as a ``range``), A:B:xF (geometric), or a
+    comma list. The points are counted before any list item is converted."""
     text = text.strip()
     if ":" not in text:
         items = text.split(",")
@@ -294,7 +306,7 @@ def _parse_k_range(text: str) -> list[int]:
         raise InvalidParam(f"--k-range has {count} points, more than {K_RANGE_MAX_POINTS}")
     if not count:
         raise InvalidParam("K range yields no client counts")
-    return list(values)
+    return values if isinstance(values, range) else list(values)
 
 
 def cmd_breakeven(args) -> int:
@@ -318,15 +330,29 @@ def cmd_breakeven(args) -> int:
     show, header = sys.stdout.write, [PARAM_KEYS["clients"], "N_break_even"]
     # each N* is formatted once, for its stdout line and its CSV line
     with _csv_lines(args.csv, header) if args.csv else contextlib.nullcontext() as write:
-        for k, n_star in curve.points:
+        for k, n_star in zip(curve.clients, curve.break_even_sizes):
             n_text = _fmt(n_star)
             show(f"  K={k:<10} N*={n_text}\n")
             if write:
                 write(f"{k},{n_text}\n")
     if args.svg:
-        render_breakeven_svg(curve, args.svg)
+        # read through the module at call time, so a replaced name is the one called
+        sys.modules[__name__].render_breakeven_svg(curve, args.svg)
         print(f"wrote {args.svg}")
     return 0
+
+
+def _grid_slices(grid: dict):
+    """``grid`` cut along its outermost multi-valued axis (``SWEEP_FIELD_ORDER``),
+    one grid per value, made as they are read: their sweeps, one after another,
+    give the whole grid's cells in its own order, and each holds only its slice."""
+    for name in SWEEP_FIELD_ORDER:
+        values = grid.get(name)
+        if isinstance(values, (list, tuple)) and len(values) > 1:
+            for value in values:
+                yield {**grid, name: value}
+            return
+    yield grid
 
 
 def cmd_sweep(args) -> int:
@@ -335,15 +361,23 @@ def cmd_sweep(args) -> int:
     if cells > SWEEP_MAX_CELLS:
         raise InvalidParam(f"sweep has {cells} cells, more than {SWEEP_MAX_CELLS}")
     strict = not args.lenient_shards
-    rows = []
-    for sc in scenarios:
-        grid = {**sc.grid(), "label_width": _label_width(sc, args)}
-        rows += sweep(grid, compared_protocol(args.variant or sc.variant), strict)
-    csv_rows = sum(1 if row.error is not None else len(row.reports) for row in rows)
-    print(f"swept {cells} parameter combinations ({csv_rows} CSV rows)")
-    with _csv_lines(args.csv, CSV_HEADER) as write:
-        for row in rows:
-            _write_cell(write, row)
+    # each slice's lines go out as one text; the summary comes first on stdout,
+    # so without --csv those texts wait
+    held: list[str] = []
+    with _csv_lines(args.csv, CSV_HEADER) if args.csv else contextlib.nullcontext(held.append) as write:
+        csv_rows = 0
+        for sc in scenarios:
+            grid = {**sc.grid(), "label_width": _label_width(sc, args)}
+            variant = compared_protocol(args.variant or sc.variant)
+            for part in _grid_slices(grid):
+                lines: list[str] = []
+                csv_rows += sum(_write_cell(lines.append, row) for row in sweep(part, variant, strict))
+                write("".join(lines))
+        print(f"swept {cells} parameter combinations ({csv_rows} CSV rows)")
+    if not args.csv:
+        with _csv_lines(None, CSV_HEADER) as write:
+            for text in held:
+                write(text)
     return 0
 
 

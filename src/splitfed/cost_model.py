@@ -28,11 +28,12 @@ scenarios included, run without numpy; ``nn_core`` re-exports them.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
 
 from .errors import CutOutOfRange, DivisibilityError, InvalidParam, SplitFedError
 
@@ -84,6 +85,8 @@ _KINDS = tuple(MessageKind)
 
 def reported(protocol: Protocol) -> tuple[Protocol, ...]:
     """A report's rows: REPORTED, plus ``protocol`` if REPORTED lacks it, in enum order."""
+    if protocol in REPORTED:
+        return REPORTED
     return tuple(p for p in Protocol if p in REPORTED or p is protocol)
 
 
@@ -281,15 +284,43 @@ class EfficiencyReport:
     winner: Winner
 
 
+class _Points(Sequence):
+    """(K, N*) pairs read off a curve's two columns, one pair at a time."""
+
+    __slots__ = ("_clients", "_sizes")
+
+    def __init__(self, clients: Sequence[int], sizes: Sequence[float]) -> None:
+        self._clients, self._sizes = clients, sizes
+
+    def __len__(self) -> int:
+        return len(self._sizes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Points(self._clients[i], self._sizes[i])
+        return self._clients[i], self._sizes[i]
+
+    def __iter__(self):
+        return zip(self._clients, self._sizes)
+
+
 @dataclass(frozen=True)
 class BreakEvenCurve:
-    """(K, N*) locus where rho = 1 for fixed (p, q, eta) and variant."""
+    """(K, N*) locus where rho = 1 for fixed (p, q, eta) and variant, as two
+    columns of one length: the client counts in ascending order (a ``range``
+    stays one) and the break-even model size N* at each, an ``array('d')``."""
 
     variant: Protocol
     dataset_size: int
     smashed_size: int
     client_fraction: float | Fraction
-    points: tuple[tuple[int, float], ...]
+    clients: Sequence[int]
+    break_even_sizes: array
+
+    @property
+    def points(self) -> Sequence[tuple[int, float]]:
+        """The (K, N*) pairs, a sized sequence made from the two columns as it is read."""
+        return _Points(self.clients, self.break_even_sizes)
 
 
 def _epoch_counts(protocol: Protocol, k: int, p: int, batch_size: int) -> tuple[int, int, int]:
@@ -415,7 +446,9 @@ def break_even_curve(
     A + B*N at each client count, labels left out. Scaled by v for eta = u/v
     (:func:`_scaled_line`), N* is a ratio of integers, so int / int rounds it
     correctly. Raises InvalidParam at a K where no positive N balances the
-    two, or where N* lies past the float range.
+    two, or where N* lies past the float range, before the curve exists.
+    An ascending ``range`` of client counts is kept as the curve's K column;
+    any other sequence is sorted and rid of repeats.
     """
     if dataset_size < 1 or smashed_size < 1:
         raise InvalidParam("break-even is undefined for p = 0 or q = 0")
@@ -426,21 +459,25 @@ def break_even_curve(
     u, v = client_fraction.as_integer_ratio()
     # Federated makes one round trip per client, so its line at K is K times its one-client line.
     a_f1, b_f1 = _scaled_line(Protocol.FEDERATED, 1, dataset_size, smashed_size, u, v)
-    points = []
-    for k in sorted(set(int(k) for k in clients_values)):
+    ks = (clients_values if isinstance(clients_values, range) and clients_values.step > 0
+          else sorted(set(map(int, clients_values))))
+    sizes = array("d")
+    for k in ks:
         a_s, b_s = _scaled_line(variant, k, dataset_size, smashed_size, u, v, batch_size)
         a_f, b_f = k * a_f1, k * b_f1
         if b_f <= b_s:
             raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={k}")
         try:
-            points.append((k, (a_s - a_f) / (b_f - b_s)))
+            sizes.append((a_s - a_f) / (b_f - b_s))
         except OverflowError:
             raise InvalidParam(f"the break-even model size at K={k} lies past the float range") from None
-    return BreakEvenCurve(variant, dataset_size, smashed_size, client_fraction, tuple(points))
+    return BreakEvenCurve(variant, dataset_size, smashed_size, client_fraction, ks, sizes)
 
 
 # Cartesian sweeps evaluate axes in this order, rightmost varying fastest.
 SWEEP_FIELD_ORDER = tuple(f.name for f in fields(ScenarioParams))
+# Each axis's value when a grid leaves it out; MISSING where a grid must give it.
+_SWEEP_DEFAULTS = tuple(f.default for f in fields(ScenarioParams))
 
 
 @dataclass(frozen=True)
@@ -460,19 +497,15 @@ def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, s
     example a divisibility violation in strict mode) become row-level error
     markers; the sweep itself never aborts.
     """
-    unknown = set(grid) - set(SWEEP_FIELD_ORDER)
+    unknown = grid.keys() - SWEEP_FIELD_ORDER
     if unknown:
         raise InvalidParam(f"unknown sweep parameters: {sorted(unknown)}")
     axes = []
-    for field in fields(ScenarioParams):
-        name = field.name
-        if name in grid:
-            value = grid[name]
-            values = list(value) if isinstance(value, (list, tuple)) else [value]
-        elif field.default is not MISSING:
-            values = [field.default]
-        else:
+    for name, default in zip(SWEEP_FIELD_ORDER, _SWEEP_DEFAULTS):
+        value = grid.get(name, default)
+        if value is MISSING:
             raise InvalidParam(f"sweep grid is missing required parameter {name!r}")
+        values = value if isinstance(value, (list, tuple)) else (value,)
         if not values:
             raise InvalidParam(f"sweep axis {name!r} is empty")
         axes.append(values)

@@ -8,16 +8,21 @@ data; below it federated averaging wins.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .cost_model import BreakEvenCurve
 
 _WIDTH, _HEIGHT = 640, 480
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 80, 24, 48, 56
+# The polyline's points are formatted and joined this many at a time.
+_POINTS_PER_BLOCK = 1024
 
 
-def _decade_range(values) -> tuple[int, int]:
-    lo = math.floor(min(math.log10(v) for v in values))
-    hi = math.ceil(max(math.log10(v) for v in values))
+def _decade_range(least: float, most: float) -> tuple[int, int]:
+    """The whole decades spanning [least, most]: log10 is monotone, so the logs
+    of the two ends bound the log of every value between them."""
+    lo = math.floor(math.log10(least))
+    hi = math.ceil(math.log10(most))
     if lo == hi:
         lo -= 1
         hi += 1
@@ -30,10 +35,19 @@ def _fmt_pow10(exponent: int) -> str:
 
 def render_breakeven_svg(curve: BreakEvenCurve, path: str | None = None) -> str:
     """Render the curve to an SVG document; optionally write it to ``path``."""
-    ks = [k for k, _ in curve.points]
-    ns = [n for _, n in curve.points]
-    x_lo, x_hi = _decade_range(ks)
-    y_lo, y_hi = _decade_range(ns)
+    document = _document(curve)  # its lines are freed before the document is written
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(document)
+    return document
+
+
+def _document(curve: BreakEvenCurve) -> str:
+    """The SVG text. The polyline takes one log10 per coordinate and is joined a
+    block of points at a time, so no string per point is held."""
+    ks, ns = curve.clients, curve.break_even_sizes
+    x_lo, x_hi = _decade_range(ks[0], ks[-1])  # the client counts ascend
+    y_lo, y_hi = _decade_range(min(ns), max(ns))
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
@@ -98,8 +112,9 @@ def render_breakeven_svg(curve: BreakEvenCurve, path: str | None = None) -> str:
         f'transform="rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.1f})">model size N</text>'
     )
 
-    points = " ".join(f"{sx(k):.1f},{sy(n):.1f}" for k, n in curve.points)
-    lines.append(f'<polyline points="{points}" fill="none" stroke="#1f4e9c" stroke-width="2"/>')
+    points = zip(ks, ns)
+    blocks = iter(lambda: " ".join(f"{sx(k):.1f},{sy(n):.1f}" for k, n in islice(points, _POINTS_PER_BLOCK)), "")
+    lines.append(f'<polyline points="{" ".join(blocks)}" fill="none" stroke="#1f4e9c" stroke-width="2"/>')
 
     # region labels on either side of the curve
     lines.append(
@@ -112,9 +127,5 @@ def render_breakeven_svg(curve: BreakEvenCurve, path: str | None = None) -> str:
         f'text-anchor="middle" font-family="sans-serif" font-size="12" fill="#9c3a1f">'
         f"federated learning cheaper</text>"
     )
-    lines.append("</svg>")
-    document = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(document)
-    return document
+    lines.append("</svg>\n")
+    return "\n".join(lines)

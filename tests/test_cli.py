@@ -1,10 +1,13 @@
 """Scenario files, built-in suites, and the four CLI subcommands."""
 
 import codecs
+import contextlib
 import csv
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -468,6 +471,26 @@ def test_breakeven_svg(tmp_path, capsys):
     assert "split learning cheaper" in text and "federated learning cheaper" in text
 
 
+def test_breakeven_csv_and_svg_hold_two_columns_not_a_string_per_point(tmp_path):
+    # 200,000 points: the K column stays a range, N* an array of 8 B a point,
+    # and the SVG document (12.5 B a point) is held about twice while it is
+    # joined and written, 33 B a point in all; holding the points as tuples
+    # and the polyline as a string per point peaked at 225 B a point
+    points = 200_000
+    csv_path, svg_path = tmp_path / "curve.csv", tmp_path / "curve.svg"
+    argv = ["breakeven", "--p", "615613", "--q", "4", "--eta", "3/5",
+            "--k-range", f"39:{38 + points}:1", "--csv", str(csv_path), "--svg", str(svg_path)]
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 50 * points
+    assert csv_path.read_text(encoding="utf-8").count("\n") == 1 + points
+
+
 def test_breakeven_bad_range_exits_3(capsys):
     assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "5:1:1"]) == 3
     assert main(["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "0,3"]) == 3
@@ -685,6 +708,25 @@ def test_sweep_refuses_too_many_cells_before_expanding_them(tmp_path, monkeypatc
     assert main(["sweep", "--scenario", "smartwatch"]) == 0
 
 
+def test_sweep_csv_holds_one_slice_of_its_grid(tmp_path, capsys):
+    # 40 values of K (the outermost axis) by 500 other cells: 20,000 cells, swept
+    # 500 at a time, 57 B a cell at the peak; holding every cell's SweepRow
+    # until the grid was swept peaked at 824 B a cell
+    axes = {"K": range(1, 41), "N": range(1000, 1025), "p": (1_000_000, 999, 720_720, 1000), "q": range(1, 6)}
+    scenario = tmp_path / "grid.txt"
+    scenario.write_text(RAW_TEXT + "".join(f"grid.{key} = {', '.join(map(str, values))}\n"
+                                           for key, values in axes.items()))
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--scenario", str(scenario), "--csv", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 20_000
+    assert capsys.readouterr().out.startswith("swept 20000 parameter combinations")
+
+
 def test_bad_grid_axes_report_the_same_error_under_every_hash_seed(tmp_path):
     # axes parse in table order, so the first bad axis named never depends on set iteration
     scenario = tmp_path / "bad-axes.txt"
@@ -789,3 +831,50 @@ def test_an_output_path_that_is_or_lies_under_a_non_directory_exits_2(tmp_path, 
     (tmp_path / "file.txt").write_text("")
     assert main(["analyze", "--scenario", "tiny-dense", "--csv", name]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {name}: {reason}\n")
+
+
+# --- the names the benchmark's tracer wraps ----------------------------------
+
+def _on_return(monkeypatch, name, hook):
+    """Replace ``cli.<name>`` with a wrapper that hands each result to ``hook``,
+    as the benchmark's tracer wraps the names cli imports."""
+    fn = getattr(cli, name)
+
+    def wrapped(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        hook(result)
+        return result
+
+    monkeypatch.setattr(cli, name, wrapped)
+
+
+def test_wrapped_names_return_what_the_outputs_hold(tmp_path, capsys, monkeypatch):
+    # the tracer counts sweep cells and Error cells with len() of each sweep
+    # result, break-even points with len(curve.points), and SVG bytes from the
+    # returned document
+    counts, slices, documents = Counter(), [], []
+
+    def on_sweep(rows):
+        counts.update(cells=len(rows), error_cells=sum(row.error is not None for row in rows))
+        slices.append({row.values["clients"] for row in rows})
+
+    _on_return(monkeypatch, "sweep", on_sweep)
+    _on_return(monkeypatch, "break_even_curve", lambda curve: counts.update(points=len(curve.points)))
+    _on_return(monkeypatch, "render_breakeven_svg", documents.append)
+
+    scenario = tmp_path / "grid.txt"
+    scenario.write_text(RAW_TEXT + "grid.K = 1, 3, 100, 7\ngrid.N = 1000, 1_000_000\ngrid.p = 1_000_000, 999\n")
+    sweep_csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", str(scenario), "--csv", str(sweep_csv)]) == 0
+    rows = sweep_csv.read_text().splitlines()[1:]
+    errors = sum(row.startswith("Error,") for row in rows)
+    assert counts["cells"] == 16 == errors + (len(rows) - errors) // 3
+    assert counts["error_cells"] == errors == 8
+    assert capsys.readouterr().out == f"swept 16 parameter combinations ({len(rows)} CSV rows)\nwrote {sweep_csv}\n"
+    assert slices == [{1}, {3}, {100}, {7}]  # one sweep per value of the outermost axis
+
+    curve_csv, svg = tmp_path / "curve.csv", tmp_path / "curve.svg"
+    assert main(["breakeven", "--p", "1000", "--q", "10", "--eta", "0.5", "--k-range", "2:2001:1",
+                 "--csv", str(curve_csv), "--svg", str(svg)]) == 0
+    assert counts["points"] == len(curve_csv.read_text().splitlines()) - 1 == 2000
+    assert [document.encode("utf-8") for document in documents] == [svg.read_bytes()]

@@ -31,6 +31,7 @@ CLOSED_FORMS_SCRIPT = """
 import sys
 from splitfed.cli import main
 
+assert "splitfed.svg" not in sys.modules  # loaded by breakeven --svg, on first use
 raw, simulator = sys.argv[1], sys.argv[2].split(",")
 for scenario in (raw, "tiny-dense"):
     for command, *outputs in (["analyze", "--csv", "a.csv"], ["sweep", "--csv", "s.csv"],
