@@ -72,12 +72,13 @@ SIMULATE_MAX_RECORD_EPOCHS = 10**6
 K_RANGE_MAX_POINTS = 10**6
 # sweep refuses a suite whose grids hold more cells than this, before it
 # expands them, a bound on time (about 2 s at the limit) and on the text held
-# without --csv. It holds one slice of a grid at a time (one value of the
-# outermost multi-valued axis), 1,344 B a cell of the slice (tracemalloc,
-# over the 576 cells of tests/golden/inputs/grid.txt, 216 of them Error
-# cells; Python 3.11); without --csv the formatted lines wait for the summary
-# line, about the CSV text, ~150 B a cell.
+# without --csv. It sweeps a grid a slice of at most SWEEP_SLICE_CELLS cells
+# at a time, and a slice's SweepRows take 1,344 B a cell (tracemalloc, over
+# the 576 cells of tests/golden/inputs/grid.txt, 216 of them Error cells;
+# Python 3.11); without --csv the formatted lines wait for the summary line,
+# about the CSV text, ~150 B a cell.
 SWEEP_MAX_CELLS = 10**5
+SWEEP_SLICE_CELLS = 500
 
 # The parameter columns of a report row, field -> key (bytes_per_scalar shows
 # only in the byte columns, batch_size in none), and the getter that reads them
@@ -342,17 +343,26 @@ def cmd_breakeven(args) -> int:
     return 0
 
 
-def _grid_slices(grid: dict):
-    """``grid`` cut along its outermost multi-valued axis (``SWEEP_FIELD_ORDER``),
-    one grid per value, made as they are read: their sweeps, one after another,
-    give the whole grid's cells in its own order, and each holds only its slice."""
-    for name in SWEEP_FIELD_ORDER:
-        values = grid.get(name)
-        if isinstance(values, (list, tuple)) and len(values) > 1:
-            for value in values:
-                yield {**grid, name: value}
-            return
-    yield grid
+def _grid_slices(grid: dict, cells: int):
+    """``grid`` cut into grids of at most ``cells`` cells, made as they are read:
+    runs of consecutive values of its outermost multi-valued axis
+    (``SWEEP_FIELD_ORDER``), or, when one value already spans more cells, each
+    value's grid cut the same way along the next axis. Their sweeps, one after
+    another, give the whole grid's cells in its own order."""
+    multi = [name for name in SWEEP_FIELD_ORDER
+             if isinstance(grid.get(name), (list, tuple)) and len(grid[name]) > 1]
+    if not multi or math.prod(len(grid[name]) for name in multi) <= cells:
+        yield grid
+        return
+    outer, values = multi[0], grid[multi[0]]
+    inner = math.prod(len(grid[name]) for name in multi[1:])
+    if inner > cells:
+        for value in values:
+            yield from _grid_slices({**grid, outer: value}, cells)
+    else:
+        step = cells // inner
+        for i in range(0, len(values), step):
+            yield {**grid, outer: values[i:i + step]}
 
 
 def cmd_sweep(args) -> int:
@@ -361,15 +371,16 @@ def cmd_sweep(args) -> int:
     if cells > SWEEP_MAX_CELLS:
         raise InvalidParam(f"sweep has {cells} cells, more than {SWEEP_MAX_CELLS}")
     strict = not args.lenient_shards
+    # every scenario's grid and protocol are checked before the CSV file is opened
+    runs = [({**sc.grid(), "label_width": _label_width(sc, args)}, compared_protocol(args.variant or sc.variant))
+            for sc in scenarios]
     # each slice's lines go out as one text; the summary comes first on stdout,
     # so without --csv those texts wait
     held: list[str] = []
     with _csv_lines(args.csv, CSV_HEADER) if args.csv else contextlib.nullcontext(held.append) as write:
         csv_rows = 0
-        for sc in scenarios:
-            grid = {**sc.grid(), "label_width": _label_width(sc, args)}
-            variant = compared_protocol(args.variant or sc.variant)
-            for part in _grid_slices(grid):
+        for grid, variant in runs:
+            for part in _grid_slices(grid, SWEEP_SLICE_CELLS):
                 lines: list[str] = []
                 csv_rows += sum(_write_cell(lines.append, row) for row in sweep(part, variant, strict))
                 write("".join(lines))

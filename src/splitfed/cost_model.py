@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from typing import Mapping, Sequence
 
 from .errors import CutOutOfRange, DivisibilityError, InvalidParam, SplitFedError
 
@@ -85,8 +85,6 @@ _KINDS = tuple(MessageKind)
 
 def reported(protocol: Protocol) -> tuple[Protocol, ...]:
     """A report's rows: REPORTED, plus ``protocol`` if REPORTED lacks it, in enum order."""
-    if protocol in REPORTED:
-        return REPORTED
     return tuple(p for p in Protocol if p in REPORTED or p is protocol)
 
 
@@ -284,26 +282,6 @@ class EfficiencyReport:
     winner: Winner
 
 
-class _Points(Sequence):
-    """(K, N*) pairs read off a curve's two columns, one pair at a time."""
-
-    __slots__ = ("_clients", "_sizes")
-
-    def __init__(self, clients: Sequence[int], sizes: Sequence[float]) -> None:
-        self._clients, self._sizes = clients, sizes
-
-    def __len__(self) -> int:
-        return len(self._sizes)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _Points(self._clients[i], self._sizes[i])
-        return self._clients[i], self._sizes[i]
-
-    def __iter__(self):
-        return zip(self._clients, self._sizes)
-
-
 @dataclass(frozen=True)
 class BreakEvenCurve:
     """(K, N*) locus where rho = 1 for fixed (p, q, eta) and variant, as two
@@ -318,9 +296,9 @@ class BreakEvenCurve:
     break_even_sizes: array
 
     @property
-    def points(self) -> Sequence[tuple[int, float]]:
-        """The (K, N*) pairs, a sized sequence made from the two columns as it is read."""
-        return _Points(self.clients, self.break_even_sizes)
+    def points(self) -> tuple[tuple[int, float], ...]:
+        """The (K, N*) pairs, built from the two columns on each read."""
+        return tuple(zip(self.clients, self.break_even_sizes))
 
 
 def _epoch_counts(protocol: Protocol, k: int, p: int, batch_size: int) -> tuple[int, int, int]:
@@ -476,8 +454,6 @@ def break_even_curve(
 
 # Cartesian sweeps evaluate axes in this order, rightmost varying fastest.
 SWEEP_FIELD_ORDER = tuple(f.name for f in fields(ScenarioParams))
-# Each axis's value when a grid leaves it out; MISSING where a grid must give it.
-_SWEEP_DEFAULTS = tuple(f.default for f in fields(ScenarioParams))
 
 
 @dataclass(frozen=True)
@@ -497,15 +473,19 @@ def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, s
     example a divisibility violation in strict mode) become row-level error
     markers; the sweep itself never aborts.
     """
-    unknown = grid.keys() - SWEEP_FIELD_ORDER
+    unknown = set(grid) - set(SWEEP_FIELD_ORDER)
     if unknown:
         raise InvalidParam(f"unknown sweep parameters: {sorted(unknown)}")
     axes = []
-    for name, default in zip(SWEEP_FIELD_ORDER, _SWEEP_DEFAULTS):
-        value = grid.get(name, default)
-        if value is MISSING:
+    for field in fields(ScenarioParams):
+        name = field.name
+        if name in grid:
+            value = grid[name]
+            values = list(value) if isinstance(value, (list, tuple)) else [value]
+        elif field.default is not MISSING:
+            values = [field.default]
+        else:
             raise InvalidParam(f"sweep grid is missing required parameter {name!r}")
-        values = value if isinstance(value, (list, tuple)) else (value,)
         if not values:
             raise InvalidParam(f"sweep axis {name!r} is empty")
         axes.append(values)

@@ -74,29 +74,8 @@ class TrafficLedger:
         self._tally: list[list[int] | None] = [None]  # per endpoint: scalars it owns by kind code, or None
 
     def append(self, epoch: int, sender: str, receiver: str, kind: MessageKind, scalar_count: int) -> None:
-        """Log one message, checked whole before any column grows, as
-        :meth:`log_turn` logs a turn of one: anything it refuses raises
-        :class:`InvalidParam` and leaves the ledger as it was."""
-        if not (type(kind) is MessageKind and type(epoch) is int and type(scalar_count) is int
-                and 0 <= epoch < _EPOCH_END and 0 <= scalar_count < _COUNT_END):
-            raise _message_error(Message(epoch, sender, receiver, kind, scalar_count))
-        try:
-            s, r = self._index[sender], self._index[receiver]
-        except (KeyError, TypeError):
-            self._register(sender, receiver)
-            s, r = self._index[sender], self._index[receiver]
-        code = _KIND_CODES[kind]
-        self._epochs.append(epoch)
-        self._senders.append(s)
-        self._receivers.append(r)
-        self._kinds.append(code)
-        self._counts.append(scalar_count)
-        owner = s or r  # the client that sends it, or the client the server (0) sends it to
-        try:
-            self._tally[owner][code] += scalar_count
-        except TypeError:  # the owner's first message
-            self._tally[owner] = row = [0] * len(_KINDS)
-            row[code] = scalar_count
+        """Log one message: the one-message case of :meth:`log_turn`."""
+        self.log_turn(epoch, ((sender, receiver, kind),), (scalar_count,))
 
     def log_turn(self, epoch: int, batch: Sequence[tuple[str, str, MessageKind]], counts: Sequence[int]) -> None:
         """Log a turn's messages in ``epoch``, checked whole before any column

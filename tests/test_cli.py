@@ -710,8 +710,8 @@ def test_sweep_refuses_too_many_cells_before_expanding_them(tmp_path, monkeypatc
 
 def test_sweep_csv_holds_one_slice_of_its_grid(tmp_path, capsys):
     # 40 values of K (the outermost axis) by 500 other cells: 20,000 cells, swept
-    # 500 at a time, 57 B a cell at the peak; holding every cell's SweepRow
-    # until the grid was swept peaked at 824 B a cell
+    # 500 at a time; holding every cell's SweepRow until the grid was swept
+    # peaked at 824 B a cell
     axes = {"K": range(1, 41), "N": range(1000, 1025), "p": (1_000_000, 999, 720_720, 1000), "q": range(1, 6)}
     scenario = tmp_path / "grid.txt"
     scenario.write_text(RAW_TEXT + "".join(f"grid.{key} = {', '.join(map(str, values))}\n"
@@ -725,6 +725,36 @@ def test_sweep_csv_holds_one_slice_of_its_grid(tmp_path, capsys):
         tracemalloc.stop()
     assert peak < 100 * 20_000
     assert capsys.readouterr().out.startswith("swept 20000 parameter combinations")
+
+
+def test_sweep_slices_hold_at_most_their_cells_in_grid_order(tmp_path, capsys, monkeypatch):
+    # 3 values of K by 2 of N by 5 of p: any slice bound gives the same bytes,
+    # sweeping runs of K values, runs of N values within one K, or runs of p
+    scenario = tmp_path / "grid.txt"
+    scenario.write_text(RAW_TEXT + "grid.K = 1, 3, 100\ngrid.N = 1000, 1_000_000\n"
+                        "grid.p = 1_000_000, 999, 720_720, 1000, 7\n")
+    assert main(["sweep", "--scenario", str(scenario)]) == 0
+    whole = capsys.readouterr().out
+    sizes = []
+    _on_return(monkeypatch, "sweep", lambda rows: sizes.append(len(rows)))
+    for cells, expected in [(30, [30]), (20, [20, 10]), (10, [10] * 3), (9, [5] * 6), (4, [4, 1] * 6),
+                            (1, [1] * 30)]:
+        monkeypatch.setattr(cli, "SWEEP_SLICE_CELLS", cells)
+        sizes.clear()
+        assert main(["sweep", "--scenario", str(scenario)]) == 0
+        assert capsys.readouterr().out == whole
+        assert sizes == expected
+
+
+def test_a_sweep_refused_after_its_cells_are_counted_leaves_the_csv_as_it_was(tmp_path, capsys):
+    # eta is checked when a grid's parameters are built, before the CSV file is opened
+    scenario = tmp_path / "bad-eta.txt"
+    scenario.write_text(RAW_TEXT.replace("eta = 0.1", "eta = 2") + "grid.K = 1, 2\n")
+    out = tmp_path / "sweep.csv"
+    out.write_text("old,data\n")
+    assert main(["sweep", "--scenario", str(scenario), "--csv", str(out)]) == 3
+    assert out.read_text() == "old,data\n"
+    assert capsys.readouterr() == ("", "error: client_fraction must lie in [0, 1], got 2.0\n")
 
 
 def test_bad_grid_axes_report_the_same_error_under_every_hash_seed(tmp_path):
@@ -865,13 +895,14 @@ def test_wrapped_names_return_what_the_outputs_hold(tmp_path, capsys, monkeypatc
     scenario = tmp_path / "grid.txt"
     scenario.write_text(RAW_TEXT + "grid.K = 1, 3, 100, 7\ngrid.N = 1000, 1_000_000\ngrid.p = 1_000_000, 999\n")
     sweep_csv = tmp_path / "sweep.csv"
+    monkeypatch.setattr(cli, "SWEEP_SLICE_CELLS", 8)
     assert main(["sweep", "--scenario", str(scenario), "--csv", str(sweep_csv)]) == 0
     rows = sweep_csv.read_text().splitlines()[1:]
     errors = sum(row.startswith("Error,") for row in rows)
     assert counts["cells"] == 16 == errors + (len(rows) - errors) // 3
     assert counts["error_cells"] == errors == 8
     assert capsys.readouterr().out == f"swept 16 parameter combinations ({len(rows)} CSV rows)\nwrote {sweep_csv}\n"
-    assert slices == [{1}, {3}, {100}, {7}]  # one sweep per value of the outermost axis
+    assert slices == [{1, 3}, {100, 7}]  # runs of the outermost axis's values, 8 cells a sweep
 
     curve_csv, svg = tmp_path / "curve.csv", tmp_path / "curve.svg"
     assert main(["breakeven", "--p", "1000", "--q", "10", "--eta", "0.5", "--k-range", "2:2001:1",

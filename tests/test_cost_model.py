@@ -475,10 +475,7 @@ def test_break_even_curve_keeps_two_columns():
     ks = range(3, 3000, 7)
     curve = break_even_curve(1000, 10, Fraction(1, 3), ks, Protocol.SPLIT_SYNC)
     assert curve.clients is ks and curve.break_even_sizes.typecode == "d"
-    assert len(curve.points) == len(ks)
-    assert list(curve.points) == [(k, break_even_at(1000, 10, k, Fraction(1, 3))) for k in ks]
-    assert curve.points[-1] == (ks[-1], curve.break_even_sizes[-1])
-    assert list(curve.points[2:5]) == list(curve.points)[2:5]
+    assert curve.points == tuple((k, break_even_at(1000, 10, k, Fraction(1, 3))) for k in ks)
     # any other sequence of client counts is sorted and rid of repeats
     assert break_even_curve(1000, 10, 0.5, [10, 1, 10]).clients == [1, 10]
     assert break_even_curve(1000, 10, 0.5, range(10, 0, -3)).clients == [1, 4, 7, 10]
