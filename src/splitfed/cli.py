@@ -203,8 +203,8 @@ def cmd_simulate(args) -> int:
     if not sc.is_model_form:
         raise ScenarioError("simulate needs a model-form scenario (layer_widths + cut_index)")
     variant = Protocol(args.variant or sc.variant)
-    if not math.isfinite(args.lr):
-        raise InvalidParam(f"--lr must be finite, got {args.lr}")
+    if not (math.isfinite(args.lr) and args.lr >= 0):  # a negative rate climbs the loss; 0 moves only traffic
+        raise InvalidParam(f"--lr must be finite and >= 0, got {args.lr}")
     params = replace(sc.params(), label_width=_label_width(sc, args))
     k, n, p, epochs = params.clients, params.model_params, params.dataset_size, params.epochs
     held = (("epochs*K*N", epochs * k * n, SIMULATE_MAX_FOLDED_SCALARS) if variant is Protocol.FEDERATED
@@ -432,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the protocol simulator and cross-check the ledger")
     common(p_sim)
     p_sim.add_argument("--loss-csv", metavar="PATH", default=None, help="write per-epoch loss CSV")
-    p_sim.add_argument("--lr", type=float, default=0.01, help="SGD learning rate (default 0.01)")
+    p_sim.add_argument("--lr", type=float, default=0.01, help="SGD learning rate, finite and >= 0 (default 0.01)")
     p_sim.add_argument("--inject-fault", action="store_true",
                        help="append one bogus message before verification (self-test)")
     p_sim.set_defaults(func=cmd_simulate)

@@ -10,11 +10,19 @@ Parameter vectors are flat float64 arrays, layer-major, weights before bias
 within each layer; weight matrices are stored input-major, i.e. layer i maps
 a batch ``a`` to ``a @ W_i + b_i`` with ``W_i`` of shape
 ``(layer_widths[i], layer_widths[i+1])``.
+
+A training step is planned once per run and batch size (:class:`StepPlan`):
+fixed lists of numpy calls on preallocated buffers, the batch-1 bias gradient
+written by the weight gradient's outer product, and the losses of many
+batches reduced in one call (:func:`batch_losses`). Every step has the bits
+of the plain expressions (``a @ W + b``, ``np.mean(diff**2)``,
+``params -= lr * grads``).
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -148,90 +156,163 @@ def _check_batch(batch, width: int, name: str) -> np.ndarray:
     return arr
 
 
-def _apply_activation(activation: Activation, z: np.ndarray) -> np.ndarray:
-    if activation is Activation.IDENTITY:
-        return z
-    if activation is Activation.RELU:
-        return np.maximum(z, _ZERO)
-    return _ONE / (_ONE + np.exp(-z))
-
-
-def _forward_layers(layers, activation: Activation, batch: np.ndarray):
-    """Run every layer in order; the last one stays linear.
-
-    Returns (pre_activations, activations) with activations[0] = batch. The
-    caller sets ``np.errstate``: a sigmoid of a large negative pre-activation
-    overflows ``exp`` on its way to 0.
-    """
-    zs = []
-    acts = [batch]
-    a = batch
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        zs.append(z)
-        a = z if i == last else _apply_activation(activation, z)
-        acts.append(a)
-    return zs, acts
-
-
-def _mse_and_grad(outputs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    diff = outputs - labels
-    # np.mean(diff**2) to the bit, without np.mean's dispatch; one IEEE division, as a Python float
-    loss = float(np.add.reduce(diff * diff, axis=None)) / diff.size
-    return loss, (2.0 / diff.size) * diff
-
-
-def _backward_layers(layers, activation: Activation, zs, acts, upstream: np.ndarray):
-    """Reverse pass over every layer of a :func:`_forward_layers` trace.
-
-    ``upstream`` is the loss gradient w.r.t. the output. Returns
-    ``(act_grads, dzs)``: ``act_grads[j]`` = d loss / d acts[j] for j >= 1
-    (index 0, the input batch's gradient, which no step reads, is None), and
-    ``dzs[i]`` = d loss / d zs[i], the delta from which :func:`sgd_step` forms
-    layer i's weight and bias gradients. The weights are only read.
-    """
-    g = upstream
-    act_grads: list = [None] * len(layers) + [upstream]
-    dzs: list = [None] * len(layers)
-    last = len(layers) - 1
-    for i in reversed(range(len(layers))):
-        if i == last or activation is Activation.IDENTITY:
-            dz = g
-        elif activation is Activation.RELU:
-            dz = g * (zs[i] > _ZERO)
-        else:
-            s = acts[i + 1]  # the sigmoid of zs[i], as the forward pass computed it
-            dz = g * (s * (_ONE - s))
-        dzs[i] = dz
-        if i:
-            g = act_grads[i] = dz @ layers[i][0].T
-    return act_grads, dzs
-
-
 # Scalars of the flat vector one sgd_step block covers (512 KB): the block's
 # gradient is written and subtracted while it is still in L2 cache.
 SGD_BLOCK = 1 << 16
+# Scalars of the differences a plan holds for batch_losses (256 KB), unless
+# one batch's are more: a shard's labels are not held twice.
+DIFF_BLOCK = 1 << 15
 
 
-def sgd_plan(spec: ModelSpec, params: np.ndarray, batch_size: int, block: int = SGD_BLOCK):
+class StepPlan:
+    """One training step on batches of ``records`` records, planned once per run.
+
+    Every array the step writes is a buffer made here, so forward, backward
+    and the SGD blocks are fixed lists of numpy calls bound to those buffers
+    and to views of ``params``. The buffers are scratch, overwritten by the
+    next step; the ones a caller reads:
+
+    * ``acts[j]``, the activations at boundary j, (records, width j): index 0
+      holds the batch, the last the outputs, and index c is what crosses a
+      cut at c. At one record, each layer's input is the first columns of a
+      ``(1, width + 1)`` record whose last entry is 1, so the outer product of
+      the weight gradient also writes the bias gradient (see :func:`sgd_plan`).
+    * ``zs[i]``, layer i's pre-activations; for the last layer and identity
+      layers it is ``acts[i + 1]`` itself.
+    * ``dzs[i]``, d loss / d zs[i]; ``act_grads[j]``, d loss / d acts[j] for
+      j >= 1 (index 0 is None; the last is the loss gradient, ``dzs[-1]``).
+    * ``diffs``, the outputs minus the labels of up to ``batches`` batches,
+      one row per batch, and at most DIFF_BLOCK scalars unless one row is
+      wider; :func:`batch_losses` squares and sums them.
+    * ``scratch`` and ``blocks``, the SGD plan of :func:`sgd_plan`.
+
+    Each call keeps the kernel and operand order of the expression in its
+    comment, so a step has that expression's bits.
+    """
+
+    def __init__(self, spec: ModelSpec, params: np.ndarray, records: int, batches: int = 1,
+                 block: int = SGD_BLOCK) -> None:
+        layers = unpack_params(spec, params)
+        widths, last, activation = spec.layer_widths, len(layers) - 1, spec.activation
+        one = records == 1
+        inputs = [np.ones((1, n + 1)) if one else np.empty((records, n)) for n in widths[:-1]]
+        self.records = records
+        self.acts = [a[:, :n] for a, n in zip(inputs, widths)] + [np.empty((records, widths[-1]))]
+        self.zs, self.forward = [], []
+        for i, (w, b) in enumerate(layers):
+            a, out = self.acts[i], self.acts[i + 1]
+            hidden = i < last and activation is not Activation.IDENTITY
+            z = np.empty(out.shape) if hidden else out
+            self.zs.append(z)
+            # a @ w + b, the product in a buffer of its own: numpy adds a
+            # one-scalar operand into itself in the other order, which keeps
+            # the other payload of two NaNs
+            product = np.empty(out.shape)
+            self.forward += [partial(_matmul(w.shape[0]), a, w, product), partial(np.add, product, b.reshape(1, -1), z)]
+            if hidden and activation is Activation.RELU:
+                self.forward.append(partial(np.maximum, z, _ZERO, out=out))
+            elif hidden:  # 1 / (1 + exp(-z))
+                self.forward += [partial(np.negative, z, out), partial(np.exp, out, out),
+                                 partial(np.add, _ONE, out, out), partial(np.divide, _ONE, out, out)]
+
+        rows = max(1, min(batches, DIFF_BLOCK // (records * widths[-1])))
+        self.diffs = np.empty((rows, records, widths[-1]))
+        self.scale = np.array(2.0 / (records * widths[-1]))  # d mean / d diff = (2 / size) * diff
+        self.dzs: list = [None] * len(layers)
+        self.act_grads: list = [None] * len(layers) + [np.empty(self.acts[-1].shape)]
+        self.backward = []
+        for i in reversed(range(len(layers))):
+            g = self.act_grads[i + 1]
+            if i == last or activation is Activation.IDENTITY:
+                dz = g
+            elif activation is Activation.RELU:  # g * (z > 0)
+                dz = np.empty(g.shape)
+                self.backward += [partial(np.greater, self.zs[i], _ZERO, dz), partial(np.multiply, g, dz, dz)]
+            else:  # g * (s * (1 - s)), s the sigmoid of z as the forward pass computed it
+                dz, s = np.empty(g.shape), self.acts[i + 1]
+                self.backward += [partial(np.subtract, _ONE, s, dz), partial(np.multiply, s, dz, dz),
+                                  partial(np.multiply, g, dz, dz)]
+            self.dzs[i] = dz
+            if i:  # dz @ w.T
+                self.act_grads[i] = np.empty(self.acts[i].shape)
+                w = layers[i][0]
+                self.backward.append(partial(_matmul(w.shape[1]), dz, w.T, self.act_grads[i]))
+        self.scratch, self.blocks = sgd_plan(spec, params, inputs if one else self.acts[:-1], self.dzs, block)
+
+
+def _matmul(inner: int):
+    """The kernel of a product that sums ``inner`` terms per entry, with the
+    bits of ``np.matmul``: ``np.dot``, which skips the ufunc machinery, except
+    over one term, where dot scales without adding to +0.0 (so -0.0 stays
+    -0.0, and BLAS's scaling by 0 turns inf and NaN into 0)."""
+    return np.dot if inner > 1 else np.matmul
+
+
+def _forward_layers(plan: StepPlan, batch: np.ndarray) -> None:
+    """Copy ``batch`` into ``plan.acts[0]`` and run every layer in order; the
+    last one stays linear. The caller sets ``np.errstate``: a sigmoid of a
+    large negative pre-activation overflows ``exp`` on its way to 0."""
+    plan.acts[0][...] = batch
+    for call in plan.forward:
+        call()
+
+
+def _mse_and_grad(plan: StepPlan, labels: np.ndarray, batch: int) -> None:
+    """Write the outputs minus ``labels`` into row ``batch`` of ``plan.diffs``
+    and the loss gradient ``(2 / size) * diff`` into ``plan.dzs[-1]``; the
+    loss itself is reduced by :func:`batch_losses`, once for all the rows."""
+    diff = plan.diffs[batch]
+    np.subtract(plan.acts[-1], labels, out=diff)
+    np.multiply(plan.scale, diff, out=plan.dzs[-1])
+
+
+def _backward_layers(plan: StepPlan) -> None:
+    """Reverse pass from the loss gradient :func:`_mse_and_grad` wrote: every
+    ``dzs[i]`` and ``act_grads[j]`` of the plan. The weights are only read."""
+    for call in plan.backward:
+        call()
+
+
+def batch_losses(plan: StepPlan, batches: int) -> np.ndarray:
+    """The mean squared error of each of the first ``batches`` rows of
+    ``plan.diffs``, squared in place and summed row by row in one call: each
+    has the bits of ``np.mean((outputs - labels) ** 2)`` over its batch."""
+    squares = plan.diffs[:batches].reshape(batches, -1)
+    np.multiply(squares, squares, out=squares)
+    return np.add.reduce(squares, axis=1) / squares.shape[1]
+
+
+def sgd_plan(spec: ModelSpec, params: np.ndarray, inputs, dzs, block: int = SGD_BLOCK):
     """The blocks :func:`sgd_step` walks over ``params``, and their one scratch.
 
+    ``inputs[i]`` is layer i's input buffer and ``dzs[i]`` its delta. At one
+    record the input has a trailing 1, and a layer's weights and bias, which
+    lie together in the flat vector, are its ``n_in + 1`` rows of ``n_out``:
+    the outer product of the record with the delta writes them all, the bias
+    as ``1 * dz`` added to +0.0, the bits of the delta's one-row sum. Over
+    more records each weight matrix is ``a.T @ dz`` and each bias ``dz``
+    summed over the records.
+
     Each block is a contiguous run of the flat vector of at most ``block``
-    scalars, cut only between whole units: a weight row and a bias at batch 1,
-    a layer's whole weight matrix and a bias otherwise (BLAS may round a
-    subset of a multi-record product's rows differently from the whole). A
-    unit wider than ``block`` is a block of its own. Returns ``(scratch,
-    blocks)``; a block is ``(params view, scratch view, weights, biases)``, with
-    ``(layer, rows, dW view)`` per weight piece (``rows`` None for all of the
-    layer's rows) and ``(layer, db view)`` per bias, the views into scratch.
+    scalars, cut only between whole units: a row at one record, a layer's
+    whole weight matrix and a bias otherwise (BLAS may round a subset of a
+    multi-record product's rows differently from the whole). A unit wider
+    than ``block`` is a block of its own. Returns ``(scratch, blocks)``; a
+    block is ``(params view, scratch view, grads)``, ``grads`` the calls that
+    write its gradient into the scratch view.
     """
     if params.shape != (param_count(spec),):
         raise LengthMismatch(f"expected {param_count(spec)} parameters, got shape {params.shape}")
+    # At one record, dW = a.T @ dz is an outer product, and numpy's einsum
+    # kernel writes it ~3x faster than BLAS. Like matmul it adds each product
+    # to +0.0, so the bits agree, but for which payload a product of two NaNs
+    # keeps. Over more records einsum sums in another order than BLAS, so
+    # larger batches stay with matmul.
+    one = dzs[0].shape[0] == 1
     shapes = list(pairwise(spec.layer_widths))
     spans, lo, hi = [], 0, 0
     for n_in, n_out in shapes:
-        for width in ([n_out] * n_in if batch_size == 1 else [n_in * n_out]) + [n_out]:
+        for width in [n_out] * (n_in + 1) if one else [n_in * n_out, n_out]:
             if hi > lo and hi - lo + width > block:
                 spans.append((lo, hi))
                 lo = hi
@@ -240,49 +321,37 @@ def sgd_plan(spec: ModelSpec, params: np.ndarray, batch_size: int, block: int = 
     scratch = np.empty(max(hi - lo for lo, hi in spans))
     blocks = []
     for lo, hi in spans:
-        weights, biases, start = [], [], 0
-        for i, (n_in, n_out) in enumerate(shapes):
-            w_end, b_end = start + n_in * n_out, start + n_in * n_out + n_out
-            r0, r1 = (max(lo, start) - start) // n_out, (min(hi, w_end) - start) // n_out
-            if r0 < r1:
-                dw = scratch[start + r0 * n_out - lo : start + r1 * n_out - lo].reshape(r1 - r0, n_out)
-                weights.append((i, None if r1 - r0 == n_in else slice(r0, r1), dw))
-            if lo <= w_end and b_end <= hi:
-                biases.append((i, scratch[w_end - lo : b_end - lo]))
-            start = b_end
-        blocks.append((params[lo:hi], scratch[: hi - lo], weights, biases))
+        grads, start = [], 0
+        for a, dz, (n_in, n_out) in zip(inputs, dzs, shapes):
+            w_end, end = start + n_in * n_out, start + (n_in + 1) * n_out
+            if one:
+                r0, r1 = (max(lo, start) - start) // n_out, (min(hi, end) - start) // n_out
+                if r0 < r1:  # rows r0..r1 of the layer's weights-then-bias block
+                    dw = scratch[start + r0 * n_out - lo : start + r1 * n_out - lo].reshape(r1 - r0, n_out)
+                    grads.append(partial(_c_einsum, "bi,bj->ij", a[:, r0:r1], dz, out=dw))
+            else:
+                if lo <= start and w_end <= hi:
+                    dw = scratch[start - lo : w_end - lo].reshape(n_in, n_out)
+                    grads.append(partial(np.matmul, a.T, dz, out=dw))
+                if lo <= w_end and end <= hi:
+                    grads.append(partial(np.add.reduce, dz, axis=0, out=scratch[w_end - lo : end - lo]))
+            start = end
+        blocks.append((params[lo:hi], scratch[: hi - lo], grads))
     return scratch, blocks
 
 
-def sgd_step(blocks, acts, dzs, lr: float) -> None:
+def sgd_step(plan: StepPlan, lr) -> None:
     """One plain gradient step, in place: params -= lr * grads, block by block.
 
-    ``blocks`` come from :func:`sgd_plan`; ``acts`` and ``dzs`` are a batch's
-    activations and deltas from :func:`_forward_layers` and
-    :func:`_backward_layers`. Each block's dW rows (a.T @ dz) and db (dz
-    summed over the records) are written into the scratch, scaled by ``lr``
-    and subtracted while they are in cache; no N-sized gradient exists. The
-    bits are those of one whole-vector step.
+    Each block's gradient is written into the scratch by the plan's calls,
+    scaled by ``lr`` and subtracted while it is in cache; no N-sized gradient
+    exists. The bits are those of one whole-vector step. ``lr`` as a 0-d
+    float64 array spares a conversion on every call.
     """
-    # At batch 1, dW = a.T @ dz is an outer product, and numpy's einsum kernel
-    # writes it ~3x faster than BLAS. Like matmul it adds each product to
-    # +0.0, so the bits agree, but for which payload a product of two NaNs
-    # keeps. Over more records einsum sums in another order than BLAS, so
-    # larger batches stay with matmul.
-    one_record = acts[0].shape[0] == 1
-    for params_block, scratch_block, weights, biases in blocks:
-        for i, rows, dw in weights:
-            a = acts[i] if rows is None else acts[i][:, rows]
-            if one_record:
-                _c_einsum("bi,bj->ij", a, dzs[i], out=dw)
-            else:
-                np.matmul(a.T, dzs[i], out=dw)
-        for i, db in biases:
-            if one_record:  # the one-row sum's bits: +0.0 for -0.0, a signalling NaN quieted
-                np.add(dzs[i][0], _ZERO, out=db)
-            else:
-                np.add.reduce(dzs[i], axis=0, out=db)
-        params_block -= np.multiply(scratch_block, lr, out=scratch_block)
+    for params_block, scratch_block, grads in plan.blocks:
+        for grad in grads:
+            grad()
+        np.subtract(params_block, np.multiply(scratch_block, lr, out=scratch_block), out=params_block)
 
 
 def fold_centered(total: np.ndarray, vec: np.ndarray, base: np.ndarray) -> None:

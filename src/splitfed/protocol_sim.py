@@ -5,11 +5,13 @@ strictly sequential event sequences over an in-process message bus with zero
 loss and zero latency; only payload sizes matter. One loop walks epochs
 (federated rounds), client turns and batches for every protocol and returns a
 :class:`RunResult`, whose ``server_params`` is the global model under
-federated. Split loss averages an epoch's batches; federated loss averages a
-round's per-client means. Every transfer lands in an append-only ledger whose
-scalar counts come from the actual array sizes, so comparing ledger totals
-against the closed forms in :mod:`.cost_model` is a genuine cross-check
-rather than the same formula evaluated twice.
+federated. The one working model trains through step plans built once per
+run (:class:`.nn_core.StepPlan`), and a turn's batch losses are reduced once,
+when the turn ends. Split loss averages an epoch's batches; federated loss
+averages a round's per-client means. Every transfer lands in an append-only
+ledger whose scalar counts come from the actual array sizes, so comparing
+ledger totals against the closed forms in :mod:`.cost_model` is a genuine
+cross-check rather than the same formula evaluated twice.
 """
 
 from __future__ import annotations
@@ -211,32 +213,56 @@ def _checked_run(spec: ModelSpec, shards: Sequence, unit: str, count: int, batch
 
 
 class _WorkingModel:
-    """The one model a run trains: a flat weight vector with its per-layer
-    views, and the block plan of its SGD step over a small scratch, built once
-    per run. A turn copies the weights it trains in and out; nothing else
-    holds a view of them."""
+    """The one model a run trains: a flat weight vector and the step plans over
+    it, built once per run: one for the shards' full batches, with a row of
+    differences for each of a turn's batches (up to ``nn_core.DIFF_BLOCK``
+    scalars), and one for each size of ragged last batch they leave. ``lr`` is a 0-d float64 array. A turn copies the weights it
+    trains in and out; nothing else holds a view of them."""
 
-    def __init__(self, spec: ModelSpec, params: np.ndarray, batch_size: int) -> None:
-        self.activation, self.params = spec.activation, params
-        # each bias as a (1, n) view: a one-record batch's a @ w + b then adds without broadcasting
-        self.layers = [(w, b.reshape(1, -1)) for w, b in nn_core.unpack_params(spec, params)]
-        self.scratch, self.blocks = nn_core.sgd_plan(spec, params, batch_size)
+    def __init__(self, spec: ModelSpec, params: np.ndarray, batch_size: int, shard_sizes, lr: float) -> None:
+        self.params, self.batch_size, self.lr = params, batch_size, np.array(lr, dtype=np.float64)
+        runs = {batch_size: max(shard_sizes) // batch_size, **{size % batch_size: 1 for size in shard_sizes}}
+        self.plans = {records: nn_core.StepPlan(spec, params, records, batches)
+                      for records, batches in runs.items() if records and batches}
 
 
-def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, batch_size: int, lr: float):
+def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, cut: int | None, hand_off):
     """Train ``model`` on one shard, batch by batch: every protocol's one training step.
 
     Each batch runs forward, loss, backward and one ``sgd_step`` on the whole
-    flat vector, then yields ``(loss, activations, activation gradients,
-    labels)``; index ``c`` of both lists is what crosses a cut at ``c``.
+    flat vector through the plan for its record count: the shard's full
+    batches share one, and a ragged last batch has its own. Losses are
+    reduced once the batches' differences fill the plan's rows, and at the
+    end. ``hand_off``, a (receiver, front) pair, copies the front weights to
+    the receiver after every batch, if given. Returns the batches' losses,
+    one array per reduction, and for a ``cut`` (None under federated) each
+    batch's scalar counts there, read from the arrays that cross it:
+    Activations, Labels and Gradients, then the hand-off's ClientWeights.
     """
-    for lo in range(0, x.shape[0], batch_size):
-        yb = y[lo : lo + batch_size]
-        zs, acts = nn_core._forward_layers(model.layers, model.activation, x[lo : lo + batch_size])
-        loss, dout = nn_core._mse_and_grad(acts[-1], yb)
-        act_grads, dzs = nn_core._backward_layers(model.layers, model.activation, zs, acts, dout)
-        nn_core.sgd_step(model.blocks, acts, dzs, lr)
-        yield loss, acts, act_grads, yb
+    losses, counts = [], []
+    records, size = x.shape[0], model.batch_size
+    full = records - records % size
+    for lo, hi in ((0, full), (full, records)):
+        if lo == hi:
+            continue
+        plan = model.plans[min(hi - lo, size)]
+        step = plan.records
+        span = step * plan.diffs.shape[0]  # the records of the batches one loss reduction takes
+        for first in range(lo, hi, span):
+            for row, start in enumerate(range(first, min(hi, first + span), step)):
+                labels = y[start : start + step]
+                nn_core._forward_layers(plan, x[start : start + step])
+                nn_core._mse_and_grad(plan, labels, row)
+                nn_core._backward_layers(plan)
+                nn_core.sgd_step(plan, model.lr)
+                if hand_off:
+                    np.copyto(*hand_off)
+            losses.append(nn_core.batch_losses(plan, row + 1))
+        batches = (hi - lo) // step
+        if cut is not None:
+            sent = [plan.acts[cut].size, labels.size, plan.act_grads[cut].size]
+            counts += (sent + [hand_off[1].size] if hand_off else sent) * batches
+    return losses, counts
 
 
 def _turns(protocol: Protocol, epoch: int, clients: int) -> range:
@@ -269,7 +295,8 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
     data = _checked_run(spec, shards, "rounds" if federated else "epochs", epochs, batch_size)
     c = None if federated else nn_core._cut_index(spec, cut)
     k_clients = len(data)
-    model = _WorkingModel(spec, nn_core.init_params(spec, seed), batch_size)  # split: client front, server back
+    sizes = [x.shape[0] for x, _ in data]
+    model = _WorkingModel(spec, nn_core.init_params(spec, seed), batch_size, sizes, lr)  # split: front, then back
     front = model.params if federated else model.params[:nn_core.client_param_count(spec, c)]
     if federated:
         global_vec, base, total = front.copy(), np.empty_like(front), np.empty_like(front)
@@ -284,38 +311,31 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
         if federated:
             for k in turns:
                 ledger.append(epoch, SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS, front.size)
-        epoch_losses: list[float] = []
+        epoch_losses: list[np.ndarray] = []
         for k in turns:
             me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
             mine, receiver = held[k], held[(k + 1) % k_clients]
             np.copyto(front, mine)
-            batch_losses, counts = [], []  # counts: a split turn's scalar counts, batch by batch
-            for loss, acts, act_grads, yb in _local_pass(model, *data[k], batch_size, lr):
-                batch_losses.append(loss)
-                if not federated:
-                    counts += acts[c].size, yb.size, act_grads[c].size
-                if sync_batch:
-                    counts.append(front.size)
-                    np.copyto(receiver, front)
+            turn_losses, counts = _local_pass(model, *data[k], c, (receiver, front) if sync_batch else None)
             if federated:
                 ledger.append(epoch, me, SERVER, MessageKind.CLIENT_WEIGHTS, front.size)
                 if k == 0:  # client 1's upload, kept as the base the others are folded around
                     np.copyto(base, front)
                 nn_core.fold_centered(total, front if k else base, base)
-                if batch_losses:  # federated loss: the mean of the per-client means
-                    epoch_losses.append(float(np.mean(batch_losses)))
+                if turn_losses:  # federated loss: the mean of the per-client means
+                    epoch_losses.append(np.mean(np.concatenate(turn_losses), keepdims=True))
             else:
                 batch = ((me, SERVER, MessageKind.ACTIVATIONS), (me, SERVER, MessageKind.LABELS),
                          (SERVER, me, MessageKind.GRADIENTS), (me, nxt, MessageKind.CLIENT_WEIGHTS))
                 ledger.log_turn(epoch, batch if sync_batch else batch[:3], counts)
                 np.copyto(mine, front)
-                epoch_losses += batch_losses  # split loss: the mean over the epoch's batches
+                epoch_losses += turn_losses  # split loss: the mean over the epoch's batches
             if protocol is Protocol.SPLIT_SYNC:
                 ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
                 np.copyto(receiver, front)
         if federated:
             nn_core.centered_mean(base, total, k_clients, out=global_vec)
-        loss = float(np.mean(epoch_losses)) if epoch_losses else math.nan  # NaN: no records seen
+        loss = float(np.mean(np.concatenate(epoch_losses))) if epoch_losses else math.nan  # NaN: no records seen
         if epoch_losses and not math.isfinite(loss):
             raise Diverged(f"training diverged: {'round' if federated else 'epoch'} {epoch} loss is {loss} "
                            "(try a smaller learning rate)")

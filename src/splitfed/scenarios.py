@@ -3,7 +3,7 @@
 A scenario file is flat ``key = value`` text, one pair per line, ``#`` for
 comments. Parameters come in exactly one of two forms:
 
-raw form (analytic):        K, N, p, q, eta
+raw form (analytic):        K, N, p, q, eta, and optionally label_width
 model form (simulatable):   layer_widths, cut_index, K, p
 
 Shared keys: name, variant (sync | nosync | sync_batch | federated), epochs,
@@ -11,8 +11,10 @@ bytes_per_scalar, seed, batch_size, activation (identity | relu | sigmoid),
 and per-parameter sweep axes ``grid.K``, ``grid.N``, ``grid.p``, ``grid.q``,
 ``grid.eta``. Numbers accept underscores and scientific notation; eta also
 accepts an exact ``a/b`` rational. :data:`PARAM_KEYS` maps each
-``ScenarioParams`` field a file sets to its key. A file is UTF-8, with or
-without a byte-order mark.
+``ScenarioParams`` field a file sets to its key. A raw form's ``label_width``
+(default 1) states its task's label scalars per record, which only
+``--include-labels`` counts; a model form's is its output width, so it may
+not state one. A file is UTF-8, with or without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cost_model import Activation, ModelSpec, Protocol, ScenarioParams
-from .errors import ScenarioError
+from .errors import InvalidParam, ScenarioError
 
 # Scenario-file key of each ScenarioParams field a file sets, in field order:
 # the one map from keys to fields. The parser, the grid.* axes and the report
-# columns read it. label_width is no key: the CLI's --include-labels sets it.
+# columns read it. ScenarioParams.label_width is no row: the CLI's
+# --include-labels sets it from Scenario.label_width, which a raw form's
+# label_width key states.
 PARAM_KEYS = {
     "clients": "K",
     "model_params": "N",
@@ -44,7 +48,7 @@ _RAW_ONLY = {PARAM_KEYS[name] for name in ("model_params", "smashed_size", "clie
 _MODEL_KEYS = {"layer_widths", "cut_index"}
 _KNOWN_KEYS = {
     *PARAM_KEYS.values(), *_GRID_FIELDS, *_MODEL_KEYS,
-    "name", "variant", "seed", "activation",
+    "name", "variant", "seed", "activation", "label_width",
 }
 
 
@@ -60,6 +64,7 @@ class Scenario:
     cut_index: int | None = None
     # sweep axes by ScenarioParams field, in PARAM_KEYS order
     grids: dict[str, list] = field(default_factory=dict)
+    raw_label_width: int = 1  # a raw form's label_width key
 
     @property
     def is_model_form(self) -> bool:
@@ -71,7 +76,7 @@ class Scenario:
 
     @property
     def label_width(self) -> int:  # label scalars per record
-        return self.model.output_width if self.is_model_form else 1
+        return self.model.output_width if self.is_model_form else self.raw_label_width
 
     def params(self) -> ScenarioParams:
         if self.is_model_form:
@@ -175,6 +180,12 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
         sc.cut_index = _as_int(_parse_number(entries["cut_index"], "cut_index"), "cut_index")
     elif raw_present != _RAW_ONLY:
         raise ScenarioError(f"raw form needs N, q and eta; got only {sorted(raw_present)}")
+    if "label_width" in entries:
+        if model_present:
+            raise ScenarioError("label_width is a raw-form key: a model form's label width is its output width")
+        sc.raw_label_width = _as_int(_parse_number(entries["label_width"], "label_width"), "label_width")
+        if sc.raw_label_width < 1:
+            raise InvalidParam(f"label_width must be >= 1, got {sc.raw_label_width}")
 
     for key, name in _GRID_FIELDS.items():
         if key in entries:

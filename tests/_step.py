@@ -1,31 +1,53 @@
-"""A batch's activations, loss and gradients through the layer functions that
-``protocol_sim._local_pass`` calls, for tests that check the network itself.
+"""A batch's activations, loss and gradients through the step plan that
+``protocol_sim._local_pass`` runs, for tests that check the network itself.
 
 Like the simulator's runs, each helper sets ``np.errstate`` around the step:
 a sigmoid of a large negative pre-activation overflows ``exp`` on its way to 0.
+A plan binds views of the parameter vector it is given; forward and backward
+only read them.
 """
 
 import numpy as np
 
-from splitfed.nn_core import _backward_layers, _c_einsum, _forward_layers, _mse_and_grad, param_count, unpack_params
+from splitfed.nn_core import (
+    SGD_BLOCK,
+    StepPlan,
+    _backward_layers,
+    _c_einsum,
+    _forward_layers,
+    _mse_and_grad,
+    batch_losses,
+    param_count,
+    unpack_params,
+)
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def planned(spec, params, x, y=None, block=SGD_BLOCK):
+    """A plan for the batch ``x`` over ``params``, run forward and, given labels
+    ``y``, through its loss gradient and backward pass."""
+    plan = StepPlan(spec, params, x.shape[0], block=block)
+    _forward_layers(plan, x)
+    if y is not None:
+        _mse_and_grad(plan, y, 0)
+        _backward_layers(plan)
+    return plan
+
+
 def activations(spec, params, x):
     """Every boundary's activations for the batch ``x``: index 0 is ``x``, the last the outputs."""
-    return _forward_layers(unpack_params(spec, params), spec.activation, x)[1]
+    return planned(spec, params, x).acts
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def loss(spec, params, x, y):
-    """Mean squared error of the outputs, by ``np.mean`` and not by ``_mse_and_grad``."""
+    """Mean squared error of the outputs, by ``np.mean`` and not by ``batch_losses``."""
     return float(np.mean((activations(spec, params, x)[-1] - y) ** 2))
 
 
 def flat_gradient(spec, acts, dzs):
     """The flat parameter gradient of a batch's activations and deltas, formed
-    whole by the step's kernels: einsum's outer product at one record, matmul
-    over more, and the records' sum for each bias."""
+    whole, layer by layer: each weight matrix by einsum's outer product at one
+    record and by matmul over more, each bias by the records' sum."""
     grads = np.empty(param_count(spec))
     for i, (dw, db) in enumerate(unpack_params(spec, grads)):
         if acts[i].shape[0] == 1:
@@ -36,17 +58,15 @@ def flat_gradient(spec, acts, dzs):
     return grads
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def gradients(spec, params, x, y):
     """(loss, flat parameter gradient, activation gradients) of one training step.
 
     Index ``c`` of the activation gradients is the tensor that crosses a cut
     at ``c``; index 0, the input's gradient, is None.
     """
-    zs, acts = _forward_layers(unpack_params(spec, params), spec.activation, x)
-    value, dout = _mse_and_grad(acts[-1], y)
-    act_grads, dzs = _backward_layers(unpack_params(spec, params), spec.activation, zs, acts, dout)
-    return value, flat_gradient(spec, acts, dzs), act_grads
+    plan = planned(spec, params, x, y)
+    grads = flat_gradient(spec, plan.acts, plan.dzs)
+    return float(batch_losses(plan, 1)[0]), grads, plan.act_grads
 
 
 def sgd_step(params, grads, lr):

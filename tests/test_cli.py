@@ -252,6 +252,44 @@ def test_label_width_is_the_model_output_width(tmp_path, capsys):
     assert "(labels included): 78 scalars, 312 bytes; per client max 39 scalars" in capsys.readouterr().out
 
 
+def test_raw_label_width_counts_its_labels_only_under_include_labels(tmp_path, capsys):
+    # A raw form states its task's label width; only --include-labels reads
+    # it. Sync sends p = 10 records' labels, nosync the same, federated none.
+    raw = "K = 2\nN = 100\np = 10\nq = 4\neta = 1/2\n"
+    totals = {}
+    for name, extra in (("default", ""), ("one", "label_width = 1\n"), ("three", "label_width = 3\n")):
+        scenario = tmp_path / f"{name}.txt"
+        scenario.write_text(raw + extra)
+        for flags in ([], ["--include-labels"]):
+            for command in ("analyze", "sweep"):
+                out = tmp_path / f"{name}-{command}-{len(flags)}.csv"
+                assert main([command, "--scenario", str(scenario), *flags, "--csv", str(out)]) == 0
+                rows = list(csv.reader(out.read_text().splitlines()))
+                assert rows[0] == cli.CSV_HEADER  # label_width is no column
+                totals[name, command, bool(flags)] = {row[0]: int(row[8]) for row in rows[1:]}
+    capsys.readouterr()
+    without = {"SplitSync": 180, "SplitNoSync": 80, "Federated": 400}
+    for name, width in (("default", 1), ("one", 1), ("three", 3)):
+        for command in ("analyze", "sweep"):
+            assert totals[name, command, False] == without
+            assert totals[name, command, True] == {"SplitSync": 180 + 10 * width, "SplitNoSync": 80 + 10 * width,
+                                                   "Federated": 400}
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("layer_widths = 4, 3, 2\ncut_index = 1\nK = 2\np = 6\nlabel_width = 2\n", 2, "label_width is a raw-form key"),
+    ("K = 2\nN = 100\np = 10\nq = 4\neta = 1/2\nlabel_width = 0\n", 3, "label_width must be >= 1, got 0"),
+    ("K = 2\nN = 100\np = 10\nq = 4\neta = 1/2\nlabel_width = 1.5\n", 2, "'label_width' must be an integer"),
+])
+def test_a_label_width_key_is_refused_where_it_cannot_hold(tmp_path, capsys, text, code, message):
+    # A model form's label width is its output width, so it may not state one.
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(text)
+    assert main(["analyze", "--scenario", str(scenario), "--include-labels"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 # --- simulate ----------------------------------------------------------------
 
 def test_simulate_golden_exact_match(tmp_path, capsys):
@@ -355,6 +393,34 @@ def test_simulate_rejects_a_non_finite_learning_rate(monkeypatch, capsys, lr):
     monkeypatch.setattr("splitfed.cli.random_dataset", no_allocation)
     assert main(["simulate", "--scenario", "tiny-dense", f"--lr={lr}"]) == 3
     assert "--lr must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lr", ["-1", "-1e-300", "-inf"])
+def test_simulate_rejects_a_negative_learning_rate(monkeypatch, capsys, lr):
+    # A negative rate steps up the loss gradient: the run used to exit 0 and
+    # print an exact match over a meaningless loss.
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a negative --lr must be rejected before any data is generated")
+
+    monkeypatch.setattr("splitfed.cli.random_dataset", no_allocation)
+    assert main(["simulate", "--scenario", "tiny-dense", f"--lr={lr}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --lr must be finite and >= 0") and err.count("\n") == 1
+
+
+def test_simulate_at_a_zero_learning_rate_moves_only_traffic(tmp_path, capsys):
+    # --lr 0 stays valid: the weights never move, so every epoch reads the
+    # same loss, and the ledger is the one a training run logs.
+    scenario, losses, ledgers = tmp_path / "three-epochs.txt", tmp_path / "loss.csv", {}
+    scenario.write_text("layer_widths = 4, 3, 2\ncut_index = 1\nK = 2\np = 6\nepochs = 3\nseed = 42\n")
+    for lr in ("0", "0.01"):
+        ledgers[lr] = tmp_path / f"ledger-{lr}.csv"
+        argv = ["simulate", "--scenario", str(scenario), "--lr", lr, "--csv", str(ledgers[lr])]
+        assert main(argv + (["--loss-csv", str(losses)] if lr == "0" else [])) == 0
+        assert "verification: exact match" in capsys.readouterr().out
+    assert ledgers["0"].read_bytes() == ledgers["0.01"].read_bytes()
+    epochs = [row.split(",")[1] for row in losses.read_text().splitlines()[1:]]
+    assert len(epochs) == 3 and len(set(epochs)) == 1
 
 
 @pytest.mark.parametrize("variant, unit", [

@@ -28,14 +28,13 @@ from splitfed import (
     splitmix64,
 )
 from splitfed.nn_core import (
-    _backward_layers,
-    _forward_layers,
+    StepPlan,
     _mse_and_grad,
+    batch_losses,
     centered_mean,
     client_param_count,
     fold_centered,
     layer_param_counts,
-    sgd_plan,
     sgd_step,
     uniform01,
     unpack_params,
@@ -43,7 +42,7 @@ from splitfed.nn_core import (
 from splitfed import nn_core
 
 import _stream
-from _step import activations, flat_gradient, gradients, loss
+from _step import activations, flat_gradient, gradients, loss, planned
 from _step import sgd_step as whole_vector_step
 
 MASK64 = (1 << 64) - 1
@@ -219,12 +218,11 @@ def test_unpack_params_checks_length():
             unpack_params(spec, bad)
 
 
-def _split_layers(spec, cut, params):
-    """Client and server halves of ``params``, and one pass's layer views over them."""
+def _stitched(spec, cut, params):
+    """``params`` as a split run holds it: the client's front and the server's
+    back, held apart, copied into the one working vector a step plan runs on."""
     n_client = client_param_count(spec, cut)
-    client, server = params[:n_client].copy(), params[n_client:].copy()
-    front, back = ModelSpec(spec.layer_widths[: cut + 1]), ModelSpec(spec.layer_widths[cut:])
-    return client, server, unpack_params(front, client) + unpack_params(back, server)
+    return np.concatenate([params[:n_client].copy(), params[n_client:].copy()])
 
 
 @pytest.mark.parametrize("activation", list(Activation))
@@ -234,8 +232,7 @@ def test_split_forward_matches_monolithic_at_every_cut(activation):
     x, _ = random_dataset(spec, 7, 3)
     full = activations(spec, params, x)
     for cut in range(1, spec.weight_layers):
-        _, _, layers = _split_layers(spec, cut, params)
-        _, acts = _forward_layers(layers, spec.activation, x)
+        acts = activations(spec, _stitched(spec, cut, params), x)
         assert acts[cut].shape == (7, spec.layer_widths[cut])
         assert np.array_equal(acts[cut], full[cut])
         assert np.array_equal(acts[-1], full[-1])
@@ -306,11 +303,9 @@ def test_split_backward_matches_monolithic_at_every_cut(activation):
     x, y = random_dataset(spec, 5, 22)
     _, mono_grads, mono_act_grads = gradients(spec, params, x, y)
     for cut in range(1, spec.weight_layers):
-        _, _, layers = _split_layers(spec, cut, params)
-        zs, acts = _forward_layers(layers, spec.activation, x)
-        _, dout = _mse_and_grad(acts[-1], y)
-        act_grads, dzs = _backward_layers(layers, spec.activation, zs, acts, dout)
-        assert np.array_equal(flat_gradient(spec, acts, dzs), mono_grads)
+        plan = planned(spec, _stitched(spec, cut, params), x, y)
+        act_grads = plan.act_grads
+        assert np.array_equal(flat_gradient(spec, plan.acts, plan.dzs), mono_grads)
         # the tensor crossing the cut carries q scalars per record
         assert act_grads[cut].shape == (5, spec.layer_widths[cut])
         assert np.array_equal(act_grads[cut], mono_act_grads[cut])
@@ -318,19 +313,15 @@ def test_split_backward_matches_monolithic_at_every_cut(activation):
 
 # --- sgd and averaging -------------------------------------------------------
 
-def _blocked_step(spec, params, x, y, lr, batch_size=None, block=nn_core.SGD_BLOCK):
+def _blocked_step(spec, params, x, y, lr, block=nn_core.SGD_BLOCK):
     """One training step on ``params`` in place, as ``_local_pass`` takes it: forward,
-    backward, then ``sgd_step`` over a plan for runs of ``batch_size`` (default: the
-    batch's records) and ``block``. The scratch starts as NaN, so a scalar the step
-    does not write shows. Returns (params, scratch, zs, acts, act_grads, dzs)."""
-    layers = unpack_params(spec, params)
-    zs, acts = _forward_layers(layers, spec.activation, x)
-    _, dout = _mse_and_grad(acts[-1], y)
-    act_grads, dzs = _backward_layers(layers, spec.activation, zs, acts, dout)
-    scratch, blocks = sgd_plan(spec, params, batch_size or x.shape[0], block)
-    scratch.fill(np.nan)
-    sgd_step(blocks, acts, dzs, lr)
-    return params, scratch, zs, acts, act_grads, dzs
+    backward, then ``sgd_step`` through a plan for the batch's records with SGD
+    blocks of ``block`` scalars. The scratch starts as NaN, so a scalar the step
+    does not write shows. Returns (params, plan)."""
+    plan = planned(spec, params, x, y, block)
+    plan.scratch.fill(np.nan)
+    sgd_step(plan, lr)
+    return params, plan
 
 
 def test_sgd_step_examples():
@@ -343,30 +334,30 @@ def test_sgd_step_examples():
     _blocked_step(spec, params, x, y, 0.5)
     assert np.array_equal(params, [-2.0, -1.0])  # the step is taken in place
     with pytest.raises(LengthMismatch):
-        sgd_plan(spec, np.zeros(3), 1)
+        StepPlan(spec, np.zeros(3), 1)
 
 
 def test_sgd_piecewise_matches_whole_vector():
-    # Every block size from one scalar to past N, for every activation: at
-    # batch 1 (blocks cut between weight rows), at batch 4 (blocks cut between
-    # whole layers) and on a batch-4 run's one-record remainder.
+    # Every block size from one scalar to past N, for every activation: at one
+    # record (blocks cut between the rows of each layer's weights-then-bias
+    # block; a batch-4 run's one-record remainder has such a plan of its own)
+    # and at batch 4 (blocks cut between whole weight matrices and biases).
     for activation in Activation:
         spec = ModelSpec((4, 3, 2), activation)
         params = init_params(spec, 5)
-        for records, batch_size in ((1, 1), (4, 4), (1, 4)):
+        for records in (1, 4):
             x, y = random_dataset(spec, records, 6)
             whole = whole_vector_step(params.copy(), gradients(spec, params, x, y)[1], 0.1)
             for block in range(1, param_count(spec) + 2):
-                stepped = _blocked_step(spec, params.copy(), x, y, 0.1, batch_size, block)[0]
-                assert np.array_equal(stepped, whole), (activation, records, batch_size, block)
+                stepped = _blocked_step(spec, params.copy(), x, y, 0.1, block)[0]
+                assert np.array_equal(stepped, whole), (activation, records, block)
 
 
-def _unit_widths(spec, batch_size):
+def _unit_widths(spec, records):
     """Widths of the pieces a block plan never cuts, in flat order."""
     units = []
     for n_in, n_out in zip(spec.layer_widths, spec.layer_widths[1:]):
-        units += [n_out] * n_in if batch_size == 1 else [n_in * n_out]
-        units.append(n_out)
+        units += [n_out] * (n_in + 1) if records == 1 else [n_in * n_out, n_out]
     return units
 
 
@@ -382,7 +373,7 @@ def test_blocked_sgd_step_is_the_whole_vector_step_bit_for_bit(widths, batch_siz
     # The blocked step against params - lr * grads over the whole vector, with
     # grads formed layer by layer by the same kernels. Block sizes: 1 (every
     # weight row wider than its block), sizes that cut a layer between rows at
-    # batch 1, and N or more (one block).
+    # one record, and N or more (one block).
     spec = ModelSpec(tuple(widths), activation)
     n = param_count(spec)
     block = data.draw(st.one_of(st.just(1), st.integers(2, n), st.integers(n, 2 * n)))
@@ -393,12 +384,12 @@ def test_blocked_sgd_step_is_the_whole_vector_step_bit_for_bit(widths, batch_siz
     y = data.draw(arrays(np.float64, (records, spec.output_width), elements=_STEP_VALUES))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         expected = whole_vector_step(params.copy(), gradients(spec, params.copy(), x, y)[1], lr)
-        stepped, scratch, *_ = _blocked_step(spec, params.copy(), x, y, lr, batch_size, block)
+        stepped, plan = _blocked_step(spec, params.copy(), x, y, lr, block)
     assert stepped.tobytes() == expected.tobytes()
     # The blocks tile the vector, each at most ``block`` scalars or one uncut unit.
-    blocks = sgd_plan(spec, params, batch_size, block)[1]
+    blocks = plan.blocks
     assert sum(b[0].size for b in blocks) == n
-    assert scratch.size == max(b[0].size for b in blocks) <= max(block, *_unit_widths(spec, batch_size))
+    assert plan.scratch.size == max(b[0].size for b in blocks) <= max(block, *_unit_widths(spec, records))
 
 
 def _fold_mean(vectors):
@@ -471,6 +462,16 @@ _KERNEL_SCALARS = st.one_of(
 )
 
 
+def _one_layer_plan(a, dz):
+    """A one-record plan for one linear layer fed the record ``a``, with ``dz``
+    written as the loss gradient at its output; the copies keep every bit."""
+    spec = ModelSpec((a.shape[1], dz.shape[1]))
+    plan = StepPlan(spec, np.zeros(param_count(spec)), 1)
+    plan.acts[0][...] = a
+    plan.dzs[0][...] = dz
+    return plan
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=arrays(np.float64, st.tuples(st.just(1), st.integers(1, 64)), elements=_KERNEL_SCALARS),
        dz=arrays(np.float64, st.tuples(st.just(1), st.integers(1, 64)), elements=_KERNEL_SCALARS))
@@ -478,12 +479,11 @@ def test_batch_one_weight_gradient_is_matmul_bit_for_bit(a, dz):
     # One linear layer fed the record a, with dz as the loss gradient at its
     # output: the step writes exactly a.T @ dz into its scratch, and scaling
     # it by lr = 1 keeps every bit.
-    spec = ModelSpec((a.shape[1], dz.shape[1]))
-    scratch, blocks = sgd_plan(spec, np.zeros(param_count(spec)), 1)
+    plan = _one_layer_plan(a, dz)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        sgd_step(blocks, [a, None], [dz], 1.0)
+        sgd_step(plan, 1.0)
         expected = np.matmul(a.T, dz)
-    out = scratch[: expected.size].reshape(expected.shape)
+    out = plan.scratch[: expected.size].reshape(expected.shape)
     # Where both factors are NaN the product is NaN either way, but which
     # factor's payload it carries differs between numpy's kernels (and
     # between einsum's vector lanes and its scalar tail); every other entry,
@@ -500,6 +500,7 @@ _BITS = st.one_of(
     st.tuples(st.sampled_from([0x7FF << 52, 0xFFF << 52]), st.integers(1, (1 << 52) - 1)).map(sum),
     st.integers(0, (1 << 64) - 1),
 )
+_QUIET = np.uint64(1 << 51)
 
 
 def _doubles(shape):
@@ -507,37 +508,124 @@ def _doubles(shape):
 
 
 @settings(max_examples=300, deadline=None)
-@given(dz=_doubles(st.tuples(st.just(1), st.integers(1, 64))))
-def test_batch_one_bias_gradient_is_the_one_row_sum_bit_for_bit(dz):
-    # One linear layer fed a zero record, with dz as the loss gradient at its
-    # output: the step writes dz summed over its one record into the bias
-    # slot of its scratch, and scaling it by lr = 1 keeps every bit. Like the
-    # sum, which adds the row to +0.0, it gives +0.0 for -0.0.
-    spec = ModelSpec((1, dz.shape[1]))
-    scratch, blocks = sgd_plan(spec, np.zeros(param_count(spec)), 1)
+@given(a=_doubles(st.tuples(st.just(1), st.integers(1, 8))), dz=_doubles(st.tuples(st.just(1), st.integers(1, 64))))
+def test_batch_one_bias_gradient_is_the_one_row_sum_bit_for_bit(a, dz):
+    # One linear layer fed any record a, with dz as the loss gradient at its
+    # output. The record is held with a trailing 1, so the outer product's
+    # last row, the layer's bias slot in the scratch, is 1 * dz added to
+    # +0.0: the bits of dz summed over its one record, whatever a holds. Like
+    # the sum it gives +0.0 for -0.0 and quiets a signalling NaN, keeping its
+    # payload; scaling it by lr = 1 keeps every bit.
+    plan = _one_layer_plan(a, dz)
+    n_in, n_out = a.shape[1], dz.shape[1]
+    bias = plan.scratch[n_in * n_out : (n_in + 1) * n_out]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        sgd_step(blocks, [np.zeros((1, 1)), None], [dz], 1.0)
-        expected = np.multiply(np.add.reduce(dz, axis=0), 1.0)
-    assert scratch[dz.shape[1] : 2 * dz.shape[1]].tobytes() == expected.tobytes()
+        for _, _, grads in plan.blocks:
+            for grad in grads:
+                grad()
+        expected = np.add.reduce(dz, axis=0)
+    assert bias.tobytes() == expected.tobytes()
+    bits, row = dz[0].view(np.uint64), bias.view(np.uint64)
+    assert (row[dz[0] == 0.0] == 0).all()  # +0.0, from either sign
+    signalling = np.isnan(dz[0]) & (bits & _QUIET == 0)
+    assert (row[signalling] == bits[signalling] | _QUIET).all()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sgd_step(plan, 1.0)
+        expected = np.multiply(expected, 1.0)
+    assert bias.tobytes() == expected.tobytes()
+
+
+def _activated(activation, z):
+    if activation is Activation.RELU:
+        return np.maximum(z, 0.0)
+    return z if activation is Activation.IDENTITY else 1.0 / (1.0 + np.exp(-z))
 
 
 @settings(max_examples=300, deadline=None)
 @given(records=st.integers(1, 3), widths=st.lists(st.integers(1, 8), min_size=2, max_size=3),
        activation=st.sampled_from(Activation), data=st.data())
 def test_row_bias_forward_is_the_broadcast_forward_bit_for_bit(records, widths, activation, data):
-    # The simulator keeps each bias as a (1, n) view, so a @ w + b adds
-    # without broadcasting at batch 1; every pre-activation and activation
-    # has the bits of the forward pass over 1-D biases, a @ w + b.
+    # The plan's forward, np.dot into a buffer and the bias added in place as
+    # a (1, n) row, against a @ w + b over 1-D biases with each activation
+    # written out; at one record each layer reads the first columns of its
+    # input record with the trailing 1. Every pre-activation and activation,
+    # over any 64-bit patterns, has the expressions' bits.
+    spec = ModelSpec(tuple(widths), activation)
     layers = [(data.draw(_doubles((n_in, n_out))), data.draw(_doubles((n_out,))))
               for n_in, n_out in zip(widths, widths[1:])]
+    params = np.concatenate([part.ravel() for layer in layers for part in layer])
     a = data.draw(_doubles((records, widths[0])))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        zs, acts = _forward_layers([(w, b.reshape(1, -1)) for w, b in layers], activation, a)
-        flat_zs, flat_acts = _forward_layers(layers, activation, a)
-        first = a @ layers[0][0] + layers[0][1]
-    assert all(z.shape == (records, w.shape[1]) for z, (w, _) in zip(zs, layers))
-    assert zs[0].tobytes() == first.tobytes()
-    assert [x.tobytes() for x in zs + acts] == [x.tobytes() for x in flat_zs + flat_acts]
+        plan = planned(spec, params, a)
+        zs, acts = [], [a]
+        for i, (w, b) in enumerate(layers):
+            zs.append(acts[-1] @ w + b)
+            acts.append(zs[-1] if i == len(layers) - 1 else _activated(activation, zs[-1]))
+    assert all(z.shape == (records, w.shape[1]) for z, (w, _) in zip(plan.zs, layers))
+    assert [x.tobytes() for x in plan.zs + plan.acts] == [x.tobytes() for x in zs + acts]
+
+
+# Output widths 1-20: numpy sums 8 or more scalars pairwise, in eight lanes.
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(1, 20), records=st.integers(1, 4), batches=st.integers(1, 6),
+       ragged=st.integers(0, 3), data=st.data())
+def test_turn_loss_is_each_batch_mean_squared_error_bit_for_bit(width, records, batches, ragged, data):
+    # A turn's batches write their differences row by row, and one square and
+    # one row sum give every batch's loss: the bits of the per-batch
+    # float(np.add.reduce(diff * diff, axis=None)) / diff.size, for full
+    # batches and for a ragged last batch on a plan of its own.
+    ragged %= records
+    spec = ModelSpec((1, width))
+    runs = [(records, batches)] + ([(ragged, 1)] if ragged else [])
+    for size, count in runs:
+        plan = StepPlan(spec, np.zeros(param_count(spec)), size, count)
+        expected = []
+        for j in range(count):
+            outputs = data.draw(_doubles((size, width)))
+            labels = data.draw(_doubles((size, width)))
+            plan.acts[-1][...] = outputs
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                _mse_and_grad(plan, labels, j)
+                diff = outputs - labels
+                expected.append(float(np.add.reduce(diff * diff, axis=None)) / diff.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = batch_losses(plan, count)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+
+def test_a_batch_one_step_allocates_less_than_the_list_based_step():
+    # tracemalloc peak of one planned step at ring-many-clients' shape,
+    # (16, 8, 4) with sigmoid, batch 1, above that of its einsum call alone:
+    # past the kernel's own iterator, only views and the calls' own objects
+    # are allocated. Python 3.11, numpy 2.4: a step peaks at 1,482-1,602 B,
+    # up to 216 B past einsum's 1,386 B; the step of activation lists and
+    # temporaries that the plan replaced peaked at 2,482-2,610 B, 1,384 B
+    # past its einsum's 1,226 B.
+    spec = ModelSpec((16, 8, 4))
+    x, y = random_dataset(spec, 8, 3)
+    plan = StepPlan(spec, init_params(spec, 1), 1, x.shape[0])
+    lr = np.array(0.01)
+
+    def step(i):
+        nn_core._forward_layers(plan, x[i : i + 1])
+        _mse_and_grad(plan, y[i : i + 1], i)
+        nn_core._backward_layers(plan)
+        sgd_step(plan, lr)
+
+    def peak(call, *args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+
+    step(0)
+    tracemalloc.start()
+    try:
+        kernel = max(peak(grad) for _, _, grads in plan.blocks for grad in grads)
+        steps = [peak(step, i) for i in range(1, x.shape[0])]
+    finally:
+        tracemalloc.stop()
+    assert max(steps) - kernel < 600, (steps, kernel)
 
 
 def _matmul_einsum(subscripts, a, dz, out):
@@ -561,12 +649,11 @@ def test_training_step_products_have_matmul_bits(widths, batch, activation, data
 
     def step():
         # one block (N < SGD_BLOCK) at lr = 1: the scratch holds the whole gradient
-        stepped, grads, zs, acts, act_grads, dzs = _blocked_step(spec, params.copy(), x, y, 1.0)
-        return [*zs, *acts, *act_grads[1:], *dzs, grads, stepped]
+        stepped, plan = _blocked_step(spec, params.copy(), x, y, 1.0)
+        return [*plan.zs, *plan.acts, *plan.act_grads[1:], *plan.dzs, plan.scratch, stepped]
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         got = step()
         with mock.patch.object(nn_core, "_c_einsum", _matmul_einsum):
             expected = step()
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
-

@@ -232,7 +232,7 @@ def test_held_weights_never_alias(monkeypatch):
     # A turn copies weights in and out of the run's one working model, a
     # hand-off copies into the receiver's buffer, and a run returns its own
     # vectors: no held, server or global vector shares memory with another,
-    # or with the working model's weights and its SGD scratch.
+    # or with the working model's weights and its step plans' SGD scratch.
     models = []
 
     class RecordedModel(protocol_sim._WorkingModel):
@@ -249,13 +249,38 @@ def test_held_weights_never_alias(monkeypatch):
             run = run_split_training(SPEC, 1, shards, variant, epochs=2, lr=0.01, seed=42)
         (model,) = models
         models.clear()
-        buffers = [*run.client_params, run.server_params, model.params, model.scratch]
+        buffers = [*run.client_params, run.server_params, model.params, *(p.scratch for p in model.plans.values())]
         for i, a in enumerate(buffers):
             for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b), variant
         if variant in (Protocol.SPLIT_SYNC, Protocol.SPLIT_SYNC_BATCH):
             # the ring's last hand-off gave client1 a copy of client3's weights
             assert np.array_equal(run.client_params[0], run.client_params[2])
+
+
+@pytest.mark.parametrize("variant", [*SPLIT_PROTOCOLS, Protocol.FEDERATED])
+@pytest.mark.parametrize("batch_size", [1, 2])
+def test_losses_reduced_as_the_bounded_rows_fill_keep_their_bits(monkeypatch, variant, batch_size):
+    # A plan holds at most DIFF_BLOCK scalars of differences, so a shard's
+    # labels are not held twice; a turn with more batches reduces its losses
+    # each time the rows fill. With room for 12 scalars (3 rows of SPEC's two
+    # outputs at batch 2, 6 at batch 1) against one reduction per turn,
+    # shards of 11 and 10 records train to the same weights and losses.
+    shards = partition_dataset(*random_dataset(SPEC, 21, 7), 2, strict=False)
+
+    def run():
+        if variant is Protocol.FEDERATED:
+            result = run_federated_training(SPEC, shards, rounds=2, local_lr=0.05, seed=3, batch_size=batch_size)
+        else:
+            result = run_split_training(SPEC, 1, shards, variant, epochs=2, lr=0.05, seed=3, batch_size=batch_size)
+        return [*result.client_params, result.server_params], result.losses
+
+    whole_turns = run()
+    monkeypatch.setattr(nn_core, "DIFF_BLOCK", 12)
+    assert nn_core.StepPlan(SPEC, np.zeros(param_count(SPEC)), batch_size, 11).diffs.size <= 12
+    params, losses = run()
+    assert losses == whole_turns[1]
+    assert [p.tobytes() for p in params] == [p.tobytes() for p in whole_turns[0]]
 
 
 def test_shard_widths_checked_once_per_run():
