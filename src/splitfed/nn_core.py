@@ -188,26 +188,46 @@ class StepPlan:
 
     Each call keeps the kernel and operand order of the expression in its
     comment, so a step has that expression's bits.
+
+    A ``base`` plan of the same spec over the same ``params`` and more
+    records lends its buffers: a plan of more than one record takes the
+    front of each of the base's, in the order they were made, wherever that
+    holds enough, and any plan takes the base's SGD scratch. The two then
+    overwrite each other's buffers, so they serve batches one after the
+    other, the base's losses reduced first: a shard's ragged last batch runs
+    in the full batches' memory.
     """
 
     def __init__(self, spec: ModelSpec, params: np.ndarray, records: int, batches: int = 1,
-                 block: int = SGD_BLOCK) -> None:
+                 block: int = SGD_BLOCK, base: StepPlan | None = None) -> None:
         layers = unpack_params(spec, params)
         widths, last, activation = spec.layer_widths, len(layers) - 1, spec.activation
         one = records == 1
-        inputs = [np.ones((1, n + 1)) if one else np.empty((records, n)) for n in widths[:-1]]
+        # a one-record plan's inputs are its own, since each ends in a 1 that
+        # a base's rows would overwrite; its other rows, a few scalars each,
+        # would not line up with the base's, so it borrows only the scratch
+        lent = iter(base._buffers) if base is not None and not one else iter(())
+        self._buffers: list[np.ndarray] = []
+
+        def buffer(*shape: int) -> np.ndarray:
+            size, held = math.prod(shape), next(lent, None)
+            buf = np.empty(shape) if held is None or held.size < size else held.reshape(-1)[:size].reshape(shape)
+            self._buffers.append(buf)
+            return buf
+
+        inputs = [np.ones((1, n + 1)) if one else buffer(records, n) for n in widths[:-1]]
         self.records = records
-        self.acts = [a[:, :n] for a, n in zip(inputs, widths)] + [np.empty((records, widths[-1]))]
+        self.acts = [a[:, :n] for a, n in zip(inputs, widths)] + [buffer(records, widths[-1])]
         self.zs, self.forward = [], []
         for i, (w, b) in enumerate(layers):
             a, out = self.acts[i], self.acts[i + 1]
             hidden = i < last and activation is not Activation.IDENTITY
-            z = np.empty(out.shape) if hidden else out
+            z = buffer(*out.shape) if hidden else out
             self.zs.append(z)
             # a @ w + b, the product in a buffer of its own: numpy adds a
             # one-scalar operand into itself in the other order, which keeps
             # the other payload of two NaNs
-            product = np.empty(out.shape)
+            product = buffer(*out.shape)
             self.forward += [partial(_matmul(w.shape[0]), a, w, product), partial(np.add, product, b.reshape(1, -1), z)]
             if hidden and activation is Activation.RELU:
                 self.forward.append(partial(np.maximum, z, _ZERO, out=out))
@@ -216,28 +236,29 @@ class StepPlan:
                                  partial(np.add, _ONE, out, out), partial(np.divide, _ONE, out, out)]
 
         rows = max(1, min(batches, DIFF_BLOCK // (records * widths[-1])))
-        self.diffs = np.empty((rows, records, widths[-1]))
+        self.diffs = buffer(rows, records, widths[-1])
         self.scale = np.array(2.0 / (records * widths[-1]))  # d mean / d diff = (2 / size) * diff
         self.dzs: list = [None] * len(layers)
-        self.act_grads: list = [None] * len(layers) + [np.empty(self.acts[-1].shape)]
+        self.act_grads: list = [None] * len(layers) + [buffer(*self.acts[-1].shape)]
         self.backward = []
         for i in reversed(range(len(layers))):
             g = self.act_grads[i + 1]
             if i == last or activation is Activation.IDENTITY:
                 dz = g
             elif activation is Activation.RELU:  # g * (z > 0)
-                dz = np.empty(g.shape)
+                dz = buffer(*g.shape)
                 self.backward += [partial(np.greater, self.zs[i], _ZERO, dz), partial(np.multiply, g, dz, dz)]
             else:  # g * (s * (1 - s)), s the sigmoid of z as the forward pass computed it
-                dz, s = np.empty(g.shape), self.acts[i + 1]
+                dz, s = buffer(*g.shape), self.acts[i + 1]
                 self.backward += [partial(np.subtract, _ONE, s, dz), partial(np.multiply, s, dz, dz),
                                   partial(np.multiply, g, dz, dz)]
             self.dzs[i] = dz
             if i:  # dz @ w.T
-                self.act_grads[i] = np.empty(self.acts[i].shape)
+                self.act_grads[i] = buffer(*self.acts[i].shape)
                 w = layers[i][0]
                 self.backward.append(partial(_matmul(w.shape[1]), dz, w.T, self.act_grads[i]))
-        self.scratch, self.blocks = sgd_plan(spec, params, inputs if one else self.acts[:-1], self.dzs, block)
+        self.scratch, self.blocks = sgd_plan(spec, params, inputs if one else self.acts[:-1], self.dzs, block,
+                                             None if base is None else base.scratch)
 
 
 def _matmul(inner: int):
@@ -282,7 +303,7 @@ def batch_losses(plan: StepPlan, batches: int) -> np.ndarray:
     return np.add.reduce(squares, axis=1) / squares.shape[1]
 
 
-def sgd_plan(spec: ModelSpec, params: np.ndarray, inputs, dzs, block: int = SGD_BLOCK):
+def sgd_plan(spec: ModelSpec, params: np.ndarray, inputs, dzs, block: int = SGD_BLOCK, scratch=None):
     """The blocks :func:`sgd_step` walks over ``params``, and their one scratch.
 
     ``inputs[i]`` is layer i's input buffer and ``dzs[i]`` its delta. At one
@@ -297,9 +318,10 @@ def sgd_plan(spec: ModelSpec, params: np.ndarray, inputs, dzs, block: int = SGD_
     scalars, cut only between whole units: a row at one record, a layer's
     whole weight matrix and a bias otherwise (BLAS may round a subset of a
     multi-record product's rows differently from the whole). A unit wider
-    than ``block`` is a block of its own. Returns ``(scratch, blocks)``; a
-    block is ``(params view, scratch view, grads)``, ``grads`` the calls that
-    write its gradient into the scratch view.
+    than ``block`` is a block of its own. A given ``scratch`` is used if it
+    holds the largest block. Returns ``(scratch, blocks)``; a block is
+    ``(params view, scratch view, grads)``, ``grads`` the calls that write
+    its gradient into the scratch view.
     """
     if params.shape != (param_count(spec),):
         raise LengthMismatch(f"expected {param_count(spec)} parameters, got shape {params.shape}")
@@ -318,7 +340,9 @@ def sgd_plan(spec: ModelSpec, params: np.ndarray, inputs, dzs, block: int = SGD_
                 lo = hi
             hi += width
     spans.append((lo, hi))
-    scratch = np.empty(max(hi - lo for lo, hi in spans))
+    need = max(hi - lo for lo, hi in spans)
+    if scratch is None or scratch.size < need:
+        scratch = np.empty(need)
     blocks = []
     for lo, hi in spans:
         grads, start = [], 0

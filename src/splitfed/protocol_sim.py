@@ -216,14 +216,19 @@ class _WorkingModel:
     """The one model a run trains: a flat weight vector and the step plans over
     it, built once per run: one for the shards' full batches, with a row of
     differences for each of a turn's batches (up to ``nn_core.DIFF_BLOCK``
-    scalars), and one for each size of ragged last batch they leave. ``lr`` is a 0-d float64 array. A turn copies the weights it
-    trains in and out; nothing else holds a view of them."""
+    scalars), and one for each size of ragged last batch they leave, which
+    runs in the front of the largest plan's buffers. ``lr`` is a 0-d float64
+    array. A turn copies the weights it trains in and out; nothing else holds
+    a view of them."""
 
     def __init__(self, spec: ModelSpec, params: np.ndarray, batch_size: int, shard_sizes, lr: float) -> None:
         self.params, self.batch_size, self.lr = params, batch_size, np.array(lr, dtype=np.float64)
         runs = {batch_size: max(shard_sizes) // batch_size, **{size % batch_size: 1 for size in shard_sizes}}
-        self.plans = {records: nn_core.StepPlan(spec, params, records, batches)
-                      for records, batches in runs.items() if records and batches}
+        self.plans: dict[int, nn_core.StepPlan] = {}
+        for records, batches in sorted(runs.items(), reverse=True):
+            if records and batches:
+                base = next(iter(self.plans.values()), None)
+                self.plans[records] = nn_core.StepPlan(spec, params, records, batches, base=base)
 
 
 def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, cut: int | None, hand_off):
@@ -231,9 +236,10 @@ def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, cut: int | N
 
     Each batch runs forward, loss, backward and one ``sgd_step`` on the whole
     flat vector through the plan for its record count: the shard's full
-    batches share one, and a ragged last batch has its own. Losses are
-    reduced once the batches' differences fill the plan's rows, and at the
-    end. ``hand_off``, a (receiver, front) pair, copies the front weights to
+    batches share one, and a ragged last batch has its own, in the front
+    of the full plan's buffers. Losses are reduced once the batches'
+    differences fill the plan's rows, and at the end, so the full batches'
+    are reduced before the ragged batch overwrites their rows. ``hand_off``, a (receiver, front) pair, copies the front weights to
     the receiver after every batch, if given. Returns the batches' losses,
     one array per reduction, and for a ``cut`` (None under federated) each
     batch's scalar counts there, read from the arrays that cross it:

@@ -74,6 +74,15 @@ def test_layer_param_counts():
     assert layer_param_counts(ModelSpec((2, 5, 5, 1))) == (15, 30, 6)
 
 
+def test_client_param_count_is_the_layers_before_the_cut():
+    spec = ModelSpec((2, 5, 5, 1))
+    assert [client_param_count(spec, cut) for cut in (1, 2)] == [15, 45]
+    assert client_param_count(ModelSpec((4, 3, 2)), 1) == 15
+    for cut in (0, 3):
+        with pytest.raises(CutOutOfRange):
+            client_param_count(spec, cut)
+
+
 def test_model_spec_validation():
     with pytest.raises(InvalidParam):
         ModelSpec((4,))
@@ -220,9 +229,13 @@ def test_unpack_params_checks_length():
 
 def _stitched(spec, cut, params):
     """``params`` as a split run holds it: the client's front and the server's
-    back, held apart, copied into the one working vector a step plan runs on."""
+    back, held apart, each unpacked under its own half of the widths (a client
+    count off the cut's layer boundary raises ``LengthMismatch``), and their
+    layers laid back, in order, into the one working vector a step plan runs on."""
     n_client = client_param_count(spec, cut)
-    return np.concatenate([params[:n_client].copy(), params[n_client:].copy()])
+    front, back = ModelSpec(spec.layer_widths[: cut + 1]), ModelSpec(spec.layer_widths[cut:])
+    layers = unpack_params(front, params[:n_client].copy()) + unpack_params(back, params[n_client:].copy())
+    return np.concatenate([a.ravel() for layer in layers for a in layer])
 
 
 @pytest.mark.parametrize("activation", list(Activation))

@@ -283,6 +283,45 @@ def test_losses_reduced_as_the_bounded_rows_fill_keep_their_bits(monkeypatch, va
     assert [p.tobytes() for p in params] == [p.tobytes() for p in whole_turns[0]]
 
 
+@pytest.mark.parametrize("variant", [Protocol.SPLIT_SYNC_BATCH, Protocol.FEDERATED])
+@pytest.mark.parametrize("activation", list(Activation))
+def test_ragged_batches_run_in_the_full_plans_buffers_with_the_same_bits(monkeypatch, variant, activation):
+    # Shards of 10, 9 and 9 records at batch 4 leave ragged batches of 2 and 1
+    # records. The 2-record plan borrows the front of every buffer of the
+    # 4-record plan and both ragged plans its SGD scratch, so a ragged batch
+    # holds no step memory of its own; the run keeps the bits of one where
+    # every plan makes its own buffers.
+    spec = ModelSpec((4, 6, 5, 3), activation)
+    shards = partition_dataset(*random_dataset(spec, 28, 7), 3, strict=False)
+    models = []
+
+    class RecordedModel(protocol_sim._WorkingModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            models.append(self)
+
+    def run():
+        if variant is Protocol.FEDERATED:
+            result = run_federated_training(spec, shards, rounds=2, local_lr=0.05, seed=3, batch_size=4)
+        else:
+            result = run_split_training(spec, 2, shards, variant, epochs=2, lr=0.05, seed=3, batch_size=4)
+        return [p.tobytes() for p in (*result.client_params, result.server_params)], result.losses
+
+    monkeypatch.setattr(protocol_sim, "_WorkingModel", RecordedModel)
+    shared = run()
+    (model,) = models
+    full, two, one = (model.plans[r] for r in (4, 2, 1))
+    assert len(two._buffers) == len(full._buffers)
+    assert all(np.shares_memory(a, b) for a, b in zip(two._buffers, full._buffers))
+    assert two.scratch is full.scratch and one.scratch is full.scratch
+    # a one-record input ends in a 1 that no other plan's rows overwrite
+    assert not any(np.shares_memory(a, b) for a in one.acts[:-1] for b in full._buffers + two._buffers)
+
+    plan = nn_core.StepPlan
+    monkeypatch.setattr(nn_core, "StepPlan", lambda *args, base=None: plan(*args))
+    assert run() == shared
+
+
 def test_shard_widths_checked_once_per_run():
     x, y = random_dataset(SPEC, 6, 42)
     wide_x = [(np.zeros((3, 5)), y[:3])]
