@@ -176,7 +176,7 @@ class StepPlan:
       holds the batch, the last the outputs, and index c is what crosses a
       cut at c. At one record, each layer's input is the first columns of a
       ``(1, width + 1)`` record whose last entry is 1, so the outer product of
-      the weight gradient also writes the bias gradient (see :func:`sgd_plan`).
+      the weight gradient also writes the bias gradient.
     * ``zs[i]``, layer i's pre-activations; for the last layer and identity
       layers it is ``acts[i + 1]`` itself.
     * ``dzs[i]``, d loss / d zs[i]; ``act_grads[j]``, d loss / d acts[j] for
@@ -184,7 +184,14 @@ class StepPlan:
     * ``diffs``, the outputs minus the labels of up to ``batches`` batches,
       one row per batch, and at most DIFF_BLOCK scalars unless one row is
       wider; :func:`batch_losses` squares and sums them.
-    * ``scratch`` and ``blocks``, the SGD plan of :func:`sgd_plan`.
+    * ``blocks``, the SGD blocks :func:`sgd_step` walks, cut here: each is a
+      ``(params view, scratch view, grads)``, ``grads`` the calls that write
+      the block's gradient into its view of the one ``scratch``. At one
+      record a layer's weights and bias, which lie together in the flat
+      vector, are the ``n_in + 1`` rows of ``n_out`` that the outer product of
+      the record with the delta writes, the bias as ``1 * dz`` added to +0.0,
+      the bits of the delta's one-row sum. Over more records each weight
+      matrix is ``a.T @ dz`` and each bias ``dz`` summed over the records.
 
     Each call keeps the kernel and operand order of the expression in its
     comment, so a step has that expression's bits.
@@ -192,10 +199,10 @@ class StepPlan:
     A ``base`` plan of the same spec over the same ``params`` and more
     records lends its buffers: a plan of more than one record takes the
     front of each of the base's, in the order they were made, wherever that
-    holds enough, and any plan takes the base's SGD scratch. The two then
-    overwrite each other's buffers, so they serve batches one after the
-    other, the base's losses reduced first: a shard's ragged last batch runs
-    in the full batches' memory.
+    holds enough, and any plan takes the base's SGD scratch if it holds the
+    plan's largest block. The two then overwrite each other's buffers, so
+    they serve batches one after the other, the base's losses reduced
+    first: a shard's ragged last batch runs in the full batches' memory.
     """
 
     def __init__(self, spec: ModelSpec, params: np.ndarray, records: int, batches: int = 1,
@@ -257,8 +264,47 @@ class StepPlan:
                 self.act_grads[i] = buffer(*self.acts[i].shape)
                 w = layers[i][0]
                 self.backward.append(partial(_matmul(w.shape[1]), dz, w.T, self.act_grads[i]))
-        self.scratch, self.blocks = sgd_plan(spec, params, inputs if one else self.acts[:-1], self.dzs, block,
-                                             None if base is None else base.scratch)
+
+        # The SGD blocks: contiguous runs of the flat vector of at most
+        # ``block`` scalars, cut only between whole units: a row at one
+        # record, a layer's whole weight matrix and a bias otherwise (BLAS may
+        # round a subset of a multi-record product's rows differently from the
+        # whole). A unit wider than ``block`` is a block of its own.
+        shapes = list(pairwise(widths))
+        spans, lo, hi = [], 0, 0
+        for n_in, n_out in shapes:
+            for width in [n_out] * (n_in + 1) if one else [n_in * n_out, n_out]:
+                if hi > lo and hi - lo + width > block:
+                    spans.append((lo, hi))
+                    lo = hi
+                hi += width
+        spans.append((lo, hi))
+        need = max(hi - lo for lo, hi in spans)
+        self.scratch = base.scratch if base is not None and base.scratch.size >= need else np.empty(need)
+        self.blocks = []
+        for lo, hi in spans:
+            grads, start = [], 0
+            for a, dz, (n_in, n_out) in zip(inputs if one else self.acts, self.dzs, shapes):
+                w_end, end = start + n_in * n_out, start + (n_in + 1) * n_out
+                if one:
+                    # At one record, dW = a.T @ dz is an outer product, and
+                    # numpy's einsum kernel writes it ~3x faster than BLAS.
+                    # Like matmul it adds each product to +0.0, so the bits
+                    # agree, but for which payload a product of two NaNs
+                    # keeps. Over more records einsum sums in another order
+                    # than BLAS, so larger batches stay with matmul.
+                    r0, r1 = (max(lo, start) - start) // n_out, (min(hi, end) - start) // n_out
+                    if r0 < r1:  # rows r0..r1 of the layer's weights-then-bias block
+                        dw = self.scratch[start + r0 * n_out - lo : start + r1 * n_out - lo].reshape(r1 - r0, n_out)
+                        grads.append(partial(_c_einsum, "bi,bj->ij", a[:, r0:r1], dz, out=dw))
+                else:
+                    if lo <= start and w_end <= hi:
+                        dw = self.scratch[start - lo : w_end - lo].reshape(n_in, n_out)
+                        grads.append(partial(np.matmul, a.T, dz, out=dw))
+                    if lo <= w_end and end <= hi:
+                        grads.append(partial(np.add.reduce, dz, axis=0, out=self.scratch[w_end - lo : end - lo]))
+                start = end
+            self.blocks.append((params[lo:hi], self.scratch[: hi - lo], grads))
 
 
 def _matmul(inner: int):
@@ -301,67 +347,6 @@ def batch_losses(plan: StepPlan, batches: int) -> np.ndarray:
     squares = plan.diffs[:batches].reshape(batches, -1)
     np.multiply(squares, squares, out=squares)
     return np.add.reduce(squares, axis=1) / squares.shape[1]
-
-
-def sgd_plan(spec: ModelSpec, params: np.ndarray, inputs, dzs, block: int = SGD_BLOCK, scratch=None):
-    """The blocks :func:`sgd_step` walks over ``params``, and their one scratch.
-
-    ``inputs[i]`` is layer i's input buffer and ``dzs[i]`` its delta. At one
-    record the input has a trailing 1, and a layer's weights and bias, which
-    lie together in the flat vector, are its ``n_in + 1`` rows of ``n_out``:
-    the outer product of the record with the delta writes them all, the bias
-    as ``1 * dz`` added to +0.0, the bits of the delta's one-row sum. Over
-    more records each weight matrix is ``a.T @ dz`` and each bias ``dz``
-    summed over the records.
-
-    Each block is a contiguous run of the flat vector of at most ``block``
-    scalars, cut only between whole units: a row at one record, a layer's
-    whole weight matrix and a bias otherwise (BLAS may round a subset of a
-    multi-record product's rows differently from the whole). A unit wider
-    than ``block`` is a block of its own. A given ``scratch`` is used if it
-    holds the largest block. Returns ``(scratch, blocks)``; a block is
-    ``(params view, scratch view, grads)``, ``grads`` the calls that write
-    its gradient into the scratch view.
-    """
-    if params.shape != (param_count(spec),):
-        raise LengthMismatch(f"expected {param_count(spec)} parameters, got shape {params.shape}")
-    # At one record, dW = a.T @ dz is an outer product, and numpy's einsum
-    # kernel writes it ~3x faster than BLAS. Like matmul it adds each product
-    # to +0.0, so the bits agree, but for which payload a product of two NaNs
-    # keeps. Over more records einsum sums in another order than BLAS, so
-    # larger batches stay with matmul.
-    one = dzs[0].shape[0] == 1
-    shapes = list(pairwise(spec.layer_widths))
-    spans, lo, hi = [], 0, 0
-    for n_in, n_out in shapes:
-        for width in [n_out] * (n_in + 1) if one else [n_in * n_out, n_out]:
-            if hi > lo and hi - lo + width > block:
-                spans.append((lo, hi))
-                lo = hi
-            hi += width
-    spans.append((lo, hi))
-    need = max(hi - lo for lo, hi in spans)
-    if scratch is None or scratch.size < need:
-        scratch = np.empty(need)
-    blocks = []
-    for lo, hi in spans:
-        grads, start = [], 0
-        for a, dz, (n_in, n_out) in zip(inputs, dzs, shapes):
-            w_end, end = start + n_in * n_out, start + (n_in + 1) * n_out
-            if one:
-                r0, r1 = (max(lo, start) - start) // n_out, (min(hi, end) - start) // n_out
-                if r0 < r1:  # rows r0..r1 of the layer's weights-then-bias block
-                    dw = scratch[start + r0 * n_out - lo : start + r1 * n_out - lo].reshape(r1 - r0, n_out)
-                    grads.append(partial(_c_einsum, "bi,bj->ij", a[:, r0:r1], dz, out=dw))
-            else:
-                if lo <= start and w_end <= hi:
-                    dw = scratch[start - lo : w_end - lo].reshape(n_in, n_out)
-                    grads.append(partial(np.matmul, a.T, dz, out=dw))
-                if lo <= w_end and end <= hi:
-                    grads.append(partial(np.add.reduce, dz, axis=0, out=scratch[w_end - lo : end - lo]))
-            start = end
-        blocks.append((params[lo:hi], scratch[: hi - lo], grads))
-    return scratch, blocks
 
 
 def sgd_step(plan: StepPlan, lr) -> None:

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import nn_core
-from .cost_model import CommReport, MessageKind, Protocol, ScenarioParams, shard_sizes, traffic_by_kind
+from .cost_model import _KINDS, CommReport, MessageKind, Protocol, ScenarioParams, shard_sizes, traffic_by_kind
 from .errors import Diverged, InvalidParam, ShapeMismatch
 from .nn_core import ModelSpec
 
@@ -51,7 +51,6 @@ class Message(NamedTuple):
 
 # Kind codes of the ledger's kind column, and the ranges of its epoch ("i")
 # and count ("q") columns.
-_KINDS = tuple(MessageKind)
 _KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 _EPOCH_END = 1 << 31
 _COUNT_END = 1 << 63
@@ -64,8 +63,10 @@ class TrafficLedger:
     columns: the epoch (``i``), the sender and the receiver as indices into
     the ledger's endpoint table (``i``; SERVER is 0), the kind's code (``B``)
     and the scalar count (``q``). Iterating the ledger yields the messages as
-    :class:`Message` rows with string endpoints. Endpoint ids are
-    identifiers, so no CSV field ever needs quoting.
+    :class:`Message` rows with string endpoints. Every write is a
+    :meth:`log_turn`, which checks the whole turn first, so nothing grows on
+    a refusal. Endpoint ids are identifiers, so no CSV field ever needs
+    quoting.
     """
 
     def __init__(self) -> None:
@@ -80,33 +81,52 @@ class TrafficLedger:
         self.log_turn(epoch, ((sender, receiver, kind),), (scalar_count,))
 
     def log_turn(self, epoch: int, batch: Sequence[tuple[str, str, MessageKind]], counts: Sequence[int]) -> None:
-        """Log a turn's messages in ``epoch``, checked whole before any column
-        grows: ``batch`` gives the (sender, receiver, kind) of each message a
-        batch sends, and ``counts`` every message's scalar count, batch after
-        batch, so message j is ``batch[j % len(batch)]`` with ``counts[j]``.
-        ``kind`` must be a :class:`MessageKind`, ``epoch`` an int in [0, 2**31),
-        each count an int in [0, 2**63) and both endpoints identifiers, and
-        ``counts`` a whole number of batches. Anything else raises
-        :class:`InvalidParam` and leaves the ledger as it was."""
+        """Log a turn's messages in ``epoch``: ``batch`` gives the (sender,
+        receiver, kind) of each message a batch sends, and ``counts`` every
+        message's scalar count, batch after batch, so message j is
+        ``batch[j % len(batch)]`` with ``counts[j]``.
+
+        One pass checks the turn in the order a message is read: ``counts``
+        a whole number of batches, ``epoch`` an int in [0, 2**31), each entry
+        a triple of two endpoints, known or identifiers, and a
+        :class:`MessageKind`, each count an int in [0, 2**63). The first
+        failure raises :class:`InvalidParam` naming the bad value and leaves
+        the ledger as it was; only then do new endpoints join the table and
+        the columns and the tally grow, each once."""
         width, size = len(batch), len(counts)
         if not width or size % width:
             raise InvalidParam(f"{size} scalar counts are not a whole number of {width}-message batches")
-        if not (type(epoch) is int and 0 <= epoch < _EPOCH_END
-                and all(type(kind) is MessageKind for _, _, kind in batch)
-                and all(type(n) is int for n in counts)
-                and (not size or 0 <= min(counts) and max(counts) < _COUNT_END)):
-            # the first bad message; a turn of no batches is checked as one batch of zero counts
-            raise next(filter(None, (_message_error(Message(epoch, *batch[j % width], n))
-                                     for j, n in enumerate(counts if size else [0] * width))))
-        index = self._index
-        try:
-            ends = [(index[sender], index[receiver], _KIND_CODES[kind]) for sender, receiver, kind in batch]
-        except (KeyError, TypeError):
-            self._register(*(name for sender, receiver, _ in batch for name in (sender, receiver)))
-            ends = [(index[sender], index[receiver], _KIND_CODES[kind]) for sender, receiver, kind in batch]
+        if type(epoch) is not int or not 0 <= epoch < _EPOCH_END:
+            raise InvalidParam(f"epoch must be an int in [0, 2**31), got {epoch!r}")
+        # each entry's endpoint indices and kind code; ``new`` holds the
+        # endpoints the turn adds, with the indices they will take
+        index, names, new, ends = self._index, self._names, {}, []
+        for entry in batch:
+            try:
+                sender, receiver, kind = entry
+            except (TypeError, ValueError):
+                raise InvalidParam(f"a batch entry must be (sender, receiver, kind), got {entry!r}") from None
+            if type(kind) is not MessageKind:
+                raise InvalidParam(f"kind must be a MessageKind, got {kind!r} in {entry!r}")
+            pair = []
+            for name in (sender, receiver):
+                code = index.get(name) if isinstance(name, str) else None
+                if code is None:
+                    if type(name) is not str or not name.isidentifier():
+                        raise InvalidParam(f"endpoint id must be an identifier, got {name!r} in {entry!r}")
+                    code = new.setdefault(name, len(names) + len(new))
+                pair.append(code)
+            ends.append((*pair, _KIND_CODES[kind]))
+        if not (set(map(type, counts)) <= {int} and (not size or 0 <= min(counts) and max(counts) < _COUNT_END)):
+            j, n = next((j, n) for j, n in enumerate(counts) if type(n) is not int or not 0 <= n < _COUNT_END)
+            raise InvalidParam(f"scalar_count must be an int in [0, 2**63), got {n!r} "
+                               f"in {Message(epoch, *batch[j % width], n)}")
         batches = size // width
         if not batches:
             return
+        index.update(new)
+        names += new
+        self._tally += [None] * len(new)
         senders, receivers, codes = zip(*ends)
         self._epochs.extend(array("i", (epoch,)) * size)
         self._senders.extend(array("i", senders) * batches)
@@ -119,17 +139,6 @@ class TrafficLedger:
             if tally[owner] is None:  # the owner's first message
                 tally[owner] = [0] * len(_KINDS)
             tally[owner][code] += sum(counts[j::width])
-
-    def _register(self, *names) -> None:
-        """Add ``names`` that are new to the endpoint table, once all are checked."""
-        for name in names:
-            if type(name) is not str or not name.isidentifier():
-                raise InvalidParam(f"endpoint id must be an identifier, got {name!r}")
-        for name in names:
-            if name not in self._index:
-                self._index[name] = len(self._names)
-                self._names.append(name)
-                self._tally.append(None)
 
     def __len__(self) -> int:
         return len(self._kinds)
@@ -165,19 +174,6 @@ class TrafficLedger:
             f"{e},{names[s]},{names[r]},{values[k]},{n}\n"
             for e, s, r, k, n in zip(self._epochs, self._senders, self._receivers, self._kinds, self._counts)
         )
-
-
-def _message_error(message: Message) -> InvalidParam | None:
-    """What is wrong with a message the ledger refuses, or None if its fields are good."""
-    if type(message.kind) is not MessageKind:
-        what = f"kind must be a MessageKind, got {message.kind!r}"
-    elif type(message.epoch) is not int or not 0 <= message.epoch < _EPOCH_END:
-        what = f"epoch must be an int in [0, 2**31), got {message.epoch!r}"
-    elif type(message.scalar_count) is not int or not 0 <= message.scalar_count < _COUNT_END:
-        what = f"scalar_count must be an int in [0, 2**63), got {message.scalar_count!r}"
-    else:
-        return None
-    return InvalidParam(f"{what} in {message}")
 
 
 def partition_dataset(inputs, labels, clients: int, strict: bool = True) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

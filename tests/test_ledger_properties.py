@@ -4,8 +4,9 @@ Each message is owned by the client that sends it, or by the client the
 server sends it to. These properties check that rule against
 ``traffic_by_kind`` evaluated on one client's shard, over random
 architectures, shard splits, batch sizes, epochs and all four protocols,
-and check the ledger's rows, CSV and cached tally over random message
-sequences.
+check that any one fault in a run's ledger makes the check name an owner
+the fault touched, and check the ledger's rows, CSV and cached tally over
+random message sequences.
 """
 
 import csv
@@ -111,6 +112,56 @@ def test_measured_per_client_equals_comm_report(arch, protocol, clients, per_cli
         formula = comm_report(counted, protocol)
         assert measured.per_client_scalars == formula.per_client_scalars
         assert measured.total_scalars == formula.total_scalars
+
+
+def owner(message):
+    return message.receiver if message.sender == SERVER else message.sender
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    arch=architectures(),
+    protocol=st.sampled_from(PROTOCOLS),
+    clients=st.integers(1, 4),
+    records=st.integers(1, 11),
+    epochs=st.integers(1, 3),
+    batch_size=st.integers(1, 4),
+    fault=st.sampled_from(["add", "drop", "resize", "move"]),
+    data=st.data(),
+)
+def test_any_single_fault_mismatches_and_names_an_owner_it_touched(arch, protocol, clients, records, epochs,
+                                                                   batch_size, fault, data):
+    spec, cut = arch
+    shards = partition_dataset(*random_dataset(spec, records, seed=5), clients, strict=False)
+    log = list(simulate(spec, cut, protocol, shards, epochs, batch_size))
+    params = ScenarioParams.from_model(spec, cut, clients=clients, dataset_size=records, epochs=epochs,
+                                       batch_size=batch_size, label_width=spec.output_width)
+    if fault == "add":  # a message of any kind, Labels included, owned by some client
+        added = Message(data.draw(st.integers(0, epochs - 1)), client_id(data.draw(st.integers(1, clients))),
+                        SERVER, data.draw(st.sampled_from(list(MessageKind))), data.draw(st.integers(1, 10**6)))
+        log.insert(data.draw(st.integers(0, len(log))), added)
+        touched = {owner(added)}
+    else:  # one of the run's own messages, of whatever kind it is
+        at = data.draw(st.integers(0, len(log) - 1))
+        message = log[at]
+        touched = {owner(message)}
+        if fault == "drop":
+            del log[at]
+        elif fault == "resize":
+            step = -1 if message.scalar_count and data.draw(st.booleans()) else 1
+            log[at] = message._replace(scalar_count=message.scalar_count + step)
+        else:  # to another client, client K+1 included, which no closed form allows
+            moved = data.draw(st.sampled_from([client_id(k) for k in range(1, clients + 2)
+                                               if client_id(k) != owner(message)]))
+            log[at] = message._replace(**{"receiver" if message.sender == SERVER else "sender": moved})
+            touched.add(moved)
+    ledger = TrafficLedger()
+    for message in log:
+        ledger.append(*message)
+
+    report = verify_against_model(ledger, params, protocol)
+    assert not report.matches
+    assert report.client in touched
 
 
 ENDPOINTS = [SERVER] + [client_id(k) for k in range(1, 12)]

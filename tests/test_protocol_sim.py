@@ -3,6 +3,7 @@
 import io
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -597,38 +598,63 @@ def ledger_state(ledger):
     return list(ledger), ledger.tally(), ledger.totals_by_kind(), buf.getvalue()
 
 
-@pytest.mark.parametrize("epoch, sender, receiver, kind, count", [
-    (0, client_id(1), SERVER, "Activations", 3),  # equal to a kind, but a str
-    (-1, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3),
-    (2**31, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3),
-    (1.0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3),
-    (0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3.5),
-    (0, client_id(1), SERVER, MessageKind.ACTIVATIONS, -1),
-    (0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 2**63),
-    (0, "client 1", SERVER, MessageKind.ACTIVATIONS, 3),  # no identifier: the CSV would need quoting
-    (0, client_id(3), None, MessageKind.ACTIVATIONS, 3),
+@pytest.mark.parametrize("bad, epoch, sender, receiver, kind, count", [
+    ("kind", 0, client_id(1), SERVER, "Activations", 3),  # equal to a kind, but a str
+    ("epoch", -1, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3),
+    ("epoch", 2**31, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3),
+    ("epoch", 1.0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3),
+    ("count", 0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3.5),
+    ("count", 0, client_id(1), SERVER, MessageKind.ACTIVATIONS, -1),
+    ("count", 0, client_id(1), SERVER, MessageKind.ACTIVATIONS, 2**63),
+    ("sender", 0, "client 1", SERVER, MessageKind.ACTIVATIONS, 3),  # no identifier: the CSV would need quoting
+    ("receiver", 0, client_id(3), None, MessageKind.ACTIVATIONS, 3),
+    ("sender", 0, [client_id(1)], SERVER, MessageKind.ACTIVATIONS, 3),  # unhashable
+    ("epoch", True, client_id(1), SERVER, MessageKind.ACTIVATIONS, 3),  # bool is an int subclass
+    ("count", 0, client_id(1), SERVER, MessageKind.ACTIVATIONS, True),
+    ("count", 0, client_id(1), SERVER, MessageKind.ACTIVATIONS, np.int64(3)),
+    ("count", 0, client_id(3), client_id(4), MessageKind.CLIENT_WEIGHTS, -1),  # two new endpoints
 ], ids=["kind-str", "epoch-negative", "epoch-past-int32", "epoch-float", "count-float", "count-negative",
-        "count-past-int64", "sender-not-identifier", "receiver-none"])
-def test_append_refuses_a_bad_message_and_changes_nothing(epoch, sender, receiver, kind, count):
+        "count-past-int64", "sender-not-identifier", "receiver-none", "sender-unhashable", "epoch-bool",
+        "count-bool", "count-int64", "count-negative-new-endpoints"])
+def test_append_refuses_a_bad_message_and_changes_nothing(bad, epoch, sender, receiver, kind, count):
+    # the error names the bad value
+    named = re.escape(repr(dict(epoch=epoch, sender=sender, receiver=receiver, kind=kind, count=count)[bad]))
     ledger = TrafficLedger()
     ledger.append(0, client_id(1), SERVER, MessageKind.LABELS, 2)
     before = ledger_state(ledger)
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidParam, match=named):
         ledger.append(epoch, sender, receiver, kind, count)
     assert ledger_state(ledger) == before
     # a turn of three two-message batches whose second message is the bad
     # one's, its count in the first, the middle or the last batch
     batch = ((client_id(1), SERVER, MessageKind.ACTIVATIONS), (sender, receiver, kind))
-    for bad in range(3):
+    for at in range(3):
         counts = [3] * 6
-        counts[2 * bad + 1] = count
-        with pytest.raises(InvalidParam):
+        counts[2 * at + 1] = count
+        with pytest.raises(InvalidParam, match=named):
             ledger.log_turn(epoch, batch, counts)
         assert ledger_state(ledger) == before
     # the columns stay in step: the next message is read back whole
     ledger.append(2**31 - 1, SERVER, client_id(2), MessageKind.GRADIENTS, 2**63 - 1)
     assert list(ledger)[1:] == [Message(2**31 - 1, SERVER, client_id(2), MessageKind.GRADIENTS, 2**63 - 1)]
     assert ledger_state(ledger)[3].endswith(f"\n{2**31 - 1},server,client2,Gradients,{2**63 - 1}\n")
+    # and the refusals left no trace: a fresh ledger given only the valid calls is the same
+    fresh = TrafficLedger()
+    fresh.append(0, client_id(1), SERVER, MessageKind.LABELS, 2)
+    fresh.append(2**31 - 1, SERVER, client_id(2), MessageKind.GRADIENTS, 2**63 - 1)
+    assert ledger_state(ledger) == ledger_state(fresh)
+
+
+@pytest.mark.parametrize("entry", [(client_id(1), SERVER), None, (client_id(1), SERVER, MessageKind.LABELS, 2)],
+                         ids=["pair", "none", "four-fields"])
+def test_log_turn_refuses_a_batch_entry_that_is_not_a_triple(entry):
+    ledger = TrafficLedger()
+    ledger.append(0, client_id(1), SERVER, MessageKind.LABELS, 2)
+    before = ledger_state(ledger)
+    for batch in ([entry], [(client_id(1), SERVER, MessageKind.ACTIVATIONS), entry]):
+        with pytest.raises(InvalidParam, match=re.escape(repr(entry))):
+            ledger.log_turn(0, batch, [1] * len(batch))
+        assert ledger_state(ledger) == before
 
 
 @pytest.mark.parametrize("batch, counts", [
