@@ -1,8 +1,9 @@
 """Command-line front end: analyze, simulate, breakeven, sweep.
 
 Exit codes: 0 ok, 2 scenario/config error (an output path that cannot be
-written among them, refused before any work), 3 domain error (for example a
-divisibility or range violation), 4 ledger-versus-formula mismatch. The
+written among them: refused before any work where that can be foreseen, or
+when a write to it fails), 3 domain error (for example a divisibility or
+range violation), 4 ledger-versus-formula mismatch. The
 environment variable SPLITFED_SEED overrides the scenario seed in simulate,
 the only subcommand that uses a seed; no other subcommand reads it.
 
@@ -55,14 +56,19 @@ SIMULATE_MAX_HELD_SCALARS = 10**7
 # copies the N-scalar global model into each of K clients' buffers and folds
 # the K uploads into the running sum.
 SIMULATE_MAX_FOLDED_SCALARS = 10**9
-# p * (input + output width) bounds the synthetic dataset, generated before
-# training into one float64 vector (80 MB at the limit) with two 256 KB blocks
-# of scratch.
+# p * (input + output width) bounds the synthetic dataset. Each client's shard
+# is made when the run reads it, once to check it and once a turn, so a run
+# holds one shard at a time; one client's shard is the whole dataset, one
+# float64 vector (80 MB at the limit) with two 64 KB blocks of scratch.
 SIMULATE_MAX_DATA_SCALARS = 10**7
-# epochs * max(p, K) bounds a run's training steps and its ledger, which logs
-# at most 4 messages per batch plus 2 per client in every epoch, about 22
-# bytes each. A sync run of (4, 3, 2) at K = 10, p = 100,000 and 10 epochs
-# logs 3,000,100 messages and peaks at about 100 MB RSS (Python 3.11, numpy 2.4).
+# epochs * max(p, K) bounds a run's training steps and the rows of its ledger
+# CSV: at most 4 messages per batch plus 2 per client in every epoch. The
+# ledger holds a turn's identical batches as one run, one batch of 17 bytes a
+# message plus 20 bytes, so a split turn holds a few runs however long it is.
+# A sync run of (4, 3, 2) at K = 10, p = 100,000 and 10 epochs logs 3,000,100
+# messages, writes an 86 MB ledger CSV and peaks at about 34 MB RSS, as its
+# one-epoch run does (Python 3.11, numpy 2.4); at 22 bytes a message and with
+# the whole dataset made first, they peaked at about 100 MB and 44 MB.
 SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this, a bound on time
 # (about 6 s at the limit): a curve holds 8 B a point (N* in an array('d'),
@@ -126,12 +132,25 @@ def _fmt(x) -> str:
 
 
 @contextlib.contextmanager
+def _writing(path: str | None):
+    """Name ``path`` in an OSError raised while it is written that names no file:
+    a write or a close that fails after the file is open (a full disk, say)."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
+
+
+@contextlib.contextmanager
 def _csv_lines(path: str | None, header: list[str]):
     """The write function of a CSV stream, header written: a new file at ``path``, named on
     stdout once closed, or stdout itself when ``path`` is None. Lines go out as they are formatted."""
-    with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(",".join(header) + "\n")
-        yield fh.write
+    with _writing(path):
+        with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write(",".join(header) + "\n")
+            yield fh.write
     if path:
         print(f"wrote {path}")
 
@@ -222,8 +241,8 @@ def cmd_simulate(args) -> int:
     # read through the module at call time, so a replaced name is the one called
     this = sys.modules[__name__]
     protocol_sim, random_dataset = this.protocol_sim, this.random_dataset
-    x, y = random_dataset(sc.model, params.dataset_size, sc.seed)
-    shards = protocol_sim.partition_dataset(x, y, params.clients, strict=strict)
+    shards = protocol_sim.GeneratedShards(random_dataset, sc.model, params.dataset_size, sc.seed, params.clients,
+                                          strict)
 
     if variant is Protocol.FEDERATED:
         run = protocol_sim.run_federated_training(sc.model, shards, epochs, args.lr, sc.seed, params.batch_size)
@@ -237,7 +256,8 @@ def cmd_simulate(args) -> int:
                       params.smashed_size)
 
     if args.csv:
-        ledger.to_csv(args.csv)
+        with _writing(args.csv):
+            ledger.to_csv(args.csv)
         print(f"wrote {args.csv}")
     if args.loss_csv:
         with _csv_lines(args.loss_csv, ["epoch", "loss"]) as write:
@@ -338,7 +358,8 @@ def cmd_breakeven(args) -> int:
                 write(f"{k},{n_text}\n")
     if args.svg:
         # read through the module at call time, so a replaced name is the one called
-        sys.modules[__name__].render_breakeven_svg(curve, args.svg)
+        with _writing(args.svg):
+            sys.modules[__name__].render_breakeven_svg(curve, args.svg)
         print(f"wrote {args.svg}")
     return 0
 
@@ -489,7 +510,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
-        # a scenario file that cannot be read is a ScenarioError, so a file named here is an output
+        # a scenario file that cannot be read is a ScenarioError, so a file named here is an output:
+        # one refused before any work, one that open() refused, or one whose write or close failed
         if exc.filename is None:
             raise
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)

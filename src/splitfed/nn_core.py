@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import accumulate, pairwise
+from typing import Sequence
 
 import numpy as np
 
@@ -43,13 +44,15 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# The finalizer's (shift, multiplier) rounds and its last shift, as uint64
-# operands; a double takes an output's top 53 bits.
+# As uint64 operands: the finalizer's (shift, multiplier) rounds and its last
+# shift, the shift that leaves an output's top 53 bits for a double, and the
+# stream's step, gamma.
 _MIX_ROUNDS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
-_FINAL_SHIFT, _UNIT_SHIFT = np.uint64(31), np.uint64(11)
+_FINAL_SHIFT, _UNIT_SHIFT, _GAMMA = np.uint64(31), np.uint64(11), np.uint64(_SPLITMIX_GAMMA)
 # The stream is generated this many outputs at a time: its two block-sized
-# temporaries (256 KB each) stay in cache.
-STREAM_BLOCK = 1 << 15
+# temporaries (64 KB each) stay in cache, and they are small beside a shard,
+# which simulate makes on each turn, while the working model is held.
+STREAM_BLOCK = 1 << 13
 # Tweak applied to run seeds so synthetic data and weight init draw from
 # disjoint streams even when given the same seed.
 _DATA_SEED_TWEAK = 0xDA7A5EEDDA7A5EED
@@ -60,25 +63,35 @@ _ZERO, _ONE = np.array(0.0), np.array(1.0)
 _ZERO.flags.writeable = _ONE.flags.writeable = False
 
 
-def _stream(seed: int, count: int, unit: bool) -> np.ndarray:
-    """The first ``count`` outputs of the splitmix64 stream seeded with ``seed``:
-    uint64, or with ``unit`` doubles in [0, 1) from each output's top 53 bits.
+def _stream(seed: int, out: np.ndarray, stretches: Sequence[tuple[int, int]] = ()) -> np.ndarray:
+    """Write outputs of the splitmix64 stream seeded with ``seed`` into the flat
+    vector ``out`` and return it: uint64, or for a float64 ``out`` doubles in
+    [0, 1) from each output's top 53 bits. ``stretches``, (start, size) pairs
+    whose sizes sum to ``out.size``, name the outputs: ``out`` holds outputs
+    ``start`` to ``start + size`` of each in turn, by default the first
+    ``out.size``.
 
     splitmix64 is counter-based: output i is the finalizer applied to
-    ``seed + (i+1) * gamma`` mod 2**64. The stream is made in blocks of
-    STREAM_BLOCK outputs, each written in place into its slice of the one
-    output vector, so the temporaries are two blocks whatever ``count`` is.
+    ``seed + (i+1) * gamma`` mod 2**64, so any stretch is made without the
+    outputs before it. ``out`` is made in blocks of STREAM_BLOCK outputs, each
+    written in place, so the temporaries are two blocks whatever its size is.
     """
-    if count < 0:
-        raise InvalidParam(f"count must be >= 0, got {count}")
-    out = np.empty(count, dtype=np.float64 if unit else np.uint64)
-    z, doubles = out.view(np.uint64), out.view(np.float64)
+    count, unit = out.size, out.dtype == np.float64
+    z = out.view(np.uint64)
+    stretches = stretches or ((0, count),)
+    firsts = accumulate((size for _, size in stretches), initial=0)
+    # each stretch as (its stream offset less its first index in ``out``, that index, its end)
+    spans = [(start - first, first, first + size) for (start, size), first in zip(stretches, firsts)]
     steps = np.arange(1, min(count, STREAM_BLOCK) + 1, dtype=np.uint64)
-    steps *= np.uint64(_SPLITMIX_GAMMA)  # (1..block) * gamma: each block's offsets from its start
+    steps *= _GAMMA  # (1..block) * gamma: each output's counter in a block, from the block's start
     shifted = np.empty_like(steps)
     for lo in range(0, count, STREAM_BLOCK):
-        block, tmp = z[lo : lo + STREAM_BLOCK], shifted[: min(count - lo, STREAM_BLOCK)]
-        np.add(steps[: tmp.size], np.uint64((seed + lo * _SPLITMIX_GAMMA) & _MASK64), out=block)
+        hi = min(count, lo + STREAM_BLOCK)
+        block, tmp = z[lo:hi], shifted[: hi - lo]
+        for offset, first, end in spans:  # each output's counter: seed + (stream index + 1) * gamma
+            a, b = max(lo, first), min(hi, end)
+            if a < b:
+                np.add(steps[: b - a], np.uint64((seed + (offset + a) * _SPLITMIX_GAMMA) & _MASK64), out=z[a:b])
         for shift, mix in _MIX_ROUNDS:
             np.right_shift(block, shift, out=tmp)
             block ^= tmp
@@ -87,18 +100,25 @@ def _stream(seed: int, count: int, unit: bool) -> np.ndarray:
         block ^= tmp
         if unit:
             block >>= _UNIT_SHIFT
-            np.multiply(block, 2.0**-53, out=doubles[lo : lo + STREAM_BLOCK])  # exact below 2**53
+            np.multiply(block, 2.0**-53, out=out[lo:hi])  # exact below 2**53
     return out
+
+
+def _outputs(count: int, dtype) -> np.ndarray:
+    """An empty vector of ``count`` stream outputs, refusing a negative count."""
+    if count < 0:
+        raise InvalidParam(f"count must be >= 0, got {count}")
+    return np.empty(count, dtype=dtype)
 
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """First ``count`` outputs of the splitmix64 stream seeded with ``seed``."""
-    return _stream(seed, count, unit=False)
+    return _stream(seed, _outputs(count, np.uint64))
 
 
 def uniform01(seed: int, count: int) -> np.ndarray:
     """Doubles in [0, 1) from the top 53 bits of the splitmix64 stream."""
-    return _stream(seed, count, unit=True)
+    return _stream(seed, _outputs(count, np.float64))
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -116,19 +136,28 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return params
 
 
-def random_dataset(spec: ModelSpec, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic (inputs, labels) batch, every value uniform in [-1, 1]: ``2u - 1``
-    in place on one uniform vector, whose two slices are the inputs and labels."""
+def random_dataset(spec: ModelSpec, count: int, seed: int,
+                   records: range | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Synthetic (inputs, labels) batch of ``count`` records, every value uniform
+    in [-1, 1]: the stream's first ``count * input_width`` outputs are the
+    inputs, record by record, and the next ``count * output_width`` the labels.
+
+    ``records``, a step-1 range within ``range(count)`` (all of it by default),
+    picks the records made: those two stretches of the stream alone, the same
+    bits as the whole dataset's rows, with no other record made. They are
+    written into one vector, whose two slices are the inputs and labels, and
+    ``2u - 1`` is computed on it in place."""
     if count < 0:
         raise InvalidParam(f"count must be >= 0, got {count}")
-    n_x = count * spec.input_width
-    n_y = count * spec.output_width
-    values = uniform01(seed ^ _DATA_SEED_TWEAK, n_x + n_y)
+    records = range(count) if records is None else records
+    if records.step != 1 or not 0 <= records.start <= records.stop <= count:
+        raise InvalidParam(f"records must be a step-1 range within range({count}), got {records!r}")
+    n, n_x, n_y = len(records), spec.input_width, spec.output_width
+    values = _stream(seed ^ _DATA_SEED_TWEAK, np.empty(n * (n_x + n_y)),
+                     ((records.start * n_x, n * n_x), (count * n_x + records.start * n_y, n * n_y)))
     values *= 2.0
     values -= 1.0
-    x = values[:n_x].reshape(count, spec.input_width)
-    y = values[n_x:].reshape(count, spec.output_width)
-    return x, y
+    return values[: n * n_x].reshape(n, n_x), values[n * n_x :].reshape(n, n_y)
 
 
 def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, compress, islice, pairwise
+from operator import ne
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -49,29 +50,38 @@ class Message(NamedTuple):
     scalar_count: int
 
 
-# Kind codes of the ledger's kind column, and the ranges of its epoch ("i")
-# and count ("q") columns.
+# Kind codes of the ledger's kind column, the ranges of its epochs and counts,
+# and the most CSV text to_csv writes in one call.
 _KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 _EPOCH_END = 1 << 31
 _COUNT_END = 1 << 63
+_CSV_CHUNK = 1 << 16
 
 
 class TrafficLedger:
-    """Append-only, ordered log of every simulated transfer.
+    """Append-only, ordered log of every simulated transfer, stored as runs.
 
-    A message takes 21 bytes, one entry in each of five stdlib ``array``
-    columns: the epoch (``i``), the sender and the receiver as indices into
-    the ledger's endpoint table (``i``; SERVER is 0), the kind's code (``B``)
-    and the scalar count (``q``). Iterating the ledger yields the messages as
-    :class:`Message` rows with string endpoints. Every write is a
+    A run is one batch of messages sent ``repeat`` times in a row in one
+    epoch. Its batch takes 17 bytes a message, one entry in each of four
+    stdlib ``array`` columns: the sender and the receiver as indices into the
+    ledger's endpoint table (``i``; SERVER is 0), the kind's code (``B``) and
+    the scalar count (``q``). The run table holds each run's epoch (``i``), its
+    batch's first message in those columns (``q``) and its repeat (``q``), 20
+    bytes a run. A turn's identical consecutive batches are one run, and
+    batches that repeat only once extend the epoch's last such run, so a split
+    turn of any length holds a few runs and a ledger of one-off messages
+    about 17 bytes each. Iterating the ledger yields the messages one by one
+    as :class:`Message` rows with string endpoints. Every write is a
     :meth:`log_turn`, which checks the whole turn first, so nothing grows on
     a refusal. Endpoint ids are identifiers, so no CSV field ever needs
     quoting.
     """
 
     def __init__(self) -> None:
-        self._epochs, self._senders, self._receivers = array("i"), array("i"), array("i")
+        self._senders, self._receivers = array("i"), array("i")
         self._kinds, self._counts = array("B"), array("q")
+        self._run_epochs, self._run_starts, self._repeats = array("i"), array("q"), array("q")
+        self._size = 0  # messages, counting each run's batch ``repeat`` times
         self._names = [SERVER]  # the endpoint table: index -> id
         self._index = {SERVER: 0}
         self._tally: list[list[int] | None] = [None]  # per endpoint: scalars it owns by kind code, or None
@@ -91,8 +101,9 @@ class TrafficLedger:
         a triple of two endpoints, known or identifiers, and a
         :class:`MessageKind`, each count an int in [0, 2**63). The first
         failure raises :class:`InvalidParam` naming the bad value and leaves
-        the ledger as it was; only then do new endpoints join the table and
-        the columns and the tally grow, each once."""
+        the ledger as it was; only then do new endpoints join the table, the
+        turn's batches join the columns as runs of identical consecutive
+        batches, and the tally grows once."""
         width, size = len(batch), len(counts)
         if not width or size % width:
             raise InvalidParam(f"{size} scalar counts are not a whole number of {width}-message batches")
@@ -127,12 +138,34 @@ class TrafficLedger:
         index.update(new)
         names += new
         self._tally += [None] * len(new)
+        counts = list(counts)
+        # (first batch, batches stored, repeat): a run of one batch repeated, or
+        # consecutive batches that each repeat once, stored as they are
+        if counts == counts[:width] * batches:
+            stored = [(0, 1, batches)]
+        else:  # batch b starts a run where a count differs from batch b - 1's
+            changed = compress(range(width, size), map(ne, counts[width:], counts))
+            stored = []
+            for lo, hi in pairwise([0, *sorted({j // width for j in changed}), batches]):
+                if hi - lo > 1:
+                    stored.append((lo, 1, hi - lo))
+                elif stored and stored[-1][2] == 1:
+                    stored[-1] = (stored[-1][0], stored[-1][1] + 1, 1)
+                else:
+                    stored.append((lo, 1, 1))
         senders, receivers, codes = zip(*ends)
-        self._epochs.extend(array("i", (epoch,)) * size)
-        self._senders.extend(array("i", senders) * batches)
-        self._receivers.extend(array("i", receivers) * batches)
-        self._kinds.extend(array("B", codes) * batches)
-        self._counts.extend(counts)
+        run_epochs, repeats = self._run_epochs, self._repeats
+        for first, n, repeat in stored:
+            # batches that repeat once extend the epoch's last run if it too repeats once
+            if repeat > 1 or not repeats or repeats[-1] > 1 or run_epochs[-1] != epoch:
+                run_epochs.append(epoch)
+                self._run_starts.append(len(self._kinds))
+                repeats.append(repeat)
+            self._senders.extend(senders * n)
+            self._receivers.extend(receivers * n)
+            self._kinds.extend(codes * n)
+            self._counts.extend(counts[first * width : (first + n) * width])
+        self._size += size
         tally = self._tally
         for j, (s, r, code) in enumerate(ends):
             owner = s or r  # the client that sends it, or the client the server (0) sends it to
@@ -140,13 +173,27 @@ class TrafficLedger:
                 tally[owner] = [0] * len(_KINDS)
             tally[owner][code] += sum(counts[j::width])
 
+    def _runs(self) -> Iterator[tuple[int, zip, int]]:
+        """Each run as (epoch, its batch's (sender, receiver, kind code, count) rows, repeat)."""
+        starts = self._run_starts
+        stops = chain(islice(starts, 1, None), (len(self._kinds),))
+        for epoch, lo, hi, repeat in zip(self._run_epochs, starts, stops, self._repeats):
+            rows = zip(self._senders[lo:hi], self._receivers[lo:hi], self._kinds[lo:hi], self._counts[lo:hi])
+            yield epoch, rows, repeat
+
     def __len__(self) -> int:
-        return len(self._kinds)
+        return self._size
 
     def __iter__(self) -> Iterator[Message]:
-        name = self._names.__getitem__
-        return map(Message, self._epochs, map(name, self._senders), map(name, self._receivers),
-                   map(_KINDS.__getitem__, self._kinds), self._counts)
+        names = self._names
+        for epoch, rows, repeat in self._runs():
+            batch = (Message(epoch, names[s], names[r], _KINDS[k], n) for s, r, k, n in rows)
+            if repeat == 1:
+                yield from batch
+            else:
+                batch = tuple(batch)
+                for _ in range(repeat):
+                    yield from batch
 
     def totals_by_kind(self) -> dict[MessageKind, int]:
         owned = [row for row in self._tally if row is not None]  # every message has exactly one owner
@@ -167,13 +214,25 @@ class TrafficLedger:
                 self._write_csv(fh)
 
     def _write_csv(self, fh) -> None:
-        # The bytes csv.writer would write: no field of ints and identifiers needs quoting.
+        # The bytes csv.writer would write: no field of ints and identifiers
+        # needs quoting. A repeated run's batch is formatted once and written
+        # in chunks of at most _CSV_CHUNK characters (or one batch).
         names, values = self._names, [kind.value for kind in _KINDS]
         fh.write("epoch,sender,receiver,kind,scalar_count\n")
-        fh.writelines(
-            f"{e},{names[s]},{names[r]},{values[k]},{n}\n"
-            for e, s, r, k, n in zip(self._epochs, self._senders, self._receivers, self._kinds, self._counts)
-        )
+        for epoch, rows, repeat in self._runs():
+            lines = (f"{epoch},{names[s]},{names[r]},{values[k]},{n}\n" for s, r, k, n in rows)
+            if repeat == 1:
+                fh.writelines(lines)
+                continue
+            text = "".join(lines)
+            per_chunk = max(1, _CSV_CHUNK // len(text))
+            for done in range(0, repeat, per_chunk):
+                fh.write(text * min(per_chunk, repeat - done))
+
+
+def _shard_bounds(records: int, clients: int, strict: bool) -> list[tuple[int, int]]:
+    """Each client's (first, end) record of a dataset split by :func:`shard_sizes`."""
+    return list(pairwise(accumulate(shard_sizes(records, clients, strict=strict), initial=0)))
 
 
 def partition_dataset(inputs, labels, clients: int, strict: bool = True) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -185,27 +244,47 @@ def partition_dataset(inputs, labels, clients: int, strict: bool = True) -> tupl
     y = np.asarray(labels, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
         raise InvalidParam(f"{x.shape[0]} inputs but {y.shape[0]} labels")
-    bounds = pairwise(accumulate(shard_sizes(x.shape[0], clients, strict=strict), initial=0))
-    return tuple((x[lo:hi], y[lo:hi]) for lo, hi in bounds)
+    return tuple((x[lo:hi], y[lo:hi]) for lo, hi in _shard_bounds(x.shape[0], clients, strict))
 
 
-def _checked_run(spec: ModelSpec, shards: Sequence, unit: str, count: int, batch_size: int) -> list:
-    """Check a run's ``count`` epochs or rounds and its batch size, and return
-    every shard as float64 (inputs, labels) of the model's widths."""
+class GeneratedShards:
+    """The shards ``partition_dataset(*make(spec, records, seed), clients, strict)``
+    gives, each made when it is read: shard k is ``make(spec, records, seed,
+    range(first, end))`` over its own records (see
+    :func:`.nn_core.random_dataset`), so no more than the shard read exists.
+    A run reads each shard once to check it and once a turn."""
+
+    def __init__(self, make, spec: ModelSpec, records: int, seed: int, clients: int, strict: bool = True) -> None:
+        self._make, self._spec, self._records, self._seed = make, spec, records, seed
+        self._bounds = _shard_bounds(records, clients, strict)
+
+    def __len__(self) -> int:
+        return len(self._bounds)
+
+    def __getitem__(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._make(self._spec, self._records, self._seed, range(*self._bounds[k]))
+
+
+def _checked_shard(spec: ModelSpec, shard) -> tuple[np.ndarray, np.ndarray]:
+    """A shard as float64 (inputs, labels) of the model's widths."""
+    x, y = shard
+    x = nn_core._check_batch(x, spec.input_width, "shard inputs")
+    y = nn_core._check_batch(y, spec.output_width, "shard labels")
+    if x.shape[0] != y.shape[0]:
+        raise ShapeMismatch(f"shard has {x.shape[0]} records but {y.shape[0]} labels")
+    return x, y
+
+
+def _checked_run(spec: ModelSpec, shards: Sequence, unit: str, count: int, batch_size: int) -> list[int]:
+    """Check a run's ``count`` epochs or rounds, its batch size and every shard,
+    read one at a time and dropped, and return each shard's record count."""
     if count < 0:
         raise InvalidParam(f"{unit} must be >= 0, got {count}")
     if batch_size < 1:
         raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
     if not shards:
         raise InvalidParam("need at least one client shard")
-    checked = []
-    for x, y in shards:
-        x = nn_core._check_batch(x, spec.input_width, "shard inputs")
-        y = nn_core._check_batch(y, spec.output_width, "shard labels")
-        if x.shape[0] != y.shape[0]:
-            raise ShapeMismatch(f"shard has {x.shape[0]} records but {y.shape[0]} labels")
-        checked.append((x, y))
-    return checked
+    return [_checked_shard(spec, shard)[0].shape[0] for shard in shards]
 
 
 class _WorkingModel:
@@ -287,17 +366,19 @@ class RunResult:
 def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protocol, epochs: int, lr: float,
            seed: int, batch_size: int) -> RunResult:
     """Every protocol's run: epochs, then the clients of :func:`_turns`, then
-    the batches of :func:`_local_pass` on the one working model. A turn copies
-    its client's weights in: a split client's into the front ``[:n_client]``,
-    its batches' traffic at ``cut`` logged in one :meth:`TrafficLedger.log_turn`
-    call when the turn ends, and copied back out, or the global model
-    into the whole of it, uploaded and folded into the round's mean. A
-    non-finite loss over trained records raises :class:`Diverged`."""
+    the batches of :func:`_local_pass` on the one working model. Each shard is
+    read and checked once before the first turn, and read again for each of
+    its turns, so a run holds one shard at a time (a :class:`GeneratedShards`
+    makes it then). A turn copies its client's weights in: a split client's
+    into the front ``[:n_client]``, its batches' traffic at ``cut`` logged in
+    one :meth:`TrafficLedger.log_turn` call when the turn ends, and copied
+    back out, or the global model into the whole of it, uploaded and folded
+    into the round's mean. A non-finite loss over trained records raises
+    :class:`Diverged`."""
     federated = protocol is Protocol.FEDERATED
-    data = _checked_run(spec, shards, "rounds" if federated else "epochs", epochs, batch_size)
+    sizes = _checked_run(spec, shards, "rounds" if federated else "epochs", epochs, batch_size)
     c = None if federated else nn_core._cut_index(spec, cut)
-    k_clients = len(data)
-    sizes = [x.shape[0] for x, _ in data]
+    k_clients = len(sizes)
     model = _WorkingModel(spec, nn_core.init_params(spec, seed), batch_size, sizes, lr)  # split: front, then back
     front = model.params if federated else model.params[:nn_core.client_param_count(spec, c)]
     if federated:
@@ -318,7 +399,8 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
             me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
             mine, receiver = held[k], held[(k + 1) % k_clients]
             np.copyto(front, mine)
-            turn_losses, counts = _local_pass(model, *data[k], c, (receiver, front) if sync_batch else None)
+            turn_losses, counts = _local_pass(model, *_checked_shard(spec, shards[k]), c,
+                                              (receiver, front) if sync_batch else None)
             if federated:
                 ledger.append(epoch, me, SERVER, MessageKind.CLIENT_WEIGHTS, front.size)
                 if k == 0:  # client 1's upload, kept as the base the others are folded around

@@ -3,6 +3,7 @@
 import codecs
 import contextlib
 import csv
+import errno
 import os
 import subprocess
 import sys
@@ -927,6 +928,23 @@ def test_an_output_path_that_is_or_lies_under_a_non_directory_exits_2(tmp_path, 
     (tmp_path / "file.txt").write_text("")
     assert main(["analyze", "--scenario", "tiny-dense", "--csv", name]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {name}: {reason}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "tiny-dense", "--csv"],
+    ["simulate", "--scenario", "tiny-dense", "--loss-csv"],
+    ["sweep", "--scenario", "smartwatch", "--csv"],
+    ["analyze", "--scenario", "biobank", "--csv"],
+    ["breakeven", "--p", "1000", "--q", "10", "--eta", "1", "--k-range", "1:100:x10", "--csv"],
+    ["breakeven", "--p", "1000", "--q", "10", "--eta", "1", "--k-range", "1:100:x10", "--svg"],
+], ids=["simulate-csv", "simulate-loss-csv", "sweep-csv", "analyze-csv", "breakeven-csv", "breakeven-svg"])
+def test_an_output_whose_write_fails_after_it_is_open_exits_2(capsys, argv):
+    # /dev/full opens, then every write or close fails with ENOSPC, an OSError
+    # that names no file; it used to escape as a traceback
+    assert main(argv + ["/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
 
 
 # --- the names the benchmark's tracer wraps ----------------------------------

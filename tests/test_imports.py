@@ -92,4 +92,4 @@ def test_simulate_calls_the_simulator_names_bound_in_cli(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "protocol_sim", Spy())
     assert cli.main(["simulate", "--scenario", "tiny-dense"]) == 0
-    assert {"partition_dataset", "run_split_training", "measured_comm", "verify_against_model"} <= set(called)
+    assert {"GeneratedShards", "run_split_training", "measured_comm", "verify_against_model"} <= set(called)

@@ -6,7 +6,8 @@ server sends it to. These properties check that rule against
 architectures, shard splits, batch sizes, epochs and all four protocols,
 check that any one fault in a run's ledger makes the check name an owner
 the fault touched, and check the ledger's rows, CSV and cached tally over
-random message sequences.
+random message sequences, and over random turns, stored as runs, against
+the same calls expanded into messages.
 """
 
 import csv
@@ -252,3 +253,56 @@ def test_a_turn_logs_what_its_messages_appended_one_by_one_log(turns):
     assert turn_csv.getvalue().encode() == message_csv.getvalue().encode()
     assert by_turn.tally() == by_message.tally()
     assert by_turn.totals_by_kind() == by_message.totals_by_kind()
+
+
+# A turn's counts in the shapes the ledger stores as runs: identical batches
+# with a ragged last one, batches that change every time, and runs of repeats.
+@st.composite
+def turn_counts(draw, width):
+    batches = draw(st.integers(0, 60))
+    one_batch = st.lists(st.integers(0, 3) | st.integers(0, 10**9), min_size=width, max_size=width)
+    shape = draw(st.sampled_from(["repeated", "changing", "runs"]))
+    if shape == "repeated":  # the last batch may differ, as a ragged one does
+        return draw(one_batch) * (batches - 1) + draw(one_batch) if batches else []
+    if shape == "changing":
+        return [n for _ in range(batches) for n in draw(one_batch)]
+    counts = []
+    while len(counts) < batches * width:
+        counts += draw(one_batch) * min(draw(st.integers(1, 20)), batches - len(counts) // width)
+    return counts
+
+
+# An endpoint a call may add: a known one, or one never seen before.
+endpoints = st.sampled_from(ENDPOINTS) | st.from_regex(r"[a-z]{1,3}[0-9]{0,2}", fullmatch=True)
+
+
+@st.composite
+def ledger_calls(draw):
+    """(epoch, batch, counts) of each call; a one-message batch with one count is an append."""
+    calls = []
+    for _ in range(draw(st.integers(0, 12))):
+        width = draw(st.integers(1, 4))
+        batch = draw(st.lists(st.tuples(endpoints, endpoints, st.sampled_from(list(MessageKind))),
+                              min_size=width, max_size=width))
+        calls.append((draw(st.integers(0, 3)), batch, draw(turn_counts(width))))
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(calls=ledger_calls())
+def test_the_run_ledger_reads_as_its_calls_expanded_into_messages(calls):
+    ledger, log = TrafficLedger(), []
+    for epoch, batch, counts in calls:
+        if len(batch) == len(counts) == 1:
+            ledger.append(epoch, *batch[0], counts[0])
+        else:
+            ledger.log_turn(epoch, batch, counts)
+        log += [Message(epoch, *batch[j % len(batch)], n) for j, n in enumerate(counts)]
+    assert list(ledger) == log
+    assert len(ledger) == len(log)
+    buf = io.StringIO()
+    ledger.to_csv(buf)
+    assert buf.getvalue().encode() == csv_writer_bytes(log)
+    assert ledger.tally() == naive_tally(log)
+    assert ledger.totals_by_kind() == {kind: sum(m.scalar_count for m in log if m.kind is kind)
+                                       for kind in MessageKind}
