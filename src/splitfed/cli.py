@@ -56,10 +56,11 @@ SIMULATE_MAX_HELD_SCALARS = 10**7
 # copies the N-scalar global model into each of K clients' buffers and folds
 # the K uploads into the running sum.
 SIMULATE_MAX_FOLDED_SCALARS = 10**9
-# p * (input + output width) bounds the synthetic dataset. Each client's shard
-# is made when the run reads it, once to check it and once a turn, so a run
-# holds one shard at a time; one client's shard is the whole dataset, one
-# float64 vector (80 MB at the limit) with two 64 KB blocks of scratch.
+# p * (input + output width) bounds the synthetic dataset. The shards are made
+# when the run reads them, once to check them and once a turn, so a run holds
+# one 64 KB block of short shards or one larger shard at a time; one client's
+# shard is the whole dataset, one float64 vector (80 MB at the limit) with two
+# 64 KB blocks of scratch.
 SIMULATE_MAX_DATA_SCALARS = 10**7
 # epochs * max(p, K) bounds a run's training steps and the rows of its ledger
 # CSV: at most 4 messages per batch plus 2 per client in every epoch. The

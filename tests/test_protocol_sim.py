@@ -751,6 +751,30 @@ def test_ledger_holds_ring_turns_as_runs_in_4_bytes_a_message():
     assert per_message <= 4
 
 
+def test_a_long_run_is_read_in_bounded_copies_that_hold_no_column():
+    # one run of 100,000 one-off messages (1.7 MB of columns) is read a few
+    # thousand messages at a time, and an iterator left part read does not
+    # stop the ledger growing
+    ledger = TrafficLedger()
+    log_changing_turns(ledger)
+    assert len(ledger._repeats) == 1
+    ends = ((client_id(1), SERVER, MessageKind.ACTIVATIONS), (SERVER, client_id(2), MessageKind.GRADIENTS))
+    expected = [Message(0, *end, turn + b) for turn in range(1_000) for b in range(50) for end in ends]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        read = sum(1 for _ in ledger)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert read == len(ledger) == 100_000 and peak < 256 * 1024
+    assert list(ledger) == expected
+    part_read = iter(ledger)
+    next(part_read)
+    ledger.append(1, client_id(1), SERVER, MessageKind.LABELS, 5)
+    assert list(ledger) == expected + [Message(1, client_id(1), SERVER, MessageKind.LABELS, 5)]
+
+
 class WriteSizes(io.StringIO):
     """A text file that records the size of every write."""
 
@@ -794,18 +818,41 @@ def dataset_splits(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(split=dataset_splits(), seed=st.integers(-(1 << 70), 1 << 70))
-def test_generated_shards_are_the_partitioned_dataset_bit_for_bit(split, seed):
+@given(split=dataset_splits(), seed=st.integers(-(1 << 70), 1 << 70), data=st.data())
+def test_generated_shards_are_the_partitioned_dataset_bit_for_bit(split, seed, data):
     # against the whole-vector stream of tests/_stream.py, the reference
-    # random_dataset matches bit for bit
+    # random_dataset matches bit for bit; shards are read in a drawn order,
+    # each at least once, so reads inside and outside the held block are met
     spec, records, clients, strict = split
     eager = partition_dataset(*_stream.random_dataset(spec, records, seed), clients, strict=strict)
     shards = protocol_sim.GeneratedShards(random_dataset, spec, records, seed, clients, strict)
     assert len(shards) == len(eager) == clients
-    for k, (x, y) in enumerate(eager):
-        for got, want in zip(shards[k], (x, y)):
+    order = data.draw(st.permutations(range(clients))) + data.draw(st.lists(st.integers(0, clients - 1), max_size=6))
+    for k in order:
+        for got, want in zip(shards[k], eager[k]):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_generated_shards_make_each_record_once_a_pass_in_blocks():
+    # one-record shards, as in a run with as many clients as records: a pass
+    # over the shards in order makes each record once, a block of
+    # STREAM_BLOCK scalars (1,365 records of 6) a call, not a call a shard
+    spec, records, made = ModelSpec((4, 3, 2)), 3_000, []
+
+    def make(*args):
+        made.append(args[3])
+        return random_dataset(*args)
+
+    shards = protocol_sim.GeneratedShards(make, spec, records, 1, records)
+    run = run_split_training(spec, 1, shards, Protocol.SPLIT_SYNC, epochs=2, lr=0.01, seed=1)
+    assert len(run.ledger) == 2 * records * 4
+    one_pass = [range(0, 1_365), range(1_365, 2_730), range(2_730, 3_000)]
+    assert made == one_pass * 3  # the check, then a pass an epoch
+    eager = partition_dataset(*random_dataset(spec, records, 1), records)
+    want = run_split_training(spec, 1, eager, Protocol.SPLIT_SYNC, epochs=2, lr=0.01, seed=1)
+    assert list(run.ledger) == list(want.ledger) and run.losses == want.losses
+    assert all(map(np.array_equal, run.client_params + [run.server_params], want.client_params + [want.server_params]))
 
 
 def test_generated_shards_refuse_an_uneven_strict_split():
@@ -813,10 +860,10 @@ def test_generated_shards_refuse_an_uneven_strict_split():
         protocol_sim.GeneratedShards(random_dataset, SPEC, 7, 1, 2)
 
 
-def test_a_run_holds_one_generated_shard_at_a_time():
+def test_a_run_holds_one_block_of_generated_shards_at_a_time():
     # ring-many-clients' shape: the whole dataset is 12,800 records of 16
-    # inputs and 4 labels, 2,048,000 bytes; a run over shards made on their
-    # turn peaks at about 0.7 MB, the working model, the held client weights
+    # inputs and 4 labels, 2,048,000 bytes; a run over shards made when read,
+    # eight to a 64 KB block, peaks at about 0.9 MB, the working model, the held client weights
     # and the ledger included (3.6 MB with the dataset made whole and
     # partitioned first).
     spec = ModelSpec((16, 8, 4))
