@@ -273,7 +273,7 @@ class GeneratedShards:
         self._make, self._spec, self._records, self._seed = make, spec, records, seed
         self._bounds = _shard_bounds(records, clients, strict)
         self._block_records = max(1, nn_core.STREAM_BLOCK // (spec.input_width + spec.output_width))
-        self._held: tuple[int, int, tuple[np.ndarray, np.ndarray] | None] = (0, 0, None)  # first, end, block
+        self._held = 0, 0, None  # the records held, first and end, and their (inputs, labels)
 
     def __len__(self) -> int:
         return len(self._bounds)
@@ -282,7 +282,7 @@ class GeneratedShards:
         lo, hi = self._bounds[k]
         first, end, block = self._held
         if block is None or not first <= lo <= hi <= end:
-            self._held = block = None  # dropped before the next block is made
+            self._held, block = (0, 0, None), None  # dropped before the next block is made
             first, end = lo, min(self._records, max(hi, lo + self._block_records))
             block = self._make(self._spec, self._records, self._seed, range(first, end))
             self._held = first, end, block
@@ -394,11 +394,12 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
     the batches of :func:`_local_pass` on the one working model. Each shard is
     read and checked once before the first turn, and read again for each of
     its turns, so a run holds one shard at a time (a :class:`GeneratedShards`
-    makes it then, in a block with the short shards after it). A turn copies its client's weights in: a split client's
-    into the front ``[:n_client]``, its batches' traffic at ``cut`` logged in
-    one :meth:`TrafficLedger.log_turn` call when the turn ends, and copied
-    back out, or the global model into the whole of it, uploaded and folded
-    into the round's mean. A non-finite loss over trained records raises
+    makes it then, in a block with the short shards after it). A turn copies
+    its client's weights in: a split client's into the front
+    ``[:n_client]``, its batches' traffic at ``cut`` logged in one
+    :meth:`TrafficLedger.log_turn` call when the turn ends, and copied back
+    out, or the global model into the whole of it, uploaded and folded into
+    the round's mean. A non-finite loss over trained records raises
     :class:`Diverged`."""
     federated = protocol is Protocol.FEDERATED
     sizes = _checked_run(spec, shards, "rounds" if federated else "epochs", epochs, batch_size)

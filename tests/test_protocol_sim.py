@@ -855,6 +855,22 @@ def test_generated_shards_make_each_record_once_a_pass_in_blocks():
     assert all(map(np.array_equal, run.client_params + [run.server_params], want.client_params + [want.server_params]))
 
 
+def test_generated_shards_read_again_after_a_failed_make():
+    spec, fail = ModelSpec((4, 3, 2)), [True]
+
+    def make(*args):
+        if fail.pop():
+            raise MemoryError
+        return random_dataset(*args)
+
+    shards = protocol_sim.GeneratedShards(make, spec, 6, 3, 3)
+    with pytest.raises(MemoryError):
+        shards[1]
+    fail.append(False)
+    want = partition_dataset(*random_dataset(spec, 6, 3), 3)[1]
+    assert all(map(np.array_equal, shards[1], want))
+
+
 def test_generated_shards_refuse_an_uneven_strict_split():
     with pytest.raises(DivisibilityError):
         protocol_sim.GeneratedShards(random_dataset, SPEC, 7, 1, 2)
