@@ -2,8 +2,8 @@
 
 Exit codes: 0 ok, 2 scenario/config error (an output path that cannot be
 written among them: refused before any work where that can be foreseen, or
-when a write to it fails), 3 domain error (for example a divisibility or
-range violation), 4 ledger-versus-formula mismatch. The
+when a write to it fails, standard output included), 3 domain error (for
+example a divisibility or range violation), 4 ledger-versus-formula mismatch. The
 environment variable SPLITFED_SEED overrides the scenario seed in simulate,
 the only subcommand that uses a seed; no other subcommand reads it.
 
@@ -27,6 +27,7 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 from .cost_model import (
     MessageKind,
@@ -72,18 +73,22 @@ SIMULATE_MAX_DATA_SCALARS = 10**7
 # the whole dataset made first, they peaked at about 100 MB and 44 MB.
 SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this, a bound on time
-# (about 6 s at the limit): a curve holds 8 B a point (N* in an array('d'),
-# an arithmetic range kept as a range) and its SVG document about 12.5 B a
-# point, held about twice while it is joined and written; 10**6 points with
-# --csv and --svg peak at about 48 MB RSS (Python 3.11, no numpy loaded).
+# (about 3.5 s at the limit with --csv and --svg, best of 3 on a 2-vCPU Xeon):
+# a curve holds 8 B a point (N* in an array('d'), an arithmetic range kept as
+# a range) and its SVG document about 12.5 B a point, held about twice while
+# it is joined and written; 10**6 points with --csv and --svg peak at about
+# 49 MB RSS (Python 3.11, no numpy loaded).
 K_RANGE_MAX_POINTS = 10**6
+# breakeven formats and writes its stdout and CSV lines this many points at a time.
+BREAKEVEN_BLOCK_POINTS = 1024
 # sweep refuses a suite whose grids hold more cells than this, before it
-# expands them, a bound on time (about 2 s at the limit) and on the text held
-# without --csv. It sweeps a grid a slice of at most SWEEP_SLICE_CELLS cells
-# at a time, and a slice's SweepRows take 1,344 B a cell (tracemalloc, over
-# the 576 cells of tests/golden/inputs/grid.txt, 216 of them Error cells;
-# Python 3.11); without --csv the formatted lines wait for the summary line,
-# about the CSV text, ~150 B a cell.
+# expands them, a bound on time (about 1 s at the limit with --csv, best of 3
+# on a 2-vCPU Xeon) and on the text held without --csv. It sweeps a grid a
+# slice of at most SWEEP_SLICE_CELLS cells at a time, and a slice's SweepRows
+# take about 910 B a cell (tracemalloc, over the 576 cells of
+# tests/golden/inputs/grid.txt, 216 of them Error cells; Python 3.11); without
+# --csv the formatted lines wait for the summary line, about the CSV text,
+# ~150 B a cell.
 SWEEP_MAX_CELLS = 10**5
 SWEEP_SLICE_CELLS = 500
 
@@ -166,15 +171,15 @@ def _csv_field(text: str) -> str:
 def _write_cell(write, cell: SweepRow) -> int:
     """Write one grid cell's CSV lines, an Error line or a line per method, and
     return how many. The columns the methods share (parameters, rho, winner)
-    are formatted once."""
+    are formatted once; a report's four figures are ints, which an f-string
+    writes as :func:`_fmt` does."""
     columns = ",".join(map(_fmt, _param_columns(cell.values)))
     if cell.error is not None:
         write(f"Error,{columns},,,,,,{_csv_field(cell.error)}\n")
         return 1
     tail = f"{_fmt(cell.efficiency.rho)},{cell.efficiency.winner.value}\n"
-    for method, r in cell.reports.items():
-        write(f"{method.label},{columns},{_fmt(r.per_client_scalars)},{_fmt(r.total_scalars)},"
-              f"{_fmt(r.per_client_bytes)},{_fmt(r.total_bytes)},{tail}")
+    for method, per_client, total, per_client_bytes, total_bytes in cell.reports.values():
+        write(f"{method.label},{columns},{per_client},{total},{per_client_bytes},{total_bytes},{tail}")
     return len(cell.reports)
 
 
@@ -350,13 +355,13 @@ def cmd_breakeven(args) -> int:
 
     print(f"break-even curve: p={_fmt(p)} q={_fmt(q)} eta={_fmt(eta)} variant={variant.label}")
     show, header = sys.stdout.write, [PARAM_KEYS["clients"], "N_break_even"]
-    # each N* is formatted once, for its stdout line and its CSV line
+    points = zip(curve.clients, curve.break_even_sizes)
+    # each N* is formatted once, for its stdout line and its CSV line; a block of points goes out a write each
     with _csv_lines(args.csv, header) if args.csv else contextlib.nullcontext() as write:
-        for k, n_star in zip(curve.clients, curve.break_even_sizes):
-            n_text = _fmt(n_star)
-            show(f"  K={k:<10} N*={n_text}\n")
+        while block := [(k, _fmt(n_star)) for k, n_star in islice(points, BREAKEVEN_BLOCK_POINTS)]:
+            show("".join([f"  K={k:<10} N*={n_text}\n" for k, n_text in block]))
             if write:
-                write(f"{k},{n_text}\n")
+                write("".join([f"{k},{n_text}\n" for k, n_text in block]))
     if args.svg:
         # read through the module at call time, so a replaced name is the one called
         with _writing(args.svg):
@@ -499,11 +504,32 @@ def _check_outputs(args) -> None:
             raise OSError(code, os.strerror(code), path)
 
 
+# The name an error gives standard output.
+STDOUT = "<stdout>"
+
+
+def _drop_stdout() -> None:
+    """Point standard output's file descriptor at the null device, after a write
+    to it failed, so the flush at exit writes what is left nowhere instead of
+    failing again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no stream, or one without a descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_outputs(args)
-        return args.func(args)
+        # every output file names itself in a failed write (_writing), so one that names none was to stdout
+        with _writing(STDOUT):
+            code = args.func(args)
+            sys.stdout.flush()
+        return code
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -513,8 +539,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         # a scenario file that cannot be read is a ScenarioError, so a file named here is an output:
         # one refused before any work, one that open() refused, or one whose write or close failed
-        if exc.filename is None:
-            raise
+        if exc.filename == STDOUT:
+            _drop_stdout()
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 

@@ -11,11 +11,11 @@ eta the client-side fraction of parameters, the per-epoch totals are
 
 :func:`_epoch_counts` gives a protocol's per-epoch counts (records sent up,
 client-weight hand-offs, full-model round trips), so every total is a line
-A + B*N. :func:`traffic_by_kind` spreads them over message kinds; reports and
-the ledger check sum its kinds. rho and N* read one integer line per protocol
-instead, scaled by v for eta = u/v (:func:`_scaled_line`); the tests check
-them against the same kinds summed as ``Fraction``s, eta*N and N kept exact
-(``tests/_closed_forms.py``).
+A + B*N, and :func:`_epoch_total` is the one formula over them: reports read
+it at the wire sizes, rho and N* scaled to integers by v*b for eta = u/v and
+N = a/b, and :func:`traffic_by_kind` spreads it over message kinds for the
+ledger check. The tests check them against the same kinds summed as
+``Fraction``s, eta*N and N kept exact (``tests/_closed_forms.py``).
 rho = (federated total) / (split total): rho > 1 favors split, rho < 1 federated.
 The lines meet at the break-even size N* = (A_s - A_f) / (B_f - B_s), the
 hyperbola in the (K, N) plane; where B_s >= B_f no positive N* exists.
@@ -32,10 +32,10 @@ from array import array
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import product
-from typing import Mapping, Sequence
+from itertools import islice, product
+from typing import Mapping, NamedTuple, Sequence
 
-from .errors import CutOutOfRange, DivisibilityError, InvalidParam, SplitFedError
+from .errors import CutOutOfRange, DivisibilityError, InvalidParam
 
 # |rho - 1| within this relative band is a tie, so exact-integer break-even
 # scenarios classify stably under float evaluation.
@@ -94,6 +94,11 @@ class Winner(str, Enum):
     TIE = "Tie"
 
 
+def _uneven(dataset_size: int, clients: int) -> DivisibilityError:
+    """Strict mode's refusal of a split with a remainder."""
+    return DivisibilityError(f"{dataset_size} records do not split evenly across {clients} clients")
+
+
 def _even_split(dataset_size: int, clients: int, strict: bool) -> tuple[int, int]:
     """(base, rem): the first ``rem`` clients hold base + 1 records, the rest base."""
     if clients < 1:
@@ -102,9 +107,7 @@ def _even_split(dataset_size: int, clients: int, strict: bool) -> tuple[int, int
         raise InvalidParam(f"dataset_size must be >= 0, got {dataset_size}")
     base, rem = divmod(dataset_size, clients)
     if rem and strict:
-        raise DivisibilityError(
-            f"{dataset_size} records do not split evenly across {clients} clients"
-        )
+        raise _uneven(dataset_size, clients)
     return base, rem
 
 
@@ -188,6 +191,50 @@ def cut_stats(spec: ModelSpec, cut: int) -> tuple[int, Fraction]:
     return q, eta
 
 
+def _whole_from(least: int):
+    """A field check: an int (a bool among them) of at least ``least``."""
+    return lambda value: isinstance(value, int) and value >= least
+
+
+# Each ScenarioParams field's check, in field order: a value passes if
+# ``valid(value)`` and is otherwise refused with ``message.format(value)``.
+# ScenarioParams checks every field of one point; sweep checks each axis value once.
+_FIELD_CHECKS = {
+    "clients": (_whole_from(1), "clients must be a positive integer, got {}"),
+    "model_params": (lambda n: 1 <= n < math.inf, "model_params must be finite and >= 1, got {}"),
+    "dataset_size": (_whole_from(0), "dataset_size must be a non-negative integer, got {}"),
+    "smashed_size": (_whole_from(1), "smashed_size must be a positive integer, got {}"),
+    "client_fraction": (lambda eta: 0 <= eta <= 1, "client_fraction must lie in [0, 1], got {}"),
+    "bytes_per_scalar": (_whole_from(1), "bytes_per_scalar must be a positive integer, got {}"),
+    "epochs": (_whole_from(1), "epochs must be a positive integer, got {}"),
+    "batch_size": (_whole_from(1), "batch_size must be >= 1, got {}"),
+    "label_width": (_whole_from(0), "label_width must be >= 0, got {}"),
+}
+
+
+def _field_error(name: str, value) -> str | None:
+    """Why ``value`` cannot be field ``name``, or None if it can."""
+    valid, message = _FIELD_CHECKS[name]
+    return None if valid(value) else message.format(value)
+
+
+def _wire_count(u: int, v: int, a: int, b: int) -> int:
+    """eta*N rounded once to the nearest whole scalar, ties to even, for eta = u/v
+    and N = a/b exactly: floor(eta*N + 1/2), less one where an exact tie lands on
+    an odd count."""
+    den = v * b
+    count, rem = divmod(2 * u * a + den, 2 * den)
+    return count - 1 if rem == 0 and count % 2 else count
+
+
+def _whole_model(model_params) -> int:
+    """N as an int, for the wire; InvalidParam if N is not whole."""
+    n = int(model_params)
+    if model_params != n:
+        raise InvalidParam(f"wire traffic needs a whole model_params, got {model_params}")
+    return n
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """One point in the comparison space, and the shape of the run it counts.
@@ -211,24 +258,10 @@ class ScenarioParams:
     label_width: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.clients, int) or self.clients < 1:
-            raise InvalidParam(f"clients must be a positive integer, got {self.clients}")
-        if not 1 <= self.model_params < math.inf:
-            raise InvalidParam(f"model_params must be finite and >= 1, got {self.model_params}")
-        if not isinstance(self.dataset_size, int) or self.dataset_size < 0:
-            raise InvalidParam(f"dataset_size must be a non-negative integer, got {self.dataset_size}")
-        if not isinstance(self.smashed_size, int) or self.smashed_size < 1:
-            raise InvalidParam(f"smashed_size must be a positive integer, got {self.smashed_size}")
-        if not 0 <= self.client_fraction <= 1:
-            raise InvalidParam(f"client_fraction must lie in [0, 1], got {self.client_fraction}")
-        if not isinstance(self.bytes_per_scalar, int) or self.bytes_per_scalar < 1:
-            raise InvalidParam(f"bytes_per_scalar must be a positive integer, got {self.bytes_per_scalar}")
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise InvalidParam(f"epochs must be a positive integer, got {self.epochs}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise InvalidParam(f"batch_size must be >= 1, got {self.batch_size}")
-        if not isinstance(self.label_width, int) or self.label_width < 0:
-            raise InvalidParam(f"label_width must be >= 0, got {self.label_width}")
+        for name in _FIELD_CHECKS:
+            error = _field_error(name, getattr(self, name))
+            if error is not None:
+                raise InvalidParam(error)
 
     @classmethod
     def from_model(cls, spec: ModelSpec, cut: int, **fields) -> "ScenarioParams":
@@ -244,17 +277,11 @@ class ScenarioParams:
     @property
     def client_param_count(self) -> int:
         """Client-side weights on the wire: eta*N rounded once, to the nearest
-        whole scalar (ties to even), in integers: eta = u/v and N = a/b exactly."""
-        u, v = self.client_fraction.as_integer_ratio()
-        a, b = self.model_params.as_integer_ratio()
-        den = v * b
-        # floor(eta*N + 1/2); an exact tie (no remainder) landing on an odd count steps down
-        count, rem = divmod(2 * u * a + den, 2 * den)
-        return count - 1 if rem == 0 and count % 2 else count
+        whole scalar (ties to even), in integers (:func:`_wire_count`)."""
+        return _wire_count(*self.client_fraction.as_integer_ratio(), *self.model_params.as_integer_ratio())
 
 
-@dataclass(frozen=True)
-class CommReport:
+class CommReport(NamedTuple):
     """Per-client and total traffic for one method, in scalars and bytes."""
 
     method: Protocol
@@ -264,20 +291,11 @@ class CommReport:
     total_bytes: int
 
     @classmethod
-    def from_scalars(
-        cls, method: Protocol, per_client: int, total: int, bytes_per_scalar: int
-    ) -> "CommReport":
-        return cls(
-            method=method,
-            per_client_scalars=per_client,
-            total_scalars=total,
-            per_client_bytes=per_client * bytes_per_scalar,
-            total_bytes=total * bytes_per_scalar,
-        )
+    def from_scalars(cls, method: Protocol, per_client: int, total: int, bytes_per_scalar: int) -> "CommReport":
+        return cls(method, per_client, total, per_client * bytes_per_scalar, total * bytes_per_scalar)
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     rho: float
     winner: Winner
 
@@ -301,6 +319,15 @@ class BreakEvenCurve:
         return tuple(zip(self.clients, self.break_even_sizes))
 
 
+def _batch_hand_offs(k: int, p: int, batch_size: int) -> int:
+    """sync_batch's client-weight hand-offs in one epoch: one after every batch
+    of each of the k shards that the even split makes of p records."""
+    if batch_size < 1:
+        raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
+    base, rem = _even_split(p, k, strict=False)
+    return rem * -(-(base + 1) // batch_size) + (k - rem) * -(-base // batch_size)
+
+
 def _epoch_counts(protocol: Protocol, k: int, p: int, batch_size: int) -> tuple[int, int, int]:
     """(records sent up, client-weight hand-offs, full-model round trips) in one
     epoch over k clients and p records, the one place protocols differ: sync hands
@@ -315,31 +342,52 @@ def _epoch_counts(protocol: Protocol, k: int, p: int, batch_size: int) -> tuple[
         return 0, 0, k
     if protocol is not Protocol.SPLIT_SYNC_BATCH:
         raise InvalidParam(f"unknown protocol {protocol!r}")
-    if batch_size < 1:
-        raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
-    base, rem = _even_split(p, k, strict=False)
-    return p, rem * -(-(base + 1) // batch_size) + (k - rem) * -(-base // batch_size), 0
+    return p, _batch_hand_offs(k, p, batch_size), 0
 
 
-def _scaled_line(protocol: Protocol, k: int, p: int, q: int, u: int, v: int,
-                 batch_size: int = 1, label_width: int = 0) -> tuple[int, int]:
-    """(A, B) of one epoch's total scalars over k clients and p records, each record
-    sent up moving q Activations, q Gradients and ``label_width`` Labels, scaled by
-    v for eta = u/v: v * total = A + B*N, in integers."""
-    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
-    return (2 * q + label_width) * v * records, u * hand_offs + 2 * v * round_trips
+def _epoch_total(counts: tuple[int, int, int], record: int, hand_off: int, model: int) -> int:
+    """One epoch's scalars for ``counts`` (:func:`_epoch_counts`): ``record`` per
+    record sent up, ``hand_off`` per client-weight hand-off and ``model`` each way
+    of a full-model round trip. The one traffic formula: reports read it with the
+    wire sizes (q Activations, q Gradients and the label width a record, eta*N
+    rounded a hand-off, N each way), rho and N* scaled to integers by v*b for
+    eta = u/v and N = a/b; :func:`traffic_by_kind` spreads it over kinds."""
+    records, hand_offs, round_trips = counts
+    return records * record + hand_offs * hand_off + 2 * round_trips * model
 
 
-def _kind_scalars(params: ScenarioParams, protocol: Protocol, k: int, p: int) -> tuple[int, int, int, int, int]:
-    """:func:`traffic_by_kind`'s scalars over k clients and p records, in ``_KINDS`` order."""
-    if params.model_params != int(params.model_params):
-        raise InvalidParam(f"wire traffic needs a whole model_params, got {params.model_params}")
-    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, params.batch_size)
-    e = params.epochs
-    smashed = records * params.smashed_size * e
-    global_weights = int(params.model_params) * round_trips * e
-    client_weights = global_weights + (params.client_param_count * hand_offs * e if hand_offs else 0)
-    return smashed, records * params.label_width * e, smashed, client_weights, global_weights
+def _shard_counts(protocol: Protocol, k: int, p: int, batch_size: int) -> tuple[tuple[int, int, int], ...]:
+    """(counts of the client holding the largest shard, ceil(p/k) records, counts
+    of all k clients): every count is a sum over clients, so the K-client counts
+    total the one-shard counts of the even split."""
+    return _epoch_counts(protocol, 1, -(-p // k), batch_size), _epoch_counts(protocol, k, p, batch_size)
+
+
+def _report(protocol: Protocol, counts, record: int, hand_off: int, model: int, epochs: int,
+            bytes_per_scalar: int) -> CommReport:
+    """A :class:`CommReport` of ``protocol`` from its :func:`_shard_counts` and the wire sizes."""
+    largest, every = counts
+    per_client = epochs * _epoch_total(largest, record, hand_off, model)
+    total = epochs * _epoch_total(every, record, hand_off, model)
+    return CommReport(protocol, per_client, total, per_client * bytes_per_scalar, total * bytes_per_scalar)
+
+
+_SPLIT_UNBOUNDED = EfficiencyReport(math.inf, Winner.SPLIT)
+
+
+def _rho(federated, split, record: int, u: int, v: int, a: int, b: int) -> EfficiencyReport:
+    """rho from the K-client counts of federated and of the split protocol: with
+    eta = u/v and N = a/b, v*b times each one-epoch total is an integer, the hand-off
+    at the exact eta*N, so rho is one int / int division, correctly rounded."""
+    scaled = record * v * b, u * a, v * a
+    fed, split = _epoch_total(federated, *scaled), _epoch_total(split, *scaled)
+    try:
+        rho = fed / split
+    except (ZeroDivisionError, OverflowError):
+        return _SPLIT_UNBOUNDED
+    if fed == split or abs(rho - 1.0) <= TIE_REL_TOL * max(1.0, abs(rho)):
+        return EfficiencyReport(rho, Winner.TIE)
+    return EfficiencyReport(rho, Winner.SPLIT if rho > 1.0 else Winner.FEDERATED)
 
 
 def traffic_by_kind(params: ScenarioParams, protocol: Protocol, shard: int | None = None) -> dict[MessageKind, int]:
@@ -348,7 +396,7 @@ def traffic_by_kind(params: ScenarioParams, protocol: Protocol, shard: int | Non
     Each record sent up moves q Activations, q Gradients and
     ``params.label_width`` Labels, each hand-off eta*N ClientWeights, and
     each round trip N GlobalWeights and N ClientWeights; :func:`_epoch_counts`
-    counts them.
+    counts them, and the kinds sum to :func:`_epoch_total` of those counts.
 
     By default p = ``params.dataset_size`` records are spread over K =
     ``params.clients`` clients as :func:`shard_sizes` splits them; ``shard``
@@ -358,58 +406,56 @@ def traffic_by_kind(params: ScenarioParams, protocol: Protocol, shard: int | Non
     whole N.
     """
     k, p = (params.clients, params.dataset_size) if shard is None else (1, shard)
-    return dict(zip(_KINDS, _kind_scalars(params, protocol, k, p)))
+    n = _whole_model(params.model_params)
+    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, params.batch_size)
+    e = params.epochs
+    smashed = records * params.smashed_size * e
+    global_weights = n * round_trips * e
+    client_weights = global_weights + (params.client_param_count * hand_offs * e if hand_offs else 0)
+    return dict(zip(_KINDS, (smashed, records * params.label_width * e, smashed, client_weights, global_weights)))
 
 
 def comm_report(params: ScenarioParams, protocol: Protocol, strict: bool = True) -> CommReport:
-    """Per-client and total traffic of one protocol, summed from its kinds.
+    """Per-client and total traffic of one protocol, the sum of its kinds.
 
     Labels count as :func:`traffic_by_kind` counts them, ``params.label_width``
     per record sent up. The per-client figure is the client with the largest
     shard, ceil(p/K) records; strict mode requires an even split. The total
     is exact either way.
     """
-    base, rem = _even_split(params.dataset_size, params.clients, strict)
-    # the K-client total sums one-shard forms: rem clients hold base + 1 records, the rest base
-    small = sum(_kind_scalars(params, protocol, 1, base))
-    big = sum(_kind_scalars(params, protocol, 1, base + 1)) if rem else small
-    total = rem * big + (params.clients - rem) * small
-    return CommReport.from_scalars(protocol, big, total, params.bytes_per_scalar)
+    k, p = params.clients, params.dataset_size
+    _even_split(p, k, strict)  # refuses an uneven split in strict mode
+    n = _whole_model(params.model_params)
+    counts = _shard_counts(protocol, k, p, params.batch_size)
+    hand_off = params.client_param_count if counts[1][1] else 0  # read only where weights are handed off
+    return _report(protocol, counts, 2 * params.smashed_size + params.label_width, hand_off, n, params.epochs,
+                   params.bytes_per_scalar)
 
 
 def efficiency_ratio(params: ScenarioParams, protocol: Protocol) -> EfficiencyReport:
-    """rho = federated total over ``protocol``'s total, from the two scaled integer lines.
+    """rho = federated total over ``protocol``'s total, in integers (:func:`_rho`).
 
-    With eta = u/v and N = a/b, v*b times each one-epoch total is the integer
-    A*b + B*a on its scaled line (:func:`_scaled_line`), so rho is one
-    int / int division, correctly rounded: the float nearest the exact ratio
-    of the rational totals, which ``tests/_closed_forms.py`` sums as
-    ``Fraction``s. Labels count as in :func:`comm_report`, so rho and the
-    winner weigh the totals it reports. The hand-off stays at the exact eta*N
-    rather than its wire rounding, so rho(N*) = 1 at the break-even size;
-    federated against itself is rho = 1, a tie. Independent of epochs and of
-    bytes_per_scalar since both methods scale identically. A zero split
-    denominator (p = 0 with no weight sharing, or p = 0 and eta = 0), or a
-    ratio past the float range (p = 0 and a subnormal eta), reports winner
-    Split with rho = +inf.
+    rho is the float nearest the exact ratio of the rational totals, which
+    ``tests/_closed_forms.py`` sums as ``Fraction``s. Labels count as in
+    :func:`comm_report`, so rho and the winner weigh the totals it reports.
+    The hand-off stays at the exact eta*N rather than its wire rounding, so
+    rho(N*) = 1 at the break-even size; federated against itself is rho = 1,
+    a tie. Independent of epochs and of bytes_per_scalar since both methods
+    scale identically. A zero split denominator (p = 0 with no weight
+    sharing, or p = 0 and eta = 0), or a ratio past the float range (p = 0 and
+    a subnormal eta), reports winner Split with rho = +inf.
     """
-    k, p, q = params.clients, params.dataset_size, params.smashed_size
-    u, v = params.client_fraction.as_integer_ratio()
-    a, b = params.model_params.as_integer_ratio()
-    a_s, b_s = _scaled_line(protocol, k, p, q, u, v, params.batch_size, params.label_width)
-    a_f, b_f = _scaled_line(Protocol.FEDERATED, k, p, q, u, v)
-    fed, split = a_f * b + b_f * a, a_s * b + b_s * a
-    try:
-        rho = fed / split
-    except (ZeroDivisionError, OverflowError):
-        return EfficiencyReport(rho=math.inf, winner=Winner.SPLIT)
-    if fed == split or abs(rho - 1.0) <= TIE_REL_TOL * max(1.0, abs(rho)):
-        winner = Winner.TIE
-    elif rho > 1.0:
-        winner = Winner.SPLIT
-    else:
-        winner = Winner.FEDERATED
-    return EfficiencyReport(rho=rho, winner=winner)
+    k, p = params.clients, params.dataset_size
+    return _rho(_epoch_counts(Protocol.FEDERATED, k, p, 1), _epoch_counts(protocol, k, p, params.batch_size),
+                2 * params.smashed_size + params.label_width,
+                *params.client_fraction.as_integer_ratio(), *params.model_params.as_integer_ratio())
+
+
+def _scaled_line(protocol: Protocol, k: int, p: int, record: int, u: int, v: int, batch_size: int) -> tuple[int, int]:
+    """(A, B) of one epoch's total scalars over k clients and p records, ``record``
+    scalars a record sent up, scaled by v for eta = u/v: v * total = A + B*N."""
+    counts = _epoch_counts(protocol, k, p, batch_size)
+    return _epoch_total(counts, record * v, 0, 0), _epoch_total(counts, 0, u, v)
 
 
 def break_even_curve(
@@ -427,6 +473,11 @@ def break_even_curve(
     two, or where N* lies past the float range, before the curve exists.
     An ascending ``range`` of client counts is kept as the curve's K column;
     any other sequence is sorted and rid of repeats.
+
+    The records sent up do not depend on K and every other count is K times
+    its one-client count, but for sync_batch's hand-offs, which follow the
+    shards; so the lines are read once, at K = 1, and at each K only
+    sync_batch's hand-offs are counted again.
     """
     if dataset_size < 1 or smashed_size < 1:
         raise InvalidParam("break-even is undefined for p = 0 or q = 0")
@@ -435,20 +486,29 @@ def break_even_curve(
     if not clients_values:
         raise InvalidParam("clients_values must be non-empty")
     u, v = client_fraction.as_integer_ratio()
-    # Federated makes one round trip per client, so its line at K is K times its one-client line.
-    a_f1, b_f1 = _scaled_line(Protocol.FEDERATED, 1, dataset_size, smashed_size, u, v)
+    record = 2 * smashed_size
+    a_s, b_s = _scaled_line(variant, 1, dataset_size, record, u, v, batch_size)
+    a_f, b_f = _scaled_line(Protocol.FEDERATED, 1, dataset_size, record, u, v, 1)
     ks = (clients_values if isinstance(clients_values, range) and clients_values.step > 0
           else sorted(set(map(int, clients_values))))
-    sizes = array("d")
-    for k in ks:
-        a_s, b_s = _scaled_line(variant, k, dataset_size, smashed_size, u, v, batch_size)
-        a_f, b_f = k * a_f1, k * b_f1
-        if b_f <= b_s:
+    gap = a_s - a_f
+
+    def n_star(k: int, span: int) -> float:
+        if span <= 0:
             raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={k}")
         try:
-            sizes.append((a_s - a_f) / (b_f - b_s))
+            return gap / span
         except OverflowError:
             raise InvalidParam(f"the break-even model size at K={k} lies past the float range") from None
+
+    if variant is Protocol.SPLIT_SYNC_BATCH:
+        sizes = array("d", (n_star(k, k * b_f - u * _batch_hand_offs(k, dataset_size, batch_size)) for k in ks))
+    else:
+        # the span is K*(B_f - B_s), and B_f - B_s >= 0 (2v - u, 2v, or 0 for federated
+        # against itself), so the first K has the least span and the largest N*:
+        # past it no span is <= 0 and no N* overflows
+        sizes = array("d", [n_star(ks[0], ks[0] * (b_f - b_s))])
+        sizes.extend(map(gap.__truediv__, (k * (b_f - b_s) for k in islice(ks, 1, None))))
     return BreakEvenCurve(variant, dataset_size, smashed_size, client_fraction, ks, sizes)
 
 
@@ -456,8 +516,7 @@ def break_even_curve(
 SWEEP_FIELD_ORDER = tuple(f.name for f in fields(ScenarioParams))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid cell: parameters, the reports of ``reported(variant)``, the ratio, or an error."""
 
     values: dict
@@ -466,12 +525,39 @@ class SweepRow:
     error: str | None
 
 
+def _axis_check(name: str, value):
+    """``value``'s field check as a sweep cell reads it: None, the message, or
+    the error the check raised comparing a value that does not compare (None,
+    say), which its first cell raises as ScenarioParams would."""
+    try:
+        return _field_error(name, value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        return exc
+
+
+def _model_ratio(n) -> tuple[int | str, int, int]:
+    """A checked N as its whole int, or why it is not one, and as a/b."""
+    try:
+        whole = _whole_model(n)
+    except InvalidParam as exc:
+        whole = str(exc)
+    return (whole, *n.as_integer_ratio())
+
+
 def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, strict: bool = True) -> list[SweepRow]:
     """Evaluate the Cartesian product of per-parameter value lists.
 
     Scalar grid entries count as single-value axes. Per-cell failures (for
     example a divisibility violation in strict mode) become row-level error
-    markers; the sweep itself never aborts.
+    markers; the sweep itself never aborts. A cell's error is what
+    ScenarioParams, :func:`comm_report` and :func:`efficiency_ratio` raise for
+    it: the first field that fails its check, in field order, then an uneven
+    split in strict mode, then a fractional N.
+
+    What does not vary per cell is done once: each axis value is checked
+    once, N and eta are read as integer ratios once per value, and each
+    protocol's counts once per (K, p, batch size); a cell then evaluates
+    :func:`_report` and :func:`_rho` on plain ints.
     """
     unknown = set(grid) - set(SWEEP_FIELD_ORDER)
     if unknown:
@@ -489,17 +575,42 @@ def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, s
         if not values:
             raise InvalidParam(f"sweep axis {name!r} is empty")
         axes.append(values)
+    checks = [[_axis_check(name, value) for value in values] for name, values in zip(SWEEP_FIELD_ORDER, axes)]
+    # per checked value of N and of eta, the integers its cells read; the other axes are read as they are
+    ratios = [[None] * len(values) for values in axes]
+    for name, read in (("model_params", _model_ratio), ("client_fraction", lambda eta: eta.as_integer_ratio())):
+        i = SWEEP_FIELD_ORDER.index(name)
+        ratios[i] = [None if error is not None else read(value) for value, error in zip(axes[i], checks[i])]
 
     methods = reported(variant)
+    counted: dict[tuple[int, int, int], dict] = {}  # (K, p, batch size) -> {protocol: _shard_counts}
     rows: list[SweepRow] = []
-    for combo in product(*axes):
-        values = dict(zip(SWEEP_FIELD_ORDER, combo))
-        try:
-            params = ScenarioParams(**values)
-            reports = {m: comm_report(params, m, strict) for m in methods}
-            efficiency = efficiency_ratio(params, variant)
-        except SplitFedError as exc:
-            rows.append(SweepRow(values, None, None, str(exc)))
+    for combo, errors, (_, model, _, _, fraction, *_) in zip(product(*axes), product(*checks), product(*ratios)):
+        k, n_value, p, q, eta, bytes_per_scalar, epochs, batch_size, label_width = combo
+        # in SWEEP_FIELD_ORDER, spelled out: a literal builds in a third of dict(zip(...))'s time
+        values = {"clients": k, "model_params": n_value, "dataset_size": p, "smashed_size": q, "client_fraction": eta,
+                  "bytes_per_scalar": bytes_per_scalar, "epochs": epochs, "batch_size": batch_size,
+                  "label_width": label_width}
+        if any(errors):
+            error = next(filter(None, errors))
+            if not isinstance(error, str):
+                raise error
+            rows.append(SweepRow(values, None, None, error))
             continue
+        n, a, b = model
+        if strict and p % k:
+            rows.append(SweepRow(values, None, None, str(_uneven(p, k))))
+            continue
+        if isinstance(n, str):
+            rows.append(SweepRow(values, None, None, n))
+            continue
+        counts = counted.get((k, p, batch_size))
+        if counts is None:
+            counts = counted[k, p, batch_size] = {m: _shard_counts(m, k, p, batch_size) for m in methods}
+        u, v = fraction
+        record = 2 * q + label_width
+        hand_off = _wire_count(u, v, a, b)
+        reports = {m: _report(m, c, record, hand_off, n, epochs, bytes_per_scalar) for m, c in counts.items()}
+        efficiency = _rho(counts[Protocol.FEDERATED][1], counts[variant][1], record, u, v, a, b)
         rows.append(SweepRow(values, reports, efficiency, None))
     return rows

@@ -312,6 +312,24 @@ def _checked_run(spec: ModelSpec, shards: Sequence, unit: str, count: int, batch
     return [_checked_shard(spec, shard)[0].shape[0] for shard in shards]
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _turn_shard(spec: ModelSpec, shard, records: int) -> tuple[np.ndarray, np.ndarray]:
+    """A shard read again for a turn, held to the shapes the check pass found,
+    ``records`` rows of the model's input and output widths: float64 arrays of
+    those shapes pass as they are, and anything else is checked as on that
+    pass and must have them too. A read that changed shape raises
+    ShapeMismatch, so it never broadcasts."""
+    x, y = shard
+    if not (type(x) is type(y) is np.ndarray and x.dtype is _FLOAT64 and y.dtype is _FLOAT64):
+        x, y = _checked_shard(spec, (x, y))
+    if x.shape != (records, spec.input_width) or y.shape != (records, spec.output_width):
+        raise ShapeMismatch(f"shard read as inputs {x.shape} and labels {y.shape}, "
+                            f"checked with {records} records")
+    return x, y
+
+
 class _WorkingModel:
     """The one model a run trains: a flat weight vector and the step plans over
     it, built once per run: one for the shards' full batches, with a row of
@@ -393,7 +411,8 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
     """Every protocol's run: epochs, then the clients of :func:`_turns`, then
     the batches of :func:`_local_pass` on the one working model. Each shard is
     read and checked once before the first turn, and read again for each of
-    its turns, so a run holds one shard at a time (a :class:`GeneratedShards`
+    its turns and held to the shape that check found (:func:`_turn_shard`),
+    so a run holds one shard at a time (a :class:`GeneratedShards`
     makes it then, in a block with the short shards after it). A turn copies
     its client's weights in: a split client's into the front
     ``[:n_client]``, its batches' traffic at ``cut`` logged in one
@@ -425,7 +444,7 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
             me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
             mine, receiver = held[k], held[(k + 1) % k_clients]
             np.copyto(front, mine)
-            turn_losses, counts = _local_pass(model, *_checked_shard(spec, shards[k]), c,
+            turn_losses, counts = _local_pass(model, *_turn_shard(spec, shards[k], sizes[k]), c,
                                               (receiver, front) if sync_batch else None)
             if federated:
                 ledger.append(epoch, me, SERVER, MessageKind.CLIENT_WEIGHTS, front.size)

@@ -112,8 +112,12 @@ def _document(curve: BreakEvenCurve) -> str:
         f'transform="rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.1f})">model size N</text>'
     )
 
-    points = zip(ks, ns)
-    blocks = iter(lambda: " ".join(f"{sx(k):.1f},{sy(n):.1f}" for k, n in islice(points, _POINTS_PER_BLOCK)), "")
+    # sx and sy inline, the same float expressions: a point costs no call of its own
+    points, log10, x_span, y_span = zip(ks, ns), math.log10, x_hi - x_lo, y_hi - y_lo
+    blocks = iter(lambda: " ".join([
+        f"{_MARGIN_LEFT + (log10(k) - x_lo) / x_span * plot_w:.1f},"
+        f"{_MARGIN_TOP + (y_hi - log10(n)) / y_span * plot_h:.1f}"
+        for k, n in islice(points, _POINTS_PER_BLOCK)]), "")
     lines.append(f'<polyline points="{" ".join(blocks)}" fill="none" stroke="#1f4e9c" stroke-width="2"/>')
 
     # region labels on either side of the curve

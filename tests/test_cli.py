@@ -947,6 +947,23 @@ def test_an_output_whose_write_fails_after_it_is_open_exits_2(capsys, argv):
     assert err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails")
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--scenario", "biobank"],
+    ["sweep", "--scenario", "smartwatch"],
+    ["breakeven", "--p", "1000", "--q", "10", "--eta", "1", "--k-range", "1:100:x10"],
+], ids=lambda argv: argv[0])
+def test_a_stdout_whose_write_fails_exits_2_with_one_error_line(tmp_path, argv):
+    # stdout on /dev/full: the failed write names <stdout>, and the flush at
+    # exit finds nothing to fail on (no "Exception ignored", no exit 120)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = subprocess.run([sys.executable, "-m", "splitfed.cli", *argv], cwd=tmp_path, stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n")
+
+
 # --- the names the benchmark's tracer wraps ----------------------------------
 
 def _on_return(monkeypatch, name, hook):

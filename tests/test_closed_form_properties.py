@@ -7,28 +7,41 @@ Fraction(N)`` and the kinds kept eta*N exact (both in ``_closed_forms.py``),
 ``efficiency_ratio`` divided two sums of exact ``Fraction`` kinds. The
 integer forms must give the same rounded count, the same four report
 figures, the same rho bits and the same winner, or raise the same error.
+
+``sweep`` and ``break_even_curve`` hoist what does not vary per cell or per
+K; they are held to the per-cell and per-K forms they replaced: a cell's
+row built from ``ScenarioParams(**values)``, ``comm_report`` and
+``efficiency_ratio``, and each K's quotient of its two scaled lines.
 """
 
 import fractions
 import math
 import sys
 from fractions import Fraction
+from itertools import product
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from splitfed.cost_model import (
+    SWEEP_FIELD_ORDER,
     TIE_REL_TOL,
     CommReport,
     EfficiencyReport,
     Protocol,
     ScenarioParams,
+    SweepRow,
     Winner,
+    _epoch_counts,
     _even_split,
+    break_even_curve,
     comm_report,
     efficiency_ratio,
+    reported,
+    sweep,
 )
-from splitfed.errors import SplitFedError
+from splitfed.errors import InvalidParam, SplitFedError
 
 from _closed_forms import reference_client_param_count, reference_traffic_by_kind
 
@@ -68,7 +81,7 @@ def _outcome(fn, *args):
 
 
 def _bits(eff):
-    return eff if isinstance(eff, tuple) else (eff.rho.hex(), eff.winner)
+    return (eff.rho.hex(), eff.winner) if isinstance(eff, EfficiencyReport) else eff
 
 
 # eta*N = m + 1/2 exactly, m odd and even: an odd numerator over 2^(j+1) (a float or a
@@ -170,3 +183,125 @@ def test_the_wire_path_builds_no_fraction():
     finally:
         sys.setprofile(None)
     assert called == {"as_integer_ratio"}
+
+
+def reference_sweep_row(values, variant, strict):
+    """The earlier sweep's cell, verbatim: ScenarioParams, then a report per method, then rho."""
+    try:
+        params = ScenarioParams(**values)
+        reports = {m: comm_report(params, m, strict) for m in reported(variant)}
+        efficiency = efficiency_ratio(params, variant)
+    except SplitFedError as exc:
+        return SweepRow(values, None, None, str(exc))
+    return SweepRow(values, reports, efficiency, None)
+
+
+def _row_bits(row):
+    eff = row.efficiency and (row.efficiency.rho.hex(), row.efficiency.winner)
+    return list(row.values.items()), [type(v) for v in row.values.values()], row.reports, eff, row.error
+
+
+def _axis(values):
+    """An axis of one or more values, a single value drawn sometimes as a bare scalar."""
+    return st.lists(values, min_size=1, max_size=3).flatmap(
+        lambda vs: st.sampled_from([vs, vs[0]]) if len(vs) == 1 else st.just(vs))
+
+
+_SWEEP_N = st.one_of(st.integers(1, 10**12), st.integers(1, 10**6).map(float), st.floats(1, 1e6),
+                     st.sampled_from([1.5, 0, -3, math.inf, math.nan, 0.5]))
+_SWEEP_ETA = st.one_of(_ETAS, st.sampled_from([1.5, -0.25, math.nan, Fraction(3, 2)]))
+_SMALL = st.integers(-1, 3)
+
+
+@example(axes={"clients": [2, 0], "model_params": [10.5, math.nan], "dataset_size": [3, -1], "smashed_size": 0,
+               "client_fraction": [1.5, 0.5], "bytes_per_scalar": [4], "epochs": [0, 1], "batch_size": 1,
+               "label_width": [-1, 0]}, variant=Protocol.SPLIT_SYNC, strict=True)
+@given(
+    axes=st.fixed_dictionaries({
+        "clients": _axis(st.integers(-1, 12)),
+        "model_params": _axis(_SWEEP_N),
+        "dataset_size": _axis(st.one_of(st.integers(-1, 40), st.integers(0, 10**6))),
+        "smashed_size": _axis(st.integers(0, 64)),
+        "client_fraction": _axis(_SWEEP_ETA),
+    }, optional={
+        "bytes_per_scalar": _axis(_SMALL), "epochs": _axis(_SMALL), "batch_size": _axis(_SMALL),
+        "label_width": _axis(st.integers(-1, 3)),
+    }),
+    variant=_PROTOCOLS,
+    strict=st.booleans(),
+)
+def test_every_sweep_row_is_the_row_built_per_cell(axes, variant, strict):
+    # several axes hold invalid values at once, so a cell's first failing field
+    # is tested, then an uneven split, then a fractional N
+    rows = sweep(axes, variant, strict)
+    lists = [axes[name] if isinstance(axes.get(name), list) else [axes.get(name, default)]
+             for name, default in zip(SWEEP_FIELD_ORDER, (None,) * 5 + (4, 1, 1, 0))]
+    want = [reference_sweep_row(dict(zip(SWEEP_FIELD_ORDER, combo)), variant, strict) for combo in product(*lists)]
+    assert list(map(_row_bits, rows)) == list(map(_row_bits, want))
+    assert all(list(row.values) == list(SWEEP_FIELD_ORDER) for row in rows)
+
+
+def test_a_sweep_value_that_does_not_compare_raises_at_its_first_cell_as_scenario_params_does():
+    # an earlier field's failure makes every cell an error row before N is compared
+    rows = sweep({"clients": 0, "model_params": [None, 5], "dataset_size": 4, "smashed_size": 1,
+                  "client_fraction": 0.5})
+    assert [row.error for row in rows] == ["clients must be a positive integer, got 0"] * 2
+    grid = {"clients": 1, "model_params": [5, None], "dataset_size": 4, "smashed_size": 1, "client_fraction": 0.5}
+    with pytest.raises(TypeError) as raised:
+        sweep(grid)
+    with pytest.raises(TypeError) as want:
+        ScenarioParams(1, None, 4, 1, 0.5)
+    assert str(raised.value) == str(want.value)
+
+
+def reference_scaled_line(protocol, k, p, q, u, v, batch_size=1):
+    """The earlier ``_scaled_line``, labels left out: v * total = A + B*N."""
+    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
+    return 2 * q * v * records, u * hand_offs + 2 * v * round_trips
+
+
+def reference_break_even(p, q, eta, ks, variant, batch_size):
+    """The earlier per-K loop: both lines at each K, one quotient, or the error at the first bad K."""
+    u, v = eta.as_integer_ratio()
+    ks = ks if isinstance(ks, range) and ks.step > 0 else sorted(set(ks))
+    sizes = []
+    for k in ks:
+        a_s, b_s = reference_scaled_line(variant, k, p, q, u, v, batch_size)
+        a_f, b_f = reference_scaled_line(Protocol.FEDERATED, k, p, q, u, v)
+        if b_f <= b_s:
+            raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={k}")
+        try:
+            sizes.append((a_s - a_f) / (b_f - b_s))
+        except OverflowError:
+            raise InvalidParam(f"the break-even model size at K={k} lies past the float range") from None
+    return list(ks), [n.hex() for n in sizes]
+
+
+def _curve_bits(p, q, eta, ks, variant, batch_size):
+    curve = break_even_curve(p, q, eta, ks, variant, batch_size)
+    return list(curve.clients), [n.hex() for n in curve.break_even_sizes]
+
+
+_KS = st.one_of(
+    st.tuples(st.integers(-2, 400), st.integers(0, 300), st.integers(1, 40)).map(
+        lambda t: range(t[0], t[0] + t[1], t[2])),
+    st.lists(st.integers(-2, 5000), min_size=1, max_size=40),
+)
+
+
+@example(p=10**300, q=10**10, eta=0.5, ks=range(1, 4), variant=Protocol.SPLIT_SYNC, batch_size=1)  # past float range
+@example(p=6, q=3, eta=Fraction(15, 23), ks=[4, 1, 2], variant=Protocol.SPLIT_SYNC_BATCH, batch_size=1)
+@example(p=1000, q=3, eta=Fraction(1, 100), ks=range(1, 12), variant=Protocol.SPLIT_SYNC_BATCH, batch_size=1)
+@given(
+    p=st.one_of(st.integers(1, 10**6), st.integers(1, 50)),
+    q=st.integers(1, 4096),
+    eta=_ETAS,
+    ks=_KS,
+    variant=_PROTOCOLS,
+    batch_size=st.integers(1, 64),
+)
+def test_break_even_curve_is_the_per_k_quotient_of_the_scaled_lines(p, q, eta, ks, variant, batch_size):
+    if not ks:
+        return
+    assert _outcome(_curve_bits, p, q, eta, ks, variant, batch_size) == \
+        _outcome(reference_break_even, p, q, eta, ks, variant, batch_size)

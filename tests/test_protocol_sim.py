@@ -1,5 +1,6 @@
 """Protocol runs, the traffic ledger, and the ledger-versus-formula cross-check."""
 
+import collections.abc
 import io
 import itertools
 import math
@@ -336,6 +337,55 @@ def test_shard_widths_checked_once_per_run():
             run_split_training(SPEC, 1, bad, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=42)
         with pytest.raises(ShapeMismatch):
             run_federated_training(SPEC, bad, rounds=1, local_lr=0.01, seed=42)
+
+
+class _ReadAgainShards(collections.abc.Sequence):
+    """Two shards of three records, read as such on the check pass; every
+    later read returns ``later(k)`` instead."""
+
+    def __init__(self, later):
+        self.x, self.y = random_dataset(SPEC, 6, 42)
+        self.later, self.reads = later, 0
+
+    def __len__(self):
+        return 2
+
+    def __getitem__(self, k):
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        self.reads += 1
+        if self.reads <= len(self):
+            return self.x[3 * k : 3 * k + 3], self.y[3 * k : 3 * k + 3]
+        return self.later(self, k)
+
+
+_RUNS = (
+    lambda shards: run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=42),
+    lambda shards: run_federated_training(SPEC, shards, rounds=1, local_lr=0.01, seed=42),
+)
+
+
+@pytest.mark.parametrize("later", [
+    lambda s, k: (s.x[3 * k : 3 * k + 3], s.y[3 * k : 3 * k + 1]),  # one label row, which would broadcast
+    lambda s, k: (s.x[3 * k : 3 * k + 2], s.y[3 * k : 3 * k + 2]),  # a whole shard of two records
+    lambda s, k: (s.x[:1], s.y[:1]),  # one record, which would broadcast
+    lambda s, k: (s.x[3 * k : 3 * k + 3, :3], s.y[3 * k : 3 * k + 3]),  # too narrow
+    lambda s, k: (s.x[3 * k : 3 * k + 2].tolist(), s.y[3 * k : 3 * k + 2].tolist()),  # two records, as lists
+])
+def test_a_turn_holds_its_shard_to_the_shape_the_check_found(later):
+    for run in _RUNS:
+        with pytest.raises(ShapeMismatch):
+            run(_ReadAgainShards(later))
+
+
+def test_a_turn_converts_a_shard_read_again_as_the_check_does():
+    # lists of the checked shape are made float64 as the check pass makes them: the same run
+    for run in _RUNS:
+        want = run(_ReadAgainShards(lambda s, k: (s.x[3 * k : 3 * k + 3], s.y[3 * k : 3 * k + 3])))
+        got = run(_ReadAgainShards(lambda s, k: (s.x[3 * k : 3 * k + 3].tolist(), s.y[3 * k : 3 * k + 3].tolist())))
+        assert list(got.ledger) == list(want.ledger) and got.losses == want.losses
+        assert all(map(np.array_equal, got.client_params + [got.server_params],
+                       want.client_params + [want.server_params]))
 
 
 class _CountingCore:
