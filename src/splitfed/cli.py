@@ -27,7 +27,7 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 from .cost_model import (
     MessageKind,
@@ -39,6 +39,7 @@ from .cost_model import (
     efficiency_ratio,
     reported,
     sweep,
+    sweep_axes,
 )
 from .errors import InvalidParam, ScenarioError, SplitFedError
 from .scenarios import PARAM_KEYS, _as_field, _parse_number, load_scenario, load_suite
@@ -82,21 +83,21 @@ K_RANGE_MAX_POINTS = 10**6
 # breakeven formats and writes its stdout and CSV lines this many points at a time.
 BREAKEVEN_BLOCK_POINTS = 1024
 # sweep refuses a suite whose grids hold more cells than this, before it
-# expands them, a bound on time (about 1 s at the limit with --csv, best of 3
+# expands them, a bound on time (about 0.5 s at the limit with --csv, best of 3
 # on a 2-vCPU Xeon) and on the text held without --csv. It sweeps a grid a
 # slice of at most SWEEP_SLICE_CELLS cells at a time, and a slice's SweepRows
-# take about 910 B a cell (tracemalloc, over the 576 cells of
-# tests/golden/inputs/grid.txt, 216 of them Error cells; Python 3.11); without
-# --csv the formatted lines wait for the summary line, about the CSV text,
-# ~150 B a cell.
+# take about 740 B a cell, its cells sharing reports (tracemalloc, over the
+# 576 cells of tests/golden/inputs/grid.txt, 216 of them Error cells; Python
+# 3.11; 940 B with three reports a cell); without --csv the formatted lines
+# wait for the summary line, about the CSV text, ~150 B a cell.
 SWEEP_MAX_CELLS = 10**5
 SWEEP_SLICE_CELLS = 500
 
 # The parameter columns of a report row, field -> key (bytes_per_scalar shows
-# only in the byte columns, batch_size in none), and the getter that reads them
-# from a dict of fields.
+# only in the byte columns, batch_size in none), and the getter that picks them
+# from a cell's values in SWEEP_FIELD_ORDER.
 REPORT_KEYS = {name: key for name, key in PARAM_KEYS.items() if name not in ("bytes_per_scalar", "batch_size")}
-_param_columns = operator.itemgetter(*REPORT_KEYS)
+_param_columns = operator.itemgetter(*map(SWEEP_FIELD_ORDER.index, REPORT_KEYS))
 CSV_HEADER = [
     "method", *REPORT_KEYS.values(),
     "per_client_scalars", "total_scalars", "per_client_bytes", "total_bytes",
@@ -168,19 +169,27 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _write_cell(write, cell: SweepRow) -> int:
-    """Write one grid cell's CSV lines, an Error line or a line per method, and
-    return how many. The columns the methods share (parameters, rho, winner)
-    are formatted once; a report's four figures are ints, which an f-string
-    writes as :func:`_fmt` does."""
-    columns = ",".join(map(_fmt, _param_columns(cell.values)))
-    if cell.error is not None:
-        write(f"Error,{columns},,,,,,{_csv_field(cell.error)}\n")
-        return 1
-    tail = f"{_fmt(cell.efficiency.rho)},{cell.efficiency.winner.value}\n"
-    for method, per_client, total, per_client_bytes, total_bytes in cell.reports.values():
-        write(f"{method.label},{columns},{per_client},{total},{per_client_bytes},{total_bytes},{tail}")
-    return len(cell.reports)
+def _write_rows(write, grid: dict, rows: list[SweepRow]) -> None:
+    """Write the CSV lines of ``rows``, the sweep of ``grid``, a write each: an
+    Error line or a line per method. Each axis value (of :func:`sweep_axes`),
+    a cell's rho and winner, and a shared report's int figures (as
+    :func:`_fmt` writes them) are formatted once; a cell's parameter columns
+    are joined from its axis values' texts in ``product`` order, the order of
+    the sweep's cells."""
+    texts = [[_fmt(value) for value in values] if name in REPORT_KEYS else values
+             for name, values in zip(SWEEP_FIELD_ORDER, sweep_axes(grid))]
+    figures: dict[int, tuple[str, str]] = {}  # id(report) -> label, figures; the rows keep the ids alive
+    for columns, cell in zip(map(",".join, map(_param_columns, product(*texts))), rows):
+        if cell.error is not None:
+            write(f"Error,{columns},,,,,,{_csv_field(cell.error)}\n")
+            continue
+        tail = f"{_fmt(cell.efficiency.rho)},{cell.efficiency.winner.value}\n"
+        for report in cell.reports.values():
+            shown = figures.get(id(report))
+            if shown is None:
+                method, per_client, total, per_client_bytes, total_bytes = report
+                shown = figures[id(report)] = method.label, f"{per_client},{total},{per_client_bytes},{total_bytes}"
+            write(f"{shown[0]},{columns},{shown[1]},{tail}")
 
 
 def compared_protocol(variant: str) -> Protocol:
@@ -213,7 +222,7 @@ def cmd_analyze(args) -> int:
 
     if args.csv:
         with _csv_lines(args.csv, CSV_HEADER) as write:
-            _write_cell(write, SweepRow(values, reports, eff, None))
+            _write_rows(write, values, [SweepRow(values, reports, eff, None)])
     return 0
 
 
@@ -409,7 +418,8 @@ def cmd_sweep(args) -> int:
         for grid, variant in runs:
             for part in _grid_slices(grid, SWEEP_SLICE_CELLS):
                 lines: list[str] = []
-                csv_rows += sum(_write_cell(lines.append, row) for row in sweep(part, variant, strict))
+                _write_rows(lines.append, part, sweep(part, variant, strict))
+                csv_rows += len(lines)
                 write("".join(lines))
         print(f"swept {cells} parameter combinations ({csv_rows} CSV rows)")
     if not args.csv:

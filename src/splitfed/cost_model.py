@@ -544,21 +544,11 @@ def _model_ratio(n) -> tuple[int | str, int, int]:
     return (whole, *n.as_integer_ratio())
 
 
-def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, strict: bool = True) -> list[SweepRow]:
-    """Evaluate the Cartesian product of per-parameter value lists.
-
-    Scalar grid entries count as single-value axes. Per-cell failures (for
-    example a divisibility violation in strict mode) become row-level error
-    markers; the sweep itself never aborts. A cell's error is what
-    ScenarioParams, :func:`comm_report` and :func:`efficiency_ratio` raise for
-    it: the first field that fails its check, in field order, then an uneven
-    split in strict mode, then a fractional N.
-
-    What does not vary per cell is done once: each axis value is checked
-    once, N and eta are read as integer ratios once per value, and each
-    protocol's counts once per (K, p, batch size); a cell then evaluates
-    :func:`_report` and :func:`_rho` on plain ints.
-    """
+def sweep_axes(grid: Mapping[str, object]) -> list[list]:
+    """The value lists whose product :func:`sweep` evaluates, one per field in
+    ``SWEEP_FIELD_ORDER``: a list or tuple entry's values, any other entry as
+    one value, a left-out field's default. Raises InvalidParam for an unknown
+    field, a missing required one or an empty axis."""
     unknown = set(grid) - set(SWEEP_FIELD_ORDER)
     if unknown:
         raise InvalidParam(f"unknown sweep parameters: {sorted(unknown)}")
@@ -575,6 +565,28 @@ def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, s
         if not values:
             raise InvalidParam(f"sweep axis {name!r} is empty")
         axes.append(values)
+    return axes
+
+
+def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, strict: bool = True) -> list[SweepRow]:
+    """Evaluate the Cartesian product of per-parameter value lists (:func:`sweep_axes`).
+
+    Scalar grid entries count as single-value axes. Per-cell failures (for
+    example a divisibility violation in strict mode) become row-level error
+    markers; the sweep itself never aborts. A cell's error is what
+    ScenarioParams, :func:`comm_report` and :func:`efficiency_ratio` raise for
+    it: the first field that fails its check, in field order, then an uneven
+    split in strict mode, then a fractional N.
+
+    What does not vary per cell is done once: each axis value is checked
+    once, N and eta are read as integer ratios once per value, and each
+    protocol's counts once per (K, p, batch size); a cell then evaluates
+    :func:`_rho` on plain ints. A protocol's report is built once per tuple of
+    what its counts read: K, p, batch size, epochs, bytes per scalar, and the
+    record size, hand-off or N if it sends records, hands off or round-trips;
+    the cells with that tuple share the one :class:`CommReport`.
+    """
+    axes = sweep_axes(grid)
     checks = [[_axis_check(name, value) for value in values] for name, values in zip(SWEEP_FIELD_ORDER, axes)]
     # per checked value of N and of eta, the integers its cells read; the other axes are read as they are
     ratios = [[None] * len(values) for values in axes]
@@ -583,7 +595,9 @@ def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, s
         ratios[i] = [None if error is not None else read(value) for value, error in zip(axes[i], checks[i])]
 
     methods = reported(variant)
-    counted: dict[tuple[int, int, int], dict] = {}  # (K, p, batch size) -> {protocol: _shard_counts}
+    # (K, p, batch size, epochs, bytes per scalar) -> rho's two K-client counts, and per protocol
+    # its counts, whether they read the record size, hand-off and N, and its reports by those
+    shared: dict[tuple[int, int, int, int, int], tuple] = {}
     rows: list[SweepRow] = []
     for combo, errors, (_, model, _, _, fraction, *_) in zip(product(*axes), product(*checks), product(*ratios)):
         k, n_value, p, q, eta, bytes_per_scalar, epochs, batch_size, label_width = combo
@@ -604,13 +618,22 @@ def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, s
         if isinstance(n, str):
             rows.append(SweepRow(values, None, None, n))
             continue
-        counts = counted.get((k, p, batch_size))
-        if counts is None:
-            counts = counted[k, p, batch_size] = {m: _shard_counts(m, k, p, batch_size) for m in methods}
+        entry = shared.get((k, p, batch_size, epochs, bytes_per_scalar))
+        if entry is None:
+            counts = {m: _shard_counts(m, k, p, batch_size) for m in methods}
+            entry = shared[k, p, batch_size, epochs, bytes_per_scalar] = (
+                counts[Protocol.FEDERATED][1], counts[variant][1],
+                [(m, c, *map(bool, c[1]), {}) for m, c in counts.items()])
+        federated, split, protocols = entry
         u, v = fraction
         record = 2 * q + label_width
         hand_off = _wire_count(u, v, a, b)
-        reports = {m: _report(m, c, record, hand_off, n, epochs, bytes_per_scalar) for m, c in counts.items()}
-        efficiency = _rho(counts[Protocol.FEDERATED][1], counts[variant][1], record, u, v, a, b)
-        rows.append(SweepRow(values, reports, efficiency, None))
+        reports = {}
+        for m, c, sends, hands_off, round_trips, made in protocols:
+            inputs = record if sends else 0, hand_off if hands_off else 0, n if round_trips else 0
+            report = made.get(inputs)
+            if report is None:
+                report = made[inputs] = _report(m, c, record, hand_off, n, epochs, bytes_per_scalar)
+            reports[m] = report
+        rows.append(SweepRow(values, reports, _rho(federated, split, record, u, v, a, b), None))
     return rows

@@ -436,9 +436,9 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
 
     for epoch in range(epochs):
         turns = _turns(protocol, epoch, k_clients)
-        if federated:
-            for k in turns:
-                ledger.append(epoch, SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS, front.size)
+        if federated:  # the round's downloads, one message a client, logged as one turn
+            ledger.log_turn(epoch, [(SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS) for k in turns],
+                            [front.size] * len(turns))
         epoch_losses: list[np.ndarray] = []
         for k in turns:
             me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)

@@ -4,20 +4,27 @@ import codecs
 import contextlib
 import csv
 import errno
+import io
+import math
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitfed import Protocol, ScenarioError, Winner, efficiency_ratio
-from splitfed import cli
+from splitfed import cli, cost_model
 from splitfed.cli import main
 from splitfed.scenarios import (
+    Scenario,
     BUILTIN_SUITES,
     builtin_names,
     load_scenario,
@@ -811,6 +818,86 @@ def test_sweep_slices_hold_at_most_their_cells_in_grid_order(tmp_path, capsys, m
         assert main(["sweep", "--scenario", str(scenario)]) == 0
         assert capsys.readouterr().out == whole
         assert sizes == expected
+
+
+def reference_write_cell(write, cell):
+    """The earlier per-cell row writer, verbatim but for the getter: every
+    cell's six parameter columns formatted with ``_fmt``, then an Error line
+    or a line per method."""
+    columns = ",".join(map(cli._fmt, operator.itemgetter(*cli.REPORT_KEYS)(cell.values)))
+    if cell.error is not None:
+        write(f"Error,{columns},,,,,,{cli._csv_field(cell.error)}\n")
+        return 1
+    tail = f"{cli._fmt(cell.efficiency.rho)},{cell.efficiency.winner.value}\n"
+    for method, per_client, total, per_client_bytes, total_bytes in cell.reports.values():
+        write(f"{method.label},{columns},{per_client},{total},{per_client_bytes},{total_bytes},{tail}")
+    return len(cell.reports)
+
+
+def _grid_axis(values, most=3):
+    return st.lists(values, min_size=1, max_size=most)
+
+
+# N mixes 1 and 1.0, and 10**15 and 1e15, which compare and hash equal but
+# format apart ("1e+15"); eta mixes Fraction(1, 2) and 0.5; each axis also
+# draws values its check refuses
+_GRID_AXES = st.fixed_dictionaries({
+    "clients": _grid_axis(st.integers(-1, 12)),
+    "model_params": _grid_axis(st.one_of(st.sampled_from([1, 1.0, 10**15, 1e15, 10.5, 0, math.inf, math.nan]),
+                                         st.integers(1, 10**12), st.floats(1, 1e15))),
+    "dataset_size": _grid_axis(st.one_of(st.integers(-1, 40), st.integers(0, 10**6))),
+    "smashed_size": _grid_axis(st.integers(0, 64)),
+    "client_fraction": _grid_axis(st.one_of(st.sampled_from([Fraction(1, 2), 0.5, 0, 1, 1.0, 1.5, -0.25,
+                                                             Fraction(3, 2), 1e-7]),
+                                            st.floats(0, 1),
+                                            st.integers(1, 997).map(lambda b: Fraction(b // 2, b)))),
+}, optional={
+    "bytes_per_scalar": _grid_axis(st.integers(-1, 3), 2),
+    "epochs": _grid_axis(st.integers(-1, 3), 2),
+    "batch_size": _grid_axis(st.integers(-1, 3), 2),
+})
+
+
+_MIXED_RUNS = [({"clients": [1, 2], "model_params": [1, 1.0, 10**15, 1e15, 10.5], "dataset_size": [4, 3],
+                 "smashed_size": [1], "client_fraction": [Fraction(1, 2), 0.5, 1.5], "epochs": [1, 0]},
+                Protocol.SPLIT_SYNC_BATCH, 2),
+               ({"clients": [3], "model_params": [1.0, 1], "dataset_size": [6], "smashed_size": [2, 0],
+                 "client_fraction": [0.5, Fraction(1, 2)]}, Protocol.FEDERATED, -1)]
+
+
+@settings(max_examples=60, deadline=None)
+@example(runs=_MIXED_RUNS, slice_cells=500, include_labels=True, strict=True)
+@example(runs=_MIXED_RUNS, slice_cells=7, include_labels=False, strict=False)
+@given(
+    runs=st.lists(st.tuples(_GRID_AXES, st.sampled_from(list(Protocol)), st.integers(-1, 3)), min_size=1, max_size=2),
+    slice_cells=st.sampled_from([1, 7, 500]),
+    include_labels=st.booleans(),
+    strict=st.booleans(),
+)
+def test_sweep_csv_is_what_each_rows_cell_writer_wrote(runs, slice_cells, include_labels, strict):
+    # a suite of drawn grids, each with its variant and label width, swept in
+    # slices of 1, 7 or 500 cells (some cut inside an axis): the CSV is the
+    # earlier per-cell writer's text for each row of the whole grid's sweep
+    scenarios = [Scenario("drawn", {"clients": 1, "model_params": 10, "dataset_size": 4, "smashed_size": 1,
+                                    "client_fraction": 0.5}, variant, grids=grids, raw_label_width=label_width)
+                 for grids, variant, label_width in runs]
+    lines = []
+    for sc in scenarios:
+        grid = {**sc.grid(), "label_width": sc.label_width if include_labels else 0}
+        for row in cost_model.sweep(grid, cli.compared_protocol(sc.variant), strict):
+            reference_write_cell(lines.append, row)
+    flags = ["--include-labels"] * include_labels + ["--lenient-shards"] * (not strict)
+    with tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "load_suite", lambda source: scenarios)
+        patch.setattr(cli, "SWEEP_SLICE_CELLS", slice_cells)
+        out = os.path.join(folder, "sweep.csv")
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(["sweep", "--scenario", "drawn", "--csv", out, *flags]) == 0
+        with open(out, "rb") as fh:
+            written = fh.read()
+    cells = sum(math.prod(map(len, grids.values())) for grids, _, _ in runs)
+    assert written == (",".join(cli.CSV_HEADER) + "\n" + "".join(lines)).encode()
+    assert stdout.getvalue() == f"swept {cells} parameter combinations ({len(lines)} CSV rows)\nwrote {out}\n"
 
 
 def test_a_sweep_refused_after_its_cells_are_counted_leaves_the_csv_as_it_was(tmp_path, capsys):

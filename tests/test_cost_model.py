@@ -531,6 +531,45 @@ def test_sweep_non_finite_cells_become_error_rows():
     assert "model_params" in rows[3].error and "client_fraction" in rows[1].error
 
 
+def test_sweep_cells_with_the_same_report_inputs_share_one_report():
+    # Federated reads N alone, SplitNoSync the record size (q here) alone, and
+    # SplitSync the record size and the hand-off, eta*N rounded: 1/2 of 1,000
+    # and 1/4 of 2,000 both hand off 500 scalars
+    rows = sweep({"clients": 2, "model_params": [1000, 2000], "dataset_size": 8, "smashed_size": [3, 5],
+                  "client_fraction": [Fraction(1, 2), 0.25]})
+    cells = {(row.values["model_params"], row.values["smashed_size"], row.values["client_fraction"]): row.reports
+             for row in rows}
+    for protocol, reads in ((Protocol.FEDERATED, lambda n, q, eta: n),
+                            (Protocol.SPLIT_NOSYNC, lambda n, q, eta: q),
+                            (Protocol.SPLIT_SYNC, lambda n, q, eta: (q, round(eta * n)))):
+        by_inputs = {}
+        for cell, reports in cells.items():
+            by_inputs.setdefault(reads(*cell), []).append(reports[protocol])
+            assert reports[protocol] == comm_report(make_params(2, cell[0], 8, cell[1], cell[2]), protocol)
+        for shared in by_inputs.values():
+            assert all(report is shared[0] for report in shared)
+        assert len({id(shared[0]) for shared in by_inputs.values()}) == len(by_inputs)
+    # SplitSync's 8 cells: hand-offs 250, 500 (twice) and 1,000 at each q
+    assert sorted(map(len, by_inputs.values())) == [1, 1, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("field, values, variant, shared", [
+    ("batch_size", [1, 2], Protocol.SPLIT_SYNC_BATCH, set()),
+    ("label_width", [0, 1], Protocol.SPLIT_SYNC, {Protocol.FEDERATED}),  # federated sends no records
+    ("epochs", [1, 2], Protocol.SPLIT_SYNC, set()),
+    ("bytes_per_scalar", [4, 8], Protocol.SPLIT_SYNC, set()),
+])
+def test_sweep_cells_that_differ_in_a_report_input_do_not_share_a_report(field, values, variant, shared):
+    grid = {"clients": 2, "model_params": 1000, "dataset_size": 6, "smashed_size": 3, "client_fraction": 0.5,
+            field: values}
+    first, second = sweep(grid, variant)
+    assert list(first.reports) == list(second.reports) == list(reported(variant))
+    for row in (first, second):
+        params = ScenarioParams(**row.values)
+        assert row.reports == {m: comm_report(params, m) for m in reported(variant)}
+    assert {m for m in first.reports if first.reports[m] is second.reports[m]} == shared
+
+
 def test_sweep_at_benchmark_scale_matches_exact_integers():
     # A grid shaped like the closed-form-grid benchmark: K from 1 to 9,900, three
     # p values every K divides and one (a prime past K's range added on) that only

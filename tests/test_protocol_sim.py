@@ -486,6 +486,39 @@ def test_federated_one_download_one_upload_per_client_per_round():
         assert all(m.scalar_count == 23 for m in downloads + uploads)
 
 
+@pytest.mark.parametrize("clients", [1, 2, 5])
+def test_a_federated_round_logs_its_downloads_as_k_appends_did(clients, monkeypatch):
+    # a round's K GlobalWeights downloads are one log_turn call; the ledger holds,
+    # writes and tallies them as K appends of one message each did
+    rounds, n = 3, param_count(SPEC)
+    calls = Counter()
+    log_turn = TrafficLedger.log_turn
+
+    def counted(self, epoch, batch, counts):
+        calls[len(batch)] += 1
+        log_turn(self, epoch, batch, counts)
+
+    monkeypatch.setattr(TrafficLedger, "log_turn", counted)
+    run = run_federated_training(SPEC, golden_shards(p=10, clients=clients), rounds, local_lr=0.01, seed=42)
+    monkeypatch.undo()
+    # per round: the downloads as one K-message turn, then each upload as a one-message append
+    assert calls == ({1: rounds * (clients + 1)} if clients == 1 else {clients: rounds, 1: rounds * clients})
+    by_append = TrafficLedger()
+    for epoch in range(rounds):
+        for k in range(clients):
+            by_append.append(epoch, SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS, n)
+        for k in range(clients):
+            by_append.append(epoch, client_id(k + 1), SERVER, MessageKind.CLIENT_WEIGHTS, n)
+    columns = ("_senders", "_receivers", "_kinds", "_counts", "_run_epochs", "_run_starts", "_repeats", "_names")
+    assert [getattr(run.ledger, c) for c in columns] == [getattr(by_append, c) for c in columns]
+    assert len(run.ledger) == len(by_append) == 2 * rounds * clients
+    run_csv, append_csv = io.StringIO(), io.StringIO()
+    run.ledger.to_csv(run_csv)
+    by_append.to_csv(append_csv)
+    assert run_csv.getvalue() == append_csv.getvalue()
+    assert run.ledger.tally() == by_append.tally()
+
+
 def test_federated_zero_rounds():
     run = run_federated_training(SPEC, golden_shards(), rounds=0, local_lr=0.01, seed=42)
     assert len(run.ledger) == 0
