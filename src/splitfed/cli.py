@@ -33,13 +33,13 @@ from .cost_model import (
     MessageKind,
     Protocol,
     SWEEP_FIELD_ORDER,
-    SweepRow,
     break_even_curve,
     comm_report,
     efficiency_ratio,
     reported,
-    sweep,
+    sweep,  # not called here; perfbench/tracing.py wraps the name
     sweep_axes,
+    sweep_cells,
 )
 from .errors import InvalidParam, ScenarioError, SplitFedError
 from .scenarios import PARAM_KEYS, _as_field, _parse_number, load_scenario, load_suite
@@ -83,12 +83,13 @@ K_RANGE_MAX_POINTS = 10**6
 # breakeven formats and writes its stdout and CSV lines this many points at a time.
 BREAKEVEN_BLOCK_POINTS = 1024
 # sweep refuses a suite whose grids hold more cells than this, before it
-# expands them, a bound on time (about 0.5 s at the limit with --csv, best of 3
-# on a 2-vCPU Xeon) and on the text held without --csv. It sweeps a grid a
-# slice of at most SWEEP_SLICE_CELLS cells at a time, and a slice's SweepRows
-# take about 740 B a cell, its cells sharing reports (tracemalloc, over the
-# 576 cells of tests/golden/inputs/grid.txt, 216 of them Error cells; Python
-# 3.11; 940 B with three reports a cell); without --csv the formatted lines
+# expands them, a bound on time (about 0.3 s at the limit with --csv, best of 3
+# on a 2-vCPU Xeon; 0.5 s with a SweepRow built a cell) and on the text held
+# without --csv. It sweeps a grid a slice of at most SWEEP_SLICE_CELLS cells at
+# a time and formats each cell as the walk yields it, so a slice holds its
+# lines, about 410 B a cell (tracemalloc, over the 576 cells of
+# tests/golden/inputs/grid.txt, 216 of them Error cells; Python 3.11; 1,050 B
+# with the slice's SweepRows built first); without --csv the formatted lines
 # wait for the summary line, about the CSV text, ~150 B a cell.
 SWEEP_MAX_CELLS = 10**5
 SWEEP_SLICE_CELLS = 500
@@ -122,13 +123,19 @@ def __getattr__(name: str):
 
 def _fmt(x) -> str:
     """One output value: an int verbatim; a real (a Fraction as its float) as an integer when
-    integral and below 1e15 in size, "inf" if infinite, else to 12 significant digits; else str."""
+    integral and below 1e15 in size, "inf" if infinite, else to 12 significant digits (a Fraction
+    past the float range rounded from its exact value); else str."""
     # exact types first: ints and floats skip isinstance, whose Fraction check goes through ABCMeta
     if type(x) is int:
         return str(x)
     if type(x) is not float:
         if isinstance(x, Fraction):
-            x = float(x)
+            try:
+                x = float(x)
+            except OverflowError:
+                from decimal import Context
+
+                return format(Context(prec=12).divide(x.numerator, x.denominator).normalize(), "g")
         elif not isinstance(x, float):
             return str(x)
     if x.is_integer() and -1e15 < x < 1e15:
@@ -169,27 +176,29 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _write_rows(write, grid: dict, rows: list[SweepRow]) -> None:
-    """Write the CSV lines of ``rows``, the sweep of ``grid``, a write each: an
-    Error line or a line per method. Each axis value (of :func:`sweep_axes`),
-    a cell's rho and winner, and a shared report's int figures (as
-    :func:`_fmt` writes them) are formatted once; a cell's parameter columns
-    are joined from its axis values' texts in ``product`` order, the order of
-    the sweep's cells."""
+def _report_texts(method: Protocol, per_client: int, total: int, per_client_bytes: int, total_bytes: int):
+    """A report as its CSV line holds it, the text before and after a cell's parameter columns."""
+    return f"{method.label},", f",{per_client},{total},{per_client_bytes},{total_bytes},"
+
+
+def _write_rows(write, grid: dict, variant: Protocol, strict: bool) -> None:
+    """Write the CSV lines of the sweep of ``grid``, a write each: an Error line
+    or a line per method, formatted from the cells of :func:`sweep_cells` as
+    the walk yields them. Each axis value (of :func:`sweep_axes`) and each
+    shared report's figures (where the walk makes the report) are formatted
+    once, and a cell's rho and winner once; a cell's parameter columns are
+    joined from its axis values' texts in ``product`` order, the walk's order."""
     texts = [[_fmt(value) for value in values] if name in REPORT_KEYS else values
              for name, values in zip(SWEEP_FIELD_ORDER, sweep_axes(grid))]
-    figures: dict[int, tuple[str, str]] = {}  # id(report) -> label, figures; the rows keep the ids alive
-    for columns, cell in zip(map(",".join, map(_param_columns, product(*texts))), rows):
-        if cell.error is not None:
-            write(f"Error,{columns},,,,,,{_csv_field(cell.error)}\n")
+    cells = sweep_cells(grid, variant, strict, _report_texts)
+    for columns, cell in zip(map(",".join, map(_param_columns, product(*texts))), cells):
+        if type(cell) is str:
+            write(f"Error,{columns},,,,,,{_csv_field(cell)}\n")
             continue
-        tail = f"{_fmt(cell.efficiency.rho)},{cell.efficiency.winner.value}\n"
-        for report in cell.reports.values():
-            shown = figures.get(id(report))
-            if shown is None:
-                method, per_client, total, per_client_bytes, total_bytes = report
-                shown = figures[id(report)] = method.label, f"{per_client},{total},{per_client_bytes},{total_bytes}"
-            write(f"{shown[0]},{columns},{shown[1]},{tail}")
+        reports, rho, winner = cell
+        tail = f"{_fmt(rho)},{winner.value}\n"
+        for label, figures in reports:
+            write(f"{label}{columns}{figures}{tail}")
 
 
 def compared_protocol(variant: str) -> Protocol:
@@ -222,7 +231,7 @@ def cmd_analyze(args) -> int:
 
     if args.csv:
         with _csv_lines(args.csv, CSV_HEADER) as write:
-            _write_rows(write, values, [SweepRow(values, reports, eff, None)])
+            _write_rows(write, values, split, strict)
     return 0
 
 
@@ -418,7 +427,7 @@ def cmd_sweep(args) -> int:
         for grid, variant in runs:
             for part in _grid_slices(grid, SWEEP_SLICE_CELLS):
                 lines: list[str] = []
-                _write_rows(lines.append, part, sweep(part, variant, strict))
+                _write_rows(lines.append, part, variant, strict)
                 csv_rows += len(lines)
                 write("".join(lines))
         print(f"swept {cells} parameter combinations ({csv_rows} CSV rows)")

@@ -364,21 +364,22 @@ def _shard_counts(protocol: Protocol, k: int, p: int, batch_size: int) -> tuple[
 
 
 def _report(protocol: Protocol, counts, record: int, hand_off: int, model: int, epochs: int,
-            bytes_per_scalar: int) -> CommReport:
-    """A :class:`CommReport` of ``protocol`` from its :func:`_shard_counts` and the wire sizes."""
+            bytes_per_scalar: int, make=CommReport):
+    """``make`` (a :class:`CommReport` by default) of ``protocol``'s four figures,
+    from its :func:`_shard_counts` and the wire sizes."""
     largest, every = counts
     per_client = epochs * _epoch_total(largest, record, hand_off, model)
     total = epochs * _epoch_total(every, record, hand_off, model)
-    return CommReport(protocol, per_client, total, per_client * bytes_per_scalar, total * bytes_per_scalar)
+    return make(protocol, per_client, total, per_client * bytes_per_scalar, total * bytes_per_scalar)
 
 
-_SPLIT_UNBOUNDED = EfficiencyReport(math.inf, Winner.SPLIT)
+_SPLIT_UNBOUNDED = math.inf, Winner.SPLIT
 
 
-def _rho(federated, split, record: int, u: int, v: int, a: int, b: int) -> EfficiencyReport:
-    """rho from the K-client counts of federated and of the split protocol: with
-    eta = u/v and N = a/b, v*b times each one-epoch total is an integer, the hand-off
-    at the exact eta*N, so rho is one int / int division, correctly rounded."""
+def _rho(federated, split, record: int, u: int, v: int, a: int, b: int) -> tuple[float, Winner]:
+    """(rho, winner) from the K-client counts of federated and of the split protocol:
+    with eta = u/v and N = a/b, v*b times each one-epoch total is an integer, the
+    hand-off at the exact eta*N, so rho is one int / int division, correctly rounded."""
     scaled = record * v * b, u * a, v * a
     fed, split = _epoch_total(federated, *scaled), _epoch_total(split, *scaled)
     try:
@@ -386,8 +387,8 @@ def _rho(federated, split, record: int, u: int, v: int, a: int, b: int) -> Effic
     except (ZeroDivisionError, OverflowError):
         return _SPLIT_UNBOUNDED
     if fed == split or abs(rho - 1.0) <= TIE_REL_TOL * max(1.0, abs(rho)):
-        return EfficiencyReport(rho, Winner.TIE)
-    return EfficiencyReport(rho, Winner.SPLIT if rho > 1.0 else Winner.FEDERATED)
+        return rho, Winner.TIE
+    return rho, Winner.SPLIT if rho > 1.0 else Winner.FEDERATED
 
 
 def traffic_by_kind(params: ScenarioParams, protocol: Protocol, shard: int | None = None) -> dict[MessageKind, int]:
@@ -446,9 +447,10 @@ def efficiency_ratio(params: ScenarioParams, protocol: Protocol) -> EfficiencyRe
     a subnormal eta), reports winner Split with rho = +inf.
     """
     k, p = params.clients, params.dataset_size
-    return _rho(_epoch_counts(Protocol.FEDERATED, k, p, 1), _epoch_counts(protocol, k, p, params.batch_size),
-                2 * params.smashed_size + params.label_width,
-                *params.client_fraction.as_integer_ratio(), *params.model_params.as_integer_ratio())
+    return EfficiencyReport(*_rho(
+        _epoch_counts(Protocol.FEDERATED, k, p, 1), _epoch_counts(protocol, k, p, params.batch_size),
+        2 * params.smashed_size + params.label_width,
+        *params.client_fraction.as_integer_ratio(), *params.model_params.as_integer_ratio()))
 
 
 def _scaled_line(protocol: Protocol, k: int, p: int, record: int, u: int, v: int, batch_size: int) -> tuple[int, int]:
@@ -535,17 +537,19 @@ def _axis_check(name: str, value):
         return exc
 
 
-def _model_ratio(n) -> tuple[int | str, int, int]:
-    """A checked N as its whole int, or why it is not one, and as a/b."""
+def _model_ratio(n, fractions: list) -> tuple:
+    """A checked N as its whole int, as a/b, and the hand-off (:func:`_wire_count`)
+    at each checked eta's (u, v) of ``fractions``; or why N is not whole."""
     try:
         whole = _whole_model(n)
     except InvalidParam as exc:
-        whole = str(exc)
-    return (whole, *n.as_integer_ratio())
+        return str(exc), None, None, None
+    a, b = n.as_integer_ratio()
+    return whole, a, b, [None if eta is None else _wire_count(eta[0], eta[1], a, b) for eta in fractions]
 
 
 def sweep_axes(grid: Mapping[str, object]) -> list[list]:
-    """The value lists whose product :func:`sweep` evaluates, one per field in
+    """The value lists whose product :func:`sweep_cells` walks, one per field in
     ``SWEEP_FIELD_ORDER``: a list or tuple entry's values, any other entry as
     one value, a left-out field's default. Raises InvalidParam for an unknown
     field, a missing required one or an empty axis."""
@@ -568,55 +572,50 @@ def sweep_axes(grid: Mapping[str, object]) -> list[list]:
     return axes
 
 
-def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, strict: bool = True) -> list[SweepRow]:
-    """Evaluate the Cartesian product of per-parameter value lists (:func:`sweep_axes`).
+def sweep_cells(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, strict: bool = True,
+                make=CommReport):
+    """Walk the cells of the product of :func:`sweep_axes`, in ``product`` order,
+    yielding a cell's error as a str or (its reports in ``reported(variant)``
+    order as a tuple, rho, winner). A report is ``make`` of its protocol and its
+    four figures (:func:`_report`), a :class:`CommReport` by default.
 
-    Scalar grid entries count as single-value axes. Per-cell failures (for
-    example a divisibility violation in strict mode) become row-level error
-    markers; the sweep itself never aborts. A cell's error is what
-    ScenarioParams, :func:`comm_report` and :func:`efficiency_ratio` raise for
-    it: the first field that fails its check, in field order, then an uneven
-    split in strict mode, then a fractional N.
-
-    What does not vary per cell is done once: each axis value is checked
-    once, N and eta are read as integer ratios once per value, and each
-    protocol's counts once per (K, p, batch size); a cell then evaluates
-    :func:`_rho` on plain ints. A protocol's report is built once per tuple of
-    what its counts read: K, p, batch size, epochs, bytes per scalar, and the
-    record size, hand-off or N if it sends records, hands off or round-trips;
-    the cells with that tuple share the one :class:`CommReport`.
+    A cell's error is what ScenarioParams, :func:`comm_report` and
+    :func:`efficiency_ratio` raise for it: the first field that fails its
+    check, in field order, then an uneven split in strict mode, then a
+    fractional N. What does not vary per cell is done once: each axis value is
+    checked once, N and eta are read as integer ratios once per value, the
+    hand-off is rounded once per (N, eta) and each protocol's counts are read
+    once per (K, p, batch size); a cell then evaluates :func:`_rho` on plain
+    ints. A protocol's report is made once per tuple of what its counts read:
+    K, p, batch size, epochs, bytes per scalar, and the record size, hand-off
+    or N if it sends records, hands off or round-trips; the cells with that
+    tuple share the one report.
     """
     axes = sweep_axes(grid)
     checks = [[_axis_check(name, value) for value in values] for name, values in zip(SWEEP_FIELD_ORDER, axes)]
-    # per checked value of N and of eta, the integers its cells read; the other axes are read as they are
-    ratios = [[None] * len(values) for values in axes]
-    for name, read in (("model_params", _model_ratio), ("client_fraction", lambda eta: eta.as_integer_ratio())):
-        i = SWEEP_FIELD_ORDER.index(name)
-        ratios[i] = [None if error is not None else read(value) for value, error in zip(axes[i], checks[i])]
-
+    # per checked eta its (u, v) and place on its axis, per checked N what _model_ratio returns
+    fractions = [None if error is not None else (*eta.as_integer_ratio(), j)
+                 for j, (eta, error) in enumerate(zip(axes[4], checks[4]))]
+    models = [None if error is not None else _model_ratio(n, fractions) for n, error in zip(axes[1], checks[1])]
     methods = reported(variant)
     # (K, p, batch size, epochs, bytes per scalar) -> rho's two K-client counts, and per protocol
     # its counts, whether they read the record size, hand-off and N, and its reports by those
     shared: dict[tuple[int, int, int, int, int], tuple] = {}
-    rows: list[SweepRow] = []
-    for combo, errors, (_, model, _, _, fraction, *_) in zip(product(*axes), product(*checks), product(*ratios)):
-        k, n_value, p, q, eta, bytes_per_scalar, epochs, batch_size, label_width = combo
-        # in SWEEP_FIELD_ORDER, spelled out: a literal builds in a third of dict(zip(...))'s time
-        values = {"clients": k, "model_params": n_value, "dataset_size": p, "smashed_size": q, "client_fraction": eta,
-                  "bytes_per_scalar": bytes_per_scalar, "epochs": epochs, "batch_size": batch_size,
-                  "label_width": label_width}
+    cells = product(axes[0], models, axes[2], axes[3], fractions, *axes[5:])
+    for (k, model, p, q, fraction, bytes_per_scalar, epochs, batch_size, label_width), errors in zip(
+            cells, product(*checks)):
         if any(errors):
             error = next(filter(None, errors))
             if not isinstance(error, str):
                 raise error
-            rows.append(SweepRow(values, None, None, error))
+            yield error
             continue
-        n, a, b = model
         if strict and p % k:
-            rows.append(SweepRow(values, None, None, str(_uneven(p, k))))
+            yield str(_uneven(p, k))
             continue
+        n, a, b, hand_offs = model
         if isinstance(n, str):
-            rows.append(SweepRow(values, None, None, n))
+            yield n
             continue
         entry = shared.get((k, p, batch_size, epochs, bytes_per_scalar))
         if entry is None:
@@ -625,15 +624,39 @@ def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, s
                 counts[Protocol.FEDERATED][1], counts[variant][1],
                 [(m, c, *map(bool, c[1]), {}) for m, c in counts.items()])
         federated, split, protocols = entry
-        u, v = fraction
-        record = 2 * q + label_width
-        hand_off = _wire_count(u, v, a, b)
-        reports = {}
+        u, v, j = fraction
+        record, hand_off = 2 * q + label_width, hand_offs[j]
+        reports = []
         for m, c, sends, hands_off, round_trips, made in protocols:
             inputs = record if sends else 0, hand_off if hands_off else 0, n if round_trips else 0
             report = made.get(inputs)
             if report is None:
-                report = made[inputs] = _report(m, c, record, hand_off, n, epochs, bytes_per_scalar)
-            reports[m] = report
-        rows.append(SweepRow(values, reports, _rho(federated, split, record, u, v, a, b), None))
+                report = made[inputs] = _report(m, c, record, hand_off, n, epochs, bytes_per_scalar, make)
+            reports.append(report)
+        rho, winner = _rho(federated, split, record, u, v, a, b)
+        yield tuple(reports), rho, winner
+
+
+def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, strict: bool = True) -> list[SweepRow]:
+    """Evaluate the Cartesian product of per-parameter value lists (:func:`sweep_axes`),
+    a row for each cell of :func:`sweep_cells`.
+
+    Scalar grid entries count as single-value axes. Per-cell failures (for
+    example a divisibility violation in strict mode) become row-level error
+    markers; the sweep itself never aborts. Rows whose cells share a report
+    hold the same :class:`CommReport`.
+    """
+    methods = reported(variant)
+    rows: list[SweepRow] = []
+    for (k, n, p, q, eta, bytes_per_scalar, epochs, batch_size, label_width), cell in zip(
+            product(*sweep_axes(grid)), sweep_cells(grid, variant, strict)):
+        # in SWEEP_FIELD_ORDER, spelled out: a literal builds in a third of dict(zip(...))'s time
+        values = {"clients": k, "model_params": n, "dataset_size": p, "smashed_size": q, "client_fraction": eta,
+                  "bytes_per_scalar": bytes_per_scalar, "epochs": epochs, "batch_size": batch_size,
+                  "label_width": label_width}
+        if type(cell) is str:
+            rows.append(SweepRow(values, None, None, cell))
+        else:
+            reports, rho, winner = cell
+            rows.append(SweepRow(values, dict(zip(methods, reports)), EfficiencyReport(rho, winner), None))
     return rows

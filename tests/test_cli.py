@@ -769,7 +769,7 @@ def test_sweep_refuses_too_many_cells_before_expanding_them(tmp_path, monkeypatc
             "eta": (f"{i}/100" for i in range(1, 101))}
     scenario.write_text(RAW_TEXT + "".join(f"grid.{key} = {', '.join(map(str, values))}\n"
                                            for key, values in axes.items()))
-    monkeypatch.setattr(cli, "sweep", no_expansion)
+    monkeypatch.setattr(cli, "sweep_cells", no_expansion)
     assert main(["sweep", "--scenario", str(scenario)]) == 3
     assert capsys.readouterr().err == f"error: sweep has {10**10} cells, more than {cli.SWEEP_MAX_CELLS}\n"
     monkeypatch.undo()
@@ -809,15 +809,14 @@ def test_sweep_slices_hold_at_most_their_cells_in_grid_order(tmp_path, capsys, m
                         "grid.p = 1_000_000, 999, 720_720, 1000, 7\n")
     assert main(["sweep", "--scenario", str(scenario)]) == 0
     whole = capsys.readouterr().out
-    sizes = []
-    _on_return(monkeypatch, "sweep", lambda rows: sizes.append(len(rows)))
+    walks = _walks(monkeypatch)
     for cells, expected in [(30, [30]), (20, [20, 10]), (10, [10] * 3), (9, [5] * 6), (4, [4, 1] * 6),
                             (1, [1] * 30)]:
         monkeypatch.setattr(cli, "SWEEP_SLICE_CELLS", cells)
-        sizes.clear()
+        walks.clear()
         assert main(["sweep", "--scenario", str(scenario)]) == 0
         assert capsys.readouterr().out == whole
-        assert sizes == expected
+        assert [len(cells) for _, cells in walks] == expected
 
 
 def reference_write_cell(write, cell):
@@ -840,15 +839,18 @@ def _grid_axis(values, most=3):
 
 # N mixes 1 and 1.0, and 10**15 and 1e15, which compare and hash equal but
 # format apart ("1e+15"); eta mixes Fraction(1, 2) and 0.5; each axis also
-# draws values its check refuses
+# draws values its check refuses. N = 10**400 and eta = 1/10**400 take rho
+# past the float range, and eta = 10**400/3 is refused and formats past it.
 _GRID_AXES = st.fixed_dictionaries({
     "clients": _grid_axis(st.integers(-1, 12)),
-    "model_params": _grid_axis(st.one_of(st.sampled_from([1, 1.0, 10**15, 1e15, 10.5, 0, math.inf, math.nan]),
+    "model_params": _grid_axis(st.one_of(st.sampled_from([1, 1.0, 10**15, 1e15, 10.5, 0, math.inf, math.nan,
+                                                          10**400]),
                                          st.integers(1, 10**12), st.floats(1, 1e15))),
     "dataset_size": _grid_axis(st.one_of(st.integers(-1, 40), st.integers(0, 10**6))),
     "smashed_size": _grid_axis(st.integers(0, 64)),
     "client_fraction": _grid_axis(st.one_of(st.sampled_from([Fraction(1, 2), 0.5, 0, 1, 1.0, 1.5, -0.25,
-                                                             Fraction(3, 2), 1e-7]),
+                                                             Fraction(3, 2), 1e-7, Fraction(10**400, 3),
+                                                             Fraction(1, 10**400)]),
                                             st.floats(0, 1),
                                             st.integers(1, 997).map(lambda b: Fraction(b // 2, b)))),
 }, optional={
@@ -863,11 +865,15 @@ _MIXED_RUNS = [({"clients": [1, 2], "model_params": [1, 1.0, 10**15, 1e15, 10.5]
                 Protocol.SPLIT_SYNC_BATCH, 2),
                ({"clients": [3], "model_params": [1.0, 1], "dataset_size": [6], "smashed_size": [2, 0],
                  "client_fraction": [0.5, Fraction(1, 2)]}, Protocol.FEDERATED, -1)]
+_PAST_FLOAT_RUNS = [({"clients": [1, 2], "model_params": [10**400, 7], "dataset_size": [0, 4], "smashed_size": [1],
+                     "client_fraction": [Fraction(10**400, 3), Fraction(1, 10**400), Fraction(1, 2)]},
+                    Protocol.SPLIT_SYNC, 1)]
 
 
 @settings(max_examples=60, deadline=None)
 @example(runs=_MIXED_RUNS, slice_cells=500, include_labels=True, strict=True)
 @example(runs=_MIXED_RUNS, slice_cells=7, include_labels=False, strict=False)
+@example(runs=_PAST_FLOAT_RUNS, slice_cells=7, include_labels=False, strict=True)
 @given(
     runs=st.lists(st.tuples(_GRID_AXES, st.sampled_from(list(Protocol)), st.integers(-1, 3)), min_size=1, max_size=2),
     slice_cells=st.sampled_from([1, 7, 500]),
@@ -898,6 +904,44 @@ def test_sweep_csv_is_what_each_rows_cell_writer_wrote(runs, slice_cells, includ
     cells = sum(math.prod(map(len, grids.values())) for grids, _, _ in runs)
     assert written == (",".join(cli.CSV_HEADER) + "\n" + "".join(lines)).encode()
     assert stdout.getvalue() == f"swept {cells} parameter combinations ({len(lines)} CSV rows)\nwrote {out}\n"
+
+
+def test_a_sweep_whose_eta_lies_past_the_float_range_writes_its_error_row(tmp_path, capsys):
+    # eta = 10**400 is refused per cell like any eta above 1, and its column
+    # reads 12 significant digits of the exact value
+    scenario = tmp_path / "huge-eta.txt"
+    scenario.write_text(RAW_TEXT + f"grid.eta = 1/2, {10**400}/1\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", str(scenario), "--csv", str(out)]) == 0
+    assert capsys.readouterr().out == f"swept 2 parameter combinations (4 CSV rows)\nwrote {out}\n"
+    rows = out.read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:4]] == ["SplitSync", "SplitNoSync", "Federated"]
+    assert all(row.split(",")[1:7] == ["100", "1000000", "1000000", "100", "0.5", "2"] for row in rows[1:4])
+    assert rows[4] == f'Error,100,1000000,1000000,100,1e+400,2,,,,,,"client_fraction must lie in [0, 1], got {10**400}"'
+
+
+@pytest.mark.parametrize("case", ["sweep-grid", "sweep-grid-nosync-lenient-labels", "sweep-grid-stdout",
+                                  "sweep-hospital"])
+def test_sweep_writes_its_csv_without_building_a_row_or_a_report(case, tmp_path, monkeypatch):
+    # the CLI formats each cell as the walk yields it: a SweepRow, an
+    # EfficiencyReport or a CommReport built anywhere on the way raises
+    from test_golden import GOLDEN, _cases
+
+    def refused(cls, *args, **kwargs):
+        raise AssertionError(f"sweep built a {cls.__name__}")
+
+    for cls in (cost_model.SweepRow, cost_model.EfficiencyReport, cost_model.CommReport):
+        monkeypatch.setattr(cls, "__new__", refused)
+    argv, files = _cases()[case]
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(argv) == 0
+    assert f"exit 0\n{stdout.getvalue()}".encode() == (GOLDEN / case / "stdout.txt").read_bytes()
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes()
+    with pytest.raises(AssertionError, match="sweep built a "):  # the patch holds for the library sweep
+        cost_model.sweep({"clients": 1, "model_params": 10, "dataset_size": 4, "smashed_size": 1,
+                          "client_fraction": 0.5})
 
 
 def test_a_sweep_refused_after_its_cells_are_counted_leaves_the_csv_as_it_was(tmp_path, capsys):
@@ -1066,17 +1110,30 @@ def _on_return(monkeypatch, name, hook):
     monkeypatch.setattr(cli, name, wrapped)
 
 
+def _walks(monkeypatch) -> list:
+    """Replace ``cli.sweep_cells`` with a walk that records each call's grid and
+    the cells it yields, as they are yielded, in the list returned."""
+    walks, fn = [], cli.sweep_cells
+
+    def walked(grid, *args, **kwargs):
+        cells = []
+        walks.append((grid, cells))
+        for cell in fn(grid, *args, **kwargs):
+            cells.append(cell)
+            yield cell
+
+    monkeypatch.setattr(cli, "sweep_cells", walked)
+    return walks
+
+
 def test_wrapped_names_return_what_the_outputs_hold(tmp_path, capsys, monkeypatch):
-    # the tracer counts sweep cells and Error cells with len() of each sweep
-    # result, break-even points with len(curve.points), and SVG bytes from the
-    # returned document
-    counts, slices, documents = Counter(), [], []
-
-    def on_sweep(rows):
-        counts.update(cells=len(rows), error_cells=sum(row.error is not None for row in rows))
-        slices.append({row.values["clients"] for row in rows})
-
-    _on_return(monkeypatch, "sweep", on_sweep)
+    # the tracer counts break-even points with len(curve.points) and SVG bytes
+    # from the returned document; it counts sweep cells and Error cells from
+    # the rows of cli.sweep, which the CLI no longer calls, so here they are
+    # counted from the cells of the walk it calls instead
+    counts, documents = Counter(), []
+    walks = _walks(monkeypatch)
+    _on_return(monkeypatch, "sweep", lambda rows: counts.update(sweep_calls=1))
     _on_return(monkeypatch, "break_even_curve", lambda curve: counts.update(points=len(curve.points)))
     _on_return(monkeypatch, "render_breakeven_svg", documents.append)
 
@@ -1087,8 +1144,11 @@ def test_wrapped_names_return_what_the_outputs_hold(tmp_path, capsys, monkeypatc
     assert main(["sweep", "--scenario", str(scenario), "--csv", str(sweep_csv)]) == 0
     rows = sweep_csv.read_text().splitlines()[1:]
     errors = sum(row.startswith("Error,") for row in rows)
-    assert counts["cells"] == 16 == errors + (len(rows) - errors) // 3
-    assert counts["error_cells"] == errors == 8
+    cells = [cell for _, walked in walks for cell in walked]
+    assert len(cells) == 16 == errors + (len(rows) - errors) // 3
+    assert sum(type(cell) is str for cell in cells) == errors == 8
+    assert counts["sweep_calls"] == 0
+    slices = [set(cost_model.sweep_axes(grid)[0]) for grid, _ in walks]
     assert capsys.readouterr().out == f"swept 16 parameter combinations ({len(rows)} CSV rows)\nwrote {sweep_csv}\n"
     assert slices == [{1, 3}, {100, 7}]  # runs of the outermost axis's values, 8 cells a sweep
 

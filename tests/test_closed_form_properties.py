@@ -207,15 +207,21 @@ def _axis(values):
         lambda vs: st.sampled_from([vs, vs[0]]) if len(vs) == 1 else st.just(vs))
 
 
+# N = 10**400 and eta = 1/10**400 take rho past the float range (rho = inf, Split);
+# eta = 10**400/3 is refused
 _SWEEP_N = st.one_of(st.integers(1, 10**12), st.integers(1, 10**6).map(float), st.floats(1, 1e6),
-                     st.sampled_from([1.5, 0, -3, math.inf, math.nan, 0.5]))
-_SWEEP_ETA = st.one_of(_ETAS, st.sampled_from([1.5, -0.25, math.nan, Fraction(3, 2)]))
+                     st.sampled_from([1.5, 0, -3, math.inf, math.nan, 0.5, 10**400]))
+_SWEEP_ETA = st.one_of(_ETAS, st.sampled_from([1.5, -0.25, math.nan, Fraction(3, 2), Fraction(10**400, 3),
+                                               Fraction(1, 10**400)]))
 _SMALL = st.integers(-1, 3)
 
 
 @example(axes={"clients": [2, 0], "model_params": [10.5, math.nan], "dataset_size": [3, -1], "smashed_size": 0,
                "client_fraction": [1.5, 0.5], "bytes_per_scalar": [4], "epochs": [0, 1], "batch_size": 1,
                "label_width": [-1, 0]}, variant=Protocol.SPLIT_SYNC, strict=True)
+@example(axes={"clients": [1, 3], "model_params": [10**400, 7], "dataset_size": [0, 6], "smashed_size": 2,
+               "client_fraction": [Fraction(10**400, 3), Fraction(1, 10**400), Fraction(1, 3)]},
+         variant=Protocol.SPLIT_SYNC_BATCH, strict=True)
 @given(
     axes=st.fixed_dictionaries({
         "clients": _axis(st.integers(-1, 12)),
