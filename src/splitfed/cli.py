@@ -11,9 +11,8 @@ CSV output is byte-stable across runs: integers verbatim, reals with 12
 significant digits, "\n" line endings.
 
 Only simulate needs the simulator: ``protocol_sim`` and ``random_dataset``
-are names of this module that load, with numpy, on first use, so the other
-subcommands never import numpy. ``render_breakeven_svg`` loads the same way,
-so only breakeven --svg loads the SVG module.
+are names of this module that load, with numpy, on first use, as does
+``render_breakeven_svg``, so only breakeven --svg loads the SVG module.
 """
 
 from __future__ import annotations
@@ -44,61 +43,52 @@ from .cost_model import (
 from .errors import InvalidParam, ScenarioError, SplitFedError
 from .scenarios import PARAM_KEYS, _as_field, _parse_number, load_scenario, load_suite
 
-# cmd_simulate refuses anything bigger than these, before it allocates; the
-# simulator moves real tensors and is meant for desk-scale cross-checks, not
-# production training.
+# cmd_simulate refuses anything bigger than these, before it allocates: the
+# simulator moves real tensors, for desk-scale cross-checks.
 SIMULATE_MAX_PARAMS = 10**6  # N
 SIMULATE_MAX_RECORDS = 10**5  # p
-# K * N bounds a split run's K held client vectors (up to N float64 scalars
-# each, 80 MB at the limit) and the K hand-offs a round copies. Federated folds
-# each upload into a running mean and holds four N-vectors (and the SGD step's
-# block scratch) whatever K is, so K * N does not bound it.
+# K * N bounds a split run's K held client vectors (80 MB at the limit) and the
+# K hand-offs a round copies. Federated folds each upload into a running mean
+# and holds four N-vectors whatever K is, so K * N does not bound it.
 SIMULATE_MAX_HELD_SCALARS = 10**7
 # epochs * K * N bounds a federated run's copy and fold work: every round
 # copies the N-scalar global model into each of K clients' buffers and folds
 # the K uploads into the running sum.
 SIMULATE_MAX_FOLDED_SCALARS = 10**9
 # p * (input + output width) bounds the synthetic dataset. The shards are made
-# when the run reads them, once to check them and once a turn, so a run holds
-# one 64 KB block of short shards or one larger shard at a time; one client's
-# shard is the whole dataset, one float64 vector (80 MB at the limit) with two
-# 64 KB blocks of scratch.
+# when the run reads them, so a run holds one 64 KB block of short shards or
+# one larger shard at a time: one client's shard is the whole dataset, one
+# float64 vector (80 MB at the limit).
 SIMULATE_MAX_DATA_SCALARS = 10**7
 # epochs * max(p, K) bounds a run's training steps and the rows of its ledger
 # CSV: at most 4 messages per batch plus 2 per client in every epoch. The
-# ledger holds a turn's identical batches as one run, one batch of 17 bytes a
-# message plus 20 bytes, so a split turn holds a few runs however long it is.
-# A sync run of (4, 3, 2) at K = 10, p = 100,000 and 10 epochs logs 3,000,100
-# messages, writes an 86 MB ledger CSV and peaks at about 34 MB RSS, as its
-# one-epoch run does (Python 3.11, numpy 2.4); at 22 bytes a message and with
-# the whole dataset made first, they peaked at about 100 MB and 44 MB.
+# ledger holds a turn's identical batches as one run, so a split turn holds a
+# few runs however long it is: a sync run of (4, 3, 2) at K = 10, p = 100,000
+# and 10 epochs logs 3,000,100 messages, writes an 86 MB ledger CSV and peaks
+# at about 34 MB RSS, as its one-epoch run does (Python 3.11, numpy 2.4).
 SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this, a bound on time
 # (about 3.5 s at the limit with --csv and --svg, best of 3 on a 2-vCPU Xeon):
-# a curve holds 8 B a point (N* in an array('d'), an arithmetic range kept as
-# a range) and its SVG document about 12.5 B a point, held about twice while
-# it is joined and written; 10**6 points with --csv and --svg peak at about
-# 49 MB RSS (Python 3.11, no numpy loaded).
+# a curve holds 8 B a point and its SVG about 12.5 B; 10**6 points with --csv
+# and --svg peak at about 49 MB RSS (Python 3.11, no numpy loaded).
 K_RANGE_MAX_POINTS = 10**6
 # breakeven formats and writes its stdout and CSV lines this many points at a time.
 BREAKEVEN_BLOCK_POINTS = 1024
 # sweep refuses a suite whose grids hold more cells than this, before it
-# expands them, a bound on time (about 0.3 s at the limit with --csv, best of 3
-# on a 2-vCPU Xeon; 0.5 s with a SweepRow built a cell) and on the text held
-# without --csv. It sweeps a grid a slice of at most SWEEP_SLICE_CELLS cells at
-# a time and formats each cell as the walk yields it, so a slice holds its
-# lines, about 410 B a cell (tracemalloc, over the 576 cells of
-# tests/golden/inputs/grid.txt, 216 of them Error cells; Python 3.11; 1,050 B
-# with the slice's SweepRows built first); without --csv the formatted lines
-# wait for the summary line, about the CSV text, ~150 B a cell.
+# expands them, a bound on time (about 0.2 s at the limit with --csv, best of 3
+# on a 2-vCPU Xeon) and on the text held without --csv. It sweeps a grid a
+# slice of at most SWEEP_SLICE_CELLS cells at a time and formats each cell as
+# the walk yields it, so a slice holds its lines, about 410 B a cell
+# (tracemalloc, tests/golden/inputs/grid.txt, Python 3.11); without --csv the
+# formatted lines wait for the summary line, about the CSV text, ~150 B a cell.
 SWEEP_MAX_CELLS = 10**5
 SWEEP_SLICE_CELLS = 500
 
 # The parameter columns of a report row, field -> key (bytes_per_scalar shows
-# only in the byte columns, batch_size in none), and the getter that picks them
-# from a cell's values in SWEEP_FIELD_ORDER.
+# only in the byte columns, batch_size in none), and the getter of those past
+# K and N from a cell's values on the axes past them.
 REPORT_KEYS = {name: key for name, key in PARAM_KEYS.items() if name not in ("bytes_per_scalar", "batch_size")}
-_param_columns = operator.itemgetter(*map(SWEEP_FIELD_ORDER.index, REPORT_KEYS))
+_inner_columns = operator.itemgetter(*(SWEEP_FIELD_ORDER.index(name) - 2 for name in list(REPORT_KEYS)[2:]))
 CSV_HEADER = [
     "method", *REPORT_KEYS.values(),
     "per_client_scalars", "total_scalars", "per_client_bytes", "total_bytes",
@@ -125,7 +115,10 @@ def _fmt(x) -> str:
     """One output value: an int verbatim; a real (a Fraction as its float) as an integer when
     integral and below 1e15 in size, "inf" if infinite, else to 12 significant digits (a Fraction
     past the float range rounded from its exact value); else str."""
-    # exact types first: ints and floats skip isinstance, whose Fraction check goes through ABCMeta
+    # exact types first, skipping isinstance, whose Fraction check goes through ABCMeta; first a
+    # float that is not whole, as each rho and N* is: "%" is its quickest ".12g"
+    if type(x) is float and not x.is_integer() and x != -math.inf:
+        return "%.12g" % x  # "inf", and "nan" for either NaN
     if type(x) is int:
         return str(x)
     if type(x) is not float:
@@ -140,9 +133,7 @@ def _fmt(x) -> str:
             return str(x)
     if x.is_integer() and -1e15 < x < 1e15:
         return str(int(x))
-    if math.isinf(x):
-        return "inf"
-    return format(x, ".12g")  # "nan" for either NaN
+    return "inf" if math.isinf(x) else format(x, ".12g")  # "nan" for either NaN
 
 
 @contextlib.contextmanager
@@ -171,7 +162,7 @@ def _csv_lines(path: str | None, header: list[str]):
 
 def _csv_field(text: str) -> str:
     """``text`` as one CSV field: quoted RFC 4180 style if it holds a comma, a quote or a line break."""
-    if any(c in text for c in ',"\r\n'):
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -184,19 +175,19 @@ def _report_texts(method: Protocol, per_client: int, total: int, per_client_byte
 def _write_rows(write, grid: dict, variant: Protocol, strict: bool) -> None:
     """Write the CSV lines of the sweep of ``grid``, a write each: an Error line
     or a line per method, formatted from the cells of :func:`sweep_cells` as
-    the walk yields them. Each axis value (of :func:`sweep_axes`) and each
-    shared report's figures (where the walk makes the report) are formatted
-    once, and a cell's rho and winner once; a cell's parameter columns are
-    joined from its axis values' texts in ``product`` order, the walk's order."""
+    the walk yields them. Each axis value and each shared report's figures are
+    formatted once, and the columns past K and N joined once per slice; a
+    cell's parameter columns follow the walk, K, then N, then the rest."""
     texts = [[_fmt(value) for value in values] if name in REPORT_KEYS else values
              for name, values in zip(SWEEP_FIELD_ORDER, sweep_axes(grid))]
-    cells = sweep_cells(grid, variant, strict, _report_texts)
-    for columns, cell in zip(map(",".join, map(_param_columns, product(*texts))), cells):
+    inner = [",".join(_inner_columns(values)) for values in product(*texts[2:])]
+    joined = (f"{k},{n},{rest}" for k in texts[0] for n in texts[1] for rest in inner)
+    for columns, cell in zip(joined, sweep_cells(grid, variant, strict, _report_texts)):
         if type(cell) is str:
             write(f"Error,{columns},,,,,,{_csv_field(cell)}\n")
             continue
         reports, rho, winner = cell
-        tail = f"{_fmt(rho)},{winner.value}\n"
+        tail = _fmt(rho) + "," + winner + "\n"  # a Winner is its value's str; .value is a slower descriptor
         for label, figures in reports:
             write(f"{label}{columns}{figures}{tail}")
 
@@ -390,10 +381,9 @@ def cmd_breakeven(args) -> int:
 
 def _grid_slices(grid: dict, cells: int):
     """``grid`` cut into grids of at most ``cells`` cells, made as they are read:
-    runs of consecutive values of its outermost multi-valued axis
-    (``SWEEP_FIELD_ORDER``), or, when one value already spans more cells, each
-    value's grid cut the same way along the next axis. Their sweeps, one after
-    another, give the whole grid's cells in its own order."""
+    runs of consecutive values of its outermost multi-valued axis, or, when one
+    value spans more cells, each value's grid cut the same way along the next
+    axis. Their sweeps, one after another, give the grid's cells in order."""
     multi = [name for name in SWEEP_FIELD_ORDER
              if isinstance(grid.get(name), (list, tuple)) and len(grid[name]) > 1]
     if not multi or math.prod(len(grid[name]) for name in multi) <= cells:

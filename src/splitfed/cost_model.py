@@ -10,12 +10,11 @@ eta the client-side fraction of parameters, the per-epoch totals are
     federated averaging:                 2*K*N
 
 :func:`_epoch_counts` gives a protocol's per-epoch counts (records sent up,
-client-weight hand-offs, full-model round trips), so every total is a line
-A + B*N, and :func:`_epoch_total` is the one formula over them: reports read
-it at the wire sizes, rho and N* scaled to integers by v*b for eta = u/v and
-N = a/b, and :func:`traffic_by_kind` spreads it over message kinds for the
-ledger check. The tests check them against the same kinds summed as
-``Fraction``s, eta*N and N kept exact (``tests/_closed_forms.py``).
+client-weight hand-offs, full-model round trips), and :func:`_epoch_total` is
+the one formula over them: reports read it at the wire sizes, rho and N* as
+lines A + B*N scaled to integers (:func:`_scaled_line`), and
+:func:`traffic_by_kind` spreads it over message kinds for the ledger check.
+The tests check them against ``Fraction`` sums (``tests/_closed_forms.py``).
 rho = (federated total) / (split total): rho > 1 favors split, rho < 1 federated.
 The lines meet at the break-even size N* = (A_s - A_f) / (B_f - B_s), the
 hyperbola in the (K, N) plane; where B_s >= B_f no positive N* exists.
@@ -32,7 +31,7 @@ from array import array
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, product, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import CutOutOfRange, DivisibilityError, InvalidParam
@@ -349,17 +348,15 @@ def _epoch_total(counts: tuple[int, int, int], record: int, hand_off: int, model
     """One epoch's scalars for ``counts`` (:func:`_epoch_counts`): ``record`` per
     record sent up, ``hand_off`` per client-weight hand-off and ``model`` each way
     of a full-model round trip. The one traffic formula: reports read it with the
-    wire sizes (q Activations, q Gradients and the label width a record, eta*N
-    rounded a hand-off, N each way), rho and N* scaled to integers by v*b for
-    eta = u/v and N = a/b; :func:`traffic_by_kind` spreads it over kinds."""
+    wire sizes (2q and the label width a record, eta*N rounded a hand-off, N
+    each way), rho and N* as :func:`_scaled_line`'s lines."""
     records, hand_offs, round_trips = counts
     return records * record + hand_offs * hand_off + 2 * round_trips * model
 
 
 def _shard_counts(protocol: Protocol, k: int, p: int, batch_size: int) -> tuple[tuple[int, int, int], ...]:
     """(counts of the client holding the largest shard, ceil(p/k) records, counts
-    of all k clients): every count is a sum over clients, so the K-client counts
-    total the one-shard counts of the even split."""
+    of all k clients), each count a sum over the even split's shards."""
     return _epoch_counts(protocol, 1, -(-p // k), batch_size), _epoch_counts(protocol, k, p, batch_size)
 
 
@@ -373,22 +370,21 @@ def _report(protocol: Protocol, counts, record: int, hand_off: int, model: int, 
     return make(protocol, per_client, total, per_client * bytes_per_scalar, total * bytes_per_scalar)
 
 
-_SPLIT_UNBOUNDED = math.inf, Winner.SPLIT
+# the winner off a tie, by rho > 1, read faster than the enum's attributes
+_WINNERS = Winner.FEDERATED, Winner.SPLIT
 
 
-def _rho(federated, split, record: int, u: int, v: int, a: int, b: int) -> tuple[float, Winner]:
-    """(rho, winner) from the K-client counts of federated and of the split protocol:
-    with eta = u/v and N = a/b, v*b times each one-epoch total is an integer, the
-    hand-off at the exact eta*N, so rho is one int / int division, correctly rounded."""
-    scaled = record * v * b, u * a, v * a
-    fed, split = _epoch_total(federated, *scaled), _epoch_total(split, *scaled)
+def _rho(federated: tuple[int, int], split: tuple[int, int], a: int, b: int) -> tuple[float, Winner]:
+    """(rho, winner) from the lines (:func:`_scaled_line`) of federated and of the split
+    protocol: at N = a/b, b(A + B*N) is an integer, so rho is one int / int division."""
+    fed, split = federated[0] * b + federated[1] * a, split[0] * b + split[1] * a
     try:
         rho = fed / split
     except (ZeroDivisionError, OverflowError):
-        return _SPLIT_UNBOUNDED
-    if fed == split or abs(rho - 1.0) <= TIE_REL_TOL * max(1.0, abs(rho)):
+        return math.inf, Winner.SPLIT
+    if fed == split or 0.5 < rho < 2.0 and abs(rho - 1.0) <= TIE_REL_TOL * max(1.0, abs(rho)):  # ties lie in (0.5, 2)
         return rho, Winner.TIE
-    return rho, Winner.SPLIT if rho > 1.0 else Winner.FEDERATED
+    return rho, _WINNERS[rho > 1.0]
 
 
 def traffic_by_kind(params: ScenarioParams, protocol: Protocol, shard: int | None = None) -> dict[MessageKind, int]:
@@ -400,11 +396,8 @@ def traffic_by_kind(params: ScenarioParams, protocol: Protocol, shard: int | Non
     counts them, and the kinds sum to :func:`_epoch_total` of those counts.
 
     By default p = ``params.dataset_size`` records are spread over K =
-    ``params.clients`` clients as :func:`shard_sizes` splits them; ``shard``
-    counts one client holding that many records instead (K = 1, p = shard).
-
-    Wire counts round each hand-off to ``client_param_count`` and need a
-    whole N.
+    ``params.clients`` clients; ``shard`` counts one client holding that many
+    records instead. A hand-off is ``client_param_count``, and N must be whole.
     """
     k, p = (params.clients, params.dataset_size) if shard is None else (1, shard)
     n = _whole_model(params.model_params)
@@ -419,10 +412,9 @@ def traffic_by_kind(params: ScenarioParams, protocol: Protocol, shard: int | Non
 def comm_report(params: ScenarioParams, protocol: Protocol, strict: bool = True) -> CommReport:
     """Per-client and total traffic of one protocol, the sum of its kinds.
 
-    Labels count as :func:`traffic_by_kind` counts them, ``params.label_width``
-    per record sent up. The per-client figure is the client with the largest
-    shard, ceil(p/K) records; strict mode requires an even split. The total
-    is exact either way.
+    Labels count ``params.label_width`` a record sent up. The per-client
+    figure is the client with the largest shard, ceil(p/K) records; strict
+    mode requires an even split.
     """
     k, p = params.clients, params.dataset_size
     _even_split(p, k, strict)  # refuses an uneven split in strict mode
@@ -436,27 +428,24 @@ def comm_report(params: ScenarioParams, protocol: Protocol, strict: bool = True)
 def efficiency_ratio(params: ScenarioParams, protocol: Protocol) -> EfficiencyReport:
     """rho = federated total over ``protocol``'s total, in integers (:func:`_rho`).
 
-    rho is the float nearest the exact ratio of the rational totals, which
-    ``tests/_closed_forms.py`` sums as ``Fraction``s. Labels count as in
-    :func:`comm_report`, so rho and the winner weigh the totals it reports.
-    The hand-off stays at the exact eta*N rather than its wire rounding, so
-    rho(N*) = 1 at the break-even size; federated against itself is rho = 1,
-    a tie. Independent of epochs and of bytes_per_scalar since both methods
-    scale identically. A zero split denominator (p = 0 with no weight
-    sharing, or p = 0 and eta = 0), or a ratio past the float range (p = 0 and
-    a subnormal eta), reports winner Split with rho = +inf.
+    rho is the float nearest the exact ratio of the rational totals. Labels
+    count as in :func:`comm_report`. The hand-off stays at the exact eta*N,
+    not its wire rounding, so rho(N*) = 1 at the break-even size; federated
+    against itself is rho = 1, a tie. Epochs and bytes_per_scalar cancel. A
+    zero split total (p = 0 with no weight sharing, or p = 0 and eta = 0), or
+    a ratio past the float range, reports winner Split with rho = +inf.
     """
     k, p = params.clients, params.dataset_size
-    return EfficiencyReport(*_rho(
-        _epoch_counts(Protocol.FEDERATED, k, p, 1), _epoch_counts(protocol, k, p, params.batch_size),
-        2 * params.smashed_size + params.label_width,
-        *params.client_fraction.as_integer_ratio(), *params.model_params.as_integer_ratio()))
+    scaled = 2 * params.smashed_size + params.label_width, *params.client_fraction.as_integer_ratio()
+    return EfficiencyReport(*_rho(_scaled_line(_epoch_counts(Protocol.FEDERATED, k, p, 1), *scaled),
+                                  _scaled_line(_epoch_counts(protocol, k, p, params.batch_size), *scaled),
+                                  *params.model_params.as_integer_ratio()))
 
 
-def _scaled_line(protocol: Protocol, k: int, p: int, record: int, u: int, v: int, batch_size: int) -> tuple[int, int]:
-    """(A, B) of one epoch's total scalars over k clients and p records, ``record``
-    scalars a record sent up, scaled by v for eta = u/v: v * total = A + B*N."""
-    counts = _epoch_counts(protocol, k, p, batch_size)
+def _scaled_line(counts: tuple[int, int, int], record: int, u: int, v: int) -> tuple[int, int]:
+    """(A, B) of one epoch's total for ``counts``, ``record`` scalars a record, scaled
+    by v for eta = u/v: v * total = A + B*N, and at N = a/b, as the total is linear
+    in its sizes, A*b + B*a = ``_epoch_total(counts, record*v*b, u*a, v*a)``."""
     return _epoch_total(counts, record * v, 0, 0), _epoch_total(counts, 0, u, v)
 
 
@@ -469,17 +458,15 @@ def break_even_curve(
     batch_size: int = 1,
 ) -> BreakEvenCurve:
     """The break-even hyperbola: N* = (A_s - A_f) / (B_f - B_s) on the two lines
-    A + B*N at each client count, labels left out. Scaled by v for eta = u/v
-    (:func:`_scaled_line`), N* is a ratio of integers, so int / int rounds it
-    correctly. Raises InvalidParam at a K where no positive N balances the
-    two, or where N* lies past the float range, before the curve exists.
+    A + B*N (:func:`_scaled_line`) at each client count, labels left out, one
+    int / int division. Raises InvalidParam at a K where no positive N balances
+    the two, or where N* lies past the float range, before the curve exists.
     An ascending ``range`` of client counts is kept as the curve's K column;
     any other sequence is sorted and rid of repeats.
 
-    The records sent up do not depend on K and every other count is K times
-    its one-client count, but for sync_batch's hand-offs, which follow the
-    shards; so the lines are read once, at K = 1, and at each K only
-    sync_batch's hand-offs are counted again.
+    Records sent up do not depend on K, and every other count is K times its
+    one-client count but sync_batch's hand-offs, which follow the shards; so
+    the lines are read at K = 1, and only those hand-offs at each K.
     """
     if dataset_size < 1 or smashed_size < 1:
         raise InvalidParam("break-even is undefined for p = 0 or q = 0")
@@ -488,9 +475,8 @@ def break_even_curve(
     if not clients_values:
         raise InvalidParam("clients_values must be non-empty")
     u, v = client_fraction.as_integer_ratio()
-    record = 2 * smashed_size
-    a_s, b_s = _scaled_line(variant, 1, dataset_size, record, u, v, batch_size)
-    a_f, b_f = _scaled_line(Protocol.FEDERATED, 1, dataset_size, record, u, v, 1)
+    a_s, b_s = _scaled_line(_epoch_counts(variant, 1, dataset_size, batch_size), 2 * smashed_size, u, v)
+    a_f, b_f = _scaled_line(_epoch_counts(Protocol.FEDERATED, 1, dataset_size, 1), 2 * smashed_size, u, v)
     ks = (clients_values if isinstance(clients_values, range) and clients_values.step > 0
           else sorted(set(map(int, clients_values))))
     gap = a_s - a_f
@@ -529,8 +515,8 @@ class SweepRow(NamedTuple):
 
 def _axis_check(name: str, value):
     """``value``'s field check as a sweep cell reads it: None, the message, or
-    the error the check raised comparing a value that does not compare (None,
-    say), which its first cell raises as ScenarioParams would."""
+    the error raised comparing a value that does not compare (None, say), which
+    its first cell raises as ScenarioParams would."""
     try:
         return _field_error(name, value)
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -539,7 +525,7 @@ def _axis_check(name: str, value):
 
 def _model_ratio(n, fractions: list) -> tuple:
     """A checked N as its whole int, as a/b, and the hand-off (:func:`_wire_count`)
-    at each checked eta's (u, v) of ``fractions``; or why N is not whole."""
+    at each checked eta of ``fractions``; or why N is not whole."""
     try:
         whole = _whole_model(n)
     except InvalidParam as exc:
@@ -582,14 +568,15 @@ def sweep_cells(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_S
     A cell's error is what ScenarioParams, :func:`comm_report` and
     :func:`efficiency_ratio` raise for it: the first field that fails its
     check, in field order, then an uneven split in strict mode, then a
-    fractional N. What does not vary per cell is done once: each axis value is
-    checked once, N and eta are read as integer ratios once per value, the
-    hand-off is rounded once per (N, eta) and each protocol's counts are read
-    once per (K, p, batch size); a cell then evaluates :func:`_rho` on plain
-    ints. A protocol's report is made once per tuple of what its counts read:
-    K, p, batch size, epochs, bytes per scalar, and the record size, hand-off
-    or N if it sends records, hands off or round-trips; the cells with that
-    tuple share the one report.
+    fractional N. Each axis value is checked and read as an integer ratio once,
+    and the hand-off is rounded once per (N, eta). The walk goes K, then N:
+    each K builds a table over the other fields' product, an entry being their
+    first failing check, the uneven split, or the federated and split lines
+    (:func:`_scaled_line`, as :func:`break_even_curve` reads them) and report
+    caches, and each N walks it, a cell's rho :func:`_rho` of the lines at N. A
+    protocol's report is made once per tuple of what its counts read: K, p,
+    batch size, epochs, bytes per scalar, and the record size, hand-off or N if
+    it sends records, hands off or round-trips.
     """
     axes = sweep_axes(grid)
     checks = [[_axis_check(name, value) for value in values] for name, values in zip(SWEEP_FIELD_ORDER, axes)]
@@ -598,52 +585,58 @@ def sweep_cells(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_S
                  for j, (eta, error) in enumerate(zip(axes[4], checks[4]))]
     models = [None if error is not None else _model_ratio(n, fractions) for n, error in zip(axes[1], checks[1])]
     methods = reported(variant)
-    # (K, p, batch size, epochs, bytes per scalar) -> rho's two K-client counts, and per protocol
-    # its counts, whether they read the record size, hand-off and N, and its reports by those
-    shared: dict[tuple[int, int, int, int, int], tuple] = {}
-    cells = product(axes[0], models, axes[2], axes[3], fractions, *axes[5:])
-    for (k, model, p, q, fraction, bytes_per_scalar, epochs, batch_size, label_width), errors in zip(
-            cells, product(*checks)):
-        if any(errors):
-            error = next(filter(None, errors))
-            if not isinstance(error, str):
-                raise error
-            yield error
-            continue
-        if strict and p % k:
-            yield str(_uneven(p, k))
-            continue
-        n, a, b, hand_offs = model
-        if isinstance(n, str):
-            yield n
-            continue
-        entry = shared.get((k, p, batch_size, epochs, bytes_per_scalar))
-        if entry is None:
-            counts = {m: _shard_counts(m, k, p, batch_size) for m in methods}
-            entry = shared[k, p, batch_size, epochs, bytes_per_scalar] = (
-                counts[Protocol.FEDERATED][1], counts[variant][1],
-                [(m, c, *map(bool, c[1]), {}) for m, c in counts.items()])
-        federated, split, protocols = entry
-        u, v, j = fraction
-        record, hand_off = 2 * q + label_width, hand_offs[j]
-        reports = []
-        for m, c, sends, hands_off, round_trips, made in protocols:
-            inputs = record if sends else 0, hand_off if hands_off else 0, n if round_trips else 0
-            report = made.get(inputs)
-            if report is None:
-                report = made[inputs] = _report(m, c, record, hand_off, n, epochs, bytes_per_scalar, make)
-            reports.append(report)
-        rho, winner = _rho(federated, split, record, u, v, a, b)
-        yield tuple(reports), rho, winner
+    # past K and N, each cell's first failing check or its values, eta as its triple
+    inner = [next(filter(None, errors), values)
+             for values, errors in zip(product(*axes[2:4], fractions, *axes[5:]), product(*checks[2:]))]
+    for k, k_error in zip(axes[0], checks[0]):
+        # shared: (p, batch size, epochs, bytes per scalar) -> rho's two counts, and per protocol its
+        # counts, whether it reads the record size, hand-off and N, and its reports by those
+        table, shared = [], {}
+        for entry in inner if k_error is None else ():
+            if type(entry) is tuple:
+                p, q, (u, v, j), bytes_per_scalar, epochs, batch_size, label_width = entry
+                if strict and p % k:
+                    entry = str(_uneven(p, k))
+                else:
+                    counts = shared.get((p, batch_size, epochs, bytes_per_scalar))
+                    if counts is None:
+                        every = {m: _shard_counts(m, k, p, batch_size) for m in methods}
+                        counts = shared[p, batch_size, epochs, bytes_per_scalar] = (
+                            every[Protocol.FEDERATED][1], every[variant][1],
+                            [(m, c, *map(bool, c[1]), {}) for m, c in every.items()])
+                    federated, split, protocols = counts
+                    record = 2 * q + label_width
+                    entry = (_scaled_line(federated, record, u, v), _scaled_line(split, record, u, v), record, j,
+                             epochs, bytes_per_scalar, protocols)
+            table.append(entry)
+        for model, n_error in zip(models, checks[1]):
+            block = k_error if k_error is not None else n_error  # every cell's error, K's or N's check
+            n, a, b, hand_offs = model or (block, None, None, None)
+            for entry in table if block is None else repeat(block, len(inner)):
+                if type(entry) is not tuple or hand_offs is None:  # its error, or why N is not whole
+                    error = n if type(entry) is tuple else entry
+                    if not isinstance(error, str):
+                        raise error
+                    yield error
+                    continue
+                federated, split, record, j, epochs, bytes_per_scalar, protocols = entry
+                hand_off = hand_offs[j]
+                reports = []
+                for m, c, sends, hands_off, round_trips, made in protocols:
+                    inputs = record if sends else 0, hand_off if hands_off else 0, n if round_trips else 0
+                    report = made.get(inputs)
+                    if report is None:
+                        report = made[inputs] = _report(m, c, record, hand_off, n, epochs, bytes_per_scalar, make)
+                    reports.append(report)
+                yield (tuple(reports), *_rho(federated, split, a, b))
 
 
 def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, strict: bool = True) -> list[SweepRow]:
     """Evaluate the Cartesian product of per-parameter value lists (:func:`sweep_axes`),
     a row for each cell of :func:`sweep_cells`.
 
-    Scalar grid entries count as single-value axes. Per-cell failures (for
-    example a divisibility violation in strict mode) become row-level error
-    markers; the sweep itself never aborts. Rows whose cells share a report
+    Per-cell failures (an uneven split in strict mode, say) become row-level
+    error markers; the sweep never aborts. Rows whose cells share a report
     hold the same :class:`CommReport`.
     """
     methods = reported(variant)
@@ -654,9 +647,6 @@ def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, s
         values = {"clients": k, "model_params": n, "dataset_size": p, "smashed_size": q, "client_fraction": eta,
                   "bytes_per_scalar": bytes_per_scalar, "epochs": epochs, "batch_size": batch_size,
                   "label_width": label_width}
-        if type(cell) is str:
-            rows.append(SweepRow(values, None, None, cell))
-        else:
-            reports, rho, winner = cell
-            rows.append(SweepRow(values, dict(zip(methods, reports)), EfficiencyReport(rho, winner), None))
+        rows.append(SweepRow(values, None, None, cell) if type(cell) is str else
+                    SweepRow(values, dict(zip(methods, cell[0])), EfficiencyReport(cell[1], cell[2]), None))
     return rows

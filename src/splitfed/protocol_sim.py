@@ -349,7 +349,7 @@ class _WorkingModel:
                 self.plans[records] = nn_core.StepPlan(spec, params, records, batches, base=base)
 
 
-def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, cut: int | None, hand_off):
+def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, cut: int | None, hand_off: int | None):
     """Train ``model`` on one shard, batch by batch: every protocol's one training step.
 
     Each batch runs forward, loss, backward and one ``sgd_step`` on the whole
@@ -357,11 +357,10 @@ def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, cut: int | N
     batches share one, and a ragged last batch has its own, in the front
     of the full plan's buffers. Losses are reduced once the batches'
     differences fill the plan's rows, and at the end, so the full batches'
-    are reduced before the ragged batch overwrites their rows. ``hand_off``, a (receiver, front) pair, copies the front weights to
-    the receiver after every batch, if given. Returns the batches' losses,
-    one array per reduction, and for a ``cut`` (None under federated) each
-    batch's scalar counts there, read from the arrays that cross it:
-    Activations, Labels and Gradients, then the hand-off's ClientWeights.
+    are reduced before the ragged batch overwrites their rows. Returns the
+    batches' losses, one array per reduction, and for a ``cut`` (None under
+    federated) each batch's scalar counts there, read from the arrays that
+    cross it: Activations, Labels and Gradients, then any ``hand_off``.
     """
     losses, counts = [], []
     records, size = x.shape[0], model.batch_size
@@ -379,13 +378,11 @@ def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, cut: int | N
                 nn_core._mse_and_grad(plan, labels, row)
                 nn_core._backward_layers(plan)
                 nn_core.sgd_step(plan, model.lr)
-                if hand_off:
-                    np.copyto(*hand_off)
             losses.append(nn_core.batch_losses(plan, row + 1))
         batches = (hi - lo) // step
         if cut is not None:
             sent = [plan.acts[cut].size, labels.size, plan.act_grads[cut].size]
-            counts += (sent + [hand_off[1].size] if hand_off else sent) * batches
+            counts += (sent + [hand_off] if hand_off else sent) * batches
     return losses, counts
 
 
@@ -445,7 +442,7 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
             mine, receiver = held[k], held[(k + 1) % k_clients]
             np.copyto(front, mine)
             turn_losses, counts = _local_pass(model, *_turn_shard(spec, shards[k], sizes[k]), c,
-                                              (receiver, front) if sync_batch else None)
+                                              front.size if sync_batch else None)
             if federated:
                 ledger.append(epoch, me, SERVER, MessageKind.CLIENT_WEIGHTS, front.size)
                 if k == 0:  # client 1's upload, kept as the base the others are folded around
@@ -461,6 +458,8 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
                 epoch_losses += turn_losses  # split loss: the mean over the epoch's batches
             if protocol is Protocol.SPLIT_SYNC:
                 ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
+            # sync_batch copies its last batch's hand-off alone: no one reads it before the receiver's turn
+            if protocol is Protocol.SPLIT_SYNC or sync_batch and counts:
                 np.copyto(receiver, front)
         if federated:
             nn_core.centered_mean(base, total, k_clients, out=global_vec)

@@ -11,7 +11,9 @@ figures, the same rho bits and the same winner, or raise the same error.
 ``sweep`` and ``break_even_curve`` hoist what does not vary per cell or per
 K; they are held to the per-cell and per-K forms they replaced: a cell's
 row built from ``ScenarioParams(**values)``, ``comm_report`` and
-``efficiency_ratio``, and each K's quotient of its two scaled lines.
+``efficiency_ratio``, and each K's quotient of its two scaled lines. rho
+reads the same lines at N = a/b, held to the earlier ``_rho``, which took
+``_epoch_total`` at the sizes scaled by v*b.
 """
 
 import fractions
@@ -21,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitfed.cost_model import (
@@ -34,12 +36,16 @@ from splitfed.cost_model import (
     SweepRow,
     Winner,
     _epoch_counts,
+    _epoch_total,
     _even_split,
+    _rho,
+    _scaled_line,
     break_even_curve,
     comm_report,
     efficiency_ratio,
     reported,
     sweep,
+    sweep_cells,
 )
 from splitfed.errors import InvalidParam, SplitFedError
 
@@ -216,12 +222,32 @@ _SWEEP_ETA = st.one_of(_ETAS, st.sampled_from([1.5, -0.25, math.nan, Fraction(3,
 _SMALL = st.integers(-1, 3)
 
 
+def _until_raised(items) -> tuple[list, tuple | None]:
+    """The items an iterable yields before an error raised comparing a value that
+    does not compare, and that error's type and message (None if none is raised)."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
 @example(axes={"clients": [2, 0], "model_params": [10.5, math.nan], "dataset_size": [3, -1], "smashed_size": 0,
                "client_fraction": [1.5, 0.5], "bytes_per_scalar": [4], "epochs": [0, 1], "batch_size": 1,
                "label_width": [-1, 0]}, variant=Protocol.SPLIT_SYNC, strict=True)
 @example(axes={"clients": [1, 3], "model_params": [10**400, 7], "dataset_size": [0, 6], "smashed_size": 2,
                "client_fraction": [Fraction(10**400, 3), Fraction(1, 10**400), Fraction(1, 3)]},
          variant=Protocol.SPLIT_SYNC_BATCH, strict=True)
+# N = 0 fails its check in the cells where p = -1 fails its own and p = 3 splits unevenly over
+# K = 2, and N = 7.5 is not whole past both
+@example(axes={"clients": 2, "model_params": [0, 7.5, 8], "dataset_size": [3, -1, 4], "smashed_size": 1,
+               "client_fraction": 0.5}, variant=Protocol.SPLIT_SYNC, strict=True)
+# eta = None does not compare: the walk yields K = 2's valid cells before it, then raises
+@example(axes={"clients": [2, 3], "model_params": [5, 6], "dataset_size": 4, "smashed_size": 1,
+               "client_fraction": [0.5, 1, None]}, variant=Protocol.SPLIT_NOSYNC, strict=False)
+@settings(deadline=None)  # its largest draws, nine 3-value axes, take over a second
 @given(
     axes=st.fixed_dictionaries({
         "clients": _axis(st.integers(-1, 12)),
@@ -238,11 +264,22 @@ _SMALL = st.integers(-1, 3)
 )
 def test_every_sweep_row_is_the_row_built_per_cell(axes, variant, strict):
     # several axes hold invalid values at once, so a cell's first failing field
-    # is tested, then an uneven split, then a fractional N
-    rows = sweep(axes, variant, strict)
+    # is tested, then an uneven split, then a fractional N; where the row built per
+    # cell raises, sweep raises the same, after its walk yields the cells before it
     lists = [axes[name] if isinstance(axes.get(name), list) else [axes.get(name, default)]
              for name, default in zip(SWEEP_FIELD_ORDER, (None,) * 5 + (4, 1, 1, 0))]
-    want = [reference_sweep_row(dict(zip(SWEEP_FIELD_ORDER, combo)), variant, strict) for combo in product(*lists)]
+    values = [dict(zip(SWEEP_FIELD_ORDER, combo)) for combo in product(*lists)]
+    want, raised = _until_raised(reference_sweep_row(cell, variant, strict) for cell in values)
+    if raised is None:
+        rows = sweep(axes, variant, strict)
+    else:
+        with pytest.raises(raised[0]):
+            sweep(axes, variant, strict)
+        cells, walk_raised = _until_raised(sweep_cells(axes, variant, strict))
+        assert walk_raised == raised
+        rows = [SweepRow(cell_values, None, None, cell) if type(cell) is str else
+                SweepRow(cell_values, dict(zip(reported(variant), cell[0])), EfficiencyReport(*cell[1:]), None)
+                for cell_values, cell in zip(values, cells)]
     assert list(map(_row_bits, rows)) == list(map(_row_bits, want))
     assert all(list(row.values) == list(SWEEP_FIELD_ORDER) for row in rows)
 
@@ -311,3 +348,47 @@ def test_break_even_curve_is_the_per_k_quotient_of_the_scaled_lines(p, q, eta, k
         return
     assert _outcome(_curve_bits, p, q, eta, ks, variant, batch_size) == \
         _outcome(reference_break_even, p, q, eta, ks, variant, batch_size)
+
+
+def reference_rho(federated, split, record, u, v, a, b):
+    """The earlier ``_rho``, verbatim: both K-client counts' totals at the sizes scaled by v*b."""
+    scaled = record * v * b, u * a, v * a
+    fed, split = _epoch_total(federated, *scaled), _epoch_total(split, *scaled)
+    try:
+        rho = fed / split
+    except (ZeroDivisionError, OverflowError):
+        return math.inf, Winner.SPLIT
+    if fed == split or abs(rho - 1.0) <= TIE_REL_TOL * max(1.0, abs(rho)):
+        return rho, Winner.TIE
+    return rho, Winner.SPLIT if rho > 1.0 else Winner.FEDERATED
+
+
+_COUNTS = st.one_of(
+    st.tuples(st.integers(0, 10**12), st.integers(0, 10**12), st.integers(0, 10**12)),
+    st.builds(_epoch_counts, _PROTOCOLS, st.integers(1, 3000), st.integers(0, 10**6), st.integers(1, 64)),
+)
+
+
+# a zero split total; a tie; a ratio past the float range
+@example(federated=(0, 0, 1), split=(0, 0, 0), record=1, eta=(1, 2), n=(3, 1))
+@example(federated=(0, 0, 5), split=(10, 0, 0), record=3, eta=(1, 1), n=(3, 1))
+@example(federated=(0, 0, 1), split=(0, 1, 0), record=0, eta=(1, 2**1074), n=(1, 1))
+@given(
+    federated=_COUNTS,
+    split=_COUNTS,
+    record=st.integers(0, 10**4),
+    eta=st.integers(1, 10**9).flatmap(lambda v: st.tuples(st.integers(0, v), st.just(v))),
+    n=st.one_of(st.tuples(st.integers(1, 10**15), st.just(1)),
+                st.floats(1, 1e15).map(float.as_integer_ratio),
+                st.tuples(st.integers(1, 10**15), st.integers(1, 10**6))),
+)
+def test_a_line_at_n_is_the_epoch_total_at_the_scaled_sizes(federated, split, record, eta, n):
+    # the total is linear in its sizes, so at N = a/b the line A + B*N scaled by b is the
+    # total at the sizes scaled by v*b, and rho divides the integers it divided before
+    (u, v), (a, b) = eta, n
+    for counts in (federated, split):
+        line_a, line_b = _scaled_line(counts, record, u, v)
+        assert line_a * b + line_b * a == _epoch_total(counts, record * v * b, u * a, v * a)
+    rho, winner = _rho(_scaled_line(federated, record, u, v), _scaled_line(split, record, u, v), a, b)
+    want_rho, want_winner = reference_rho(federated, split, record, u, v, a, b)
+    assert (rho.hex(), winner) == (want_rho.hex(), want_winner)

@@ -148,6 +148,19 @@ def test_sync_batch_hand_off_per_batch():
                                 Protocol.SPLIT_SYNC_BATCH).matches
 
 
+def test_a_sync_batch_turn_without_records_hands_off_no_weights():
+    # lenient shards of 1, 1, 0 and 0 records: client 3's turn trains no batch and hands nothing
+    # to client 4, who still holds the initial weights, while client 3 holds client 2's
+    x, y = random_dataset(SPEC, 2, 42)
+    run = run_split_training(SPEC, 1, partition_dataset(x, y, 4, strict=False), Protocol.SPLIT_SYNC_BATCH,
+                             epochs=1, lr=0.01, seed=42, batch_size=1)
+    first, second, third, fourth = run.client_params
+    initial = init_params(SPEC, 42)[:first.size]
+    assert np.array_equal(fourth, initial) and np.array_equal(third, second)
+    assert not np.array_equal(second, initial) and not np.array_equal(second, first)
+    assert run.ledger.totals_by_kind()[MessageKind.CLIENT_WEIGHTS] == 15 * 2
+
+
 def test_activation_traffic_is_batch_size_invariant():
     for batch_size in (1, 2, 3):
         run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
