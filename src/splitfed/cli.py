@@ -20,13 +20,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import math
 import operator
 import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 
 from .cost_model import (
     MessageKind,
@@ -68,7 +69,7 @@ SIMULATE_MAX_DATA_SCALARS = 10**7
 # at about 34 MB RSS, as its one-epoch run does (Python 3.11, numpy 2.4).
 SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this, a bound on time
-# (about 3.5 s at the limit with --csv and --svg, best of 3 on a 2-vCPU Xeon):
+# (about 1.7 s at the limit with --csv and --svg, best of 3 on a 2-vCPU Xeon):
 # a curve holds 8 B a point and its SVG about 12.5 B; 10**6 points with --csv
 # and --svg peak at about 49 MB RSS (Python 3.11, no numpy loaded).
 K_RANGE_MAX_POINTS = 10**6
@@ -363,14 +364,19 @@ def cmd_breakeven(args) -> int:
     curve = break_even_curve(p, q, eta, ks, variant, batch_size)
 
     print(f"break-even curve: p={_fmt(p)} q={_fmt(q)} eta={_fmt(eta)} variant={variant.label}")
-    show, header = sys.stdout.write, [PARAM_KEYS["clients"], "N_break_even"]
-    points = zip(curve.clients, curve.break_even_sizes)
-    # each N* is formatted once, for its stdout line and its CSV line; a block of points goes out a write each
+    ks, sizes, header = curve.clients, curve.break_even_sizes, [PARAM_KEYS["clients"], "N_break_even"]
+    # one "%" a block: N* > 0 is finite, and below 1e12 "%.12g" writes it as _fmt does
     with _csv_lines(args.csv, header) if args.csv else contextlib.nullcontext() as write:
-        while block := [(k, _fmt(n_star)) for k, n_star in islice(points, BREAKEVEN_BLOCK_POINTS)]:
-            show("".join([f"  K={k:<10} N*={n_text}\n" for k, n_text in block]))
+        for i in range(0, len(ks), BREAKEVEN_BLOCK_POINTS):
+            block = sizes[i:i + BREAKEVEN_BLOCK_POINTS]
+            m = len(block)
+            flat = [0] * 2 * m
+            flat[::2] = ks[i:i + m]
+            flat[1::2] = ("%.12g\n" * m % tuple(block)).split("\n")[:m] if max(block) < 1e12 else map(_fmt, block)
+            flat = tuple(flat)
+            sys.stdout.write("  K=%-10d N*=%s\n" * m % flat)
             if write:
-                write("".join([f"{k},{n_text}\n" for k, n_text in block]))
+                write("%d,%s\n" * m % flat)
     if args.svg:
         # read through the module at call time, so a replaced name is the one called
         with _writing(args.svg):
@@ -442,6 +448,7 @@ def _param_arg(name: str):
     return parse
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitfed",
@@ -461,9 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="allow p not divisible by K (remainder to the first clients)")
         p.add_argument("--csv", metavar="PATH", default=None, help="write results as CSV")
 
-    p_analyze = sub.add_parser("analyze", help="closed-form reports and the winner for one scenario")
-    common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
+    common(sub.add_parser("analyze", help="closed-form reports and the winner for one scenario"))
 
     p_sim = sub.add_parser("simulate", help="run the protocol simulator and cross-check the ledger")
     common(p_sim)
@@ -471,7 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--lr", type=float, default=0.01, help="SGD learning rate, finite and >= 0 (default 0.01)")
     p_sim.add_argument("--inject-fault", action="store_true",
                        help="append one bogus message before verification (self-test)")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_be = sub.add_parser("breakeven", help="break-even model size over a range of client counts")
     common(p_be, scenario_required=False, counts_traffic=False)
@@ -483,11 +487,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="client counts: A:B:STEP, A:B:xF (geometric), or comma list; "
                            f"at most {K_RANGE_MAX_POINTS} points")
     p_be.add_argument("--svg", metavar="PATH", default=None, help="write an SVG plot")
-    p_be.set_defaults(func=cmd_breakeven)
 
-    p_sweep = sub.add_parser("sweep", help="evaluate a parameter grid or a built-in suite")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    common(sub.add_parser("sweep", help="evaluate a parameter grid or a built-in suite"))
     return parser
 
 
@@ -536,15 +537,12 @@ def main(argv=None) -> int:
         _check_outputs(args)
         # every output file names itself in a failed write (_writing), so one that names none was to stdout
         with _writing(STDOUT):
-            code = args.func(args)
+            code = globals()[f"cmd_{args.command}"](args)  # looked up now, so a replaced name is called
             sys.stdout.flush()
         return code
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SplitFedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ScenarioError) else 3
     except OSError as exc:
         # a scenario file that cannot be read is a ScenarioError, so a file named here is an output:
         # one refused before any work, one that open() refused, or one whose write or close failed

@@ -492,11 +492,11 @@ def break_even_curve(
     if variant is Protocol.SPLIT_SYNC_BATCH:
         sizes = array("d", (n_star(k, k * b_f - u * _batch_hand_offs(k, dataset_size, batch_size)) for k in ks))
     else:
-        # the span is K*(B_f - B_s), and B_f - B_s >= 0 (2v - u, 2v, or 0 for federated
-        # against itself), so the first K has the least span and the largest N*:
-        # past it no span is <= 0 and no N* overflows
-        sizes = array("d", [n_star(ks[0], ks[0] * (b_f - b_s))])
-        sizes.extend(map(gap.__truediv__, (k * (b_f - b_s) for k in islice(ks, 1, None))))
+        # the span is K*slope, slope >= 0 (2v - u, 2v, or 0 for federated against itself): the
+        # first K has the least span and the largest N*, past it no span is <= 0 or N* overflows
+        slope = b_f - b_s
+        sizes = array("d", [n_star(ks[0], ks[0] * slope)])
+        sizes.extend(map(gap.__truediv__, map(slope.__mul__, islice(ks, 1, None))))
     return BreakEvenCurve(variant, dataset_size, smashed_size, client_fraction, ks, sizes)
 
 

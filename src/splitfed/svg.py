@@ -8,7 +8,6 @@ data; below it federated averaging wins.
 from __future__ import annotations
 
 import math
-from itertools import islice
 
 from .cost_model import BreakEvenCurve
 
@@ -43,7 +42,7 @@ def render_breakeven_svg(curve: BreakEvenCurve, path: str | None = None) -> str:
 
 
 def _document(curve: BreakEvenCurve) -> str:
-    """The SVG text. The polyline takes one log10 per coordinate and is joined a
+    """The SVG text. The polyline takes one log10 per coordinate and is formatted a
     block of points at a time, so no string per point is held."""
     ks, ns = curve.clients, curve.break_even_sizes
     x_lo, x_hi = _decade_range(ks[0], ks[-1])  # the client counts ascend
@@ -112,13 +111,20 @@ def _document(curve: BreakEvenCurve) -> str:
         f'transform="rotate(-90 20 {_MARGIN_TOP + plot_h / 2:.1f})">model size N</text>'
     )
 
-    # sx and sy inline, the same float expressions: a point costs no call of its own
-    points, log10, x_span, y_span = zip(ks, ns), math.log10, x_hi - x_lo, y_hi - y_lo
-    blocks = iter(lambda: " ".join([
-        f"{_MARGIN_LEFT + (log10(k) - x_lo) / x_span * plot_w:.1f},"
-        f"{_MARGIN_TOP + (y_hi - log10(n)) / y_span * plot_h:.1f}"
-        for k, n in islice(points, _POINTS_PER_BLOCK)]), "")
-    lines.append(f'<polyline points="{" ".join(blocks)}" fill="none" stroke="#1f4e9c" stroke-width="2"/>')
+    # sx and sy inline, the same float expressions; a block's coordinates are formatted by one "%",
+    # and the blocks are let go once joined
+    log10, x_span, y_span = math.log10, x_hi - x_lo, y_hi - y_lo
+
+    def blocks():
+        for i in range(0, len(ks), _POINTS_PER_BLOCK):
+            block = ns[i:i + _POINTS_PER_BLOCK]
+            m = len(block)
+            flat = [0.0] * 2 * m
+            flat[::2] = [_MARGIN_LEFT + (log10(k) - x_lo) / x_span * plot_w for k in ks[i:i + m]]
+            flat[1::2] = [_MARGIN_TOP + (y_hi - log10(n)) / y_span * plot_h for n in block]
+            yield " ".join(["%.1f,%.1f"] * m) % tuple(flat)
+
+    lines.append(f'<polyline points="{" ".join(blocks())}" fill="none" stroke="#1f4e9c" stroke-width="2"/>')
 
     # region labels on either side of the curve
     lines.append(

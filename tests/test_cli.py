@@ -517,6 +517,18 @@ def test_breakeven_csv_values(tmp_path, capsys):
     assert nosync.read_text() == "K,N_break_even\n1,10000\n10,1000\n100,100\n"
 
 
+def test_breakeven_writes_a_whole_n_star_past_1e12_as_an_integer(tmp_path, capsys):
+    # N* = pq/K: a block that reaches 1e12 formats each N* with _fmt, which writes
+    # a whole one below 1e15 as an integer, where "%.12g" would write 1e+13
+    out = tmp_path / "curve.csv"
+    assert main(["breakeven", "--p", "10000000", "--q", "1000000", "--eta", "0",
+                 "--k-range", "1:6", "--csv", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "  K=1          N*=10000000000000\n" in stdout
+    assert "  K=3          N*=3.33333333333e+12\n" in stdout
+    assert out.read_text().splitlines()[1:4] == ["1,10000000000000", "2,5000000000000", "3,3.33333333333e+12"]
+
+
 def test_breakeven_linear_in_q(tmp_path, capsys):
     single = tmp_path / "q10.csv"
     double = tmp_path / "q20.csv"
@@ -1157,3 +1169,13 @@ def test_wrapped_names_return_what_the_outputs_hold(tmp_path, capsys, monkeypatc
                  "--csv", str(curve_csv), "--svg", str(svg)]) == 0
     assert counts["points"] == len(curve_csv.read_text().splitlines()) - 1 == 2000
     assert [document.encode("utf-8") for document in documents] == [svg.read_bytes()]
+
+
+def test_main_builds_one_parser_and_calls_the_subcommand_named_at_call_time(monkeypatch, capsys):
+    argv = ["breakeven", "--p", "10", "--q", "1", "--eta", "0", "--k-range", "1:2"]
+    assert main(argv) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_breakeven", lambda args: calls.append(args.k_range) or 5)
+    assert main(argv) == 5
+    assert calls == ["1:2"]
+    assert cli._build_parser() is cli._build_parser()
