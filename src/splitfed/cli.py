@@ -195,7 +195,7 @@ def _write_rows(write, grid: dict, variant: Protocol, strict: bool) -> None:
 
 def compared_protocol(variant: str) -> Protocol:
     """What analyze, sweep and breakeven weigh against federated: the scenario's own protocol, or sync."""
-    return Protocol.SPLIT_SYNC if variant == Protocol.FEDERATED else Protocol(variant)
+    return Protocol(variant) if Protocol(variant).splits else Protocol.SPLIT_SYNC
 
 
 def _label_width(sc, args) -> int:
@@ -242,8 +242,8 @@ def cmd_simulate(args) -> int:
         raise InvalidParam(f"--lr must be finite and >= 0, got {args.lr}")
     params = replace(sc.params(), label_width=_label_width(sc, args))
     k, n, p, epochs = params.clients, params.model_params, params.dataset_size, params.epochs
-    held = (("epochs*K*N", epochs * k * n, SIMULATE_MAX_FOLDED_SCALARS) if variant is Protocol.FEDERATED
-            else ("K*N", k * n, SIMULATE_MAX_HELD_SCALARS))
+    held = (("K*N", k * n, SIMULATE_MAX_HELD_SCALARS) if variant.splits
+            else ("epochs*K*N", epochs * k * n, SIMULATE_MAX_FOLDED_SCALARS))
     for name, size, limit in (
         (PARAM_KEYS["model_params"], n, SIMULATE_MAX_PARAMS),
         (PARAM_KEYS["dataset_size"], p, SIMULATE_MAX_RECORDS),
@@ -260,11 +260,11 @@ def cmd_simulate(args) -> int:
     shards = protocol_sim.GeneratedShards(random_dataset, sc.model, params.dataset_size, sc.seed, params.clients,
                                           strict)
 
-    if variant is Protocol.FEDERATED:
-        run = protocol_sim.run_federated_training(sc.model, shards, epochs, args.lr, sc.seed, params.batch_size)
-    else:
+    if variant.splits:
         run = protocol_sim.run_split_training(sc.model, sc.cut_index, shards, variant, epochs, args.lr, sc.seed,
                                               params.batch_size)
+    else:
+        run = protocol_sim.run_federated_training(sc.model, shards, epochs, args.lr, sc.seed, params.batch_size)
     ledger, losses = run.ledger, run.losses
     if args.inject_fault:
         # verification self-test: one bogus message must trip a mismatch

@@ -50,26 +50,36 @@ class MessageKind(str, Enum):
 
 
 class Protocol(str, Enum):
-    """A training protocol.
+    """A training protocol and its row, the one place protocols differ.
 
     The value is the scenario-file ``variant`` name, so ``Protocol("nosync")``
-    is the one lookup from that string; ``label`` names the protocol in
-    reports.
+    is the one lookup from that string; ``label`` names it in reports.
+    ``splits``: records cross a cut, else a turn is a whole-model round trip
+    and a round folds the uploads. ``hand_off``: client weights pass on after
+    each "turn" or "batch", or never (None). ``rotates``: a simulated epoch is
+    one client's turn; the closed forms' epoch is a pass over all K.
     """
 
-    SPLIT_SYNC = "sync", "SplitSync"
-    SPLIT_NOSYNC = "nosync", "SplitNoSync"
-    SPLIT_SYNC_BATCH = "sync_batch", "SplitSyncBatch"
-    FEDERATED = "federated", "Federated"
+    SPLIT_SYNC = "sync", "SplitSync", True, "turn", False
+    SPLIT_NOSYNC = "nosync", "SplitNoSync", True, None, True
+    SPLIT_SYNC_BATCH = "sync_batch", "SplitSyncBatch", True, "batch", False
+    FEDERATED = "federated", "Federated", False, None, False
 
     # An old name of SPLIT_SYNC; perfbench/workloads.py is its last reader.
     SYNC_EPOCH = SPLIT_SYNC
 
-    def __new__(cls, variant: str, label: str) -> "Protocol":
+    def __new__(cls, variant: str, *row) -> "Protocol":
         member = str.__new__(cls, variant)
         member._value_ = variant
-        member.label = label
+        member.label, member.splits, member.hand_off, member.rotates = row
         return member
+
+
+def _member(protocol) -> Protocol:
+    """``protocol`` if a Protocol member, whose row a call reads; else InvalidParam."""
+    if type(protocol) is not Protocol:
+        raise InvalidParam(f"unknown protocol {protocol!r}")
+    return protocol
 
 
 # An old name of Protocol; perfbench/workloads.py is its last reader.
@@ -319,8 +329,8 @@ class BreakEvenCurve:
 
 
 def _batch_hand_offs(k: int, p: int, batch_size: int) -> int:
-    """sync_batch's client-weight hand-offs in one epoch: one after every batch
-    of each of the k shards that the even split makes of p records."""
+    """Per-batch client-weight hand-offs in one epoch: one after every batch of
+    each of the k shards the even split makes of p records."""
     if batch_size < 1:
         raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
     base, rem = _even_split(p, k, strict=False)
@@ -329,19 +339,10 @@ def _batch_hand_offs(k: int, p: int, batch_size: int) -> int:
 
 def _epoch_counts(protocol: Protocol, k: int, p: int, batch_size: int) -> tuple[int, int, int]:
     """(records sent up, client-weight hand-offs, full-model round trips) in one
-    epoch over k clients and p records, the one place protocols differ: sync hands
-    off after each client's turn, sync_batch after every batch of the even split's
-    shards, nosync never (the simulator spends K of its epochs on one such pass);
-    federated makes one round trip per client."""
-    if protocol is Protocol.SPLIT_SYNC:
-        return p, k, 0
-    if protocol is Protocol.SPLIT_NOSYNC:
-        return p, 0, 0
-    if protocol is Protocol.FEDERATED:
-        return 0, 0, k
-    if protocol is not Protocol.SPLIT_SYNC_BATCH:
-        raise InvalidParam(f"unknown protocol {protocol!r}")
-    return p, _batch_hand_offs(k, p, batch_size), 0
+    epoch over k clients and p records, read off ``protocol``'s row."""
+    splits, hand_off = _member(protocol).splits, protocol.hand_off
+    hand_offs = k if hand_off == "turn" else _batch_hand_offs(k, p, batch_size) if hand_off else 0
+    return p * splits, hand_offs, k * (not splits)
 
 
 def _epoch_total(counts: tuple[int, int, int], record: int, hand_off: int, model: int) -> int:
@@ -460,13 +461,14 @@ def break_even_curve(
     """The break-even hyperbola: N* = (A_s - A_f) / (B_f - B_s) on the two lines
     A + B*N (:func:`_scaled_line`) at each client count, labels left out, one
     int / int division. Raises InvalidParam at a K where no positive N balances
-    the two, or where N* lies past the float range, before the curve exists.
+    the two, or where N* lies past the float range or rounds to 0, before the
+    curve exists.
     An ascending ``range`` of client counts is kept as the curve's K column;
     any other sequence is sorted and rid of repeats.
 
     Records sent up do not depend on K, and every other count is K times its
-    one-client count but sync_batch's hand-offs, which follow the shards; so
-    the lines are read at K = 1, and only those hand-offs at each K.
+    one-client count but per-batch hand-offs, which follow the shards; so the
+    lines are read at K = 1, and only those hand-offs at each K.
     """
     if dataset_size < 1 or smashed_size < 1:
         raise InvalidParam("break-even is undefined for p = 0 or q = 0")
@@ -485,18 +487,22 @@ def break_even_curve(
         if span <= 0:
             raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={k}")
         try:
-            return gap / span
+            if n := gap / span:
+                return n
         except OverflowError:
             raise InvalidParam(f"the break-even model size at K={k} lies past the float range") from None
+        raise InvalidParam(f"the break-even model size at K={k} rounds to 0")
 
-    if variant is Protocol.SPLIT_SYNC_BATCH:
+    if variant.hand_off == "batch":
         sizes = array("d", (n_star(k, k * b_f - u * _batch_hand_offs(k, dataset_size, batch_size)) for k in ks))
     else:
-        # the span is K*slope, slope >= 0 (2v - u, 2v, or 0 for federated against itself): the
-        # first K has the least span and the largest N*, past it no span is <= 0 or N* overflows
+        # the span is K*slope, slope >= 0 (2v - u, 2v, or 0 for federated against itself): N* falls
+        # as K grows, so past the first K no span is <= 0 or N* overflows, and zeros end the column
         slope = b_f - b_s
         sizes = array("d", [n_star(ks[0], ks[0] * slope)])
         sizes.extend(map(gap.__truediv__, map(slope.__mul__, islice(ks, 1, None))))
+        if not sizes[-1]:
+            n_star(k := ks[sizes.index(0.0)], k * slope)
     return BreakEvenCurve(variant, dataset_size, smashed_size, client_fraction, ks, sizes)
 
 
@@ -584,7 +590,7 @@ def sweep_cells(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_S
     fractions = [None if error is not None else (*eta.as_integer_ratio(), j)
                  for j, (eta, error) in enumerate(zip(axes[4], checks[4]))]
     models = [None if error is not None else _model_ratio(n, fractions) for n, error in zip(axes[1], checks[1])]
-    methods = reported(variant)
+    methods = reported(_member(variant))
     # past K and N, each cell's first failing check or its values, eta as its triple
     inner = [next(filter(None, errors), values)
              for values, errors in zip(product(*axes[2:4], fractions, *axes[5:]), product(*checks[2:]))]

@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import nn_core
-from .cost_model import _KINDS, CommReport, MessageKind, Protocol, ScenarioParams, shard_sizes, traffic_by_kind
+from .cost_model import _KINDS, CommReport, MessageKind, Protocol, ScenarioParams, _member, shard_sizes, traffic_by_kind
 from .errors import Diverged, InvalidParam, ShapeMismatch
 from .nn_core import ModelSpec
 
@@ -387,11 +387,9 @@ def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, cut: int | N
 
 
 def _turns(protocol: Protocol, epoch: int, clients: int) -> range:
-    """The clients that take a turn in ``epoch``, in order: nosync gives epoch
-    e to client (e mod K)+1 alone; every other protocol runs all K."""
-    if protocol is Protocol.SPLIT_NOSYNC:
-        return range(epoch % clients, epoch % clients + 1)
-    return range(clients)
+    """The clients that take a turn in ``epoch``, in order: all K, or client
+    (epoch mod K)+1 alone if ``protocol`` rotates."""
+    return range(epoch % clients, epoch % clients + 1) if protocol.rotates else range(clients)
 
 
 @dataclass
@@ -405,19 +403,17 @@ class RunResult:
 @np.errstate(over="ignore", invalid="ignore")
 def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protocol, epochs: int, lr: float,
            seed: int, batch_size: int) -> RunResult:
-    """Every protocol's run: epochs, then the clients of :func:`_turns`, then
-    the batches of :func:`_local_pass` on the one working model. Each shard is
-    read and checked once before the first turn, and read again for each of
-    its turns and held to the shape that check found (:func:`_turn_shard`),
-    so a run holds one shard at a time (a :class:`GeneratedShards`
-    makes it then, in a block with the short shards after it). A turn copies
-    its client's weights in: a split client's into the front
-    ``[:n_client]``, its batches' traffic at ``cut`` logged in one
-    :meth:`TrafficLedger.log_turn` call when the turn ends, and copied back
-    out, or the global model into the whole of it, uploaded and folded into
-    the round's mean. A non-finite loss over trained records raises
+    """Every protocol's run, as its row says: epochs, then the clients of
+    :func:`_turns`, then the batches of :func:`_local_pass` on the one working
+    model. Each shard is checked once before the first turn and read again for
+    each of its turns, held to the shape found (:func:`_turn_shard`), so a run
+    holds one shard at a time. A turn copies its client's weights in: a split
+    client's into the front ``[:n_client]``, its traffic at ``cut`` logged in
+    one :meth:`TrafficLedger.log_turn` call when the turn ends, and copied
+    back out; or the global model into the whole, uploaded and folded into the
+    round's mean. A non-finite loss over trained records raises
     :class:`Diverged`."""
-    federated = protocol is Protocol.FEDERATED
+    federated, hand_off = not protocol.splits, protocol.hand_off
     sizes = _checked_run(spec, shards, "rounds" if federated else "epochs", epochs, batch_size)
     c = None if federated else nn_core._cut_index(spec, cut)
     k_clients = len(sizes)
@@ -429,7 +425,6 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
     else:
         held = [front.copy() for _ in range(k_clients)]
     ledger, losses = TrafficLedger(), []
-    sync_batch = protocol is Protocol.SPLIT_SYNC_BATCH
 
     for epoch in range(epochs):
         turns = _turns(protocol, epoch, k_clients)
@@ -442,7 +437,7 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
             mine, receiver = held[k], held[(k + 1) % k_clients]
             np.copyto(front, mine)
             turn_losses, counts = _local_pass(model, *_turn_shard(spec, shards[k], sizes[k]), c,
-                                              front.size if sync_batch else None)
+                                              front.size if hand_off == "batch" else None)
             if federated:
                 ledger.append(epoch, me, SERVER, MessageKind.CLIENT_WEIGHTS, front.size)
                 if k == 0:  # client 1's upload, kept as the base the others are folded around
@@ -453,13 +448,13 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
             else:
                 batch = ((me, SERVER, MessageKind.ACTIVATIONS), (me, SERVER, MessageKind.LABELS),
                          (SERVER, me, MessageKind.GRADIENTS), (me, nxt, MessageKind.CLIENT_WEIGHTS))
-                ledger.log_turn(epoch, batch if sync_batch else batch[:3], counts)
+                ledger.log_turn(epoch, batch if hand_off == "batch" else batch[:3], counts)
                 np.copyto(mine, front)
                 epoch_losses += turn_losses  # split loss: the mean over the epoch's batches
-            if protocol is Protocol.SPLIT_SYNC:
+            if hand_off == "turn":
                 ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
-            # sync_batch copies its last batch's hand-off alone: no one reads it before the receiver's turn
-            if protocol is Protocol.SPLIT_SYNC or sync_batch and counts:
+            # a hand-off per batch copies the last one alone: no one reads it before the receiver's turn
+            if hand_off == "turn" or hand_off and counts:
                 np.copyto(receiver, front)
         if federated:
             nn_core.centered_mean(base, total, k_clients, out=global_vec)
@@ -487,19 +482,15 @@ def run_split_training(
 
     Per batch the active client sends Activations and Labels up and receives
     Gradients back, each records*width scalars sized from the real arrays.
-    ``Protocol.SPLIT_SYNC`` passes ClientWeights to the next client after
-    each turn, the last client closing the ring back to client 1 (so every
-    epoch moves exactly K hand-offs, including the self-loop when K = 1).
-    ``Protocol.SPLIT_SYNC_BATCH`` makes the same hand-off after every batch.
-    ``Protocol.SPLIT_NOSYNC`` gives epoch e to client (e mod K)+1 alone and
-    never exchanges client weights; each client keeps its own stale front
-    weights between turns.
+    A hand-off (``variant.hand_off``) passes ClientWeights to the next
+    client, the last closing the ring to client 1; without one each client
+    keeps its own stale front weights between turns.
 
     Epoch loss is the mean training loss over the batches processed in that
     epoch (NaN when the epoch saw no records); the overflows on the way to a
     :class:`Diverged` epoch raise no numpy warning.
     """
-    if variant is Protocol.FEDERATED:
+    if not _member(variant).splits:
         raise InvalidParam("run_split_training needs a split protocol; use run_federated_training")
     return _train(spec, cut, shards, variant, epochs, lr, seed, batch_size)
 
@@ -567,11 +558,11 @@ def client_kind_totals(params: ScenarioParams, variant: Protocol) -> dict[str, d
     """Closed-form per-kind scalars each client owns over a simulated run of
     ``params.epochs`` epochs (or federated rounds), keyed client1..clientK:
     each client's one-client, one-epoch form on its :func:`shard_sizes` share,
-    times the epochs that visit it. Every epoch visits every client, except
-    under nosync, whose epoch t goes to client (t mod K)+1 alone. The visits
-    are counted here in arithmetic, apart from the simulator's turn rule."""
+    times the epochs that visit it: every epoch, or if ``variant`` rotates, the
+    epochs t with client (t mod K)+1, counted here in arithmetic, apart from
+    the simulator's turn rule."""
     k, e = params.clients, params.epochs
-    visits = [e // k + (i < e % k) for i in range(k)] if variant is Protocol.SPLIT_NOSYNC else [e] * k
+    visits = [e // k + (i < e % k) for i in range(k)] if _member(variant).rotates else [e] * k
     one_epoch = replace(params, epochs=1)
     runs = list(zip(shard_sizes(params.dataset_size, k, strict=False), visits))
     forms = {(size, v): {kind: n * v for kind, n in traffic_by_kind(one_epoch, variant, size).items()}

@@ -6,13 +6,29 @@ for reading the batch size and label width from ``params``, as ``src`` does.
 hold it to. ``reference_traffic_by_kind(..., exact=True)`` gives the totals
 whose ratio rho is and whose crossing N* is, with the hand-off at the exact
 eta*N; ``exact=False`` gives the wire counts, the hand-off rounded half to
-even as ``round`` rounds a ``Fraction``.
+even as ``round`` rounds a ``Fraction``. ``REFERENCE_EPOCH_COUNTS`` is each
+protocol's one-epoch counts written out per protocol, apart from the row
+``src`` reads them off.
 """
 
 from fractions import Fraction
 
-from splitfed.cost_model import MessageKind, _KINDS, _epoch_counts
+from splitfed.cost_model import MessageKind, Protocol, _KINDS, shard_sizes
 from splitfed.errors import InvalidParam
+
+# protocol -> (k, p, batch size) -> (records sent up, client-weight hand-offs,
+# full-model round trips) in one epoch over k clients and p records
+REFERENCE_EPOCH_COUNTS = {
+    Protocol.SPLIT_SYNC: lambda k, p, batch: (p, k, 0),
+    Protocol.SPLIT_NOSYNC: lambda k, p, batch: (p, 0, 0),
+    Protocol.SPLIT_SYNC_BATCH: lambda k, p, batch: (
+        p, sum(-(-s // batch) for s in shard_sizes(p, k, strict=False)), 0),
+    Protocol.FEDERATED: lambda k, p, batch: (0, 0, k),
+}
+
+
+def reference_epoch_counts(protocol, k, p, batch_size):
+    return REFERENCE_EPOCH_COUNTS[protocol](k, p, batch_size)
 
 
 def reference_client_weights(params):
@@ -27,7 +43,7 @@ def reference_traffic_by_kind(params, protocol, shard=None, exact=False):
     k, p = (params.clients, params.dataset_size) if shard is None else (1, shard)
     if not exact and params.model_params != int(params.model_params):
         raise InvalidParam(f"wire traffic needs a whole model_params, got {params.model_params}")
-    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, params.batch_size)
+    records, hand_offs, round_trips = reference_epoch_counts(protocol, k, p, params.batch_size)
     e = params.epochs
     kinds = dict.fromkeys(_KINDS, 0)
     kinds[MessageKind.ACTIVATIONS] = kinds[MessageKind.GRADIENTS] = records * params.smashed_size * e

@@ -643,6 +643,16 @@ def test_breakeven_n_star_past_the_float_range_exits_3(tmp_path, capsys):
     assert not csv_path.exists() and not svg_path.exists()
 
 
+@pytest.mark.parametrize("variant", ["sync", "sync_batch"])
+def test_breakeven_n_star_rounding_to_0_exits_3(tmp_path, capsys, variant):
+    # N* = 1/K underflows to 0.0 at K = 10**330; the SVG's log axis once took log10(0) there
+    csv_path, svg_path = tmp_path / "curve.csv", tmp_path / "curve.svg"
+    assert main(["breakeven", "--p", "1", "--q", "1", "--eta", "0", "--k-range", f"1,{10**330}",
+                 "--variant", variant, "--csv", str(csv_path), "--svg", str(svg_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: the break-even model size at K={10**330} rounds to 0\n"
+    assert not csv_path.exists() and not svg_path.exists()
+
 def test_breakeven_uses_the_scenario_variant(tmp_path, capsys):
     scenario = tmp_path / "nosync.txt"
     scenario.write_text(RAW_TEXT.replace("variant = sync", "variant = nosync"))

@@ -35,7 +35,6 @@ from splitfed.cost_model import (
     ScenarioParams,
     SweepRow,
     Winner,
-    _epoch_counts,
     _epoch_total,
     _even_split,
     _rho,
@@ -49,7 +48,7 @@ from splitfed.cost_model import (
 )
 from splitfed.errors import InvalidParam, SplitFedError
 
-from _closed_forms import reference_client_param_count, reference_traffic_by_kind
+from _closed_forms import reference_client_param_count, reference_epoch_counts, reference_traffic_by_kind
 
 
 def reference_comm_report(params, protocol, strict=True):
@@ -299,7 +298,7 @@ def test_a_sweep_value_that_does_not_compare_raises_at_its_first_cell_as_scenari
 
 def reference_scaled_line(protocol, k, p, q, u, v, batch_size=1):
     """The earlier ``_scaled_line``, labels left out: v * total = A + B*N."""
-    records, hand_offs, round_trips = _epoch_counts(protocol, k, p, batch_size)
+    records, hand_offs, round_trips = reference_epoch_counts(protocol, k, p, batch_size)
     return 2 * q * v * records, u * hand_offs + 2 * v * round_trips
 
 
@@ -317,6 +316,8 @@ def reference_break_even(p, q, eta, ks, variant, batch_size):
             sizes.append((a_s - a_f) / (b_f - b_s))
         except OverflowError:
             raise InvalidParam(f"the break-even model size at K={k} lies past the float range") from None
+        if not sizes[-1]:
+            raise InvalidParam(f"the break-even model size at K={k} rounds to 0")
     return list(ks), [n.hex() for n in sizes]
 
 
@@ -334,6 +335,7 @@ _KS = st.one_of(
 
 @example(p=10**300, q=10**10, eta=0.5, ks=range(1, 4), variant=Protocol.SPLIT_SYNC, batch_size=1)  # past float range
 @example(p=6, q=3, eta=Fraction(15, 23), ks=[4, 1, 2], variant=Protocol.SPLIT_SYNC_BATCH, batch_size=1)
+@example(p=1, q=1, eta=0.5, ks=[1, 10**330, 10**331], variant=Protocol.SPLIT_NOSYNC, batch_size=1)  # N* rounds to 0
 @example(p=1000, q=3, eta=Fraction(1, 100), ks=range(1, 12), variant=Protocol.SPLIT_SYNC_BATCH, batch_size=1)
 @given(
     p=st.one_of(st.integers(1, 10**6), st.integers(1, 50)),
@@ -365,7 +367,7 @@ def reference_rho(federated, split, record, u, v, a, b):
 
 _COUNTS = st.one_of(
     st.tuples(st.integers(0, 10**12), st.integers(0, 10**12), st.integers(0, 10**12)),
-    st.builds(_epoch_counts, _PROTOCOLS, st.integers(1, 3000), st.integers(0, 10**6), st.integers(1, 64)),
+    st.builds(reference_epoch_counts, _PROTOCOLS, st.integers(1, 3000), st.integers(0, 10**6), st.integers(1, 64)),
 )
 
 

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from itertools import product
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from splitfed import (
     DivisibilityError,
     InvalidParam,
     MessageKind,
+    ModelSpec,
     Protocol,
     ScenarioParams,
     Winner,
@@ -28,7 +30,7 @@ from splitfed import cost_model, protocol_sim
 from splitfed.cli import compared_protocol
 from splitfed.cost_model import REPORTED, reported
 
-from _closed_forms import reference_client_weights, reference_traffic_by_kind
+from _closed_forms import reference_client_weights, reference_epoch_counts, reference_traffic_by_kind
 
 
 def make_params(K, N, p, q, eta, bytes_per_scalar=4, epochs=1, batch_size=1, label_width=0):
@@ -479,6 +481,55 @@ def test_break_even_curve_keeps_two_columns():
     # any other sequence of client counts is sorted and rid of repeats
     assert break_even_curve(1000, 10, 0.5, [10, 1, 10]).clients == [1, 10]
     assert break_even_curve(1000, 10, 0.5, range(10, 0, -3)).clients == [1, 4, 7, 10]
+
+
+@pytest.mark.parametrize("variant", [Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH])
+def test_break_even_refuses_the_first_k_whose_n_star_rounds_to_0(variant):
+    # at p = q = 1 and eta = 0, N* = 1/K, which is 0.0 as a float for K past about 4e323
+    with pytest.raises(InvalidParam, match=f"K={10**330} rounds to 0"):
+        break_even_curve(1, 1, 0, [1, 2, 10**330, 10**331], variant)
+    # within a range's column: the zeros are a suffix, and the first of them is named
+    ks = range(10**323, 10**324 + 1, 10**323)
+    first = next(k for k in ks if not 1 / k)
+    assert first == 5 * 10**323
+    with pytest.raises(InvalidParam, match=f"K={first} rounds to 0"):
+        break_even_curve(1, 1, 0, ks, variant)
+    assert break_even_curve(1, 1, 0, ks[:4], variant).break_even_sizes.tolist() == [1 / k for k in ks[:4]]
+
+
+# --- the protocol's row ------------------------------------------------------
+
+def test_epoch_counts_read_off_the_row_match_the_reference_table():
+    # src reads each protocol's counts off its row; the reference writes them out per protocol
+    for protocol, k, p, batch in product(Protocol, range(1, 13), range(41), range(1, 8)):
+        assert cost_model._epoch_counts(protocol, k, p, batch) == reference_epoch_counts(protocol, k, p, batch), \
+            (protocol, k, p, batch)
+
+
+_ROW_PARAMS = make_params(2, 23, 6, 3, 0.5)
+_ROW_GRID = {"clients": [1, 2], "model_params": 23, "dataset_size": 6, "smashed_size": 3, "client_fraction": 0.5}
+_TAKES_A_PROTOCOL = {
+    "traffic_by_kind": lambda bad: traffic_by_kind(_ROW_PARAMS, bad),
+    "comm_report": lambda bad: comm_report(_ROW_PARAMS, bad),
+    "efficiency_ratio": lambda bad: efficiency_ratio(_ROW_PARAMS, bad),
+    "break_even_curve": lambda bad: break_even_curve(6, 3, 0.5, [1, 2], bad),
+    "sweep": lambda bad: sweep(_ROW_GRID, bad),
+    "sweep_cells": lambda bad: list(cost_model.sweep_cells(_ROW_GRID, bad)),
+    "run_split_training": lambda bad: protocol_sim.run_split_training(
+        ModelSpec((4, 3, 2)), 1, [(np.zeros((3, 4)), np.zeros((3, 2)))] * 2, bad, 1, 0.01, 1),
+    "client_kind_totals": lambda bad: protocol_sim.client_kind_totals(_ROW_PARAMS, bad),
+    "verify_against_model": lambda bad: protocol_sim.verify_against_model(
+        protocol_sim.TrafficLedger(), _ROW_PARAMS, bad),
+}
+
+
+@pytest.mark.parametrize("bad", ["sync", "sync_batch", "nosync", None])
+@pytest.mark.parametrize("name", list(_TAKES_A_PROTOCOL))
+def test_every_function_that_takes_a_protocol_refuses_a_non_member(name, bad):
+    # "sync" == Protocol.SPLIT_SYNC as a str, but it has no row: it once ran
+    # run_split_training with no hand-offs, and sweep("sync_batch") raised KeyError
+    with pytest.raises(InvalidParam, match="unknown protocol"):
+        _TAKES_A_PROTOCOL[name](bad)
 
 
 # --- sweep -------------------------------------------------------------------
