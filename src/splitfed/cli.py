@@ -5,7 +5,7 @@ written among them: refused before any work where that can be foreseen, or
 when a write to it fails, standard output included), 3 domain error (for
 example a divisibility or range violation), 4 ledger-versus-formula mismatch. The
 environment variable SPLITFED_SEED overrides the scenario seed in simulate,
-the only subcommand that uses a seed; no other subcommand reads it.
+the only subcommand that reads it.
 
 CSV output is byte-stable across runs: integers verbatim, reals with 12
 significant digits, "\n" line endings.
@@ -33,6 +33,7 @@ from .cost_model import (
     MessageKind,
     Protocol,
     SWEEP_FIELD_ORDER,
+    _shown,
     break_even_curve,
     comm_report,
     efficiency_ratio,
@@ -49,8 +50,8 @@ from .scenarios import PARAM_KEYS, _as_field, _parse_number, load_scenario, load
 SIMULATE_MAX_PARAMS = 10**6  # N
 SIMULATE_MAX_RECORDS = 10**5  # p
 # K * N bounds a split run's K held client vectors (80 MB at the limit) and the
-# K hand-offs a round copies. Federated folds each upload into a running mean
-# and holds four N-vectors whatever K is, so K * N does not bound it.
+# K hand-offs a round copies. Federated folds each upload into a running mean,
+# holding four N-vectors whatever K is.
 SIMULATE_MAX_HELD_SCALARS = 10**7
 # epochs * K * N bounds a federated run's copy and fold work: every round
 # copies the N-scalar global model into each of K clients' buffers and folds
@@ -63,10 +64,9 @@ SIMULATE_MAX_FOLDED_SCALARS = 10**9
 SIMULATE_MAX_DATA_SCALARS = 10**7
 # epochs * max(p, K) bounds a run's training steps and the rows of its ledger
 # CSV: at most 4 messages per batch plus 2 per client in every epoch. The
-# ledger holds a turn's identical batches as one run, so a split turn holds a
-# few runs however long it is: a sync run of (4, 3, 2) at K = 10, p = 100,000
-# and 10 epochs logs 3,000,100 messages, writes an 86 MB ledger CSV and peaks
-# at about 34 MB RSS, as its one-epoch run does (Python 3.11, numpy 2.4).
+# ledger holds a turn's identical batches as one run: a sync run of (4, 3, 2)
+# at K = 10, p = 100,000 and 10 epochs logs 3,000,100 messages and peaks at
+# about 34 MB RSS, as its one-epoch run does (Python 3.11, numpy 2.4).
 SIMULATE_MAX_RECORD_EPOCHS = 10**6
 # breakeven refuses a --k-range with more points than this, a bound on time
 # (about 1.7 s at the limit with --csv and --svg, best of 3 on a 2-vCPU Xeon):
@@ -78,10 +78,10 @@ BREAKEVEN_BLOCK_POINTS = 1024
 # sweep refuses a suite whose grids hold more cells than this, before it
 # expands them, a bound on time (about 0.2 s at the limit with --csv, best of 3
 # on a 2-vCPU Xeon) and on the text held without --csv. It sweeps a grid a
-# slice of at most SWEEP_SLICE_CELLS cells at a time and formats each cell as
+# slice of at most SWEEP_SLICE_CELLS cells at a time, formatting each cell as
 # the walk yields it, so a slice holds its lines, about 410 B a cell
-# (tracemalloc, tests/golden/inputs/grid.txt, Python 3.11); without --csv the
-# formatted lines wait for the summary line, about the CSV text, ~150 B a cell.
+# (tracemalloc, Python 3.11); without --csv the lines wait for the summary
+# line, ~150 B a cell.
 SWEEP_MAX_CELLS = 10**5
 SWEEP_SLICE_CELLS = 500
 
@@ -297,15 +297,14 @@ def cmd_simulate(args) -> int:
 
 def _k_int(item: str, where: str | int, least: int | None = None) -> int:
     """One integer of a K range at ``where``, a part or a comma-list item number; an
-    error quotes that item alone, cut to 20 characters, never the whole range."""
+    error quotes that item alone, cut to 20 characters."""
     try:
         value = int(item)
     except ValueError:
         value = None
     if value is not None and (least is None or value >= least):
         return value
-    shown = item.strip()
-    shown = repr(shown) if len(shown) <= 20 else repr(shown[:20]) + "..."
+    shown = _shown(item.strip(), repr)
     where = f"K at item {where}" if isinstance(where, int) else where
     if value is None:
         raise InvalidParam(f"bad K range: {where} is {shown}, not an integer")

@@ -82,6 +82,12 @@ def _member(protocol) -> Protocol:
     return protocol
 
 
+def _shown(value, form=str) -> str:
+    """``value`` as an error quotes it: ``form`` of its first 20 characters, then any '...'."""
+    text = str(value)
+    return form(text[:20]) + "..." * (len(text) > 20)
+
+
 # An old name of Protocol; perfbench/workloads.py is its last reader.
 Method = Protocol
 
@@ -94,6 +100,7 @@ _KINDS = tuple(MessageKind)
 
 def reported(protocol: Protocol) -> tuple[Protocol, ...]:
     """A report's rows: REPORTED, plus ``protocol`` if REPORTED lacks it, in enum order."""
+    protocol = _member(protocol)
     return tuple(p for p in Protocol if p in REPORTED or p is protocol)
 
 
@@ -485,13 +492,13 @@ def break_even_curve(
 
     def n_star(k: int, span: int) -> float:
         if span <= 0:
-            raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={k}")
+            raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={_shown(k)}")
         try:
             if n := gap / span:
                 return n
         except OverflowError:
-            raise InvalidParam(f"the break-even model size at K={k} lies past the float range") from None
-        raise InvalidParam(f"the break-even model size at K={k} rounds to 0")
+            raise InvalidParam(f"the break-even model size at K={_shown(k)} lies past the float range") from None
+        raise InvalidParam(f"the break-even model size at K={_shown(k)} rounds to 0")
 
     if variant.hand_off == "batch":
         sizes = array("d", (n_star(k, k * b_f - u * _batch_hand_offs(k, dataset_size, batch_size)) for k in ks))
@@ -590,7 +597,7 @@ def sweep_cells(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_S
     fractions = [None if error is not None else (*eta.as_integer_ratio(), j)
                  for j, (eta, error) in enumerate(zip(axes[4], checks[4]))]
     models = [None if error is not None else _model_ratio(n, fractions) for n, error in zip(axes[1], checks[1])]
-    methods = reported(_member(variant))
+    methods = reported(variant)
     # past K and N, each cell's first failing check or its values, eta as its triple
     inner = [next(filter(None, errors), values)
              for values, errors in zip(product(*axes[2:4], fractions, *axes[5:]), product(*checks[2:]))]

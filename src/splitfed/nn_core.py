@@ -34,11 +34,15 @@ from .cost_model import Activation, ModelSpec, _cut_index, client_param_count, c
 from .errors import InvalidParam, LengthMismatch, ShapeMismatch
 
 # numpy's C einsum kernel, without the Python dispatch of the public np.einsum
-# (about 1 us per call): the batch-1 weight gradient is the only caller.
+# (about 1 us per call): the batch-1 weight gradients past OUTER_MATMUL_MAX
+# are its only callers.
 try:
     from numpy._core.multiarray import c_einsum as _c_einsum  # numpy >= 2
 except ImportError:
     from numpy.core.multiarray import c_einsum as _c_einsum  # numpy 1.x
+# numpy's C dot, without the __array_function__ dispatcher np.dot wraps it in
+# (0.1-0.2 us per call); np.dot itself where a numpy has no such attribute.
+_dot = getattr(np.dot, "_implementation", np.dot)
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -188,6 +192,11 @@ def _check_batch(batch, width: int, name: str) -> np.ndarray:
 # Scalars of the flat vector one sgd_step block covers (512 KB): the block's
 # gradient is written and subtracted while it is still in L2 cache.
 SGD_BLOCK = 1 << 16
+# Scalars of the largest batch-1 weight-gradient piece written by np.matmul:
+# up to ~500-1,000 scalars matmul's call is the cheaper (~1.0 us against
+# einsum's ~1.4 us on a 2-vCPU Xeon, one BLAS thread), past them einsum's
+# loop, 2-3x faster at 1k-200k scalars.
+OUTER_MATMUL_MAX = 512
 # Scalars of the differences a plan holds for batch_losses (256 KB), unless
 # one batch's are more: a shard's labels are not held twice.
 DIFF_BLOCK = 1 << 15
@@ -202,17 +211,20 @@ class StepPlan:
     next step; the ones a caller reads:
 
     * ``acts[j]``, the activations at boundary j, (records, width j): index 0
-      holds the batch, the last the outputs, and index c is what crosses a
-      cut at c. At one record, each layer's input is the first columns of a
-      ``(1, width + 1)`` record whose last entry is 1, so the outer product of
-      the weight gradient also writes the bias gradient.
+      holds the batch (``input``), the last the outputs (``output``), and
+      index c is what crosses a cut at c. At one record, each layer's input
+      is the first columns of a ``(1, width + 1)`` record whose last entry is
+      1, so the outer product of the weight gradient also writes the bias
+      gradient.
     * ``zs[i]``, layer i's pre-activations; for the last layer and identity
       layers it is ``acts[i + 1]`` itself.
     * ``dzs[i]``, d loss / d zs[i]; ``act_grads[j]``, d loss / d acts[j] for
-      j >= 1 (index 0 is None; the last is the loss gradient, ``dzs[-1]``).
+      j >= 1 (index 0 is None; the last is the loss gradient, ``dzs[-1]``
+      and ``loss_grad``).
     * ``diffs``, the outputs minus the labels of up to ``batches`` batches,
       one row per batch, and at most DIFF_BLOCK scalars unless one row is
-      wider; :func:`batch_losses` squares and sums them.
+      wider; :func:`batch_losses` squares and sums them. ``diff_rows`` lists
+      its rows.
     * ``blocks``, the SGD blocks :func:`sgd_step` walks, cut here: each is a
       ``(params view, scratch view, grads)``, ``grads`` the calls that write
       the block's gradient into its view of the one ``scratch``. At one
@@ -265,7 +277,7 @@ class StepPlan:
             # the other payload of two NaNs
             product = buffer(*out.shape)
             self.forward += [partial(_matmul(w.shape[0]), a, w, product), partial(np.add, product, b.reshape(1, -1), z)]
-            if hidden and activation is Activation.RELU:
+            if hidden and activation is Activation.RELU:  # out by keyword: numpy 2.4 deprecates it positional here
                 self.forward.append(partial(np.maximum, z, _ZERO, out=out))
             elif hidden:  # 1 / (1 + exp(-z))
                 self.forward += [partial(np.negative, z, out), partial(np.exp, out, out),
@@ -273,9 +285,11 @@ class StepPlan:
 
         rows = max(1, min(batches, DIFF_BLOCK // (records * widths[-1])))
         self.diffs = buffer(rows, records, widths[-1])
+        self.diff_rows = list(self.diffs)
         self.scale = np.array(2.0 / (records * widths[-1]))  # d mean / d diff = (2 / size) * diff
         self.dzs: list = [None] * len(layers)
         self.act_grads: list = [None] * len(layers) + [buffer(*self.acts[-1].shape)]
+        self.input, self.output, self.loss_grad = self.acts[0], self.acts[-1], self.act_grads[-1]
         self.backward = []
         for i in reversed(range(len(layers))):
             g = self.act_grads[i + 1]
@@ -316,8 +330,9 @@ class StepPlan:
             for a, dz, (n_in, n_out) in zip(inputs if one else self.acts, self.dzs, shapes):
                 w_end, end = start + n_in * n_out, start + (n_in + 1) * n_out
                 if one:
-                    # At one record, dW = a.T @ dz is an outer product, and
-                    # numpy's einsum kernel writes it ~3x faster than BLAS.
+                    # At one record, dW = a.T @ dz is an outer product:
+                    # matmul's own up to OUTER_MATMUL_MAX scalars, and past
+                    # them numpy's einsum kernel, ~3x faster than BLAS there.
                     # Like matmul it adds each product to +0.0, so the bits
                     # agree, but for which payload a product of two NaNs
                     # keeps. Over more records einsum sums in another order
@@ -325,11 +340,13 @@ class StepPlan:
                     r0, r1 = (max(lo, start) - start) // n_out, (min(hi, end) - start) // n_out
                     if r0 < r1:  # rows r0..r1 of the layer's weights-then-bias block
                         dw = self.scratch[start + r0 * n_out - lo : start + r1 * n_out - lo].reshape(r1 - r0, n_out)
-                        grads.append(partial(_c_einsum, "bi,bj->ij", a[:, r0:r1], dz, out=dw))
+                        entries = a[:, r0:r1]
+                        grads.append(partial(np.matmul, entries.T, dz, dw) if dw.size <= OUTER_MATMUL_MAX
+                                     else partial(_c_einsum, "bi,bj->ij", entries, dz, out=dw))
                 else:
                     if lo <= start and w_end <= hi:
                         dw = self.scratch[start - lo : w_end - lo].reshape(n_in, n_out)
-                        grads.append(partial(np.matmul, a.T, dz, out=dw))
+                        grads.append(partial(np.matmul, a.T, dz, dw))
                     if lo <= w_end and end <= hi:
                         grads.append(partial(np.add.reduce, dz, axis=0, out=self.scratch[w_end - lo : end - lo]))
                 start = end
@@ -338,17 +355,17 @@ class StepPlan:
 
 def _matmul(inner: int):
     """The kernel of a product that sums ``inner`` terms per entry, with the
-    bits of ``np.matmul``: ``np.dot``, which skips the ufunc machinery, except
-    over one term, where dot scales without adding to +0.0 (so -0.0 stays
-    -0.0, and BLAS's scaling by 0 turns inf and NaN into 0)."""
-    return np.dot if inner > 1 else np.matmul
+    bits of ``np.matmul``: numpy's C dot, which skips the ufunc machinery,
+    except over one term, where dot scales without adding to +0.0 (so -0.0
+    stays -0.0, and BLAS's scaling by 0 turns inf and NaN into 0)."""
+    return _dot if inner > 1 else np.matmul
 
 
 def _forward_layers(plan: StepPlan, batch: np.ndarray) -> None:
     """Copy ``batch`` into ``plan.acts[0]`` and run every layer in order; the
     last one stays linear. The caller sets ``np.errstate``: a sigmoid of a
     large negative pre-activation overflows ``exp`` on its way to 0."""
-    plan.acts[0][...] = batch
+    plan.input[...] = batch
     for call in plan.forward:
         call()
 
@@ -357,9 +374,9 @@ def _mse_and_grad(plan: StepPlan, labels: np.ndarray, batch: int) -> None:
     """Write the outputs minus ``labels`` into row ``batch`` of ``plan.diffs``
     and the loss gradient ``(2 / size) * diff`` into ``plan.dzs[-1]``; the
     loss itself is reduced by :func:`batch_losses`, once for all the rows."""
-    diff = plan.diffs[batch]
-    np.subtract(plan.acts[-1], labels, out=diff)
-    np.multiply(plan.scale, diff, out=plan.dzs[-1])
+    diff = plan.diff_rows[batch]
+    np.subtract(plan.output, labels, diff)
+    np.multiply(plan.scale, diff, plan.loss_grad)
 
 
 def _backward_layers(plan: StepPlan) -> None:
@@ -383,13 +400,18 @@ def sgd_step(plan: StepPlan, lr) -> None:
 
     Each block's gradient is written into the scratch by the plan's calls,
     scaled by ``lr`` and subtracted while it is in cache; no N-sized gradient
-    exists. The bits are those of one whole-vector step. ``lr`` as a 0-d
-    float64 array spares a conversion on every call.
+    exists. The blocks are walked from the last to the first: the backward
+    pass has just read the weights of every layer but the first, which are
+    updated while still in cache, and the next forward pass starts with the
+    first layer's, just written. The blocks are disjoint and read only the
+    activations and deltas, so in any order the bits are those of one
+    whole-vector step. ``lr`` as a 0-d float64 array spares a conversion on
+    every call.
     """
-    for params_block, scratch_block, grads in plan.blocks:
+    for params_block, scratch_block, grads in reversed(plan.blocks):
         for grad in grads:
             grad()
-        np.subtract(params_block, np.multiply(scratch_block, lr, out=scratch_block), out=params_block)
+        np.subtract(params_block, np.multiply(scratch_block, lr, scratch_block), params_block)
 
 
 def fold_centered(total: np.ndarray, vec: np.ndarray, base: np.ndarray) -> None:

@@ -363,23 +363,26 @@ def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, cut: int | N
     cross it: Activations, Labels and Gradients, then any ``hand_off``.
     """
     losses, counts = [], []
-    records, size = x.shape[0], model.batch_size
+    records, size, lr = x.shape[0], model.batch_size, model.lr
     full = records - records % size
+    # looked up once a pass, on whatever nn_core this module holds then (a tracer may replace it)
+    forward, mse, backward, sgd = (nn_core._forward_layers, nn_core._mse_and_grad, nn_core._backward_layers,
+                                   nn_core.sgd_step)
     for lo, hi in ((0, full), (full, records)):
         if lo == hi:
             continue
         plan = model.plans[min(hi - lo, size)]
-        step = plan.records
-        span = step * plan.diffs.shape[0]  # the records of the batches one loss reduction takes
-        for first in range(lo, hi, span):
-            for row, start in enumerate(range(first, min(hi, first + span), step)):
-                labels = y[start : start + step]
-                nn_core._forward_layers(plan, x[start : start + step])
-                nn_core._mse_and_grad(plan, labels, row)
-                nn_core._backward_layers(plan)
-                nn_core.sgd_step(plan, model.lr)
-            losses.append(nn_core.batch_losses(plan, row + 1))
+        step, rows = plan.records, plan.diffs.shape[0]  # rows: the batches one loss reduction takes
         batches = (hi - lo) // step
+        # the batches as (step, width) row views of the shard
+        xs, ys = x[lo:hi].reshape(batches, step, -1), y[lo:hi].reshape(batches, step, -1)
+        for first in range(0, batches, rows):
+            for row, (inputs, labels) in enumerate(zip(xs[first : first + rows], ys[first : first + rows])):
+                forward(plan, inputs)
+                mse(plan, labels, row)
+                backward(plan)
+                sgd(plan, lr)
+            losses.append(nn_core.batch_losses(plan, row + 1))
         if cut is not None:
             sent = [plan.acts[cut].size, labels.size, plan.act_grads[cut].size]
             counts += (sent + [hand_off] if hand_off else sent) * batches
@@ -529,7 +532,7 @@ def measured_comm(ledger: TrafficLedger, params: ScenarioParams, method: Protoco
     counted = [kind for kind in MessageKind if params.label_width or kind is not MessageKind.LABELS]
     owned = {owner: sum(kinds[kind] for kind in counted) for owner, kinds in ledger.tally().items()}
     per_client = max((owned.get(client_id(k + 1), 0) for k in range(params.clients)), default=0)
-    return CommReport.from_scalars(method, per_client, sum(owned.values()), params.bytes_per_scalar)
+    return CommReport.from_scalars(_member(method), per_client, sum(owned.values()), params.bytes_per_scalar)
 
 
 @dataclass(frozen=True)

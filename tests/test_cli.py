@@ -650,8 +650,22 @@ def test_breakeven_n_star_rounding_to_0_exits_3(tmp_path, capsys, variant):
     assert main(["breakeven", "--p", "1", "--q", "1", "--eta", "0", "--k-range", f"1,{10**330}",
                  "--variant", variant, "--csv", str(csv_path), "--svg", str(svg_path)]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: the break-even model size at K={10**330} rounds to 0\n"
+    assert out == "" and err == "error: the break-even model size at K=10000000000000000000... rounds to 0\n"
     assert not csv_path.exists() and not svg_path.exists()
+
+
+@pytest.mark.parametrize(("p", "eta", "variant", "why"), [
+    ("1", "0", "sync", "the break-even model size at K={} rounds to 0"),
+    ("1" + "0" * 700, "0.5", "sync", "the break-even model size at K={} lies past the float range"),
+    (str(6 * 10**330), "15/23", "sync_batch", "no model size balances SplitSyncBatch and Federated traffic at K={}"),
+], ids=["rounds-to-0", "past-float-range", "no-balance"])
+def test_breakeven_refusals_quote_k_cut_to_20_characters(capsys, p, eta, variant, why):
+    # K = 10**330, 331 digits, is quoted as a bad --k-range item is: 20 characters, then "..."
+    assert main(["breakeven", "--p", p, "--q", "1", "--eta", eta, "--k-range", f"{10**330}",
+                 "--variant", variant]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: " + why.format("1" + "0" * 19 + "...") + "\n" and len(err) < 100
+
 
 def test_breakeven_uses_the_scenario_variant(tmp_path, capsys):
     scenario = tmp_path / "nosync.txt"

@@ -310,14 +310,15 @@ def reference_break_even(p, q, eta, ks, variant, batch_size):
     for k in ks:
         a_s, b_s = reference_scaled_line(variant, k, p, q, u, v, batch_size)
         a_f, b_f = reference_scaled_line(Protocol.FEDERATED, k, p, q, u, v)
+        shown = str(k) if len(str(k)) <= 20 else str(k)[:20] + "..."  # K cut to 20 characters
         if b_f <= b_s:
-            raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={k}")
+            raise InvalidParam(f"no model size balances {variant.label} and Federated traffic at K={shown}")
         try:
             sizes.append((a_s - a_f) / (b_f - b_s))
         except OverflowError:
-            raise InvalidParam(f"the break-even model size at K={k} lies past the float range") from None
+            raise InvalidParam(f"the break-even model size at K={shown} lies past the float range") from None
         if not sizes[-1]:
-            raise InvalidParam(f"the break-even model size at K={k} rounds to 0")
+            raise InvalidParam(f"the break-even model size at K={shown} rounds to 0")
     return list(ks), [n.hex() for n in sizes]
 
 

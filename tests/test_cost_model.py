@@ -485,16 +485,34 @@ def test_break_even_curve_keeps_two_columns():
 
 @pytest.mark.parametrize("variant", [Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH])
 def test_break_even_refuses_the_first_k_whose_n_star_rounds_to_0(variant):
-    # at p = q = 1 and eta = 0, N* = 1/K, which is 0.0 as a float for K past about 4e323
-    with pytest.raises(InvalidParam, match=f"K={10**330} rounds to 0"):
+    # at p = q = 1 and eta = 0, N* = 1/K, which is 0.0 as a float for K past about 4e323;
+    # the error quotes K's first 20 digits
+    with pytest.raises(InvalidParam, match=r"K=1" + "0" * 19 + r"\.\.\. rounds to 0$"):
         break_even_curve(1, 1, 0, [1, 2, 10**330, 10**331], variant)
     # within a range's column: the zeros are a suffix, and the first of them is named
     ks = range(10**323, 10**324 + 1, 10**323)
     first = next(k for k in ks if not 1 / k)
     assert first == 5 * 10**323
-    with pytest.raises(InvalidParam, match=f"K={first} rounds to 0"):
+    with pytest.raises(InvalidParam, match=r"K=5" + "0" * 19 + r"\.\.\. rounds to 0$"):
         break_even_curve(1, 1, 0, ks, variant)
     assert break_even_curve(1, 1, 0, ks[:4], variant).break_even_sizes.tolist() == [1 / k for k in ks[:4]]
+
+
+@pytest.mark.parametrize(("p", "eta", "variant", "why", "ks"), [
+    # N* = 1/K rounds to 0 only past about 4e323, so only a long K gets there
+    (lambda k: 1, 0, Protocol.SPLIT_SYNC, "the break-even model size at K={} rounds to 0", [10**330]),
+    (lambda k: 10**700, 0.5, Protocol.SPLIT_SYNC, "the break-even model size at K={} lies past the float range",
+     [10**330, 10**19]),
+    # one record a batch hands off 6 * 15/23 > 2 model sizes a client
+    (lambda k: 6 * k, Fraction(15, 23), Protocol.SPLIT_SYNC_BATCH,
+     "no model size balances SplitSyncBatch and Federated traffic at K={}", [10**330, 10**19]),
+], ids=["rounds-to-0", "past-float-range", "no-balance"])
+def test_break_even_refusals_cut_k_to_20_digits(p, eta, variant, why, ks):
+    # as a bad --k-range item is cut: 20 characters, then "..."; a K of 20 digits is quoted whole
+    for k in ks:
+        with pytest.raises(InvalidParam) as raised:
+            break_even_curve(p(k), 1, eta, [k], variant)
+        assert str(raised.value) == why.format("1" + "0" * 19 + "..." if k == 10**330 else k)
 
 
 # --- the protocol's row ------------------------------------------------------
@@ -520,6 +538,8 @@ _TAKES_A_PROTOCOL = {
     "client_kind_totals": lambda bad: protocol_sim.client_kind_totals(_ROW_PARAMS, bad),
     "verify_against_model": lambda bad: protocol_sim.verify_against_model(
         protocol_sim.TrafficLedger(), _ROW_PARAMS, bad),
+    "measured_comm": lambda bad: protocol_sim.measured_comm(protocol_sim.TrafficLedger(), _ROW_PARAMS, bad),
+    "reported": reported,
 }
 
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -405,6 +405,34 @@ def test_blocked_sgd_step_is_the_whole_vector_step_bit_for_bit(widths, batch_siz
     assert plan.scratch.size == max(b[0].size for b in blocks) <= max(block, *_unit_widths(spec, records))
 
 
+@settings(max_examples=100, deadline=None)
+@given(widths=st.lists(st.integers(1, 9), min_size=2, max_size=5), activation=st.sampled_from(Activation),
+       data=st.data())
+def test_consecutive_blocked_steps_keep_the_whole_vector_steps_bits(widths, activation, data):
+    # Several batch-1 steps on one plan whose SGD blocks are a few scalars
+    # each, so sgd_step walks many blocks, last first, and each step's forward
+    # pass reads the weights the step before wrote: after every step the
+    # vector has the bits of the whole-vector steps taken one after another.
+    spec = ModelSpec(tuple(widths), activation)
+    n = param_count(spec)
+    block = data.draw(st.integers(1, max(1, n // 3)))
+    lr = data.draw(st.sampled_from([0.05, 0.5, 1.0, -0.25]))
+    params = data.draw(arrays(np.float64, n, elements=_STEP_VALUES))
+    steps = data.draw(st.integers(2, 5))
+    x = data.draw(arrays(np.float64, (steps, spec.input_width), elements=_STEP_VALUES))
+    y = data.draw(arrays(np.float64, (steps, spec.output_width), elements=_STEP_VALUES))
+    plan, expected = StepPlan(spec, params, 1, block=block), params.copy()
+    assert len(plan.blocks) > 1
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for i in range(steps):
+            nn_core._forward_layers(plan, x[i : i + 1])
+            _mse_and_grad(plan, y[i : i + 1], 0)
+            nn_core._backward_layers(plan)
+            sgd_step(plan, lr)
+            whole_vector_step(expected, gradients(spec, expected.copy(), x[i : i + 1], y[i : i + 1])[1], lr)
+            assert params.tobytes() == expected.tobytes(), i
+
+
 def _fold_mean(vectors):
     """The mean of ``vectors`` as a federated round takes it: each folded into a
     running sum around the first (:func:`fold_centered`), one at a time."""
@@ -485,14 +513,30 @@ def _one_layer_plan(a, dz):
     return plan
 
 
+def _edge_row(width):
+    """A (1, width) row cycling through signed zeros, subnormals, extreme normals, NaN and ordinary values."""
+    values = [0.0, -0.0, 5e-324, -5e-324, math.nan, 2.2250738585072014e-308, -1.7976931348623157e308, 1.5, -0.75]
+    return np.array([[values[i % len(values)] for i in range(width)]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=arrays(np.float64, st.tuples(st.just(1), st.integers(1, 64)), elements=_KERNEL_SCALARS),
        dz=arrays(np.float64, st.tuples(st.just(1), st.integers(1, 64)), elements=_KERNEL_SCALARS))
+# (n_in + 1) * n_out scalars on each side of OUTER_MATMUL_MAX = 512: 64 * 8 by
+# matmul, 65 * 8 by einsum, 32 * 16 by matmul and 33 * 16 by einsum
+@example(a=_edge_row(63), dz=_edge_row(8))
+@example(a=_edge_row(64), dz=_edge_row(8)[:, ::-1].copy())
+@example(a=-_edge_row(31), dz=_edge_row(16))
+@example(a=_edge_row(32), dz=-_edge_row(16))
 def test_batch_one_weight_gradient_is_matmul_bit_for_bit(a, dz):
     # One linear layer fed the record a, with dz as the loss gradient at its
     # output: the step writes exactly a.T @ dz into its scratch, and scaling
-    # it by lr = 1 keeps every bit.
+    # it by lr = 1 keeps every bit. Up to OUTER_MATMUL_MAX scalars the kernel
+    # is matmul itself, past them einsum.
     plan = _one_layer_plan(a, dz)
+    (_, _, (kernel,)), = plan.blocks
+    size = (a.shape[1] + 1) * dz.shape[1]
+    assert kernel.func is (np.matmul if size <= nn_core.OUTER_MATMUL_MAX else nn_core._c_einsum)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         sgd_step(plan, 1.0)
         expected = np.matmul(a.T, dz)
@@ -608,12 +652,13 @@ def test_turn_loss_is_each_batch_mean_squared_error_bit_for_bit(width, records, 
 
 def test_a_batch_one_step_allocates_less_than_the_list_based_step():
     # tracemalloc peak of one planned step at ring-many-clients' shape,
-    # (16, 8, 4) with sigmoid, batch 1, above that of its einsum call alone:
-    # past the kernel's own iterator, only views and the calls' own objects
-    # are allocated. Python 3.11, numpy 2.4: a step peaks at 1,482-1,602 B,
-    # up to 216 B past einsum's 1,386 B; the step of activation lists and
-    # temporaries that the plan replaced peaked at 2,482-2,610 B, 1,384 B
-    # past its einsum's 1,226 B.
+    # (16, 8, 4) with sigmoid, batch 1, above that of its costliest weight
+    # gradient call alone: past that kernel's own objects, only views and the
+    # calls' own objects are allocated. Python 3.11, numpy 2.4: a step peaks
+    # at 560-592 B, up to 96 B past its matmul outer product's 496 B; with
+    # einsum's outer products it peaked at 1,482-1,602 B, up to 216 B past
+    # einsum's 1,386 B, and the step of activation lists and temporaries that
+    # the plan replaced at 2,482-2,610 B, 1,384 B past its einsum's 1,226 B.
     spec = ModelSpec((16, 8, 4))
     x, y = random_dataset(spec, 8, 3)
     plan = StepPlan(spec, init_params(spec, 1), 1, x.shape[0])
@@ -649,10 +694,11 @@ def _matmul_einsum(subscripts, a, dz, out):
 @given(widths=st.lists(st.integers(1, 3), min_size=2, max_size=5), batch=st.integers(1, 3),
        activation=st.sampled_from(Activation), data=st.data())
 def test_training_step_products_have_matmul_bits(widths, batch, activation, data):
-    # The whole step, SGD included, against the same step with the batch-1
-    # kernel replaced by matmul. Batches of 2 and 3 check that einsum is
-    # chosen at batch 1 only; exact zeros are drawn often so that every sign
-    # of zero shows.
+    # The whole step, SGD included, with every batch-1 outer product by
+    # einsum (the cut at 0 scalars), against the same step with that kernel
+    # replaced by matmul. Batches of 2 and 3 check that einsum is chosen at
+    # batch 1 only; exact zeros are drawn often so that every sign of zero
+    # shows.
     values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
                        st.floats(-1e3, 1e3, allow_nan=False))
     spec = ModelSpec(tuple(widths), activation)
@@ -665,7 +711,8 @@ def test_training_step_products_have_matmul_bits(widths, batch, activation, data
         stepped, plan = _blocked_step(spec, params.copy(), x, y, 1.0)
         return [*plan.zs, *plan.acts, *plan.act_grads[1:], *plan.dzs, plan.scratch, stepped]
 
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"), \
+            mock.patch.object(nn_core, "OUTER_MATMUL_MAX", 0):
         got = step()
         with mock.patch.object(nn_core, "_c_einsum", _matmul_einsum):
             expected = step()
