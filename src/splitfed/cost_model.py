@@ -83,8 +83,11 @@ def _member(protocol) -> Protocol:
 
 
 def _shown(value, form=str) -> str:
-    """``value`` as an error quotes it: ``form`` of its first 20 characters, then any '...'."""
-    text = str(value)
+    """``value`` as an error quotes it: ``form`` of its first 20 characters, then any '...'.
+    An int past 21 digits is cut by a power of ten first, keeping at least 21, so
+    no int is written out whole past ``str``'s digit limit."""
+    cut = int((value.bit_length() - 1) * math.log10(2)) - 21 if type(value) is int else 0
+    text = "-" * (value < 0) + str(abs(value) // 10**cut) if cut > 0 else str(value)
     return form(text[:20]) + "..." * (len(text) > 20)
 
 

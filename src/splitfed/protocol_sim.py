@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, chain, compress, islice, pairwise
-from operator import ne
+from itertools import accumulate, chain, islice, pairwise
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -69,14 +68,13 @@ class TrafficLedger:
     ledger's endpoint table (``i``; SERVER is 0), the kind's code (``B``) and
     the scalar count (``q``). The run table holds each run's epoch (``i``), its
     batch's first message in those columns (``q``) and its repeat (``q``), 20
-    bytes a run. A turn's identical consecutive batches are one run, and
-    batches that repeat only once extend the epoch's last such run, so a split
-    turn of any length holds a few runs and a ledger of one-off messages
-    about 17 bytes each. Iterating the ledger yields the messages one by one
-    as :class:`Message` rows with string endpoints. Every write is a
-    :meth:`log_turn`, which checks the whole turn first, so nothing grows on
-    a refusal. Endpoint ids are identifiers, so no CSV field ever needs
-    quoting.
+    bytes a run. A turn names its runs, and a batch sent once extends the
+    epoch's last such run, so a split turn of any length holds a few runs
+    and a ledger of one-off messages about 17 bytes each. Iterating the
+    ledger yields the messages one by one as :class:`Message` rows with
+    string endpoints. Every write is a :meth:`log_turn`, which checks the
+    whole turn first, so nothing grows on a refusal. Endpoint ids are
+    identifiers, so no CSV field ever needs quoting.
     """
 
     def __init__(self) -> None:
@@ -90,25 +88,26 @@ class TrafficLedger:
 
     def append(self, epoch: int, sender: str, receiver: str, kind: MessageKind, scalar_count: int) -> None:
         """Log one message: the one-message case of :meth:`log_turn`."""
-        self.log_turn(epoch, ((sender, receiver, kind),), (scalar_count,))
+        self.log_turn(epoch, ((sender, receiver, kind),), (((scalar_count,), 1),))
 
-    def log_turn(self, epoch: int, batch: Sequence[tuple[str, str, MessageKind]], counts: Sequence[int]) -> None:
+    def log_turn(self, epoch: int, batch: Sequence[tuple[str, str, MessageKind]],
+                 runs: Sequence[tuple[Sequence[int], int]]) -> None:
         """Log a turn's messages in ``epoch``: ``batch`` gives the (sender,
-        receiver, kind) of each message a batch sends, and ``counts`` every
-        message's scalar count, batch after batch, so message j is
-        ``batch[j % len(batch)]`` with ``counts[j]``.
+        receiver, kind) of each message a batch sends, and each of ``runs``
+        a ``(counts, repeat)`` pair: the batch's scalar counts, one per
+        entry, sent ``repeat`` times in a row.
 
-        One pass checks the turn in the order a message is read: ``counts``
-        a whole number of batches, ``epoch`` an int in [0, 2**31), each entry
-        a triple of two endpoints, known or identifiers, and a
-        :class:`MessageKind`, each count an int in [0, 2**63). The first
-        failure raises :class:`InvalidParam` naming the bad value and leaves
-        the ledger as it was; only then do new endpoints join the table, the
-        turn's batches join the columns as runs of identical consecutive
-        batches, and the tally grows once."""
-        width, size = len(batch), len(counts)
-        if not width or size % width:
-            raise InvalidParam(f"{size} scalar counts are not a whole number of {width}-message batches")
+        One pass checks the turn in the order a message is read: ``batch``
+        not empty, ``epoch`` an int in [0, 2**31), each entry a triple of
+        two endpoints, known or identifiers, and a :class:`MessageKind`;
+        then each run's ``len(batch)`` counts and its repeat, each an int in
+        [0, 2**63). The first failure raises :class:`InvalidParam` naming
+        the bad value and leaves the ledger as it was; only then do new
+        endpoints join the table and the runs the columns, and the tally
+        grows once a run. A repeat of 0 logs nothing."""
+        width = len(batch)
+        if not width:
+            raise InvalidParam("a turn's batch must hold at least one message")
         if type(epoch) is not int or not 0 <= epoch < _EPOCH_END:
             raise InvalidParam(f"epoch must be an int in [0, 2**31), got {epoch!r}")
         # each entry's endpoint indices and kind code; ``new`` holds the
@@ -130,52 +129,43 @@ class TrafficLedger:
                     code = new.setdefault(name, len(names) + len(new))
                 pair.append(code)
             ends.append((*pair, _KIND_CODES[kind]))
-        if not (set(map(type, counts)) <= {int} and (not size or 0 <= min(counts) and max(counts) < _COUNT_END)):
-            j, n = next((j, n) for j, n in enumerate(counts) if type(n) is not int or not 0 <= n < _COUNT_END)
-            raise InvalidParam(f"scalar_count must be an int in [0, 2**63), got {n!r} "
-                               f"in {Message(epoch, *batch[j % width], n)}")
-        batches = size // width
+        runs, batches = list(runs), 0  # read twice: checked, then stored
+        for counts, repeat in runs:
+            if len(counts) != width:
+                raise InvalidParam(f"a run of {width}-message batches has {len(counts)} scalar counts")
+            for entry, n in zip(batch, counts):
+                if type(n) is not int or not 0 <= n < _COUNT_END:
+                    raise InvalidParam(f"scalar_count must be an int in [0, 2**63), got {n!r} "
+                                       f"in {Message(epoch, *entry, n)}")
+            if type(repeat) is not int or not 0 <= repeat < _COUNT_END:
+                raise InvalidParam(f"repeat must be an int in [0, 2**63), got {repeat!r}")
+            batches += repeat
         if not batches:
             return
         index.update(new)
         names += new
-        self._tally += [None] * len(new)
-        counts = list(counts)
-        # (first batch, batches stored, repeat): a run of one batch repeated, or
-        # consecutive batches that each repeat once, stored as they are. The
-        # first test is the general scan's answer when no batch differs, and
-        # every append's: one list comparison in place of the scan's ~5 us.
-        if counts == counts[:width] * batches:
-            stored = [(0, 1, batches)]
-        else:  # batch b starts a run where a count differs from batch b - 1's
-            changed = compress(range(width, size), map(ne, counts[width:], counts))
-            stored = []
-            for lo, hi in pairwise([0, *sorted({j // width for j in changed}), batches]):
-                if hi - lo > 1:
-                    stored.append((lo, 1, hi - lo))
-                elif stored and stored[-1][2] == 1:
-                    stored[-1] = (stored[-1][0], stored[-1][1] + 1, 1)
-                else:
-                    stored.append((lo, 1, 1))
+        self._size += batches * width
+        tally = self._tally
+        tally += [None] * len(new)
+        for s, r, _ in ends:  # the owner: the client that sends it, or the client the server (0) sends it to
+            if tally[s or r] is None:  # the owner's first message
+                tally[s or r] = [0] * len(_KINDS)
         senders, receivers, codes = zip(*ends)
         run_epochs, repeats = self._run_epochs, self._repeats
-        for first, n, repeat in stored:
-            # batches that repeat once extend the epoch's last run if it too repeats once
+        for counts, repeat in runs:
+            if not repeat:
+                continue
+            # a batch sent once extends the epoch's last run if it too was sent once
             if repeat > 1 or not repeats or repeats[-1] > 1 or run_epochs[-1] != epoch:
                 run_epochs.append(epoch)
                 self._run_starts.append(len(self._kinds))
                 repeats.append(repeat)
-            self._senders.extend(senders * n)
-            self._receivers.extend(receivers * n)
-            self._kinds.extend(codes * n)
-            self._counts.extend(counts[first * width : (first + n) * width])
-        self._size += size
-        tally = self._tally
-        for j, (s, r, code) in enumerate(ends):
-            owner = s or r  # the client that sends it, or the client the server (0) sends it to
-            if tally[owner] is None:  # the owner's first message
-                tally[owner] = [0] * len(_KINDS)
-            tally[owner][code] += sum(counts[j::width])
+            self._senders.extend(senders)
+            self._receivers.extend(receivers)
+            self._kinds.extend(codes)
+            self._counts.extend(counts)
+            for (s, r, code), n in zip(ends, counts):
+                tally[s or r][code] += n * repeat
 
     def _runs(self) -> Iterator[tuple[int, Iterator[tuple[int, int, int, int]], int]]:
         """Each run as (epoch, its batch's (sender, receiver, kind code, count) rows, repeat)."""
@@ -359,10 +349,11 @@ def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, cut: int | N
     differences fill the plan's rows, and at the end, so the full batches'
     are reduced before the ragged batch overwrites their rows. Returns the
     batches' losses, one array per reduction, and for a ``cut`` (None under
-    federated) each batch's scalar counts there, read from the arrays that
-    cross it: Activations, Labels and Gradients, then any ``hand_off``.
+    federated) the :meth:`TrafficLedger.log_turn` runs of the batches'
+    scalar counts there, one a plan, read from the arrays that cross it:
+    Activations, Labels and Gradients, then any ``hand_off``.
     """
-    losses, counts = [], []
+    losses, runs = [], []
     records, size, lr = x.shape[0], model.batch_size, model.lr
     full = records - records % size
     # looked up once a pass, on whatever nn_core this module holds then (a tracer may replace it)
@@ -385,8 +376,8 @@ def _local_pass(model: _WorkingModel, x: np.ndarray, y: np.ndarray, cut: int | N
             losses.append(nn_core.batch_losses(plan, row + 1))
         if cut is not None:
             sent = [plan.acts[cut].size, labels.size, plan.act_grads[cut].size]
-            counts += (sent + [hand_off] if hand_off else sent) * batches
-    return losses, counts
+            runs.append((sent + [hand_off] if hand_off else sent, batches))
+    return losses, runs
 
 
 def _turns(protocol: Protocol, epoch: int, clients: int) -> range:
@@ -433,14 +424,14 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
         turns = _turns(protocol, epoch, k_clients)
         if federated:  # the round's downloads, one message a client, logged as one turn
             ledger.log_turn(epoch, [(SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS) for k in turns],
-                            [front.size] * len(turns))
+                            [([front.size] * len(turns), 1)])
         epoch_losses: list[np.ndarray] = []
         for k in turns:
             me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
             mine, receiver = held[k], held[(k + 1) % k_clients]
             np.copyto(front, mine)
-            turn_losses, counts = _local_pass(model, *_turn_shard(spec, shards[k], sizes[k]), c,
-                                              front.size if hand_off == "batch" else None)
+            turn_losses, runs = _local_pass(model, *_turn_shard(spec, shards[k], sizes[k]), c,
+                                            front.size if hand_off == "batch" else None)
             if federated:
                 ledger.append(epoch, me, SERVER, MessageKind.CLIENT_WEIGHTS, front.size)
                 if k == 0:  # client 1's upload, kept as the base the others are folded around
@@ -451,13 +442,13 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
             else:
                 batch = ((me, SERVER, MessageKind.ACTIVATIONS), (me, SERVER, MessageKind.LABELS),
                          (SERVER, me, MessageKind.GRADIENTS), (me, nxt, MessageKind.CLIENT_WEIGHTS))
-                ledger.log_turn(epoch, batch if hand_off == "batch" else batch[:3], counts)
+                ledger.log_turn(epoch, batch if hand_off == "batch" else batch[:3], runs)
                 np.copyto(mine, front)
                 epoch_losses += turn_losses  # split loss: the mean over the epoch's batches
             if hand_off == "turn":
                 ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
             # a hand-off per batch copies the last one alone: no one reads it before the receiver's turn
-            if hand_off == "turn" or hand_off and counts:
+            if hand_off == "turn" or hand_off and runs:
                 np.copyto(receiver, front)
         if federated:
             nn_core.centered_mean(base, total, k_clients, out=global_vec)

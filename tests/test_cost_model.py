@@ -499,20 +499,23 @@ def test_break_even_refuses_the_first_k_whose_n_star_rounds_to_0(variant):
 
 
 @pytest.mark.parametrize(("p", "eta", "variant", "why", "ks"), [
-    # N* = 1/K rounds to 0 only past about 4e323, so only a long K gets there
-    (lambda k: 1, 0, Protocol.SPLIT_SYNC, "the break-even model size at K={} rounds to 0", [10**330]),
+    # N* = 1/K rounds to 0 only past about 4e323, so only a long K gets there; a K
+    # of 5,001 digits is past the 4,300 that str(int) writes by default
+    (lambda k: 1, 0, Protocol.SPLIT_SYNC, "the break-even model size at K={} rounds to 0", [10**330, 10**5000]),
     (lambda k: 10**700, 0.5, Protocol.SPLIT_SYNC, "the break-even model size at K={} lies past the float range",
      [10**330, 10**19]),
     # one record a batch hands off 6 * 15/23 > 2 model sizes a client
     (lambda k: 6 * k, Fraction(15, 23), Protocol.SPLIT_SYNC_BATCH,
-     "no model size balances SplitSyncBatch and Federated traffic at K={}", [10**330, 10**19]),
-], ids=["rounds-to-0", "past-float-range", "no-balance"])
+     "no model size balances SplitSyncBatch and Federated traffic at K={}", [10**330, 10**19, 10**5000]),
+    (lambda k: 1, 0, Protocol.FEDERATED, "no model size balances Federated and Federated traffic at K={}",
+     [10**5000, 10**19]),
+], ids=["rounds-to-0", "past-float-range", "no-balance", "federated"])
 def test_break_even_refusals_cut_k_to_20_digits(p, eta, variant, why, ks):
     # as a bad --k-range item is cut: 20 characters, then "..."; a K of 20 digits is quoted whole
     for k in ks:
         with pytest.raises(InvalidParam) as raised:
             break_even_curve(p(k), 1, eta, [k], variant)
-        assert str(raised.value) == why.format("1" + "0" * 19 + "..." if k == 10**330 else k)
+        assert str(raised.value) == why.format("1" + "0" * 19 + "..." if k > 10**20 else k)
 
 
 # --- the protocol's row ------------------------------------------------------

@@ -226,11 +226,33 @@ def test_ledger_rows_csv_and_cached_tally(first, later):
     assert list(ledger) == log
 
 
+# A turn's runs in the shapes a caller names them: one batch repeated with a
+# ragged last run, batches that change every time, runs of repeats, and runs
+# of repeat 0, which log nothing (any repeat of the first and third may be 0).
+@st.composite
+def turn_runs(draw, width):
+    one_batch = st.lists(st.integers(0, 3) | st.integers(0, 10**9), min_size=width, max_size=width)
+    shape = draw(st.sampled_from(["repeated", "changing", "runs", "unsent"]))
+    if shape == "unsent":
+        return draw(st.lists(st.tuples(one_batch, st.just(0)), max_size=3))
+    if shape == "repeated":  # the last run, if any, is a ragged batch sent once
+        return [(draw(one_batch), draw(st.integers(0, 60)))] + draw(st.lists(st.tuples(one_batch, st.just(1)),
+                                                                            max_size=1))
+    if shape == "changing":
+        return draw(st.lists(st.tuples(one_batch, st.just(1)), max_size=60))
+    return draw(st.lists(st.tuples(one_batch, st.integers(0, 20)), max_size=8))
+
+
+def expanded(epoch, batch, runs):
+    """A turn's messages, one by one: each run's batch ``repeat`` times."""
+    return [Message(epoch, *entry, n) for counts, repeat in runs for _ in range(repeat)
+            for entry, n in zip(batch, counts)]
+
+
 turns = st.lists(st.tuples(
     st.integers(0, 5),
     st.lists(st.tuples(st.sampled_from(ENDPOINTS), st.sampled_from(ENDPOINTS), st.sampled_from(list(MessageKind))),
              min_size=1, max_size=4),
-    st.integers(0, 5),
     st.data(),
 ), max_size=8)
 
@@ -239,12 +261,11 @@ turns = st.lists(st.tuples(
 @given(turns=turns)
 def test_a_turn_logs_what_its_messages_appended_one_by_one_log(turns):
     by_turn, by_message = TrafficLedger(), TrafficLedger()
-    for epoch, batch, batches, data in turns:
-        counts = data.draw(st.lists(st.integers(0, 10**9), min_size=batches * len(batch),
-                                    max_size=batches * len(batch)))
-        by_turn.log_turn(epoch, batch, counts)
-        for j, n in enumerate(counts):
-            by_message.append(epoch, *batch[j % len(batch)], n)
+    for epoch, batch, data in turns:
+        runs = data.draw(turn_runs(len(batch)))
+        by_turn.log_turn(epoch, batch, runs)
+        for m in expanded(epoch, batch, runs):
+            by_message.append(*m)
     assert len(by_turn) == len(by_message)
     assert list(by_turn) == list(by_message)
     turn_csv, message_csv = io.StringIO(), io.StringIO()
@@ -255,36 +276,19 @@ def test_a_turn_logs_what_its_messages_appended_one_by_one_log(turns):
     assert by_turn.totals_by_kind() == by_message.totals_by_kind()
 
 
-# A turn's counts in the shapes the ledger stores as runs: identical batches
-# with a ragged last one, batches that change every time, and runs of repeats.
-@st.composite
-def turn_counts(draw, width):
-    batches = draw(st.integers(0, 60))
-    one_batch = st.lists(st.integers(0, 3) | st.integers(0, 10**9), min_size=width, max_size=width)
-    shape = draw(st.sampled_from(["repeated", "changing", "runs"]))
-    if shape == "repeated":  # the last batch may differ, as a ragged one does
-        return draw(one_batch) * (batches - 1) + draw(one_batch) if batches else []
-    if shape == "changing":
-        return [n for _ in range(batches) for n in draw(one_batch)]
-    counts = []
-    while len(counts) < batches * width:
-        counts += draw(one_batch) * min(draw(st.integers(1, 20)), batches - len(counts) // width)
-    return counts
-
-
 # An endpoint a call may add: a known one, or one never seen before.
 endpoints = st.sampled_from(ENDPOINTS) | st.from_regex(r"[a-z]{1,3}[0-9]{0,2}", fullmatch=True)
 
 
 @st.composite
 def ledger_calls(draw):
-    """(epoch, batch, counts) of each call; a one-message batch with one count is an append."""
+    """(epoch, batch, runs) of each call; a one-message batch sent once is an append."""
     calls = []
     for _ in range(draw(st.integers(0, 12))):
         width = draw(st.integers(1, 4))
         batch = draw(st.lists(st.tuples(endpoints, endpoints, st.sampled_from(list(MessageKind))),
                               min_size=width, max_size=width))
-        calls.append((draw(st.integers(0, 3)), batch, draw(turn_counts(width))))
+        calls.append((draw(st.integers(0, 3)), batch, draw(turn_runs(width))))
     return calls
 
 
@@ -292,12 +296,12 @@ def ledger_calls(draw):
 @given(calls=ledger_calls())
 def test_the_run_ledger_reads_as_its_calls_expanded_into_messages(calls):
     ledger, log = TrafficLedger(), []
-    for epoch, batch, counts in calls:
-        if len(batch) == len(counts) == 1:
-            ledger.append(epoch, *batch[0], counts[0])
+    for epoch, batch, runs in calls:
+        if len(batch) == len(runs) == 1 and runs[0][1] == 1:
+            ledger.append(epoch, *batch[0], runs[0][0][0])
         else:
-            ledger.log_turn(epoch, batch, counts)
-        log += [Message(epoch, *batch[j % len(batch)], n) for j, n in enumerate(counts)]
+            ledger.log_turn(epoch, batch, runs)
+        log += expanded(epoch, batch, runs)
     assert list(ledger) == log
     assert len(ledger) == len(log)
     buf = io.StringIO()

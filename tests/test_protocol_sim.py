@@ -161,6 +161,44 @@ def test_a_sync_batch_turn_without_records_hands_off_no_weights():
     assert run.ledger.totals_by_kind()[MessageKind.CLIENT_WEIGHTS] == 15 * 2
 
 
+@pytest.mark.parametrize("variant, batch_size, logged", [
+    # shards of 4, 3 and 3 records: client 1's turn is one full batch and a
+    # ragged one of 1 record, each sent once, so every run of the epoch is
+    # one repeat-1 run
+    (Protocol.SPLIT_SYNC_BATCH, 3, [([([9, 6, 9, 15], 1), ([3, 2, 3, 15], 1)], [1]),
+                                    ([([9, 6, 9, 15], 1)], [1]), ([([9, 6, 9, 15], 1)], [1])]),
+    (Protocol.SPLIT_SYNC, 3, [([([9, 6, 9], 1), ([3, 2, 3], 1)], [1]), ([([15], 1)], [1]),
+                              ([([9, 6, 9], 1)], [1]), ([([15], 1)], [1]),
+                              ([([9, 6, 9], 1)], [1]), ([([15], 1)], [1])]),
+    # at batch 2 client 1's two full batches are one run of repeat 2, and
+    # the later turns' one-off batches and hand-offs extend one repeat-1 run
+    (Protocol.SPLIT_SYNC_BATCH, 2, [([([6, 4, 6, 15], 2)], [2]),
+                                    ([([6, 4, 6, 15], 1), ([3, 2, 3, 15], 1)], [2, 1]),
+                                    ([([6, 4, 6, 15], 1), ([3, 2, 3, 15], 1)], [2, 1])]),
+    (Protocol.SPLIT_SYNC, 2, [([([6, 4, 6], 2)], [2]), ([([15], 1)], [2, 1]),
+                              ([([6, 4, 6], 1), ([3, 2, 3], 1)], [2, 1]), ([([15], 1)], [2, 1]),
+                              ([([6, 4, 6], 1), ([3, 2, 3], 1)], [2, 1]), ([([15], 1)], [2, 1])]),
+], ids=["sync_batch-3", "sync-3", "sync_batch-2", "sync-2"])
+def test_the_simulator_logs_each_split_turn_as_its_runs(variant, batch_size, logged, monkeypatch):
+    # per log_turn call (a hand-off append is one): the runs it names, full
+    # batches, then a ragged batch, the hand-off last in each batch under
+    # sync_batch; and the ledger's repeats after it
+    calls = []
+    log_turn = TrafficLedger.log_turn
+
+    def recorded(self, epoch, batch, runs):
+        log_turn(self, epoch, batch, runs)
+        calls.append(([(list(counts), repeat) for counts, repeat in runs], list(self._repeats)))
+
+    monkeypatch.setattr(TrafficLedger, "log_turn", recorded)
+    x, y = random_dataset(SPEC, 10, 42)
+    run = run_split_training(SPEC, 1, partition_dataset(x, y, 3, strict=False), variant,
+                             epochs=1, lr=0.01, seed=42, batch_size=batch_size)
+    assert calls == logged
+    params = golden_params(p=10, clients=3, batch_size=batch_size, label_width=LABEL_WIDTH)
+    assert verify_against_model(run.ledger, params, variant).matches
+
+
 def test_activation_traffic_is_batch_size_invariant():
     for batch_size in (1, 2, 3):
         run = run_split_training(SPEC, 1, golden_shards(), Protocol.SPLIT_SYNC,
@@ -507,9 +545,9 @@ def test_a_federated_round_logs_its_downloads_as_k_appends_did(clients, monkeypa
     calls = Counter()
     log_turn = TrafficLedger.log_turn
 
-    def counted(self, epoch, batch, counts):
+    def counted(self, epoch, batch, runs):
         calls[len(batch)] += 1
-        log_turn(self, epoch, batch, counts)
+        log_turn(self, epoch, batch, runs)
 
     monkeypatch.setattr(TrafficLedger, "log_turn", counted)
     run = run_federated_training(SPEC, golden_shards(p=10, clients=clients), rounds, local_lr=0.01, seed=42)
@@ -724,14 +762,14 @@ def test_append_refuses_a_bad_message_and_changes_nothing(bad, epoch, sender, re
     with pytest.raises(InvalidParam, match=named):
         ledger.append(epoch, sender, receiver, kind, count)
     assert ledger_state(ledger) == before
-    # a turn of three two-message batches whose second message is the bad
-    # one's, its count in the first, the middle or the last batch
+    # a turn of three runs of two-message batches whose second message is the
+    # bad one's, its count in the first, the middle or the last run
     batch = ((client_id(1), SERVER, MessageKind.ACTIVATIONS), (sender, receiver, kind))
     for at in range(3):
-        counts = [3] * 6
-        counts[2 * at + 1] = count
+        runs = [([3, 3], 2)] * 3
+        runs[at] = ([3, count], 1 + at)
         with pytest.raises(InvalidParam, match=named):
-            ledger.log_turn(epoch, batch, counts)
+            ledger.log_turn(epoch, batch, runs)
         assert ledger_state(ledger) == before
     # the columns stay in step: the next message is read back whole
     ledger.append(2**31 - 1, SERVER, client_id(2), MessageKind.GRADIENTS, 2**63 - 1)
@@ -752,34 +790,50 @@ def test_log_turn_refuses_a_batch_entry_that_is_not_a_triple(entry):
     before = ledger_state(ledger)
     for batch in ([entry], [(client_id(1), SERVER, MessageKind.ACTIVATIONS), entry]):
         with pytest.raises(InvalidParam, match=re.escape(repr(entry))):
-            ledger.log_turn(0, batch, [1] * len(batch))
+            ledger.log_turn(0, batch, [([1] * len(batch), 1)])
         assert ledger_state(ledger) == before
 
 
-@pytest.mark.parametrize("batch, counts", [
-    (((client_id(1), SERVER, MessageKind.ACTIVATIONS), (SERVER, client_id(1), MessageKind.GRADIENTS)), [3] * 5),
-    (((client_id(1), SERVER, MessageKind.ACTIVATIONS),) * 3, [3] * 4),
-    ((), []),
-    ((), [3]),
-], ids=["2-message-batches-5-counts", "3-message-batches-4-counts", "empty-batch", "empty-batch-1-count"])
-def test_log_turn_refuses_counts_that_are_not_whole_batches(batch, counts):
+TWO_MESSAGES = ((client_id(1), SERVER, MessageKind.ACTIVATIONS), (SERVER, client_id(1), MessageKind.GRADIENTS))
+
+
+@pytest.mark.parametrize("batch, runs, why", [
+    (TWO_MESSAGES, [([3, 3], 2), ([3, 3, 3], 1)], "has 3 scalar counts"),
+    (TWO_MESSAGES, [([3], 0)], "has 1 scalar counts"),  # checked though it logs nothing
+    ((), [], "at least one message"),
+    ((), [([], 1)], "at least one message"),
+    (TWO_MESSAGES, [([3, 3], 2), ([3, 3], -1)], "got -1"),
+    (TWO_MESSAGES, [([3, 3], True)], "got True"),  # bool is an int subclass
+    (TWO_MESSAGES, [([3, 3], 2.0)], "got 2.0"),
+    (TWO_MESSAGES, [([3, 3], np.int64(2))], re.escape(f"got {np.int64(2)!r}")),
+    (TWO_MESSAGES, [([3, 3], 1), ([3, 3], 2**63)], f"got {2**63}"),
+    ((TWO_MESSAGES[0], (client_id(3), client_id(4), MessageKind.CLIENT_WEIGHTS)), [([3, 3], 2**63)],
+     f"got {2**63}"),  # two new endpoints
+], ids=["3-counts-for-2", "1-count-for-2-unsent", "empty-batch", "empty-batch-1-run", "repeat-negative",
+        "repeat-bool", "repeat-float", "repeat-int64", "repeat-past-int64", "repeat-past-int64-new-endpoints"])
+def test_log_turn_refuses_a_bad_run_and_changes_nothing(batch, runs, why):
     ledger = TrafficLedger()
     ledger.append(0, client_id(1), SERVER, MessageKind.LABELS, 2)
     before = ledger_state(ledger)
-    with pytest.raises(InvalidParam, match="not a whole number of"):
-        ledger.log_turn(0, batch, counts)
+    with pytest.raises(InvalidParam, match=why):
+        ledger.log_turn(0, batch, runs)
     assert ledger_state(ledger) == before
+    # no endpoint joined the table: the next new one takes the next index
+    ledger.append(0, client_id(5), SERVER, MessageKind.LABELS, 2)
+    assert ledger._names == [SERVER, client_id(1), client_id(5)]
 
 
 def test_a_turn_of_no_batches_logs_nothing_but_checks_its_batch():
     ledger = TrafficLedger()
     ledger.log_turn(0, ((client_id(1), SERVER, MessageKind.ACTIVATIONS),), [])
-    assert len(ledger) == 0 and ledger.tally() == {}
-    for epoch, batch in [(0, ((client_id(1), SERVER, "Activations"),)),
-                         (-1, ((client_id(1), SERVER, MessageKind.ACTIVATIONS),)),
-                         (0, (("client 1", SERVER, MessageKind.ACTIVATIONS),))]:
+    ledger.log_turn(0, ((client_id(1), SERVER, MessageKind.ACTIVATIONS),), [([5], 0), ([6], 0)])
+    assert len(ledger) == 0 and ledger.tally() == {} and ledger._names == [SERVER]
+    for epoch, batch, runs in [(0, ((client_id(1), SERVER, "Activations"),), []),
+                               (-1, ((client_id(1), SERVER, MessageKind.ACTIVATIONS),), []),
+                               (0, (("client 1", SERVER, MessageKind.ACTIVATIONS),), []),
+                               (0, ((client_id(1), SERVER, MessageKind.ACTIVATIONS),), [([-1], 0)])]:
         with pytest.raises(InvalidParam):
-            ledger.log_turn(epoch, batch, [])
+            ledger.log_turn(epoch, batch, runs)
     assert ledger_state(ledger) == ([], {}, dict.fromkeys(MessageKind, 0), "epoch,sender,receiver,kind,scalar_count\n")
 
 
@@ -808,7 +862,7 @@ def log_ring_epochs(ledger, epochs=3):
         for k, me in enumerate(names):
             batch = ((me, SERVER, MessageKind.ACTIVATIONS), (me, SERVER, MessageKind.LABELS),
                      (SERVER, me, MessageKind.GRADIENTS))
-            ledger.log_turn(epoch, batch, [4, 4, 8] * RING_RECORDS)
+            ledger.log_turn(epoch, batch, [([4, 4, 8], RING_RECORDS)])
             ledger.append(epoch, me, names[(k + 1) % RING_CLIENTS], MessageKind.CLIENT_WEIGHTS, 172)
 
 
@@ -822,7 +876,7 @@ def log_changing_turns(ledger, turns=1_000, batches=50):
     # 100,000 messages in turns whose counts change every batch
     batch = ((client_id(1), SERVER, MessageKind.ACTIVATIONS), (SERVER, client_id(2), MessageKind.GRADIENTS))
     for turn in range(turns):
-        ledger.log_turn(0, batch, [turn + b for b in range(batches) for _ in batch])
+        ledger.log_turn(0, batch, [([turn + b] * len(batch), 1) for b in range(batches)])
 
 
 def test_ledger_holds_a_message_in_24_bytes():
@@ -890,7 +944,7 @@ def test_to_csv_writes_a_long_turn_in_bounded_chunks():
     batch = ((me, SERVER, MessageKind.ACTIVATIONS), (me, SERVER, MessageKind.LABELS),
              (SERVER, me, MessageKind.GRADIENTS))
     ledger = TrafficLedger()
-    ledger.log_turn(3, batch, [8, 4, 8] * (batches - 1) + [1, 1, 1])
+    ledger.log_turn(3, batch, [([8, 4, 8], batches - 1), ([1, 1, 1], 1)])
     out = WriteSizes()
     ledger.to_csv(out)
     lines = "3,client1,server,Activations,8\n3,client1,server,Labels,4\n3,server,client1,Gradients,8\n"
