@@ -1,24 +1,30 @@
 """Deterministic protocol simulator with a per-message traffic ledger.
 
 Runs split training (three weight-sync variants) and federated averaging as
-strictly sequential event sequences over an in-process message bus with zero
+event sequences in a fixed order over an in-process message bus with zero
 loss and zero latency; only payload sizes matter. One loop walks epochs
 (federated rounds), client turns and batches for every protocol and returns a
 :class:`RunResult`, whose ``server_params`` is the global model under
-federated. The one working model trains through step plans built once per
-run (:class:`.nn_core.StepPlan`), and a turn's batch losses are reduced once,
-when the turn ends. Split loss averages an epoch's batches; federated loss
-averages a round's per-client means. Every transfer lands in an append-only
-ledger whose scalar counts come from the actual array sizes, so comparing
-ledger totals against the closed forms in :mod:`.cost_model` is a genuine
-cross-check rather than the same formula evaluated twice.
+federated. A federated round's clients do not depend on each other until the
+average, so they train two at a time (:class:`_FederatedRound`), the ledger
+and the average still written in client order. Each working model trains
+through step plans built once per run (:class:`.nn_core.StepPlan`), and a
+turn's batch losses are reduced once, when the turn ends. Split loss averages
+an epoch's batches; federated loss averages a round's per-client means.
+Every transfer lands in an append-only ledger whose scalar counts come from
+the actual array sizes, so comparing ledger totals against the closed forms
+in :mod:`.cost_model` is a genuine cross-check rather than the same formula
+evaluated twice.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import accumulate, chain, islice, pairwise
 from typing import Iterator, NamedTuple, Sequence
 
@@ -321,21 +327,27 @@ def _turn_shard(spec: ModelSpec, shard, records: int) -> tuple[np.ndarray, np.nd
 
 
 class _WorkingModel:
-    """The one model a run trains: a flat weight vector and the step plans over
-    it, built once per run: one for the shards' full batches, with a row of
+    """A model a run trains: a flat weight vector and the step plans over it,
+    built once per run: one for the shards' full batches, with a row of
     differences for each of a turn's batches (up to ``nn_core.DIFF_BLOCK``
     scalars), and one for each size of ragged last batch they leave, which
     runs in the front of the largest plan's buffers. ``lr`` is a 0-d float64
-    array. A turn copies the weights it trains in and out; nothing else holds
-    a view of them."""
+    array. A split run has one, and a turn copies the weights it trains in and
+    out; a federated run has one per vector its clients train in
+    (:class:`_FederatedRound`). ``lender``, a model over another vector whose
+    passes never run while this one's do, lends its largest plan's buffers
+    and SGD scratch to this model's largest plan: a plan's buffers hold
+    nothing from one pass to the next."""
 
-    def __init__(self, spec: ModelSpec, params: np.ndarray, batch_size: int, shard_sizes, lr: float) -> None:
+    def __init__(self, spec: ModelSpec, params: np.ndarray, batch_size: int, shard_sizes, lr: float,
+                 lender: _WorkingModel | None = None) -> None:
         self.params, self.batch_size, self.lr = params, batch_size, np.array(lr, dtype=np.float64)
         runs = {batch_size: max(shard_sizes) // batch_size, **{size % batch_size: 1 for size in shard_sizes}}
         self.plans: dict[int, nn_core.StepPlan] = {}
+        lent = None if lender is None else next(iter(lender.plans.values()), None)
         for records, batches in sorted(runs.items(), reverse=True):
             if records and batches:
-                base = next(iter(self.plans.values()), None)
+                base = next(iter(self.plans.values()), lent)
                 self.plans[records] = nn_core.StepPlan(spec, params, records, batches, base=base)
 
 
@@ -386,6 +398,100 @@ def _turns(protocol: Protocol, epoch: int, clients: int) -> range:
     return range(epoch % clients, epoch % clients + 1) if protocol.rotates else range(clients)
 
 
+# The clients of a federated round that train at once: two, or one where this
+# process may run on one CPU (or the machine has one, where affinity is not
+# known), and then a pair's second client trains after its first. A round
+# has the same bits either way, so it is not an option.
+LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+# The fewest parameters a model needs for its clients to train two at once.
+# Below them a step's numpy calls are too short to run long without the GIL,
+# and two lanes wait on each other: on a 2-vCPU Xeon with one BLAS thread, a
+# batch-1 step with two lanes took 2.9x the time of one at N = 4,680, 1.0x
+# at 77,962, 0.77x at 102,538 and 0.65x at 265,482.
+LANE_MIN_PARAMS = 1 << 17
+
+
+def _at_once(calls: list, lanes: int) -> list:
+    """The results of ``calls``, one or two, in order. With two calls and two
+    lanes, the second runs on a partner thread while the first runs on this
+    one. The partner runs in this thread's numpy error state (numpy keeps it
+    per thread) and is joined before anything leaves, and an exception raised
+    in it is raised again here."""
+    if len(calls) < 2 or lanes < 2:
+        return [call() for call in calls]
+    first, second = calls
+    state, out = np.geterr(), [None, None]  # the partner's result, or its exception
+
+    def partner() -> None:
+        try:
+            with np.errstate(**state):
+                out[0] = second()
+        except BaseException as exc:
+            out[1] = exc
+
+    thread = threading.Thread(target=partner, name="splitfed-lane")
+    thread.start()
+    try:
+        mine = first()
+    finally:
+        thread.join()
+    if out[1] is not None:
+        raise out[1]
+    return [mine, out[0]]
+
+
+class _FederatedRound:
+    """A federated run's round scheduler and its four N-vectors: the global
+    model, the working model's weights, client 1's base and the sum.
+
+    Client 1 trains in ``base`` itself, client 2 and the middle clients take
+    turns in the working model, and from K = 3 the last client trains in the
+    global model, after every other client has copied it. Two consecutive
+    clients in different vectors train at once (:func:`_at_once`), each lane
+    in its own vector's plans: so (1, 2) from K = 2, and (K-1, K) from K = 4.
+    The global model's plans borrow base's buffers and scratch, since the two
+    never train in one step. Shards are read (:func:`_turn_shard`), uploads
+    logged, folded (:func:`.nn_core.fold_centered`) and per-client losses
+    taken on the calling thread, in client order, so the round has the bits
+    of one where the clients train one after another."""
+
+    def __init__(self, spec: ModelSpec, shards: Sequence, sizes: list[int], working: _WorkingModel) -> None:
+        self.spec, self.shards, self.sizes = spec, shards, sizes
+        self.global_vec, self.total = working.params.copy(), np.empty_like(working.params)
+        base = _WorkingModel(spec, np.empty_like(working.params), working.batch_size, sizes, working.lr)
+        self.models = [base] + [working] * (len(sizes) - 1)  # the model each client trains in
+        if len(sizes) >= 3:
+            self.models[-1] = _WorkingModel(spec, self.global_vec, working.batch_size, sizes, working.lr,
+                                            lender=base)
+        self.lanes = LANES if working.params.size >= LANE_MIN_PARAMS else 1
+        self.steps, k = [], 0  # the clients that train at once, step by step
+        while k < len(sizes):
+            step = 2 if k + 1 < len(sizes) and self.models[k + 1] is not self.models[k] else 1
+            self.steps.append(range(k, k + step))
+            k += step
+
+    def run(self, epoch: int, ledger: TrafficLedger) -> list[np.ndarray]:
+        """Train every client from the global model, log its upload, fold it
+        and replace the global model with the mean; returns each client's mean
+        loss, for the clients with records."""
+        base, losses = self.models[0].params, []
+        for step in self.steps:
+            passes = []
+            for k in step:
+                model = self.models[k]
+                if model.params is not self.global_vec:
+                    np.copyto(model.params, self.global_vec)
+                x, y = _turn_shard(self.spec, self.shards[k], self.sizes[k])
+                passes.append(partial(_local_pass, model, x, y, None, None))
+            for k, (turn_losses, _) in zip(step, _at_once(passes, self.lanes)):
+                ledger.append(epoch, client_id(k + 1), SERVER, MessageKind.CLIENT_WEIGHTS, base.size)
+                nn_core.fold_centered(self.total, self.models[k].params, base)
+                if turn_losses:  # federated loss: the mean of the per-client means
+                    losses.append(np.mean(np.concatenate(turn_losses), keepdims=True))
+        nn_core.centered_mean(base, self.total, len(self.sizes), out=self.global_vec)
+        return losses
+
+
 @dataclass
 class RunResult:
     client_params: list[np.ndarray]  # per split client, latest weights held; [] under federated
@@ -398,14 +504,14 @@ class RunResult:
 def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protocol, epochs: int, lr: float,
            seed: int, batch_size: int) -> RunResult:
     """Every protocol's run, as its row says: epochs, then the clients of
-    :func:`_turns`, then the batches of :func:`_local_pass` on the one working
-    model. Each shard is checked once before the first turn and read again for
-    each of its turns, held to the shape found (:func:`_turn_shard`), so a run
-    holds one shard at a time. A turn copies its client's weights in: a split
-    client's into the front ``[:n_client]``, its traffic at ``cut`` logged in
-    one :meth:`TrafficLedger.log_turn` call when the turn ends, and copied
-    back out; or the global model into the whole, uploaded and folded into the
-    round's mean. A non-finite loss over trained records raises
+    :func:`_turns`, then the batches of :func:`_local_pass`. Each shard is
+    checked once before the first turn and read again for each of its turns,
+    held to the shape found (:func:`_turn_shard`), so a run holds one shard a
+    lane at a time. A split turn copies its client's weights into the front
+    ``[:n_client]`` of the one working model, logs its traffic at ``cut`` in
+    one :meth:`TrafficLedger.log_turn` call when the turn ends, and copies
+    them back out. A federated round logs its downloads and runs its
+    :class:`_FederatedRound`. A non-finite loss over trained records raises
     :class:`Diverged`."""
     federated, hand_off = not protocol.splits, protocol.hand_off
     sizes = _checked_run(spec, shards, "rounds" if federated else "epochs", epochs, batch_size)
@@ -414,8 +520,7 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
     model = _WorkingModel(spec, nn_core.init_params(spec, seed), batch_size, sizes, lr)  # split: front, then back
     front = model.params if federated else model.params[:nn_core.client_param_count(spec, c)]
     if federated:
-        global_vec, base, total = front.copy(), np.empty_like(front), np.empty_like(front)
-        held = [global_vec] * k_clients  # every turn starts from the global model
+        scheduler = _FederatedRound(spec, shards, sizes, model)
     else:
         held = [front.copy() for _ in range(k_clients)]
     ledger, losses = TrafficLedger(), []
@@ -425,40 +530,32 @@ def _train(spec: ModelSpec, cut: int | None, shards: Sequence, protocol: Protoco
         if federated:  # the round's downloads, one message a client, logged as one turn
             ledger.log_turn(epoch, [(SERVER, client_id(k + 1), MessageKind.GLOBAL_WEIGHTS) for k in turns],
                             [([front.size] * len(turns), 1)])
-        epoch_losses: list[np.ndarray] = []
-        for k in turns:
-            me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
-            mine, receiver = held[k], held[(k + 1) % k_clients]
-            np.copyto(front, mine)
-            turn_losses, runs = _local_pass(model, *_turn_shard(spec, shards[k], sizes[k]), c,
-                                            front.size if hand_off == "batch" else None)
-            if federated:
-                ledger.append(epoch, me, SERVER, MessageKind.CLIENT_WEIGHTS, front.size)
-                if k == 0:  # client 1's upload, kept as the base the others are folded around
-                    np.copyto(base, front)
-                nn_core.fold_centered(total, front if k else base, base)
-                if turn_losses:  # federated loss: the mean of the per-client means
-                    epoch_losses.append(np.mean(np.concatenate(turn_losses), keepdims=True))
-            else:
+            epoch_losses = scheduler.run(epoch, ledger)
+        else:
+            epoch_losses = []  # split loss: the mean over the epoch's batches
+            for k in turns:
+                me, nxt = client_id(k + 1), client_id((k + 1) % k_clients + 1)
+                mine, receiver = held[k], held[(k + 1) % k_clients]
+                np.copyto(front, mine)
+                turn_losses, runs = _local_pass(model, *_turn_shard(spec, shards[k], sizes[k]), c,
+                                                front.size if hand_off == "batch" else None)
                 batch = ((me, SERVER, MessageKind.ACTIVATIONS), (me, SERVER, MessageKind.LABELS),
                          (SERVER, me, MessageKind.GRADIENTS), (me, nxt, MessageKind.CLIENT_WEIGHTS))
                 ledger.log_turn(epoch, batch if hand_off == "batch" else batch[:3], runs)
                 np.copyto(mine, front)
-                epoch_losses += turn_losses  # split loss: the mean over the epoch's batches
-            if hand_off == "turn":
-                ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
-            # a hand-off per batch copies the last one alone: no one reads it before the receiver's turn
-            if hand_off == "turn" or hand_off and runs:
-                np.copyto(receiver, front)
-        if federated:
-            nn_core.centered_mean(base, total, k_clients, out=global_vec)
+                epoch_losses += turn_losses
+                if hand_off == "turn":
+                    ledger.append(epoch, me, nxt, MessageKind.CLIENT_WEIGHTS, front.size)
+                # a hand-off per batch copies the last one alone: no one reads it before the receiver's turn
+                if hand_off == "turn" or hand_off and runs:
+                    np.copyto(receiver, front)
         loss = float(np.mean(np.concatenate(epoch_losses))) if epoch_losses else math.nan  # NaN: no records seen
         if epoch_losses and not math.isfinite(loss):
             raise Diverged(f"training diverged: {'round' if federated else 'epoch'} {epoch} loss is {loss} "
                            "(try a smaller learning rate)")
         losses.append(loss)
 
-    server = global_vec if federated else model.params[front.size:].copy()
+    server = scheduler.global_vec if federated else model.params[front.size:].copy()
     return RunResult([] if federated else held, server, ledger, losses)
 
 
@@ -502,11 +599,17 @@ def run_federated_training(
     Each round the server sends the N-scalar global model down to every
     client, every client runs one local epoch of SGD on its shard, uploads
     its full N-scalar model, and the server replaces the global model with
-    the elementwise average of the uploads, folded as each client finishes
-    (:func:`nn_core.fold_centered`) around client 1's upload. A run holds
-    four N-vectors (global, working weights, base, sum) and the SGD step's
-    block scratch whatever K is. Round loss is the mean over clients with
-    records of their mean batch loss (NaN when no client had records).
+    the elementwise average of the uploads, folded in client order
+    (:func:`nn_core.fold_centered`) around client 1's upload. Clients 1 and
+    2 train at once, and from K = 4 so do clients K-1 and K, on up to
+    ``LANES`` threads, for models of at least ``LANE_MIN_PARAMS`` parameters;
+    any others train one at a time. Client 1 trains in the base, client 2
+    and the middle clients in the working weights, and from K = 3 the last
+    client in the global model itself, so a run still holds four N-vectors
+    (global, working weights, base, sum) whatever K is, and each lane one
+    SGD block scratch and one shard. The weights, losses and ledger are the
+    same bits whatever the lane count. Round loss is the mean over clients
+    with records of their mean batch loss (NaN when no client had records).
     """
     return _train(spec, None, shards, Protocol.FEDERATED, rounds, local_lr, seed, batch_size)
 

@@ -5,6 +5,9 @@ import io
 import itertools
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -285,15 +288,18 @@ def test_single_client_split_equals_monolithic_sgd():
 
 
 def test_held_weights_never_alias(monkeypatch):
-    # A turn copies weights in and out of the run's one working model, a
-    # hand-off copies into the receiver's buffer, and a run returns its own
+    # A split turn copies weights in and out of the run's one working model,
+    # a hand-off copies into the receiver's buffer, and a run returns its own
     # vectors: no held, server or global vector shares memory with another,
-    # or with the working model's weights and its step plans' SGD scratch.
+    # or with a working model's weights and its step plans' SGD scratch. A
+    # federated round of three clients trains in base, the working model and
+    # the global model itself, which is the run's server vector and whose plans
+    # take base's scratch: those are its only shares.
     models = []
 
     class RecordedModel(protocol_sim._WorkingModel):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             models.append(self)
 
     monkeypatch.setattr(protocol_sim, "_WorkingModel", RecordedModel)
@@ -301,11 +307,15 @@ def test_held_weights_never_alias(monkeypatch):
     for variant in (*SPLIT_PROTOCOLS, Protocol.FEDERATED):
         if variant is Protocol.FEDERATED:
             run = run_federated_training(SPEC, shards, rounds=2, local_lr=0.01, seed=42)
+            working, base, last = models
+            assert last.params is run.server_params
+            assert all(plan.scratch is base.plans[1].scratch for plan in last.plans.values())
+            models.remove(last)
         else:
             run = run_split_training(SPEC, 1, shards, variant, epochs=2, lr=0.01, seed=42)
-        (model,) = models
+        buffers = [*run.client_params, run.server_params, *(model.params for model in models),
+                   *(plan.scratch for model in models for plan in model.plans.values())]
         models.clear()
-        buffers = [*run.client_params, run.server_params, model.params, *(p.scratch for p in model.plans.values())]
         for i, a in enumerate(buffers):
             for b in buffers[i + 1 :]:
                 assert not np.shares_memory(a, b), variant
@@ -343,17 +353,19 @@ def test_losses_reduced_as_the_bounded_rows_fill_keep_their_bits(monkeypatch, va
 @pytest.mark.parametrize("activation", list(Activation))
 def test_ragged_batches_run_in_the_full_plans_buffers_with_the_same_bits(monkeypatch, variant, activation):
     # Shards of 10, 9 and 9 records at batch 4 leave ragged batches of 2 and 1
-    # records. The 2-record plan borrows the front of every buffer of the
-    # 4-record plan and both ragged plans its SGD scratch, so a ragged batch
-    # holds no step memory of its own; the run keeps the bits of one where
-    # every plan makes its own buffers.
+    # records. In each working model the 2-record plan borrows the front of
+    # every buffer of the 4-record plan and both ragged plans its SGD scratch,
+    # so a ragged batch holds no step memory of its own; a federated round's
+    # last client trains in the global model, whose 4-record plan borrows
+    # base's. The run keeps the bits of one where every plan makes its own
+    # buffers.
     spec = ModelSpec((4, 6, 5, 3), activation)
     shards = partition_dataset(*random_dataset(spec, 28, 7), 3, strict=False)
     models = []
 
     class RecordedModel(protocol_sim._WorkingModel):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             models.append(self)
 
     def run():
@@ -365,13 +377,18 @@ def test_ragged_batches_run_in_the_full_plans_buffers_with_the_same_bits(monkeyp
 
     monkeypatch.setattr(protocol_sim, "_WorkingModel", RecordedModel)
     shared = run()
-    (model,) = models
-    full, two, one = (model.plans[r] for r in (4, 2, 1))
-    assert len(two._buffers) == len(full._buffers)
-    assert all(np.shares_memory(a, b) for a, b in zip(two._buffers, full._buffers))
-    assert two.scratch is full.scratch and one.scratch is full.scratch
-    # a one-record input ends in a 1 that no other plan's rows overwrite
-    assert not any(np.shares_memory(a, b) for a in one.acts[:-1] for b in full._buffers + two._buffers)
+    assert len(models) == (3 if variant is Protocol.FEDERATED else 1)
+    for model in models:
+        full, two, one = (model.plans[r] for r in (4, 2, 1))
+        assert len(two._buffers) == len(full._buffers)
+        assert all(np.shares_memory(a, b) for a, b in zip(two._buffers, full._buffers))
+        assert two.scratch is full.scratch and one.scratch is full.scratch
+        # a one-record input ends in a 1 that no other plan's rows overwrite
+        assert not any(np.shares_memory(a, b) for a in one.acts[:-1] for b in full._buffers + two._buffers)
+    if variant is Protocol.FEDERATED:
+        _, base, last = (model.plans[4] for model in models)
+        assert last.scratch is base.scratch
+        assert all(np.shares_memory(a, b) for a, b in zip(last._buffers, base._buffers))
 
     plan = nn_core.StepPlan
     monkeypatch.setattr(nn_core, "StepPlan", lambda *args, base=None: plan(*args))
@@ -440,16 +457,18 @@ def test_a_turn_converts_a_shard_read_again_as_the_check_does():
 
 
 class _CountingCore:
-    """Stands in for protocol_sim's ``nn_core``, counting the calls made through it."""
+    """Stands in for protocol_sim's ``nn_core``, counting the calls made
+    through it, under a lock: a federated round's two lanes call at once."""
 
     def __init__(self):
-        self.calls = Counter()
+        self.calls, self.lock = Counter(), threading.Lock()
 
     def __getattr__(self, name):
         fn = getattr(nn_core, name)
 
         def counted(*args, **kwargs):
-            self.calls[name] += 1
+            with self.lock:
+                self.calls[name] += 1
             return fn(*args, **kwargs)
 
         return counted
@@ -587,6 +606,97 @@ def test_federated_identical_shards_match_single_client_training():
             grads = gradients(SPEC, params, x[i : i + 1], y[i : i + 1])[1]
             params = sgd_step(params, grads, 0.05)
     assert np.array_equal(run.server_params, params)
+
+
+@pytest.mark.parametrize("clients, steps", [
+    (1, [(0,)]),
+    (2, [(0, 1)]),
+    (3, [(0, 1), (2,)]),
+    (4, [(0, 1), (2, 3)]),
+    (5, [(0, 1), (2,), (3, 4)]),
+    (7, [(0, 1), (2,), (3,), (4,), (5, 6)]),
+])
+def test_a_federated_round_pairs_its_first_two_and_last_two_clients(monkeypatch, clients, steps):
+    # client 1 trains in base, client 2 and the middle clients in the working
+    # model, and from K = 3 the last client in the global model: consecutive
+    # clients in different vectors train at once, on a model of at least
+    # LANE_MIN_PARAMS parameters
+    x, y = random_dataset(SPEC, clients, 1)
+    shards = partition_dataset(x, y, clients)
+    sizes = [1] * clients
+    working = protocol_sim._WorkingModel(SPEC, init_params(SPEC, 1), 1, sizes, 0.01)
+    monkeypatch.setattr(protocol_sim, "LANES", 2)
+    for min_params, lanes in ((param_count(SPEC), 2), (param_count(SPEC) + 1, 1)):
+        monkeypatch.setattr(protocol_sim, "LANE_MIN_PARAMS", min_params)
+        assert protocol_sim._FederatedRound(SPEC, shards, sizes, working).lanes == lanes
+    scheduler = protocol_sim._FederatedRound(SPEC, shards, sizes, working)
+    assert [tuple(step) for step in scheduler.steps] == steps
+    vectors = [model.params for model in scheduler.models]
+    assert vectors[0] is not scheduler.global_vec and not np.shares_memory(vectors[0], working.params)
+    assert all(v is working.params for v in vectors[1 : max(2, clients - 1)])
+    assert (vectors[-1] is scheduler.global_vec) == (clients >= 3)
+
+
+def _federated_bytes(run):
+    csv = io.StringIO()
+    run.ledger.to_csv(csv)
+    return run.server_params.tobytes(), run.losses, list(run.ledger), csv.getvalue()
+
+
+@pytest.mark.parametrize("activation", [Activation.SIGMOID, Activation.RELU])
+@pytest.mark.parametrize("clients", [1, 2, 3, 4, 5, 7])
+@pytest.mark.parametrize("batch_size, records", [
+    # even shards of two records
+    pytest.param(1, lambda k: 2 * k, id="batch1-even"),
+    # lenient shards of 4 and 5 records: ragged batches of 1 and 2
+    pytest.param(3, lambda k: 4 * k + k // 2 + 1, id="batch3-ragged"),
+    # lenient shards of one record and, from K = 2, a client with none
+    pytest.param(3, lambda k: max(1, k - 1), id="batch3-empty-client"),
+])
+def test_federated_bits_do_not_depend_on_the_lane_count(monkeypatch, activation, clients, batch_size, records):
+    spec = ModelSpec((4, 6, 5, 3), activation)
+    shards = partition_dataset(*random_dataset(spec, records(clients), 7), clients, strict=False)
+
+    def run(lanes):
+        monkeypatch.setattr(protocol_sim, "LANES", lanes)
+        monkeypatch.setattr(protocol_sim, "LANE_MIN_PARAMS", 0)
+        return _federated_bytes(run_federated_training(spec, shards, rounds=3, local_lr=0.05, seed=3,
+                                                       batch_size=batch_size))
+
+    one = run(1)
+    assert all(math.isfinite(loss) for loss in one[1])
+    assert run(2) == one
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the lanes trade the interpreter as often as it lets them
+    try:
+        assert run(2) == one
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("on_partner", [True, False])
+def test_a_failure_in_either_lane_is_raised_after_the_partner_joins(monkeypatch, on_partner):
+    # the step raises on one lane's client and is slowed on the other's; the
+    # run raises it once the other lane has finished, so no partner thread
+    # outlives the run
+    class StepFailed(Exception):
+        pass
+
+    caller, sgd = threading.current_thread(), nn_core.sgd_step
+
+    def failing(plan, lr):
+        if (threading.current_thread() is not caller) == on_partner:
+            raise StepFailed
+        time.sleep(0.01)
+        return sgd(plan, lr)
+
+    monkeypatch.setattr(protocol_sim, "LANES", 2)
+    monkeypatch.setattr(protocol_sim, "LANE_MIN_PARAMS", 0)
+    monkeypatch.setattr(protocol_sim.nn_core, "sgd_step", failing)
+    threads = threading.active_count()
+    with pytest.raises(StepFailed):
+        run_federated_training(SPEC, golden_shards(p=8, clients=4), rounds=2, local_lr=0.01, seed=42)
+    assert threading.active_count() == threads
 
 
 # --- measured reports and verification ----------------------------------------
