@@ -237,13 +237,16 @@ class StepPlan:
     Each call keeps the kernel and operand order of the expression in its
     comment, so a step has that expression's bits.
 
-    A ``base`` plan of the same spec over the same ``params`` and more
-    records lends its buffers: a plan of more than one record takes the
-    front of each of the base's, in the order they were made, wherever that
-    holds enough, and any plan takes the base's SGD scratch if it holds the
-    plan's largest block. The two then overwrite each other's buffers, so
-    they serve batches one after the other, the base's losses reduced
-    first: a shard's ragged last batch runs in the full batches' memory.
+    A ``base`` plan of the same spec and more records lends its buffers: a
+    plan of more than one record takes the front of each of the base's, in
+    the order they were made, wherever that holds enough, and any plan takes
+    the base's SGD scratch if it holds the plan's largest block. The two then
+    overwrite each other's buffers, so they serve batches one after the
+    other, the base's losses reduced first: a shard's ragged last batch runs
+    in the full batches' memory. The base may be over other ``params`` (a
+    federated round's global model borrows from its base's plans), so long
+    as the two plans' passes never overlap: no buffer is a view of
+    ``params``, and a buffer holds nothing from one pass to the next.
     """
 
     def __init__(self, spec: ModelSpec, params: np.ndarray, records: int, batches: int = 1,

@@ -262,8 +262,10 @@ class GeneratedShards:
     :func:`.nn_core.random_dataset`), and holds that block; a shard within
     it is read as a view. So reading every shard in order makes each record
     once, a one-record shard costs no call of ``make``, and no more than
-    one block, or one shard if larger, exists. A run reads each shard once
-    to check it and once a turn."""
+    one block, or one shard if larger, is held; a caller that keeps a shard
+    while it reads the next, as a federated round's two lanes do, keeps
+    that shard's block too, so up to one block a lane exists. A run reads
+    each shard once to check it and once a turn."""
 
     def __init__(self, make, spec: ModelSpec, records: int, seed: int, clients: int, strict: bool = True) -> None:
         self._make, self._spec, self._records, self._seed = make, spec, records, seed
@@ -401,14 +403,10 @@ def _turns(protocol: Protocol, epoch: int, clients: int) -> range:
 # The clients of a federated round that train at once: two, or one where this
 # process may run on one CPU (or the machine has one, where affinity is not
 # known), and then a pair's second client trains after its first. A round
-# has the same bits either way, so it is not an option.
+# has the same bits either way, so it is not an option. Two lanes pay where
+# a step's numpy calls are long enough to run without the GIL (wide-fedavg's
+# shape); a model of a few thousand parameters trains slower with them.
 LANES = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-# The fewest parameters a model needs for its clients to train two at once.
-# Below them a step's numpy calls are too short to run long without the GIL,
-# and two lanes wait on each other: on a 2-vCPU Xeon with one BLAS thread, a
-# batch-1 step with two lanes took 2.9x the time of one at N = 4,680, 1.0x
-# at 77,962, 0.77x at 102,538 and 0.65x at 265,482.
-LANE_MIN_PARAMS = 1 << 17
 
 
 def _at_once(calls: list, lanes: int) -> list:
@@ -463,7 +461,6 @@ class _FederatedRound:
         if len(sizes) >= 3:
             self.models[-1] = _WorkingModel(spec, self.global_vec, working.batch_size, sizes, working.lr,
                                             lender=base)
-        self.lanes = LANES if working.params.size >= LANE_MIN_PARAMS else 1
         self.steps, k = [], 0  # the clients that train at once, step by step
         while k < len(sizes):
             step = 2 if k + 1 < len(sizes) and self.models[k + 1] is not self.models[k] else 1
@@ -483,7 +480,7 @@ class _FederatedRound:
                     np.copyto(model.params, self.global_vec)
                 x, y = _turn_shard(self.spec, self.shards[k], self.sizes[k])
                 passes.append(partial(_local_pass, model, x, y, None, None))
-            for k, (turn_losses, _) in zip(step, _at_once(passes, self.lanes)):
+            for k, (turn_losses, _) in zip(step, _at_once(passes, LANES)):
                 ledger.append(epoch, client_id(k + 1), SERVER, MessageKind.CLIENT_WEIGHTS, base.size)
                 nn_core.fold_centered(self.total, self.models[k].params, base)
                 if turn_losses:  # federated loss: the mean of the per-client means
@@ -602,8 +599,7 @@ def run_federated_training(
     the elementwise average of the uploads, folded in client order
     (:func:`nn_core.fold_centered`) around client 1's upload. Clients 1 and
     2 train at once, and from K = 4 so do clients K-1 and K, on up to
-    ``LANES`` threads, for models of at least ``LANE_MIN_PARAMS`` parameters;
-    any others train one at a time. Client 1 trains in the base, client 2
+    ``LANES`` threads; any others train one at a time. Client 1 trains in the base, client 2
     and the middle clients in the working weights, and from K = 3 the last
     client in the global model itself, so a run still holds four N-vectors
     (global, working weights, base, sum) whatever K is, and each lane one

@@ -616,19 +616,14 @@ def test_federated_identical_shards_match_single_client_training():
     (5, [(0, 1), (2,), (3, 4)]),
     (7, [(0, 1), (2,), (3,), (4,), (5, 6)]),
 ])
-def test_a_federated_round_pairs_its_first_two_and_last_two_clients(monkeypatch, clients, steps):
+def test_a_federated_round_pairs_its_first_two_and_last_two_clients(clients, steps):
     # client 1 trains in base, client 2 and the middle clients in the working
     # model, and from K = 3 the last client in the global model: consecutive
-    # clients in different vectors train at once, on a model of at least
-    # LANE_MIN_PARAMS parameters
+    # clients in different vectors train at once
     x, y = random_dataset(SPEC, clients, 1)
     shards = partition_dataset(x, y, clients)
     sizes = [1] * clients
     working = protocol_sim._WorkingModel(SPEC, init_params(SPEC, 1), 1, sizes, 0.01)
-    monkeypatch.setattr(protocol_sim, "LANES", 2)
-    for min_params, lanes in ((param_count(SPEC), 2), (param_count(SPEC) + 1, 1)):
-        monkeypatch.setattr(protocol_sim, "LANE_MIN_PARAMS", min_params)
-        assert protocol_sim._FederatedRound(SPEC, shards, sizes, working).lanes == lanes
     scheduler = protocol_sim._FederatedRound(SPEC, shards, sizes, working)
     assert [tuple(step) for step in scheduler.steps] == steps
     vectors = [model.params for model in scheduler.models]
@@ -659,7 +654,6 @@ def test_federated_bits_do_not_depend_on_the_lane_count(monkeypatch, activation,
 
     def run(lanes):
         monkeypatch.setattr(protocol_sim, "LANES", lanes)
-        monkeypatch.setattr(protocol_sim, "LANE_MIN_PARAMS", 0)
         return _federated_bytes(run_federated_training(spec, shards, rounds=3, local_lr=0.05, seed=3,
                                                        batch_size=batch_size))
 
@@ -691,7 +685,6 @@ def test_a_failure_in_either_lane_is_raised_after_the_partner_joins(monkeypatch,
         return sgd(plan, lr)
 
     monkeypatch.setattr(protocol_sim, "LANES", 2)
-    monkeypatch.setattr(protocol_sim, "LANE_MIN_PARAMS", 0)
     monkeypatch.setattr(protocol_sim.nn_core, "sgd_step", failing)
     threads = threading.active_count()
     with pytest.raises(StepFailed):
