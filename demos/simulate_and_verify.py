@@ -6,7 +6,6 @@ is logged with the actual payload size. The formulas come from an independent
 code path, so agreement here is a genuine cross-validation.
 """
 
-from dataclasses import replace
 from itertools import islice
 
 from splitfed import (
@@ -51,7 +50,7 @@ formula = comm_report(params, Protocol.SPLIT_SYNC)
 measured = measured_comm(run.ledger, params, Protocol.SPLIT_SYNC)
 print(f"ledger total excluding labels: {measured.total_scalars}")
 print(f"closed form 2pq + eta*N*K:     {formula.total_scalars}")
-verdict = verify_against_model(run.ledger, replace(params, label_width=LABELS), Protocol.SPLIT_SYNC)
+verdict = verify_against_model(run.ledger, params._replace(label_width=LABELS), Protocol.SPLIT_SYNC)
 print(f"verification: {verdict.describe()}")
 print(f"per-epoch training loss: {[round(l, 4) for l in run.losses]}")
 
@@ -67,7 +66,7 @@ print(f"ClientWeights messages logged: {run.ledger.totals_by_kind()[MessageKind.
 measured = measured_comm(run.ledger, cycle, Protocol.SPLIT_NOSYNC)
 print(f"ledger total over a full K-epoch cycle: {measured.total_scalars}")
 print(f"closed form 2pq (one data pass):        {comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars}")
-verdict = verify_against_model(run.ledger, replace(cycle, label_width=LABELS), Protocol.SPLIT_NOSYNC)
+verdict = verify_against_model(run.ledger, cycle._replace(label_width=LABELS), Protocol.SPLIT_NOSYNC)
 print(f"verification: {verdict.describe()}")
 
 print()
@@ -80,7 +79,7 @@ run = run_federated_training(SPEC, shards, rounds=rounds, local_lr=0.01, seed=SE
 measured = measured_comm(run.ledger, fed_params, Protocol.FEDERATED)
 print(f"ledger total over {rounds} rounds: {measured.total_scalars}")
 print(f"closed form 2KN per round:   {comm_report(fed_params, Protocol.FEDERATED).total_scalars}")
-verdict = verify_against_model(run.ledger, replace(fed_params, label_width=LABELS), Protocol.FEDERATED)
+verdict = verify_against_model(run.ledger, fed_params._replace(label_width=LABELS), Protocol.FEDERATED)
 print(f"verification: {verdict.describe()}")
 print(f"measured per-client max: {measured.per_client_scalars} scalars "
       f"(= 2N per round x {rounds} rounds)")

@@ -25,7 +25,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -206,8 +205,8 @@ def _label_width(sc, args) -> int:
 def cmd_analyze(args) -> int:
     sc = load_scenario(args.scenario)
     split = compared_protocol(args.variant or sc.variant)
-    params = replace(sc.params(), label_width=_label_width(sc, args))
-    values = vars(params)
+    params = sc.params()._replace(label_width=_label_width(sc, args))
+    values = params._asdict()
     strict = not args.lenient_shards
     reports = {m: comm_report(params, m, strict) for m in reported(split)}
     eff = efficiency_ratio(params, split)
@@ -240,7 +239,7 @@ def cmd_simulate(args) -> int:
     variant = Protocol(args.variant or sc.variant)
     if not (math.isfinite(args.lr) and args.lr >= 0):  # a negative rate climbs the loss; 0 moves only traffic
         raise InvalidParam(f"--lr must be finite and >= 0, got {args.lr}")
-    params = replace(sc.params(), label_width=_label_width(sc, args))
+    params = sc.params()._replace(label_width=_label_width(sc, args))
     k, n, p, epochs = params.clients, params.model_params, params.dataset_size, params.epochs
     held = (("K*N", k * n, SIMULATE_MAX_HELD_SCALARS) if variant.splits
             else ("epochs*K*N", epochs * k * n, SIMULATE_MAX_FOLDED_SCALARS))
@@ -282,7 +281,7 @@ def cmd_simulate(args) -> int:
 
     measured = protocol_sim.measured_comm(ledger, params, variant)
     # the check counts every kind, Labels at the width the run sends
-    verdict = protocol_sim.verify_against_model(ledger, replace(params, label_width=sc.label_width), variant)
+    verdict = protocol_sim.verify_against_model(ledger, params._replace(label_width=sc.label_width), variant)
 
     print(f"scenario {sc.name}: variant={variant.value} K={params.clients} p={params.dataset_size} "
           f"epochs={params.epochs} seed={sc.seed}")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, product, repeat
@@ -146,22 +145,33 @@ class Activation(str, Enum):
     SIGMOID = "Sigmoid"
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Dense network: ordered layer widths plus the hidden-layer activation."""
-
+class _ModelFields(NamedTuple):
     layer_widths: tuple[int, ...]
     activation: Activation = Activation.SIGMOID
 
-    def __post_init__(self) -> None:
-        widths = tuple(int(w) for w in self.layer_widths)
-        object.__setattr__(self, "layer_widths", widths)
+
+class ModelSpec(_ModelFields):
+    """Dense network: ordered layer widths plus the hidden-layer activation.
+
+    A NamedTuple whose constructor, ``_make`` and ``_replace`` all check the
+    fields and hold the widths as a tuple of ints.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, layer_widths, activation=Activation.SIGMOID) -> "ModelSpec":
+        widths = tuple(int(w) for w in layer_widths)
         if len(widths) < 2:
             raise InvalidParam("layer_widths needs an input and an output width")
         if any(w < 1 for w in widths):
             raise InvalidParam(f"layer widths must be positive, got {widths}")
-        if not isinstance(self.activation, Activation):
-            raise InvalidParam(f"unknown activation {self.activation!r}")
+        if not isinstance(activation, Activation):
+            raise InvalidParam(f"unknown activation {activation!r}")
+        return super().__new__(cls, widths, activation)
+
+    @classmethod
+    def _make(cls, iterable) -> "ModelSpec":
+        return cls(*iterable)
 
     @property
     def weight_layers(self) -> int:
@@ -231,10 +241,11 @@ _FIELD_CHECKS = {
 }
 
 
-def _field_error(name: str, value) -> str | None:
-    """Why ``value`` cannot be field ``name``, or None if it can."""
+def _field_error(name: str, value, shown=format) -> str | None:
+    """Why ``value`` cannot be field ``name``, or None if it can; the reason
+    quotes ``shown(value)``."""
     valid, message = _FIELD_CHECKS[name]
-    return None if valid(value) else message.format(value)
+    return None if valid(value) else message.format(shown(value))
 
 
 def _wire_count(u: int, v: int, a: int, b: int) -> int:
@@ -254,18 +265,7 @@ def _whole_model(model_params) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
-    """One point in the comparison space, and the shape of the run it counts.
-
-    ``client_fraction`` may be a ``Fraction`` (exact, as derived from a model
-    cut) or a plain float for analytic studies. ``model_params`` is integral
-    for anything that crosses a wire; break-even round trips may pass a real
-    value. ``batch_size`` records per batch sets sync_batch's hand-offs;
-    ``label_width`` label scalars go up with each record, and the default 0
-    leaves labels out of every total and of rho.
-    """
-
+class _ScenarioFields(NamedTuple):
     clients: int
     model_params: int | float
     dataset_size: int
@@ -276,11 +276,34 @@ class ScenarioParams:
     batch_size: int = 1
     label_width: int = 0
 
-    def __post_init__(self) -> None:
-        for name in _FIELD_CHECKS:
-            error = _field_error(name, getattr(self, name))
+
+class ScenarioParams(_ScenarioFields):
+    """One point in the comparison space, and the shape of the run it counts.
+
+    ``client_fraction`` may be a ``Fraction`` (exact, as derived from a model
+    cut) or a plain float for analytic studies. ``model_params`` is integral
+    for anything that crosses a wire; break-even round trips may pass a real
+    value. ``batch_size`` records per batch sets sync_batch's hand-offs;
+    ``label_width`` label scalars go up with each record, and the default 0
+    leaves labels out of every total and of rho.
+
+    A NamedTuple whose constructor, ``_make`` and ``_replace`` all run each
+    field's check, in field order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ScenarioParams":
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(_FIELD_CHECKS, self):
+            error = _field_error(name, value)
             if error is not None:
                 raise InvalidParam(error)
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "ScenarioParams":
+        return cls(*iterable)
 
     @classmethod
     def from_model(cls, spec: ModelSpec, cut: int, **fields) -> "ScenarioParams":
@@ -319,8 +342,7 @@ class EfficiencyReport(NamedTuple):
     winner: Winner
 
 
-@dataclass(frozen=True)
-class BreakEvenCurve:
+class BreakEvenCurve(NamedTuple):
     """(K, N*) locus where rho = 1 for fixed (p, q, eta) and variant, as two
     columns of one length: the client counts in ascending order (a ``range``
     stays one) and the break-even model size N* at each, an ``array('d')``."""
@@ -470,9 +492,11 @@ def break_even_curve(
 ) -> BreakEvenCurve:
     """The break-even hyperbola: N* = (A_s - A_f) / (B_f - B_s) on the two lines
     A + B*N (:func:`_scaled_line`) at each client count, labels left out, one
-    int / int division. Raises InvalidParam at a K where no positive N balances
-    the two, or where N* lies past the float range or rounds to 0, before the
-    curve exists.
+    int / int division. Raises InvalidParam, before any arithmetic, for a K
+    that fails the ``clients`` field's check (an int >= 1), and at a K where
+    no positive N balances the two, or where N* lies past the float range or
+    rounds to 0, before the curve exists; each error names K by its first 20
+    characters (:func:`_shown`).
     An ascending ``range`` of client counts is kept as the curve's K column;
     any other sequence is sorted and rid of repeats.
 
@@ -486,11 +510,15 @@ def break_even_curve(
         raise InvalidParam(f"client_fraction must lie in [0, 1], got {client_fraction}")
     if not clients_values:
         raise InvalidParam("clients_values must be non-empty")
+    ascending = isinstance(clients_values, range) and clients_values.step > 0
+    for k in clients_values[:1] if ascending else clients_values:  # an ascending range's least K is its first
+        error = _field_error("clients", k, _shown)
+        if error is not None:
+            raise InvalidParam(error)
     u, v = client_fraction.as_integer_ratio()
     a_s, b_s = _scaled_line(_epoch_counts(variant, 1, dataset_size, batch_size), 2 * smashed_size, u, v)
     a_f, b_f = _scaled_line(_epoch_counts(Protocol.FEDERATED, 1, dataset_size, 1), 2 * smashed_size, u, v)
-    ks = (clients_values if isinstance(clients_values, range) and clients_values.step > 0
-          else sorted(set(map(int, clients_values))))
+    ks = clients_values if ascending else sorted(set(map(int, clients_values)))
     gap = a_s - a_f
 
     def n_star(k: int, span: int) -> float:
@@ -517,7 +545,7 @@ def break_even_curve(
 
 
 # Cartesian sweeps evaluate axes in this order, rightmost varying fastest.
-SWEEP_FIELD_ORDER = tuple(f.name for f in fields(ScenarioParams))
+SWEEP_FIELD_ORDER = ScenarioParams._fields
 
 
 class SweepRow(NamedTuple):
@@ -558,14 +586,13 @@ def sweep_axes(grid: Mapping[str, object]) -> list[list]:
     unknown = set(grid) - set(SWEEP_FIELD_ORDER)
     if unknown:
         raise InvalidParam(f"unknown sweep parameters: {sorted(unknown)}")
-    axes = []
-    for field in fields(ScenarioParams):
-        name = field.name
+    axes, defaults = [], ScenarioParams._field_defaults
+    for name in SWEEP_FIELD_ORDER:
         if name in grid:
             value = grid[name]
             values = list(value) if isinstance(value, (list, tuple)) else [value]
-        elif field.default is not MISSING:
-            values = [field.default]
+        elif name in defaults:
+            values = [defaults[name]]
         else:
             raise InvalidParam(f"sweep grid is missing required parameter {name!r}")
         if not values:

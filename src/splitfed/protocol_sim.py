@@ -23,10 +23,10 @@ import math
 import os
 import threading
 from array import array
-from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate, chain, islice, pairwise
-from typing import Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -489,8 +489,7 @@ class _FederatedRound:
         return losses
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     client_params: list[np.ndarray]  # per split client, latest weights held; [] under federated
     server_params: np.ndarray  # the split server's back, or the federated global model
     ledger: TrafficLedger
@@ -625,8 +624,7 @@ def measured_comm(ledger: TrafficLedger, params: ScenarioParams, method: Protoco
     return CommReport.from_scalars(_member(method), per_client, sum(owned.values()), params.bytes_per_scalar)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of the ledger-versus-closed-form cross-check."""
 
     matches: bool
@@ -634,7 +632,8 @@ class VerificationReport:
     actual: dict[MessageKind, int]
     deltas: dict[MessageKind, int]  # actual - expected, nonzero kinds only
     client: str | None = None  # first owner whose tally differs from its closed form
-    client_deltas: dict[MessageKind, int] = field(default_factory=dict)  # that owner's deltas
+    # that owner's deltas; the default is read-only, as every report shares it
+    client_deltas: Mapping[MessageKind, int] = MappingProxyType({})
 
     def describe(self) -> str:
         if self.matches:
@@ -656,7 +655,7 @@ def client_kind_totals(params: ScenarioParams, variant: Protocol) -> dict[str, d
     the simulator's turn rule."""
     k, e = params.clients, params.epochs
     visits = [e // k + (i < e % k) for i in range(k)] if _member(variant).rotates else [e] * k
-    one_epoch = replace(params, epochs=1)
+    one_epoch = params._replace(epochs=1)
     runs = list(zip(shard_sizes(params.dataset_size, k, strict=False), visits))
     forms = {(size, v): {kind: n * v for kind, n in traffic_by_kind(one_epoch, variant, size).items()}
              for size, v in set(runs)}
@@ -672,7 +671,7 @@ def expected_kind_totals(
     kept because perfbench/workloads.py still passes it.
     """
     if batch_size is not None:
-        params = replace(params, batch_size=batch_size)
+        params = params._replace(batch_size=batch_size)
     forms = client_kind_totals(params, variant)
     return {kind: sum(form[kind] for form in forms.values()) for kind in MessageKind}
 

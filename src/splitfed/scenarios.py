@@ -20,7 +20,6 @@ not state one. A file is UTF-8, with or without a byte-order mark.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cost_model import Activation, ModelSpec, Protocol, ScenarioParams
@@ -52,19 +51,25 @@ _KNOWN_KEYS = {
 }
 
 
-@dataclass
 class Scenario:
-    name: str
-    # ScenarioParams fields the file sets, by field name; a model form's
-    # layers and cut supply the rest.
-    values: dict[str, int | float | Fraction] = field(default_factory=dict)
-    variant: Protocol = Protocol.SPLIT_SYNC
-    seed: int = 0
-    model: ModelSpec | None = None
-    cut_index: int | None = None
-    # sweep axes by ScenarioParams field, in PARAM_KEYS order
-    grids: dict[str, list] = field(default_factory=dict)
-    raw_label_width: int = 1  # a raw form's label_width key
+    """A loaded scenario: its name, the ScenarioParams fields it sets, its variant
+    and seed, a model form's layers and cut, and its sweep axes."""
+
+    def __init__(self, name: str, values: dict[str, int | float | Fraction] | None = None,
+                 variant: Protocol = Protocol.SPLIT_SYNC, seed: int = 0, model: ModelSpec | None = None,
+                 cut_index: int | None = None, grids: dict[str, list] | None = None,
+                 raw_label_width: int = 1) -> None:
+        self.name = name
+        # ScenarioParams fields the file sets, by field name; a model form's
+        # layers and cut supply the rest. Each scenario holds its own dict.
+        self.values = {} if values is None else values
+        self.variant = variant
+        self.seed = seed
+        self.model = model
+        self.cut_index = cut_index
+        # sweep axes by ScenarioParams field, in PARAM_KEYS order
+        self.grids = {} if grids is None else grids
+        self.raw_label_width = raw_label_width  # a raw form's label_width key
 
     @property
     def is_model_form(self) -> bool:
@@ -85,7 +90,7 @@ class Scenario:
 
     def grid(self) -> dict[str, object]:
         """Sweep axes, with the scenario's own values filling non-gridded parameters."""
-        return {**vars(self.params()), **self.grids}
+        return {**self.params()._asdict(), **self.grids}
 
 
 def _parse_number(text: str, key: str):

@@ -6,7 +6,6 @@ pass lines.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,14 +59,14 @@ def test_ledger_formula_identity_randomized():
             configs += 1
             epochs = int(rng.integers(1, 3))
             params = ScenarioParams.from_model(spec, cut, clients=k, dataset_size=p, epochs=epochs)
-            checked = replace(params, label_width=spec.output_width)  # the labels the runs send
+            checked = params._replace(label_width=spec.output_width)  # the labels the runs send
 
             sync = run_split_training(spec, cut, shards, Protocol.SPLIT_SYNC,
                                       epochs=epochs, lr=0.01, seed=seed, batch_size=batch)
             assert measured_comm(sync.ledger, params, Protocol.SPLIT_SYNC).total_scalars == comm_report(params, Protocol.SPLIT_SYNC).total_scalars
             assert verify_against_model(sync.ledger, checked, Protocol.SPLIT_SYNC).matches
 
-            cycle_params = replace(checked, epochs=k * epochs)
+            cycle_params = checked._replace(epochs=k * epochs)
             alt = run_split_training(spec, cut, shards, Protocol.SPLIT_NOSYNC,
                                      epochs=k * epochs, lr=0.01, seed=seed, batch_size=batch)
             assert measured_comm(alt.ledger, params, Protocol.SPLIT_NOSYNC).total_scalars == comm_report(params, Protocol.SPLIT_NOSYNC).total_scalars

@@ -74,6 +74,14 @@ def test_parse_model_scenario():
     assert params.client_fraction == Fraction(15, 23)
 
 
+def test_default_built_scenarios_share_no_dict():
+    first, second = Scenario("first"), Scenario("second")
+    assert first.values is not second.values and first.grids is not second.grids
+    first.values["clients"] = 3
+    first.grids["clients"] = [1, 2]
+    assert second.values == {} and second.grids == {}
+
+
 def test_parse_eta_as_exact_rational():
     sc = parse_scenario_text("K = 2\np = 6\nN = 23\nq = 3\neta = 15/23\n")
     assert sc.params().client_fraction == Fraction(15, 23)

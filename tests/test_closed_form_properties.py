@@ -303,7 +303,11 @@ def reference_scaled_line(protocol, k, p, q, u, v, batch_size=1):
 
 
 def reference_break_even(p, q, eta, ks, variant, batch_size):
-    """The earlier per-K loop: both lines at each K, one quotient, or the error at the first bad K."""
+    """The earlier per-K loop: both lines at each K, one quotient, or the error at the first bad K,
+    after the clients field's check on every K in the order given."""
+    bad = next((k for k in ks if not (isinstance(k, int) and k >= 1)), None)
+    if bad is not None:
+        raise InvalidParam(f"clients must be a positive integer, got {bad}")
     u, v = eta.as_integer_ratio()
     ks = ks if isinstance(ks, range) and ks.step > 0 else sorted(set(ks))
     sizes = []

@@ -3,7 +3,6 @@
 import math
 from collections import Counter
 from itertools import product
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +107,61 @@ def test_params_reject_non_finite(bad):
         make_params(2, 10, 4, 1, bad)
 
 
+# A valid point, and values drawn for a field until one fails its check.
+_VALID_FIELDS = dict(zip(cost_model.SWEEP_FIELD_ORDER, (2, 10, 4, 1, 0.5, 4, 1, 1, 0)))
+_ANY_NUMBER = st.one_of(st.integers(-10**6, 10**6), st.floats(), st.fractions(), st.booleans())
+
+
+def _raised(build) -> str:
+    with pytest.raises(InvalidParam) as raised:
+        build()
+    return str(raised.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), names=st.sets(st.sampled_from(cost_model.SWEEP_FIELD_ORDER), min_size=1))
+def test_every_scenario_params_construction_path_runs_the_field_checks(data, names):
+    # one or more bad fields: the constructor, _make and _replace all refuse with the
+    # first failing field's own message, in field order
+    bad = {name: data.draw(_ANY_NUMBER.filter(lambda v, name=name: cost_model._field_error(name, v)), name)
+           for name in names}
+    values = {**_VALID_FIELDS, **bad}
+    want = next(cost_model._field_error(name, values[name]) for name in cost_model.SWEEP_FIELD_ORDER
+                if name in bad)
+    assert _raised(lambda: ScenarioParams(**values)) == want
+    assert _raised(lambda: ScenarioParams(*values.values())) == want
+    assert _raised(lambda: ScenarioParams._make(values.values())) == want
+    assert _raised(lambda: ScenarioParams(**_VALID_FIELDS)._replace(**bad)) == want
+
+
+_MODEL_REFUSALS = st.one_of(
+    st.lists(st.integers(1, 50), max_size=1).map(
+        lambda w: (w, cost_model.Activation.RELU, "layer_widths needs an input and an output width")),
+    st.lists(st.integers(-3, 50), min_size=2, max_size=6).filter(lambda w: min(w) < 1).map(
+        lambda w: (w, cost_model.Activation.RELU, f"layer widths must be positive, got {tuple(w)}")),
+    st.sampled_from(["Sigmoid", "relu", None, 1]).map(
+        lambda a: ([4, 3, 2], a, f"unknown activation {a!r}")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_MODEL_REFUSALS)
+def test_every_model_spec_construction_path_runs_its_checks(case):
+    widths, activation, want = case
+    assert _raised(lambda: ModelSpec(widths, activation)) == want
+    assert _raised(lambda: ModelSpec(layer_widths=widths, activation=activation)) == want
+    assert _raised(lambda: ModelSpec._make([widths, activation])) == want
+    assert _raised(lambda: ModelSpec((5, 5))._replace(layer_widths=widths, activation=activation)) == want
+
+
+def test_model_spec_replace_normalises_the_widths_as_the_constructor_does():
+    for widths in ([4, 3, 2], [4, np.int64(3), 2.0]):
+        spec = ModelSpec((5, 5), cost_model.Activation.RELU)._replace(layer_widths=widths)
+        assert spec == ModelSpec(widths, cost_model.Activation.RELU)
+        assert type(spec) is ModelSpec and type(spec.layer_widths) is tuple
+        assert spec.layer_widths == (4, 3, 2) and all(type(w) is int for w in spec.layer_widths)
+
+
 # --- protocols and the per-kind closed form ------------------------------------
 
 def test_protocol_is_the_one_variant_lookup():
@@ -133,12 +187,12 @@ def test_traffic_by_kind_golden_432_cut1():
     kinds = {kind: 0 for kind in MessageKind}
     assert traffic_by_kind(params, Protocol.SPLIT_SYNC) == dict(kinds, **{
         MessageKind.ACTIVATIONS: 36, MessageKind.GRADIENTS: 36, MessageKind.CLIENT_WEIGHTS: 60})
-    assert traffic_by_kind(replace(params, label_width=2), Protocol.SPLIT_NOSYNC) == dict(kinds, **{
+    assert traffic_by_kind(params._replace(label_width=2), Protocol.SPLIT_NOSYNC) == dict(kinds, **{
         MessageKind.ACTIVATIONS: 36, MessageKind.GRADIENTS: 36, MessageKind.LABELS: 24})
     assert traffic_by_kind(params, Protocol.FEDERATED) == dict(kinds, **{
         MessageKind.CLIENT_WEIGHTS: 92, MessageKind.GLOBAL_WEIGHTS: 92})
     # batches of 2 over shards of 3 and 3 records: two hand-offs per client per epoch
-    batched = traffic_by_kind(replace(params, batch_size=2), Protocol.SPLIT_SYNC_BATCH)
+    batched = traffic_by_kind(params._replace(batch_size=2), Protocol.SPLIT_SYNC_BATCH)
     assert batched[MessageKind.CLIENT_WEIGHTS] == 15 * 4 * 2
     # one client's shard: K = 1, p = shard
     assert traffic_by_kind(params, Protocol.SPLIT_SYNC, 4)[MessageKind.CLIENT_WEIGHTS] == 15 * 2
@@ -516,6 +570,26 @@ def test_break_even_refusals_cut_k_to_20_digits(p, eta, variant, why, ks):
         with pytest.raises(InvalidParam) as raised:
             break_even_curve(p(k), 1, eta, [k], variant)
         assert str(raised.value) == why.format("1" + "0" * 19 + "..." if k > 10**20 else k)
+
+
+@pytest.mark.parametrize("variant", list(Protocol))
+@pytest.mark.parametrize(("ks", "shown"), [
+    ([0, 1, 2], "0"),
+    ([3, 0, -4], "0"),  # the first bad K in the order given, not the least
+    (range(0, 3), "0"),
+    (range(-5, 40_000), "-5"),  # an ascending range is checked by its first K
+    (range(3, -1, -1), "0"),
+    ([2.5, 3.9], "2.5"),
+    ([1, 3.0], "3.0"),
+    (["3"], "3"),
+    ([-10**5000], "-" + "1" + "0" * 18 + "..."),  # cut to 20 characters, as every break-even refusal
+])
+def test_break_even_refuses_a_client_count_that_is_not_an_int_of_at_least_1(variant, ks, shown):
+    # the clients field's own message (ScenarioParams(clients=...)'s), under every
+    # protocol, before any arithmetic
+    with pytest.raises(InvalidParam) as raised:
+        break_even_curve(6, 3, 0.5, ks, variant)
+    assert str(raised.value) == f"clients must be a positive integer, got {shown}"
 
 
 # --- the protocol's row ------------------------------------------------------

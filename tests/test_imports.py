@@ -1,4 +1,5 @@
-"""What importing splitfed loads: the closed forms without numpy, the simulator on first use.
+"""What importing splitfed loads: the closed forms without numpy, dataclasses or inspect, the
+simulator on first use.
 
 Each test runs in a fresh interpreter, since this one has long since loaded
 every module.
@@ -32,17 +33,21 @@ import sys
 from splitfed.cli import main
 
 assert "splitfed.svg" not in sys.modules  # loaded by breakeven --svg, on first use
-raw, simulator = sys.argv[1], sys.argv[2].split(",")
+raw, simulator, unused = sys.argv[1], sys.argv[2].split(","), sys.argv[3].split(",")
+loaded = [name for name in unused if name in sys.modules]
+assert not loaded, f"import splitfed.cli loaded {loaded}"
 for scenario in (raw, "tiny-dense"):
     for command, *outputs in (["analyze", "--csv", "a.csv"], ["sweep", "--csv", "s.csv"],
                               ["breakeven", "--k-range", "1:8", "--csv", "b.csv", "--svg", "b.svg"]):
         argv = [command, "--scenario", scenario, *outputs]
         assert main(argv) == 0, argv
-        loaded = [name for name in simulator if name in sys.modules]
+        loaded = [name for name in simulator + unused if name in sys.modules]
         assert not loaded, f"{argv} loaded {loaded}"
 assert main(["simulate", "--scenario", "tiny-dense"]) == 0
 missing = [name for name in simulator if name not in sys.modules]
 assert not missing, f"simulate did not load {missing}"
+loaded = [name for name in unused if name != "inspect" and name in sys.modules]  # numpy loads inspect
+assert not loaded, f"simulate loaded {loaded}"
 """
 
 EXPORTS_SCRIPT = """
@@ -67,9 +72,14 @@ def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
 
 
 def test_closed_form_subcommands_never_import_numpy(tmp_path):
+    # nor does the CLI load dataclasses or inspect, where a bare interpreter run the same way does not
+    bare = _python("-c", "import sys; print(','.join(sys.modules))")
+    assert bare.returncode == 0, bare.stderr
+    unused = [name for name in ("dataclasses", "inspect") if name not in bare.stdout.strip().split(",")]
     raw = tmp_path / "raw.txt"
     raw.write_text("name = raw\nK = 100\nN = 1_000_000\np = 1_000_000\nq = 100\neta = 0.1\n")
-    proc = _python("-c", CLOSED_FORMS_SCRIPT, str(raw), ",".join(SIMULATOR_MODULES), cwd=tmp_path)
+    proc = _python("-c", CLOSED_FORMS_SCRIPT, str(raw), ",".join(SIMULATOR_MODULES), ",".join(unused),
+                   cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert all((tmp_path / name).stat().st_size for name in ("a.csv", "s.csv", "b.csv", "b.svg"))
 

@@ -12,7 +12,6 @@ the same calls expanded into messages.
 
 import csv
 import io
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -75,7 +74,7 @@ def test_tally_equals_per_client_closed_form(arch, protocol, clients, records, e
     tally = ledger.tally()
     assert set(tally) <= {client_id(k + 1) for k in range(clients)}
     # alternating epoch t belongs to client (t mod K) alone; a one-visit form scales by visits
-    one_pass = replace(params, epochs=1) if protocol is Protocol.SPLIT_NOSYNC else params
+    one_pass = params._replace(epochs=1) if protocol is Protocol.SPLIT_NOSYNC else params
     for k in range(clients):
         size = records // clients + (k < records % clients)  # the first p mod K clients hold one more
         visits = sum(1 for t in range(epochs) if t % clients == k) if protocol is Protocol.SPLIT_NOSYNC else 1
@@ -108,7 +107,7 @@ def test_measured_per_client_equals_comm_report(arch, protocol, clients, per_cli
     params = ScenarioParams.from_model(spec, cut, clients=clients, dataset_size=records, epochs=passes)
 
     for label_width in (0, spec.output_width):
-        counted = replace(params, label_width=label_width)
+        counted = params._replace(label_width=label_width)
         measured = measured_comm(ledger, counted, protocol)
         formula = comm_report(counted, protocol)
         assert measured.per_client_scalars == formula.per_client_scalars

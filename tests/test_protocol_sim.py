@@ -10,7 +10,6 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -749,7 +748,7 @@ def test_turn_rule_visits_each_client_as_often_as_the_closed_form_counts(protoco
             visits = Counter(i for e in range(epochs) for i in protocol_sim._turns(protocol, e, k))
             forms = protocol_sim.client_kind_totals(params, protocol)
             for i, size in enumerate(shard_sizes(p, k, strict=False)):
-                one_epoch = traffic_by_kind(replace(params, epochs=1), protocol, size)
+                one_epoch = traffic_by_kind(params._replace(epochs=1), protocol, size)
                 assert forms[client_id(i + 1)] == {kind: n * visits[i] for kind, n in one_epoch.items()}, (k, epochs)
             assert sum(visits.values()) == epochs * (1 if protocol is Protocol.SPLIT_NOSYNC else k)
 
@@ -807,7 +806,7 @@ def test_verify_lenient_shards():
     shards = partition_dataset(x, y, 2, strict=False)
     run = run_split_training(SPEC, 1, shards, Protocol.SPLIT_SYNC, epochs=1, lr=0.01, seed=1)
     params = golden_params(p=7)
-    assert verify_against_model(run.ledger, replace(params, label_width=LABEL_WIDTH), Protocol.SPLIT_SYNC).matches
+    assert verify_against_model(run.ledger, params._replace(label_width=LABEL_WIDTH), Protocol.SPLIT_SYNC).matches
     # forward+backward split traffic still totals 2 p q regardless of the remainder
     measured = measured_comm(run.ledger, params, Protocol.SPLIT_SYNC).total_scalars
     assert measured == comm_report(params, Protocol.SPLIT_SYNC, strict=False).total_scalars

@@ -108,7 +108,7 @@ def test_scenario_text_round_trips_to_params(case):
     sc = parse_scenario_text(text)
     assert sc.params() == expected
     grid = sc.grid()
-    for name, value in vars(expected).items():
+    for name, value in expected._asdict().items():
         assert grid[name] == axes.get(name, value)
 
 
