@@ -21,9 +21,11 @@ P, CLIENT_COUNTS = 100_000, [1, 10, 100, 1000, 10_000]
 print("=" * 72)
 print("1. One curve, checked against the ratio")
 print("=" * 72)
-curve = break_even_curve(1000, 10, 1.0, [1, 10, 100], Protocol.SPLIT_SYNC)
+# K and N stand in for the curve's two axes, which it does not read
+params = ScenarioParams(clients=1, model_params=1, dataset_size=1000, smashed_size=10, client_fraction=1.0)
+curve = break_even_curve(params, [1, 10, 100], Protocol.SPLIT_SYNC)
 for k, n_star in curve.points:
-    eff = efficiency_ratio(ScenarioParams(k, n_star, 1000, 10, 1.0), Protocol.SPLIT_SYNC)
+    eff = efficiency_ratio(params._replace(clients=k, model_params=n_star), Protocol.SPLIT_SYNC)
     print(f"  K={k:<6} N*={n_star:<10.6g} rho(N*)={eff.rho:.15f} -> {eff.winner.value}")
 
 print()
@@ -34,7 +36,8 @@ print("=" * 72)
 spec = ModelSpec((256, 128, 64, 32, 8))
 for cut in range(1, spec.weight_layers):
     q, eta = cut_stats(spec, cut)
-    curve = break_even_curve(P, q, eta, CLIENT_COUNTS, Protocol.SPLIT_SYNC)
+    curve = break_even_curve(ScenarioParams.from_model(spec, cut, clients=1, dataset_size=P), CLIENT_COUNTS,
+                             Protocol.SPLIT_SYNC)
     csv_path = os.path.join(OUT_DIR, f"breakeven_cut{cut}.csv")
     svg_path = os.path.join(OUT_DIR, f"breakeven_cut{cut}.svg")
     with open(csv_path, "w") as fh:

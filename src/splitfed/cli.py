@@ -32,6 +32,7 @@ from .cost_model import (
     MessageKind,
     Protocol,
     SWEEP_FIELD_ORDER,
+    ScenarioParams,
     _shown,
     break_even_curve,
     comm_report,
@@ -113,12 +114,12 @@ def __getattr__(name: str):
 
 def _fmt(x) -> str:
     """One output value: an int verbatim; a real (a Fraction as its float) as an integer when
-    integral and below 1e15 in size, "inf" if infinite, else to 12 significant digits (a Fraction
-    past the float range rounded from its exact value); else str."""
+    integral and below 1e15 in size, else to 12 significant digits ("inf" or "-inf" if infinite,
+    a Fraction past the float range rounded from its exact value); else str."""
     # exact types first, skipping isinstance, whose Fraction check goes through ABCMeta; first a
     # float that is not whole, as each rho and N* is: "%" is its quickest ".12g"
-    if type(x) is float and not x.is_integer() and x != -math.inf:
-        return "%.12g" % x  # "inf", and "nan" for either NaN
+    if type(x) is float and not x.is_integer():
+        return "%.12g" % x  # "inf", "-inf", and "nan" for either NaN
     if type(x) is int:
         return str(x)
     if type(x) is not float:
@@ -133,7 +134,7 @@ def _fmt(x) -> str:
             return str(x)
     if x.is_integer() and -1e15 < x < 1e15:
         return str(int(x))
-    return "inf" if math.isinf(x) else format(x, ".12g")  # "nan" for either NaN
+    return format(x, ".12g")  # "inf", "-inf", and "nan" for either NaN
 
 
 @contextlib.contextmanager
@@ -345,23 +346,22 @@ def _parse_k_range(text: str) -> range | list[int]:
 
 
 def cmd_breakeven(args) -> int:
-    p, q, eta = args.p, args.q, args.eta
-    scenario_variant, batch_size = Protocol.SPLIT_SYNC, 1
+    flags = {"dataset_size": args.p, "smashed_size": args.q, "client_fraction": args.eta}
+    overrides = {name: value for name, value in flags.items() if value is not None}
     if args.scenario:
         sc = load_scenario(args.scenario)
-        params = sc.params()
-        scenario_variant, batch_size = sc.variant, params.batch_size
-        p = params.dataset_size if p is None else p
-        q = params.smashed_size if q is None else q
-        eta = params.client_fraction if eta is None else eta
-    if p is None or q is None or eta is None:
+        params, scenario_variant = sc.params()._replace(**overrides), sc.variant
+    elif len(overrides) == len(flags):
+        # K = N = 1 stand in for the curve's two axes, which it does not read
+        params, scenario_variant = ScenarioParams(1, 1, **overrides), Protocol.SPLIT_SYNC
+    else:
         raise ScenarioError("breakeven needs p, q and eta (via --scenario or --p/--q/--eta)")
 
     variant = compared_protocol(args.variant or scenario_variant)
-    ks = _parse_k_range(args.k_range)
-    curve = break_even_curve(p, q, eta, ks, variant, batch_size)
+    curve = break_even_curve(params, _parse_k_range(args.k_range), variant)
 
-    print(f"break-even curve: p={_fmt(p)} q={_fmt(q)} eta={_fmt(eta)} variant={variant.label}")
+    print(f"break-even curve: p={_fmt(params.dataset_size)} q={_fmt(params.smashed_size)} "
+          f"eta={_fmt(params.client_fraction)} variant={variant.label}")
     ks, sizes, header = curve.clients, curve.break_even_sizes, [PARAM_KEYS["clients"], "N_break_even"]
     # one "%" a block: N* > 0 is finite, and below 1e12 "%.12g" writes it as _fmt does
     with _csv_lines(args.csv, header) if args.csv else contextlib.nullcontext() as write:

@@ -81,12 +81,20 @@ def _member(protocol) -> Protocol:
     return protocol
 
 
+def _leading(n: int) -> str:
+    """``str(n)``, or past 21 digits its leading digits, at least 21, cut by a power of
+    ten, so no int is written out whole past ``str``'s digit limit."""
+    cut = int((n.bit_length() - 1) * math.log10(2)) - 21
+    return "-" * (n < 0) + str(abs(n) // 10**cut) if cut > 0 else str(n)
+
+
 def _shown(value, form=str) -> str:
     """``value`` as an error quotes it: ``form`` of its first 20 characters, then any '...'.
-    An int past 21 digits is cut by a power of ten first, keeping at least 21, so
-    no int is written out whole past ``str``'s digit limit."""
-    cut = int((value.bit_length() - 1) * math.log10(2)) - 21 if type(value) is int else 0
-    text = "-" * (value < 0) + str(abs(value) // 10**cut) if cut > 0 else str(value)
+    An int, and a Fraction's numerator and denominator, are cut first (:func:`_leading`)."""
+    if type(value) is Fraction:
+        text = _leading(value.numerator) + f"/{_leading(value.denominator)}" * (value.denominator != 1)
+    else:
+        text = _leading(value) if type(value) is int else str(value)
     return form(text[:20]) + "..." * (len(text) > 20)
 
 
@@ -243,9 +251,15 @@ _FIELD_CHECKS = {
 
 def _field_error(name: str, value, shown=format) -> str | None:
     """Why ``value`` cannot be field ``name``, or None if it can; the reason
-    quotes ``shown(value)``."""
+    quotes ``shown(value)``, or an int or Fraction that ``shown`` cannot write
+    past ``str``'s digit limit cut short (:func:`_shown`)."""
     valid, message = _FIELD_CHECKS[name]
-    return None if valid(value) else message.format(shown(value))
+    if valid(value):
+        return None
+    try:
+        return message.format(shown(value))
+    except ValueError:
+        return message.format(_shown(value))
 
 
 def _wire_count(u: int, v: int, a: int, b: int) -> int:
@@ -343,14 +357,13 @@ class EfficiencyReport(NamedTuple):
 
 
 class BreakEvenCurve(NamedTuple):
-    """(K, N*) locus where rho = 1 for fixed (p, q, eta) and variant, as two
-    columns of one length: the client counts in ascending order (a ``range``
-    stays one) and the break-even model size N* at each, an ``array('d')``."""
+    """(K, N*) locus where rho = 1 for ``params`` and ``variant``, as two columns
+    of one length: the client counts in ascending order (a ``range`` stays one)
+    and the break-even model size N* at each, an ``array('d')``. ``params`` is
+    the point the curve was drawn for; its K and N are not read."""
 
     variant: Protocol
-    dataset_size: int
-    smashed_size: int
-    client_fraction: float | Fraction
+    params: ScenarioParams
     clients: Sequence[int]
     break_even_sizes: array
 
@@ -363,8 +376,6 @@ class BreakEvenCurve(NamedTuple):
 def _batch_hand_offs(k: int, p: int, batch_size: int) -> int:
     """Per-batch client-weight hand-offs in one epoch: one after every batch of
     each of the k shards the even split makes of p records."""
-    if batch_size < 1:
-        raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
     base, rem = _even_split(p, k, strict=False)
     return rem * -(-(base + 1) // batch_size) + (k - rem) * -(-base // batch_size)
 
@@ -468,11 +479,7 @@ def efficiency_ratio(params: ScenarioParams, protocol: Protocol) -> EfficiencyRe
     zero split total (p = 0 with no weight sharing, or p = 0 and eta = 0), or
     a ratio past the float range, reports winner Split with rho = +inf.
     """
-    k, p = params.clients, params.dataset_size
-    scaled = 2 * params.smashed_size + params.label_width, *params.client_fraction.as_integer_ratio()
-    return EfficiencyReport(*_rho(_scaled_line(_epoch_counts(Protocol.FEDERATED, k, p, 1), *scaled),
-                                  _scaled_line(_epoch_counts(protocol, k, p, params.batch_size), *scaled),
-                                  *params.model_params.as_integer_ratio()))
+    return EfficiencyReport(*_rho(*_lines(params, protocol, params.clients), *params.model_params.as_integer_ratio()))
 
 
 def _scaled_line(counts: tuple[int, int, int], record: int, u: int, v: int) -> tuple[int, int]:
@@ -482,21 +489,26 @@ def _scaled_line(counts: tuple[int, int, int], record: int, u: int, v: int) -> t
     return _epoch_total(counts, record * v, 0, 0), _epoch_total(counts, 0, u, v)
 
 
-def break_even_curve(
-    dataset_size: int,
-    smashed_size: int,
-    client_fraction: float | Fraction,
-    clients_values: Sequence[int],
-    variant: Protocol = Protocol.SPLIT_SYNC,
-    batch_size: int = 1,
-) -> BreakEvenCurve:
-    """The break-even hyperbola: N* = (A_s - A_f) / (B_f - B_s) on the two lines
-    A + B*N (:func:`_scaled_line`) at each client count, labels left out, one
-    int / int division. Raises InvalidParam, before any arithmetic, for a K
-    that fails the ``clients`` field's check (an int >= 1), and at a K where
-    no positive N balances the two, or where N* lies past the float range or
-    rounds to 0, before the curve exists; each error names K by its first 20
-    characters (:func:`_shown`).
+def _lines(params: ScenarioParams, protocol: Protocol, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The lines (:func:`_scaled_line`) of federated and of ``protocol`` at k clients
+    over ``params``' records, a record 2q + label width scalars."""
+    p, record = params.dataset_size, 2 * params.smashed_size + params.label_width
+    u, v = params.client_fraction.as_integer_ratio()
+    return (_scaled_line(_epoch_counts(Protocol.FEDERATED, k, p, 1), record, u, v),
+            _scaled_line(_epoch_counts(protocol, k, p, params.batch_size), record, u, v))
+
+
+def break_even_curve(params: ScenarioParams, clients_values: Sequence[int],
+                     variant: Protocol = Protocol.SPLIT_SYNC) -> BreakEvenCurve:
+    """The break-even hyperbola: at each client count K, the model size N* at which
+    ``efficiency_ratio(params._replace(clients=K, model_params=N*), variant)`` ties,
+    N* = (A_s - A_f) / (B_f - B_s) on the two lines of :func:`_lines`, labels
+    counted as there, one int / int division. ``params.clients`` and
+    ``params.model_params`` are not read. Raises InvalidParam for p = 0, then,
+    before any arithmetic, for a K that fails the ``clients`` field's check (an
+    int >= 1), and at a K where no positive N balances the two, or where N* lies
+    past the float range or rounds to 0, before the curve exists; each error
+    names K by its first 20 characters (:func:`_shown`).
     An ascending ``range`` of client counts is kept as the curve's K column;
     any other sequence is sorted and rid of repeats.
 
@@ -504,10 +516,9 @@ def break_even_curve(
     one-client count but per-batch hand-offs, which follow the shards; so the
     lines are read at K = 1, and only those hand-offs at each K.
     """
-    if dataset_size < 1 or smashed_size < 1:
+    p = params.dataset_size
+    if p < 1:
         raise InvalidParam("break-even is undefined for p = 0 or q = 0")
-    if not 0 <= client_fraction <= 1:
-        raise InvalidParam(f"client_fraction must lie in [0, 1], got {client_fraction}")
     if not clients_values:
         raise InvalidParam("clients_values must be non-empty")
     ascending = isinstance(clients_values, range) and clients_values.step > 0
@@ -515,9 +526,7 @@ def break_even_curve(
         error = _field_error("clients", k, _shown)
         if error is not None:
             raise InvalidParam(error)
-    u, v = client_fraction.as_integer_ratio()
-    a_s, b_s = _scaled_line(_epoch_counts(variant, 1, dataset_size, batch_size), 2 * smashed_size, u, v)
-    a_f, b_f = _scaled_line(_epoch_counts(Protocol.FEDERATED, 1, dataset_size, 1), 2 * smashed_size, u, v)
+    (a_f, b_f), (a_s, b_s) = _lines(params, variant, 1)
     ks = clients_values if ascending else sorted(set(map(int, clients_values)))
     gap = a_s - a_f
 
@@ -532,7 +541,8 @@ def break_even_curve(
         raise InvalidParam(f"the break-even model size at K={_shown(k)} rounds to 0")
 
     if variant.hand_off == "batch":
-        sizes = array("d", (n_star(k, k * b_f - u * _batch_hand_offs(k, dataset_size, batch_size)) for k in ks))
+        u, batch_size = params.client_fraction.as_integer_ratio()[0], params.batch_size
+        sizes = array("d", (n_star(k, k * b_f - u * _batch_hand_offs(k, p, batch_size)) for k in ks))
     else:
         # the span is K*slope, slope >= 0 (2v - u, 2v, or 0 for federated against itself): N* falls
         # as K grows, so past the first K no span is <= 0 or N* overflows, and zeros end the column
@@ -541,7 +551,7 @@ def break_even_curve(
         sizes.extend(map(gap.__truediv__, map(slope.__mul__, islice(ks, 1, None))))
         if not sizes[-1]:
             n_star(k := ks[sizes.index(0.0)], k * slope)
-    return BreakEvenCurve(variant, dataset_size, smashed_size, client_fraction, ks, sizes)
+    return BreakEvenCurve(variant, params, ks, sizes)
 
 
 # Cartesian sweeps evaluate axes in this order, rightmost varying fastest.

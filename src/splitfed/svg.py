@@ -62,8 +62,8 @@ def _document(curve: BreakEvenCurve) -> str:
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     title = (
-        f"break-even model size: p={curve.dataset_size}, q={curve.smashed_size}, "
-        f"eta={float(curve.client_fraction):g}, {curve.variant.label}"
+        f"break-even model size: p={curve.params.dataset_size}, q={curve.params.smashed_size}, "
+        f"eta={float(curve.params.client_fraction):g}, {curve.variant.label}"
     )
     lines.append(
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '

@@ -94,8 +94,8 @@ def test_break_even_reproduction():
         q = int(10 ** rng.uniform(0, 4))
         k = int(10 ** rng.uniform(0, 3))
         eta = float(rng.choice([0.0, 1.0, rng.uniform()]))
-        n_sync = break_even_curve(p, q, eta, [k], Protocol.SPLIT_SYNC).points[0][1]
-        n_nosync = break_even_curve(p, q, 0.0, [k], Protocol.SPLIT_NOSYNC).points[0][1]
+        n_sync = break_even_curve(ScenarioParams(1, 1, p, q, eta), [k], Protocol.SPLIT_SYNC).points[0][1]
+        n_nosync = break_even_curve(ScenarioParams(1, 1, p, q, 0.0), [k], Protocol.SPLIT_NOSYNC).points[0][1]
         if n_sync < 1 or n_nosync < 1:
             continue
         accepted += 1

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from splitfed import cli, svg
 from splitfed.cli import _fmt, main
-from splitfed.cost_model import BreakEvenCurve, Protocol, break_even_curve
+from splitfed.cost_model import BreakEvenCurve, Protocol, ScenarioParams, break_even_curve
 from splitfed.errors import InvalidParam
 
 
@@ -119,7 +119,8 @@ def test_breakeven_blocks_write_what_the_per_point_writers_wrote(variant, p, q, 
         argv = ["breakeven", "--scenario", str(scenario), "--k-range", k_range]
         protocol = cli.compared_protocol(variant)
         try:  # a geometric range may hold no K, and sync_batch may have no N* at some K
-            curve = break_even_curve(p, q, eta, cli._parse_k_range(k_range), protocol, batch_size)
+            params = ScenarioParams(1, 1, p, q, eta, batch_size=batch_size)
+            curve = break_even_curve(params, cli._parse_k_range(k_range), protocol)
         except InvalidParam:
             assert _run(argv, Path(folder))[0] == 3
             return
@@ -147,7 +148,8 @@ N_STARS = st.one_of(
 def test_breakeven_blocks_write_any_column_as_the_per_point_writers(values, count, lo, step, seed):
     # up to 2,100 points, each N* one of the drawn values, in an order drawn from the seed
     ks, rng = range(lo, lo + count * step, step), random.Random(seed)
-    curve = BreakEvenCurve(Protocol.SPLIT_SYNC, 100, 3, 0.5, ks, array("d", (rng.choice(values) for _ in ks)))
+    curve = BreakEvenCurve(Protocol.SPLIT_SYNC, ScenarioParams(1, 1, 100, 3, 0.5), ks,
+                           array("d", (rng.choice(values) for _ in ks)))
     argv = ["breakeven", "--p", "100", "--q", "3", "--eta", "0.5", "--k-range", f"{lo}:{ks[-1]}:{step}"]
     with mock.patch.object(cli, "break_even_curve", lambda *args: curve):
         _assert_written_as_the_reference(curve, argv, "break-even curve: p=100 q=3 eta=0.5 variant=SplitSync\n")

@@ -712,6 +712,38 @@ def test_breakeven_bad_number_exits_2(capsys, flag, text):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("flags", "message"), [
+    (["--q", "0"], "smashed_size must be a positive integer, got 0"),
+    (["--p", "-3"], "dataset_size must be a non-negative integer, got -3"),
+    (["--p", "0"], "break-even is undefined for p = 0 or q = 0"),
+])
+def test_breakeven_refuses_p_and_q_with_the_field_checks(capsys, flags, message):
+    # --p and --q are checked as a scenario's fields are, with or without a scenario
+    values = {"--p": "10", "--q": "1", "--eta": "0.5"}
+    values.update(zip(flags[::2], flags[1::2]))
+    argv = ["breakeven", *(item for pair in values.items() for item in pair), "--k-range", "1:4"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["breakeven", "--scenario", "tiny-dense", *flags, "--k-range", "1:4"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_breakeven_overrides_a_scenario_field_by_field(tmp_path, capsys):
+    # each of --p, --q and --eta replaces its own field of the scenario's point, which
+    # keeps its batch size and protocol
+    scenario = tmp_path / "batch.txt"
+    scenario.write_text(RAW_TEXT.replace("variant = sync", "variant = sync_batch") + "batch_size = 7\n")
+    overridden, spelled_out = tmp_path / "overridden.csv", tmp_path / "spelled-out.csv"
+    k_range = ["--k-range", "1:500:3", "--csv"]
+    overrides = ["--q", "12", "--eta", "1/100000"]
+    assert main(["breakeven", "--scenario", str(scenario), *overrides, *k_range, str(overridden)]) == 0
+    scenario.write_text(scenario.read_text().replace("q = 100", "q = 12").replace("eta = 0.1", "eta = 1/100000"))
+    assert main(["breakeven", "--scenario", str(scenario), *k_range, str(spelled_out)]) == 0
+    assert overridden.read_bytes() == spelled_out.read_bytes()
+    out = capsys.readouterr().out
+    assert out.count("break-even curve: p=1000000 q=12 eta=1e-05 variant=SplitSyncBatch\n") == 2
+
+
 def test_breakeven_missing_params_exits_2(capsys):
     assert main(["breakeven", "--k-range", "1:10:1"]) == 2
 
@@ -962,6 +994,15 @@ def test_a_sweep_whose_eta_lies_past_the_float_range_writes_its_error_row(tmp_pa
     assert [row.split(",")[0] for row in rows[1:4]] == ["SplitSync", "SplitNoSync", "Federated"]
     assert all(row.split(",")[1:7] == ["100", "1000000", "1000000", "100", "0.5", "2"] for row in rows[1:4])
     assert rows[4] == f'Error,100,1000000,1000000,100,1e+400,2,,,,,,"client_fraction must lie in [0, 1], got {10**400}"'
+
+
+def test_a_sweep_error_row_writes_a_negative_infinity_with_its_sign(tmp_path, capsys):
+    # the eta column and the message both read -inf
+    scenario = tmp_path / "minus-inf-eta.txt"
+    scenario.write_text(RAW_TEXT + "grid.eta = -inf, 0.5\n")
+    assert main(["sweep", "--scenario", str(scenario)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[2] == 'Error,100,1000000,1000000,100,-inf,2,,,,,,"client_fraction must lie in [0, 1], got -inf"'
 
 
 @pytest.mark.parametrize("case", ["sweep-grid", "sweep-grid-nosync-lenient-labels", "sweep-grid-stdout",

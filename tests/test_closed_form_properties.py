@@ -327,7 +327,7 @@ def reference_break_even(p, q, eta, ks, variant, batch_size):
 
 
 def _curve_bits(p, q, eta, ks, variant, batch_size):
-    curve = break_even_curve(p, q, eta, ks, variant, batch_size)
+    curve = break_even_curve(ScenarioParams(1, 1, p, q, eta, batch_size=batch_size), ks, variant)
     return list(curve.clients), [n.hex() for n in curve.break_even_sizes]
 
 
@@ -355,6 +355,57 @@ def test_break_even_curve_is_the_per_k_quotient_of_the_scaled_lines(p, q, eta, k
         return
     assert _outcome(_curve_bits, p, q, eta, ks, variant, batch_size) == \
         _outcome(reference_break_even, p, q, eta, ks, variant, batch_size)
+
+
+_SPLITS = st.sampled_from([protocol for protocol in Protocol if protocol.splits])
+_ANY_KS = st.one_of(
+    st.tuples(st.integers(1, 10**6), st.integers(1, 300), st.integers(1, 10**4)).map(
+        lambda t: range(t[0], t[0] + t[1] * t[2], t[2])),
+    st.lists(st.one_of(st.integers(1, 5000), st.integers(1, 10**30)), min_size=1, max_size=40),
+)
+
+
+def _columns(params, ks, variant):
+    """The curve's two columns, N* as its bytes, or the refusal."""
+    try:
+        curve = break_even_curve(params, ks, variant)
+    except InvalidParam as exc:
+        return str(exc)
+    return list(curve.clients), curve.break_even_sizes.tobytes()
+
+
+@example(variant=Protocol.SPLIT_SYNC, q=2, eta=Fraction(1, 3), label_width=2, batch_size=1, ks=[3], records=3,
+         spare=0, clients=7, model_params=10**6, epochs=3, bytes_per_scalar=2)  # N* = 10.8
+@given(
+    variant=_SPLITS,
+    q=st.integers(1, 4096),
+    eta=_ETAS,
+    label_width=st.integers(0, 3),
+    batch_size=st.integers(1, 8),
+    ks=_ANY_KS,
+    records=st.integers(1, 1000),
+    spare=st.integers(0, 10**6),
+    clients=st.integers(1, 10**6),
+    model_params=st.one_of(st.integers(1, 10**12), st.floats(1, 1e12)),
+    epochs=st.integers(1, 10),
+    bytes_per_scalar=st.integers(1, 8),
+)
+def test_efficiency_ratio_ties_at_each_n_star_and_the_curve_reads_no_other_field(
+        variant, q, eta, label_width, batch_size, ks, records, spare, clients, model_params, epochs,
+        bytes_per_scalar):
+    # p >= every K, so every N* is at least p/K >= 1, a model size ScenarioParams takes
+    p = max(ks) * records + spare
+    params = ScenarioParams(1, 1, p, q, eta, batch_size=batch_size, label_width=label_width)
+    columns = _columns(params, ks, variant)
+    other = params._replace(clients=clients, model_params=model_params, epochs=epochs,
+                            bytes_per_scalar=bytes_per_scalar)
+    assert _columns(other, ks, variant) == columns
+    if isinstance(columns, str):  # many batches a client hand off more weights than federated sends
+        assert variant is Protocol.SPLIT_SYNC_BATCH and columns.startswith("no model size balances")
+        return
+    curve = break_even_curve(params, ks, variant)
+    for k, n_star in curve.points:
+        assert efficiency_ratio(params._replace(clients=k, model_params=n_star), variant).winner is Winner.TIE
 
 
 def reference_rho(federated, split, record, u, v, a, b):

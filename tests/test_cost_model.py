@@ -38,7 +38,7 @@ def make_params(K, N, p, q, eta, bytes_per_scalar=4, epochs=1, batch_size=1, lab
 
 def break_even_at(p, q, k, eta=0.0, variant=Protocol.SPLIT_SYNC, batch_size=1):
     """N* at one client count: the one point of that curve."""
-    return break_even_curve(p, q, eta, [k], variant, batch_size).points[0][1]
+    return break_even_curve(make_params(1, 1, p, q, eta, batch_size=batch_size), [k], variant).points[0][1]
 
 
 # --- shard sizes -------------------------------------------------------------
@@ -132,6 +132,24 @@ def test_every_scenario_params_construction_path_runs_the_field_checks(data, nam
     assert _raised(lambda: ScenarioParams(*values.values())) == want
     assert _raised(lambda: ScenarioParams._make(values.values())) == want
     assert _raised(lambda: ScenarioParams(**_VALID_FIELDS)._replace(**bad)) == want
+
+
+@pytest.mark.parametrize(("name", "value", "shown"), [
+    # str() refuses an int past 4,300 digits; such a value is quoted cut to 20 characters,
+    # as a break-even refusal quotes K, and one that str() writes keeps every digit
+    ("clients", -10**5000, "-1" + "0" * 18 + "..."),
+    ("dataset_size", -10**5000, "-1" + "0" * 18 + "..."),
+    ("client_fraction", Fraction(10**5000, 3), "1" + "0" * 19 + "..."),
+    ("client_fraction", Fraction(-3, 10**5000), "-3/1" + "0" * 16 + "..."),
+    ("clients", -10**4000, str(-10**4000)),
+], ids=["clients", "dataset_size", "eta-numerator", "eta-denominator", "clients-written-whole"])
+def test_a_field_past_the_digit_limit_is_refused_with_its_value_cut_short(name, value, shown):
+    want = cost_model._FIELD_CHECKS[name][1].format(shown)
+    assert _raised(lambda: ScenarioParams(**{**_VALID_FIELDS, name: value})) == want
+    assert _raised(lambda: ScenarioParams(**_VALID_FIELDS)._replace(**{name: value})) == want
+    # a sweep cell yields the same message as its Error, and the next cell its reports
+    error, cell = cost_model.sweep_cells({**_VALID_FIELDS, name: [value, _VALID_FIELDS[name]]})
+    assert error == want and type(cell) is tuple
 
 
 _MODEL_REFUSALS = st.one_of(
@@ -496,7 +514,7 @@ def test_break_even_is_the_exact_crossing_of_the_two_lines(k, records_per_client
     assert efficiency_ratio(params_at(n_star), protocol).winner is Winner.TIE
     # correctly rounded: float() of a Fraction is the nearest float
     assert break_even_at(p, q, k, eta, protocol, batch) == float(n_star)
-    curve = break_even_curve(p, q, eta, [k, 2 * k], protocol, batch)
+    curve = break_even_curve(params_at(1), [k, 2 * k], protocol)
     assert curve.points[0] == (k, float(n_star))
     # the O(1) form over K clients is the sum of their one-client shard= shares
     holders = Counter(shard_sizes(p, k, strict=False))
@@ -513,14 +531,14 @@ def test_break_even_without_a_crossing_raises():
         with pytest.raises(InvalidParam):
             break_even_at(6, 3, 0, 0.5, protocol)
     with pytest.raises(InvalidParam, match="K=1"):
-        break_even_curve(6, 3, Fraction(15, 23), [1, 2, 4], Protocol.SPLIT_SYNC_BATCH)
+        break_even_curve(make_params(1, 1, 6, 3, Fraction(15, 23)), [1, 2, 4], Protocol.SPLIT_SYNC_BATCH)
     with pytest.raises(InvalidParam):  # federated against itself ties at every N
         break_even_at(6, 3, 2, 0.5, Protocol.FEDERATED)
     assert break_even_at(6, 3, 2, Fraction(15, 23), Protocol.SPLIT_SYNC_BATCH) == 414
 
 
 def test_break_even_curve_decreasing_in_k():
-    curve = break_even_curve(1000, 10, 1.0, [1, 10, 100], Protocol.SPLIT_SYNC)
+    curve = break_even_curve(make_params(1, 1, 1000, 10, 1.0), [1, 10, 100], Protocol.SPLIT_SYNC)
     values = [n for _, n in curve.points]
     assert values == pytest.approx([20000.0, 2000.0, 200.0])
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -529,12 +547,12 @@ def test_break_even_curve_decreasing_in_k():
 def test_break_even_curve_keeps_two_columns():
     # an ascending range stays the K column; N* is one array('d')
     ks = range(3, 3000, 7)
-    curve = break_even_curve(1000, 10, Fraction(1, 3), ks, Protocol.SPLIT_SYNC)
+    curve = break_even_curve(make_params(1, 1, 1000, 10, Fraction(1, 3)), ks, Protocol.SPLIT_SYNC)
     assert curve.clients is ks and curve.break_even_sizes.typecode == "d"
     assert curve.points == tuple((k, break_even_at(1000, 10, k, Fraction(1, 3))) for k in ks)
     # any other sequence of client counts is sorted and rid of repeats
-    assert break_even_curve(1000, 10, 0.5, [10, 1, 10]).clients == [1, 10]
-    assert break_even_curve(1000, 10, 0.5, range(10, 0, -3)).clients == [1, 4, 7, 10]
+    assert break_even_curve(make_params(1, 1, 1000, 10, 0.5), [10, 1, 10]).clients == [1, 10]
+    assert break_even_curve(make_params(1, 1, 1000, 10, 0.5), range(10, 0, -3)).clients == [1, 4, 7, 10]
 
 
 @pytest.mark.parametrize("variant", [Protocol.SPLIT_SYNC, Protocol.SPLIT_NOSYNC, Protocol.SPLIT_SYNC_BATCH])
@@ -542,14 +560,15 @@ def test_break_even_refuses_the_first_k_whose_n_star_rounds_to_0(variant):
     # at p = q = 1 and eta = 0, N* = 1/K, which is 0.0 as a float for K past about 4e323;
     # the error quotes K's first 20 digits
     with pytest.raises(InvalidParam, match=r"K=1" + "0" * 19 + r"\.\.\. rounds to 0$"):
-        break_even_curve(1, 1, 0, [1, 2, 10**330, 10**331], variant)
+        break_even_curve(make_params(1, 1, 1, 1, 0), [1, 2, 10**330, 10**331], variant)
     # within a range's column: the zeros are a suffix, and the first of them is named
     ks = range(10**323, 10**324 + 1, 10**323)
     first = next(k for k in ks if not 1 / k)
     assert first == 5 * 10**323
     with pytest.raises(InvalidParam, match=r"K=5" + "0" * 19 + r"\.\.\. rounds to 0$"):
-        break_even_curve(1, 1, 0, ks, variant)
-    assert break_even_curve(1, 1, 0, ks[:4], variant).break_even_sizes.tolist() == [1 / k for k in ks[:4]]
+        break_even_curve(make_params(1, 1, 1, 1, 0), ks, variant)
+    assert break_even_curve(make_params(1, 1, 1, 1, 0), ks[:4], variant).break_even_sizes.tolist() == \
+        [1 / k for k in ks[:4]]
 
 
 @pytest.mark.parametrize(("p", "eta", "variant", "why", "ks"), [
@@ -568,7 +587,7 @@ def test_break_even_refusals_cut_k_to_20_digits(p, eta, variant, why, ks):
     # as a bad --k-range item is cut: 20 characters, then "..."; a K of 20 digits is quoted whole
     for k in ks:
         with pytest.raises(InvalidParam) as raised:
-            break_even_curve(p(k), 1, eta, [k], variant)
+            break_even_curve(make_params(1, 1, p(k), 1, eta), [k], variant)
         assert str(raised.value) == why.format("1" + "0" * 19 + "..." if k > 10**20 else k)
 
 
@@ -588,7 +607,7 @@ def test_break_even_refuses_a_client_count_that_is_not_an_int_of_at_least_1(vari
     # the clients field's own message (ScenarioParams(clients=...)'s), under every
     # protocol, before any arithmetic
     with pytest.raises(InvalidParam) as raised:
-        break_even_curve(6, 3, 0.5, ks, variant)
+        break_even_curve(make_params(1, 1, 6, 3, 0.5), ks, variant)
     assert str(raised.value) == f"clients must be a positive integer, got {shown}"
 
 
@@ -607,7 +626,7 @@ _TAKES_A_PROTOCOL = {
     "traffic_by_kind": lambda bad: traffic_by_kind(_ROW_PARAMS, bad),
     "comm_report": lambda bad: comm_report(_ROW_PARAMS, bad),
     "efficiency_ratio": lambda bad: efficiency_ratio(_ROW_PARAMS, bad),
-    "break_even_curve": lambda bad: break_even_curve(6, 3, 0.5, [1, 2], bad),
+    "break_even_curve": lambda bad: break_even_curve(_ROW_PARAMS, [1, 2], bad),
     "sweep": lambda bad: sweep(_ROW_GRID, bad),
     "sweep_cells": lambda bad: list(cost_model.sweep_cells(_ROW_GRID, bad)),
     "run_split_training": lambda bad: protocol_sim.run_split_training(

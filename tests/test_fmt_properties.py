@@ -1,6 +1,7 @@
 """The CLI's one value formatter against the formatter it replaced.
 
-``reference_fmt`` is that earlier ``cli._fmt``, kept verbatim: every CSV and
+``reference_fmt`` is that earlier ``cli._fmt``, kept verbatim but for an
+infinity, which keeps its sign (the earlier one wrote "inf" for both): every CSV and
 stdout value must come out with the same bytes through the exact-type fast
 paths as through its chain of ``isinstance`` checks. Where its ``float(x)``
 overflows, a ``Fraction`` past the float range, ``_fmt`` writes
@@ -27,7 +28,7 @@ def reference_fmt(x) -> str:
         return str(x)
     if isinstance(x, float):
         if math.isinf(x):
-            return "inf"
+            return "inf" if x > 0 else "-inf"
         if math.isnan(x):
             return "nan"
         if x == int(x) and abs(x) < 1e15:
