@@ -286,7 +286,7 @@ def cmd_simulate(args) -> int:
 
     print(f"scenario {sc.name}: variant={variant.value} K={params.clients} p={params.dataset_size} "
           f"epochs={params.epochs} seed={sc.seed}")
-    totals = ledger.totals_by_kind()
+    totals = verdict.actual
     print("traffic by kind (scalars): " + " ".join(f"{k.value}={totals[k]}" for k in MessageKind))
     print(f"measured total ({'labels included' if params.label_width else 'labels excluded'}): "
           f"{measured.total_scalars} scalars, {measured.total_bytes} bytes; "

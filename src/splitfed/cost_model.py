@@ -126,11 +126,9 @@ def _uneven(dataset_size: int, clients: int) -> DivisibilityError:
 
 
 def _even_split(dataset_size: int, clients: int, strict: bool) -> tuple[int, int]:
-    """(base, rem): the first ``rem`` clients hold base + 1 records, the rest base."""
-    if clients < 1:
-        raise InvalidParam(f"clients must be >= 1, got {clients}")
-    if dataset_size < 0:
-        raise InvalidParam(f"dataset_size must be >= 0, got {dataset_size}")
+    """(base, rem): the first ``rem`` clients hold base + 1 records, the rest base;
+    the counts are checked ones (:func:`_check`), and an uneven split in strict
+    mode raises DivisibilityError."""
     base, rem = divmod(dataset_size, clients)
     if rem and strict:
         raise _uneven(dataset_size, clients)
@@ -141,10 +139,20 @@ def shard_sizes(dataset_size: int, clients: int, strict: bool = True) -> list[in
     """Records per client.
 
     Strict mode requires an even split; lenient mode hands the remainder to
-    the first ``dataset_size % clients`` clients.
+    the first ``dataset_size % clients`` clients. Each count must pass its
+    field's check (:func:`_check`).
     """
-    base, rem = _even_split(dataset_size, clients, strict)
+    base, rem = _even_split(_check("dataset_size", dataset_size), _check("clients", clients), strict)
     return [base + 1 if k < rem else base for k in range(clients)]
+
+
+def _whole(value) -> int | None:
+    """``value`` as an int if it is a whole number (an int, or a float or numpy
+    number equal to one), else None."""
+    try:
+        return n if (n := int(value)) == value else None
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 class Activation(str, Enum):
@@ -162,17 +170,21 @@ class ModelSpec(_ModelFields):
     """Dense network: ordered layer widths plus the hidden-layer activation.
 
     A NamedTuple whose constructor, ``_make`` and ``_replace`` all check the
-    fields and hold the widths as a tuple of ints.
+    fields and hold the widths as a tuple of ints: a width that is not a whole
+    number is refused, a whole float or numpy int is held as its int.
     """
 
     __slots__ = ()
 
     def __new__(cls, layer_widths, activation=Activation.SIGMOID) -> "ModelSpec":
-        widths = tuple(int(w) for w in layer_widths)
+        given = tuple(layer_widths)
+        widths = tuple(map(_whole, given))
         if len(widths) < 2:
             raise InvalidParam("layer_widths needs an input and an output width")
+        if None in widths:
+            raise InvalidParam(f"layer widths must be whole numbers, got {given[widths.index(None)]!r}")
         if any(w < 1 for w in widths):
-            raise InvalidParam(f"layer widths must be positive, got {widths}")
+            raise InvalidParam(f"layer widths must be positive, got ({', '.join(map(_shown, widths))})")
         if not isinstance(activation, Activation):
             raise InvalidParam(f"unknown activation {activation!r}")
         return super().__new__(cls, widths, activation)
@@ -195,11 +207,12 @@ class ModelSpec(_ModelFields):
 
 
 def _cut_index(spec: ModelSpec, cut: int) -> int:
-    """``cut`` as an interior boundary index: the client holds weight layers 1..cut."""
-    c = int(cut)
-    if not 1 <= c <= spec.weight_layers - 1:
+    """``cut`` as an interior boundary index: the client holds weight layers 1..cut.
+    A cut that is not a whole number, or not in that range, raises CutOutOfRange."""
+    c = _whole(cut)
+    if c is None or not 1 <= c <= spec.weight_layers - 1:
         raise CutOutOfRange(
-            f"cut {c} invalid for {spec.weight_layers} weight layers "
+            f"cut {repr(cut) if c is None else _shown(c)} invalid for {spec.weight_layers} weight layers "
             f"(valid range 1..{spec.weight_layers - 1})"
         )
     return c
@@ -235,7 +248,8 @@ def _whole_from(least: int):
 
 # Each ScenarioParams field's check, in field order: a value passes if
 # ``valid(value)`` and is otherwise refused with ``message.format(value)``.
-# ScenarioParams checks every field of one point; sweep checks each axis value once.
+# ScenarioParams checks every field of one point; sweep checks each axis value once;
+# a function handed a count as a plain argument checks it as its field (_check).
 _FIELD_CHECKS = {
     "clients": (_whole_from(1), "clients must be a positive integer, got {}"),
     "model_params": (lambda n: 1 <= n < math.inf, "model_params must be finite and >= 1, got {}"),
@@ -262,6 +276,14 @@ def _field_error(name: str, value, shown=format) -> str | None:
         return message.format(_shown(value))
 
 
+def _check(name: str, value, shown=format):
+    """``value`` if it can be field ``name``; else InvalidParam with :func:`_field_error`'s
+    reason. Every count the package is handed, a field or a plain argument, is checked here."""
+    if (error := _field_error(name, value, shown)) is not None:
+        raise InvalidParam(error)
+    return value
+
+
 def _wire_count(u: int, v: int, a: int, b: int) -> int:
     """eta*N rounded once to the nearest whole scalar, ties to even, for eta = u/v
     and N = a/b exactly: floor(eta*N + 1/2), less one where an exact tie lands on
@@ -273,8 +295,7 @@ def _wire_count(u: int, v: int, a: int, b: int) -> int:
 
 def _whole_model(model_params) -> int:
     """N as an int, for the wire; InvalidParam if N is not whole."""
-    n = int(model_params)
-    if model_params != n:
+    if (n := _whole(model_params)) is None:
         raise InvalidParam(f"wire traffic needs a whole model_params, got {model_params}")
     return n
 
@@ -310,9 +331,7 @@ class ScenarioParams(_ScenarioFields):
     def __new__(cls, *args, **kwargs) -> "ScenarioParams":
         self = super().__new__(cls, *args, **kwargs)
         for name, value in zip(_FIELD_CHECKS, self):
-            error = _field_error(name, value)
-            if error is not None:
-                raise InvalidParam(error)
+            _check(name, value)
         return self
 
     @classmethod
@@ -441,9 +460,10 @@ def traffic_by_kind(params: ScenarioParams, protocol: Protocol, shard: int | Non
 
     By default p = ``params.dataset_size`` records are spread over K =
     ``params.clients`` clients; ``shard`` counts one client holding that many
-    records instead. A hand-off is ``client_param_count``, and N must be whole.
+    records instead, a count checked as ``dataset_size`` is. A hand-off is
+    ``client_param_count``, and N must be whole.
     """
-    k, p = (params.clients, params.dataset_size) if shard is None else (1, shard)
+    k, p = (params.clients, params.dataset_size) if shard is None else (1, _check("dataset_size", shard))
     n = _whole_model(params.model_params)
     records, hand_offs, round_trips = _epoch_counts(protocol, k, p, params.batch_size)
     e = params.epochs
@@ -518,14 +538,12 @@ def break_even_curve(params: ScenarioParams, clients_values: Sequence[int],
     """
     p = params.dataset_size
     if p < 1:
-        raise InvalidParam("break-even is undefined for p = 0 or q = 0")
+        raise InvalidParam("break-even is undefined for p = 0")
     if not clients_values:
         raise InvalidParam("clients_values must be non-empty")
     ascending = isinstance(clients_values, range) and clients_values.step > 0
     for k in clients_values[:1] if ascending else clients_values:  # an ascending range's least K is its first
-        error = _field_error("clients", k, _shown)
-        if error is not None:
-            raise InvalidParam(error)
+        _check("clients", k, _shown)
     (a_f, b_f), (a_s, b_s) = _lines(params, variant, 1)
     ks = clients_values if ascending else sorted(set(map(int, clients_values)))
     gap = a_s - a_f
@@ -694,12 +712,8 @@ def sweep(grid: Mapping[str, object], variant: Protocol = Protocol.SPLIT_SYNC, s
     """
     methods = reported(variant)
     rows: list[SweepRow] = []
-    for (k, n, p, q, eta, bytes_per_scalar, epochs, batch_size, label_width), cell in zip(
-            product(*sweep_axes(grid)), sweep_cells(grid, variant, strict)):
-        # in SWEEP_FIELD_ORDER, spelled out: a literal builds in a third of dict(zip(...))'s time
-        values = {"clients": k, "model_params": n, "dataset_size": p, "smashed_size": q, "client_fraction": eta,
-                  "bytes_per_scalar": bytes_per_scalar, "epochs": epochs, "batch_size": batch_size,
-                  "label_width": label_width}
+    for cell_values, cell in zip(product(*sweep_axes(grid)), sweep_cells(grid, variant, strict)):
+        values = dict(zip(SWEEP_FIELD_ORDER, cell_values))
         rows.append(SweepRow(values, None, None, cell) if type(cell) is str else
                     SweepRow(values, dict(zip(methods, cell[0])), EfficiencyReport(cell[1], cell[2]), None))
     return rows

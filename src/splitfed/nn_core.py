@@ -30,7 +30,8 @@ import numpy as np
 
 # The network's shape and its integer counts live with the closed forms, which
 # import no numpy; they are names of this module too.
-from .cost_model import Activation, ModelSpec, _cut_index, client_param_count, cut_stats, layer_param_counts, param_count
+from .cost_model import (Activation, ModelSpec, _check, _cut_index, _shown, client_param_count, cut_stats,
+                         layer_param_counts, param_count)
 from .errors import InvalidParam, LengthMismatch, ShapeMismatch
 
 # numpy's C einsum kernel, without the Python dispatch of the public np.einsum
@@ -109,9 +110,9 @@ def _stream(seed: int, out: np.ndarray, stretches: Sequence[tuple[int, int]] = (
 
 
 def _outputs(count: int, dtype) -> np.ndarray:
-    """An empty vector of ``count`` stream outputs, refusing a negative count."""
-    if count < 0:
-        raise InvalidParam(f"count must be >= 0, got {count}")
+    """An empty vector of ``count`` stream outputs, refusing a count that is not an int >= 0."""
+    if not (isinstance(count, int) and count >= 0):
+        raise InvalidParam(f"count must be a non-negative integer, got {_shown(count)}")
     return np.empty(count, dtype=dtype)
 
 
@@ -150,9 +151,9 @@ def random_dataset(spec: ModelSpec, count: int, seed: int,
     picks the records made: those two stretches of the stream alone, the same
     bits as the whole dataset's rows, with no other record made. They are
     written into one vector, whose two slices are the inputs and labels, and
-    ``2u - 1`` is computed on it in place."""
-    if count < 0:
-        raise InvalidParam(f"count must be >= 0, got {count}")
+    ``2u - 1`` is computed on it in place. ``count`` is checked as the
+    ``dataset_size`` field is (:func:`.cost_model._check`)."""
+    _check("dataset_size", count)
     records = range(count) if records is None else records
     if records.step != 1 or not 0 <= records.start <= records.stop <= count:
         raise InvalidParam(f"records must be a step-1 range within range({count}), got {records!r}")
@@ -171,15 +172,9 @@ def unpack_params(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray,
         raise LengthMismatch(f"parameter vector must be flat, got shape {flat.shape}")
     if flat.size != param_count(spec):
         raise LengthMismatch(f"expected {param_count(spec)} parameters, got {flat.size}")
-    layers = []
-    offset = 0
-    for n_in, n_out in zip(spec.layer_widths, spec.layer_widths[1:]):
-        w = flat[offset : offset + n_in * n_out].reshape(n_in, n_out)
-        offset += n_in * n_out
-        b = flat[offset : offset + n_out]
-        offset += n_out
-        layers.append((w, b))
-    return layers
+    bounds = pairwise(accumulate(layer_param_counts(spec), initial=0))  # each layer's weights, then its bias
+    return [(flat[lo : hi - n_out].reshape(n_in, n_out), flat[hi - n_out : hi])
+            for (lo, hi), (n_in, n_out) in zip(bounds, pairwise(spec.layer_widths))]
 
 
 def _check_batch(batch, width: int, name: str) -> np.ndarray:

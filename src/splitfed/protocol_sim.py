@@ -31,7 +31,8 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import nn_core
-from .cost_model import _KINDS, CommReport, MessageKind, Protocol, ScenarioParams, _member, shard_sizes, traffic_by_kind
+from .cost_model import (_KINDS, CommReport, MessageKind, Protocol, ScenarioParams, _check, _member, _shown, shard_sizes,
+                         traffic_by_kind)
 from .errors import Diverged, InvalidParam, ShapeMismatch
 from .nn_core import ModelSpec
 
@@ -203,8 +204,7 @@ class TrafficLedger:
                     yield from batch
 
     def totals_by_kind(self) -> dict[MessageKind, int]:
-        owned = [row for row in self._tally if row is not None]  # every message has exactly one owner
-        return {kind: sum(row[code] for row in owned) for code, kind in enumerate(_KINDS)}
+        return _kind_sums(row for row in self._tally if row is not None)  # every message has exactly one owner
 
     def tally(self) -> dict[str, dict[MessageKind, int]]:
         """Scalars per (owner, kind), as a copy the caller owns. A message's one
@@ -235,6 +235,12 @@ class TrafficLedger:
             per_chunk = max(1, _CSV_CHUNK // len(text))
             for done in range(0, repeat, per_chunk):
                 fh.write(text * min(per_chunk, repeat - done))
+
+
+def _kind_sums(rows) -> dict[MessageKind, int]:
+    """Scalars per kind summed over ``rows``, each a row of per-kind scalars in
+    kind order; a row of zeros leads, so no rows sum to zeros."""
+    return dict(zip(_KINDS, map(sum, zip((0,) * len(_KINDS), *rows))))
 
 
 def _shard_bounds(records: int, clients: int, strict: bool) -> list[tuple[int, int]]:
@@ -299,12 +305,12 @@ def _checked_shard(spec: ModelSpec, shard) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_run(spec: ModelSpec, shards: Sequence, unit: str, count: int, batch_size: int) -> list[int]:
-    """Check a run's ``count`` epochs or rounds, its batch size and every shard,
-    read one at a time and dropped, and return each shard's record count."""
-    if count < 0:
-        raise InvalidParam(f"{unit} must be >= 0, got {count}")
-    if batch_size < 1:
-        raise InvalidParam(f"batch_size must be >= 1, got {batch_size}")
+    """Check a run's ``count`` epochs or rounds (an int >= 0: zero trains nothing),
+    its batch size as the field is checked (:func:`.cost_model._check`) and every
+    shard, read one at a time and dropped, and return each shard's record count."""
+    if not (isinstance(count, int) and count >= 0):
+        raise InvalidParam(f"{unit} must be a non-negative integer, got {_shown(count)}")
+    _check("batch_size", batch_size)
     if not shards:
         raise InvalidParam("need at least one client shard")
     return [_checked_shard(spec, shard)[0].shape[0] for shard in shards]
@@ -672,8 +678,7 @@ def expected_kind_totals(
     """
     if batch_size is not None:
         params = params._replace(batch_size=batch_size)
-    forms = client_kind_totals(params, variant)
-    return {kind: sum(form[kind] for form in forms.values()) for kind in MessageKind}
+    return _kind_sums(form.values() for form in client_kind_totals(params, variant).values())
 
 
 def verify_against_model(ledger: TrafficLedger, params: ScenarioParams, variant: Protocol) -> VerificationReport:
@@ -692,8 +697,8 @@ def verify_against_model(ledger: TrafficLedger, params: ScenarioParams, variant:
     # client1..clientK first, then any other owner, which no closed form allows
     by_owner = {o: _deltas(tally.get(o, zero), forms.get(o, zero)) for o in {**forms, **tally}}
     client = next((owner for owner, deltas in by_owner.items() if deltas), None)
-    expected = {kind: sum(form[kind] for form in forms.values()) for kind in MessageKind}
-    actual = ledger.totals_by_kind()
+    expected = _kind_sums(form.values() for form in forms.values())
+    actual = _kind_sums(row.values() for row in tally.values())
     return VerificationReport(
         client is None, expected, actual, _deltas(actual, expected), client, by_owner.get(client, {})
     )

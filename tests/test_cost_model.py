@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitfed import (
+    CutOutOfRange,
     DivisibilityError,
     InvalidParam,
     MessageKind,
@@ -25,7 +26,7 @@ from splitfed import (
     sweep,
     traffic_by_kind,
 )
-from splitfed import cost_model, protocol_sim
+from splitfed import cost_model, nn_core, protocol_sim
 from splitfed.cli import compared_protocol
 from splitfed.cost_model import REPORTED, reported
 
@@ -178,6 +179,33 @@ def test_model_spec_replace_normalises_the_widths_as_the_constructor_does():
         assert spec == ModelSpec(widths, cost_model.Activation.RELU)
         assert type(spec) is ModelSpec and type(spec.layer_widths) is tuple
         assert spec.layer_widths == (4, 3, 2) and all(type(w) is int for w in spec.layer_widths)
+
+
+@pytest.mark.parametrize("bad", [4.7, "3", math.nan, math.inf, None, Fraction(7, 2), np.float64(0.5)])
+def test_model_spec_refuses_a_width_that_is_not_a_whole_number(bad):
+    # once truncated by int(): (4.7, 3, 2) became (4, 3, 2) and a '3' was accepted
+    want = f"layer widths must be whole numbers, got {bad!r}"
+    assert _raised(lambda: ModelSpec((4, bad, 2))) == want
+    assert _raised(lambda: ModelSpec((5, 5))._replace(layer_widths=(bad, 3, 2))) == want
+
+
+def test_model_spec_quotes_a_width_past_the_digit_limit_cut_short():
+    # str() refuses an int past 4,300 digits: the refusal once raised ValueError
+    assert _raised(lambda: ModelSpec((4, -10**5000))) == "layer widths must be positive, got (4, -1" + "0" * 18 + "...)"
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", math.nan, math.inf, None, Fraction(3, 2)])
+def test_a_cut_that_is_not_a_whole_number_is_refused_as_given(bad):
+    # once truncated by int(): cut_stats(spec, 1.5) read cut 1
+    spec = ModelSpec((4, 3, 2))
+    for read in (cost_model.cut_stats, cost_model.client_param_count, ScenarioParams.from_model):
+        with pytest.raises(CutOutOfRange) as raised:
+            read(spec, bad)
+        assert str(raised.value) == f"cut {bad!r} invalid for 2 weight layers (valid range 1..1)"
+    # a whole cut of another type reads as its int; a past-the-digit-limit one is quoted cut short
+    assert cost_model.cut_stats(spec, 1.0) == cost_model.cut_stats(spec, np.int64(1)) == cost_model.cut_stats(spec, 1)
+    with pytest.raises(CutOutOfRange, match=r"^cut 1" + "0" * 19 + r"\.\.\. invalid"):
+        cost_model.cut_stats(spec, 10**5000)
 
 
 # --- protocols and the per-kind closed form ------------------------------------
@@ -646,6 +674,64 @@ def test_every_function_that_takes_a_protocol_refuses_a_non_member(name, bad):
     # run_split_training with no hand-offs, and sweep("sync_batch") raised KeyError
     with pytest.raises(InvalidParam, match="unknown protocol"):
         _TAKES_A_PROTOCOL[name](bad)
+
+
+# --- counts handed in as plain arguments -------------------------------------
+
+_BAD_COUNTS = {"-1": -1, "2.5": 2.5, "2.0": 2.0, "nan": math.nan, "inf": math.inf, "'3'": "3", "None": None,
+               "-10**5000": -10**5000}
+_SPEC = ModelSpec((4, 3, 2))
+_SHARDS = protocol_sim.partition_dataset(*nn_core.random_dataset(_SPEC, 4, 1), 2)
+
+
+def _field_rule(name, shown=format, default=()):
+    """(a value's check, its refusal): the field table's rule for ``name``; a ``default`` value passes too."""
+    return (lambda v: v in default or cost_model._field_error(name, v, shown) is None,
+            lambda v: cost_model._field_error(name, v, shown))
+
+
+def _own_rule(name):
+    """(a value's check, its refusal): an int >= 0, the rule of a run's epochs or rounds and a stream's length."""
+    return cost_model._whole_from(0), lambda v: f"{name} must be a non-negative integer, got {cost_model._shown(v)}"
+
+
+def _split_run(epochs=1, batch_size=1):
+    return protocol_sim.run_split_training(_SPEC, 1, _SHARDS, Protocol.SPLIT_SYNC, epochs, 0.01, 1, batch_size)
+
+
+# Each function that takes a count as a plain argument: (its rule, a call with the count).
+_TAKES_A_COUNT = {
+    "shard_sizes-dataset_size": (_field_rule("dataset_size"), lambda v: shard_sizes(v, 2)),
+    "shard_sizes-clients": (_field_rule("clients"), lambda v: shard_sizes(4, v)),
+    "partition_dataset": (_field_rule("clients"), lambda v: protocol_sim.partition_dataset(*_SHARDS[0], v)),
+    "GeneratedShards-records": (_field_rule("dataset_size"),
+                                lambda v: protocol_sim.GeneratedShards(nn_core.random_dataset, _SPEC, v, 1, 2)),
+    "GeneratedShards-clients": (_field_rule("clients"),
+                                lambda v: protocol_sim.GeneratedShards(nn_core.random_dataset, _SPEC, 4, 1, v)),
+    # shard=None, the default, counts all K clients
+    "traffic_by_kind-shard": (_field_rule("dataset_size", default=(None,)),
+                              lambda v: traffic_by_kind(_ROW_PARAMS, Protocol.SPLIT_SYNC, shard=v)),
+    "run_split_training-batch_size": (_field_rule("batch_size"), lambda v: _split_run(batch_size=v)),
+    "run_split_training-epochs": (_own_rule("epochs"), lambda v: _split_run(epochs=v)),
+    "run_federated_training-batch_size": (_field_rule("batch_size"), lambda v: protocol_sim.run_federated_training(
+        _SPEC, _SHARDS, 1, 0.01, 1, v)),
+    "run_federated_training-rounds": (_own_rule("rounds"), lambda v: protocol_sim.run_federated_training(
+        _SPEC, _SHARDS, v, 0.01, 1)),
+    "random_dataset": (_field_rule("dataset_size"), lambda v: nn_core.random_dataset(_SPEC, v, 1)),
+    "splitmix64": (_own_rule("count"), lambda v: nn_core.splitmix64(1, v)),
+    "break_even_curve-clients": (_field_rule("clients", cost_model._shown),
+                                 lambda v: break_even_curve(_ROW_PARAMS, [v])),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAKES_A_COUNT))
+def test_every_function_that_takes_a_count_refuses_it_with_its_rule(name):
+    # a count the rule refuses raises InvalidParam with the rule's text, whatever its
+    # type: no traceback from numpy or range, no silent truncation, no negative total
+    (valid, refusal), call = _TAKES_A_COUNT[name]
+    for label, bad in _BAD_COUNTS.items():
+        if not valid(bad):
+            assert _raised(lambda: call(bad)) == refusal(bad), label
 
 
 # --- sweep -------------------------------------------------------------------
